@@ -13,12 +13,10 @@ type state = {
   mutable report_target : int;  (* current head candidate, -1 before the first report *)
   upward_done : Cset.t;  (* identifiers that need not flow upward again *)
   mutable last_custody : Knowledge.snap option;
-      (* compact regime: physical identity of the last snapshot absorbed
-         into [upward_done]. A head's reply and broadcast of one version
-         are the same cached snapshot, so cluster members see every view
-         twice per round — the second absorption is skipped. Never set in
-         tracked mode, where the golden traces pin the re-union (and the
-         re-marking of ids a [remove] had cleared in between). *)
+      (* physical identity of the last snapshot absorbed into
+         [upward_done]. A head's reply and broadcast of one version are
+         the same cached snapshot, so cluster members see every view
+         twice per round — the second absorption is skipped. *)
   suspects : Cset.t;  (* nodes suspected crashed (silent head candidates) *)
   mutable silence : int;  (* rounds since the current target last answered *)
   mutable halted : bool;  (* local termination decision reached *)
@@ -115,18 +113,6 @@ let make_with ~broadcast ~upward (ctx : Algorithm.ctx) =
     end;
     !reply_msg
   in
-  (* Broadcast suppression (compact regime): a head whose knowledge is
-     unchanged since its last broadcast would re-send the identical view
-     to the identical audience — the known set is a function of the
-     version — so the quiet tail between convergence and the halt
-     decision is pure redundancy. It is safe to skip even under loss:
-     every reporter pulls the full view through its reply each round, so
-     a node that missed a broadcast still completes; the broadcast only
-     accelerates the spread of *new* information, and anything new bumps
-     the version and re-arms it. Tracked mode keeps the historic
-     always-broadcast behaviour that the golden traces pin down. *)
-  let bcast_version = ref (-1) in
-  let tracked = Knowledge.is_tracked knowledge in
   let round ~round:_ ~send =
     if st.halted then begin
       (* Quiescent: answer any straggling reporter with the full view
@@ -229,17 +215,16 @@ let make_with ~broadcast ~upward (ctx : Algorithm.ctx) =
     end
     else begin
       (* Head: broadcast the full view to the cluster and to every foreign
-         node this head has heard of — the growing-fan-out exchange. *)
+         node this head has heard of — the growing-fan-out exchange. The
+         view goes out every round, even when unchanged: a broadcast
+         lost on its way to a foreign head is otherwise never repeated,
+         and that head keeps heading a cluster it should have left. *)
       match broadcast with
       | Off -> ()
       | All ->
         if Knowledge.cardinal st.knowledge > 1 then begin
-          let v = Knowledge.version st.knowledge in
-          if tracked || v <> !bcast_version then begin
-            bcast_version := v;
-            let msg = share_snap () in
-            Knowledge.iter_known st.knowledge (fun dst -> if dst <> self then send ~dst msg)
-          end
+          let msg = share_snap () in
+          Knowledge.iter_known st.knowledge (fun dst -> if dst <> self then send ~dst msg)
         end
       | Cap k ->
         let targets = Knowledge.random_known_among st.knowledge ctx.rng ~k in
@@ -258,14 +243,11 @@ let make_with ~broadcast ~upward (ctx : Algorithm.ctx) =
      (introductions) are head identifiers that must propagate and are
      never marked done. *)
   let absorb_custody (b : Knowledge.snap) =
-    if tracked then ignore (Cset.union_into ~dst:st.upward_done ~src:b.set)
-    else begin
-      match st.last_custody with
-      | Some p when p == b -> ()
-      | _ ->
-        ignore (Cset.union_into ~dst:st.upward_done ~src:b.set);
-        st.last_custody <- Some b
-    end
+    match st.last_custody with
+    | Some p when p == b -> ()
+    | _ ->
+      ignore (Cset.union_into ~dst:st.upward_done ~src:b.set);
+      st.last_custody <- Some b
   in
   let note_custody ~src d =
     match (d : Payload.data) with
@@ -273,9 +255,9 @@ let make_with ~broadcast ~upward (ctx : Algorithm.ctx) =
       absorb_custody b;
       if src <> st.report_target then begin
         ignore (Cset.remove st.upward_done src);
-        (* Compact knowledge does not enter bulk-merged ids into the
-           learn order, but the sharer's own existence is now in our
-           custody and must flow upward: make it an explicit learn. *)
+        (* Bulk-merged ids do not enter the learn order, but the
+           sharer's own existence is now in our custody and must flow
+           upward: make it an explicit learn. *)
         Knowledge.note_explicit st.knowledge src
       end
     | Payload.Ids _ | Payload.Delta _ | Payload.Updates _ -> ()

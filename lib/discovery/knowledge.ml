@@ -1,20 +1,12 @@
 open Repro_util
 
-(* Two regimes over the same API (see the .mli):
-
-   - tracked (small n): per-identifier learn order, exactly the historic
-     behaviour — every merge enumerates its fresh identifiers into
-     [order], so delta windows, broadcast fan-out order and sampling are
-     all functions of the delivery sequence. This is the regime the
-     golden traces and live-backend certification pin down.
-
-   - compact (large n): bulk merges are container-level set unions with
-     O(1) argmin maintenance from the payload's carried minima — no
-     per-identifier work, which is what makes a full-knowledge run
-     O(total containers merged) instead of Θ(n²) learn events. [order]
-     then holds only *explicitly* learned identifiers (singletons and
-     id-list batches): exactly the ones hm-style custody must forward
-     upward, while snapshot contents stay in the sharer's custody. *)
+(* Bulk merges are container-level set unions with O(1) argmin
+   maintenance from the payload's carried minima — no per-identifier
+   work, which is what makes a full-knowledge run O(total containers
+   merged) instead of Θ(n²) learn events. [order] holds only
+   *explicitly* learned identifiers (singletons and id-list batches):
+   exactly the ones hm-style custody must forward upward, while
+   snapshot contents stay in the sharer's custody. *)
 
 type snap = {
   set : Cset.t;
@@ -26,9 +18,8 @@ type snap = {
 type t = {
   owner : int;
   bits : Cset.t;
-  order : Intvec.t;  (* tracked: known ids in learn order; compact: explicit learns *)
-  noted : Cset.t;  (* compact only: membership of [order] *)
-  tracked : bool;
+  order : Intvec.t;  (* explicitly learned ids, in learn order *)
+  noted : Cset.t;  (* membership of [order] *)
   labels : int array;
   mutable best : int;  (* argmin of labels over the known set *)
   mutable best_raw : int;  (* min raw index over the known set *)
@@ -49,33 +40,30 @@ type t = {
          empty array means every version is 0. *)
 }
 
-(* Regime boundary, overridable for tests (and experiments comparing the
-   two regimes at equal n). Below or at the threshold a node's order
-   vector is at worst [tracked_max] words, so per-node memory stays
-   bounded; above it the compact regime keeps knowledge O(containers)
-   once saturated. *)
-let tracked_max = ref 16384
+(* Most learn orders hold a handful of explicit learns (an hm node's
+   owner, neighbours, reporters and introductions), so they are born
+   small and double. One that outgrows [order_spill] entries is on an
+   explicit-learn diet — flooding's deltas, id-list gossip — and heads
+   for the full cardinality: it jumps straight to [min n 257] words,
+   which is either exactly sized (small n) or the smallest array the
+   runtime allocates directly on the major heap, so the long tail of
+   doublings is never copied by minor-heap promotion. *)
+let order_spill = 16
 
-let create ?tracked ~n ~owner ~labels () =
+let create ~n ~owner ~labels () =
   if owner < 0 || owner >= n then invalid_arg "Knowledge.create: owner out of range";
   if Array.length labels <> n then invalid_arg "Knowledge.create: labels length mismatch";
-  let tracked = match tracked with Some b -> b | None -> n <= !tracked_max in
   let bits = Cset.create n in
   ignore (Cset.add bits owner);
-  (* Tracked learn orders grow to the full cardinality on completed
-     runs: starting at min n 512 words the vector is either exactly
-     sized (small n) or born on the major heap. Compact orders hold only
-     explicit learns — a handful per node — so they start tiny. *)
-  let order = Intvec.create ~capacity:(if tracked then min n 512 else 8) () in
+  let order = Intvec.create ~capacity:8 () in
   Intvec.push order owner;
-  let noted = if tracked then Cset.create 0 else Cset.create n in
-  if not tracked then ignore (Cset.add noted owner);
+  let noted = Cset.create n in
+  ignore (Cset.add noted owner);
   {
     owner;
     bits;
     order;
     noted;
-    tracked;
     labels;
     best = owner;
     best_raw = owner;
@@ -93,54 +81,41 @@ let universe t = Cset.capacity t.bits
 let cardinal t = Cset.cardinal t.bits
 let knows t v = Cset.mem t.bits v
 let is_complete t = Cset.is_full t.bits
-let is_tracked t = t.tracked
 let version t = t.version
 
 let bump_best t v =
   if t.labels.(v) < t.labels.(t.best) then t.best <- v;
   if v < t.best_raw then t.best_raw <- v
 
-(* tracked: a fresh identifier enters the learn order *)
+(* enter an identifier into the learn order (the caller checked [noted]) *)
 let note t v =
+  if Intvec.length t.order = order_spill then
+    Intvec.reserve t.order (min (Cset.capacity t.bits) 257);
   Intvec.push t.order v;
-  bump_best t v
+  ignore (Cset.add t.noted v)
 
-(* compact: best maintenance without order growth (bulk merges) *)
-let note_best t v = bump_best t v
-
-(* compact: a fresh *explicitly* learned identifier *)
+(* a fresh *explicitly* learned identifier *)
 let note_explicit_fresh t v =
-  Intvec.push t.order v;
-  ignore (Cset.add t.noted v);
+  note t v;
   bump_best t v
 
 let add t v =
   let fresh = Cset.add t.bits v in
   if fresh then begin
-    if t.tracked then note t v else note_explicit_fresh t v;
+    note_explicit_fresh t v;
     t.version <- t.version + 1
   end
-  else if (not t.tracked) && not (Cset.mem t.noted v) then begin
+  else if not (Cset.mem t.noted v) then
     (* Already known through a bulk snapshot, but now learned explicitly:
        enter the explicit stream so custody-style delta reports forward
-       it upward. Tracked mode needs no equivalent — the id is already
-       somewhere in the full learn order. *)
-    Intvec.push t.order v;
-    ignore (Cset.add t.noted v)
-  end;
+       it upward. *)
+    note t v;
   fresh
 
-let note_explicit t v =
-  if (not t.tracked) && Cset.mem t.bits v && not (Cset.mem t.noted v) then begin
-    Intvec.push t.order v;
-    ignore (Cset.add t.noted v)
-  end
+let note_explicit t v = if Cset.mem t.bits v && not (Cset.mem t.noted v) then note t v
 
 let merge_bits t src =
-  let added =
-    if t.tracked then Cset.union_into_with ~dst:t.bits ~src (note t)
-    else Cset.union_into_with ~dst:t.bits ~src (note_best t)
-  in
+  let added = Cset.union_into_with ~dst:t.bits ~src (bump_best t) in
   if added > 0 then t.version <- t.version + 1;
   added
 
@@ -149,8 +124,7 @@ let merge_snapshot t (s : snap) =
   | Some prev when prev == s -> 0
   | _ ->
     let added =
-      if t.tracked then Cset.union_into_with ~dst:t.bits ~src:s.set (note t)
-      else if s.sbest >= 0 then begin
+      if s.sbest >= 0 then begin
         (* O(containers): the argmin over the union is the smaller of the
            two argmins, carried by the snapshot — no element enumeration *)
         let a = Cset.union_into ~dst:t.bits ~src:s.set in
@@ -164,7 +138,7 @@ let merge_snapshot t (s : snap) =
       else
         (* snapshot of unknown minima (wire-decoded or adversarial):
            enumerate the fresh identifiers to maintain the argmin *)
-        Cset.union_into_with ~dst:t.bits ~src:s.set (note_best t)
+        Cset.union_into_with ~dst:t.bits ~src:s.set (bump_best t)
     in
     if added > 0 then t.version <- t.version + 1;
     t.last_merged <- Some s;
@@ -187,7 +161,7 @@ let merge_seq t ~len ~get =
   let learned = ref 0 in
   let absorb v =
     if Cset.add t.bits v then begin
-      if t.tracked then note t v else note_explicit_fresh t v;
+      note_explicit_fresh t v;
       incr learned
     end
   in
@@ -227,40 +201,21 @@ let contents t = t.bits
 
 let mark t = Intvec.length t.order
 
-let since t ~mark =
-  if mark < 0 || mark > Intvec.length t.order then invalid_arg "Knowledge.since: invalid mark";
-  Intvec.sub t.order ~pos:mark ~len:(Intvec.length t.order - mark)
-
 let since_slice t ~mark =
   if mark < 0 || mark > Intvec.length t.order then
     invalid_arg "Knowledge.since_slice: invalid mark";
   Intvec.slice t.order ~pos:mark ~len:(Intvec.length t.order - mark)
 
-let iter_known t f = if t.tracked then Intvec.iter f t.order else Cset.iter f t.bits
+let iter_known t f = Cset.iter f t.bits
 
 let random_known t rng =
-  if t.tracked then begin
-    let len = Intvec.length t.order in
-    if len <= 1 then None
-    else begin
-      (* The owner sits somewhere in the order vector; draw until we miss
-         it. With ≥ 2 elements each draw succeeds with probability ≥ 1/2. *)
-      let rec draw () =
-        let v = Intvec.get t.order (Rng.int rng len) in
-        if v = t.owner then draw () else v
-      in
-      Some (draw ())
-    end
-  end
+  let card = Cset.cardinal t.bits in
+  if card <= 1 then None
   else begin
-    let card = Cset.cardinal t.bits in
-    if card <= 1 then None
-    else begin
-      (* rank-space draw over the set minus the owner: one RNG draw *)
-      let orank = Cset.rank t.bits t.owner in
-      let r = Rng.int rng (card - 1) in
-      Some (Cset.choose_nth t.bits (if r >= orank then r + 1 else r))
-    end
+    (* rank-space draw over the set minus the owner: one RNG draw *)
+    let orank = Cset.rank t.bits t.owner in
+    let r = Rng.int rng (card - 1) in
+    Some (Cset.choose_nth t.bits (if r >= orank then r + 1 else r))
   end
 
 (* Virtual partial Fisher–Yates over the non-owner ranks. The rank
@@ -272,30 +227,21 @@ let random_known t rng =
    scratch vectors. A lookup scans the ≤ k entries backwards (latest
    write wins), keeping the call allocation-free beyond the result
    array while still issuing exactly [min k (cardinal-1)] RNG draws.
-
-   Tracked mode ranks over the learn order (owner at rank 0, eligible
-   ranks 1..len-1); compact mode ranks over the set in ascending id
-   order with the owner's rank spliced out. *)
+   Ranks run over the set in ascending id order with the owner's rank
+   spliced out. *)
 let rank_at t x =
-  let n = Intvec.length t.fy_pos in
-  let rec scan i = if i < 0 then x + 1 else if Intvec.get t.fy_pos i = x then Intvec.get t.fy_val i else scan (i - 1) in
-  scan (n - 1)
-
-let rank_at0 t x =
   let n = Intvec.length t.fy_pos in
   let rec scan i = if i < 0 then x else if Intvec.get t.fy_pos i = x then Intvec.get t.fy_val i else scan (i - 1) in
   scan (n - 1)
 
 let random_known_among t rng ~k =
-  if t.tracked then begin
-    let len = Intvec.length t.order in
-    let avail = len - 1 in
-    let k = min k avail in
-    if k <= 0 then [||]
-    else if k = 1 then
-      (* Scratch-free fast path; identical RNG stream and result to the
-         general loop's first iteration (ranks are the identity here). *)
-      [| Intvec.get t.order (Rng.int rng avail + 1) |]
+  let avail = Cset.cardinal t.bits - 1 in
+  let k = min k avail in
+  if k <= 0 then [||]
+  else begin
+    let orank = Cset.rank t.bits t.owner in
+    let select e = Cset.choose_nth t.bits (if e >= orank then e + 1 else e) in
+    if k = 1 then [| select (Rng.int rng avail) |]
     else begin
       Intvec.clear t.fy_pos;
       Intvec.clear t.fy_val;
@@ -304,37 +250,13 @@ let random_known_among t rng ~k =
         let j = i + Rng.int rng (avail - i) in
         let vj = rank_at t j in
         let vi = rank_at t i in
-        out.(i) <- Intvec.get t.order vj;
+        out.(i) <- select vj;
         (* Position [i] is never read again; only [j]'s displacement must
            be visible to later iterations. *)
         Intvec.push t.fy_pos j;
         Intvec.push t.fy_val vi
       done;
       out
-    end
-  end
-  else begin
-    let avail = Cset.cardinal t.bits - 1 in
-    let k = min k avail in
-    if k <= 0 then [||]
-    else begin
-      let orank = Cset.rank t.bits t.owner in
-      let select e = Cset.choose_nth t.bits (if e >= orank then e + 1 else e) in
-      if k = 1 then [| select (Rng.int rng avail) |]
-      else begin
-        Intvec.clear t.fy_pos;
-        Intvec.clear t.fy_val;
-        let out = Array.make k 0 in
-        for i = 0 to k - 1 do
-          let j = i + Rng.int rng (avail - i) in
-          let vj = rank_at0 t j in
-          let vi = rank_at0 t i in
-          out.(i) <- select vj;
-          Intvec.push t.fy_pos j;
-          Intvec.push t.fy_val vi
-        done;
-        out
-      end
     end
   end
 
@@ -355,12 +277,9 @@ let min_known_excluding t ~suspects =
       if (not (Cset.mem suspects v)) && (!best < 0 || t.labels.(v) < t.labels.(!best)) then
         best := v
     in
-    if t.tracked then Intvec.iter consider t.order else Cset.iter consider t.bits;
+    Cset.iter consider t.bits;
     if !best < 0 then t.owner else !best
   end
-
-let elements_in_learn_order t =
-  if t.tracked then Intvec.to_array t.order else Cset.to_array t.bits
 
 (* --- per-node versions (version-vector style) ------------------------ *)
 

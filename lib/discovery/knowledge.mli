@@ -3,26 +3,20 @@
     Combines three views that the algorithms need at different costs:
 
     - an adaptive compressed set ({!Repro_util.Cset.t}) for O(1)
-      membership and container-level whole-set merges — O(1) per
-      saturated container, the dominant case once discovery converges;
-    - a learn-order element vector, giving O(1) "what did I learn since
-      round r" deltas and uniform random choice over the known set;
+      membership, rank-space uniform sampling and container-level
+      whole-set merges — O(1) per saturated container, the dominant
+      case once discovery converges;
+    - a learn order of the {e explicitly} learned identifiers
+      (singletons and id-list batches), giving O(1) "what did I learn
+      since round r" deltas — exactly the identifiers custody-style
+      protocols must forward;
     - the running argmin of the (label-permuted) identifiers, for
       min-pointer style algorithms.
 
-    Two regimes share this API, switched on the universe size at
-    {!create} (threshold {!tracked_max}):
-
-    - {b tracked} (small [n]): the learn order holds {e every} known
-      identifier, and every merge enumerates its fresh ids — the
-      historic behaviour that golden traces and live-backend
-      certification pin down.
-    - {b compact} (large [n]): bulk snapshot merges are container-level
-      unions with O(1) argmin maintenance from payload-carried minima;
-      the learn order holds only {e explicitly} learned identifiers
-      (singletons and id-list batches) — exactly the ones custody-style
-      protocols must forward — so per-node memory stays O(containers +
-      explicit learns) instead of Θ(n) words.
+    Bulk snapshot merges are container-level unions with O(1) argmin
+    maintenance from payload-carried minima; they do not enter the
+    learn order, so per-node memory stays O(containers + explicit
+    learns) rather than Θ(n) words.
 
     A knowledge set always contains its owner. *)
 
@@ -39,22 +33,16 @@ type snap = {
           Written only from the serialisation path (single-threaded). *)
 }
 (** An immutable snapshot of a knowledge set, used as a message payload
-    shared across a whole fan-out. Carrying the minima lets a compact
+    shared across a whole fan-out. Carrying the minima lets a
     receiver merge in O(containers) without enumerating elements; the
     frozen contents are immutable once published, so snapshots stay safe
     to share across domains. *)
 
-val tracked_max : int ref
-(** Universe-size threshold for the tracked regime (default 16384).
-    Mutable so tests and experiments can force either regime; set it
-    before creating knowledge sets, never while they are live. *)
-
-val create : ?tracked:bool -> n:int -> owner:int -> labels:int array -> unit -> t
+val create : n:int -> owner:int -> labels:int array -> unit -> t
 (** [create ~n ~owner ~labels ()] is the singleton knowledge {owner}.
     [labels] is the shared label permutation: [labels.(v)] is the
     comparison identifier of node [v] (see DESIGN.md §7). The array is
-    captured by reference and must not be mutated. [?tracked] overrides
-    the regime choice ([n <= !tracked_max] by default).
+    captured by reference and must not be mutated.
     @raise Invalid_argument if [owner] is out of range or [labels] has
     length ≠ [n]. *)
 
@@ -67,9 +55,6 @@ val knows : t -> int -> bool
 val is_complete : t -> bool
 (** Knows all [n] nodes. *)
 
-val is_tracked : t -> bool
-(** Whether this set is in the tracked (full learn order) regime. *)
-
 val version : t -> int
 (** A counter bumped on every change to the known set (and nothing
     else): callers may cache values derived from the contents — an
@@ -77,27 +62,28 @@ val version : t -> int
     is unchanged. *)
 
 val add : t -> int -> bool
-(** Learn one identifier explicitly; [true] iff it was new. In compact
-    mode an explicitly learned id enters the learn order even when it
-    was already known through a bulk snapshot (so custody deltas forward
+(** Learn one identifier explicitly; [true] iff it was new. An
+    explicitly learned id enters the learn order even when it was
+    already known through a bulk snapshot (so custody deltas forward
     it); the return value still reports set-membership freshness. *)
 
 val note_explicit : t -> int -> unit
-(** Compact-mode only (no-op when tracked): record that an
-    already-known identifier was just learned {e explicitly}, entering
-    it into the learn order if not already there. Used by custody
-    protocols when responsibility for an id is transferred. *)
+(** Record that an already-known identifier was just learned
+    {e explicitly}, entering it into the learn order if not already
+    there. Used by custody protocols when responsibility for an id is
+    transferred. *)
 
 val merge_bits : t -> Cset.t -> int
-(** Merge a raw set of identifiers; returns the number learned. The
-    compact regime enumerates only the {e fresh} elements (to maintain
-    the argmin); prefer {!merge_snapshot} where a payload is at hand. *)
+(** Merge a raw set of identifiers; returns the number learned.
+    Enumerates the {e fresh} elements (to maintain the argmin); prefer
+    {!merge_snapshot} where a payload is at hand. The merged ids do not
+    enter the learn order. *)
 
 val merge_snapshot : t -> snap -> int
-(** Merge a snapshot payload; returns the number learned. Tracked:
-    identical to {!merge_bits} on [snap.set]. Compact: a container-level
-    union plus O(1) argmin update from the carried minima — no element
-    enumeration (unless the minima are unknown, e.g. wire-decoded). *)
+(** Merge a snapshot payload; returns the number learned: a
+    container-level union plus O(1) argmin update from the carried
+    minima — no element enumeration (unless the minima are unknown,
+    e.g. wire-decoded). The merged ids do not enter the learn order. *)
 
 val merge_ids : t -> int array -> int
 (** Merge an explicit identifier list; returns the number learned.
@@ -125,7 +111,7 @@ val snapshot : t -> snap
 
 val external_snapshot : Cset.t -> snap
 (** Wrap a set not derived from a knowledge value (wire decode,
-    adversarial injection) as a snapshot with unknown minima; compact
+    adversarial injection) as a snapshot with unknown minima;
     receivers fall back to enumerating its fresh elements on merge. *)
 
 val contents : t -> Cset.t
@@ -135,20 +121,17 @@ val contents : t -> Cset.t
 val mark : t -> int
 (** An opaque high-water mark: the current length of the learn order. *)
 
-val since : t -> mark:int -> int array
-(** Identifiers learned after [mark] was taken, oldest first.
-    @raise Invalid_argument for a stale/invalid mark. *)
-
 val since_slice : t -> mark:int -> Intvec.slice
-(** Like {!since} but as a zero-copy slice of the learn order — the
-    allocation-free payload for steady-state delta resends. Valid
-    indefinitely (the learn order is append-only).
+(** The identifiers explicitly learned after [mark] was taken, oldest
+    first, as a zero-copy slice of the learn order — the allocation-free
+    payload for steady-state delta resends. Valid indefinitely (the
+    learn order is append-only).
     @raise Invalid_argument for a stale/invalid mark. *)
 
 val iter_known : t -> (int -> unit) -> unit
-(** Iterate the known identifiers without materialising an array.
-    Tracked: learn order (starting with the owner). Compact: ascending
-    id order. The knowledge set must not be mutated during iteration. *)
+(** Iterate the known identifiers in ascending id order without
+    materialising an array. The knowledge set must not be mutated
+    during iteration. *)
 
 val random_known : t -> Rng.t -> int option
 (** A uniformly random known identifier excluding the owner; [None] when
@@ -160,8 +143,7 @@ val random_known_among : t -> Rng.t -> k:int -> int array
     non-owner ranks: exactly [min k (cardinal - 1)] RNG draws, even when
     [k] approaches the number of known nodes, and no allocation beyond
     the result (the displaced ranks live in a reused scratch, scanned in
-    O(k) per draw). Tracked mode ranks over the learn order; compact
-    mode over ascending ids — the distribution is uniform either way. *)
+    O(k) per draw). Ranks run over ascending ids. *)
 
 val min_known : t -> int
 (** The known node with the smallest label (possibly the owner). *)
@@ -178,10 +160,6 @@ val min_known_excluding : t -> suspects:Cset.t -> int
     known node is suspected. O(cardinal) — used only on the
     failure-handling path.
     @raise Invalid_argument if [suspects] has the wrong capacity. *)
-
-val elements_in_learn_order : t -> int array
-(** Tracked: the learn order. Compact: ascending id order (the learn
-    order is partial there). *)
 
 (** {2 Per-node versions}
 

@@ -1,20 +1,3 @@
-type backend = Loopback | Uds | Tcp
-
-let backend_name = function Loopback -> "loopback" | Uds -> "uds" | Tcp -> "tcp"
-
-let backend_of_string = function
-  | "loopback" -> Ok Loopback
-  | "uds" | "unix" -> Ok Uds
-  | "tcp" -> Ok Tcp
-  | s -> Error (Printf.sprintf "unknown transport %S (loopback|uds|tcp)" s)
-
-let all_backends = [ Loopback; Uds; Tcp ]
-
-let backend_to_t = function
-  | Loopback -> Backend.Loopback
-  | Uds -> Backend.Process Backend.Uds
-  | Tcp -> Backend.Process Backend.Tcp
-
 type scheme =
   | Dir of string  (** UDS: node [i] listens on [<dir>/node-<i>.sock] *)
   | Ports of int array  (** TCP: node [i] listens on [127.0.0.1:ports.(i)] *)

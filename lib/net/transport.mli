@@ -9,25 +9,6 @@
     table for hand-built fleets), so "connect-on-learn" needs no
     out-of-band address exchange. *)
 
-type backend = Loopback | Uds | Tcp
-[@@deprecated "use Backend.t, which distinguishes process and mux runtimes"]
-
-[@@@alert "-deprecated"]
-
-val backend_name : backend -> string
-[@@deprecated "use Backend.to_string"]
-
-val backend_of_string : string -> (backend, string) result
-[@@deprecated "use Backend.of_string"]
-
-val all_backends : backend list
-[@@deprecated "use Backend.all"]
-
-val backend_to_t : backend -> Backend.t
-[@@deprecated "migration shim for the legacy string-keyed plumbing"]
-
-[@@@alert "+deprecated"]
-
 (** Address scheme of a socket-backed deployment. *)
 type scheme =
   | Dir of string  (** UDS: node [i] listens on [<dir>/node-<i>.sock] *)

@@ -561,7 +561,7 @@ let cunion t ci c (src : container) base f =
     let added = range - c.ccard in
     (match f with
     | Some f ->
-      (* enumerate the complement of c, ascending (tracked mode only) *)
+      (* enumerate the complement of c, ascending *)
       if c.ccard = 0 then
         for v = 0 to range - 1 do
           f (base + v)

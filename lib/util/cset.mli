@@ -66,7 +66,7 @@ val union_into : dst:t -> src:t -> int
 val union_into_with : dst:t -> src:t -> (int -> unit) -> int
 (** Like {!union_into} but calls [f v] for every element newly added,
     in increasing order. This forces per-element enumeration, so it is
-    the tracked-knowledge (small n) path; large-n merges use
+    reserved for merges whose minima are unknown; snapshot merges use
     {!union_into}. *)
 
 val inter_cardinal : t -> t -> int

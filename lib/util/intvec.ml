@@ -13,14 +13,15 @@ let set t i v =
   check t i;
   t.data.(i) <- v
 
-let grow t =
-  let cap = Array.length t.data in
-  let data = Array.make (2 * cap) 0 in
-  Array.blit t.data 0 data 0 t.len;
-  t.data <- data
+let reserve t cap =
+  if cap > Array.length t.data then begin
+    let data = Array.make cap 0 in
+    Array.blit t.data 0 data 0 t.len;
+    t.data <- data
+  end
 
 let push t v =
-  if t.len = Array.length t.data then grow t;
+  if t.len = Array.length t.data then reserve t (2 * t.len);
   t.data.(t.len) <- v;
   t.len <- t.len + 1
 

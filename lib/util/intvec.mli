@@ -15,6 +15,12 @@ val set : t -> int -> int -> unit
 (** @raise Invalid_argument if the index is out of bounds. *)
 
 val push : t -> int -> unit
+
+val reserve : t -> int -> unit
+(** [reserve t cap] makes room for [cap] elements at once, so pushes up
+    to that length do not reallocate. A no-op when the capacity is
+    already at least [cap]. *)
+
 val pop : t -> int
 (** Removes and returns the last element. @raise Invalid_argument if empty. *)
 

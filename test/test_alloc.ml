@@ -46,53 +46,46 @@ let test_steady_state_flooding_round_allocates_nothing () =
   if extra > 64.0 then
     Alcotest.failf "steady-state flooding round allocated %.0f minor words (expected 0)" extra
 
-(* Same guard for the compact knowledge regime (large n): a steady-state
-   swamping broadcast re-fans the version-cached message out of the
-   compressed set, and each receiver's merge hits the same-snapshot
-   memo — no payload rebuild, no enumeration, no minor allocation. This
-   is what benchmark subject B9 (broadcast_round_65536) measures; the
-   pin here runs at a reduced universe by forcing the regime switch. *)
+(* Same guard for a snapshot broadcaster: a steady-state swamping
+   broadcast re-fans the version-cached message out of the compressed
+   set, and each receiver's merge hits the same-snapshot memo — no
+   payload rebuild, no enumeration, no minor allocation. This is what
+   benchmark subject B9 (broadcast_round_65536) measures, here at a
+   reduced universe. *)
 let test_steady_state_broadcast_round_allocates_nothing () =
-  let saved = !Knowledge.tracked_max in
-  Knowledge.tracked_max := 512;
-  Fun.protect
-    ~finally:(fun () -> Knowledge.tracked_max := saved)
-    (fun () ->
-      let bn = 4096 in
-      let labels = Array.init bn (fun i -> i) in
-      let mk node =
-        Swamping.algorithm.Algorithm.make
-          {
-            Algorithm.n = bn;
-            node;
-            neighbors = [||];
-            labels;
-            rng = Rng.create ~seed:node;
-            params = Params.default;
-          }
-      in
-      let sender = mk 0 and receiver = mk 1 in
-      let full = Cset.create bn in
-      for v = 0 to bn - 1 do
-        ignore (Cset.add full v)
-      done;
-      assert (not (Knowledge.is_tracked sender.Algorithm.knowledge));
-      ignore (Knowledge.merge_bits sender.Algorithm.knowledge full);
-      ignore (Knowledge.merge_bits receiver.Algorithm.knowledge full);
-      let send ~dst:_ payload = receiver.Algorithm.receive ~src:0 payload in
-      (* round 1 builds and caches the snapshot message; from round 2 on
-         the broadcast is the steady state *)
-      sender.Algorithm.round ~round:1 ~send;
-      let cal_before = Gc.minor_words () in
-      let cal_after = Gc.minor_words () in
-      let overhead = cal_after -. cal_before in
-      let before = Gc.minor_words () in
-      sender.Algorithm.round ~round:2 ~send;
-      let after = Gc.minor_words () in
-      let extra = after -. before -. overhead in
-      if extra > 64.0 then
-        Alcotest.failf "steady-state broadcast round allocated %.0f minor words (expected 0)"
-          extra)
+  let bn = 4096 in
+  let labels = Array.init bn (fun i -> i) in
+  let mk node =
+    Swamping.algorithm.Algorithm.make
+      {
+        Algorithm.n = bn;
+        node;
+        neighbors = [||];
+        labels;
+        rng = Rng.create ~seed:node;
+        params = Params.default;
+      }
+  in
+  let sender = mk 0 and receiver = mk 1 in
+  let full = Cset.create bn in
+  for v = 0 to bn - 1 do
+    ignore (Cset.add full v)
+  done;
+  ignore (Knowledge.merge_bits sender.Algorithm.knowledge full);
+  ignore (Knowledge.merge_bits receiver.Algorithm.knowledge full);
+  let send ~dst:_ payload = receiver.Algorithm.receive ~src:0 payload in
+  (* round 1 builds and caches the snapshot message; from round 2 on
+     the broadcast is the steady state *)
+  sender.Algorithm.round ~round:1 ~send;
+  let cal_before = Gc.minor_words () in
+  let cal_after = Gc.minor_words () in
+  let overhead = cal_after -. cal_before in
+  let before = Gc.minor_words () in
+  sender.Algorithm.round ~round:2 ~send;
+  let after = Gc.minor_words () in
+  let extra = after -. before -. overhead in
+  if extra > 64.0 then
+    Alcotest.failf "steady-state broadcast round allocated %.0f minor words (expected 0)" extra
 
 let () =
   Alcotest.run "alloc"

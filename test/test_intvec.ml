@@ -22,7 +22,15 @@ let test_growth () =
     Intvec.push v i
   done;
   Alcotest.(check int) "length" 1000 (Intvec.length v);
-  Alcotest.(check (array int)) "contents" (Array.init 1000 (fun i -> i)) (Intvec.to_array v)
+  Alcotest.(check (array int)) "contents" (Array.init 1000 (fun i -> i)) (Intvec.to_array v);
+  (* reserve keeps the contents and any slice taken before it *)
+  let s = Intvec.slice v ~pos:998 ~len:2 in
+  Intvec.reserve v 10;
+  Intvec.reserve v 5000;
+  Intvec.push v 1000;
+  Alcotest.(check (array int)) "contents after reserve" (Array.init 1001 (fun i -> i))
+    (Intvec.to_array v);
+  Alcotest.(check (array int)) "slice across reserve" [| 998; 999 |] (Intvec.slice_to_array s)
 
 let test_bounds () =
   let v = Intvec.of_array [| 1; 2 |] in

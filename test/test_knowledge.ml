@@ -30,8 +30,11 @@ let test_add_and_merge () =
   let bits = Cset.of_array 10 [| 6; 8; 9 |] in
   Alcotest.(check int) "merge_bits" 2 (Knowledge.merge_bits k bits);
   Alcotest.(check int) "cardinal" 6 (Knowledge.cardinal k);
-  Alcotest.(check (array int)) "learn order" [| 0; 5; 6; 7; 8; 9 |]
-    (Knowledge.elements_in_learn_order k)
+  Alcotest.(check (array int)) "contents" [| 0; 5; 6; 7; 8; 9 |]
+    (Cset.to_array (Knowledge.contents k));
+  (* bulk merges stay out of the learn order: only explicit learns enter *)
+  Alcotest.(check (array int)) "learn order" [| 0; 5; 6; 7 |]
+    (Intvec.slice_to_array (Knowledge.since_slice k ~mark:0))
 
 let test_completion () =
   let k = mk ~n:3 () in
@@ -85,18 +88,25 @@ let test_min_excluding_suspected_owner () =
 
 let test_marks_and_since () =
   let k = mk () in
+  let since mark = Intvec.slice_to_array (Knowledge.since_slice k ~mark) in
   let m0 = Knowledge.mark k in
   ignore (Knowledge.merge_ids k [| 4; 2 |]);
   (* batches enter the learn order ascending, whatever the array order *)
-  Alcotest.(check (array int)) "delta" [| 2; 4 |] (Knowledge.since k ~mark:m0);
+  Alcotest.(check (array int)) "delta" [| 2; 4 |] (since m0);
   let m1 = Knowledge.mark k in
-  Alcotest.(check (array int)) "empty delta" [||] (Knowledge.since k ~mark:m1);
+  Alcotest.(check (array int)) "empty delta" [||] (since m1);
   ignore (Knowledge.add k 7);
-  Alcotest.(check (array int)) "next delta" [| 7 |] (Knowledge.since k ~mark:m1);
-  Alcotest.(check (array int)) "from zero includes owner" [| 0; 2; 4; 7 |]
-    (Knowledge.since k ~mark:0);
-  Alcotest.check_raises "stale mark" (Invalid_argument "Knowledge.since: invalid mark")
-    (fun () -> ignore (Knowledge.since k ~mark:99))
+  Alcotest.(check (array int)) "next delta" [| 7 |] (since m1);
+  Alcotest.(check (array int)) "from zero includes owner" [| 0; 2; 4; 7 |] (since 0);
+  (* a snapshot-known id enters the learn order once, when learned
+     explicitly *)
+  let m2 = Knowledge.mark k in
+  ignore (Knowledge.merge_bits k (Cset.of_array 10 [| 3; 8 |]));
+  Alcotest.(check (array int)) "bulk merge stays out" [||] (since m2);
+  Alcotest.(check bool) "known already" false (Knowledge.add k 8);
+  Knowledge.note_explicit k 3;
+  Knowledge.note_explicit k 3;
+  Alcotest.(check (array int)) "explicit learns enter once" [| 8; 3 |] (since m2)
 
 let test_snapshot_independent () =
   let k = mk () in
@@ -179,19 +189,18 @@ let test_slices_and_iteration () =
   Alcotest.(check int) "merge_slice learns" 3 (Knowledge.merge_slice other s);
   Alcotest.(check int) "merge_slice dedups" 0 (Knowledge.merge_slice other s);
   Alcotest.(check (array int)) "merged ascending after owner" [| 1; 2; 4; 9 |]
-    (Knowledge.elements_in_learn_order other);
+    (Intvec.slice_to_array (Knowledge.since_slice other ~mark:0));
   let seen = ref [] in
   Knowledge.iter_known k (fun v -> seen := v :: !seen);
-  Alcotest.(check (list int)) "iter_known follows learn order" [ 0; 2; 4; 9; 6 ]
-    (List.rev !seen);
+  Alcotest.(check (list int)) "iter_known ascends" [ 0; 2; 4; 6; 9 ] (List.rev !seen);
   (* canonicalisation: an unsorted batch and its sorted permutation
      produce identical learn orders *)
   let a = mk ~owner:0 () and b = mk ~owner:0 () in
   ignore (Knowledge.merge_ids a [| 7; 3; 5; 3 |]);
   ignore (Knowledge.merge_ids b [| 3; 3; 5; 7 |]);
   Alcotest.(check (array int)) "batch order is canonical"
-    (Knowledge.elements_in_learn_order a)
-    (Knowledge.elements_in_learn_order b)
+    (Intvec.slice_to_array (Knowledge.since_slice a ~mark:0))
+    (Intvec.slice_to_array (Knowledge.since_slice b ~mark:0))
 
 let prop_learn_order_matches_set =
   QCheck2.Test.make ~name:"learn order is a duplicate-free enumeration of the set" ~count:200
@@ -203,25 +212,33 @@ let prop_learn_order_matches_set =
     (fun (n, owner, adds) ->
       let k = Knowledge.create ~n ~owner ~labels:(Array.init n (fun i -> i)) () in
       List.iter (fun v -> ignore (Knowledge.add k v)) adds;
-      let order = Array.to_list (Knowledge.elements_in_learn_order k) in
+      let order = Array.to_list (Intvec.slice_to_array (Knowledge.since_slice k ~mark:0)) in
       let expected = List.sort_uniq compare (owner :: adds) in
       List.sort compare order = expected
       && List.length order = Knowledge.cardinal k
       && List.for_all (Knowledge.knows k) order)
 
 let prop_min_tracking_correct =
-  QCheck2.Test.make ~name:"tracked minima match recomputation" ~count:200
+  QCheck2.Test.make ~name:"maintained minima match recomputation" ~count:200
     QCheck2.Gen.(
       let* n = int_range 1 40 in
       let* owner = int_range 0 (n - 1) in
       let* seed = int_range 0 1000 in
-      let* adds = list_size (int_range 0 60) (int_range 0 (n - 1)) in
-      return (n, owner, seed, adds))
-    (fun (n, owner, seed, adds) ->
+      let ids = list_size (int_range 0 60) (int_range 0 (n - 1)) in
+      let* adds = ids in
+      let* peer = ids in
+      let* raw = ids in
+      return (n, owner, seed, adds, peer, raw))
+    (fun (n, owner, seed, adds, peer, raw) ->
       let labels = Rng.permutation (Rng.create ~seed) n in
       let k = Knowledge.create ~n ~owner ~labels () in
       List.iter (fun v -> ignore (Knowledge.add k v)) adds;
-      let known = Array.to_list (Knowledge.elements_in_learn_order k) in
+      (* a peer's snapshot carries its minima; a raw set does not *)
+      let p = Knowledge.create ~n ~owner:(n - 1 - owner) ~labels () in
+      List.iter (fun v -> ignore (Knowledge.add p v)) peer;
+      ignore (Knowledge.merge_snapshot k (Knowledge.snapshot p));
+      ignore (Knowledge.merge_snapshot k (Knowledge.external_snapshot (Cset.of_array n (Array.of_list raw))));
+      let known = Array.to_list (Cset.to_array (Knowledge.contents k)) in
       let by_label = List.fold_left (fun acc v -> if labels.(v) < labels.(acc) then v else acc) owner known in
       let by_raw = List.fold_left min owner known in
       Knowledge.min_known k = by_label && Knowledge.min_known_raw k = by_raw)

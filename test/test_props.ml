@@ -130,7 +130,7 @@ let final_knowledge_exact =
            (fun i ->
              let k = i.Algorithm.knowledge in
              Knowledge.cardinal k = n
-             && Array.length (Knowledge.elements_in_learn_order k) = n)
+             && Array.length (Cset.to_array (Knowledge.contents k)) = n)
            instances)
 
 (* --- regression cases --- *)
