@@ -1,10 +1,11 @@
 (* bench/main.exe — the full benchmark harness.
 
-   Part 1 (B1-B11): Bechamel microbenchmarks of the hot substrate
-   operations and of one complete discovery run per key algorithm, each
-   measured on two instances: monotonic clock (ns/run) and minor-heap
-   allocation (words/run); plus two single-shot subjects — B12 (full hm
-   run at 65,536) and B13 (continuous-service soak, per-tick). The
+   Part 1 (B1-B11, B14): Bechamel microbenchmarks of the hot substrate
+   operations (B14: one wire round trip of a snapshot) and of one
+   complete discovery run per key algorithm, each measured on two
+   instances: monotonic clock (ns/run) and minor-heap allocation
+   (words/run); plus two single-shot subjects — B12 (full hm run at
+   65,536) and B13 (continuous-service soak, per-tick). The
    allocation figure is the one the zero-copy/allocation-free engine
    work is graded on — see EXPERIMENTS.md "Benchmark trajectory".
 
@@ -171,6 +172,26 @@ let union_pair_subjects =
       ])
     [ 4096; 65536; 1048576 ]
 
+(* One wire round trip of a half-full knowledge snapshot at n = 65,536,
+   the per-frame cost a snapshot pays on the mux path: Adaptive picks
+   the bitmap codec at this density, so the subject is the set-to-bytes
+   blit on encode and the bytes-to-set build on decode. *)
+let b14_wire_bits =
+  let n = 65536 in
+  let rng = Rng.create ~seed:14 in
+  let set = Cset.create n in
+  for v = 0 to n - 1 do
+    if Rng.int rng 2 = 0 then ignore (Cset.add set v)
+  done;
+  let payload = Payload.Share (Payload.Bits (Knowledge.external_snapshot (Cset.freeze set))) in
+  Test.make ~name:"B14 wire_bits_roundtrip_65536"
+    (Staged.stage (fun () ->
+         match
+           Wire.decode Wire.Adaptive ~universe:n (Wire.encode Wire.Adaptive ~universe:n payload)
+         with
+         | Ok _ -> ()
+         | Error msg -> failwith msg))
+
 (* ---------- measurement and reporting ---------- *)
 
 type row = { name : string; ns_per_run : float; minor_words_per_run : float }
@@ -182,7 +203,7 @@ let measure_subjects () =
   let tests =
     Test.make_grouped ~name:"repro"
       ([ b1_bitset_union; b2_rng; b3_knowledge_merge; b4_graph_gen; b5; b6; b7; b8; b9_broadcast ]
-      @ union_pair_subjects)
+      @ union_pair_subjects @ [ b14_wire_bits ])
   in
   let instances = Instance.[ monotonic_clock; minor_allocated ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 2.0) ~stabilize:true () in

@@ -196,7 +196,8 @@ let body_choice encoding ~universe ids =
   | Bitmap -> `Bitmap
   | Adaptive -> if varint_size_of ids <= bitmap_size ~universe then `Varint else `Bitmap
 
-let encode encoding ~universe payload =
+(* Every message but a snapshot, built in a growing buffer. *)
+let encode_buffered encoding ~universe payload =
   let buf = Buffer.create 64 in
   Buffer.add_char buf (Char.chr (kind_tag payload));
   (match payload with
@@ -218,20 +219,15 @@ let encode encoding ~universe payload =
   | Payload.Share d | Payload.Exchange d | Payload.Reply d ->
     let ids = ids_of_data d in
     check_range ~universe ids;
-    let form =
-      match d with
-      | Payload.Bits _ -> snapshot_flag
-      | Payload.Ids _ | Payload.Delta _ | Payload.Updates _ -> 0
-    in
     (match body_choice encoding ~universe ids with
     | `Raw ->
-      Buffer.add_char buf (Char.chr form);
+      Buffer.add_char buf '\000';
       Buffer.add_buffer buf (raw32_body ids)
     | `Varint ->
-      Buffer.add_char buf (Char.chr (1 lor form));
+      Buffer.add_char buf '\001';
       Buffer.add_buffer buf (varint_body ids)
     | `Bitmap ->
-      Buffer.add_char buf (Char.chr (2 lor form));
+      Buffer.add_char buf '\002';
       Buffer.add_buffer buf (bitmap_body ~universe ids)));
   Buffer.to_bytes buf
 
@@ -263,6 +259,85 @@ let varint_size_of_bits (b : Knowledge.snap) =
     b.Knowledge.vbytes <- size;
     size
   end
+
+(* Adaptive's rule for a snapshot, without materialising its ids: the
+   varint body when it is no larger than the bitmap. A cardinality that
+   already reaches the bitmap width settles it in O(1). *)
+let bits_prefer_varint ~universe (b : Knowledge.snap) =
+  Cset.cardinal b.Knowledge.set < bitmap_size ~universe
+  && varint_size_of_bits b <= bitmap_size ~universe
+
+let put_varint out pos v =
+  let v = ref v and pos = ref pos in
+  while !v >= 0x80 do
+    Bytes.set out !pos (Char.unsafe_chr (0x80 lor (!v land 0x7F)));
+    v := !v lsr 7;
+    incr pos
+  done;
+  Bytes.set out !pos (Char.unsafe_chr !v);
+  !pos + 1
+
+(* A [Bits] snapshot is written straight from its set into an exactly
+   sized buffer — the same bytes the list path gives for
+   [Ids (Cset.to_array set)], plus the snapshot flag, without building
+   the list. *)
+let encode_bits encoding ~universe kind (b : Knowledge.snap) =
+  let set = b.Knowledge.set in
+  (* a set bounded by the universe cannot hold an out-of-range id *)
+  if Cset.capacity set > universe then
+    Cset.iter
+      (fun v -> if v >= universe then invalid_arg "Wire.encode: identifier out of range")
+      set;
+  let card = Cset.cardinal set in
+  let codec =
+    match encoding with
+    | Raw32 -> 0
+    | Varint_delta -> 1
+    | Bitmap -> 2
+    | Adaptive -> if bits_prefer_varint ~universe b then 1 else 2
+  in
+  let body =
+    match codec with
+    | 0 -> varint_size card + (4 * card)
+    | 1 -> varint_size_of_bits b
+    | _ -> bitmap_size ~universe
+  in
+  let out = Bytes.make (2 + body) '\000' in
+  Bytes.set out 0 (Char.chr kind);
+  Bytes.set out 1 (Char.chr (codec lor snapshot_flag));
+  (match codec with
+  | 0 ->
+    let pos = ref (put_varint out 2 card) in
+    Cset.iter
+      (fun v ->
+        Bytes.set_uint16_le out !pos (v land 0xFFFF);
+        Bytes.set_uint16_le out (!pos + 2) ((v lsr 16) land 0xFFFF);
+        pos := !pos + 4)
+      set
+  | 1 ->
+    let pos = ref (put_varint out 2 card) in
+    let prev = ref (-1) in
+    Cset.iter
+      (fun v ->
+        pos := put_varint out !pos (v - !prev - 1);
+        prev := v)
+      set
+  | _ ->
+    if Cset.capacity set <= universe then Cset.blit_bitmap_bytes set out 2
+    else
+      Cset.iter
+        (fun v ->
+          let i = 2 + (v lsr 3) in
+          Bytes.set out i (Char.unsafe_chr (Char.code (Bytes.get out i) lor (1 lsl (v land 7)))))
+        set);
+  out
+
+let encode encoding ~universe payload =
+  match payload with
+  | Payload.Share (Payload.Bits b) | Payload.Exchange (Payload.Bits b)
+  | Payload.Reply (Payload.Bits b) ->
+    encode_bits encoding ~universe (kind_tag payload) b
+  | _ -> encode_buffered encoding ~universe payload
 
 (* For [Ids]/[Delta] payloads the canonical form is sorted and
    deduplicated, but materialising it as a list per sized message is the
@@ -352,8 +427,7 @@ let encoded_size encoding ~universe payload =
       | Varint_delta, Payload.Bits b -> varint_size_of_bits b
       | Bitmap, _ -> bitmap_size ~universe
       | Adaptive, Payload.Bits b ->
-        if Cset.cardinal b.Knowledge.set >= bitmap_size ~universe then bitmap_size ~universe
-        else min (varint_size_of_bits b) (bitmap_size ~universe)
+        if bits_prefer_varint ~universe b then varint_size_of_bits b else bitmap_size ~universe
       | (Raw32 | Varint_delta | Adaptive), (Payload.Ids _ | Payload.Delta _) ->
         let packed = ids_sizes d in
         let distinct = packed lsr 31 and vbytes = packed land 0x7FFFFFFF in
@@ -440,11 +514,6 @@ let decode_exn ~universe bytes =
       | 2 ->
         let width = (universe + 7) / 8 in
         if Bytes.length bytes - 2 <> width then invalid_arg "Wire.decode: bitmap width mismatch";
-        let bits = Cset.create universe in
-        for v = 0 to universe - 1 do
-          let byte = Char.code (Bytes.get bytes (2 + (v lsr 3))) in
-          if byte land (1 lsl (v land 7)) <> 0 then ignore (Cset.add bits v)
-        done;
         (* bits of the final partial byte beyond [universe) would be
            silently dropped; reject them as corruption instead *)
         if universe land 7 <> 0 then begin
@@ -452,7 +521,7 @@ let decode_exn ~universe bytes =
           if last lsr (universe land 7) <> 0 then
             invalid_arg "Wire.decode: bitmap has bits beyond the universe"
         end;
-        Payload.Bits (Knowledge.external_snapshot bits)
+        Payload.Bits (Knowledge.external_snapshot (Cset.of_bitmap_bytes universe bytes 2))
       | 3 ->
         let count = read_varint bytes pos in
         (* each entry is at least three bytes (gap, version, status), so

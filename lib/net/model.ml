@@ -46,6 +46,7 @@ type sys = {
       (** [queues.(src).(dst)]: encoded frames in flight, FIFO *)
   mutable now : float;
   mutable crashes : int;  (** crash moves taken on this path *)
+  labels : int array;  (** the run's label permutation, shared by every core *)
 }
 
 let actions sys v =
@@ -78,11 +79,14 @@ let boot cfg =
       queues = Array.init cfg.n (fun _ -> Array.init cfg.n (fun _ -> Queue.create ()));
       now = 0.0;
       crashes = 0;
+      labels = Exec.labels_of ~seed:cfg.seed cfg.n;
     }
   in
   for v = 0 to cfg.n - 1 do
     sys.cores.(v) <-
-      Some (Node_core.create (core_config cfg v ~announce:false) (actions sys v) ~links_up:true ~now:sys.now)
+      Some
+        (Node_core.create (core_config cfg v ~announce:false) (actions sys v) ~labels:sys.labels
+           ~links_up:true ~now:sys.now)
   done;
   sys
 
@@ -122,7 +126,9 @@ let apply cfg sys move =
     (* a fresh incarnation announces itself; stale frames from and to the
        previous incarnation stay in flight and remain deliverable *)
     sys.cores.(v) <-
-      Some (Node_core.create (core_config cfg v ~announce:true) (actions sys v) ~links_up:true ~now:sys.now)
+      Some
+        (Node_core.create (core_config cfg v ~announce:true) (actions sys v) ~labels:sys.labels
+           ~links_up:true ~now:sys.now)
 
 (* All moves enabled in a state, in a fixed deterministic order. [Pump]
    is offered only when it would act (a retransmission timeout is due) —

@@ -187,7 +187,7 @@ let exec_spec (spec : Run_async.spec) (algo : Algorithm.t) topology =
           encoding = spec.Run_async.encoding;
           fleet_halt = false;  (* the monitor is the authority on completion *)
         }
-        actions ~links_up:true ~now:!now
+        actions ~labels ~links_up:true ~now:!now
     in
     cores.(v) <- Some core;
     instances.(v) <- Node_core.instance core;

@@ -265,7 +265,9 @@ let run cfg =
         encoding = cfg.encoding;
         fleet_halt = cfg.fleet_halt;
       }
-      actions ~links_up:false ~now:(rel cfg)
+      actions
+      ~labels:(Exec.labels_of ~seed:cfg.seed cfg.n)
+      ~links_up:false ~now:(rel cfg)
   in
   let t =
     {

@@ -48,11 +48,37 @@ type link = {
   mutable peer_done : bool;  (** peer has signalled complete knowledge *)
 }
 
+let new_link status =
+  {
+    status;
+    sendbuf = Queue.create ();
+    base_seq = 1;
+    rto_at = infinity;
+    recv_cum = 0;
+    recv_early = [];
+    ack_owed = false;
+    hello_owed = false;
+    done_owed = false;
+    peer_done = false;
+  }
+
+(* What an untouched link reads as, per initial status. Read-only: only
+   the non-creating accessors ever return these, and they never write. *)
+let untouched_up = new_link Up
+let untouched_down = new_link Down
+
+(* Links are created on first use, so a core costs O(peers it talks to),
+   not O(n): [peers] holds the touched ids ascending, [links.(i)] the
+   link to [peers.(i)], both valid below [nlinks]. Walking them in index
+   order is the ascending-id order a dense table would give. *)
 type t = {
   cfg : config;
   acts : actions;
   inst : Algorithm.instance;
-  links : link array;
+  untouched : link;
+  mutable peers : int array;
+  mutable links : link array;
+  mutable nlinks : int;
   fn : Faultnet.t option;
   byz : int list;  (** ids this node fabricates into every data payload *)
   auditing : bool;
@@ -76,10 +102,48 @@ let instance t = t.inst
 let is_complete t = t.complete_announced
 let last_activity t = t.last_activity
 let fleet_done t = t.complete_announced && t.done_known = t.cfg.n - 1
-let link_status t ~dst = t.links.(dst).status
+
+(* index of the first touched id >= [dst] *)
+let lower_bound t dst =
+  let lo = ref 0 and hi = ref t.nlinks in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.peers.(mid) < dst then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* The link to [dst] for reading: an untouched link is not created. *)
+let peek t dst =
+  let i = lower_bound t dst in
+  if i < t.nlinks && t.peers.(i) = dst then t.links.(i) else t.untouched
+
+(* The link to [dst] for writing, created on first use. *)
+let touch t dst =
+  let i = lower_bound t dst in
+  if i < t.nlinks && t.peers.(i) = dst then t.links.(i)
+  else begin
+    if dst < 0 || dst >= t.cfg.n then invalid_arg "Node_core: peer out of range";
+    if t.nlinks = Array.length t.peers then begin
+      let cap = max 4 (2 * t.nlinks) in
+      let peers = Array.make cap 0 and links = Array.make cap t.untouched in
+      Array.blit t.peers 0 peers 0 t.nlinks;
+      Array.blit t.links 0 links 0 t.nlinks;
+      t.peers <- peers;
+      t.links <- links
+    end;
+    Array.blit t.peers i t.peers (i + 1) (t.nlinks - i);
+    Array.blit t.links i t.links (i + 1) (t.nlinks - i);
+    let l = new_link t.untouched.status in
+    t.peers.(i) <- dst;
+    t.links.(i) <- l;
+    t.nlinks <- t.nlinks + 1;
+    l
+  end
+
+let link_status t ~dst = (peek t dst).status
 
 let wants_link t ~dst =
-  let link = t.links.(dst) in
+  let link = peek t dst in
   (not (Queue.is_empty link.sendbuf)) || link.ack_owed || link.hello_owed || link.done_owed
 
 let note_corrupt_frame t = t.corrupt_frames <- t.corrupt_frames + 1
@@ -96,7 +160,7 @@ let queue_frame t ~now ~dst frame =
    (fresh connection or retransmission timeout), otherwise only frames
    never yet put on the wire. Acks ride along for free. *)
 let transmit_data t ~now dst ~resend =
-  let link = t.links.(dst) in
+  let link = touch t dst in
   match link.status with
   | Up ->
     let any = ref false in
@@ -128,7 +192,7 @@ let transmit_data t ~now dst ~resend =
   | Down | Dead -> ()
 
 let send_bare t ~now ~dst kind ~ack =
-  let link = t.links.(dst) in
+  let link = touch t dst in
   match link.status with
   | Up ->
     queue_frame t ~now ~dst
@@ -147,7 +211,7 @@ let send_bare t ~now ~dst kind ~ack =
 (* Termination gossip: a bare frame saying "my knowledge is complete".
    It doubles as a cumulative ack (it carries one for free). *)
 let send_done t ~now ~dst =
-  let link = t.links.(dst) in
+  let link = touch t dst in
   match link.status with
   | Up ->
     send_bare t ~now ~dst Envelope.Done ~ack:link.recv_cum;
@@ -167,7 +231,7 @@ let drop_link_frames t ~now dst count =
 (* The runtime has given up reaching [dst]: everything queued for it is
    accounted as dropped and the link stops accepting traffic. *)
 let link_dead t ~now ~dst =
-  let link = t.links.(dst) in
+  let link = touch t dst in
   drop_link_frames t ~now dst (Queue.length link.sendbuf);
   Queue.clear link.sendbuf;
   link.ack_owed <- false;
@@ -176,13 +240,12 @@ let link_dead t ~now ~dst =
   link.status <- Dead
 
 let link_down t ~dst =
-  let link = t.links.(dst) in
-  match link.status with Up | Down -> link.status <- Down | Dead -> ()
+  match (peek t dst).status with Up -> (touch t dst).status <- Down | Down | Dead -> ()
 
 (* The transport (re)established the path to [dst]: greet if owed, then
    assume anything unacked died in transit and resend the lot. *)
 let link_up t ~now ~dst =
-  let link = t.links.(dst) in
+  let link = touch t dst in
   link.status <- Up;
   if link.hello_owed then begin
     send_bare t ~now ~dst Envelope.Hello ~ack:0;
@@ -226,7 +289,7 @@ let send_payload t ~now ~dst payload =
   t.acts.emit ~now (Trace.Send { src = t.cfg.node; dst; pointers; bytes = Bytes.length body });
   if dst = t.cfg.node then deliver t ~now ~src:t.cfg.node payload
   else begin
-    let link = t.links.(dst) in
+    let link = touch t dst in
     match link.status with
     | Dead ->
       t.dropped <- t.dropped + 1;
@@ -245,7 +308,7 @@ let send_payload t ~now ~dst payload =
    written off — the peer evidently matters again. *)
 let greet t ~now ~dst =
   if dst <> t.cfg.node then begin
-    let link = t.links.(dst) in
+    let link = touch t dst in
     (match link.status with
     | Dead ->
       link.status <- Down;
@@ -267,7 +330,7 @@ let request_hellos t ~now =
   Array.iter
     (fun dst ->
       if dst <> t.cfg.node then begin
-        let link = t.links.(dst) in
+        let link = touch t dst in
         match link.status with
         | Up ->
           send_bare t ~now ~dst Envelope.Hello ~ack:0;
@@ -299,13 +362,13 @@ let tick t ~now =
       && t.tick_count mod done_interval = 0
     then
       for dst = 0 to t.cfg.n - 1 do
-        if dst <> t.cfg.node && not t.links.(dst).peer_done then send_done t ~now ~dst
+        if dst <> t.cfg.node && not (peek t dst).peer_done then send_done t ~now ~dst
       done
   end
 
 (* Pop everything the peer's cumulative ack covers. *)
 let apply_ack t ~now ~src ack =
-  let link = t.links.(src) in
+  let link = touch t src in
   let advanced = ref false in
   while (not (Queue.is_empty link.sendbuf)) && link.base_seq <= ack do
     ignore (Queue.pop link.sendbuf);
@@ -326,7 +389,7 @@ let clear_peer_done t link =
    complete ourselves), so both sides learn of each other even when
    neither has data traffic left; re-probing covers lost replies. *)
 let mark_peer_done t ~now ~src ~probe =
-  let link = t.links.(src) in
+  let link = touch t src in
   if not link.peer_done then begin
     link.peer_done <- true;
     t.done_known <- t.done_known + 1;
@@ -338,7 +401,7 @@ let mark_peer_done t ~now ~src ~probe =
    revive the link if we had written the peer off, and hand the newcomer
    our whole identifier set so it can rebuild its knowledge. *)
 let handle_hello t ~now ~src =
-  let link = t.links.(src) in
+  let link = touch t src in
   (match link.status with
   | Dead ->
     link.status <- Down;
@@ -361,7 +424,7 @@ let handle_frame t ~now (env : Envelope.t) =
     t.decode_errors <- t.decode_errors + 1
   else begin
     let src = env.Envelope.src in
-    let link = t.links.(src) in
+    let link = touch t src in
     (match env.Envelope.kind with
     | Envelope.Hello -> ()  (* a hello resets peer state below; its comp flag is moot *)
     | Envelope.Data | Envelope.Ack | Envelope.Done ->
@@ -397,44 +460,46 @@ let handle_frame t ~now (env : Envelope.t) =
       end
   end
 
-(* Retransmission timeouts and owed bare frames, over every up link. *)
+(* Retransmission timeouts and owed bare frames, over every up link.
+   An untouched link owes nothing, so only the touched ones are walked —
+   ascending by id, as frame order requires. *)
 let pump t ~now =
-  Array.iteri
-    (fun dst link ->
-      match link.status with
-      | Up ->
-        if (not (Queue.is_empty link.sendbuf)) && now >= link.rto_at then
-          transmit_data t ~now dst ~resend:true;
-        if link.hello_owed then begin
-          send_bare t ~now ~dst Envelope.Hello ~ack:0;
-          link.hello_owed <- false
-        end;
-        if link.done_owed then send_done t ~now ~dst;
-        if link.ack_owed then begin
-          send_bare t ~now ~dst Envelope.Ack ~ack:link.recv_cum;
-          link.ack_owed <- false
-        end
-      | Down | Dead -> ())
-    t.links
+  for i = 0 to t.nlinks - 1 do
+    let dst = t.peers.(i) and link = t.links.(i) in
+    match link.status with
+    | Up ->
+      if (not (Queue.is_empty link.sendbuf)) && now >= link.rto_at then
+        transmit_data t ~now dst ~resend:true;
+      if link.hello_owed then begin
+        send_bare t ~now ~dst Envelope.Hello ~ack:0;
+        link.hello_owed <- false
+      end;
+      if link.done_owed then send_done t ~now ~dst;
+      if link.ack_owed then begin
+        send_bare t ~now ~dst Envelope.Ack ~ack:link.recv_cum;
+        link.ack_owed <- false
+      end
+    | Down | Dead -> ()
+  done
 
 (* release frames the fault shim held back for delay/reorder *)
 let flush_faults t ~now =
   match t.fn with
   | Some fn when Faultnet.pending fn ->
     Faultnet.flush_due fn ~now ~queue:(fun ~dst frame ->
-        match t.links.(dst).status with
+        match link_status t ~dst with
         | Up -> t.acts.xmit ~now ~dst frame
         | Down | Dead -> ())
   | _ -> ()
 
 let next_rto_deadline t =
   let deadline = ref infinity in
-  Array.iter
-    (fun link ->
-      match link.status with
-      | Up when not (Queue.is_empty link.sendbuf) -> deadline := Float.min !deadline link.rto_at
-      | _ -> ())
-    t.links;
+  for i = 0 to t.nlinks - 1 do
+    let link = t.links.(i) in
+    match link.status with
+    | Up when not (Queue.is_empty link.sendbuf) -> deadline := Float.min !deadline link.rto_at
+    | _ -> ()
+  done;
   !deadline
 
 let final t =
@@ -451,12 +516,12 @@ let final t =
     corrupt_frames = t.corrupt_frames;
   }
 
-let create (cfg : config) (acts : actions) ~links_up ~now =
+let create (cfg : config) (acts : actions) ~labels ~links_up ~now =
   if cfg.n <= 0 then invalid_arg "Node_core.create: n must be positive";
   if cfg.node < 0 || cfg.node >= cfg.n then invalid_arg "Node_core.create: node out of range";
   if cfg.tick_period <= 0.0 then invalid_arg "Node_core.create: tick period must be positive";
   if cfg.rto <= 0.0 then invalid_arg "Node_core.create: rto must be positive";
-  let labels = Exec.labels_of ~seed:cfg.seed cfg.n in
+  if Array.length labels <> cfg.n then invalid_arg "Node_core.create: labels must have length n";
   let ctx =
     {
       Algorithm.n = cfg.n;
@@ -472,20 +537,10 @@ let create (cfg : config) (acts : actions) ~links_up ~now =
       cfg;
       acts;
       inst = cfg.algo.Algorithm.make ctx;
-      links =
-        Array.init cfg.n (fun _ ->
-            {
-              status = (if links_up then Up else Down);
-              sendbuf = Queue.create ();
-              base_seq = 1;
-              rto_at = infinity;
-              recv_cum = 0;
-              recv_early = [];
-              ack_owed = false;
-              hello_owed = false;
-              done_owed = false;
-              peer_done = false;
-            });
+      untouched = (if links_up then untouched_up else untouched_down);
+      peers = [||];
+      links = [||];
+      nlinks = 0;
       fn =
         (if Faultnet.active cfg.fault then
            Some
@@ -528,7 +583,7 @@ type link_view = {
 }
 
 let link_view t ~dst =
-  let l = t.links.(dst) in
+  let l = peek t dst in
   {
     view_status = l.status;
     view_base_seq = l.base_seq;

@@ -23,7 +23,12 @@
     path) or [Dead] (the transport gave up; traffic is dropped and
     counted). The process runtime maps its connection lifecycle onto
     these with {!link_up}/{!link_down}/{!link_dead}; the mux simply
-    keeps every link [Up].
+    keeps every link [Up]. Link state is created lazily, on the first
+    send, frame, greeting or verdict that involves a peer, so a core
+    costs memory for the peers it talks to, not for all [n]; an
+    untouched link reads as fresh (initial status, nothing queued or
+    owed). {!pump} and {!next_rto_deadline} walk only the touched links,
+    in ascending peer order: O(touched), not O(n).
 
     {b Termination gossip} ([fleet_halt]): every outgoing frame carries
     a "my knowledge is complete" flag, and a complete node periodically
@@ -40,7 +45,7 @@ type config = {
   node : int;
   n : int;
   algo : Algorithm.t;
-  seed : int;  (** must match the deployment seed: labels derive from it *)
+  seed : int;  (** must match the deployment seed: the node's RNG substream derives from it *)
   neighbors : int array;
   tick_period : float;  (** the round clock's unit, for the fault shim *)
   rto : float;  (** retransmission timeout, in [now] units *)
@@ -68,11 +73,14 @@ type status = Up | Down | Dead
 
 type t
 
-val create : config -> actions -> links_up:bool -> now:float -> t
+val create : config -> actions -> labels:int array -> links_up:bool -> now:float -> t
 (** Build the algorithm instance (same derivation as the simulators:
     shared label permutation, per-node RNG substream), emit the [Join]
-    event, and greet the neighbours if [announce]. [links_up] is the
-    initial status of every link: [true] for the mux (always reachable),
+    event, and greet the neighbours if [announce]. [labels] is the run's
+    label permutation ({!Exec.labels_of} of the deployment seed, or
+    whatever labels the run's algorithms share), computed once per run
+    and shared by every core, not copied. [links_up] is the initial
+    status of every link: [true] for the mux (always reachable),
     [false] for socket runtimes (paths start unestablished).
     @raise Invalid_argument on a nonsensical config. *)
 
@@ -101,7 +109,8 @@ val greet : t -> now:float -> dst:int -> unit
 
 val pump : t -> now:float -> unit
 (** Retransmission timeouts and owed bare acks/hellos/done probes, over
-    every [Up] link. Call once per event-loop iteration. *)
+    every touched [Up] link. Call once per event-loop iteration; when
+    nothing is due it allocates nothing. *)
 
 val flush_faults : t -> now:float -> unit
 (** Release frames the fault shim held back for delay/reorder faults. *)

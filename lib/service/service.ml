@@ -444,7 +444,7 @@ let run cfg =
             encoding = Wire.Adaptive;
             fleet_halt = false;
           }
-          acts ~links_up:true ~now:!now
+          acts ~labels ~links_up:true ~now:!now
       in
       cores.(id) <- Some core;
       if ever_lived.(id) then begin

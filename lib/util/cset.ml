@@ -368,6 +368,149 @@ let of_array n vs =
   Array.iter (fun v -> ignore (add t v)) vs;
   t
 
+(* ---- little-endian byte bitmaps ----
+
+   The wire's bitmap layout: member v is bit [v land 7] of byte [v lsr 3].
+   A [Bmp] container's 32-bit word [w] is exactly bytes [4w .. 4w+3] of
+   its 8 KiB slice, little-endian, so both directions move one word per
+   step; the byte-level paths below only handle a container's ragged
+   last word. *)
+
+let bytes_per_container = container_span lsr 3
+
+(* word [w] of the [nbytes]-byte region at [off], zero-padded past its end *)
+let get_word buf off nbytes w =
+  let b = w lsl 2 in
+  if b + 4 <= nbytes then
+    Bytes.get_uint16_le buf (off + b) lor (Bytes.get_uint16_le buf (off + b + 2) lsl 16)
+  else begin
+    let x = ref 0 in
+    for k = 0 to nbytes - b - 1 do
+      x := !x lor (Char.code (Bytes.get buf (off + b + k)) lsl (8 * k))
+    done;
+    !x
+  end
+
+let set_word buf off nbytes w x =
+  let b = w lsl 2 in
+  if b + 4 <= nbytes then begin
+    Bytes.set_uint16_le buf (off + b) (x land 0xFFFF);
+    Bytes.set_uint16_le buf (off + b + 2) ((x lsr 16) land 0xFFFF)
+  end
+  else
+    for k = 0 to nbytes - b - 1 do
+      Bytes.set buf (off + b + k) (Char.unsafe_chr ((x lsr (8 * k)) land 0xFF))
+    done
+
+let set_bit buf off v =
+  let i = off + (v lsr 3) in
+  Bytes.set buf i (Char.unsafe_chr (Char.code (Bytes.get buf i) lor (1 lsl (v land 7))))
+
+(* bits [s, e) of the region at [off]: ragged ends bit by bit, whole
+   bytes in between by one fill *)
+let set_bit_range buf off s e =
+  let v = ref s in
+  while !v < e && !v land 7 <> 0 do
+    set_bit buf off !v;
+    incr v
+  done;
+  let aligned_end = e land lnot 7 in
+  if !v < aligned_end then begin
+    Bytes.fill buf (off + (!v lsr 3)) ((aligned_end - !v) lsr 3) '\255';
+    v := aligned_end
+  end;
+  while !v < e do
+    set_bit buf off !v;
+    incr v
+  done
+
+(* Capacity an [Arr] payload reaches when [card] members are added one
+   at a time: [add] starts at 8 slots and doubles. *)
+let arr_capacity card =
+  let rec grow c = if c >= card then c else grow (2 * c) in
+  grow 8
+
+(* Word [w] of container [ci]'s slice, with bits at or beyond the
+   container's range cleared (they lie past the universe). *)
+let container_word buf off nbytes range w =
+  let x = get_word buf off nbytes w in
+  let tail = range land 31 in
+  if tail <> 0 && w = words_for range - 1 then x land ((1 lsl tail) - 1) else x
+
+let of_bitmap_bytes n buf pos =
+  let t = create n in
+  let width = (n + 7) lsr 3 in
+  if pos < 0 || pos > Bytes.length buf - width then
+    invalid_arg "Cset.of_bitmap_bytes: bitmap exceeds the buffer";
+  for ci = 0 to Array.length t.containers - 1 do
+    let range = range_of t ci in
+    let off = pos + (ci * bytes_per_container) in
+    let nbytes = (range + 7) lsr 3 in
+    let nw = words_for range in
+    let card = ref 0 in
+    for w = 0 to nw - 1 do
+      card := !card + popcount (container_word buf off nbytes range w)
+    done;
+    let card = !card in
+    (* the representation [add] would reach, member by member in
+       ascending order: saturated collapses to a run, at most [arr_max]
+       members stay an array, anything denser is a bitmap *)
+    if card = range then
+      t.containers.(ci) <-
+        { kind = run_kind; data = [| 0; range |]; ccard = range; nruns = 1; cshared = false }
+    else if card > arr_max range then begin
+      let words = Array.make nw 0 in
+      for w = 0 to nw - 1 do
+        words.(w) <- container_word buf off nbytes range w
+      done;
+      t.containers.(ci) <- { kind = bmp_kind; data = words; ccard = card; nruns = 0; cshared = false }
+    end
+    else if card > 0 then begin
+      let data = Array.make (arr_capacity card) 0 in
+      let k = ref 0 in
+      for w = 0 to nw - 1 do
+        let bits = ref (container_word buf off nbytes range w) in
+        while !bits <> 0 do
+          let low = !bits land - !bits in
+          data.(!k) <- (w lsl 5) + popcount (low - 1);
+          incr k;
+          bits := !bits lxor low
+        done
+      done;
+      t.containers.(ci) <- { kind = arr_kind; data; ccard = card; nruns = 0; cshared = false }
+    end;
+    t.card <- t.card + card
+  done;
+  t
+
+let blit_bitmap_bytes t buf pos =
+  let width = (t.n + 7) lsr 3 in
+  if pos < 0 || pos > Bytes.length buf - width then
+    invalid_arg "Cset.blit_bitmap_bytes: bitmap exceeds the buffer";
+  let ncont = (width + bytes_per_container - 1) / bytes_per_container in
+  for ci = 0 to ncont - 1 do
+    let nbytes = imin bytes_per_container (width - (ci * bytes_per_container)) in
+    let off = pos + (ci * bytes_per_container) in
+    let c = if ci < Array.length t.containers then t.containers.(ci) else empty_c in
+    if c.ccard > 0 && c.kind = bmp_kind then
+      for w = 0 to ((nbytes + 3) lsr 2) - 1 do
+        set_word buf off nbytes w c.data.(w)
+      done
+    else begin
+      Bytes.fill buf off nbytes '\000';
+      if c.ccard > 0 then
+        if c.kind = arr_kind then
+          for i = 0 to c.ccard - 1 do
+            set_bit buf off c.data.(i)
+          done
+        else
+          for r = 0 to c.nruns - 1 do
+            let s = c.data.(2 * r) in
+            set_bit_range buf off s (s + c.data.((2 * r) + 1))
+          done
+    end
+  done
+
 (* ---- rank / select ---- *)
 
 let choose_nth t k =

@@ -83,6 +83,22 @@ val elements : t -> int list
 val to_array : t -> int array
 val of_array : int -> int array -> t
 
+val of_bitmap_bytes : int -> bytes -> int -> t
+(** [of_bitmap_bytes n buf pos] is the set over [0 .. n-1] read from the
+    little-endian byte bitmap of width [⌈n/8⌉] at [buf.[pos]]: [v] is a
+    member iff bit [v land 7] of byte [pos + v lsr 3] is set. Bits of
+    the last byte at or beyond [n] are ignored. Reads 32 bits per step,
+    and every container gets the representation that adding the members
+    one at a time would give it (same kinds, cardinals and
+    {!memory_words}).
+    @raise Invalid_argument if the bitmap does not fit in [buf]. *)
+
+val blit_bitmap_bytes : t -> bytes -> int -> unit
+(** [blit_bitmap_bytes t buf pos] writes [t] as the byte bitmap of width
+    [⌈capacity t / 8⌉] at [buf.[pos]], the inverse of {!of_bitmap_bytes};
+    every byte of that range is overwritten.
+    @raise Invalid_argument if the bitmap does not fit in [buf]. *)
+
 val choose_nth : t -> int -> int
 (** [choose_nth t k] is the [k]-th smallest element (0-based), in
     O(containers + in-container select).

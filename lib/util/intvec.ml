@@ -50,10 +50,6 @@ let fold f init t =
 
 let to_array t = Array.sub t.data 0 t.len
 
-let sub t ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Intvec.sub: invalid slice";
-  Array.sub t.data pos len
-
 let of_array a = { data = (if Array.length a = 0 then Array.make 1 0 else Array.copy a); len = Array.length a }
 
 (* Zero-copy slices. A slice captures the backing array by reference, so

@@ -30,9 +30,6 @@ val iter : (int -> unit) -> t -> unit
 val iteri : (int -> int -> unit) -> t -> unit
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 val to_array : t -> int array
-val sub : t -> pos:int -> len:int -> int array
-(** [sub t ~pos ~len] copies the slice [pos .. pos+len-1].
-    @raise Invalid_argument on an invalid slice. *)
 
 val of_array : int array -> t
 val last : t -> int

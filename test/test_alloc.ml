@@ -87,6 +87,98 @@ let test_steady_state_broadcast_round_allocates_nothing () =
   if extra > 64.0 then
     Alcotest.failf "steady-state broadcast round allocated %.0f minor words (expected 0)" extra
 
+(* Words allocated on either heap (large blocks skip the minor heap). *)
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let quiet_actions =
+  {
+    Repro_net.Node_core.emit = (fun ~now:_ _ -> ());
+    xmit = (fun ~now:_ ~dst:_ _ -> ());
+    notify_complete = (fun ~now:_ ~tick:_ -> ());
+    wake = (fun ~dst:_ -> ());
+  }
+
+let core_config ~n ~node algo =
+  {
+    Repro_net.Node_core.node;
+    n;
+    algo;
+    seed = 1;
+    neighbors = [| (node + 1) mod n |];
+    tick_period = 1.0;
+    rto = 3.0;
+    fault = Repro_engine.Fault.none;
+    announce = false;
+    encoding = Wire.Adaptive;
+    fleet_halt = false;
+  }
+
+(* A node core costs O(peers it talks to), not O(n): no link table and
+   no label permutation per core. At n = 65,536 one record per link
+   would be over a million words; what [create] may add beyond the
+   algorithm instance's own allocation is a small constant. *)
+let test_node_core_create_is_constant () =
+  let cn = 65_536 in
+  let labels = Exec.labels_of ~seed:1 cn in
+  let make_words = ref 0.0 in
+  let algo =
+    {
+      Flooding.algorithm with
+      Algorithm.make =
+        (fun ctx ->
+          let before = allocated_words () in
+          let inst = Flooding.algorithm.Algorithm.make ctx in
+          make_words := allocated_words () -. before;
+          inst);
+    }
+  in
+  let cfg = core_config ~n:cn ~node:7 algo in
+  let before = allocated_words () in
+  let core = Repro_net.Node_core.create cfg quiet_actions ~labels ~links_up:true ~now:0.0 in
+  let extra = allocated_words () -. before -. !make_words in
+  ignore (Sys.opaque_identity core);
+  if extra > 1024.0 then
+    Alcotest.failf "Node_core.create at n = %d allocated %.0f words beyond algo.make" cn extra
+
+(* [pump] over touched links with nothing due walks them without
+   allocating: an idle mux tick must cost no minor-heap words. *)
+let test_idle_pump_allocates_nothing () =
+  let cn = 64 in
+  let labels = Array.init cn Fun.id in
+  let core =
+    Repro_net.Node_core.create (core_config ~n:cn ~node:0 Flooding.algorithm) quiet_actions
+      ~labels ~links_up:true ~now:0.0
+  in
+  (* touch every link: one data frame out, then the peer's ack drains it *)
+  for dst = 1 to cn - 1 do
+    Repro_net.Node_core.send core ~now:0.0 ~dst Payload.Probe;
+    Repro_net.Node_core.handle_frame core ~now:1.0
+      {
+        Repro_net.Envelope.kind = Repro_net.Envelope.Ack;
+        src = dst;
+        stamp = 0;
+        seq = 0;
+        ack = 1;
+        comp = false;
+        body = Bytes.empty;
+      }
+  done;
+  for dst = 1 to cn - 1 do
+    if Repro_net.Node_core.wants_link core ~dst then Alcotest.failf "link %d not idle" dst
+  done;
+  let cal_before = Gc.minor_words () in
+  let cal_after = Gc.minor_words () in
+  let overhead = cal_after -. cal_before in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Repro_net.Node_core.pump core ~now:2.0
+  done;
+  let after = Gc.minor_words () in
+  let extra = after -. before -. overhead in
+  if extra > 0.0 then Alcotest.failf "1,000 idle pumps allocated %.0f minor words (expected 0)" extra
+
 let () =
   Alcotest.run "alloc"
     [
@@ -96,5 +188,9 @@ let () =
             test_steady_state_flooding_round_allocates_nothing;
           Alcotest.test_case "steady-state compact broadcast round is allocation-free" `Quick
             test_steady_state_broadcast_round_allocates_nothing;
+          Alcotest.test_case "node core creation is O(1) beyond the algorithm" `Quick
+            test_node_core_create_is_constant;
+          Alcotest.test_case "idle pump is allocation-free" `Quick
+            test_idle_pump_allocates_nothing;
         ] );
     ]

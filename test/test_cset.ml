@@ -248,6 +248,130 @@ let prop_queries_match =
       Array.for_all (fun x -> x)
         (Array.mapi (fun i v -> Cset.choose_nth c i = v) elems))
 
+(* ---- byte bitmaps against the per-bit [add] model ---- *)
+
+(* The model: the set [add] builds member by member in ascending order,
+   and the byte bitmap written bit by bit. The word-at-a-time builder
+   must give the same members and the same representation, which
+   [memory_words] exposes (payload lengths per container). *)
+let by_add n members =
+  let t = Cset.create n in
+  List.iter (fun v -> ignore (Cset.add t v)) (List.sort_uniq compare members);
+  t
+
+let bitmap_of n members =
+  let b = Bytes.make ((n + 7) / 8) '\000' in
+  List.iter
+    (fun v ->
+      Bytes.set b (v lsr 3) (Char.chr (Char.code (Bytes.get b (v lsr 3)) lor (1 lsl (v land 7)))))
+    members;
+  b
+
+let same_as_model ~what model c =
+  if Cset.elements c <> Cset.elements model then Alcotest.failf "%s: elements differ" what;
+  check_int (what ^ ": cardinal") (Cset.cardinal model) (Cset.cardinal c);
+  check_int (what ^ ": memory_words") (Cset.memory_words model) (Cset.memory_words c)
+
+(* the Arr -> Bmp promotion point of a container spanning [range] ids:
+   range/32 members, floored at 8 (see cset.ml) *)
+let arr_max range = max 8 (range lsr 5)
+
+(* [count] members of the container starting at [base] with span [range] *)
+let container_members ~base ~range count =
+  List.init count (fun i -> base + (i * range / count))
+
+let check_bitmap_codec ~what n members =
+  let model = by_add n members in
+  let bytes = bitmap_of n members in
+  same_as_model ~what model (Cset.of_bitmap_bytes n bytes 0);
+  (* the blitter writes exactly the model's bytes, at an offset, without
+     touching its neighbours *)
+  let width = (n + 7) / 8 in
+  let out = Bytes.make (width + 3) '\170' in
+  Cset.blit_bitmap_bytes model out 2;
+  if not (Bytes.equal (Bytes.sub out 2 width) bytes) then Alcotest.failf "%s: blit differs" what;
+  check_int (what ^ ": guard before") 0xAA (Char.code (Bytes.get out 1));
+  check_int (what ^ ": guard after") 0xAA (Char.code (Bytes.get out (width + 2)));
+  same_as_model ~what:(what ^ " round trip") model (Cset.of_bitmap_bytes n out 2)
+
+let test_bitmap_boundaries () =
+  List.iter
+    (fun n ->
+      check_bitmap_codec ~what:(Printf.sprintf "empty %d" n) n [];
+      check_bitmap_codec ~what:(Printf.sprintf "full %d" n) n (List.init n Fun.id);
+      (* every container at, and just past, the array threshold *)
+      List.iter
+        (fun extra ->
+          let members =
+            List.concat
+              (List.init ((n + 65_535) / 65_536) (fun ci ->
+                   let base = ci * 65_536 in
+                   let range = min 65_536 (n - base) in
+                   container_members ~base ~range (min range (arr_max range + extra))))
+          in
+          check_bitmap_codec ~what:(Printf.sprintf "arr_max+%d at %d" extra n) n members)
+        [ 0; 1 ])
+    [ 1; 7; 8; 9; 33; 300; 65_536; 70_001; 140_003 ]
+
+let test_bitmap_ignores_tail_bits () =
+  (* bits of the last byte beyond the universe are not members *)
+  let n = 13 in
+  let b = bitmap_of n [ 0; 12 ] in
+  Bytes.set b 1 (Char.chr (Char.code (Bytes.get b 1) lor 0xE0));
+  same_as_model ~what:"tail bits" (by_add n [ 0; 12 ]) (Cset.of_bitmap_bytes n b 0);
+  Alcotest.check_raises "short buffer"
+    (Invalid_argument "Cset.of_bitmap_bytes: bitmap exceeds the buffer") (fun () ->
+      ignore (Cset.of_bitmap_bytes n b 1))
+
+let bitmap_universe_gen =
+  QCheck2.Gen.(
+    oneof [ int_range 1 400; int_range 65_537 70_000; return 131_072; return 140_003 ])
+
+(* Members drawn from a seeded stream: a density per container (empty,
+   sparse, around the array threshold, dense, saturated), so one case
+   mixes container kinds. *)
+let bitmap_case_gen =
+  QCheck2.Gen.(
+    let* n = bitmap_universe_gen in
+    let* seed = int_bound 1_000_000 in
+    return (n, seed))
+
+let members_of (n, seed) =
+  let rng = Rng.create ~seed in
+  List.concat
+    (List.init ((n + 65_535) / 65_536) (fun ci ->
+         let base = ci * 65_536 in
+         let range = min 65_536 (n - base) in
+         match Rng.int rng 5 with
+         | 0 -> []
+         | 1 -> List.init (Rng.int rng 40) (fun _ -> base + Rng.int rng range)
+         | 2 -> container_members ~base ~range (min range (arr_max range - 1 + Rng.int rng 3))
+         | 3 ->
+           let p = 1 + Rng.int rng 99 in
+           List.filter (fun _ -> Rng.int rng 100 < p) (List.init range (fun i -> base + i))
+         | _ -> List.init range (fun i -> base + i)))
+
+let prop_bitmap_codec =
+  QCheck2.Test.make ~name:"byte bitmap codec matches the per-bit add model" ~count:60
+    bitmap_case_gen (fun case ->
+      let n, _ = case in
+      check_bitmap_codec ~what:"random" n (members_of case);
+      true)
+
+(* The blitter also serves sets whose containers did not get there by
+   ascending adds: bitmaps thinned back below the array threshold. *)
+let prop_bitmap_blit_after_removals =
+  QCheck2.Test.make ~name:"blit after removals writes the member bitmap" ~count:60
+    bitmap_case_gen (fun ((n, seed) as case) ->
+      let members = List.sort_uniq compare (members_of case) in
+      let c = by_add n members in
+      let rng = Rng.create ~seed:(seed + 1) in
+      let kept = List.filter (fun v -> Rng.int rng 8 <> 0 || not (Cset.remove c v)) members in
+      let out = Bytes.create ((n + 7) / 8) in
+      Cset.blit_bitmap_bytes c out 0;
+      Bytes.equal out (bitmap_of n kept)
+      && Cset.elements (Cset.of_bitmap_bytes n out 0) = Cset.elements c)
+
 let () =
   Alcotest.run "cset"
     [
@@ -261,6 +385,8 @@ let () =
           Alcotest.test_case "freeze is immutable" `Quick test_freeze_immutable;
           Alcotest.test_case "freeze copy-on-write union" `Quick test_freeze_copy_on_write_union;
           Alcotest.test_case "array into frozen bitmap" `Quick test_arr_into_frozen_bmp;
+          Alcotest.test_case "byte bitmap boundaries" `Quick test_bitmap_boundaries;
+          Alcotest.test_case "byte bitmap tail bits" `Quick test_bitmap_ignores_tail_bits;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -270,5 +396,7 @@ let () =
             prop_union_frozen_matches;
             prop_union_with_enumerates_fresh;
             prop_queries_match;
+            prop_bitmap_codec;
+            prop_bitmap_blit_after_removals;
           ] );
     ]

@@ -40,14 +40,7 @@ let test_bounds () =
       Intvec.set v (-1) 0);
   Alcotest.check_raises "pop empty" (Invalid_argument "Intvec.pop: empty") (fun () ->
       let e = Intvec.create () in
-      ignore (Intvec.pop e));
-  Alcotest.check_raises "sub oob" (Invalid_argument "Intvec.sub: invalid slice") (fun () ->
-      ignore (Intvec.sub v ~pos:1 ~len:2))
-
-let test_sub () =
-  let v = Intvec.of_array [| 5; 6; 7; 8; 9 |] in
-  Alcotest.(check (array int)) "middle slice" [| 6; 7; 8 |] (Intvec.sub v ~pos:1 ~len:3);
-  Alcotest.(check (array int)) "empty slice" [||] (Intvec.sub v ~pos:5 ~len:0)
+      ignore (Intvec.pop e))
 
 let test_iter_fold () =
   let v = Intvec.of_array [| 1; 2; 3 |] in
@@ -123,7 +116,6 @@ let () =
           Alcotest.test_case "basic" `Quick test_basic;
           Alcotest.test_case "growth" `Quick test_growth;
           Alcotest.test_case "bounds" `Quick test_bounds;
-          Alcotest.test_case "sub" `Quick test_sub;
           Alcotest.test_case "iter/fold" `Quick test_iter_fold;
           Alcotest.test_case "of_array copies" `Quick test_of_array_copies;
           Alcotest.test_case "slice" `Quick test_slice;

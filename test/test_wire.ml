@@ -291,6 +291,68 @@ let prop_adaptive_never_worse =
       let size e = Wire.encoded_size e ~universe p in
       size Wire.Adaptive = min (size Wire.Varint_delta) (size Wire.Bitmap))
 
+(* A snapshot is written straight from its set, but must cost exactly
+   the bytes of the list path: [encode (Bits s)] is the encoding of
+   [Ids (Cset.to_array s)] with only the snapshot bit of the codec byte
+   added, and it decodes back to [Bits] over the same set. *)
+let check_bits_identity ~universe enc kind set =
+  let wrap d =
+    match kind with 0 -> Payload.Share d | 1 -> Payload.Exchange d | _ -> Payload.Reply d
+  in
+  let bits = wrap (Payload.Bits (Knowledge.external_snapshot set)) in
+  let eb = Wire.encode enc ~universe bits in
+  let el = Wire.encode enc ~universe (wrap (Payload.Ids (Cset.to_array set))) in
+  let byte b i = Char.code (Bytes.get b i) in
+  Bytes.length eb = Bytes.length el
+  && Bytes.length eb = Wire.encoded_size enc ~universe bits
+  && byte el 1 land 0x80 = 0
+  && byte eb 1 = byte el 1 lor 0x80
+  && Bytes.get eb 0 = Bytes.get el 0
+  && Bytes.equal (Bytes.sub eb 2 (Bytes.length eb - 2)) (Bytes.sub el 2 (Bytes.length el - 2))
+  &&
+  match (kind, Wire.decode enc ~universe eb) with
+  | 0, Ok (Payload.Share (Payload.Bits b))
+  | 1, Ok (Payload.Exchange (Payload.Bits b))
+  | 2, Ok (Payload.Reply (Payload.Bits b)) ->
+    Cset.equal b.Knowledge.set set
+  | _ -> false
+
+let prop_bits_byte_identity =
+  QCheck2.Test.make ~name:"snapshot encoding is the list encoding plus the snapshot bit"
+    ~count:400
+    QCheck2.Gen.(
+      let* universe = int_range 1 600 in
+      (* up to universe draws: sparse sets for varint, dense for bitmap *)
+      let* ids = list_size (int_range 0 universe) (int_range 0 (universe - 1)) in
+      let* enc = oneofl Wire.all_encodings in
+      let* kind = int_range 0 2 in
+      return (universe, ids, enc, kind))
+    (fun (universe, ids, enc, kind) ->
+      check_bits_identity ~universe enc kind (Cset.of_array universe (Array.of_list ids)))
+
+let test_bits_identity_multi_container () =
+  (* several containers, a ragged last byte, each container kind *)
+  let universe = 140_003 in
+  let rng = Rng.create ~seed:14 in
+  let sets =
+    [
+      Cset.create universe;
+      Cset.of_array universe (Array.init 200 (fun _ -> Rng.int rng universe));
+      Cset.of_array universe (Array.init (universe / 2) (fun _ -> Rng.int rng universe));
+      Cset.of_array universe (Array.init universe Fun.id);
+    ]
+  in
+  List.iter
+    (fun enc ->
+      List.iteri
+        (fun i set ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s set %d" (Wire.encoding_name enc) i)
+            true
+            (check_bits_identity ~universe enc (i mod 3) set))
+        sets)
+    Wire.all_encodings
+
 let () =
   ignore payload_testable;
   Alcotest.run "wire"
@@ -303,6 +365,8 @@ let () =
           Alcotest.test_case "id sets" `Quick test_ids_roundtrip_all;
           Alcotest.test_case "bitsets" `Quick test_bits_roundtrip;
           Alcotest.test_case "form preserved" `Quick test_form_preserved;
+          Alcotest.test_case "snapshot bytes, multi-container" `Quick
+            test_bits_identity_multi_container;
         ] );
       ( "sizes",
         [
@@ -318,5 +382,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_roundtrip; prop_detector_roundtrip; prop_adaptive_never_worse ] );
+          [
+            prop_roundtrip;
+            prop_detector_roundtrip;
+            prop_adaptive_never_worse;
+            prop_bits_byte_identity;
+          ] );
     ]
