@@ -43,8 +43,8 @@ let completion_conv =
   in
   Arg.conv (parse, print)
 
-let n_arg =
-  Arg.(value & opt int 1024 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of machines.")
+let nodes_arg default ~doc = Arg.(value & opt int default & info [ "n"; "nodes" ] ~docv:"N" ~doc)
+let n_arg = nodes_arg 1024 ~doc:"Number of machines."
 
 let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Master random seed.")
 
@@ -416,14 +416,49 @@ let trace_diff_cmd =
           that two runs (different machines, job counts, builds) executed identically.")
     term
 
+(* --- options shared by the live-path commands --- *)
+
+(* --backend restricted to the [accepted] backends; any other backend
+   the parser knows is refused with [reject] *)
+let backend_conv ?(reject = "") accepted =
+  let module B = Repro_net.Backend in
+  let parse s =
+    match B.of_string s with
+    | Ok b when List.mem b accepted -> Ok b
+    | Ok _ -> Error (`Msg reject)
+    | Error e -> Error (`Msg e)
+  in
+  Arg.conv (parse, fun ppf b -> Format.pp_print_string ppf (B.to_string b))
+
+let backend_info doc = Arg.info [ "backend" ] ~docv:"BACKEND" ~doc
+
+let live_backends = List.filter Repro_net.Backend.is_live Repro_net.Backend.all
+
+let tick_arg =
+  Arg.(
+    value
+    & opt float Repro_net.Node.default_tick_period
+    & info [ "tick-period" ] ~docv:"SECONDS" ~doc:"Seconds between algorithm activations.")
+
+let timeout_arg default ~doc =
+  Arg.(value & opt float default & info [ "timeout" ] ~docv:"SECONDS" ~doc)
+
+let dir_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "dir" ] ~docv:"DIR"
+        ~doc:"UDS socket directory (default: a fresh directory under /tmp, removed afterwards).")
+
+let trace_out_arg ~doc = Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+let quiet_arg ~doc = Arg.(value & flag & info [ "quiet" ] ~doc)
+let trials_arg default ~doc = Arg.(value & opt int default & info [ "trials" ] ~docv:"K" ~doc)
+let loss_max_arg ~doc = Arg.(value & opt float 0.2 & info [ "loss-max" ] ~docv:"P" ~doc)
+
 (* --- cluster: run the algorithm as live processes over sockets --- *)
 
 let cluster_cmd =
   let open Repro_net in
-  let backend_conv =
-    let parse s = Backend.of_string s |> Result.map_error (fun e -> `Msg e) in
-    Arg.conv (parse, fun ppf b -> Format.pp_print_string ppf (Backend.to_string b))
-  in
   let encoding_conv =
     let parse s =
       match List.find_opt (fun e -> Wire.encoding_name e = s) Wire.all_encodings with
@@ -435,39 +470,19 @@ let cluster_cmd =
   let backend_arg =
     Arg.(
       value
-      & opt backend_conv (Backend.Process Backend.Uds)
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:
-            "Node runtime: $(b,loopback) (in-process, deterministic, trace-identical to the \
+      & opt (backend_conv Backend.all) (Backend.Process Backend.Uds)
+      & backend_info
+          "Node runtime: $(b,loopback) (in-process, deterministic, trace-identical to the \
              async simulator), $(b,uds) (one process per node over unix-domain sockets), \
              $(b,tcp) (one process per node over 127.0.0.1) or $(b,mux) (every node a live \
              protocol instance multiplexed in this process — thousands of nodes, still \
              deterministic).")
-  in
-  let tick_arg =
-    Arg.(
-      value
-      & opt float Node.default_tick_period
-      & info [ "tick-period" ] ~docv:"SECONDS" ~doc:"Seconds between algorithm activations.")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt float 30.0
-      & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:"Wall-clock budget; exceeding it counts as non-convergence.")
   in
   let encoding_arg =
     Arg.(
       value
       & opt encoding_conv Wire.Adaptive
       & info [ "encoding" ] ~docv:"CODEC" ~doc:"Wire codec: raw32, varint, bitmap or adaptive.")
-  in
-  let trace_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Write the merged, time-ordered JSONL event trace of the whole cluster to $(docv).")
   in
   let no_check_arg =
     Arg.(
@@ -483,13 +498,6 @@ let cluster_cmd =
           ~doc:
             "Sabotage: SIGKILL node $(docv) right after spawn. The run must then report the \
              node as crashed and fail to converge (exit 1) — the failure-path drill.")
-  in
-  let dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:"UDS socket directory (default: a fresh directory under /tmp, removed afterwards).")
   in
   let cluster algo family n seed backend tick_period timeout encoding trace_out no_check kill
       fault dir =
@@ -538,8 +546,11 @@ let cluster_cmd =
     Term.(
       ret
         (const cluster $ algo_arg $ topology_arg $ n_arg $ seed_arg $ backend_arg $ tick_arg
-       $ timeout_arg $ encoding_arg $ trace_out_arg $ no_check_arg $ kill_arg $ fault_arg
-       $ dir_arg))
+        $ timeout_arg 30.0 ~doc:"Wall-clock budget; exceeding it counts as non-convergence."
+        $ encoding_arg
+        $ trace_out_arg
+            ~doc:"Write the merged, time-ordered JSONL event trace of the whole cluster to $(docv)."
+        $ no_check_arg $ kill_arg $ fault_arg $ dir_arg))
   in
   Cmd.v
     (Cmd.info "cluster"
@@ -553,56 +564,13 @@ let cluster_cmd =
 
 let chaos_cmd =
   let open Repro_net in
-  let backend_conv =
-    let parse s =
-      match Backend.of_string s with
-      | Ok Backend.Loopback -> Error (`Msg "chaos needs a live backend (uds|tcp|mux)")
-      | Ok b -> Ok b
-      | Error e -> Error (`Msg e)
-    in
-    Arg.conv (parse, fun ppf b -> Format.pp_print_string ppf (Backend.to_string b))
-  in
   let backend_arg =
     Arg.(
       value
-      & opt backend_conv (Backend.Process Backend.Uds)
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:"Live backend for the trial clusters: $(b,uds), $(b,tcp) or $(b,mux).")
-  in
-  let trials_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "trials" ] ~docv:"K" ~doc:"Number of seeded trials; trial i uses seed + i.")
-  in
-  let loss_max_arg =
-    Arg.(
-      value & opt float 0.2
-      & info [ "loss-max" ] ~docv:"P"
-          ~doc:"Upper bound on each trial's randomized base loss rate.")
-  in
-  let tick_arg =
-    Arg.(
-      value
-      & opt float Node.default_tick_period
-      & info [ "tick-period" ] ~docv:"SECONDS" ~doc:"Seconds between algorithm activations.")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt float 10.0
-      & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:"Per-trial wall-clock budget; exceeding it fails the trial.")
-  in
-  let quiet_arg =
-    Arg.(
-      value & flag
-      & info [ "quiet" ] ~doc:"Suppress the per-trial progress lines on stderr.")
-  in
-  let dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:"UDS socket directory (default: a fresh directory under /tmp, removed afterwards).")
+      & opt
+          (backend_conv live_backends ~reject:"chaos needs a live backend (uds|tcp|mux)")
+          (Backend.Process Backend.Uds)
+      & backend_info "Live backend for the trial clusters: $(b,uds), $(b,tcp) or $(b,mux).")
   in
   let chaos algo n seed backend trials loss_max tick_period timeout quiet dir =
     let spec =
@@ -637,14 +605,18 @@ let chaos_cmd =
       end
     | exception Invalid_argument msg -> `Error (false, msg)
   in
-  let n_arg =
-    Arg.(value & opt int 8 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of machines per trial.")
-  in
   let term =
     Term.(
       ret
-        (const chaos $ algo_arg $ n_arg $ seed_arg $ backend_arg $ trials_arg $ loss_max_arg
-       $ tick_arg $ timeout_arg $ quiet_arg $ dir_arg))
+        (const chaos $ algo_arg
+        $ nodes_arg 8 ~doc:"Number of machines per trial."
+        $ seed_arg $ backend_arg
+        $ trials_arg 10 ~doc:"Number of seeded trials; trial i uses seed + i."
+        $ loss_max_arg ~doc:"Upper bound on each trial's randomized base loss rate."
+        $ tick_arg
+        $ timeout_arg 10.0 ~doc:"Per-trial wall-clock budget; exceeding it fails the trial."
+        $ quiet_arg ~doc:"Suppress the per-trial progress lines on stderr."
+        $ dir_arg))
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -661,44 +633,16 @@ let chaos_cmd =
 
 let chaos_matrix_cmd =
   let open Repro_net in
-  let backend_conv =
-    let parse s =
-      match Backend.of_string s with
-      | Ok Backend.Loopback -> Error (`Msg "chaos-matrix needs a live backend (uds|tcp|mux)")
-      | Ok b -> Ok b
-      | Error e -> Error (`Msg e)
-    in
-    Arg.conv (parse, fun ppf b -> Format.pp_print_string ppf (Backend.to_string b))
-  in
   let backend_arg =
     Arg.(
-      value & opt backend_conv Backend.Mux
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:
-            "Live backend for the cell clusters: $(b,uds), $(b,tcp) or $(b,mux). The default \
+      value
+      & opt
+          (backend_conv live_backends ~reject:"chaos-matrix needs a live backend (uds|tcp|mux)")
+          Backend.Mux
+      & backend_info
+          "Live backend for the cell clusters: $(b,uds), $(b,tcp) or $(b,mux). The default \
              mux backend runs on a virtual clock, which makes the summary byte-reproducible \
              and therefore safe to diff against a pinned baseline.")
-  in
-  let n_arg =
-    Arg.(value & opt int 8 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of machines per cell.")
-  in
-  let trials_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "trials" ] ~docv:"K"
-          ~doc:"Seeded trials per cell; trial i uses seed + i for topology and plan.")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt float 10.0
-      & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:"Per-trial wall-clock budget; exceeding it fails the trial.")
-  in
-  let loss_max_arg =
-    Arg.(
-      value & opt float 0.2
-      & info [ "loss-max" ] ~docv:"P"
-          ~doc:"Upper bound on the links plan family's randomized base loss rate.")
   in
   let algos_arg =
     Arg.(
@@ -741,9 +685,6 @@ let chaos_matrix_cmd =
       & opt (some string) None
       & info [ "o"; "out" ] ~docv:"FILE"
           ~doc:"Also write the summary to FILE (e.g. to regenerate the baseline).")
-  in
-  let quiet_arg =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress the per-cell progress lines on stderr.")
   in
   let matrix algos topologies plans n seed backend trials timeout loss_max baseline out quiet =
     let progress (c : Chaos.cell) =
@@ -799,8 +740,14 @@ let chaos_matrix_cmd =
   let term =
     Term.(
       ret
-        (const matrix $ algos_arg $ topologies_arg $ plans_arg $ n_arg $ seed_arg $ backend_arg
-       $ trials_arg $ timeout_arg $ loss_max_arg $ baseline_arg $ out_arg $ quiet_arg))
+        (const matrix $ algos_arg $ topologies_arg $ plans_arg
+        $ nodes_arg 8 ~doc:"Number of machines per cell."
+        $ seed_arg $ backend_arg
+        $ trials_arg 3 ~doc:"Seeded trials per cell; trial i uses seed + i for topology and plan."
+        $ timeout_arg 10.0 ~doc:"Per-trial wall-clock budget; exceeding it fails the trial."
+        $ loss_max_arg ~doc:"Upper bound on the links plan family's randomized base loss rate."
+        $ baseline_arg $ out_arg
+        $ quiet_arg ~doc:"Suppress the per-cell progress lines on stderr."))
   in
   Cmd.v
     (Cmd.info "chaos-matrix"
@@ -888,9 +835,6 @@ let soak_cmd =
       end
     end
   in
-  let n_arg =
-    Arg.(value & opt int 256 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Founding members.")
-  in
   let cap_arg =
     Arg.(
       value & opt int 0
@@ -944,24 +888,16 @@ let soak_cmd =
              membership can change at all).")
   in
   let backend_arg =
-    let service_backend_conv =
-      let parse s =
-        match Repro_net.Backend.of_string s with
-        | Ok (Repro_net.Backend.Loopback | Repro_net.Backend.Mux) as ok -> ok
-        | Ok (Repro_net.Backend.Process _) ->
-          Error "the service multiplexes members into one process: use loopback or mux"
-        | Error _ as e -> e
-      in
-      Arg.conv
-        ( (fun s -> parse s |> Result.map_error (fun e -> `Msg e)),
-          fun ppf b -> Format.pp_print_string ppf (Repro_net.Backend.to_string b) )
-    in
     Arg.(
       value
-      & opt (some service_backend_conv) None
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:
-            "Member runtime: $(b,loopback) (default; members exchange wire-encoded payloads \
+      & opt
+          (some
+             (backend_conv
+                [ Repro_net.Backend.Loopback; Repro_net.Backend.Mux ]
+                ~reject:"the service multiplexes members into one process: use loopback or mux"))
+          None
+      & backend_info
+          "Member runtime: $(b,loopback) (default; members exchange wire-encoded payloads \
              directly) or $(b,mux) (each member hosted inside a real node core — envelope \
              framing, go-back-N retransmission and the seeded fault shim on every hop).")
   in
@@ -981,21 +917,16 @@ let soak_cmd =
             "Disable local-health timeout scaling (by default a member whose own probes fail \
              broadly widens its liveness timeouts instead of spraying down verdicts).")
   in
-  let trace_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE" ~doc:"Write the JSONL event trace to $(docv).")
-  in
-  let quiet_arg =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress the summary line on stderr.")
-  in
   let term =
     Term.(
       ret
-        (const soak $ n_arg $ cap_arg $ ticks_arg $ seed_arg $ churn_arg $ min_live_arg
+        (const soak
+        $ nodes_arg 256 ~doc:"Founding members."
+        $ cap_arg $ ticks_arg $ seed_arg $ churn_arg $ min_live_arg
        $ cooldown_arg $ fault_arg $ lag_bound_arg $ full_sync_arg $ backend_arg
-       $ indirect_k_arg $ no_lifeguard_arg $ trace_out_arg $ quiet_arg))
+       $ indirect_k_arg $ no_lifeguard_arg
+        $ trace_out_arg ~doc:"Write the JSONL event trace to $(docv)."
+        $ quiet_arg ~doc:"Suppress the summary line on stderr."))
   in
   Cmd.v
     (Cmd.info "soak"

@@ -65,112 +65,49 @@ type result = {
 let lenient_for (spec : spec) =
   spec.kill_node <> None || Fault.crashed_nodes spec.fault <> []
 
-let zero_final =
-  {
-    Control.ticks = 0;
-    sent = 0;
-    delivered = 0;
-    dropped = 0;
-    pointers = 0;
-    bytes = 0;
-    complete_tick = None;
-    decode_errors = 0;
-    retransmits = 0;
-    corrupt_frames = 0;
-  }
+(* --- in-process backends ------------------------------------------- *)
 
-let add_final (acc : Control.final) (f : Control.final) =
-  {
-    acc with
-    Control.ticks = acc.Control.ticks + f.Control.ticks;
-    sent = acc.Control.sent + f.Control.sent;
-    delivered = acc.Control.delivered + f.Control.delivered;
-    dropped = acc.Control.dropped + f.Control.dropped;
-    pointers = acc.Control.pointers + f.Control.pointers;
-    bytes = acc.Control.bytes + f.Control.bytes;
-    decode_errors = acc.Control.decode_errors + f.Control.decode_errors;
-    retransmits = acc.Control.retransmits + f.Control.retransmits;
-    corrupt_frames = acc.Control.corrupt_frames + f.Control.corrupt_frames;
-  }
+(* Loopback delegates to the async oracle; its per-node tallies are
+   reconstructed from the trace stream with a callback sink teed in
+   front of the caller's sink, so enabling them cannot perturb the run
+   (tracing is observational by contract). [complete_tick],
+   [decode_errors] and the reliability counters do not apply in-process
+   and read [None]/[0]. *)
+let exec_tallied (spec : Run_async.spec) algo topology =
+  let finals = Array.make (Topology.n topology) Control.zero_final in
+  let add v delta = finals.(v) <- Control.add_final finals.(v) delta in
+  let tally (ev : Trace.event) =
+    match ev with
+    | Trace.Tick { node; _ } -> add node { Control.zero_final with ticks = 1 }
+    | Trace.Send { src; pointers; bytes; _ } ->
+      add src { Control.zero_final with sent = 1; pointers; bytes }
+    | Trace.Deliver { dst; _ } -> add dst { Control.zero_final with delivered = 1 }
+    | Trace.Drop { src; _ } -> add src { Control.zero_final with dropped = 1 }
+    | Trace.Round_begin _ | Trace.Crash _ | Trace.Join _ | Trace.Genesis _ | Trace.Content _
+    | Trace.Leave _ | Trace.Suspect _ | Trace.Retire _ | Trace.Converge _
+    | Trace.Complete | Trace.Give_up -> ()
+  in
+  let spec = { spec with Run_async.trace = Trace.tee (Trace.callback tally) spec.Run_async.trace } in
+  let result = Run_async.exec_spec spec algo topology in
+  (result, finals)
 
-(* --- loopback: delegate to the async oracle ------------------------ *)
-
-let run_loopback (spec : spec) =
-  let topology =
-    Generate.build spec.family ~rng:(Rng.substream ~seed:spec.seed ~index:0x70b0) ~n:spec.n
-  in
-  let checker =
-    if spec.check_invariants then
-      Some (Trace.Invariants.create ~lenient:(Fault.has_restarts spec.fault) ())
-    else None
-  in
-  let trace =
-    match checker with
-    | None -> spec.trace
-    | Some inv -> Trace.tee (Trace.Invariants.sink inv) spec.trace
-  in
-  let run_spec =
-    {
-      Run_async.default_spec with
-      seed = spec.seed;
-      fault = spec.fault;
-      encoding = spec.encoding;
-      trace;
-    }
-  in
-  let sim, finals = Loopback.exec_spec run_spec spec.algo topology in
-  let invariants =
-    match checker with
-    | None -> Skipped "disabled"
-    | Some inv -> (
-      match Trace.Invariants.final_check inv sim.Run_async.metrics with
-      | () -> Passed (Trace.Invariants.events_seen inv)
-      | exception Trace.Invariants.Violation msg -> Failed msg)
-  in
-  let totals = Array.fold_left add_final zero_final finals in
-  (* same accounting as the mux path: a node that ended the run dead is
-     reported crashed, whichever backend hosted it *)
-  let crashed = ref [] in
-  for v = spec.n - 1 downto 0 do
-    if not sim.Run_async.alive.(v) then crashed := v :: !crashed
-  done;
-  {
-    algorithm = spec.algo.Algorithm.name;
-    family = Generate.family_name spec.family;
-    backend = Backend.Loopback;
-    n = spec.n;
-    seed = spec.seed;
-    converged = sim.Run_async.completed;
-    wall_time = sim.Run_async.time;
-    events = (match checker with Some inv -> Trace.Invariants.events_seen inv | None -> 0);
-    crashed = !crashed;
-    killed = None;
-    invariants;
-    nodes =
-      Array.mapi
-        (fun id f -> { id; outcome = Finished f; completed = sim.Run_async.completed })
-        finals;
-    totals = Some totals;
-  }
-
-(* --- mux: every node a live Node_core, one process, virtual time ---- *)
-
-let run_mux (spec : spec) =
+(* Loopback runs the async oracle; mux runs every node as a live
+   Node_core in this one process on a virtual clock (trace-identical to
+   loopback on fault-free runs). *)
+let run_in_process (spec : spec) =
   if spec.n < 1 then invalid_arg "Cluster.run: n must be positive";
+  let mux = spec.backend = Backend.Mux in
   let topology =
     Generate.build spec.family ~rng:(Rng.substream ~seed:spec.seed ~index:0x70b0) ~n:spec.n
   in
-  (* crash accounting follows the live rules (a payload can be counted
-     delivered by the victim and dropped by the sender), so any plan
-     that kills a node checks under the relaxed rules, like the socket
-     path *)
+  (* The oracle accounts every frame exactly, so only a restart relaxes
+     its checks. The mux follows the live crash rules (a payload can be
+     counted delivered by the victim and dropped by the sender), so any
+     plan that kills a node checks under the relaxed rules, like the
+     socket path. *)
+  let lenient = Fault.has_restarts spec.fault || (mux && Fault.crashed_nodes spec.fault <> []) in
   let checker =
-    if spec.check_invariants then
-      Some
-        (Trace.Invariants.create
-           ~lenient:(Fault.crashed_nodes spec.fault <> [] || Fault.has_restarts spec.fault)
-           ())
-    else None
+    if spec.check_invariants then Some (Trace.Invariants.create ~lenient ()) else None
   in
   let trace =
     match checker with
@@ -186,7 +123,7 @@ let run_mux (spec : spec) =
       trace;
     }
   in
-  let sim, finals = Mux.exec_spec run_spec spec.algo topology in
+  let sim, finals = (if mux then Mux.exec_spec else exec_tallied) run_spec spec.algo topology in
   let invariants =
     match checker with
     | None -> Skipped "disabled"
@@ -195,29 +132,30 @@ let run_mux (spec : spec) =
       | () -> Passed (Trace.Invariants.events_seen inv)
       | exception Trace.Invariants.Violation msg -> Failed msg)
   in
-  let totals = Array.fold_left add_final zero_final finals in
-  let crashed = ref [] in
-  for v = spec.n - 1 downto 0 do
-    if not sim.Run_async.alive.(v) then crashed := v :: !crashed
-  done;
+  (* a node that ended the run dead is reported crashed, whichever
+     backend hosted it *)
+  let crashed = List.filter (fun v -> not sim.Run_async.alive.(v)) (List.init spec.n Fun.id) in
   {
     algorithm = spec.algo.Algorithm.name;
     family = Generate.family_name spec.family;
-    backend = Backend.Mux;
+    backend = spec.backend;
     n = spec.n;
     seed = spec.seed;
     converged = sim.Run_async.completed;
     wall_time = sim.Run_async.time;
     events = (match checker with Some inv -> Trace.Invariants.events_seen inv | None -> 0);
-    crashed = !crashed;
+    crashed;
     killed = None;
     invariants;
     nodes =
       Array.mapi
-        (fun id f ->
-          { id; outcome = Finished f; completed = f.Control.complete_tick <> None })
+        (fun id (f : Control.final) ->
+          (* a live core knows when it completed; the oracle's nodes
+             share the run's verdict *)
+          let completed = if mux then f.Control.complete_tick <> None else sim.Run_async.completed in
+          { id; outcome = Finished f; completed })
         finals;
-    totals = Some totals;
+    totals = Some (Array.fold_left Control.add_final Control.zero_final finals);
   }
 
 (* --- socket backends: one forked process per node ------------------ *)
@@ -591,8 +529,8 @@ let run_sockets (spec : spec) =
     if Array.for_all (fun c -> c.final <> None) children then
       Some
         (Array.fold_left
-           (fun acc c -> add_final acc (Option.get c.final))
-           zero_final children)
+           (fun acc c -> Control.add_final acc (Option.get c.final))
+           Control.zero_final children)
     else None
   in
   let invariants =
@@ -649,7 +587,7 @@ let run (spec : spec) =
   | Backend.Loopback | Backend.Mux ->
     if spec.kill_node <> None then
       invalid_arg "Cluster.run: kill_node requires a socket backend (uds|tcp)";
-    if spec.backend = Backend.Mux then run_mux spec else run_loopback spec
+    run_in_process spec
   | Backend.Process _ -> run_sockets spec
 
 (* --- JSON report ---------------------------------------------------- *)

@@ -35,8 +35,9 @@
 
     Process-per-node is one of three implementations of the {!Backend}
     API. [Backend.Loopback] short-circuits all of the above to
-    {!Loopback.exec_spec}: in-process, deterministic, trace-identical to
-    {!Repro_discovery.Run_async}. [Backend.Mux] runs the same live
+    {!Repro_discovery.Run_async} itself, with per-node counters tallied
+    from its event stream: in-process, deterministic, trace-identical to
+    the simulator. [Backend.Mux] runs the same live
     protocol stack as the processes — every node a {!Node_core} — but
     multiplexed into this one process on a virtual clock
     ({!Mux.exec_spec}), scaling to thousands of live nodes while staying

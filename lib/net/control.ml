@@ -13,6 +13,34 @@ type final = {
   corrupt_frames : int;
 }
 
+let zero_final =
+  {
+    ticks = 0;
+    sent = 0;
+    delivered = 0;
+    dropped = 0;
+    pointers = 0;
+    bytes = 0;
+    complete_tick = None;
+    decode_errors = 0;
+    retransmits = 0;
+    corrupt_frames = 0;
+  }
+
+let add_final acc f =
+  {
+    acc with
+    ticks = acc.ticks + f.ticks;
+    sent = acc.sent + f.sent;
+    delivered = acc.delivered + f.delivered;
+    dropped = acc.dropped + f.dropped;
+    pointers = acc.pointers + f.pointers;
+    bytes = acc.bytes + f.bytes;
+    decode_errors = acc.decode_errors + f.decode_errors;
+    retransmits = acc.retransmits + f.retransmits;
+    corrupt_frames = acc.corrupt_frames + f.corrupt_frames;
+  }
+
 type msg = Event of float * Trace.event | Completed of float * int | Final of final
 
 (* Times are printed with the same "%.12g" convention as the trace JSON

@@ -33,6 +33,13 @@ type final = {
   corrupt_frames : int;  (** received frames rejected by their CRC *)
 }
 
+val zero_final : final
+(** All counters zero, [complete_tick = None]. *)
+
+val add_final : final -> final -> final
+(** Field-wise sum of every counter, for fleet totals; [complete_tick]
+    is the accumulator's, since a per-node tick has no sum. *)
+
 type msg = Event of float * Trace.event | Completed of float * int | Final of final
 
 val event_line : time:float -> Trace.event -> string

@@ -26,73 +26,6 @@ let rto = 3.0
 
 type ev = Tick of int | Frame of { dst : int; frame : bytes } | Monitor
 
-(* Binary min-heap on (time, insertion seq) — the same ordering contract
-   as the async engine's, so identical event times resolve identically. *)
-module Heap = struct
-  type entry = { time : float; seq : int; ev : ev }
-  type t = { mutable arr : entry array; mutable len : int; mutable seq : int }
-
-  let dummy = { time = 0.0; seq = 0; ev = Monitor }
-  let create () = { arr = Array.make 256 dummy; len = 0; seq = 0 }
-  let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-  let push h time ev =
-    if h.len = Array.length h.arr then begin
-      let arr = Array.make (2 * h.len) dummy in
-      Array.blit h.arr 0 arr 0 h.len;
-      h.arr <- arr
-    end;
-    let e = { time; seq = h.seq; ev } in
-    h.seq <- h.seq + 1;
-    let i = ref h.len in
-    h.len <- h.len + 1;
-    h.arr.(!i) <- e;
-    while !i > 0 && lt h.arr.(!i) h.arr.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      h.arr.(!i) <- h.arr.(p);
-      h.arr.(p) <- e;
-      i := p
-    done
-
-  let is_empty h = h.len = 0
-  let peek h = h.arr.(0)
-
-  let drop h =
-    h.len <- h.len - 1;
-    if h.len > 0 then begin
-      h.arr.(0) <- h.arr.(h.len);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && lt h.arr.(l) h.arr.(!smallest) then smallest := l;
-        if r < h.len && lt h.arr.(r) h.arr.(!smallest) then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          let tmp = h.arr.(!i) in
-          h.arr.(!i) <- h.arr.(!smallest);
-          h.arr.(!smallest) <- tmp;
-          i := !smallest
-        end
-      done
-    end
-end
-
-let zero_final =
-  {
-    Control.ticks = 0;
-    sent = 0;
-    delivered = 0;
-    dropped = 0;
-    pointers = 0;
-    bytes = 0;
-    complete_tick = None;
-    decode_errors = 0;
-    retransmits = 0;
-    corrupt_frames = 0;
-  }
-
 let exec_spec (spec : Run_async.spec) (algo : Algorithm.t) topology =
   let n = Topology.n topology in
   let horizon =
@@ -143,7 +76,9 @@ let exec_spec (spec : Run_async.spec) (algo : Algorithm.t) topology =
     Array.init n (fun _ ->
         1.0 -. spec.Run_async.tick_jitter +. Rng.float rng (2.0 *. spec.Run_async.tick_jitter))
   in
-  let heap = Heap.create () in
+  (* ordered on (time, insertion seq), the async engine's contract, so
+     identical event times resolve identically *)
+  let heap = Heap.create ~dummy:Monitor in
   let now = ref 0.0 in
   let latency () = lmin +. Rng.float rng (lmax -. lmin) in
   let aux_latency () = lmin +. Rng.float aux (lmax -. lmin) in
@@ -230,58 +165,47 @@ let exec_spec (spec : Run_async.spec) (algo : Algorithm.t) topology =
   let completed = ref (stop ~time:0.0) in
   let continue = ref true in
   while !continue && not !completed do
-    if Heap.is_empty heap then continue := false
+    if Heap.is_empty heap || Heap.min_time heap > horizon then continue := false
     else begin
-      let e = Heap.peek heap in
-      if e.Heap.time > horizon then continue := false
-      else begin
-        now := e.Heap.time;
-        Heap.drop heap;
-        match e.Heap.ev with
-        | Tick v ->
-          if alive.(v) && !now >= crash_time.(v) then begin
-            alive.(v) <- false;
-            emit_crash v
-          end;
-          if (not alive.(v)) && !now >= join_time.(v) && !now < crash_time.(v) then begin
-            alive.(v) <- true;
-            ignore (make_core v ~announce:false)
-          end;
-          apply_restart v;
-          (match cores.(v) with
-          | Some core when alive.(v) ->
-            incr ticks;
-            Node_core.flush_faults core ~now:!now;
-            Node_core.tick core ~now:!now;
-            (* owed bare acks and retransmission timeouts ride the tick
-               cadence: the round trip budgeted by [rto] accounts for it *)
-            Node_core.pump core ~now:!now
-          | _ -> ());
-          if !now < crash_time.(v) || restart_time.(v) < infinity then
-            Heap.push heap (!now +. period.(v)) (Tick v)
-        | Frame { dst; frame } -> (
-          if alive.(dst) && !now >= crash_time.(dst) then begin
-            alive.(dst) <- false;
-            emit_crash dst
-          end;
-          apply_restart dst;
-          match cores.(dst) with
-          | Some core when alive.(dst) -> (
-            match Envelope.decode frame ~off:0 ~len:(Bytes.length frame) with
-            | `Frame (env, _) -> Node_core.handle_frame core ~now:!now env
-            | `Corrupt reason ->
-              if String.equal reason Envelope.crc_mismatch then Node_core.note_corrupt_frame core
-              else Node_core.note_decode_error core
-            | `Need_more -> Node_core.note_decode_error core)
-          | _ ->
-            (* a wire into a dead or unborn node: the frame vanishes, as
-               it would on a real socket; the sender's go-back-N either
-               redelivers it after a revival or accounts it when the
-               link is declared dead *)
-            ())
-        | Monitor ->
-          if stop ~time:!now then completed := true else Heap.push heap (!now +. 1.0) Monitor
-      end
+      now := Heap.min_time heap;
+      match Heap.pop heap with
+      | Tick v ->
+        if alive.(v) && !now >= crash_time.(v) then begin
+          alive.(v) <- false;
+          emit_crash v
+        end;
+        if (not alive.(v)) && !now >= join_time.(v) && !now < crash_time.(v) then begin
+          alive.(v) <- true;
+          ignore (make_core v ~announce:false)
+        end;
+        apply_restart v;
+        (match cores.(v) with
+        | Some core when alive.(v) ->
+          incr ticks;
+          Node_core.flush_faults core ~now:!now;
+          Node_core.tick core ~now:!now;
+          (* owed bare acks and retransmission timeouts ride the tick
+             cadence: the round trip budgeted by [rto] accounts for it *)
+          Node_core.pump core ~now:!now
+        | _ -> ());
+        if !now < crash_time.(v) || restart_time.(v) < infinity then
+          Heap.push heap (!now +. period.(v)) (Tick v)
+      | Frame { dst; frame } -> (
+        if alive.(dst) && !now >= crash_time.(dst) then begin
+          alive.(dst) <- false;
+          emit_crash dst
+        end;
+        apply_restart dst;
+        match cores.(dst) with
+        | Some core when alive.(dst) -> Node_core.receive core ~now:!now frame
+        | _ ->
+          (* a wire into a dead or unborn node: the frame vanishes, as
+             it would on a real socket; the sender's go-back-N either
+             redelivers it after a revival or accounts it when the
+             link is declared dead *)
+          ())
+      | Monitor ->
+        if stop ~time:!now then completed := true else Heap.push heap (!now +. 1.0) Monitor
     end
   done;
   Trace.emit trace (if !completed then Trace.Complete else Trace.Give_up);
@@ -293,25 +217,10 @@ let exec_spec (spec : Run_async.spec) (algo : Algorithm.t) topology =
      incarnation's, matching what a socket cluster aggregates) *)
   let finals =
     Array.init n (fun v ->
-        match cores.(v) with Some core -> Node_core.final core | None -> zero_final)
+        match cores.(v) with Some core -> Node_core.final core | None -> Control.zero_final)
   in
-  let totals = ref zero_final in
-  Array.iter
-    (fun (f : Control.final) ->
-      totals :=
-        {
-          !totals with
-          Control.sent = !totals.Control.sent + f.Control.sent;
-          delivered = !totals.Control.delivered + f.Control.delivered;
-          dropped = !totals.Control.dropped + f.Control.dropped;
-          pointers = !totals.Control.pointers + f.Control.pointers;
-          bytes = !totals.Control.bytes + f.Control.bytes;
-          retransmits = !totals.Control.retransmits + f.Control.retransmits;
-          corrupt_frames = !totals.Control.corrupt_frames + f.Control.corrupt_frames;
-        })
-    finals;
+  let t = Array.fold_left Control.add_final Control.zero_final finals in
   let metrics = Metrics.create () in
-  let t = !totals in
   Metrics.absorb metrics ~retransmits:t.Control.retransmits
     ~corrupt_frames:t.Control.corrupt_frames ~sent:t.Control.sent ~delivered:t.Control.delivered
     ~dropped:t.Control.dropped ~pointers:t.Control.pointers ~bytes:t.Control.bytes ();

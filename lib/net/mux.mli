@@ -34,9 +34,9 @@ open Repro_discovery
 
 val exec_spec :
   Run_async.spec -> Algorithm.t -> Topology.t -> Run_async.result * Control.final array
-(** Run the multiplexed deployment; same shape as {!Loopback.exec_spec}:
-    the overall result plus each node's own protocol counters (the
-    final incarnation's, as a socket cluster would aggregate). The
-    result's [metrics] are rebuilt from those counters, so the caller's
+(** Run the multiplexed deployment: the overall result, as
+    {!Repro_discovery.Run_async.exec_spec} returns it, plus each node's
+    own protocol counters (the final incarnation's, as a socket cluster
+    would aggregate). The result's [metrics] are rebuilt from those counters, so the caller's
     invariant [final_check] is a genuine cross-check of the trace
     against the cores' bookkeeping. *)

@@ -372,8 +372,7 @@ let run cfg =
               Transport.Conn.close c;
               false
             | `Corrupt reason ->
-              if String.equal reason Envelope.crc_mismatch then Node_core.note_corrupt_frame core
-              else Node_core.note_decode_error core;
+              Node_core.note_bad_frame core reason;
               Transport.Conn.close c;
               false
           end

@@ -146,8 +146,9 @@ let wants_link t ~dst =
   let link = peek t dst in
   (not (Queue.is_empty link.sendbuf)) || link.ack_owed || link.hello_owed || link.done_owed
 
-let note_corrupt_frame t = t.corrupt_frames <- t.corrupt_frames + 1
-let note_decode_error t = t.decode_errors <- t.decode_errors + 1
+let note_bad_frame t reason =
+  if String.equal reason Envelope.crc_mismatch then t.corrupt_frames <- t.corrupt_frames + 1
+  else t.decode_errors <- t.decode_errors + 1
 
 (* Every encoded frame to a peer passes through the fault shim when one
    is active; the shim calls [queue] zero, one or two times. *)
@@ -459,6 +460,12 @@ let handle_frame t ~now (env : Envelope.t) =
           announce_if_complete t ~now
       end
   end
+
+let receive t ~now frame =
+  match Envelope.decode frame ~off:0 ~len:(Bytes.length frame) with
+  | `Frame (env, _) -> handle_frame t ~now env
+  | `Corrupt reason -> note_bad_frame t reason
+  | `Need_more -> t.decode_errors <- t.decode_errors + 1
 
 (* Retransmission timeouts and owed bare frames, over every up link.
    An untouched link owes nothing, so only the touched ones are walked —

@@ -92,6 +92,12 @@ val tick : t -> now:float -> unit
 val handle_frame : t -> now:float -> Envelope.t -> unit
 (** Process one decoded envelope from the wire (any kind). *)
 
+val receive : t -> now:float -> bytes -> unit
+(** Process one whole encoded frame, as an in-process runtime delivers
+    it: decode the envelope, then {!handle_frame} it, or count why it
+    was rejected — a CRC failure as a [corrupt_frames] count, anything
+    else (including a truncated frame) as a [decode_errors] count. *)
+
 val send : t -> now:float -> dst:int -> Payload.t -> unit
 (** Put one payload on the reliable channel to [dst] — the same path
     the algorithm's [round] callback uses (go-back-N sendbuf, fault
@@ -137,12 +143,11 @@ val next_rto_deadline : t -> float
 (** Earliest retransmission deadline over the up links (infinity when
     nothing is in flight) — for the runtime's poll timeout. *)
 
-val note_corrupt_frame : t -> unit
-(** A frame from the stream failed the envelope CRC (counted here
-    because the core owns the final counters). *)
-
-val note_decode_error : t -> unit
-(** The stream produced an undecodable non-CRC error. *)
+val note_bad_frame : t -> string -> unit
+(** A stream runtime's envelope reader rejected a frame with this
+    [`Corrupt] reason: {!Envelope.crc_mismatch} counts as a
+    [corrupt_frames] count, any other reason as a [decode_errors] count
+    (counted here because the core owns the final counters). *)
 
 val tick_count : t -> int
 

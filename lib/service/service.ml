@@ -3,7 +3,6 @@ open Repro_engine
 open Repro_discovery
 module Backend = Repro_net.Backend
 module Node_core = Repro_net.Node_core
-module Envelope = Repro_net.Envelope
 module Control = Repro_net.Control
 
 type churn = { rate : float; min_live : int; until : int }
@@ -90,58 +89,314 @@ module Pool = struct
     if size t = 0 then None else Some (Intvec.get t.ids (Rng.int rng (size t)))
 end
 
-(* --- (time, seq)-ordered message heap -------------------------------- *)
+(* --- the observer ------------------------------------------------------ *)
+(* The omniscient observer matches views against consistent cuts, not
+   just the instantaneous truth: under sustained churn there is almost
+   always one change still in flight (crash detection alone takes ~13
+   ticks), so "view = truth right now" instants can elude an unlucky
+   node for longer than the lag bound even while it tracks perfectly.
+   A node converges to epoch [e] by matching the membership as of ANY
+   epoch >= e — exactly the checker's documented contract. Set
+   equality is tested with Zobrist hashes: each id gets a random
+   62-bit key, the truth hash and each member's view hash fold in a
+   key per live id, and a view matches epoch [e]'s membership iff the
+   hashes collide (the 2^-62 false-match rate is far below any churn
+   rate worth measuring; keys are drawn from a seed substream, so runs
+   stay byte-reproducible). *)
 
-module Heap = struct
-  type entry = { time : float; seq : int; src : int; dst : int; frame : bytes }
+type observer = {
+  trace : Trace.sink;
+  bound : float;
+  zob : int array;  (* each id's Zobrist key *)
+  mutable htruth : int;  (* hash of the true membership *)
+  vhash : int array;  (* hash of each member's live view *)
+  conv_emitted : int array;  (* best epoch each member has been credited with *)
+  snapshots : (int, int) Hashtbl.t;  (* membership hash -> epoch *)
+  mutable snapshots_peak : int;
+  ages : (int * int * float) Queue.t;  (* every snapshot insertion, oldest first, for expiry *)
+}
 
-  type t = { mutable a : entry array; mutable len : int }
+let observer ~seed ~cap ~bound trace =
+  let zrng = Rng.substream ~seed ~index:0x20b1 in
+  {
+    trace;
+    bound;
+    zob = Array.init cap (fun _ -> Int64.to_int (Rng.bits64 zrng) land max_int);
+    htruth = 0;
+    vhash = Array.make cap 0;
+    conv_emitted = Array.make cap 0;
+    snapshots = Hashtbl.create 256;
+    snapshots_peak = 0;
+    ages = Queue.create ();
+  }
 
-  let dummy = { time = 0.0; seq = 0; src = 0; dst = 0; frame = Bytes.empty }
-  let create () = { a = Array.make 256 dummy; len = 0 }
-  let lt x y = x.time < y.time || (x.time = y.time && x.seq < y.seq)
-  let is_empty t = t.len = 0
-  let peek t = t.a.(0)
+(* emit the best epoch whose membership this member's view matches *)
+let try_converge o id =
+  match Hashtbl.find_opt o.snapshots o.vhash.(id) with
+  | Some e when e > o.conv_emitted.(id) ->
+    o.conv_emitted.(id) <- e;
+    Trace.emit o.trace (Trace.Converge { node = id; epoch = e })
+  | Some _ | None -> ()
 
-  let push t e =
-    if t.len = Array.length t.a then begin
-      let a = Array.make (2 * t.len) dummy in
-      Array.blit t.a 0 a 0 t.len;
-      t.a <- a
+(* a (re)spawned member's view hash, from scratch; its convergence level
+   starts over — earlier verdicts were the previous incarnation's *)
+let reset_view o id m =
+  let view = Member.view m in
+  let h = ref 0 in
+  View.iter_known view (fun j -> if View.is_live view j then h := !h lxor o.zob.(j));
+  o.vhash.(id) <- !h;
+  o.conv_emitted.(id) <- 0
+
+(* [id] joined or left the true membership *)
+let toggle o id = o.htruth <- o.htruth lxor o.zob.(id)
+
+(* record the current membership's hash as epoch [ep]'s snapshot — O(1),
+   no per-member patching *)
+let record_snapshot o ~now ep =
+  Hashtbl.replace o.snapshots o.htruth ep;
+  Queue.push (o.htruth, ep, now) o.ages;
+  o.snapshots_peak <- max o.snapshots_peak (Hashtbl.length o.snapshots)
+
+(* Expire snapshots old enough that no member could still legitimately
+   converge to them: an epoch more than [bound] old that is still open
+   has already raised {!Trace.Lag.Violation}, so keeping twice that
+   window is safely conservative. A hash re-recorded since (the
+   membership returned to a previous set) keeps its newer entry: the
+   guard removes a binding only when it still carries the queued
+   epoch. This caps the table at O(bound * churn rate) entries instead
+   of one per change for the whole run. *)
+let prune_snapshots o ~now =
+  let continue = ref true in
+  while !continue && not (Queue.is_empty o.ages) do
+    let hash, ep, born = Queue.peek o.ages in
+    if now -. born > 2.0 *. o.bound then begin
+      ignore (Queue.pop o.ages);
+      match Hashtbl.find_opt o.snapshots hash with
+      | Some e when e = ep -> Hashtbl.remove o.snapshots hash
+      | Some _ | None -> ()
+    end
+    else continue := false
+  done
+
+(* --- transports --------------------------------------------------------- *)
+(* How member messages travel between members, built once per run from
+   [cfg.backend]. [send] returns the payload's encoded size, so both
+   transports count the same member-level [bytes]; [deliver_due] hands
+   over, in (time, seq) order, every frame due by the given time,
+   advancing the shared clock to each; [step] is a member's tick;
+   [spawn]/[despawn] follow a member's lifetime; [end_tick] runs after
+   every member has stepped; [retransmits] is the run's go-back-N total. *)
+
+type transport = {
+  send : src:int -> dst:int -> Payload.t -> int;
+  deliver_due : float -> unit;
+  step : int -> Member.t -> unit;
+  spawn : int -> Member.t -> unit;
+  despawn : int -> unit;
+  end_tick : unit -> unit;
+  retransmits : unit -> int;
+}
+
+type hop = { src : int; dst : int; frame : bytes }  (* a frame in flight *)
+
+let no_hop = { src = 0; dst = 0; frame = Bytes.empty }
+let latency rng = 0.35 +. Rng.float rng 0.3
+
+let drain heap now until deliver =
+  while (not (Heap.is_empty heap)) && Heap.min_time heap <= until do
+    now := Heap.min_time heap;
+    deliver (Heap.pop heap)
+  done
+
+(* The certification path: every payload is wire-encoded and decoded
+   (so the codec is exercised on every hop), and the transport itself
+   applies the fault plan's loss coin and partition cuts. *)
+let direct_transport (cfg : config) ~members ~now ~dropped_loss ~dropped_dead =
+  let rng = Rng.substream ~seed:cfg.seed ~index:0x11e7 in
+  let heap = Heap.create ~dummy:no_hop in
+  let deliver hop =
+    match members.(hop.dst) with
+    | None -> incr dropped_dead
+    | Some m -> (
+      match Wire.decode Wire.Adaptive ~universe:cfg.cap hop.frame with
+      | Ok payload -> Member.deliver m ~src:hop.src ~now:!now payload
+      | Error msg -> failwith ("Service.run: wire decode failed: " ^ msg))
+  in
+  {
+    send =
+      (fun ~src ~dst payload ->
+        let frame = Wire.encode Wire.Adaptive ~universe:cfg.cap payload in
+        let link = Fault.link_between cfg.fault ~src ~dst in
+        let lost =
+          (link.Fault.loss > 0.0 && Rng.bernoulli rng ~p:link.Fault.loss)
+          || Fault.cut cfg.fault ~src ~dst ~time:!now
+        in
+        if lost then incr dropped_loss
+        else Heap.push heap (!now +. latency rng +. float_of_int link.Fault.delay) { src; dst; frame };
+        Bytes.length frame);
+    deliver_due = (fun until -> drain heap now until deliver);
+    step = (fun _ m -> Member.step m ~now:!now);
+    spawn = (fun _ _ -> ());
+    despawn = ignore;
+    end_tick = ignore;
+    retransmits = (fun () -> 0);
+  }
+
+(* Every member lives inside an (unmodified) {!Node_core}: its messages
+   ride the full wire stack — envelope framing + CRC, per-link go-back-N
+   with retransmission, the seeded fault shim for loss/delay/partitions —
+   and the transport delivers encoded frames, not payloads. The shim
+   drops silently and the reliability layer re-sends, so [dropped_loss]
+   stays 0 here. The core's own trace events are discarded (the service
+   emits the canonical lifecycle itself), and its completion machinery
+   is inert ([fleet_halt = false]). *)
+let hosted_transport (cfg : config) ~labels ~now ~dropped_dead =
+  let cap = cfg.cap in
+  let rng = Rng.substream ~seed:cfg.seed ~index:0x11e7 in
+  let heap = Heap.create ~dummy:no_hop in
+  let cores : Node_core.t option array = Array.make cap None in
+  let ever_lived = Array.make cap false in
+  let healing = Array.make cap false in
+  (* go-back-N re-sends of cores already despawned *)
+  let retired_retransmits = ref 0 in
+  let spawn id m =
+    let algo =
+      {
+        Algorithm.name = "service-member";
+        description = "continuous-service member hosted on a node core";
+        make =
+          (fun _ctx ->
+            (* the member, not the ctx, is the protocol state: the
+               core's round/receive hooks just forward to it on the
+               service's clock *)
+            {
+              Algorithm.knowledge = View.knowledge (Member.view m);
+              round = (fun ~round:_ ~send:_ -> Member.step m ~now:!now);
+              receive = (fun ~src payload -> Member.deliver m ~src ~now:!now payload);
+              is_quiescent = Algorithm.never_quiescent;
+            });
+      }
+    in
+    let acts =
+      {
+        Node_core.emit = (fun ~now:_ _ -> ());
+        xmit =
+          (fun ~now:sent_at ~dst frame ->
+            Heap.push heap (sent_at +. latency rng) { src = id; dst; frame });
+        notify_complete = (fun ~now:_ ~tick:_ -> ());
+        (* "establishing a connection" is instantaneous here, as in the
+           mux: a revived link comes straight back up *)
+        wake =
+          (fun ~dst ->
+            match cores.(id) with
+            | Some core -> Node_core.link_up core ~now:!now ~dst
+            | None -> ());
+      }
+    in
+    let core =
+      Node_core.create
+        {
+          Node_core.node = id;
+          n = cap;
+          algo;
+          seed = cfg.seed;
+          neighbors = [||];
+          tick_period = 1.0;
+          rto = 3.0;
+          fault = cfg.fault;
+          announce = false;
+          encoding = Wire.Adaptive;
+          fleet_halt = false;
+        }
+        acts ~labels ~links_up:true ~now:!now
+    in
+    cores.(id) <- Some core;
+    if ever_lived.(id) then begin
+      (* A reborn id must void the go-back-N state peers still hold
+         about its predecessor (their stale cumulative-ack marks would
+         silently eat the fresh incarnation's low sequence numbers):
+         greet every live peer, and keep re-greeting — see [heal_links]
+         — until each peer's dead link has demonstrably been revived,
+         since any single hello can be lost. *)
+      for p = 0 to cap - 1 do
+        if p <> id && cores.(p) <> None then Node_core.greet core ~now:!now ~dst:p
+      done;
+      healing.(id) <- true
     end;
-    let i = ref t.len in
-    t.len <- t.len + 1;
-    t.a.(!i) <- e;
-    while !i > 0 && lt t.a.(!i) t.a.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = t.a.(p) in
-      t.a.(p) <- t.a.(!i);
-      t.a.(!i) <- tmp;
-      i := p
+    ever_lived.(id) <- true
+  in
+  let despawn id =
+    match cores.(id) with
+    | None -> ()
+    | Some core ->
+      retired_retransmits := !retired_retransmits + (Node_core.final core).Control.retransmits;
+      cores.(id) <- None;
+      healing.(id) <- false;
+      (* every peer writes the departed id off at once, so go-back-N
+         stops retransmitting into the void; a later rebirth revives the
+         links via its greeting hellos *)
+      for p = 0 to cap - 1 do
+        match cores.(p) with
+        | Some pc -> Node_core.link_dead pc ~now:!now ~dst:id
+        | None -> ()
+      done
+  in
+  (* Re-greet peers whose link toward a reborn id is still [Dead]: the
+     hello that should have revived it was eaten by the fault shim. The
+     peer's link status is the delivery receipt — once no peer holds a
+     dead link toward the id, healing is done. *)
+  let heal_links () =
+    for id = 0 to cap - 1 do
+      if healing.(id) then
+        match cores.(id) with
+        | None -> healing.(id) <- false
+        | Some core ->
+          let pending = ref false in
+          for p = 0 to cap - 1 do
+            if p <> id then
+              match cores.(p) with
+              | Some pc when Node_core.link_status pc ~dst:id = Node_core.Dead ->
+                pending := true;
+                Node_core.greet core ~now:!now ~dst:p
+              | Some _ | None -> ()
+          done;
+          if not !pending then healing.(id) <- false
     done
-
-  let pop t =
-    let top = t.a.(0) in
-    t.len <- t.len - 1;
-    t.a.(0) <- t.a.(t.len);
-    t.a.(t.len) <- dummy;
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let s = ref !i in
-      if l < t.len && lt t.a.(l) t.a.(!s) then s := l;
-      if r < t.len && lt t.a.(r) t.a.(!s) then s := r;
-      if !s = !i then continue := false
-      else begin
-        let tmp = t.a.(!s) in
-        t.a.(!s) <- t.a.(!i);
-        t.a.(!i) <- tmp;
-        i := !s
-      end
-    done;
-    top
-end
+  in
+  let deliver hop =
+    match cores.(hop.dst) with
+    | None -> incr dropped_dead
+    | Some core -> Node_core.receive core ~now:!now hop.frame
+  in
+  {
+    send =
+      (fun ~src ~dst payload ->
+        (match cores.(src) with
+        | Some core -> Node_core.send core ~now:!now ~dst payload
+        | None -> ());
+        Wire.encoded_size Wire.Adaptive ~universe:cap payload);
+    deliver_due = (fun until -> drain heap now until deliver);
+    step =
+      (fun id _ ->
+        match cores.(id) with
+        | Some core ->
+          (* the core runs the member's step through its round hook, and
+             owns retransmission timeouts and held fault-shim frames *)
+          Node_core.flush_faults core ~now:!now;
+          Node_core.tick core ~now:!now;
+          Node_core.pump core ~now:!now
+        | None -> ());
+    spawn;
+    despawn;
+    end_tick = heal_links;
+    retransmits =
+      (fun () ->
+        Array.fold_left
+          (fun acc -> function
+            | Some core -> acc + (Node_core.final core).Control.retransmits
+            | None -> acc)
+          !retired_retransmits cores);
+  }
 
 (* --------------------------------------------------------------------- *)
 
@@ -156,17 +411,13 @@ let validate cfg =
     if c.min_live < 2 then invalid_arg "Service.run: min_live must be >= 2"
   | None -> ()
 
+(* A scheduled membership change. The constructors are in application
+   order, so sorting a tick's (change, id) pairs applies its joins, then
+   its leaves, then its crashes, each in ascending id order. *)
+type change = Join | Leave | Crash
+
 let run cfg =
   validate cfg;
-  let hosted =
-    match cfg.backend with
-    | None | Some Backend.Loopback -> false
-    | Some Backend.Mux -> true
-    | Some (Backend.Process _) ->
-      invalid_arg
-        "Service.run: process backends fork one OS process per node; the multiplexed service \
-         runs on loopback or mux"
-  in
   let cap = cfg.cap in
   let fault = cfg.fault in
   let lossy = Fault.has_link_faults fault || Fault.partitions fault <> [] in
@@ -187,46 +438,28 @@ let run cfg =
   let lag = Trace.Lag.create ~bound () in
   let trace = Trace.tee (Trace.Lag.sink lag) cfg.trace in
   let labels = Array.init cap Fun.id in
-  let net_rng = Rng.substream ~seed:cfg.seed ~index:0x11e7 in
-  let churn_rng = Rng.substream ~seed:cfg.seed ~index:0xc511 in
   let members = Array.make cap None in
-  let cores : Node_core.t option array = Array.make cap None in
-  let ever_lived = Array.make cap false in
-  let healing = Array.make cap false in
+  let now = ref 0.0 in
+  let dropped_loss = ref 0 and dropped_dead = ref 0 in
+  let transport =
+    match cfg.backend with
+    | None | Some Backend.Loopback -> direct_transport cfg ~members ~now ~dropped_loss ~dropped_dead
+    | Some Backend.Mux -> hosted_transport cfg ~labels ~now ~dropped_dead
+    | Some (Backend.Process _) ->
+      invalid_arg
+        "Service.run: process backends fork one OS process per node; the multiplexed service \
+         runs on loopback or mux"
+  in
+  let obs = observer ~seed:cfg.seed ~cap ~bound trace in
   let counts = Array.make cap 0 in
+  (* the true membership: the observer hashes it, the churn driver draws
+     contacts and departures from it *)
   let live = Pool.create ~cap in
   let retired = Pool.create ~cap in
   let fresh = Pool.create ~cap in
-  let truth = Array.make cap false in
-  (* The omniscient observer matches views against consistent cuts, not
-     just the instantaneous truth: under sustained churn there is almost
-     always one change still in flight (crash detection alone takes ~13
-     ticks), so "view = truth right now" instants can elude an unlucky
-     node for longer than the lag bound even while it tracks perfectly.
-     A node converges to epoch [e] by matching the membership as of ANY
-     epoch >= e — exactly the checker's documented contract. Set
-     equality is tested with Zobrist hashes: each id gets a random
-     62-bit key, the truth hash and each member's view hash fold in a
-     key per live id, and a view matches epoch [e]'s membership iff the
-     hashes collide (the 2^-62 false-match rate is far below any churn
-     rate worth measuring; keys are drawn from a seed substream, so runs
-     stay byte-reproducible). *)
-  let zob =
-    let zrng = Rng.substream ~seed:cfg.seed ~index:0x20b1 in
-    Array.init cap (fun _ -> Int64.to_int (Rng.bits64 zrng) land max_int)
-  in
-  let htruth = ref 0 in
-  let vhash = Array.make cap 0 in
-  let conv_emitted = Array.make cap 0 in
-  let snapshots = Hashtbl.create 256 in
-  let snapshots_peak = ref 0 in
-  (* every snapshot insertion, oldest first, for expiry below *)
-  let snapshot_ages : (int * int * float) Queue.t = Queue.create () in
-  let heap = Heap.create () in
-  let seq = ref 0 in
+  let churn_rng = Rng.substream ~seed:cfg.seed ~index:0xc511 in
   let spawns = ref 0 in
   let epoch = ref 0 in
-  (* counters *)
   let joins = ref 0 and leaves = ref 0 and crashes = ref 0 in
   let suspicions = ref 0 and retirements = ref 0 in
   let false_suspicions = ref 0 and false_retirements = ref 0 in
@@ -234,9 +467,6 @@ let run cfg =
   let probes = ref 0 and acks = ref 0 and gossip = ref 0 and update_entries = ref 0 in
   let probe_reqs = ref 0 and probe_acks = ref 0 and suspicion_msgs = ref 0 in
   let full_syncs = ref 0 and bootstraps = ref 0 in
-  let dropped_loss = ref 0 and dropped_dead = ref 0 in
-  let retransmits = ref 0 in
-  let now = ref 0.0 in
 
   let classify payload =
     match (payload : Payload.t) with
@@ -262,254 +492,54 @@ let run cfg =
       end
     | Share _ | Exchange _ | Reply _ | Halt -> ()
   in
-  let latency () = 0.35 +. Rng.float net_rng 0.3 in
-  (* One member-level message. Virtual mode encodes, applies the fault
-     plan's coin and pushes the frame itself; hosted mode hands the
-     payload to the node core, whose wire stack (envelope framing,
-     go-back-N, fault shim) owns loss and retransmission — so
-     [dropped_loss] stays 0 there: the shim drops silently and the
-     reliability layer re-sends. Both modes count the same member-level
-     [msgs]/[bytes], so traffic stats are comparable across backends. *)
-  let send ~src ~dst payload =
-    incr msgs;
-    classify payload;
-    if hosted then begin
-      bytes := !bytes + Wire.encoded_size Wire.Adaptive ~universe:cap payload;
-      match cores.(src) with
-      | Some core -> Node_core.send core ~now:!now ~dst payload
-      | None -> ()
-    end
-    else begin
-      let frame = Wire.encode Wire.Adaptive ~universe:cap payload in
-      bytes := !bytes + Bytes.length frame;
-      let link = Fault.link_between fault ~src ~dst in
-      let lost =
-        (link.Fault.loss > 0.0 && Rng.bernoulli net_rng ~p:link.Fault.loss)
-        || Fault.cut fault ~src ~dst ~time:!now
-      in
-      if lost then incr dropped_loss
-      else begin
-        incr seq;
-        Heap.push heap
-          { Heap.time = !now +. latency () +. float_of_int link.Fault.delay; seq = !seq; src; dst; frame }
-      end
-    end
-  in
-  (* emit the best epoch whose membership this member's view matches *)
-  let try_converge id =
-    match Hashtbl.find_opt snapshots vhash.(id) with
-    | Some e when e > conv_emitted.(id) ->
-      conv_emitted.(id) <- e;
-      Trace.emit trace (Trace.Converge { node = id; epoch = e })
-    | Some _ | None -> ()
-  in
-  let emit_converged_sweep () =
-    for id = 0 to cap - 1 do
-      if members.(id) <> None then try_converge id
-    done
-  in
-  let on_view_change ~self ~target ~alive =
-    ignore alive;
-    if members.(self) <> None then begin
-      vhash.(self) <- vhash.(self) lxor zob.(target);
-      try_converge self
-    end
-  in
   let actions_for self =
     {
-      Member.send = (fun ~dst payload -> send ~src:self ~dst payload);
+      Member.send =
+        (fun ~dst payload ->
+          incr msgs;
+          classify payload;
+          bytes := !bytes + transport.send ~src:self ~dst payload);
       on_suspect =
         (fun ~target ->
           incr suspicions;
-          if truth.(target) then incr false_suspicions;
+          if Pool.mem live target then incr false_suspicions;
           Trace.emit trace (Trace.Suspect { node = self; target }));
       on_retire =
         (fun ~target ->
           incr retirements;
-          if truth.(target) then incr false_retirements;
+          if Pool.mem live target then incr false_retirements;
           Trace.emit trace (Trace.Retire { node = self; target }));
-      on_view_change = (fun ~target ~alive -> on_view_change ~self ~target ~alive);
+      on_view_change =
+        (fun ~target ~alive:_ ->
+          if members.(self) <> None then begin
+            obs.vhash.(self) <- obs.vhash.(self) lxor obs.zob.(target);
+            try_converge obs self
+          end);
     }
   in
   let member_rng () =
     incr spawns;
     Rng.substream ~seed:cfg.seed ~index:(0x3e0 + !spawns)
   in
-  (* a (re)spawned member's view hash, from scratch; its convergence
-     level starts over — earlier verdicts were the previous incarnation's *)
-  let init_view_hash id =
-    match members.(id) with
-    | None -> ()
-    | Some m ->
-      let view = Member.view m in
-      let h = ref 0 in
-      View.iter_known view (fun j -> if View.is_live view j then h := !h lxor zob.(j));
-      vhash.(id) <- !h;
-      conv_emitted.(id) <- 0
-  in
-  let record_snapshot hash ep =
-    Hashtbl.replace snapshots hash ep;
-    Queue.push (hash, ep, !now) snapshot_ages;
-    let size = Hashtbl.length snapshots in
-    if size > !snapshots_peak then snapshots_peak := size
-  in
-  (* Expire snapshots old enough that no member could still legitimately
-     converge to them: an epoch more than [bound] old that is still open
-     has already raised {!Trace.Lag.Violation}, so keeping twice that
-     window is safely conservative. A hash re-recorded since (the
-     membership returned to a previous set) keeps its newer entry: the
-     guard removes a binding only when it still carries the queued
-     epoch. This caps the table at O(bound * churn rate) entries instead
-     of one per change for the whole run. *)
-  let prune_snapshots () =
-    let continue = ref true in
-    while !continue && not (Queue.is_empty snapshot_ages) do
-      let hash, ep, born = Queue.peek snapshot_ages in
-      if !now -. born > 2.0 *. bound then begin
-        ignore (Queue.pop snapshot_ages);
-        match Hashtbl.find_opt snapshots hash with
-        | Some e when e = ep -> Hashtbl.remove snapshots hash
-        | Some _ | None -> ()
-      end
-      else continue := false
-    done
-  in
-  (* flip the truth for [id] and record the new membership's hash as the
-     current epoch's snapshot — O(1), no per-member patching *)
-  let flip_truth id =
-    truth.(id) <- not truth.(id);
-    htruth := !htruth lxor zob.(id);
-    record_snapshot !htruth !epoch
-  in
-
-  (* --- the hosted backend: members inside real node cores ------------- *)
-  (* Under [backend = Mux] every member lives inside an (unmodified)
-     {!Node_core}: its messages ride the full wire stack — envelope
-     framing + CRC, per-link go-back-N with retransmission, the seeded
-     fault shim for loss/delay/partitions — and the service delivers
-     encoded frames, not payloads. The core's own trace events are
-     discarded (the service emits the canonical lifecycle itself), and
-     its completion machinery is inert ([fleet_halt = false]). *)
-  let spawn_core id =
-    match members.(id) with
-    | None -> ()
-    | Some m ->
-      let algo =
-        {
-          Algorithm.name = "service-member";
-          description = "continuous-service member hosted on a node core";
-          make =
-            (fun _ctx ->
-              (* the member, not the ctx, is the protocol state: the
-                 core's round/receive hooks just forward to it on the
-                 service's clock *)
-              {
-                Algorithm.knowledge = View.knowledge (Member.view m);
-                round = (fun ~round:_ ~send:_ -> Member.step m ~now:!now);
-                receive = (fun ~src payload -> Member.deliver m ~src ~now:!now payload);
-                is_quiescent = Algorithm.never_quiescent;
-              });
-        }
-      in
-      let acts =
-        {
-          Node_core.emit = (fun ~now:_ _ -> ());
-          xmit =
-            (fun ~now:sent_at ~dst frame ->
-              incr seq;
-              Heap.push heap
-                { Heap.time = sent_at +. latency (); seq = !seq; src = id; dst; frame });
-          notify_complete = (fun ~now:_ ~tick:_ -> ());
-          (* "establishing a connection" is instantaneous here, as in the
-             mux: a revived link comes straight back up *)
-          wake =
-            (fun ~dst ->
-              match cores.(id) with
-              | Some core -> Node_core.link_up core ~now:!now ~dst
-              | None -> ());
-        }
-      in
-      let core =
-        Node_core.create
-          {
-            Node_core.node = id;
-            n = cap;
-            algo;
-            seed = cfg.seed;
-            neighbors = [||];
-            tick_period = 1.0;
-            rto = 3.0;
-            fault;
-            announce = false;
-            encoding = Wire.Adaptive;
-            fleet_halt = false;
-          }
-          acts ~labels ~links_up:true ~now:!now
-      in
-      cores.(id) <- Some core;
-      if ever_lived.(id) then begin
-        (* A reborn id must void the go-back-N state peers still hold
-           about its predecessor (their stale cumulative-ack marks would
-           silently eat the fresh incarnation's low sequence numbers):
-           greet every live peer, and keep re-greeting — see
-           [heal_links] — until each peer's dead link has demonstrably
-           been revived, since any single hello can be lost. *)
-        for p = 0 to cap - 1 do
-          if p <> id && cores.(p) <> None then Node_core.greet core ~now:!now ~dst:p
-        done;
-        healing.(id) <- true
-      end;
-      ever_lived.(id) <- true
-  in
-  let despawn_core id =
-    match cores.(id) with
-    | None -> ()
-    | Some core ->
-      retransmits := !retransmits + (Node_core.final core).Control.retransmits;
-      cores.(id) <- None;
-      healing.(id) <- false;
-      (* every peer writes the departed id off at once, so go-back-N
-         stops retransmitting into the void; a later rebirth revives the
-         links via its greeting hellos *)
-      for p = 0 to cap - 1 do
-        if p <> id then
-          match cores.(p) with
-          | Some pc -> Node_core.link_dead pc ~now:!now ~dst:id
-          | None -> ()
-      done
-  in
-  (* Re-greet peers whose link toward a reborn id is still [Dead]: the
-     hello that should have revived it was eaten by the fault shim. The
-     peer's link status is the delivery receipt — once no peer holds a
-     dead link toward the id, healing is done. *)
-  let heal_links () =
+  let converged_sweep () =
     for id = 0 to cap - 1 do
-      if healing.(id) then
-        match cores.(id) with
-        | None -> healing.(id) <- false
-        | Some core ->
-          let pending = ref false in
-          for p = 0 to cap - 1 do
-            if p <> id then
-              match cores.(p) with
-              | Some pc when Node_core.link_status pc ~dst:id = Node_core.Dead ->
-                pending := true;
-                Node_core.greet core ~now:!now ~dst:p
-              | Some _ | None -> ()
-          done;
-          if not !pending then healing.(id) <- false
+      if members.(id) <> None then try_converge obs id
     done
   in
 
-  (* --- membership changes --------------------------------------------- *)
-  (* a churn join (genesis members are built inline below): the epoch
-     counter mirrors the lag checker's, which starts bumping once the
-     first tick has been emitted — always true here *)
+  (* --- the churn driver ------------------------------------------------ *)
+  (* a membership change after genesis: the epoch counter mirrors the lag
+     checker's, which starts bumping once the first tick has been
+     emitted — always true here *)
+  let change_epoch id =
+    incr epoch;
+    toggle obs id;
+    record_snapshot obs ~now:!now !epoch
+  in
   let join ~id ~contacts =
     Trace.emit trace (Trace.Join { node = id });
-    incr epoch;
     incr joins;
-    flip_truth id;
+    change_epoch id;
     Pool.remove fresh id;
     Pool.remove retired id;
     Pool.add live id;
@@ -519,9 +549,9 @@ let run cfg =
     in
     members.(id) <- Some m;
     counts.(id) <- 0;
-    if hosted then spawn_core id;
-    init_view_hash id;
-    emit_converged_sweep ()
+    transport.spawn id m;
+    reset_view obs id m;
+    converged_sweep ()
   in
   let depart ~id ~graceful =
     match members.(id) with
@@ -536,35 +566,27 @@ let run cfg =
         incr crashes;
         Trace.emit trace (Trace.Crash { node = id })
       end;
-      incr epoch;
       members.(id) <- None;
-      if hosted then despawn_core id;
+      transport.despawn id;
       Pool.remove live id;
       Pool.add retired id;
-      flip_truth id;
-      emit_converged_sweep ()
+      change_epoch id;
+      converged_sweep ()
   in
 
-  (* --- genesis --------------------------------------------------------- *)
-  let scheduled_joins = Hashtbl.create 8 in
-  List.iter
-    (fun (node, round) ->
-      if round > 1 && node < cap then Hashtbl.replace scheduled_joins node round)
-    (Fault.joining_nodes fault);
-  let founders = ref [] in
-  for id = cfg.n - 1 downto 0 do
-    if not (Hashtbl.mem scheduled_joins id) then founders := id :: !founders
-  done;
-  let founders = Array.of_list !founders in
+  (* genesis: ids [0 .. n-1] minus scheduled joiners, each knowing all
+     the others, as epoch 0 *)
+  let joins_late id = Fault.join_round fault ~node:id > 1 in
+  let founders = List.filter (fun id -> not (joins_late id)) (List.init cfg.n Fun.id) in
+  let founders = Array.of_list founders in
   if Array.length founders < 2 then invalid_arg "Service.run: fewer than two founding members";
   for id = cfg.n to cap - 1 do
-    if not (Hashtbl.mem scheduled_joins id) then Pool.add fresh id
+    if not (joins_late id) then Pool.add fresh id
   done;
   Array.iter
     (fun id ->
       Trace.emit trace (Trace.Join { node = id });
-      truth.(id) <- true;
-      htruth := !htruth lxor zob.(id);
+      toggle obs id;
       Pool.add live id;
       let m =
         Member.create_genesis ~cap ~self:id ~labels ~peers:founders ~rng:(member_rng ())
@@ -572,23 +594,21 @@ let run cfg =
       in
       members.(id) <- Some m)
     founders;
-  (* epoch 0: the genesis membership *)
-  record_snapshot !htruth 0;
-  Array.iter init_view_hash founders;
-  if hosted then Array.iter spawn_core founders;
+  record_snapshot obs ~now:!now 0;
+  Array.iter (fun id -> Option.iter (reset_view obs id) members.(id)) founders;
+  Array.iter (fun id -> Option.iter (transport.spawn id) members.(id)) founders;
 
-  (* per-round schedules from the fault plan *)
-  let at tbl round id =
-    let prev = Option.value (Hashtbl.find_opt tbl round) ~default:[] in
-    Hashtbl.replace tbl round (id :: prev)
+  (* the fault plan's joins (and restarts), leaves and crashes, by tick *)
+  let schedule = Hashtbl.create 8 in
+  let at change (node, round) =
+    if node < cap then
+      Hashtbl.replace schedule round
+        ((change, node) :: Option.value (Hashtbl.find_opt schedule round) ~default:[])
   in
-  let joins_at = Hashtbl.create 8
-  and leaves_at = Hashtbl.create 8
-  and crashes_at = Hashtbl.create 8 in
-  Hashtbl.iter (fun node round -> at joins_at round node) scheduled_joins;
-  List.iter (fun (node, round) -> if node < cap then at leaves_at round node) (Fault.leaving_nodes fault);
-  List.iter (fun (node, round) -> if node < cap then at crashes_at round node) (Fault.crashed_nodes fault);
-  List.iter (fun (node, round) -> if node < cap then at joins_at round node) (Fault.restarting_nodes fault);
+  List.iter (fun (node, round) -> if round > 1 then at Join (node, round)) (Fault.joining_nodes fault);
+  List.iter (at Join) (Fault.restarting_nodes fault);
+  List.iter (at Leave) (Fault.leaving_nodes fault);
+  List.iter (at Crash) (Fault.crashed_nodes fault);
 
   (* up to three distinct live contacts for a joiner: a single contact
      can churn out mid-bootstrap, stranding the joiner on a dead address
@@ -606,100 +626,56 @@ let run cfg =
     done;
     if !picked = [] then None else Some (Array.of_list (List.rev !picked))
   in
+  let try_join id =
+    if members.(id) = None then
+      match random_contacts ~avoid:id with
+      | Some contacts -> join ~id ~contacts
+      | None -> ()
+  in
   let apply_scheduled tick =
-    let sorted tbl = List.sort compare (Option.value (Hashtbl.find_opt tbl tick) ~default:[]) in
     List.iter
-      (fun id ->
-        if members.(id) = None then
-          match random_contacts ~avoid:id with
-          | Some contacts -> join ~id ~contacts
-          | None -> ())
-      (sorted joins_at);
-    List.iter (fun id -> depart ~id ~graceful:true) (sorted leaves_at);
-    List.iter (fun id -> depart ~id ~graceful:false) (sorted crashes_at)
+      (function
+        | Join, id -> try_join id
+        | Leave, id -> depart ~id ~graceful:true
+        | Crash, id -> depart ~id ~graceful:false)
+      (List.sort compare (Option.value (Hashtbl.find_opt schedule tick) ~default:[]))
   in
   let apply_churn tick =
     match cfg.churn with
     | Some c when tick <= c.until ->
       if Rng.bernoulli churn_rng ~p:(c.rate /. 2.0) then begin
         (* fresh ids first, then the retired pool (restarts) *)
-        let id =
-          match Pool.draw fresh churn_rng with
-          | Some id -> Some id
-          | None -> Pool.draw retired churn_rng
-        in
-        match id with
-        | Some id when members.(id) = None -> (
-          match random_contacts ~avoid:id with
-          | Some contacts -> join ~id ~contacts
-          | None -> ())
-        | Some _ | None -> ()
+        match Pool.draw fresh churn_rng with
+        | Some id -> try_join id
+        | None -> Option.iter try_join (Pool.draw retired churn_rng)
       end;
-      if Rng.bernoulli churn_rng ~p:(c.rate /. 4.0) && Pool.size live > c.min_live then
-        (match Pool.draw live churn_rng with
-        | Some id -> depart ~id ~graceful:true
-        | None -> ());
-      if Rng.bernoulli churn_rng ~p:(c.rate /. 4.0) && Pool.size live > c.min_live then
-        (match Pool.draw live churn_rng with
-        | Some id -> depart ~id ~graceful:false
-        | None -> ())
+      let churn_out ~graceful =
+        if Rng.bernoulli churn_rng ~p:(c.rate /. 4.0) && Pool.size live > c.min_live then
+          Option.iter (fun id -> depart ~id ~graceful) (Pool.draw live churn_rng)
+      in
+      churn_out ~graceful:true;
+      churn_out ~graceful:false
     | Some _ | None -> ()
   in
 
   (* --- main loop ------------------------------------------------------- *)
   for tick = 1 to cfg.ticks do
     let tick_time = float_of_int tick in
-    (* deliver everything due by this tick, in (time, seq) order *)
-    while (not (Heap.is_empty heap)) && (Heap.peek heap).Heap.time <= tick_time do
-      let e = Heap.pop heap in
-      now := e.Heap.time;
-      if hosted then begin
-        match cores.(e.Heap.dst) with
-        | None -> incr dropped_dead
-        | Some core -> (
-          match Envelope.decode e.Heap.frame ~off:0 ~len:(Bytes.length e.Heap.frame) with
-          | `Frame (env, _) -> Node_core.handle_frame core ~now:e.Heap.time env
-          | `Corrupt reason ->
-            if String.equal reason Envelope.crc_mismatch then Node_core.note_corrupt_frame core
-            else Node_core.note_decode_error core
-          | `Need_more -> Node_core.note_decode_error core)
-      end
-      else begin
-        match members.(e.Heap.dst) with
-        | None -> incr dropped_dead
-        | Some m -> (
-          match Wire.decode Wire.Adaptive ~universe:cap e.Heap.frame with
-          | Ok payload -> Member.deliver m ~src:e.Heap.src ~now:e.Heap.time payload
-          | Error msg -> failwith ("Service.run: wire decode failed: " ^ msg))
-      end
-    done;
+    transport.deliver_due tick_time;
     now := tick_time;
     for id = 0 to cap - 1 do
       match members.(id) with
       | None -> ()
-      | Some m -> (
+      | Some m ->
         counts.(id) <- counts.(id) + 1;
         Trace.emit trace (Trace.Tick { node = id; time = tick_time; count = counts.(id) });
-        match cores.(id) with
-        | Some core ->
-          (* the core runs the member's step through its round hook, and
-             owns retransmission timeouts and held fault-shim frames *)
-          Node_core.flush_faults core ~now:tick_time;
-          Node_core.tick core ~now:tick_time;
-          Node_core.pump core ~now:tick_time
-        | None -> Member.step m ~now:tick_time)
+        transport.step id m
     done;
-    if hosted then heal_links ();
+    transport.end_tick ();
     apply_scheduled tick;
     apply_churn tick;
-    prune_snapshots ()
+    prune_snapshots obs ~now:tick_time
   done;
-  if hosted then
-    Array.iter
-      (function
-        | Some core -> retransmits := !retransmits + (Node_core.final core).Control.retransmits
-        | None -> ())
-      cores;
   Trace.Lag.final_check lag;
   Trace.flush trace;
   {
@@ -730,8 +706,8 @@ let run cfg =
     suspicion_msgs = !suspicion_msgs;
     false_suspicions = !false_suspicions;
     false_retirements = !false_retirements;
-    retransmits = !retransmits;
-    snapshots_peak = !snapshots_peak;
+    retransmits = transport.retransmits ();
+    snapshots_peak = obs.snapshots_peak;
     lag_table_peak = Trace.Lag.table_peak lag;
   }
 

@@ -3,38 +3,38 @@
     convergence observer.
 
     One-shot discovery answers "who is here?" once; the service keeps
-    the answer current. The runtime multiplexes every member of an id
-    universe [0 .. cap-1] into one process, applies scheduled
-    ({!Repro_engine.Fault}) and seeded-random churn — joins, graceful
-    leaves, crashes and restarts — and checks the {b convergence-lag
+    the answer current. It multiplexes every member of an id universe
+    [0 .. cap-1] into one process and checks the {b convergence-lag
     invariant} online: after every membership change, every live
     member's view must match the true membership again within a bounded
-    number of ticks ({!Repro_engine.Trace.Lag}).
+    number of ticks ({!Repro_engine.Trace.Lag}). A run has three parts.
 
-    {b Backends.} [backend = None] or [Some Loopback] runs the
-    certification path: members exchange {!Repro_discovery.Wire}-encoded
-    payloads directly (every payload is encoded and decoded, so the
-    codec is exercised on every hop) and the runtime itself applies the
-    fault plan's loss coin and partition cuts. [Some Mux] hosts every
-    member inside a real {!Repro_net.Node_core}: messages additionally
-    ride the envelope framing + CRC, the per-link go-back-N reliability
-    layer (lost frames are retransmitted — [dropped_loss] stays 0
-    because the fault shim drops silently), and the seeded
-    {!Repro_net.Faultnet} shim for loss/delay/partitions. Rebirth of a
-    retired id is announced to the fleet with hello frames (re-sent
-    until every peer demonstrably revived its link), voiding stale
-    go-back-N sequence state. [Some (Process _)] is rejected: the
-    service multiplexes thousands of members into one process.
+    {b The transport} carries member messages, and is chosen once from
+    [backend]. [None] or [Some Loopback] is the {e direct} transport,
+    the certification path: every payload is {!Repro_discovery.Wire}
+    encoded and decoded on every hop, and the transport itself applies
+    the fault plan's loss coin and partition cuts. [Some Mux] is the
+    {e hosted} transport: every member lives inside a real
+    {!Repro_net.Node_core}, so messages also ride envelope framing +
+    CRC, per-link go-back-N (lost frames are retransmitted, so
+    [dropped_loss] stays 0) and the seeded {!Repro_net.Faultnet} shim.
+    A reborn id greets the fleet with hellos, re-sent until every peer
+    has revived its link, to void stale go-back-N sequence state.
+    [Some (Process _)] is rejected.
 
-    The observer is omniscient but O(1) per view change: it keeps a
-    Zobrist hash of each member's live-view and of every epoch's true
+    {b The churn driver} builds the genesis membership and applies
+    scheduled ({!Repro_engine.Fault}) and seeded-random churn: joins
+    bootstrapping from live contacts, graceful leaves, crashes and
+    restarts.
+
+    {b The observer} is omniscient but O(1) per view change: it keeps a
+    Zobrist hash of each member's live view and of every epoch's true
     membership, and emits a [Converge] event when a member's view hash
     matches the snapshot of any epoch it has not yet been credited with
     — convergence to a {e consistent cut}, matching the checker's
     contract even when later changes are still in flight. Snapshots
-    older than twice the lag bound are expired (an epoch still open that
-    far back has already raised), so observer memory is O(bound ·
-    churn rate), not O(changes) — {!stats.snapshots_peak} and
+    older than twice the lag bound are expired, so observer memory is
+    O(bound · churn rate), not O(changes) — {!stats.snapshots_peak} and
     {!stats.lag_table_peak} pin the high-water marks. Everything is a
     pure function of the configuration: same config, same stats, byte
     for byte. *)

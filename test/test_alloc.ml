@@ -179,6 +179,31 @@ let test_idle_pump_allocates_nothing () =
   let extra = after -. before -. overhead in
   if extra > 0.0 then Alcotest.failf "1,000 idle pumps allocated %.0f minor words (expected 0)" extra
 
+(* The event heap stores times and sequence numbers unboxed beside the
+   payloads: once its arrays have grown, a push and a pop of an
+   immediate payload write into preallocated slots and allocate
+   nothing. Each push below sifts up to the root and each pop sifts the
+   last entry back down, the longest paths through a 1,000-entry heap
+   (below its 1,024-slot capacity, so no growth falls in the window).
+   The time is a literal constant, so the call passes a static float. *)
+let test_heap_push_pop_allocates_nothing () =
+  let h = Heap.create ~dummy:0 in
+  for i = 1 to 1000 do
+    Heap.push h (float_of_int i) i
+  done;
+  let cal_before = Gc.minor_words () in
+  let cal_after = Gc.minor_words () in
+  let overhead = cal_after -. cal_before in
+  let before = Gc.minor_words () in
+  for i = 1 to 1000 do
+    Heap.push h 0.5 i;
+    if Heap.pop h <> i then Alcotest.fail "pop did not return the earliest entry"
+  done;
+  let after = Gc.minor_words () in
+  let extra = after -. before -. overhead in
+  if extra > 0.0 then
+    Alcotest.failf "1,000 heap push/pop pairs allocated %.0f minor words (expected 0)" extra
+
 let () =
   Alcotest.run "alloc"
     [
@@ -192,5 +217,7 @@ let () =
             test_node_core_create_is_constant;
           Alcotest.test_case "idle pump is allocation-free" `Quick
             test_idle_pump_allocates_nothing;
+          Alcotest.test_case "heap push and pop are allocation-free" `Quick
+            test_heap_push_pop_allocates_nothing;
         ] );
     ]

@@ -80,6 +80,63 @@ let test_envelope_corruption () =
   done;
   Alcotest.(check bool) "every mutation detected" true (!corrupted = Bytes.length (encode_sample ()))
 
+(* One whole frame into a core: a valid frame is handled, a flipped
+   body byte fails the CRC, a truncated frame is a decode error. *)
+let test_node_core_receive () =
+  let n = 8 in
+  let core =
+    Node_core.create
+      {
+        Node_core.node = 0;
+        n;
+        algo = get_algo "flooding";
+        seed = 1;
+        neighbors = [| 1 |];
+        tick_period = 1.0;
+        rto = 3.0;
+        fault = Fault.none;
+        announce = false;
+        encoding = Wire.Adaptive;
+        fleet_halt = false;
+      }
+      {
+        Node_core.emit = (fun ~now:_ _ -> ());
+        xmit = (fun ~now:_ ~dst:_ _ -> ());
+        notify_complete = (fun ~now:_ ~tick:_ -> ());
+        wake = (fun ~dst:_ -> ());
+      }
+      ~labels:(Array.init n Fun.id) ~links_up:true ~now:0.0
+  in
+  let frame =
+    Envelope.encode
+      {
+        Envelope.kind = Envelope.Data;
+        src = 1;
+        stamp = 0;
+        seq = 1;
+        ack = 0;
+        comp = false;
+        body = Wire.encode Wire.Adaptive ~universe:n (Payload.Share (Payload.Ids [| 5 |]));
+      }
+  in
+  let counts () =
+    let f = Node_core.final core in
+    (f.Control.delivered, f.Control.corrupt_frames, f.Control.decode_errors)
+  in
+  let check what expected =
+    Alcotest.(check (triple int int int)) what expected (counts ())
+  in
+  check "fresh core" (0, 0, 0);
+  Node_core.receive core ~now:1.0 frame;
+  check "valid frame delivered" (1, 0, 0);
+  let flipped = Bytes.copy frame in
+  let last = Bytes.length flipped - 1 in
+  Bytes.set flipped last (Char.chr (Char.code (Bytes.get flipped last) lxor 0x01));
+  Node_core.receive core ~now:2.0 flipped;
+  check "flipped body byte is a corrupt frame" (1, 1, 0);
+  Node_core.receive core ~now:3.0 (Bytes.sub frame 0 (Bytes.length frame - 1));
+  check "truncated frame is a decode error" (1, 1, 1)
+
 let test_envelope_comp_bit () =
   (* the completion-gossip bit survives encoding on every kind, and
      peek_kind classifies a raw frame without a CRC pass *)
@@ -241,14 +298,31 @@ let test_loopback_trace_identity () =
   in
   let sim_spec = { Run_async.default_spec with seed = 11; trace = Trace.buffer sim_buf } in
   let sim = Run_async.exec_spec sim_spec algo topology in
-  let loop_spec = { Run_async.default_spec with seed = 11; trace = Trace.buffer loop_buf } in
-  let loop, finals = Loopback.exec_spec loop_spec algo topology in
+  (* the cluster builds the same topology from (family, seed) *)
+  let loop =
+    Cluster.run
+      {
+        (Cluster.default_spec algo) with
+        backend = Backend.Loopback;
+        n = 24;
+        seed = 11;
+        trace = Trace.buffer loop_buf;
+      }
+  in
   Alcotest.(check bool) "sim completed" true sim.Run_async.completed;
-  Alcotest.(check bool) "loopback completed" true loop.Run_async.completed;
+  Alcotest.(check bool) "loopback completed" true loop.Cluster.converged;
   (* the tentpole identity: byte-for-byte equal event streams *)
   Alcotest.(check string) "traces byte-identical" (Buffer.contents sim_buf)
     (Buffer.contents loop_buf);
   (* and the per-node tallies sum to the run totals *)
+  let finals =
+    Array.map
+      (fun nr ->
+        match nr.Cluster.outcome with
+        | Cluster.Finished f -> f
+        | Cluster.Crashed _ | Cluster.Unresponsive -> Alcotest.fail "loopback node did not finish")
+      loop.Cluster.nodes
+  in
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 finals in
   Alcotest.(check int) "sent total" sim.Run_async.messages (sum (fun f -> f.Control.sent));
   Alcotest.(check int) "pointer total" sim.Run_async.pointers (sum (fun f -> f.Control.pointers));
@@ -572,8 +646,8 @@ let test_mux_trace_identity () =
       ~n:64
   in
   let loop_buf = Buffer.create 65536 and mux_buf = Buffer.create 65536 in
-  let loop, _ =
-    Loopback.exec_spec
+  let loop =
+    Run_async.exec_spec
       { Run_async.default_spec with seed = 11; trace = Trace.buffer loop_buf }
       algo topology
   in
@@ -680,6 +754,7 @@ let () =
           Alcotest.test_case "corruption" `Quick test_envelope_corruption;
           Alcotest.test_case "comp-bit" `Quick test_envelope_comp_bit;
           Alcotest.test_case "limits" `Quick test_envelope_limits;
+          Alcotest.test_case "core-receive" `Quick test_node_core_receive;
         ] );
       ("backend", [ Alcotest.test_case "roundtrip" `Quick test_backend_roundtrip ]);
       ( "addr-table",

@@ -76,9 +76,17 @@ let test_golden_async () =
   Alcotest.(check bool) "hm async completed" true r.Run_async.completed;
   check_traces_equal "hm async" got golden;
   let buf = Buffer.create 4096 in
-  let spec = { Run_async.default_spec with Run_async.seed = 1; trace = Trace.buffer buf } in
-  let live, _ = Repro_net.Loopback.exec_spec spec (find "hm") topo in
-  Alcotest.(check bool) "loopback completed" true live.Run_async.completed;
+  (* the cluster builds the same topology from (family, seed) *)
+  let live =
+    Repro_net.Cluster.run
+      {
+        (Repro_net.Cluster.default_spec (find "hm")) with
+        backend = Repro_net.Backend.Loopback;
+        seed = 1;
+        trace = Trace.buffer buf;
+      }
+  in
+  Alcotest.(check bool) "loopback completed" true live.Repro_net.Cluster.converged;
   check_traces_equal "loopback vs async golden" (Buffer.contents buf) golden
 
 let test_rerun_byte_identical () =
