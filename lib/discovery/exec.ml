@@ -55,7 +55,7 @@ let survivors_done instances ~alive n =
   done;
   !ok
 
-let leader_done instances ~alive n ~labels =
+let leader_done instances ~alive n ~(labels : int array) =
   (* candidate leader: the alive node with the globally smallest label *)
   let leader = ref (-1) in
   for v = 0 to n - 1 do

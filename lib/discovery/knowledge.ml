@@ -147,38 +147,61 @@ let merge_snapshot t (s : snap) =
 (* Identifier batches are semantically sets: the order a sender happened
    to serialise them in is a transport artefact (an in-memory delta
    arrives in the sender's learn order, the wire codecs deliver sorted
-   ids, set unions walk ascending). Folding members in ascending id
-   order makes the learn order — and everything derived from it:
-   broadcast fan-out order, sampling, delta windows — a function of the
-   delivery sequence alone, which is what lets the live backends certify
-   trace-identity against the in-memory engines. Already-ascending
-   batches (wire-decoded lists, singletons) merge without allocating. *)
-let merge_seq t ~len ~get =
+   ids, set unions walk ascending). Folding the fresh members in
+   ascending id order makes the learn order — and everything derived
+   from it: broadcast fan-out order, sampling, delta windows — a
+   function of the delivery sequence alone, which is what lets the live
+   backends certify trace-identity against the in-memory engines.
+
+   Most of a gossip batch is already known (about five in six ids of a
+   flooding delta), so the batch is filtered first: only ids absent from
+   [bits] go into a scratch vector, which is sorted only when it is not
+   already ascending, and then added in order. The scratch is
+   domain-local (parallel sweeps merge concurrently) rather than per
+   knowledge, so a run pays for one, not one per node. *)
+let fresh_scratch : Intvec.t Domain.DLS.key = Domain.DLS.new_key (fun () -> Intvec.create ())
+
+let fresh_batch () =
+  let fresh = Domain.DLS.get fresh_scratch in
+  Intvec.clear fresh;
+  fresh
+
+let stage t fresh v = if not (Cset.mem t.bits v) then Intvec.push fresh v
+
+let absorb_fresh t fresh =
+  let m = Intvec.length fresh in
   let ascending = ref true in
-  for i = 1 to len - 1 do
-    if get (i - 1) > get i then ascending := false
+  for i = 1 to m - 1 do
+    if Intvec.get fresh (i - 1) > Intvec.get fresh i then ascending := false
   done;
+  if not !ascending then Intvec.sort fresh;
   let learned = ref 0 in
-  let absorb v =
+  for i = 0 to m - 1 do
+    let v = Intvec.get fresh i in
+    (* a batch may repeat an id: only its first copy is fresh *)
     if Cset.add t.bits v then begin
       note_explicit_fresh t v;
       incr learned
     end
-  in
-  if !ascending then
-    for i = 0 to len - 1 do
-      absorb (get i)
-    done
-  else begin
-    let a = Array.init len get in
-    Array.sort (fun (x : int) y -> compare x y) a;
-    Array.iter absorb a
-  end;
+  done;
   if !learned > 0 then t.version <- t.version + 1;
   !learned
 
-let merge_ids t ids = merge_seq t ~len:(Array.length ids) ~get:(Array.get ids)
-let merge_slice t s = merge_seq t ~len:(Intvec.slice_length s) ~get:(Intvec.slice_get s)
+(* one loop per batch type: a shared [~get] accessor would be a closure
+   allocated per call *)
+let merge_ids t ids =
+  let fresh = fresh_batch () in
+  for i = 0 to Array.length ids - 1 do
+    stage t fresh ids.(i)
+  done;
+  absorb_fresh t fresh
+
+let merge_slice t s =
+  let fresh = fresh_batch () in
+  for i = 0 to Intvec.slice_length s - 1 do
+    stage t fresh (Intvec.slice_get s i)
+  done;
+  absorb_fresh t fresh
 
 (* O(containers): an immutable view of the live set plus its carried
    minima. The live set privatises its storage on the next write

@@ -343,35 +343,10 @@ let encode encoding ~universe payload =
    deduplicated, but materialising it as a list per sized message is the
    dominant allocator of a full run (delta windows are re-sent every
    round until acknowledged). Instead the identifiers are copied into a
-   grow-only scratch array, sorted in place, and walked once — domain-
-   local because parallel sweeps size messages concurrently. *)
+   grow-only scratch array, sorted in place ({!Intvec.sort_prefix}), and
+   walked once — domain-local because parallel sweeps size messages
+   concurrently. *)
 let size_scratch : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
-
-(* In-place heapsort of [arr.(0..m-1)]: [Array.sort] cannot sort a
-   prefix of a longer scratch without an allocating copy. [sift] and the
-   swaps are top-level so the sort builds no closures. *)
-let rec sift arr i len =
-  let l = (2 * i) + 1 in
-  if l < len then begin
-    let c = if l + 1 < len && arr.(l + 1) > arr.(l) then l + 1 else l in
-    if arr.(c) > arr.(i) then begin
-      let t = arr.(i) in
-      arr.(i) <- arr.(c);
-      arr.(c) <- t;
-      sift arr c len
-    end
-  end
-
-let sort_prefix arr m =
-  for i = (m / 2) - 1 downto 0 do
-    sift arr i m
-  done;
-  for len = m - 1 downto 1 do
-    let t = arr.(0) in
-    arr.(0) <- arr.(len);
-    arr.(len) <- t;
-    sift arr 0 len
-  done
 
 (* Distinct count and varint body size of a sorted scratch prefix,
    skipping duplicates exactly as the canonical list form would. Packed
@@ -408,7 +383,7 @@ let ids_sizes d =
       arr.(i) <- Intvec.slice_get s i
     done
   | Payload.Bits _ | Payload.Updates _ -> ());
-  sort_prefix arr m;
+  Intvec.sort_prefix arr m;
   sorted_prefix_sizes arr m
 
 let encoded_size encoding ~universe payload =

@@ -5,9 +5,13 @@
    density and promotes itself as it fills:
 
    - [Arr]: a sorted array of the member ids' low 16 bits. O(members)
-     memory — a node that knows 12 of 65,536 ids pays 12 words, not a
+     memory — a node that knows 12 of 65,536 ids pays 16 words, not a
      2 KB bitmap. Promoted to [Bmp] past [arr_max] (= range/32, the
-     memory crossover between 1 word/member and 1 bit/member).
+     memory crossover between 1 word/member and 1 bit/member). The
+     payload's capacity follows [add]: 8 slots, doubling as it fills;
+     an array union that outgrows it takes the next doubling, capped at
+     [arr_max], and one that fits merges in place (private payloads
+     only — an aliased one is copied instead).
    - [Bmp]: a dense bitmap, 32 bits per word (same packing and SWAR
      popcount as {!Bitset}).
    - [Run]: sorted disjoint (start, length) pairs. Containers collapse
@@ -154,7 +158,10 @@ let arr_max range = imax 8 (range lsr 5)
 
 (* ---- per-kind membership ---- *)
 
-let arr_rank data card v =
+(* The [Arr] kernels below are typed [int array] so comparisons compile
+   inline: an inferred ['a array] would make every comparison a C call
+   to the polymorphic [caml_lessthan]/[caml_equal]. *)
+let arr_rank (data : int array) card (v : int) =
   (* number of elements < v; also the insertion point *)
   let lo = ref 0 and hi = ref card in
   while !lo < !hi do
@@ -163,7 +170,7 @@ let arr_rank data card v =
   done;
   !lo
 
-let arr_mem data card v =
+let arr_mem (data : int array) card (v : int) =
   let i = arr_rank data card v in
   i < card && data.(i) = v
 
@@ -630,18 +637,31 @@ let csubset a b range =
     done;
     !ok
   end
+  else if a.kind = arr_kind then begin
+    (* a closure-free loop: the array-union precheck must not allocate *)
+    let i = ref 0 in
+    while !i < a.ccard && cmem b a.data.(!i) do
+      incr i
+    done;
+    !i = a.ccard
+  end
   else begin
     let ok = ref true in
     (try citer a 0 (fun v -> if not (cmem b v) then (ok := false; raise Exit)) with Exit -> ());
     !ok
   end
 
-(* merge sorted arrays [a] (na) and [b] (nb) into fresh [out]; calls [f]
-   on members of [b] absent from [a], ascending; returns union size *)
-let merge_sorted a na b nb out f base =
+(* Merge sorted [a.(aoff .. aoff+na-1)] and [b.(0 .. nb-1)] into
+   [out.(0 ..)], sized by the caller with [count_union]; calls [f] on
+   members of [b] absent from [a], ascending. [out] may be [a] itself
+   when [a]'s members sit at its top ([aoff + na = Array.length a]) with
+   room for the union: the write cursor then never passes the next
+   unread member of [a], since it trails it by the [aoff] slots still
+   free minus the fresh members already written. *)
+let merge_sorted (a : int array) aoff na (b : int array) nb (out : int array) f base =
   let i = ref 0 and j = ref 0 and k = ref 0 in
   while !i < na && !j < nb do
-    let x = a.(!i) and y = b.(!j) in
+    let x = a.(aoff + !i) and y = b.(!j) in
     if x < y then begin
       out.(!k) <- x;
       incr i
@@ -659,7 +679,7 @@ let merge_sorted a na b nb out f base =
     incr k
   done;
   while !i < na do
-    out.(!k) <- a.(!i);
+    out.(!k) <- a.(aoff + !i);
     incr i;
     incr k
   done;
@@ -668,11 +688,10 @@ let merge_sorted a na b nb out f base =
     (match f with Some f -> f (base + b.(!j)) | None -> ());
     incr j;
     incr k
-  done;
-  !k
+  done
 
 (* count of the union of two sorted arrays, without writing *)
-let count_union a na b nb =
+let count_union (a : int array) na (b : int array) nb =
   let i = ref 0 and j = ref 0 and k = ref 0 in
   while !i < na && !j < nb do
     let x = a.(!i) and y = b.(!j) in
@@ -720,13 +739,22 @@ let cunion t ci c (src : container) base f =
   else if c.kind = arr_kind && src.kind = arr_kind then begin
     let un = count_union c.data c.ccard src.data src.ccard in
     if un <= arr_max range then begin
-      let out = Array.make (imax 8 un) 0 in
-      let k = merge_sorted c.data c.ccard src.data src.ccard out f base in
-      let added = k - c.ccard in
-      c.data <- out;
-      c.cshared <- false;
-      c.ccard <- k;
-      added
+      let na = c.ccard in
+      let cap = Array.length c.data in
+      if (not c.cshared) && un <= cap then begin
+        (* private payload with room: lift the members to its top and
+           merge forward from the bottom, allocating nothing *)
+        Array.blit c.data 0 c.data (cap - na) na;
+        merge_sorted c.data (cap - na) na src.data src.ccard c.data f base
+      end
+      else begin
+        let out = Array.make (imin (arr_capacity un) (arr_max range)) 0 in
+        merge_sorted c.data 0 na src.data src.ccard out f base;
+        c.data <- out;
+        c.cshared <- false
+      end;
+      c.ccard <- un;
+      un - na
     end
     else begin
       (* merged array would cross the promotion threshold: go dense *)

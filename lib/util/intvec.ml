@@ -50,6 +50,37 @@ let fold f init t =
 
 let to_array t = Array.sub t.data 0 t.len
 
+(* In-place heapsort of [arr.(0..m-1)]: [Array.sort] cannot sort a
+   prefix of a longer scratch without an allocating copy, and its
+   comparison closure costs a call per step. [sift] and the swaps are
+   top-level and int-typed, so the sort builds no closures and compares
+   inline. *)
+let rec sift (arr : int array) i len =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let c = if l + 1 < len && arr.(l + 1) > arr.(l) then l + 1 else l in
+    if arr.(c) > arr.(i) then begin
+      let t = arr.(i) in
+      arr.(i) <- arr.(c);
+      arr.(c) <- t;
+      sift arr c len
+    end
+  end
+
+let sort_prefix arr m =
+  if m < 0 || m > Array.length arr then invalid_arg "Intvec.sort_prefix: invalid length";
+  for i = (m / 2) - 1 downto 0 do
+    sift arr i m
+  done;
+  for len = m - 1 downto 1 do
+    let t = arr.(0) in
+    arr.(0) <- arr.(len);
+    arr.(len) <- t;
+    sift arr 0 len
+  done
+
+let sort t = sort_prefix t.data t.len
+
 let of_array a = { data = (if Array.length a = 0 then Array.make 1 0 else Array.copy a); len = Array.length a }
 
 (* Zero-copy slices. A slice captures the backing array by reference, so

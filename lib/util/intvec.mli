@@ -31,6 +31,15 @@ val iteri : (int -> int -> unit) -> t -> unit
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 val to_array : t -> int array
 
+val sort_prefix : int array -> int -> unit
+(** [sort_prefix arr m] sorts [arr.(0 .. m-1)] ascending in place,
+    leaving the rest of [arr] untouched. An allocation-free heapsort
+    with inline integer comparisons, for scratch arrays longer than the
+    part in use. @raise Invalid_argument unless [0 <= m <= Array.length arr]. *)
+
+val sort : t -> unit
+(** Sorts the elements ascending in place, without allocating. *)
+
 val of_array : int array -> t
 val last : t -> int
 (** @raise Invalid_argument if empty. *)

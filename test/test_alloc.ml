@@ -204,6 +204,49 @@ let test_heap_push_pop_allocates_nothing () =
   if extra > 0.0 then
     Alcotest.failf "1,000 heap push/pop pairs allocated %.0f minor words (expected 0)" extra
 
+(* An array union that fits in the destination's private payload
+   merges in place: 12 members lie in a 16-slot payload (8 slots,
+   doubled once by [add]) and 4 fresh ones fill it. *)
+let test_array_union_in_place_allocates_nothing () =
+  let dst = Cset.of_array 65_536 (Array.init 12 (fun i -> 100 * (i + 1))) in
+  let src = Cset.of_array 65_536 [| 50; 150; 1250; 5000; 600 |] in
+  let cal_before = Gc.minor_words () in
+  let cal_after = Gc.minor_words () in
+  let overhead = cal_after -. cal_before in
+  let before = Gc.minor_words () in
+  let added = Cset.union_into ~dst ~src in
+  let after = Gc.minor_words () in
+  let extra = after -. before -. overhead in
+  if added <> 4 then Alcotest.failf "union added %d ids (expected 4)" added;
+  if extra > 0.0 then
+    Alcotest.failf "in-place array union allocated %.0f minor words (expected 0)" extra
+
+(* A batch merge filters the fresh ids into a reused domain-local
+   scratch and sorts it in place: once the scratch has grown (the
+   warm-up batch), an unsorted 64-id batch allocates nothing. The
+   knowledge set is a bitmap by then and its learn order has room for
+   both batches, so neither grows inside the window. *)
+let test_unsorted_batch_merge_allocates_nothing () =
+  let kn = 4096 in
+  let k = Knowledge.create ~n:kn ~owner:0 ~labels:(Array.init kn Fun.id) () in
+  ignore (Knowledge.merge_ids k (Array.init 1200 Fun.id));
+  (* 64 even ids from [base - 64], scrambled; the warm-up batch knows
+     half of its ids already, the measured one none *)
+  let batch base = Array.init 64 (fun i -> base + (((i * 37) mod 64) * 2) - 64) in
+  let slice ids = Intvec.slice (Intvec.of_array ids) ~pos:0 ~len:(Array.length ids) in
+  let warm = slice (batch 1200) and measured = slice (batch 1400) in
+  if Knowledge.merge_slice k warm <> 32 then Alcotest.fail "warm-up batch learned the wrong count";
+  let cal_before = Gc.minor_words () in
+  let cal_after = Gc.minor_words () in
+  let overhead = cal_after -. cal_before in
+  let before = Gc.minor_words () in
+  let learned = Knowledge.merge_slice k measured in
+  let after = Gc.minor_words () in
+  let extra = after -. before -. overhead in
+  if learned <> 64 then Alcotest.failf "measured batch learned %d ids (expected 64)" learned;
+  if extra > 0.0 then
+    Alcotest.failf "unsorted 64-id batch merge allocated %.0f minor words (expected 0)" extra
+
 let () =
   Alcotest.run "alloc"
     [
@@ -219,5 +262,9 @@ let () =
             test_idle_pump_allocates_nothing;
           Alcotest.test_case "heap push and pop are allocation-free" `Quick
             test_heap_push_pop_allocates_nothing;
+          Alcotest.test_case "in-place array union is allocation-free" `Quick
+            test_array_union_in_place_allocates_nothing;
+          Alcotest.test_case "unsorted batch merge is allocation-free" `Quick
+            test_unsorted_batch_merge_allocates_nothing;
         ] );
     ]

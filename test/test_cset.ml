@@ -201,16 +201,22 @@ let prop_union_matches =
       let ba = Bitset.union_into ~dst:b ~src:sb in
       ca = ba && agrees c b && Cset.subset sc c)
 
+(* With [freeze_dst], the destination is frozen just before the union:
+   an array union that would fit in the destination's payload must not
+   merge in place, since the frozen view still reads that payload. *)
 let prop_union_frozen_matches =
-  QCheck2.Test.make ~name:"union_into from a frozen source matches bitset" ~count:200 pair_gen
-    (fun (n, xs, ys) ->
+  QCheck2.Test.make ~name:"union_into from a frozen source matches bitset" ~count:200
+    QCheck2.Gen.(pair pair_gen bool)
+    (fun ((n, xs, ys), freeze_dst) ->
       let c, b = of_list n xs in
       let sc, sb = of_list n ys in
+      let dview = if freeze_dst then Some (Cset.freeze c, Bitset.copy b) else None in
       let frozen = Cset.freeze sc in
       let ca = Cset.union_into ~dst:c ~src:frozen in
       let ba = Bitset.union_into ~dst:b ~src:sb in
       (* destination correct, and neither view of the source moved *)
       ca = ba && agrees c b && agrees frozen sb && agrees sc sb
+      && (match dview with Some (view, old) -> agrees view old | None -> true)
       &&
       (* writes to the destination never leak into the source *)
       let probe = (Cset.capacity c - 1) mod n in

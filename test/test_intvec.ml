@@ -108,6 +108,26 @@ let prop_push_pop_roundtrip =
       let popped = List.init (List.length xs) (fun _ -> Intvec.pop v) in
       popped = List.rev xs && Intvec.is_empty v)
 
+let prop_sort_prefix_matches_array_sort =
+  QCheck2.Test.make ~name:"sort_prefix sorts the prefix and leaves the tail" ~count:300
+    QCheck2.Gen.(
+      let* xs = list_size (int_range 0 100) (int_range (-50) 50) in
+      let* m = int_range 0 (List.length xs) in
+      return (Array.of_list xs, m))
+    (fun (a, m) ->
+      let sorted = Array.sub a 0 m in
+      Array.sort compare sorted;
+      let b = Array.copy a in
+      Intvec.sort_prefix b m;
+      Array.sub b 0 m = sorted
+      && Array.sub b m (Array.length a - m) = Array.sub a m (Array.length a - m)
+      &&
+      let v = Intvec.of_array a in
+      Intvec.sort v;
+      let all = Array.copy a in
+      Array.sort compare all;
+      Intvec.to_array v = all)
+
 let () =
   Alcotest.run "intvec"
     [
@@ -122,5 +142,7 @@ let () =
           Alcotest.test_case "slice bounds" `Quick test_slice_bounds;
           Alcotest.test_case "slice survives growth" `Quick test_slice_survives_growth;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_push_pop_roundtrip ]);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_push_pop_roundtrip; prop_sort_prefix_matches_array_sort ] );
     ]

@@ -243,6 +243,62 @@ let prop_min_tracking_correct =
       let by_raw = List.fold_left min owner known in
       Knowledge.min_known k = by_label && Knowledge.min_known_raw k = by_raw)
 
+(* The batch merge against the loop it replaces: sort the whole batch,
+   then add its ids in ascending order, counting the ones not yet known;
+   the version moves by one per batch that learned something. Batches
+   are unsorted, repeat ids and mix in ids already known — explicitly,
+   or only through a bulk merge, which must stay out of the learn order.
+   Universes up to 700 ids, with batches up to 120 ids, cross the
+   sorted-array → bitmap promotion of the one container (at
+   max 8 (n/32) members). *)
+let model_merge m ids =
+  let sorted = Array.copy ids in
+  Array.sort compare sorted;
+  Array.fold_left
+    (fun learned v ->
+      if Knowledge.knows m v then learned
+      else begin
+        ignore (Knowledge.add m v);
+        learned + 1
+      end)
+    0 sorted
+
+let prop_batch_merge_matches_sorted_model =
+  QCheck2.Test.make ~name:"batch merges match the sort-then-add model" ~count:300
+    QCheck2.Gen.(
+      let* n = int_range 1 700 in
+      let* owner = int_range 0 (n - 1) in
+      let ids = list_size (int_range 0 120) (int_range 0 (n - 1)) in
+      let* bulk = ids in
+      let* batches = list_size (int_range 1 6) (pair bool ids) in
+      return (n, owner, bulk, batches))
+    (fun (n, owner, bulk, batches) ->
+      let labels = Array.init n (fun i -> (i * 7919) mod n) in
+      let k = Knowledge.create ~n ~owner ~labels () in
+      let m = Knowledge.create ~n ~owner ~labels () in
+      let bulk = Cset.of_array n (Array.of_list bulk) in
+      ignore (Knowledge.merge_bits k bulk);
+      ignore (Knowledge.merge_bits m bulk);
+      List.for_all
+        (fun (as_slice, ids) ->
+          let ids = Array.of_list ids in
+          let v0 = Knowledge.version k in
+          let learned =
+            if as_slice then
+              Knowledge.merge_slice k
+                (Intvec.slice (Intvec.of_array ids) ~pos:0 ~len:(Array.length ids))
+            else Knowledge.merge_ids k ids
+          in
+          let expected = model_merge m ids in
+          let order t = Intvec.slice_to_array (Knowledge.since_slice t ~mark:0) in
+          learned = expected
+          && Knowledge.version k = v0 + (if expected > 0 then 1 else 0)
+          && Cset.equal (Knowledge.contents k) (Knowledge.contents m)
+          && order k = order m
+          && Knowledge.min_known k = Knowledge.min_known m
+          && Knowledge.min_known_raw k = Knowledge.min_known_raw m)
+        batches)
+
 let () =
   Alcotest.run "knowledge"
     [
@@ -266,5 +322,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_learn_order_matches_set; prop_min_tracking_correct ] );
+          [
+            prop_learn_order_matches_set;
+            prop_min_tracking_correct;
+            prop_batch_merge_matches_sorted_model;
+          ] );
     ]
