@@ -14,7 +14,7 @@ let data_ids (d : Payload.data) =
     a
   | Payload.Updates u ->
     (* entries are canonically sorted by node already *)
-    Array.map (fun e -> e.Payload.node) u.entries
+    Array.init (Payload.update_count u.entries) (Payload.update_node u.entries)
 
 let payload_ids (p : Payload.t) =
   match p with
@@ -40,19 +40,25 @@ let inject_data ~universe ids (d : Payload.data) =
       let extra = List.filter (fun id -> not (Array.exists (Int.equal id) arr)) fresh in
       if extra = [] then d else Payload.Ids (Array.append arr (Array.of_list extra))
     | Payload.Updates u ->
-      let known id = Array.exists (fun e -> e.Payload.node = id) u.entries in
-      let extra = List.filter (fun id -> not (known id)) fresh in
+      let nodes = data_ids d in
+      let extra = List.filter (fun id -> not (Array.exists (Int.equal id) nodes)) fresh in
       if extra = [] then d
       else begin
         (* fabricated members appear as never-versioned alive entries,
            re-sorted to keep the batch canonical *)
-        let fab =
-          List.map
-            (fun id -> { Payload.node = id; version = 0; status = Payload.status_alive })
-            extra
+        let entry i =
+          (nodes.(i), Payload.update_version u.entries i, Payload.update_status u.entries i)
         in
-        let entries = Array.append u.entries (Array.of_list fab) in
-        Array.sort (fun a b -> compare a.Payload.node b.Payload.node) entries;
+        let fab = List.map (fun id -> (id, 0, Payload.status_alive)) extra in
+        let all =
+          List.sort
+            (fun (a, _, _) (b, _, _) -> Int.compare a b)
+            (List.init (Array.length nodes) entry @ fab)
+        in
+        let entries = Array.make (2 * List.length all) 0 in
+        List.iteri
+          (fun i (node, version, status) -> Payload.set_update entries i ~node ~version ~status)
+          all;
         Payload.Updates { u with entries }
       end
 

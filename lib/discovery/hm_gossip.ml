@@ -291,7 +291,9 @@ let make_with ~broadcast ~upward (ctx : Algorithm.ctx) =
         | Payload.Ids ids -> Array.iter (fun v -> ignore (Cset.add st.upward_done v)) ids
         | Payload.Delta s -> Intvec.slice_iter (fun v -> ignore (Cset.add st.upward_done v)) s
         | Payload.Updates u ->
-          Array.iter (fun e -> ignore (Cset.add st.upward_done e.Payload.node)) u.entries
+          for i = 0 to Payload.update_count u.entries - 1 do
+            ignore (Cset.add st.upward_done (Payload.update_node u.entries i))
+          done
       end
       else note_custody ~src d
     | Share d ->

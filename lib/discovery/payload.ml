@@ -1,12 +1,10 @@
 open Repro_util
 
-type update = { node : int; version : int; status : int }
-
 type data =
   | Bits of Knowledge.snap
   | Ids of int array
   | Delta of Intvec.slice
-  | Updates of { full : bool; entries : update array }
+  | Updates of { full : bool; entries : int array }
 
 type t =
   | Share of data
@@ -22,11 +20,23 @@ let status_alive = 0
 let status_suspect = 1
 let status_down = 2
 
+(* Flat batch layout: entry [i] is [entries.(2i) = (node lsl 2) lor
+   status] and [entries.(2i+1) = version]. *)
+let update_count entries = Array.length entries lsr 1
+let update_node entries i = entries.(2 * i) asr 2
+let update_status entries i = entries.(2 * i) land 3
+let update_version entries i = entries.((2 * i) + 1)
+
+let set_update entries i ~node ~version ~status =
+  if status < 0 || status > status_down then invalid_arg "Payload.set_update: unknown status";
+  entries.(2 * i) <- (node lsl 2) lor status;
+  entries.((2 * i) + 1) <- version
+
 let data_size = function
   | Bits b -> Cset.cardinal b.Knowledge.set
   | Ids a -> Array.length a
   | Delta s -> Intvec.slice_length s
-  | Updates u -> Array.length u.entries
+  | Updates u -> update_count u.entries
 
 let measure = function
   | Share d | Exchange d | Reply d ->
@@ -46,12 +56,13 @@ let merge_data knowledge = function
     (* an update teaches the receiver the node's id and its version; the
        status annotation is protocol state, applied by the service's
        membership view, not by the knowledge set *)
-    Array.fold_left
-      (fun acc e ->
-        let fresh = Knowledge.add knowledge e.node in
-        ignore (Knowledge.observe_version knowledge ~node:e.node ~version:e.version);
-        if fresh then acc + 1 else acc)
-      0 u.entries
+    let fresh = ref 0 in
+    for i = 0 to update_count u.entries - 1 do
+      let node = update_node u.entries i in
+      if Knowledge.add knowledge node then incr fresh;
+      ignore (Knowledge.observe_version knowledge ~node ~version:(update_version u.entries i))
+    done;
+    !fresh
 
 (* Preallocated empty delta: steady-state "I learned nothing since my
    last send" resends are the hot case and should not allocate. *)

@@ -7,15 +7,6 @@
 
 open Repro_util
 
-type update = { node : int; version : int; status : int }
-(** One membership observation: [node] was seen at [version] (its
-    incarnation counter, see {!Knowledge.observe_version}) with
-    [status] — {!status_alive}, {!status_suspect} or {!status_down}.
-    Conflicts resolve by [(version, status)] lexicographically: a higher
-    version always wins, and at equal versions the more pessimistic
-    status does (down > suspect > alive), so an incarnation can only be
-    refuted by the node itself bumping its version. *)
-
 type data =
   | Bits of Knowledge.snap
       (** Full-knowledge snapshot with carried minima. Payload snapshots
@@ -29,14 +20,29 @@ type data =
           delta (see {!Knowledge.since_slice}). Carries the same
           identifiers as the equivalent [Ids] array: identical
           {!measure}, merge result, and wire encoding. *)
-  | Updates of { full : bool; entries : update array }
+  | Updates of { full : bool; entries : int array }
       (** Versioned membership delta — the anti-entropy currency of the
-          continuous discovery service. [entries] must be canonical:
-          sorted by node, one entry per node. [full] marks a full-state
-          sync rather than an incremental delta: on an [Exchange] it is
-          a bootstrap request (the receiver should answer with its whole
-          view), on a [Reply]/[Share] it announces that the entries are
-          the sender's complete view. *)
+          continuous discovery service. [entries] is flat and
+          pointer-free: two ints per entry, [(node lsl 2) lor status]
+          then [version] (read and write it with {!update_node},
+          {!update_version}, {!update_status} and {!set_update}). One
+          entry says that [node] was seen at [version] (its incarnation
+          counter, see {!Knowledge.observe_version}) with [status] —
+          {!status_alive}, {!status_suspect} or {!status_down}.
+          Conflicts resolve by [(version, status)] lexicographically: a
+          higher version always wins, and at equal versions the more
+          pessimistic status does (down > suspect > alive), so an
+          incarnation can only be refuted by the node itself bumping its
+          version.
+
+          The batch must be canonical: even length, entries sorted by
+          node and strictly ascending (one entry per node), nodes in the
+          universe, versions non-negative, statuses at most
+          {!status_down}. {!Wire.encode} refuses anything else. [full]
+          marks a full-state sync rather than an incremental delta: on
+          an [Exchange] it is a bootstrap request (the receiver should
+          answer with its whole view), on a [Reply]/[Share] it announces
+          that the entries are the sender's complete view. *)
 
 type t =
   | Share of data  (** One-way knowledge transfer. *)
@@ -69,10 +75,23 @@ type t =
 val status_alive : int
 val status_suspect : int
 val status_down : int
-(** The three wire statuses of an {!update}: 0, 1 and 2. [status_down]
+(** The three wire statuses of an update entry: 0, 1 and 2. [status_down]
     covers both graceful leaves and confirmed crashes — either way the
     node is retired from the membership view until a higher incarnation
     refutes it. *)
+
+val update_count : int array -> int
+(** Number of entries in a flat update batch (half its length). *)
+
+val update_node : int array -> int -> int
+val update_version : int array -> int -> int
+val update_status : int array -> int -> int
+(** Fields of entry [i] of a flat update batch. *)
+
+val set_update : int array -> int -> node:int -> version:int -> status:int -> unit
+(** [set_update entries i ~node ~version ~status] writes entry [i]; a
+    batch of [k] entries is [Array.make (2 * k) 0] filled in node order.
+    @raise Invalid_argument on a status outside [0 .. status_down]. *)
 
 val data_size : data -> int
 (** Number of identifiers carried. *)

@@ -30,6 +30,9 @@ let read_varint bytes pos =
     if !pos >= Bytes.length bytes then invalid_arg "Wire.decode: truncated varint";
     let b = Char.code (Bytes.get bytes !pos) in
     incr pos;
+    (* a zero final group after the first is a padded, non-minimal
+       form: canonical input re-encodes to the same bytes *)
+    if b = 0 && !shift > 0 then invalid_arg "Wire.decode: non-minimal varint";
     v := !v lor ((b land 0x7F) lsl !shift);
     shift := !shift + 7;
     if b < 0x80 then continue := false
@@ -42,7 +45,7 @@ let ids_of_data = function
   | Payload.Bits b -> Cset.elements b.Knowledge.set
   | Payload.Ids a -> List.sort_uniq Int.compare (Array.to_list a)
   | Payload.Delta s -> List.sort_uniq Int.compare (Array.to_list (Intvec.slice_to_array s))
-  | Payload.Updates u -> Array.to_list (Array.map (fun e -> e.Payload.node) u.entries)
+  | Payload.Updates u -> List.init (Payload.update_count u.entries) (Payload.update_node u.entries)
 
 let ids_of_payload = function
   | Payload.Share d | Payload.Exchange d | Payload.Reply d -> ids_of_data d
@@ -106,47 +109,38 @@ let bitmap_size ~universe = (universe + 7) / 8
 
 (* --- update-batch codec (body codec 3) ---
 
-   Canonical form required of the payload: entries sorted by node,
-   strictly ascending (one entry per node). Body: varint count, then per
-   entry a varint node gap (node - prev - 1), a varint version and one
-   status byte. The 0x40 bit of the codec byte carries the batch's
-   [full] flag. *)
+   Canonical form required of the payload (see {!Payload.Updates}): an
+   even-length flat array whose entries are sorted by node, strictly
+   ascending (one entry per node). Body: varint count, then per entry a
+   varint node gap (node - prev - 1), a varint version and one status
+   byte. The 0x40 bit of the codec byte carries the batch's [full]
+   flag. *)
 
 let updates_full_flag = 0x40
 
-let check_updates ~universe (entries : Payload.update array) =
+let check_updates ~universe entries =
+  if Array.length entries land 1 <> 0 then invalid_arg "Wire.encode: odd-length update batch";
   let prev = ref (-1) in
-  Array.iter
-    (fun (e : Payload.update) ->
-      if e.Payload.node <= !prev then invalid_arg "Wire.encode: updates not strictly ascending";
-      if e.Payload.node >= universe then invalid_arg "Wire.encode: identifier out of range";
-      if e.Payload.version < 0 then invalid_arg "Wire.encode: negative version";
-      if e.Payload.status < 0 || e.Payload.status > Payload.status_down then
-        invalid_arg "Wire.encode: unknown update status";
-      prev := e.Payload.node)
-    entries
+  for i = 0 to Payload.update_count entries - 1 do
+    let node = Payload.update_node entries i in
+    let status = Payload.update_status entries i in
+    if node <= !prev then invalid_arg "Wire.encode: updates not strictly ascending";
+    if node >= universe then invalid_arg "Wire.encode: identifier out of range";
+    if Payload.update_version entries i < 0 then invalid_arg "Wire.encode: negative version";
+    if status > Payload.status_down then invalid_arg "Wire.encode: unknown update status";
+    prev := node
+  done
 
-let updates_body (entries : Payload.update array) =
-  let buf = Buffer.create (8 + (3 * Array.length entries)) in
-  write_varint buf (Array.length entries);
+let updates_body_size entries =
+  let count = Payload.update_count entries in
+  let total = ref (varint_size count) in
   let prev = ref (-1) in
-  Array.iter
-    (fun (e : Payload.update) ->
-      write_varint buf (e.Payload.node - !prev - 1);
-      write_varint buf e.Payload.version;
-      Buffer.add_char buf (Char.chr e.Payload.status);
-      prev := e.Payload.node)
-    entries;
-  buf
-
-let updates_body_size (entries : Payload.update array) =
-  let total = ref (varint_size (Array.length entries)) in
-  let prev = ref (-1) in
-  Array.iter
-    (fun (e : Payload.update) ->
-      total := !total + varint_size (e.Payload.node - !prev - 1) + varint_size e.Payload.version + 1;
-      prev := e.Payload.node)
-    entries;
+  for i = 0 to count - 1 do
+    let node = Payload.update_node entries i in
+    total :=
+      !total + varint_size (node - !prev - 1) + varint_size (Payload.update_version entries i) + 1;
+    prev := node
+  done;
   !total
 
 (* --- message framing ---
@@ -196,39 +190,22 @@ let body_choice encoding ~universe ids =
   | Bitmap -> `Bitmap
   | Adaptive -> if varint_size_of ids <= bitmap_size ~universe then `Varint else `Bitmap
 
-(* Every message but a snapshot, built in a growing buffer. *)
-let encode_buffered encoding ~universe payload =
+(* An [Ids]/[Delta] list, built in a growing buffer. *)
+let encode_ids encoding ~universe kind d =
   let buf = Buffer.create 64 in
-  Buffer.add_char buf (Char.chr (kind_tag payload));
-  (match payload with
-  | Payload.Probe | Payload.Halt -> ()
-  | Payload.Probe_req { target; nonce } | Payload.Probe_ack { target; nonce } ->
-    check_liveness ~universe ~target ~aux:nonce;
-    write_varint buf target;
-    write_varint buf nonce
-  | Payload.Suspicion { target; version } ->
-    check_liveness ~universe ~target ~aux:version;
-    write_varint buf target;
-    write_varint buf version
-  | Payload.Share (Payload.Updates u)
-  | Payload.Exchange (Payload.Updates u)
-  | Payload.Reply (Payload.Updates u) ->
-    check_updates ~universe u.entries;
-    Buffer.add_char buf (Char.chr (3 lor if u.full then updates_full_flag else 0));
-    Buffer.add_buffer buf (updates_body u.entries)
-  | Payload.Share d | Payload.Exchange d | Payload.Reply d ->
-    let ids = ids_of_data d in
-    check_range ~universe ids;
-    (match body_choice encoding ~universe ids with
-    | `Raw ->
-      Buffer.add_char buf '\000';
-      Buffer.add_buffer buf (raw32_body ids)
-    | `Varint ->
-      Buffer.add_char buf '\001';
-      Buffer.add_buffer buf (varint_body ids)
-    | `Bitmap ->
-      Buffer.add_char buf '\002';
-      Buffer.add_buffer buf (bitmap_body ~universe ids)));
+  Buffer.add_char buf (Char.chr kind);
+  let ids = ids_of_data d in
+  check_range ~universe ids;
+  (match body_choice encoding ~universe ids with
+  | `Raw ->
+    Buffer.add_char buf '\000';
+    Buffer.add_buffer buf (raw32_body ids)
+  | `Varint ->
+    Buffer.add_char buf '\001';
+    Buffer.add_buffer buf (varint_body ids)
+  | `Bitmap ->
+    Buffer.add_char buf '\002';
+    Buffer.add_buffer buf (bitmap_body ~universe ids));
   Buffer.to_bytes buf
 
 (* Size-only fast paths: computing the exact encoded size must not cost
@@ -276,6 +253,32 @@ let put_varint out pos v =
   done;
   Bytes.set out !pos (Char.unsafe_chr !v);
   !pos + 1
+
+(* Kinds 3-7 and update batches are written straight into one exactly
+   sized buffer: a probe costs its one-byte block and nothing else. *)
+let encode_liveness kind ~universe ~target ~aux =
+  check_liveness ~universe ~target ~aux;
+  let out = Bytes.create (1 + varint_size target + varint_size aux) in
+  Bytes.set out 0 (Char.unsafe_chr kind);
+  ignore (put_varint out (put_varint out 1 target) aux);
+  out
+
+let encode_updates ~universe kind ~full entries =
+  check_updates ~universe entries;
+  let out = Bytes.create (2 + updates_body_size entries) in
+  Bytes.set out 0 (Char.unsafe_chr kind);
+  Bytes.set out 1 (Char.unsafe_chr (3 lor if full then updates_full_flag else 0));
+  let pos = ref (put_varint out 2 (Payload.update_count entries)) in
+  let prev = ref (-1) in
+  for i = 0 to Payload.update_count entries - 1 do
+    let node = Payload.update_node entries i in
+    pos := put_varint out !pos (node - !prev - 1);
+    pos := put_varint out !pos (Payload.update_version entries i);
+    Bytes.set out !pos (Char.unsafe_chr (Payload.update_status entries i));
+    incr pos;
+    prev := node
+  done;
+  out
 
 (* A [Bits] snapshot is written straight from its set into an exactly
    sized buffer — the same bytes the list path gives for
@@ -333,11 +336,20 @@ let encode_bits encoding ~universe kind (b : Knowledge.snap) =
   out
 
 let encode encoding ~universe payload =
+  let kind = kind_tag payload in
   match payload with
+  | Payload.Probe | Payload.Halt -> Bytes.make 1 (Char.unsafe_chr kind)
+  | Payload.Probe_req { target; nonce } | Payload.Probe_ack { target; nonce } ->
+    encode_liveness kind ~universe ~target ~aux:nonce
+  | Payload.Suspicion { target; version } -> encode_liveness kind ~universe ~target ~aux:version
   | Payload.Share (Payload.Bits b) | Payload.Exchange (Payload.Bits b)
   | Payload.Reply (Payload.Bits b) ->
-    encode_bits encoding ~universe (kind_tag payload) b
-  | _ -> encode_buffered encoding ~universe payload
+    encode_bits encoding ~universe kind b
+  | Payload.Share (Payload.Updates u)
+  | Payload.Exchange (Payload.Updates u)
+  | Payload.Reply (Payload.Updates u) ->
+    encode_updates ~universe kind ~full:u.full u.entries
+  | Payload.Share d | Payload.Exchange d | Payload.Reply d -> encode_ids encoding ~universe kind d
 
 (* For [Ids]/[Delta] payloads the canonical form is sorted and
    deduplicated, but materialising it as a list per sized message is the
@@ -503,7 +515,7 @@ let decode_exn ~universe bytes =
            a valid count never exceeds a third of the remaining length *)
         if count < 0 || count > (Bytes.length bytes - !pos) / 3 then
           invalid_arg "Wire.decode: updates count exceeds buffer";
-        let entries = Array.make count { Payload.node = 0; version = 0; status = 0 } in
+        let entries = Array.make (2 * count) 0 in
         let prev = ref (-1) in
         for i = 0 to count - 1 do
           let gap = read_varint bytes pos in
@@ -515,7 +527,7 @@ let decode_exn ~universe bytes =
           let status = Char.code (Bytes.get bytes !pos) in
           incr pos;
           if status > Payload.status_down then invalid_arg "Wire.decode: unknown update status";
-          entries.(i) <- { Payload.node; version; status };
+          Payload.set_update entries i ~node ~version ~status;
           prev := node
         done;
         if !pos <> Bytes.length bytes then invalid_arg "Wire.decode: trailing bytes";

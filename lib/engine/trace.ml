@@ -432,9 +432,15 @@ module Lag = struct
   let check t ev =
     match ev with
     | Tick { time; _ } ->
-      t.started <- true;
-      if time > t.now then t.now <- time;
-      advance t
+      (* A tick that neither starts the clock nor moves it changes no
+         input of [advance], which the previous event already ran to a
+         fixpoint: every member's tick at one time would otherwise
+         rescan the live table while an epoch is open. *)
+      if (not t.started) || time > t.now then begin
+        t.started <- true;
+        if time > t.now then t.now <- time;
+        advance t
+      end
     | Join { node } ->
       bump t;
       Hashtbl.replace t.live node ();

@@ -90,7 +90,7 @@ type t = {
 let self t = t.self
 let view t = t.view
 let incarnation t = t.incarnation
-let bootstrapping t = t.bootstrap <> None
+let bootstrapping t = match t.bootstrap with Some _ -> true | None -> false
 let log_length t = Intvec.length t.log_nodes
 let health t = t.health
 
@@ -216,6 +216,20 @@ let observe t ~node ~version ~status ~relog =
       t.actions.on_view_change ~target:node ~alive
   end
 
+(* Scratch for [pending_entries], domain-local because parallel sweeps
+   step members concurrently: [stamp.(node) = gen] marks a node already
+   seen in the current call, [last.(node)] is its latest budgeted log
+   index, and [ids] collects the distinct nodes in first-seen order. *)
+type pending_scratch = {
+  mutable gen : int;
+  mutable stamp : int array;
+  mutable last : int array;
+  mutable ids : int array;
+}
+
+let pending_scratch : pending_scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { gen = 0; stamp = [||]; last = [||]; ids = [||] })
+
 (* The canonical batch of log entries in [from, len) that still have
    transmission budget: latest observation per node, ascending by node.
    Decrements the budget of every entry it includes. *)
@@ -223,20 +237,38 @@ let pending_entries t ~from =
   let len = Intvec.length t.log_nodes in
   if from >= len then [||]
   else begin
-    let latest = Hashtbl.create 8 in
+    let sc = Domain.DLS.get pending_scratch in
+    let cap = Knowledge.universe (View.knowledge t.view) in
+    if Array.length sc.stamp < cap then begin
+      sc.stamp <- Array.make cap 0;
+      sc.last <- Array.make cap 0;
+      sc.ids <- Array.make cap 0
+    end;
+    sc.gen <- sc.gen + 1;
+    let gen = sc.gen in
+    let m = ref 0 in
     for i = from to len - 1 do
-      if Intvec.get t.log_budgets i > 0 then begin
-        Intvec.set t.log_budgets i (Intvec.get t.log_budgets i - 1);
+      let budget = Intvec.get t.log_budgets i in
+      if budget > 0 then begin
+        Intvec.set t.log_budgets i (budget - 1);
+        let node = Intvec.get t.log_nodes i in
+        if sc.stamp.(node) <> gen then begin
+          sc.stamp.(node) <- gen;
+          sc.ids.(!m) <- node;
+          incr m
+        end;
         (* later entries for the same node supersede earlier ones *)
-        Hashtbl.replace latest (Intvec.get t.log_nodes i)
-          { Payload.node = Intvec.get t.log_nodes i;
-            version = Intvec.get t.log_versions i;
-            status = Intvec.get t.log_statuses i }
+        sc.last.(node) <- i
       end
     done;
-    let entries = Hashtbl.fold (fun _ e acc -> e :: acc) latest [] in
-    let entries = Array.of_list entries in
-    Array.sort (fun a b -> compare a.Payload.node b.Payload.node) entries;
+    Intvec.sort_prefix sc.ids !m;
+    let entries = Array.make (2 * !m) 0 in
+    for k = 0 to !m - 1 do
+      let node = sc.ids.(k) in
+      let i = sc.last.(node) in
+      Payload.set_update entries k ~node ~version:(Intvec.get t.log_versions i)
+        ~status:(Intvec.get t.log_statuses i)
+    done;
     entries
   end
 
@@ -245,21 +277,18 @@ let advance_cursor t target = Hashtbl.replace t.cursors target (Intvec.length t.
 let cursor t target = Option.value (Hashtbl.find_opt t.cursors target) ~default:0
 
 (* Every known node at its current (version, status) — the full-state
-   payload for bootstrap replies and the lossy-network backstop. *)
+   payload for bootstrap replies and the lossy-network backstop. The
+   known set iterates in ascending order, so the batch is canonical as
+   filled. *)
 let full_entries t =
-  let acc = ref [] in
+  let entries = Array.make (2 * Knowledge.cardinal (View.knowledge t.view)) 0 in
+  let k = ref 0 in
   View.iter_known t.view (fun node ->
-      let status =
-        match View.status t.view node with
-        | Some s when s = Payload.status_suspect ->
-          (* suspicion is local: export the lattice status, not the hunch *)
-          Payload.status_alive
-        | Some s -> s
-        | None -> assert false
-      in
-      acc := { Payload.node; version = View.version t.view node; status } :: !acc);
-  let entries = Array.of_list !acc in
-  Array.sort (fun a b -> compare a.Payload.node b.Payload.node) entries;
+      let s = View.status t.view node in
+      (* suspicion is local: export the lattice status, not the hunch *)
+      let status = if s = Payload.status_suspect then Payload.status_alive else s in
+      Payload.set_update entries !k ~node ~version:(View.version t.view node) ~status;
+      incr k);
   entries
 
 let gossip t =
@@ -275,9 +304,8 @@ let send_bootstrap t ~now ~dst contacts idx backoff =
   (* [full = false]: the payload is the joiner's lone self-announcement,
      not a full state — which also lets the runtime's traffic classifier
      tell bootstrap requests from periodic full-sync pushes *)
-  let entries =
-    [| { Payload.node = t.self; version = t.incarnation; status = Payload.status_alive } |]
-  in
+  let entries = Array.make 2 0 in
+  Payload.set_update entries 0 ~node:t.self ~version:t.incarnation ~status:Payload.status_alive;
   t.actions.send ~dst (Payload.Exchange (Payload.Updates { full = false; entries }));
   t.bootstrap <- Some (contacts, idx, backoff, now +. Repro_net.Node.Backoff.next backoff)
 
@@ -323,42 +351,46 @@ let start_suspicion t ~target ~now =
   t.actions.send ~dst:target Payload.Probe
 
 let probe_timeouts t ~now =
-  let escalate = ref [] and deaths = ref [] and reprobes = ref [] in
-  Hashtbl.iter
-    (fun target state ->
-      match state with
-      | Direct { deadline } when now > deadline -> escalate := (target, `To_indirect) :: !escalate
-      | Indirect { deadline; _ } when now > deadline ->
-        escalate := (target, `To_suspected) :: !escalate
-      | Suspected s when now > s.deadline -> deaths := target :: !deaths
-      | Suspected _ | Indirect _ -> reprobes := target :: !reprobes
-      | Direct _ -> ())
-    t.probes;
-  (* keep probing through the indirect and suspicion windows:
-     confirming a death then requires every probe of the window to go
-     unanswered, so a single lost ack cannot produce a false verdict *)
-  List.iter (fun target -> t.actions.send ~dst:target Payload.Probe) !reprobes;
-  List.iter
-    (fun (target, transition) ->
-      (* an expired window is local-health evidence either way *)
-      penalize t;
-      match transition with
-      | `To_indirect ->
-        if not (start_indirect t ~target ~now) then start_suspicion t ~target ~now
-      | `To_suspected -> start_suspicion t ~target ~now)
-    !escalate;
-  List.iter
-    (fun target ->
-      match Hashtbl.find_opt t.probes target with
-      | Some (Suspected s) ->
-        Hashtbl.remove t.probes target;
-        (* convict at the incarnation we suspected: if the node refuted
-           meanwhile with a higher one, the verdict is stale on the
-           lattice and changes nothing *)
-        observe t ~node:target ~version:s.version ~status:Payload.status_down ~relog:true;
-        t.actions.on_retire ~target
-      | Some _ | None -> ())
-    !deaths
+  (* the common tick has nothing in flight: skip the sweep's refs,
+     closure and lists *)
+  if Hashtbl.length t.probes > 0 then begin
+    let escalate = ref [] and deaths = ref [] and reprobes = ref [] in
+    Hashtbl.iter
+      (fun target state ->
+        match state with
+        | Direct { deadline } when now > deadline -> escalate := (target, `To_indirect) :: !escalate
+        | Indirect { deadline; _ } when now > deadline ->
+          escalate := (target, `To_suspected) :: !escalate
+        | Suspected s when now > s.deadline -> deaths := target :: !deaths
+        | Suspected _ | Indirect _ -> reprobes := target :: !reprobes
+        | Direct _ -> ())
+      t.probes;
+    (* keep probing through the indirect and suspicion windows:
+       confirming a death then requires every probe of the window to go
+       unanswered, so a single lost ack cannot produce a false verdict *)
+    List.iter (fun target -> t.actions.send ~dst:target Payload.Probe) !reprobes;
+    List.iter
+      (fun (target, transition) ->
+        (* an expired window is local-health evidence either way *)
+        penalize t;
+        match transition with
+        | `To_indirect ->
+          if not (start_indirect t ~target ~now) then start_suspicion t ~target ~now
+        | `To_suspected -> start_suspicion t ~target ~now)
+      !escalate;
+    List.iter
+      (fun target ->
+        match Hashtbl.find_opt t.probes target with
+        | Some (Suspected s) ->
+          Hashtbl.remove t.probes target;
+          (* convict at the incarnation we suspected: if the node refuted
+             meanwhile with a higher one, the verdict is stale on the
+             lattice and changes nothing *)
+          observe t ~node:target ~version:s.version ~status:Payload.status_down ~relog:true;
+          t.actions.on_retire ~target
+        | Some _ | None -> ())
+      !deaths
+  end
 
 let maybe_probe t ~now =
   if now >= t.next_probe then begin
@@ -412,20 +444,25 @@ let step t ~now =
     in
     send_bootstrap t ~now ~dst contacts (idx + 1) backoff
   | Some _ | None -> ());
-  if t.bootstrap = None then begin
+  (match t.bootstrap with
+  | Some _ -> ()
+  | None ->
     probe_timeouts t ~now;
     maybe_probe t ~now;
     maybe_full_sync t ~now;
-    prune_relays t ~now
-  end;
+    prune_relays t ~now);
   gossip t
 
-let apply_updates t ~relog (u : Payload.update array) =
-  Array.iter (fun e -> observe t ~node:e.Payload.node ~version:e.version ~status:e.status ~relog) u
+let apply_updates t ~relog entries =
+  for i = 0 to Payload.update_count entries - 1 do
+    observe t ~node:(Payload.update_node entries i) ~version:(Payload.update_version entries i)
+      ~status:(Payload.update_status entries i) ~relog
+  done
 
 let share_entry t ~dst ~node ~version ~status =
-  let entry = { Payload.node; version; status } in
-  t.actions.send ~dst (Payload.Share (Payload.Updates { full = false; entries = [| entry |] }))
+  let entries = Array.make 2 0 in
+  Payload.set_update entries 0 ~node ~version ~status;
+  t.actions.send ~dst (Payload.Share (Payload.Updates { full = false; entries }))
 
 (* Answer every pending indirect-probe vouch for [target]: it just
    proved alive to us, so ack the requesters that asked us to check. *)
@@ -458,11 +495,9 @@ let deliver t ~src ~now payload =
   (* a message from a node we hold down means our verdict is wrong (or
      stale): send the verdict back so the accused can refute it with a
      higher incarnation — the self-healing path for false positives *)
-  (match View.status t.view src with
-  | Some s when s = Payload.status_down ->
+  if View.status t.view src = Payload.status_down then
     share_entry t ~dst:src ~node:src ~version:(View.version t.view src)
-      ~status:Payload.status_down
-  | Some _ | None -> ());
+      ~status:Payload.status_down;
   match (payload : Payload.t) with
   | Probe ->
     (* the reply is the ack; piggyback whatever the prober has not seen *)
@@ -473,7 +508,7 @@ let deliver t ~src ~now payload =
     if target = t.self then
       (* we are the accused and evidently alive: vouch for ourselves *)
       t.actions.send ~dst:src (Payload.Probe_ack { target; nonce })
-    else if View.status t.view target = Some Payload.status_down then
+    else if View.status t.view target = Payload.status_down then
       (* already convicted here: share the verdict instead of probing *)
       share_entry t ~dst:src ~node:target ~version:(View.version t.view target)
         ~status:Payload.status_down
@@ -505,7 +540,7 @@ let deliver t ~src ~now payload =
           s.started +. suspicion_timeout t ~confirmations:(List.length s.confirmers)
       | Some _ -> ()
       | None ->
-        if View.status t.view target = Some Payload.status_down then
+        if View.status t.view target = Payload.status_down then
           share_entry t ~dst:src ~node:target ~version:(View.version t.view target)
             ~status:Payload.status_down
         else if version < View.version t.view target && View.is_live t.view target then
@@ -529,22 +564,22 @@ let deliver t ~src ~now payload =
     t.actions.send ~dst:src (Payload.Reply (Payload.Updates { full = true; entries = full_entries t }))
   | Reply (Payload.Updates u) when u.full ->
     apply_updates t ~relog:false u.entries;
-    if t.bootstrap <> None then begin
+    (match t.bootstrap with
+    | Some _ ->
       t.bootstrap <- None;
       t.next_full_sync <- now +. full_sync_interval
-    end
+    | None -> ())
   | Share (Payload.Updates u) | Reply (Payload.Updates u) -> apply_updates t ~relog:true u.entries
   | Share _ | Exchange _ | Reply _ | Halt ->
     (* one-shot discovery payloads are not part of the service protocol *)
     ()
 
 let leave t =
-  let entry =
-    { Payload.node = t.self; version = t.incarnation; status = Payload.status_down }
-  in
+  let entries = Array.make 2 0 in
+  Payload.set_update entries 0 ~node:t.self ~version:t.incarnation ~status:Payload.status_down;
   log_append t ~node:t.self ~version:t.incarnation ~status:Payload.status_down;
   let targets = Knowledge.random_known_among (View.knowledge t.view) t.rng ~k:leave_fanout in
-  let payload = Payload.Share (Payload.Updates { full = false; entries = [| entry |] }) in
+  let payload = Payload.Share (Payload.Updates { full = false; entries }) in
   let sent = ref 0 in
   Array.iter
     (fun target ->

@@ -482,13 +482,13 @@ let run cfg =
       if u.full then incr bootstraps
       else begin
         incr acks;
-        update_entries := !update_entries + Array.length u.entries
+        update_entries := !update_entries + Payload.update_count u.entries
       end
     | Share (Payload.Updates u) ->
       if u.full then incr full_syncs
       else begin
         incr gossip;
-        update_entries := !update_entries + Array.length u.entries
+        update_entries := !update_entries + Payload.update_count u.entries
       end
     | Share _ | Exchange _ | Reply _ | Halt -> ()
   in

@@ -23,51 +23,47 @@ let create ~cap ~owner ~labels =
 let knowledge t = t.knowledge
 let owner t = Knowledge.owner t.knowledge
 
-let raw_status t node =
+let status t node =
   if node < 0 || node >= Bytes.length t.statuses then invalid_arg "View.status: out of range";
   Char.code (Bytes.get t.statuses node)
 
-let status t node =
-  let s = raw_status t node in
-  if s = unknown then None else Some s
-
 let version t node = Knowledge.node_version t.knowledge node
 let live_status s = s = Payload.status_alive || s = Payload.status_suspect
-let is_live t node = live_status (raw_status t node)
+let is_live t node = live_status (status t node)
 let live_count t = t.live
 
-let set_status t node status =
-  let was = live_status (raw_status t node) in
-  let now = live_status status in
-  Bytes.set t.statuses node (Char.chr status);
+let set_status t node s =
+  let was = live_status (status t node) in
+  let now = live_status s in
+  Bytes.set t.statuses node (Char.chr s);
   if was && not now then t.live <- t.live - 1
   else if now && not was then t.live <- t.live + 1;
   if was = now then Updated else Changed now
 
-let apply t ~node ~version ~status =
+let apply t ~node ~version ~status:s =
   if node < 0 || node >= Bytes.length t.statuses then invalid_arg "View.apply: node out of range";
   if version < 0 then invalid_arg "View.apply: negative version";
-  if status < 0 || status > Payload.status_down then invalid_arg "View.apply: unknown status";
+  if s < 0 || s > Payload.status_down then invalid_arg "View.apply: unknown status";
   let cur_v = Knowledge.node_version t.knowledge node in
-  let cur_s = raw_status t node in
+  let cur_s = status t node in
   let stronger =
     if cur_s = unknown then true
-    else version > cur_v || (version = cur_v && status > cur_s)
+    else version > cur_v || (version = cur_v && s > cur_s)
   in
   if not stronger then Stale
   else begin
     ignore (Knowledge.add t.knowledge node);
     ignore (Knowledge.observe_version t.knowledge ~node ~version);
-    set_status t node status
+    set_status t node s
   end
 
 let suspect t node =
-  raw_status t node = Payload.status_alive
+  status t node = Payload.status_alive
   && (Bytes.set t.statuses node (Char.chr Payload.status_suspect);
       true)
 
 let unsuspect t node =
-  raw_status t node = Payload.status_suspect
+  status t node = Payload.status_suspect
   && (Bytes.set t.statuses node (Char.chr Payload.status_alive);
       true)
 

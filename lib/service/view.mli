@@ -34,9 +34,13 @@ val create : cap:int -> owner:int -> labels:int array -> t
 val knowledge : t -> Knowledge.t
 val owner : t -> int
 
-val status : t -> int -> int option
+val unknown : int
+(** The {!status} of a never-observed node (255). *)
+
+val status : t -> int -> int
 (** Wire status of a node ({!Repro_discovery.Payload.status_alive} /
-    [status_suspect] / [status_down]), or [None] when never observed. *)
+    [status_suspect] / [status_down]), or {!unknown} when never
+    observed. Allocation-free. *)
 
 val version : t -> int -> int
 (** Highest observed incarnation of a node; 0 when never observed. *)

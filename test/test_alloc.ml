@@ -247,6 +247,66 @@ let test_unsorted_batch_merge_allocates_nothing () =
   if extra > 0.0 then
     Alcotest.failf "unsorted 64-id batch merge allocated %.0f minor words (expected 0)" extra
 
+(* A probe is encoded straight into its exactly sized frame: one
+   [Bytes] block of at most 11 bytes (kind byte plus two varints) is a
+   header and at most two words, with no growing buffer behind it. *)
+let test_probe_encode_is_one_block () =
+  List.iter
+    (fun (name, p) ->
+      let cal_before = Gc.minor_words () in
+      let cal_after = Gc.minor_words () in
+      let overhead = cal_after -. cal_before in
+      let before = Gc.minor_words () in
+      let frame = Wire.encode Wire.Adaptive ~universe:1024 p in
+      let after = Gc.minor_words () in
+      let extra = after -. before -. overhead in
+      ignore (Sys.opaque_identity frame);
+      if extra > 3.0 then Alcotest.failf "encoding a %s allocated %.0f words (budget 3)" name extra)
+    [
+      ("probe", Payload.Probe);
+      ("probe-req", Payload.Probe_req { target = 1000; nonce = 0x3FFF_FFFF });
+    ]
+
+(* Words allocated on both heaps: the minor count plus direct major
+   allocations (major words less the promoted ones, which the minor
+   count already holds). A large array skips the minor heap. The minor
+   count comes from [Gc.minor_words], which reads the allocation
+   pointer; the minor figure of [Gc.counters] can lag it. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* A decoded update batch is one flat int array of two words per
+   entry: a 300-entry full batch costs ~600 words in all, where a block
+   per entry would cost four words more each. The frame is spelled out
+   byte by byte (Share, codec 3 with the full flag, count 300, then
+   gap 0, version 1, status alive per entry). *)
+let test_batch_decode_is_flat () =
+  let entries = 300 in
+  let frame = Buffer.create (4 + (3 * entries)) in
+  Buffer.add_string frame "\000\067\172\002";
+  for _ = 1 to entries do
+    Buffer.add_string frame "\000\001\000"
+  done;
+  let frame = Buffer.to_bytes frame in
+  let cal_before = allocated_words () in
+  let cal_after = allocated_words () in
+  let overhead = cal_after -. cal_before in
+  let before = allocated_words () in
+  let decoded = Wire.decode Wire.Adaptive ~universe:1024 frame in
+  let after = allocated_words () in
+  let extra = after -. before -. overhead in
+  (match decoded with
+  | Ok (Payload.Share (Payload.Updates { full = true; entries = e }))
+    when Payload.update_count e = entries ->
+    ()
+  | Ok p -> Alcotest.failf "decoded the wrong payload: %s" (Format.asprintf "%a" Payload.pp p)
+  | Error msg -> Alcotest.failf "valid batch rejected: %s" msg);
+  let budget = float_of_int ((2 * entries) + 16) in
+  if extra > budget then
+    Alcotest.failf "decoding a %d-entry batch allocated %.0f words (budget %.0f)" entries extra
+      budget
+
 let () =
   Alcotest.run "alloc"
     [
@@ -266,5 +326,8 @@ let () =
             test_array_union_in_place_allocates_nothing;
           Alcotest.test_case "unsorted batch merge is allocation-free" `Quick
             test_unsorted_batch_merge_allocates_nothing;
+          Alcotest.test_case "probe encoding is one small block" `Quick
+            test_probe_encode_is_one_block;
+          Alcotest.test_case "update batch decoding is flat" `Quick test_batch_decode_is_flat;
         ] );
     ]

@@ -116,11 +116,47 @@ let test_lag_open_epoch_within_bound_ok () =
   Alcotest.(check int) "epoch open" 0 (Trace.Lag.closed lag);
   Alcotest.(check int) "but counted" 1 (Trace.Lag.epochs lag)
 
+(* Every member ticks once per virtual tick, so a fleet's trace repeats
+   each clock reading once per member. *)
+let fleet_ticks time = List.init 3 (fun node -> Trace.Tick { node; time; count = 1 })
+
+let test_lag_same_time_ticks_violation () =
+  let lag = Trace.Lag.create ~bound:5.0 () in
+  feed lag
+    ([ Trace.Join { node = 0 }; Trace.Join { node = 1 } ]
+    @ fleet_ticks 1.0
+    @ [ Trace.Crash { node = 1 } ]
+    @ fleet_ticks 3.0 @ fleet_ticks 6.0);
+  (* t = 6 is exactly the deadline of the change at t = 1: still in time *)
+  Alcotest.check_raises "first tick past the bound fires"
+    (Trace.Lag.Violation
+       "convergence lag exceeded: node 0 has not converged to epoch 1 (change at t=1) by t=6.5 \
+        (bound 5)")
+    (fun () -> feed lag (fleet_ticks 6.5))
+
+let test_lag_converge_between_same_time_ticks () =
+  let lag = Trace.Lag.create ~bound:5.0 () in
+  feed lag
+    ([ Trace.Join { node = 0 }; Trace.Join { node = 1 }; Trace.Join { node = 2 } ]
+    @ fleet_ticks 1.0
+    @ [ Trace.Crash { node = 2 }; tick 2.0; Trace.Converge { node = 0; epoch = 1 } ]);
+  Alcotest.(check int) "one node still behind" 0 (Trace.Lag.closed lag);
+  feed lag [ tick 2.0; Trace.Converge { node = 1; epoch = 1 } ];
+  (* the converge itself closes the epoch, not the next clock move *)
+  Alcotest.(check int) "closed at the converge" 1 (Trace.Lag.closed lag);
+  Alcotest.(check (float 0.0)) "lag measured at t=2" 1.0 (Trace.Lag.max_lag lag);
+  feed lag [ tick 2.0; tick 2.0 ];
+  Alcotest.(check int) "same-time ticks change nothing" 1 (Trace.Lag.closed lag);
+  Trace.Lag.final_check lag
+
 (* --- Wire codec 3: versioned update batches --------------------------- *)
 
 let updates ?(full = false) entries =
-  Payload.Updates
-    { full; entries = Array.of_list (List.map (fun (node, version, status) -> { Payload.node; version; status }) entries) }
+  let flat = Array.make (2 * List.length entries) 0 in
+  List.iteri
+    (fun i (node, version, status) -> Payload.set_update flat i ~node ~version ~status)
+    entries;
+  Payload.Updates { full; entries = flat }
 
 let roundtrip p =
   let b = Wire.encode Wire.Adaptive ~universe:300 p in
@@ -172,6 +208,20 @@ let test_wire_updates_size_exact () =
   let b = Wire.encode Wire.Adaptive ~universe:300 p in
   Alcotest.(check int) "encoded_size agrees" (Bytes.length b)
     (Wire.encoded_size Wire.Adaptive ~universe:300 p)
+
+(* The fabrication adversary merges its ids into a batch in node order,
+   skipping known and out-of-universe ids, so the forged batch still
+   encodes. *)
+let test_updates_fabrication_canonical () =
+  let forged =
+    Adversary.inject ~universe:300
+      (Payload.Share (updates [ (3, 5, 1); (9, 2, 0) ]))
+      [ 7; 1; 3; 400 ]
+  in
+  Alcotest.(check bool) "fabricated entries merged in node order" true
+    (forged = Payload.Share (updates [ (1, 0, 0); (3, 5, 1); (7, 0, 0); (9, 2, 0) ]));
+  Alcotest.(check (option (array int))) "ids" (Some [| 1; 3; 7; 9 |]) (Adversary.payload_ids forged);
+  Alcotest.(check bool) "still encodes" true (roundtrip forged = forged)
 
 (* --- Wire: failure-detector payloads ----------------------------------- *)
 
@@ -556,6 +606,10 @@ let () =
           Alcotest.test_case "departed excused" `Quick test_lag_departed_not_required;
           Alcotest.test_case "future epoch rejected" `Quick test_lag_future_epoch_rejected;
           Alcotest.test_case "open epoch within bound" `Quick test_lag_open_epoch_within_bound_ok;
+          Alcotest.test_case "same-time ticks: violation at first tick past bound" `Quick
+            test_lag_same_time_ticks_violation;
+          Alcotest.test_case "same-time ticks: converge closes epoch" `Quick
+            test_lag_converge_between_same_time_ticks;
         ] );
       ( "wire",
         [
@@ -563,6 +617,8 @@ let () =
           Alcotest.test_case "canonical form enforced" `Quick test_wire_updates_canonical_enforced;
           Alcotest.test_case "bad bytes rejected" `Quick test_wire_updates_bad_bytes_rejected;
           Alcotest.test_case "size exact" `Quick test_wire_updates_size_exact;
+          Alcotest.test_case "fabricated batch canonical" `Quick
+            test_updates_fabrication_canonical;
           Alcotest.test_case "probe payloads roundtrip" `Quick test_wire_probe_payloads_roundtrip;
           Alcotest.test_case "probe payloads canonical" `Quick
             test_wire_probe_payloads_canonical_enforced;

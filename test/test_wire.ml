@@ -177,6 +177,8 @@ let test_decode_validation () =
       ("hostile raw32 count", Bytes.of_string "\000\000\128\128\128\128\128\001");
       (* varint codec claiming more elements than remaining bytes *)
       ("hostile varint count", Bytes.of_string "\000\001\200\001\005");
+      (* zero padded onto a varint: the gap 0 spelled in two bytes *)
+      ("non-minimal varint", Bytes.of_string "\000\001\001\128\000");
       (* gap sum overflowing past max_int must not wrap negative *)
       ("gap overflow", Bytes.of_string "\000\001\001\255\255\255\255\255\255\255\255\062")
     ]
@@ -353,6 +355,127 @@ let test_bits_identity_multi_container () =
         sets)
     Wire.all_encodings
 
+(* --- the service payloads: codec 3 update batches and kinds 3-7 --- *)
+
+(* A canonical flat batch of [count] entries over a universe that fits
+   it: small gaps, versions up to 2^40, every status. Not shrunk:
+   shrinking a 600-entry batch takes longer than reading the failing
+   case. *)
+let gen_batch =
+  QCheck2.Gen.no_shrink
+  @@ QCheck2.Gen.(
+    let* count = int_range 0 600 in
+    let* gaps = list_size (return count) (int_range 0 4) in
+    let* versions = list_size (return count) (int_range 0 (1 lsl 40)) in
+    let* statuses = list_size (return count) (int_range 0 Payload.status_down) in
+    let* slack = int_range 1 50 in
+    let entries = Array.make (2 * count) 0 in
+    let prev = ref (-1) in
+    List.iteri
+      (fun i (gap, (version, status)) ->
+        let node = !prev + 1 + gap in
+        Payload.set_update entries i ~node ~version ~status;
+        prev := node)
+      (List.combine gaps (List.combine versions statuses));
+    return (!prev + slack, entries))
+
+let gen_service_payload =
+  QCheck2.Gen.(
+    let* universe, entries = gen_batch in
+    let* full = bool in
+    let* kind = int_range 0 7 in
+    let* target = int_range 0 (universe - 1) in
+    let* aux = int_range 0 (1 lsl 40) in
+    let data = Payload.Updates { full; entries } in
+    return
+      ( universe,
+        match kind with
+        | 0 -> Payload.Share data
+        | 1 -> Payload.Exchange data
+        | 2 -> Payload.Reply data
+        | 3 -> Payload.Probe
+        | 4 -> Payload.Halt
+        | 5 -> Payload.Probe_req { target; nonce = aux }
+        | 6 -> Payload.Probe_ack { target; nonce = aux }
+        | _ -> Payload.Suspicion { target; version = aux } ))
+
+let print_service (universe, p) =
+  Printf.sprintf "universe %d, %s" universe (Format.asprintf "%a" Payload.pp p)
+
+let prop_service_roundtrip =
+  QCheck2.Test.make ~name:"service payloads roundtrip at their exact size" ~count:300
+    ~print:print_service gen_service_payload (fun (universe, p) ->
+      let encoded = Wire.encode Wire.Adaptive ~universe p in
+      Bytes.length encoded = Wire.encoded_size Wire.Adaptive ~universe p
+      && Wire.decode Wire.Adaptive ~universe encoded = Ok p)
+
+(* A mutated service frame must decode to [Error] or to a payload that
+   re-encodes to exactly the mutated bytes (the decoder accepts only
+   canonical input), and must never raise. A flip of the codec byte can
+   turn the frame into an id-set codec, whose own fuzz test covers it:
+   there only the absence of an exception is asserted. *)
+let prop_service_mutations =
+  QCheck2.Test.make ~name:"mutated service frames decode canonically or not at all" ~count:1000
+    ~print:(fun ((universe, p), how, at, byte) ->
+      Printf.sprintf "%s; mutation %d at %d with %d" (print_service (universe, p)) how at byte)
+    QCheck2.Gen.(
+      let* universe_p = gen_service_payload in
+      let* how = int_range 0 2 in
+      let* at = nat in
+      let* byte = int_range 1 255 in
+      return (universe_p, how, at, byte))
+    (fun ((universe, p), how, at, byte) ->
+      let valid = Wire.encode Wire.Adaptive ~universe p in
+      let len = Bytes.length valid in
+      let mutated =
+        match how with
+        | 0 ->
+          let m = Bytes.copy valid in
+          let i = at mod len in
+          Bytes.set m i (Char.chr (Char.code (Bytes.get m i) lxor byte));
+          m
+        | 1 -> Bytes.sub valid 0 (at mod len)
+        | _ -> Bytes.cat valid (Bytes.make (1 + (at mod 3)) (Char.chr byte))
+      in
+      match Wire.decode Wire.Adaptive ~universe mutated with
+      | Error _ -> true
+      | Ok (Payload.Share (Payload.Ids _ | Payload.Bits _ | Payload.Delta _))
+      | Ok (Payload.Exchange (Payload.Ids _ | Payload.Bits _ | Payload.Delta _))
+      | Ok (Payload.Reply (Payload.Ids _ | Payload.Bits _ | Payload.Delta _)) ->
+        true
+      | Ok back -> Bytes.equal (Wire.encode Wire.Adaptive ~universe back) mutated
+      | exception e -> QCheck2.Test.fail_reportf "decode raised %s" (Printexc.to_string e))
+
+(* Encoding refuses a flat array that is not canonical: an odd length,
+   or two entries out of node order. *)
+let prop_noncanonical_batch_refused =
+  QCheck2.Test.make ~name:"odd-length or unordered flat batches are refused" ~count:300
+    QCheck2.Gen.(
+      let* universe, entries = gen_batch in
+      let* odd = bool in
+      let* i = nat in
+      let* j = nat in
+      return (universe, entries, odd, i, j))
+    (fun (universe, entries, odd, i, j) ->
+      let count = Payload.update_count entries in
+      QCheck2.assume (odd || count >= 2);
+      let bad =
+        if odd then Array.append entries [| i |]
+        else begin
+          (* move entry [i] onto or past entry [j > i] *)
+          let i = i mod (count - 1) in
+          let j = i + 1 + (j mod (count - 1 - i)) in
+          let b = Array.copy entries in
+          Payload.set_update b i ~node:(Payload.update_node entries j)
+            ~version:(Payload.update_version entries i) ~status:(Payload.update_status entries i);
+          b
+        end
+      in
+      let p = Payload.Share (Payload.Updates { full = false; entries = bad }) in
+      match Wire.encode Wire.Adaptive ~universe p with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+
 let () =
   ignore payload_testable;
   Alcotest.run "wire"
@@ -387,5 +510,8 @@ let () =
             prop_detector_roundtrip;
             prop_adaptive_never_worse;
             prop_bits_byte_identity;
+            prop_service_roundtrip;
+            prop_service_mutations;
+            prop_noncanonical_batch_refused;
           ] );
     ]
