@@ -103,16 +103,15 @@ let parse_event ~time = function
            bytes = int_of_string bytes;
          })
   | [ "deliver"; src; dst ] -> Ok (Trace.Deliver { src = int_of_string src; dst = int_of_string dst })
-  | [ "drop"; src; dst; reason ] ->
-    let reason =
-      match reason with
-      | "loss" -> Trace.Loss
-      | "dead_dst" -> Trace.Dead_dst
-      | "partitioned" -> Trace.Partitioned
-      | "throttled" -> Trace.Throttled
-      | _ -> Trace.Unjoined_dst
-    in
-    Ok (Trace.Drop { src = int_of_string src; dst = int_of_string dst; reason })
+  | [ "drop"; src; dst; name ] -> (
+    let drop reason = Ok (Trace.Drop { src = int_of_string src; dst = int_of_string dst; reason }) in
+    match name with
+    | "loss" -> drop Trace.Loss
+    | "dead_dst" -> drop Trace.Dead_dst
+    | "unjoined_dst" -> drop Trace.Unjoined_dst
+    | "partitioned" -> drop Trace.Partitioned
+    | "throttled" -> drop Trace.Throttled
+    | _ -> Error (Printf.sprintf "unknown drop reason %S" name))
   | [ "join"; node ] -> Ok (Trace.Join { node = int_of_string node })
   | [ "crash"; node ] -> Ok (Trace.Crash { node = int_of_string node })
   | [ "genesis"; node; ids ] ->
