@@ -297,10 +297,6 @@ let run_sockets (spec : spec) =
                 tick_period = spec.tick_period;
                 idle_timeout = Node.default_idle_timeout;
                 max_ticks;
-                connect_retries = Node.default_connect_retries;
-                backoff = Node.default_backoff;
-                backoff_cap = Node.default_backoff_cap;
-                rto = Node.default_rto;
                 fault = spec.fault;
                 announce;
                 encoding = spec.encoding;

@@ -56,10 +56,6 @@ type config = {
   tick_period : float;
   idle_timeout : float;
   max_ticks : int;  (** give up after this many ticks without halt *)
-  connect_retries : int;
-  backoff : float;  (** base retry delay (seconds) *)
-  backoff_cap : float;  (** upper bound on any single retry delay *)
-  rto : float;  (** retransmission timeout (seconds) *)
   fault : Fault.t;  (** link faults/partitions applied via {!Faultnet} *)
   announce : bool;  (** hello the neighbours on startup (set for restarts) *)
   encoding : Wire.encoding;
@@ -70,10 +66,6 @@ type config = {
 
 val default_tick_period : float
 val default_idle_timeout : float
-val default_connect_retries : int
-val default_backoff : float
-val default_backoff_cap : float
-val default_rto : float
 
 type report = { final : Control.final; halted : bool }
 
