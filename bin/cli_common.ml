@@ -1,0 +1,64 @@
+(* The command-line vocabulary discovery_cli and discovery_node share:
+   value converters, the flags both binaries accept, and the exit-code
+   discipline. Both binaries document --seed and --fault in their own
+   words, so those two builders take the doc string. *)
+
+open Repro_discovery
+open Cmdliner
+
+let topology_conv =
+  let parse s = Repro_graph.Generate.family_of_string s |> Result.map_error (fun e -> `Msg e) in
+  let print ppf f = Format.pp_print_string ppf (Repro_graph.Generate.family_name f) in
+  Arg.conv (parse, print)
+
+let algo_conv =
+  let parse s = Registry.find s |> Result.map_error (fun e -> `Msg e) in
+  let print ppf (a : Algorithm.t) = Format.pp_print_string ppf a.Algorithm.name in
+  Arg.conv (parse, print)
+
+let encoding_conv =
+  let parse s =
+    match List.find_opt (fun e -> Wire.encoding_name e = s) Wire.all_encodings with
+    | Some e -> Ok e
+    | None -> Error (`Msg (Printf.sprintf "unknown encoding %S (raw32|varint|bitmap|adaptive)" s))
+  in
+  Arg.conv (parse, fun ppf e -> Format.pp_print_string ppf (Wire.encoding_name e))
+
+let fault_conv =
+  let parse s = Repro_engine.Fault.of_string s |> Result.map_error (fun e -> `Msg e) in
+  Arg.conv (parse, Repro_engine.Fault.pp)
+
+let algo_arg =
+  Arg.(
+    value
+    & opt algo_conv Hm_gossip.algorithm
+    & info [ "a"; "algo" ] ~docv:"ALGO" ~doc:("Algorithm: " ^ Registry.parse_doc ()))
+
+let tick_arg =
+  Arg.(
+    value
+    & opt float Repro_net.Node.default_tick_period
+    & info [ "tick-period" ] ~docv:"SECONDS" ~doc:"Seconds between algorithm activations.")
+
+let encoding_arg =
+  Arg.(
+    value
+    & opt encoding_conv Wire.Adaptive
+    & info [ "encoding" ] ~docv:"CODEC" ~doc:"Wire codec: raw32, varint, bitmap or adaptive.")
+
+let seed_arg ~doc = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc)
+
+let fault_arg ~doc =
+  Arg.(value & opt fault_conv Repro_engine.Fault.none & info [ "fault" ] ~docv:"PLAN" ~doc)
+
+(* Exit-code discipline: 0 success, 1 operational failure (divergent
+   traces, non-convergence, DNF), 2 usage errors, 125 unexpected
+   exceptions. Commands return their code; cmdliner-level parse and
+   term errors are usage errors. *)
+let eval_and_exit cmd =
+  exit
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok code) -> code
+    | Ok `Help | Ok `Version -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> 125)

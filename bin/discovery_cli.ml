@@ -14,16 +14,7 @@ open Repro_util
 open Repro_graph
 open Repro_discovery
 open Cmdliner
-
-let topology_conv =
-  let parse s = Generate.family_of_string s |> Result.map_error (fun e -> `Msg e) in
-  let print ppf f = Format.pp_print_string ppf (Generate.family_name f) in
-  Arg.conv (parse, print)
-
-let algo_conv =
-  let parse s = Registry.find s |> Result.map_error (fun e -> `Msg e) in
-  let print ppf (a : Algorithm.t) = Format.pp_print_string ppf a.Algorithm.name in
-  Arg.conv (parse, print)
+open Cli_common
 
 let completion_conv =
   let parse = function
@@ -46,7 +37,7 @@ let completion_conv =
 let nodes_arg default ~doc = Arg.(value & opt int default & info [ "n"; "nodes" ] ~docv:"N" ~doc)
 let n_arg = nodes_arg 1024 ~doc:"Number of machines."
 
-let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Master random seed.")
+let seed_arg = seed_arg ~doc:"Master random seed."
 
 let topology_arg =
   Arg.(
@@ -57,12 +48,6 @@ let topology_arg =
           "Initial knowledge graph family: path, dpath, cycle, dcycle, star, instar, complete, \
            tree, grid, hypercube, lollipop, sorted_chain, kniesburges:W, kout:K, er:P, \
            clustered:C:K, seeds:S:F, ba:M, ws:K:B, geo:R.")
-
-let algo_arg =
-  Arg.(
-    value
-    & opt algo_conv Hm_gossip.algorithm
-    & info [ "a"; "algo" ] ~docv:"ALGO" ~doc:("Algorithm: " ^ Registry.parse_doc ()))
 
 let loss_arg =
   Arg.(value & opt float 0.0 & info [ "loss" ] ~docv:"P" ~doc:"Per-message drop probability.")
@@ -105,25 +90,18 @@ let jobs_arg =
            - 1, or \\$(b,REPRO_JOBS)). With a single seed: shard the one run's nodes across N \
            domains (default: 1); any N produces a byte-identical trace and result.")
 
-let fault_conv =
-  let parse s = Repro_engine.Fault.of_string s |> Result.map_error (fun e -> `Msg e) in
-  Arg.conv (parse, Repro_engine.Fault.pp)
-
 let fault_arg =
-  Arg.(
-    value
-    & opt fault_conv Repro_engine.Fault.none
-    & info [ "fault" ] ~docv:"PLAN"
-        ~doc:
-          "Unified fault plan, as a comma-separated DSL: loss=P, delay=T, dup=P, reorder=P, \
-           corrupt=P, cap=K (per-link messages per round; 0 = unlimited), \
-           link=SRC>DST:key=value:..., wan=R1|R2:key=value:... (per-link profile on every \
-           cross-region link), part=G1|G2@START..HEAL, crash=N@R, restart=N@R, join=N@R, \
-           leave=N@R (graceful departure, service runtime only), fabricate=NODE@ID, audit=1. \
-           Example: \
-           loss=0.1,part=0-3|4-7@5..20,crash=5@8,restart=5@14. Example: \
-           wan=0-3|4-7:delay=2:loss=0.1:cap=5. Composes with $(b,--loss) and \
-           $(b,--crashes), which overlay the plan.")
+  fault_arg
+    ~doc:
+      "Unified fault plan, as a comma-separated DSL: loss=P, delay=T, dup=P, reorder=P, \
+       corrupt=P, cap=K (per-link messages per round; 0 = unlimited), \
+       link=SRC>DST:key=value:..., wan=R1|R2:key=value:... (per-link profile on every \
+       cross-region link), part=G1|G2@START..HEAL, crash=N@R, restart=N@R, join=N@R, \
+       leave=N@R (graceful departure, service runtime only), fabricate=NODE@ID, audit=1. \
+       Example: \
+       loss=0.1,part=0-3|4-7@5..20,crash=5@8,restart=5@14. Example: \
+       wan=0-3|4-7:delay=2:loss=0.1:cap=5. Composes with $(b,--loss) and \
+       $(b,--crashes), which overlay the plan."
 
 (* --loss / --crashes predate the plan DSL; they overlay [base] so old
    invocations keep their exact semantics (including the crash-victim
@@ -434,12 +412,6 @@ let backend_info doc = Arg.info [ "backend" ] ~docv:"BACKEND" ~doc
 
 let live_backends = List.filter Repro_net.Backend.is_live Repro_net.Backend.all
 
-let tick_arg =
-  Arg.(
-    value
-    & opt float Repro_net.Node.default_tick_period
-    & info [ "tick-period" ] ~docv:"SECONDS" ~doc:"Seconds between algorithm activations.")
-
 let timeout_arg default ~doc =
   Arg.(value & opt float default & info [ "timeout" ] ~docv:"SECONDS" ~doc)
 
@@ -459,14 +431,6 @@ let loss_max_arg ~doc = Arg.(value & opt float 0.2 & info [ "loss-max" ] ~docv:"
 
 let cluster_cmd =
   let open Repro_net in
-  let encoding_conv =
-    let parse s =
-      match List.find_opt (fun e -> Wire.encoding_name e = s) Wire.all_encodings with
-      | Some e -> Ok e
-      | None -> Error (`Msg (Printf.sprintf "unknown encoding %S (raw32|varint|bitmap|adaptive)" s))
-    in
-    Arg.conv (parse, fun ppf e -> Format.pp_print_string ppf (Wire.encoding_name e))
-  in
   let backend_arg =
     Arg.(
       value
@@ -477,12 +441,6 @@ let cluster_cmd =
              $(b,tcp) (one process per node over 127.0.0.1) or $(b,mux) (every node a live \
              protocol instance multiplexed in this process — thousands of nodes, still \
              deterministic).")
-  in
-  let encoding_arg =
-    Arg.(
-      value
-      & opt encoding_conv Wire.Adaptive
-      & info [ "encoding" ] ~docv:"CODEC" ~doc:"Wire codec: raw32, varint, bitmap or adaptive.")
   in
   let no_check_arg =
     Arg.(
@@ -961,10 +919,6 @@ let topo_cmd =
     (Cmd.info "topo" ~doc:"Describe a generated topology.")
     Term.(const show $ topology_arg $ n_arg $ seed_arg)
 
-(* Exit-code discipline: 0 success, 1 operational failure (divergent
-   traces, non-convergence, DNF), 2 usage errors, 125 unexpected
-   exceptions. Subcommands return their code; cmdliner-level parse and
-   term errors are usage errors. *)
 let () =
   let doc = "Distributed resource discovery in sub-logarithmic time (PODC'15 reproduction)" in
   let info = Cmd.info "discovery" ~version:"1.0.0" ~doc in
@@ -975,9 +929,4 @@ let () =
         chaos_matrix_cmd; soak_cmd;
       ]
   in
-  exit
-    (match Cmd.eval_value group with
-    | Ok (`Ok code) -> code
-    | Ok `Help | Ok `Version -> 0
-    | Error (`Parse | `Term) -> 2
-    | Error `Exn -> 125)
+  eval_and_exit group
