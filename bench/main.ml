@@ -1,6 +1,6 @@
 (* bench/main.exe — the full benchmark harness.
 
-   Part 1 (B1-B11, B14): Bechamel microbenchmarks of the hot substrate
+   Part 1 (B2-B9, B11, B14): Bechamel microbenchmarks of the hot substrate
    operations (B14: one wire round trip of a snapshot) and of one
    complete discovery run per key algorithm, each measured on two
    instances: monotonic clock (ns/run) and minor-heap allocation
@@ -29,24 +29,6 @@ open Repro_graph
 open Repro_discovery
 
 (* ---------- microbenchmark subjects ---------- *)
-
-let bitset_pair n seed =
-  let rng = Rng.create ~seed in
-  let mk () =
-    let b = Bitset.create n in
-    for _ = 1 to n / 2 do
-      ignore (Bitset.add b (Rng.int rng n))
-    done;
-    b
-  in
-  (mk (), mk ())
-
-let b1_bitset_union =
-  let dst0, src = bitset_pair 16384 1 in
-  Test.make ~name:"B1 bitset_union_16384"
-    (Staged.stage (fun () ->
-         let dst = Bitset.copy dst0 in
-         ignore (Bitset.union_into ~dst ~src)))
 
 let b2_rng =
   let rng = Rng.create ~seed:2 in
@@ -147,29 +129,20 @@ let b9_broadcast =
   Test.make ~name:"B9 broadcast_round_65536"
     (Staged.stage (fun () -> sender.Algorithm.round ~round:1 ~send))
 
-(* Compressed-vs-dense set unions at the knowledge-state sizes the
-   large-n engine work targets. Same shape as B1: copy the destination,
-   union a fixed half-full source in. The adaptive set pays container
-   dispatch at 4096, meets its promotion boundary around 65,536 (one
-   container) and must win asymptotically at 1M, where the dense bitmap
-   scans 15,625 words regardless of occupancy. *)
-let union_pair_subjects =
-  List.concat_map
+(* Set unions at the knowledge-state sizes the large-n engine work
+   targets: copy the destination, union a fixed half-full source in. The
+   adaptive set pays container dispatch at 4096, meets its promotion
+   boundary around 65,536 (one container) and spans 16 containers at
+   1M. *)
+let union_subjects =
+  List.map
     (fun n ->
-      let dstb, srcb = bitset_pair n (n lxor 21) in
-      let dstc, srcc = cset_pair n (n lxor 22) in
-      [
-        Test.make
-          ~name:(Printf.sprintf "B10 bitset_union_%d" n)
-          (Staged.stage (fun () ->
-               let dst = Bitset.copy dstb in
-               ignore (Bitset.union_into ~dst ~src:srcb)));
-        Test.make
-          ~name:(Printf.sprintf "B11 cset_union_%d" n)
-          (Staged.stage (fun () ->
-               let dst = Cset.copy dstc in
-               ignore (Cset.union_into ~dst ~src:srcc)));
-      ])
+      let dst0, src = cset_pair n (n lxor 22) in
+      Test.make
+        ~name:(Printf.sprintf "B11 cset_union_%d" n)
+        (Staged.stage (fun () ->
+             let dst = Cset.copy dst0 in
+             ignore (Cset.union_into ~dst ~src))))
     [ 4096; 65536; 1048576 ]
 
 (* One wire round trip of a half-full knowledge snapshot at n = 65,536,
@@ -202,8 +175,8 @@ let estimate ols =
 let measure_subjects () =
   let tests =
     Test.make_grouped ~name:"repro"
-      ([ b1_bitset_union; b2_rng; b3_knowledge_merge; b4_graph_gen; b5; b6; b7; b8; b9_broadcast ]
-      @ union_pair_subjects @ [ b14_wire_bits ])
+      ([ b2_rng; b3_knowledge_merge; b4_graph_gen; b5; b6; b7; b8; b9_broadcast ]
+      @ union_subjects @ [ b14_wire_bits ])
   in
   let instances = Instance.[ monotonic_clock; minor_allocated ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 2.0) ~stabilize:true () in

@@ -27,7 +27,7 @@ val payload_ids : Payload.t -> int array option
 val inject : universe:int -> Payload.t -> int list -> Payload.t
 (** [inject ~universe p ids] returns [p] with [ids] added to its data
     (ids outside [0, universe) are ignored — they would not fit the
-    receiver's bitset). [Probe]/[Halt] pass through. A [Delta] with
+    receiver's knowledge set). [Probe]/[Halt] pass through. A [Delta] with
     additions becomes an [Ids] payload: the wire shape may change, but
     receivers treat both identically. *)
 

@@ -1,7 +1,7 @@
 (** Message payloads shared by every discovery algorithm.
 
-    A message either carries knowledge (as a bitset snapshot or an
-    explicit identifier list) or is a content-free pull request. The
+    A message either carries knowledge (as a frozen {!Repro_util.Cset}
+    snapshot or an explicit identifier list) or is a content-free pull request. The
     [Exchange] / [Share] distinction encodes whether the receiver owes a
     reply — the only protocol-level metadata the algorithms need. *)
 

@@ -12,8 +12,8 @@
      an array union that outgrows it takes the next doubling, capped at
      [arr_max], and one that fits merges in place (private payloads
      only — an aliased one is copied instead).
-   - [Bmp]: a dense bitmap, 32 bits per word (same packing and SWAR
-     popcount as {!Bitset}).
+   - [Bmp]: a dense bitmap, 32 bits per word, counted with a SWAR
+     popcount.
    - [Run]: sorted disjoint (start, length) pairs. Containers collapse
      to a single full run the moment they saturate, which makes the
      dominant steady state of discovery runs — every node knows
@@ -21,8 +21,8 @@
      whose source container is full replaces the destination container
      outright, and a union into a full destination is a no-op.
 
-   Sharing mirrors {!Bitset}: [freeze] is an O(containers) immutable
-   view; the owner keeps mutating through copy-on-write. Two levels:
+   Sharing: [freeze] is an O(containers) immutable view (mutating it
+   raises); the owner keeps mutating through copy-on-write. Two levels:
    the frozen view aliases the owner's container-pointer array (the
    owner re-materialises private container records on its first write
    after a freeze), and each re-materialised record initially aliases
@@ -143,7 +143,8 @@ let own_data c =
     c.cshared <- false
   end
 
-(* SWAR popcount over 32-bit values held in native ints (see Bitset). *)
+(* SWAR popcount over 32-bit values held in native ints: bit pairs, then
+   nibbles, then bytes summed by one multiply. *)
 let popcount x =
   let x = x - ((x lsr 1) land 0x55555555) in
   let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in

@@ -1,16 +1,17 @@
 (** Adaptive compressed integer sets (Roaring-style).
 
-    Drop-in companion to {!Bitset} for knowledge-scale universes: the
-    universe [0 .. n-1] is split into containers of 65,536 consecutive
+    The knowledge-set representation at every scale: the universe
+    [0 .. n-1] is split into containers of 65,536 consecutive
     ids, and each container independently picks a sorted array (sparse),
     a bitmap (dense) or run-length form (saturated) — so a set costs
     O(members) when sparse and O(1) per container once full, instead of
     O(n) bits always. Saturated containers also merge in O(1): the
     dominant case for converged knowledge sets.
 
-    The {!freeze} / copy-on-write contract is identical to
-    {!Bitset.freeze}: a frozen view is immutable and aliases the owner's
-    storage; the owner privatises on its first subsequent write. *)
+    {!freeze} gives an immutable view that aliases the owner's storage:
+    a mutator called on the view raises [Invalid_argument], and the
+    owner privatises on its first subsequent write (copy-on-write), so
+    existing views never change. *)
 
 type t
 
@@ -51,9 +52,12 @@ val copy : t -> t
 (** Independent (deep, always-mutable) copy. *)
 
 val freeze : t -> t
-(** O(containers) immutable view aliasing the owner's storage; the
-    owner stays mutable through copy-on-write. Same contract as
-    {!Bitset.freeze}. *)
+(** O(containers) immutable view aliasing the owner's storage, the
+    zero-copy path for snapshots shared across a fan-out. A mutator
+    ({!add}, {!remove}, {!union_into}, …) on the view raises
+    [Invalid_argument]; the owner stays mutable, and its first write
+    after the freeze re-materialises private storage, so the view never
+    changes. Freezing a frozen view returns it unchanged. *)
 
 val is_frozen : t -> bool
 

@@ -1,7 +1,7 @@
 (** Growable arrays of integers.
 
     Used for the insertion-ordered element lists that accompany knowledge
-    bitsets (uniform random choice over a knowledge set needs O(1) access
+    sets (uniform random choice over a knowledge set needs O(1) access
     by rank) and for per-round metric series. *)
 
 type t
