@@ -4,12 +4,6 @@ open Repro_engine
 
 type completion = Strong | Survivors_strong | Leader | Quiescent
 
-let completion_name = function
-  | Strong -> "strong"
-  | Survivors_strong -> "survivors"
-  | Leader -> "leader"
-  | Quiescent -> "quiescent"
-
 let labels_of ~seed n = Rng.permutation (Rng.substream ~seed ~index:0) n
 
 let instances ~seed (algo : Algorithm.t) topology =

@@ -19,10 +19,6 @@ open Repro_engine
     this type.) *)
 type completion = Strong | Survivors_strong | Leader | Quiescent
 
-val completion_name : completion -> string
-(** ["strong"], ["survivors"], ["leader"] or ["quiescent"] — the CLI
-    spelling. *)
-
 val labels_of : seed:int -> int -> int array
 (** The shared label permutation of a run with this master seed
     (see DESIGN.md §7): substream 0 of the seed. *)

@@ -128,7 +128,6 @@ let link_between t ~src ~dst =
       | Some w when region_of w src <> region_of w dst -> w.cross
       | _ -> t.base)
 
-let loss_between t ~src ~dst = (link_between t ~src ~dst).loss
 let overrides t = List.sort compare t.overrides
 
 let has_link_faults t =
@@ -242,7 +241,6 @@ let with_fabrication t ~node ~id =
 
 let fabrications t = Imap.bindings t.fabrications
 let fabricated_ids t ~node = Option.value ~default:[] (Imap.find_opt node t.fabrications)
-let has_fabrications t = not (Imap.is_empty t.fabrications)
 let with_audit t on = { t with audit = on }
 let audit t = t.audit
 

@@ -95,7 +95,6 @@ val link_between : t -> src:int -> dst:int -> link
     exists, else the WAN cross profile when the endpoints sit in different
     regions, else the base link. *)
 
-val loss_between : t -> src:int -> dst:int -> float
 val overrides : t -> ((int * int) * link) list
 (** All per-link overrides, sorted by (src, dst). *)
 
@@ -204,8 +203,6 @@ val fabrications : t -> (int * int list) list
 
 val fabricated_ids : t -> node:int -> int list
 (** The ids [node] fabricates (sorted; [] when honest). *)
-
-val has_fabrications : t -> bool
 
 val with_audit : t -> bool -> t
 (** Toggle content auditing: drivers emit [genesis] events (a node's

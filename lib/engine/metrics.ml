@@ -46,8 +46,6 @@ let record_send t ~pointers ~bytes =
 
 let record_delivery t = t.delivered <- t.delivered + 1
 let record_drop t = t.dropped <- t.dropped + 1
-let record_retransmit t = t.retransmits <- t.retransmits + 1
-let record_corrupt_frame t = t.corrupt_frames <- t.corrupt_frames + 1
 
 let absorb t ?(retransmits = 0) ?(corrupt_frames = 0) ~sent ~delivered ~dropped ~pointers ~bytes
     () =

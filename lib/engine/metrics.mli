@@ -16,14 +16,6 @@ val record_send : t -> pointers:int -> bytes:int -> unit
 val record_delivery : t -> unit
 val record_drop : t -> unit
 
-val record_retransmit : t -> unit
-(** A frame re-sent by the live path's reliability layer. Retransmits
-    are transport-level repair, not algorithm activity: they are never
-    counted as sends. *)
-
-val record_corrupt_frame : t -> unit
-(** A received frame rejected by its CRC. *)
-
 val absorb :
   t ->
   ?retransmits:int ->
@@ -54,7 +46,7 @@ val bytes_sent : t -> int
 
 val retransmits : t -> int
 (** Reliability-layer frame retransmissions (live path only; always 0 in
-    simulator runs). *)
+    simulator runs). Transport-level repair, never counted as sends. *)
 
 val corrupt_frames : t -> int
 (** Received frames rejected by CRC (live path only). *)

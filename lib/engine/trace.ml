@@ -69,8 +69,6 @@ let event_to_json = function
   | Complete -> {|{"ev":"complete"}|}
   | Give_up -> {|{"ev":"give_up"}|}
 
-let pp_event ppf ev = Format.pp_print_string ppf (event_to_json ev)
-
 type sink = Null | Fn of { emit : event -> unit; flush : unit -> unit }
 
 let null = Null

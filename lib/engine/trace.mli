@@ -89,8 +89,6 @@ val event_to_json : event -> string
     JSONL wire format. Times are printed with ["%.12g"], so equal floats
     always print identically (byte-stable reruns). *)
 
-val pp_event : Format.formatter -> event -> unit
-
 val drop_reason_name : drop_reason -> string
 (** ["loss"], ["dead_dst"], ["unjoined_dst"], ["partitioned"] or
     ["throttled"], as used in the JSON encoding. *)

@@ -65,7 +65,6 @@ let crc_update c buf off len =
   !c
 
 let crc_finish c = c lxor 0xFFFFFFFF
-let crc32 buf off len = crc_finish (crc_update crc_init buf off len)
 
 (* --- little-endian u32 helpers --- *)
 

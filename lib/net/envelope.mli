@@ -69,7 +69,3 @@ val decode : bytes -> off:int -> len:int -> [ `Frame of t * int | `Need_more | `
     many bytes it occupied; [`Need_more] means the buffer holds only a
     frame prefix; [`Corrupt] means the stream can no longer be trusted
     (the connection should be dropped — there is no resynchronisation). *)
-
-val crc32 : bytes -> int -> int -> int
-(** [crc32 buf off len]: CRC-32 (IEEE) of a byte range — exposed for
-    tests. *)

@@ -91,7 +91,6 @@ let self t = t.self
 let view t = t.view
 let incarnation t = t.incarnation
 let bootstrapping t = match t.bootstrap with Some _ -> true | None -> false
-let log_length t = Intvec.length t.log_nodes
 let health t = t.health
 
 (* The local-health multiplier: 1x when healthy, up to 3x when every

@@ -125,6 +125,3 @@ val leave : t -> unit
     incarnation to up to three live peers, so the fleet learns of the
     departure without waiting for failure detection. The member must
     not be stepped afterwards. *)
-
-val log_length : t -> int
-(** Update-log length (diagnostics). *)
