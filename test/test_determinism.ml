@@ -87,6 +87,90 @@ let test_sharded_run_trace_identical () =
           (String.length t1) (String.length t4))
     [ 1; 2; 3 ]
 
+(* hm's execution at scale, pinned. The n = 8 goldens barely exercise
+   the custody bookkeeping (few reporters, short report chains), so these
+   cells pin [(completed, rounds, messages, pointers, bytes)] of
+   1,024-node runs on kout:3 across the variants and fault paths that
+   drive it: loss, crashes, a healing partition and the asynchronous
+   engine (whose "rounds" are node activations). The capped and silent
+   ablations stall short of strong completion within T7's 300-round
+   budget; their stalled executions are pinned just the same. A change
+   to hm's internal state must leave every value unchanged. *)
+let scale_n = 1024
+
+let scale_topology =
+  lazy (Repro_experiments.Sweepcell.topology_of ~family:(Generate.K_out 3) ~n:scale_n ~seed:1)
+
+let find name = match Registry.find name with Ok a -> a | Error e -> failwith e
+
+(* [discovery_cli run --crashes K]: the same victims and crash rounds *)
+let crash_plan k =
+  let open Repro_util in
+  let rng = Rng.substream ~seed:1 ~index:0xdead in
+  Array.fold_left
+    (fun f node -> Fault.with_crash f ~node ~round:(1 + Rng.int rng 5))
+    Fault.none
+    (Rng.sample_distinct rng ~n:scale_n ~k ~avoid:(-1))
+
+let sync_cell name ?(completion = Run.Strong) fault () =
+  let r =
+    Run.exec_spec
+      { Run.default_spec with Run.seed = 1; fault; completion; max_rounds = Some 300 }
+      (find name) (Lazy.force scale_topology)
+  in
+  (r.Run.completed, r.Run.rounds, r.Run.messages, r.Run.pointers, r.Run.bytes)
+
+let async_cell name fault () =
+  let r =
+    Run_async.exec_spec
+      { Run_async.default_spec with Run_async.seed = 1; fault }
+      (find name) (Lazy.force scale_topology)
+  in
+  ( r.Run_async.completed,
+    r.Run_async.ticks,
+    r.Run_async.messages,
+    r.Run_async.pointers,
+    Metrics.bytes_sent r.Run_async.metrics )
+
+let scale_pins =
+  let loss p = Fault.with_loss Fault.none ~p in
+  let partition =
+    match Fault.of_string "loss=0.05,part=0-511|512-1023@3..12" with
+    | Ok f -> f
+    | Error e -> failwith e
+  in
+  [
+    ("hm", sync_cell "hm" Fault.none, (true, 6, 21674, 3931706, 1150074));
+    ("hm loss=0.2", sync_cell "hm" (loss 0.2), (true, 9, 28649, 8213547, 1636330));
+    ("hm:full", sync_cell "hm:full" Fault.none, (true, 6, 26068, 11927603, 2225137));
+    ("hm:full loss=0.2", sync_cell "hm:full" (loss 0.2), (true, 8, 32164, 16670444, 2933809));
+    ("hm:cap:4", sync_cell "hm:cap:4" Fault.none, (false, 300, 53735, 18926809, 2973452));
+    ( "hm:cap:4 loss=0.2",
+      sync_cell "hm:cap:4" (loss 0.2),
+      (false, 300, 535095, 236239572, 31397251) );
+    ( "hm:nobroadcast",
+      sync_cell "hm:nobroadcast" Fault.none,
+      (false, 300, 19335, 464016, 505366) );
+    ( "hm:nobroadcast loss=0.2",
+      sync_cell "hm:nobroadcast" (loss 0.2),
+      (false, 300, 19895, 428655, 471922) );
+    ( "hm crashes=50",
+      sync_cell "hm" ~completion:Run.Survivors_strong (crash_plan 50),
+      (true, 14, 44882, 19785233, 3209556) );
+    ( "hm loss=0.05 healing partition",
+      sync_cell "hm" partition,
+      (true, 15, 43054, 15826877, 2714699) );
+    ("async hm loss=0.1", async_cell "hm" (loss 0.1), (true, 9211, 29425, 9881778, 1860728));
+  ]
+
+let test_scale_pin run (ec, er, em, ep, eb) () =
+  let completed, rounds, messages, pointers, bytes = run () in
+  Alcotest.(check bool) "completed" ec completed;
+  Alcotest.(check int) "rounds" er rounds;
+  Alcotest.(check int) "messages" em messages;
+  Alcotest.(check int) "pointers" ep pointers;
+  Alcotest.(check int) "bytes" eb bytes
+
 let () =
   Alcotest.run "determinism"
     [
@@ -104,4 +188,9 @@ let () =
           Alcotest.test_case "sharded run trace is byte-identical" `Quick
             test_sharded_run_trace_identical;
         ] );
+      ( "hm at n=1024",
+        List.map
+          (fun (name, run, expected) ->
+            Alcotest.test_case name `Quick (test_scale_pin run expected))
+          scale_pins );
     ]
