@@ -129,20 +129,21 @@ let b9_broadcast =
   Test.make ~name:"B9 broadcast_round_65536"
     (Staged.stage (fun () -> sender.Algorithm.round ~round:1 ~send))
 
-(* Set unions at the knowledge-state sizes the large-n engine work
-   targets: copy the destination, union a fixed half-full source in. The
-   adaptive set pays container dispatch at 4096, meets its promotion
-   boundary around 65,536 (one container) and spans 16 containers at
-   1M. *)
-let union_subjects =
+(* Binary set operations at the knowledge-state sizes the large-n
+   engine work targets: copy the destination, then union a fixed
+   half-full source in, or diff it out (the custody bookkeeping hm runs
+   on every absorbed snapshot). The adaptive set pays container
+   dispatch at 4096, meets its promotion boundary around 65,536 (one
+   container) and spans 16 containers at 1M. *)
+let cset_subjects op_name op =
   List.map
     (fun n ->
       let dst0, src = cset_pair n (n lxor 22) in
       Test.make
-        ~name:(Printf.sprintf "B11 cset_union_%d" n)
+        ~name:(Printf.sprintf "B11 cset_%s_%d" op_name n)
         (Staged.stage (fun () ->
              let dst = Cset.copy dst0 in
-             ignore (Cset.union_into ~dst ~src))))
+             ignore (op ~dst ~src))))
     [ 4096; 65536; 1048576 ]
 
 (* One wire round trip of a half-full knowledge snapshot at n = 65,536,
@@ -176,7 +177,9 @@ let measure_subjects () =
   let tests =
     Test.make_grouped ~name:"repro"
       ([ b2_rng; b3_knowledge_merge; b4_graph_gen; b5; b6; b7; b8; b9_broadcast ]
-      @ union_subjects @ [ b14_wire_bits ])
+      @ cset_subjects "union" Cset.union_into
+      @ cset_subjects "diff" Cset.diff_into
+      @ [ b14_wire_bits ])
   in
   let instances = Instance.[ monotonic_clock; minor_allocated ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 2.0) ~stabilize:true () in

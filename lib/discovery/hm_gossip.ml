@@ -11,12 +11,12 @@ type state = {
   mutable prev_sent : int;  (* mark carried by the report one round ago *)
   mutable last_sent : int;  (* mark carried by the latest report *)
   mutable report_target : int;  (* current head candidate, -1 before the first report *)
-  upward_done : Cset.t;  (* identifiers that need not flow upward again *)
+  owed : Cset.t;  (* known identifiers not yet in smaller-ranked custody *)
   mutable last_custody : Knowledge.snap option;
-      (* physical identity of the last snapshot absorbed into
-         [upward_done]. A head's reply and broadcast of one version are
-         the same cached snapshot, so cluster members see every view
-         twice per round — the second absorption is skipped. *)
+      (* physical identity of the last snapshot absorbed into custody. A
+         head's reply and broadcast of one version are the same cached
+         snapshot, so cluster members see every view twice per round —
+         the second absorption is skipped. *)
   suspects : Cset.t;  (* nodes suspected crashed (silent head candidates) *)
   mutable silence : int;  (* rounds since the current target last answered *)
   mutable halted : bool;  (* local termination decision reached *)
@@ -54,10 +54,16 @@ let halt_patience = 5
      (heads never advance their report mark, so their first report after
      retiring carries everything they ever aggregated);
 
-   - no-echo filtering: identifiers taught by the current head are marked
-     in [upward_done] and skipped by later reports — they are already in
-     smaller-ranked custody, and echoing them would make the upward
-     traffic quadratic.
+   - no-echo filtering: identifiers taught by the current head are
+     already in smaller-ranked custody, and echoing them would make the
+     upward traffic quadratic, so reports carry only the [owed] ones.
+
+   [owed] is custody by exception: of the identifiers a node knows, the
+   few it still owes upward, rather than a second n-universe set of the
+   many it does not. It starts as the initial knowledge; an identifier
+   learned outside custody (a report, an introduction, a reporter's own
+   id) joins it before the merge; one taught by the current target, or
+   contained in an absorbed snapshot, leaves it.
 
    Under message loss the custody argument needs delivery, not just
    sending, so reports are retransmitted until acknowledged: each report
@@ -76,7 +82,7 @@ let make_with ~broadcast ~upward (ctx : Algorithm.ctx) =
       prev_sent = 0;
       last_sent = 0;
       report_target = -1;
-      upward_done = Cset.create ctx.n;
+      owed = Cset.copy (Knowledge.contents knowledge);
       last_custody = None;
       suspects = Cset.create ctx.n;
       silence = 0;
@@ -192,7 +198,7 @@ let make_with ~broadcast ~upward (ctx : Algorithm.ctx) =
             let total = Intvec.slice_length recent in
             let keep = ref 0 in
             for i = 0 to total - 1 do
-              if not (Cset.mem st.upward_done (Intvec.slice_get recent i)) then incr keep
+              if Cset.mem st.owed (Intvec.slice_get recent i) then incr keep
             done;
             if !keep = 0 then exchange_empty
             else if !keep = total then Payload.Exchange (Payload.Delta recent)
@@ -201,7 +207,7 @@ let make_with ~broadcast ~upward (ctx : Algorithm.ctx) =
               let j = ref 0 in
               for i = 0 to total - 1 do
                 let v = Intvec.slice_get recent i in
-                if not (Cset.mem st.upward_done v) then begin
+                if Cset.mem st.owed v then begin
                   fresh.(!j) <- v;
                   incr j
                 end
@@ -235,18 +241,34 @@ let make_with ~broadcast ~upward (ctx : Algorithm.ctx) =
     end
     end
   in
+  (* The ids of [d] not known yet are learned outside custody, so they
+     are owed upward: call before the merge. A snapshot in a [Reply] or
+     [Share] is absorbed into custody right after its merge instead;
+     only the [Full] ablation's snapshot reports enumerate here. *)
+  let owe v = if not (Knowledge.knows st.knowledge v) then ignore (Cset.add st.owed v) in
+  let settle v = ignore (Cset.remove st.owed v) in
+  let owe_fresh (d : Payload.data) =
+    match d with
+    | Payload.Bits b -> Cset.iter owe b.set
+    | Payload.Ids ids -> Array.iter owe ids
+    | Payload.Delta s -> Intvec.slice_iter owe s
+    | Payload.Updates u ->
+      for i = 0 to Payload.update_count u.entries - 1 do
+        owe (Payload.update_node u.entries i)
+      done
+  in
   (* A full snapshot's contents stay in the sharer's custody — the
      sharer either reports them down-rank itself or, if it is a head,
      hands over its backlog when it retires. Only the sharer's own
-     existence must keep flowing upward, so its done-bit is cleared when
-     the snapshot came from a foreign node. Small explicit lists
-     (introductions) are head identifiers that must propagate and are
-     never marked done. *)
+     existence must keep flowing upward, so it is owed again when the
+     snapshot came from a foreign node. Small explicit lists
+     (introductions) are head identifiers that must propagate and stay
+     owed. *)
   let absorb_custody (b : Knowledge.snap) =
     match st.last_custody with
     | Some p when p == b -> ()
     | _ ->
-      ignore (Cset.union_into ~dst:st.upward_done ~src:b.set);
+      ignore (Cset.diff_into ~dst:st.owed ~src:b.set);
       st.last_custody <- Some b
   in
   let note_custody ~src d =
@@ -254,7 +276,7 @@ let make_with ~broadcast ~upward (ctx : Algorithm.ctx) =
     | Payload.Bits b ->
       absorb_custody b;
       if src <> st.report_target then begin
-        ignore (Cset.remove st.upward_done src);
+        ignore (Cset.add st.owed src);
         (* Bulk-merged ids do not enter the learn order, but the
            sharer's own existence is now in our custody and must flow
            upward: make it an explicit learn. *)
@@ -279,29 +301,28 @@ let make_with ~broadcast ~upward (ctx : Algorithm.ctx) =
     | Exchange d ->
       if Payload.data_size d > 0 then st.saw_new_info <- true;
       if not (Knowledge.knows st.knowledge src) then wake ();
+      owe_fresh d;
       if Payload.merge_data st.knowledge d > 0 then wake ();
-      ignore (Knowledge.add st.knowledge src);
+      if Knowledge.add st.knowledge src then ignore (Cset.add st.owed src);
       Intvec.push st.pending_replies src
-    | Reply d ->
+    | Reply d when src = st.report_target -> (
       if Payload.merge_data st.knowledge d > 0 then wake ();
-      if src = st.report_target then begin
-        (if st.prev_sent > st.acked_upto then st.acked_upto <- st.prev_sent);
-        match d with
-        | Payload.Bits b -> absorb_custody b
-        | Payload.Ids ids -> Array.iter (fun v -> ignore (Cset.add st.upward_done v)) ids
-        | Payload.Delta s -> Intvec.slice_iter (fun v -> ignore (Cset.add st.upward_done v)) s
-        | Payload.Updates u ->
-          for i = 0 to Payload.update_count u.entries - 1 do
-            ignore (Cset.add st.upward_done (Payload.update_node u.entries i))
-          done
-      end
-      else note_custody ~src d
-    | Share d ->
+      (if st.prev_sent > st.acked_upto then st.acked_upto <- st.prev_sent);
+      match d with
+      | Payload.Bits b -> absorb_custody b
+      | Payload.Ids ids -> Array.iter settle ids
+      | Payload.Delta s -> Intvec.slice_iter settle s
+      | Payload.Updates u ->
+        for i = 0 to Payload.update_count u.entries - 1 do
+          settle (Payload.update_node u.entries i)
+        done)
+    | Reply d | Share d ->
+      (match d with Payload.Bits _ -> () | _ -> owe_fresh d);
       if Payload.merge_data st.knowledge d > 0 then wake ();
       note_custody ~src d
     | Probe ->
       if not (Knowledge.knows st.knowledge src) then wake ();
-      ignore (Knowledge.add st.knowledge src);
+      if Knowledge.add st.knowledge src then ignore (Cset.add st.owed src);
       Intvec.push st.pending_replies src
     | Halt -> st.halted <- true
     | Probe_req _ | Probe_ack _ | Suspicion _ -> ()

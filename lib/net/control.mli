@@ -50,5 +50,10 @@ val halt_line : string
 (** The halt command, as a line. *)
 
 val parse : string -> (msg, string) result
-(** Parse one node→harness line (without requiring the trailing
-    newline). *)
+(** Parse one node→harness line, with or without its trailing newline.
+    Only canonical lines are accepted — exactly what {!event_line},
+    {!completed_line} or {!final_line} prints, so an accepted line
+    re-encodes to itself byte for byte: integers are non-negative
+    decimals without a sign, leading zero, base prefix or underscore
+    (the final report's ["-1"] aside), and a time is finite and printed
+    as ["%.12g"] prints it. *)

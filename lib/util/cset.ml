@@ -936,6 +936,109 @@ let inter_cardinal a b =
   done;
   !total
 
+(* ---- difference ---- *)
+
+(* clear the members of bitmap container [c] in low ids [s, e), one
+   masked word at a time; [c] must be a private record. Returns the
+   number cleared. *)
+let clear_bit_range c s e =
+  let removed = ref 0 in
+  let v = ref s in
+  while !v < e do
+    let w = !v lsr 5 in
+    let hi = imin 32 (e - (w lsl 5)) in
+    let mask = ((1 lsl hi) - 1) land lnot ((1 lsl (!v land 31)) - 1) in
+    let hit = c.data.(w) land mask in
+    if hit <> 0 then begin
+      own_data c;
+      c.data.(w) <- c.data.(w) lxor hit;
+      removed := !removed + popcount hit
+    end;
+    v := (w + 1) lsl 5
+  done;
+  !removed
+
+(* remove from container [c] (private record, non-empty) every member of
+   [src] (non-empty, not full). Work follows [c]: an array is filtered in
+   place by probing [src]; a bitmap clears [src]'s bits word by word, or
+   member by member when [src] is a small array. A payload is copied
+   only when the first member is actually removed. Returns the number
+   removed. *)
+let cdiff c (src : container) range =
+  if c.kind = run_kind then to_bmp c range;
+  if c.kind = arr_kind then begin
+    let k = ref 0 in
+    for i = 0 to c.ccard - 1 do
+      let v = c.data.(i) in
+      if not (cmem src v) then begin
+        if !k <> i then begin
+          own_data c;
+          c.data.(!k) <- v
+        end;
+        incr k
+      end
+    done;
+    let removed = c.ccard - !k in
+    c.ccard <- !k;
+    removed
+  end
+  else begin
+    let removed = ref 0 in
+    (if src.kind = bmp_kind then
+       for w = 0 to Array.length c.data - 1 do
+         let hit = c.data.(w) land src.data.(w) in
+         if hit <> 0 then begin
+           own_data c;
+           c.data.(w) <- c.data.(w) lxor hit;
+           removed := !removed + popcount hit
+         end
+       done
+     else if src.kind = arr_kind then
+       for i = 0 to src.ccard - 1 do
+         let v = src.data.(i) in
+         let bit = 1 lsl (v land 31) in
+         if c.data.(v lsr 5) land bit <> 0 then begin
+           own_data c;
+           c.data.(v lsr 5) <- c.data.(v lsr 5) lxor bit;
+           incr removed
+         end
+       done
+     else
+       for r = 0 to src.nruns - 1 do
+         let s = src.data.(2 * r) in
+         removed := !removed + clear_bit_range c s (s + src.data.((2 * r) + 1))
+       done);
+    c.ccard <- c.ccard - !removed;
+    !removed
+  end
+
+let diff_into ~dst ~src =
+  same_capacity dst src;
+  if dst.status = Frozen then frozen_error ();
+  if dst.card = 0 || src.card = 0 then 0
+  else begin
+    (* a frozen view aliases the container records: re-materialise them
+       first, so the view keeps its members *)
+    unshare_set dst;
+    let removed = ref 0 in
+    for ci = 0 to Array.length dst.containers - 1 do
+      let c = dst.containers.(ci) and sc = src.containers.(ci) in
+      if c.ccard > 0 && sc.ccard > 0 then begin
+        let range = range_of dst ci in
+        if sc.ccard = range then begin
+          removed := !removed + c.ccard;
+          c.ccard <- 0
+        end
+        else removed := !removed + cdiff c sc range;
+        (* an emptied bitmap or run is released; an emptied array keeps
+           its small payload for the adds that refill it *)
+        if c.ccard = 0 && c.kind <> arr_kind then dst.containers.(ci) <- empty_c
+      end
+    done;
+    dst.card <- dst.card - !removed;
+    !removed
+  end
+
 let copy t =
   {
     n = t.n;

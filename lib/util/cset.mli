@@ -73,6 +73,17 @@ val union_into_with : dst:t -> src:t -> (int -> unit) -> int
     reserved for merges whose minima are unknown; snapshot merges use
     {!union_into}. *)
 
+val diff_into : dst:t -> src:t -> int
+(** [diff_into ~dst ~src] removes every element of [src] from [dst] and
+    returns the number removed; [src] is not modified. The work follows
+    [dst], not [src]: O(1) per container whose source container is full,
+    a probe of [src] per member of an array container, and a word pass
+    for a bitmap container. A private destination allocates nothing
+    unless a saturated run container has to split into a bitmap; a
+    destination with a frozen view re-materialises its containers
+    first, so the view keeps its members.
+    @raise Invalid_argument if [dst] is frozen or capacities differ. *)
+
 val inter_cardinal : t -> t -> int
 val equal : t -> t -> bool
 

@@ -221,6 +221,44 @@ let test_array_union_in_place_allocates_nothing () =
   if extra > 0.0 then
     Alcotest.failf "in-place array union allocated %.0f minor words (expected 0)" extra
 
+(* A difference into a private destination works in place: a bitmap
+   container clears the source's bits, an array container is compacted
+   over its own payload, and a container whose source is saturated is
+   emptied. hm runs this on every snapshot it absorbs into custody. The
+   source is a frozen view, as a snapshot's set is. *)
+let test_diff_into_allocates_nothing () =
+  let dn = 140_000 in
+  let dst = Cset.create dn in
+  for v = 0 to 65_535 do
+    if v mod 3 = 0 then ignore (Cset.add dst v)
+  done;
+  for i = 0 to 19 do
+    ignore (Cset.add dst (65_536 + (3 * i)));
+    ignore (Cset.add dst (131_072 + i))
+  done;
+  let src = Cset.create dn in
+  for v = 0 to 65_535 do
+    if v mod 2 = 0 then ignore (Cset.add src v)
+  done;
+  for i = 0 to 19 do
+    ignore (Cset.add src (65_536 + (2 * i)))
+  done;
+  for v = 131_072 to dn - 1 do
+    ignore (Cset.add src v)
+  done;
+  let src = Cset.freeze src in
+  let cal_before = Gc.minor_words () in
+  let cal_after = Gc.minor_words () in
+  let overhead = cal_after -. cal_before in
+  let before = Gc.minor_words () in
+  let removed = Cset.diff_into ~dst ~src in
+  let after = Gc.minor_words () in
+  let extra = after -. before -. overhead in
+  (* multiples of 6: 10,923 in the bitmap, 7 in the array; all 20 of the
+     last container *)
+  if removed <> 10_923 + 7 + 20 then Alcotest.failf "diff removed %d ids (expected 10950)" removed;
+  if extra > 0.0 then Alcotest.failf "difference allocated %.0f minor words (expected 0)" extra
+
 (* A batch merge filters the fresh ids into a reused domain-local
    scratch and sorts it in place: once the scratch has grown (the
    warm-up batch), an unsorted 64-id batch allocates nothing. The
@@ -324,6 +362,8 @@ let () =
             test_heap_push_pop_allocates_nothing;
           Alcotest.test_case "in-place array union is allocation-free" `Quick
             test_array_union_in_place_allocates_nothing;
+          Alcotest.test_case "difference into a private set is allocation-free" `Quick
+            test_diff_into_allocates_nothing;
           Alcotest.test_case "unsorted batch merge is allocation-free" `Quick
             test_unsorted_batch_merge_allocates_nothing;
           Alcotest.test_case "probe encoding is one small block" `Quick

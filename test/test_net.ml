@@ -230,12 +230,49 @@ let test_control_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown drop reason parsed"
 
+(* The decoder takes each line only in the form the encoder prints it,
+   with or without the trailing newline. *)
+let test_control_canonical_only () =
+  List.iter
+    (fun line ->
+      match Control.parse line with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "non-canonical line %S parsed" line)
+    [
+      "E 01 tick 3 2";
+      "E 1.0 tick 3 2";
+      "E 1e3 tick 3 2";
+      "E nan complete";
+      "E inf complete";
+      "E 1 tick 03 2";
+      "E 1 tick +3 2";
+      "E 1 tick 0x1f 2";
+      "E 1 tick 1_0 2";
+      "E 1 tick -3 2";
+      "E 1 genesis 0 1,02";
+      "E 1 genesis 0 ";
+      "C 1 -1";
+      "C 1 007";
+      "F 1 2 3 4 5 6 -2 0 0 0";
+      "F 1 2 3 4 5 6 7 -0 0 0";
+      " E 1 complete";
+      "E 1 complete ";
+      "E 1 complete\r\n";
+      "E 1 complete\n\n";
+    ];
+  List.iter
+    (fun line ->
+      match Control.parse line with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "canonical line %S refused: %s" line e)
+    [ "E 1 complete"; "E 1 complete\n"; "E 0.25 tick 0 10"; "C 1e-05 0"; "F 0 0 0 0 0 0 -1 0 0 0" ]
+
 let drop_reasons = Trace.[ Loss; Dead_dst; Unjoined_dst; Partitioned; Throttled ]
 
 (* Times a "%.12g" line carries exactly: k / 1000 is the double nearest
    the 12-digit decimal the line prints. *)
 let gen_time = QCheck2.Gen.(map (fun k -> float_of_int k /. 1000.) (int_range 0 1_000_000_000))
-let gen_int = QCheck2.Gen.(oneof [ nat; int ])
+let gen_int = QCheck2.Gen.(oneof [ nat; map (fun x -> x land max_int) int ])
 let gen_ids = QCheck2.Gen.(map Array.of_list (list_size (int_range 0 6) nat))
 
 (* Every [Trace.event] constructor, at the time its line carries
@@ -340,6 +377,45 @@ let gen_mutated_line =
           (fun extra -> join (tokens @ [ extra ]))
           (oneof [ string_size (int_range 0 4); oneofl [ "-"; "loss"; "1.5"; "7"; "x,y" ] ]);
       ])
+
+(* The line a decoded message encodes to. *)
+let encode_msg = function
+  | Control.Event (time, ev) -> Control.event_line ~time ev
+  | Control.Completed (time, tick) -> Control.completed_line ~time ~tick
+  | Control.Final f -> Control.final_line f
+
+(* A valid line with one token rewritten into a spelling [int_of_string]
+   or [float_of_string] would still read: a leading zero or sign, hex,
+   an underscore, an exponent, a trailing fraction. *)
+let gen_respelled_line =
+  QCheck2.Gen.(
+    let* line = map (fun (time, ev) -> Control.event_line ~time ev) gen_timed_event in
+    let tokens = String.split_on_char ' ' (String.sub line 0 (String.length line - 1)) in
+    let* k = int_range 1 (List.length tokens - 1) in
+    let+ respell =
+      oneofl
+        [
+          (fun t -> "0" ^ t);
+          (fun t -> "+" ^ t);
+          (fun t -> "-" ^ t);
+          (fun t -> "0x" ^ t);
+          (fun t -> t ^ "_");
+          (fun t -> t ^ "e0");
+          (fun t -> t ^ ".0");
+          (fun t -> t ^ "0");
+        ]
+    in
+    String.concat " " (List.mapi (fun j t -> if j = k then respell t else t) tokens) ^ "\n")
+
+let prop_control_accepted_reencode =
+  QCheck2.Test.make ~name:"every accepted line re-encodes byte-for-byte" ~count:3000
+    QCheck2.Gen.(oneof [ gen_mutated_line; gen_respelled_line ])
+    (fun line ->
+      match Control.parse line with
+      | Error _ -> true
+      | Ok msg ->
+        let line = if String.ends_with ~suffix:"\n" line then line else line ^ "\n" in
+        String.equal (encode_msg msg) line)
 
 let prop_control_mutations_total =
   QCheck2.Test.make ~name:"mutated lines parse to Ok or Error, never raise" ~count:2000
@@ -884,11 +960,13 @@ let () =
         ] );
       ( "control",
         Alcotest.test_case "roundtrip" `Quick test_control_roundtrip
+        :: Alcotest.test_case "canonical lines only" `Quick test_control_canonical_only
         :: List.map QCheck_alcotest.to_alcotest
              [
                prop_control_event_roundtrip;
                prop_control_completed_final_roundtrip;
                prop_control_unknown_reason;
+               prop_control_accepted_reencode;
                prop_control_mutations_total;
              ] );
       ( "backoff",

@@ -377,7 +377,9 @@ let gen_batch =
         Payload.set_update entries i ~node ~version ~status;
         prev := node)
       (List.combine gaps (List.combine versions statuses));
-    return (!prev + slack, entries))
+    (* at least 1: an empty batch with slack 1 would otherwise give
+       universe 0, which has no valid probe target to draw *)
+    return (max 1 (!prev + slack), entries))
 
 let gen_service_payload =
   QCheck2.Gen.(
