@@ -146,6 +146,49 @@ let cset_subjects op_name op =
              ignore (op ~dst ~src))))
     [ 4096; 65536; 1048576 ]
 
+(* The mid-density band hm's merges live in: at n = 17,408 (one
+   container) a node's knowledge passes from a few ids to all of them
+   in about 7 rounds. [card] members per side: 32 stays a sorted array
+   under both the old (range/32 = 544) and the current promotion point,
+   256 sits between the two (an Arr∪Arr merge before, a bitmap word
+   pass now), and 1,024 is a bitmap under both. *)
+let cset_union_band =
+  let n = 17408 in
+  List.map
+    (fun card ->
+      let rng = Rng.create ~seed:(card + 17) in
+      let mk () =
+        let b = Cset.create n in
+        while Cset.cardinal b < card do
+          ignore (Cset.add b (Rng.int rng n))
+        done;
+        b
+      in
+      let dst0 = mk () and src = mk () in
+      Test.make
+        ~name:(Printf.sprintf "B11 cset_union_%d_card%d" n card)
+        (Staged.stage (fun () ->
+             let dst = Cset.copy dst0 in
+             ignore (Cset.union_into ~dst ~src))))
+    [ 32; 256; 1024 ]
+
+(* A sorted insert into a long-lived array container one member short
+   of promotion (n = 65,536, 255 members): adding the smallest absent
+   id shifts every member up a slot, and removing it shifts them back.
+   The set lives on the major heap, where a generic [Array.blit] pays
+   the write barrier per moved element. *)
+let cset_add_sorted =
+  let n = 65536 in
+  let t = Cset.create n in
+  for i = 1 to 255 do
+    ignore (Cset.add t (i * 256))
+  done;
+  Gc.full_major ();
+  Test.make ~name:"B11 cset_add_sorted_65536"
+    (Staged.stage (fun () ->
+         ignore (Cset.add t 0);
+         ignore (Cset.remove t 0)))
+
 (* One wire round trip of a half-full knowledge snapshot at n = 65,536,
    the per-frame cost a snapshot pays on the mux path: Adaptive picks
    the bitmap codec at this density, so the subject is the set-to-bytes
@@ -179,7 +222,8 @@ let measure_subjects () =
       ([ b2_rng; b3_knowledge_merge; b4_graph_gen; b5; b6; b7; b8; b9_broadcast ]
       @ cset_subjects "union" Cset.union_into
       @ cset_subjects "diff" Cset.diff_into
-      @ [ b14_wire_bits ])
+      @ cset_union_band
+      @ [ cset_add_sorted; b14_wire_bits ])
   in
   let instances = Instance.[ monotonic_clock; minor_allocated ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 2.0) ~stabilize:true () in
@@ -284,14 +328,44 @@ let print_table rows =
   Table.print table;
   print_newline ()
 
+(* The CPU model, which is what tells two hosts' numbers apart; the
+   OS type where /proc/cpuinfo does not exist. *)
+let host () =
+  let model =
+    try
+      In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.find_map (fun line ->
+             match String.index_opt line ':' with
+             | Some i when String.trim (String.sub line 0 i) = "model name" ->
+               Some (String.trim (String.sub line (i + 1) (String.length line - i - 1)))
+             | _ -> None)
+    with Sys_error _ -> None
+  in
+  Option.value model ~default:Sys.os_type
+
+(* [git describe] of the working tree, [None] outside a git checkout *)
+let commit () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> None
+  | ic ->
+    let line = In_channel.input_line ic in
+    if Unix.close_process_in ic = Unix.WEXITED 0 then line else None
+
 (* Machine-readable trajectory point: one JSON document per bench run,
-   compared across PRs. NaN (an estimate bechamel could not produce) is
-   encoded as null. *)
+   compared across PRs. The header names the host, its core count and
+   the commit ([git describe --always --dirty], null outside a git
+   checkout), the fields of the ROADMAP's row schema. NaN (an estimate
+   bechamel could not produce) is encoded as null. *)
 let write_json path rows =
   let oc = open_out path in
   let num v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
   output_string oc "{\n";
-  output_string oc "  \"schema\": \"repro-bench/v1\",\n";
+  output_string oc "  \"schema\": \"repro-bench/v2\",\n";
+  Printf.fprintf oc "  \"host\": %S,\n" (host ());
+  Printf.fprintf oc "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
+  Printf.fprintf oc "  \"commit\": %s,\n"
+    (match commit () with Some c -> Printf.sprintf "%S" c | None -> "null");
   output_string oc "  \"units\": { \"ns_per_run\": \"ns\", \"minor_words_per_run\": \"words\" },\n";
   output_string oc "  \"subjects\": [\n";
   List.iteri

@@ -6,12 +6,17 @@
 
    - [Arr]: a sorted array of the member ids' low 16 bits. O(members)
      memory — a node that knows 12 of 65,536 ids pays 16 words, not a
-     2 KB bitmap. Promoted to [Bmp] past [arr_max] (= range/32, the
-     memory crossover between 1 word/member and 1 bit/member). The
-     payload's capacity follows [add]: 8 slots, doubling as it fills;
-     an array union that outgrows it takes the next doubling, capped at
-     [arr_max], and one that fits merges in place (private payloads
-     only — an aliased one is copied instead).
+     2 KB bitmap. Promoted to [Bmp] past [arr_max] (= range/256), where
+     a bitmap becomes the cheaper one to merge into: an array union or
+     sorted insert moves every member, a bitmap absorbs a member with
+     one OR and a bitmap source one word at a time. The array is still
+     the smaller of the two there; promotion follows merge cost, not
+     memory. The payload's capacity follows [add]: 8 slots, doubling as
+     it fills; an array union that outgrows it takes the next doubling,
+     capped at [arr_max], and one that fits merges in place (private
+     payloads only — an aliased one is copied instead). Int payloads
+     move through [Intvec.blit_ints], never [Array.blit], which pays
+     the write barrier per element into a major-heap array.
    - [Bmp]: a dense bitmap, 32 bits per word, counted with a SWAR
      popcount.
    - [Run]: sorted disjoint (start, length) pairs. Containers collapse
@@ -139,7 +144,7 @@ let writable t ci =
 (* data array about to be written in place: privatise if aliased *)
 let own_data c =
   if c.cshared then begin
-    c.data <- Array.copy c.data;
+    c.data <- Intvec.copy_ints c.data;
     c.cshared <- false
   end
 
@@ -153,9 +158,13 @@ let popcount x =
 
 let words_for range = (range + 31) lsr 5
 
-(* Arr -> Bmp promotion threshold: the memory crossover (1 word/member
-   vs 1 bit/member), floored so tiny containers still start as arrays. *)
-let arr_max range = imax 8 (range lsr 5)
+(* Arr -> Bmp promotion threshold, floored so tiny containers still
+   start as arrays: the merge-cost crossover, measured on whole hm runs
+   at n = 17,408 and 65,536 over range/32 … range/512 (EXPERIMENTS.md,
+   "Cset by merge cost"). range/32, the memory crossover (1 word/member
+   vs 1 bit/member) it used to be, kept hm's mid-density knowledge sets
+   in sorted arrays whose unions cost most of the merge time. *)
+let arr_max range = imax 8 (range lsr 8)
 
 (* ---- per-kind membership ---- *)
 
@@ -236,11 +245,10 @@ let maybe_collapse c range = if c.ccard = range then make_full c range
 (* ---- add / remove ---- *)
 
 let ensure_containers t ci =
-  if ci >= Array.length t.containers then begin
-    let len = imax (ci + 1) (imax 1 (2 * Array.length t.containers)) in
-    let a = Array.make len empty_c in
-    Array.blit t.containers 0 a 0 (Array.length t.containers);
-    t.containers <- a
+  let len = Array.length t.containers in
+  if ci >= len then begin
+    let grown = imax (ci + 1) (imax 1 (2 * len)) in
+    t.containers <- Array.append t.containers (Array.make (grown - len) empty_c)
   end
 
 let add t v =
@@ -269,15 +277,15 @@ let add t v =
            (* grow (always produces a private array, so no own_data) *)
            let cap = imax 8 (2 * Array.length c.data) in
            let a = Array.make cap 0 in
-           Array.blit c.data 0 a 0 pos;
-           Array.blit c.data pos a (pos + 1) (c.ccard - pos);
+           Intvec.blit_ints c.data 0 a 0 pos;
+           Intvec.blit_ints c.data pos a (pos + 1) (c.ccard - pos);
            a.(pos) <- low;
            c.data <- a;
            c.cshared <- false
          end
          else begin
            own_data c;
-           Array.blit c.data pos c.data (pos + 1) (c.ccard - pos);
+           Intvec.blit_ints c.data pos c.data (pos + 1) (c.ccard - pos);
            c.data.(pos) <- low
          end
        end
@@ -314,7 +322,7 @@ let remove t v =
      else begin
        own_data c;
        let pos = arr_rank c.data c.ccard low in
-       Array.blit c.data (pos + 1) c.data pos (c.ccard - pos - 1)
+       Intvec.blit_ints c.data (pos + 1) c.data pos (c.ccard - pos - 1)
      end);
     c.ccard <- c.ccard - 1;
     t.card <- t.card - 1;
@@ -745,7 +753,7 @@ let cunion t ci c (src : container) base f =
       if (not c.cshared) && un <= cap then begin
         (* private payload with room: lift the members to its top and
            merge forward from the bottom, allocating nothing *)
-        Array.blit c.data 0 c.data (cap - na) na;
+        Intvec.blit_ints c.data 0 c.data (cap - na) na;
         merge_sorted c.data (cap - na) na src.data src.ccard c.data f base
       end
       else begin
@@ -861,7 +869,7 @@ let union_gen ~dst ~src f =
             let avals = dc0.data and acard = dc0.ccard in
             let c = writable dst ci in
             c.kind <- bmp_kind;
-            c.data <- Array.copy sc.data;
+            c.data <- Intvec.copy_ints sc.data;
             c.nruns <- 0;
             c.cshared <- false;
             c.ccard <- sc.ccard;
@@ -1048,7 +1056,7 @@ let copy t =
         (fun c ->
           if c.ccard = 0 then empty_c
           else
-            { kind = c.kind; data = Array.copy c.data; ccard = c.ccard; nruns = c.nruns;
+            { kind = c.kind; data = Intvec.copy_ints c.data; ccard = c.ccard; nruns = c.nruns;
               cshared = false })
         t.containers;
     card = t.card;

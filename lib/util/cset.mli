@@ -8,6 +8,15 @@
     O(n) bits always. Saturated containers also merge in O(1): the
     dominant case for converged knowledge sets.
 
+    The sparse/dense boundary is set by merge cost, not memory. A
+    container turns into a bitmap past 1/256 of its span (floored at 8
+    members), long before the bitmap would be the smaller form: a
+    sorted-array union walks and moves every member of both sides,
+    while a bitmap absorbs each source member with one OR. Knowledge
+    sets spend most of their merges in that mid-density band.
+    Representation never shows through the interface: iteration order,
+    results and callbacks are the same for every choice.
+
     {!freeze} gives an immutable view that aliases the owner's storage:
     a mutator called on the view raises [Invalid_argument], and the
     owner privatises on its first subsequent write (copy-on-write), so

@@ -1,5 +1,35 @@
 type t = { mutable data : int array; mutable len : int }
 
+(* Int moves. [Array.blit] cannot tell an [int array] from an array of
+   pointers, so into an array on the major heap it pays the write
+   barrier ([caml_modify]) per element, several times the cost of
+   these loops, whose [int array] stores compile to plain moves. *)
+let blit_ints (src : int array) spos (dst : int array) dpos len =
+  if len < 0 || spos < 0 || spos > Array.length src - len || dpos < 0
+     || dpos > Array.length dst - len
+  then invalid_arg "Intvec.blit_ints: invalid range";
+  if src == dst && spos < dpos then
+    for i = len - 1 downto 0 do
+      Array.unsafe_set dst (dpos + i) (Array.unsafe_get src (spos + i))
+    done
+  else
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst (dpos + i) (Array.unsafe_get src (spos + i))
+    done
+
+(* A copy of up to 256 words (the runtime's Max_young_wosize) lands on
+   the minor heap, where [Array.copy] is one memcpy; a larger one lands
+   on the major heap, where [Array.copy] initialises element by element
+   and the int loop is faster. *)
+let copy_ints (a : int array) =
+  let n = Array.length a in
+  if n <= 256 then Array.copy a
+  else begin
+    let b = Array.make n 0 in
+    blit_ints a 0 b 0 n;
+    b
+  end
+
 let create ?(capacity = 8) () = { data = Array.make (max capacity 1) 0; len = 0 }
 let length t = t.len
 
@@ -16,7 +46,7 @@ let set t i v =
 let reserve t cap =
   if cap > Array.length t.data then begin
     let data = Array.make cap 0 in
-    Array.blit t.data 0 data 0 t.len;
+    blit_ints t.data 0 data 0 t.len;
     t.data <- data
   end
 
@@ -81,7 +111,7 @@ let sort_prefix arr m =
 
 let sort t = sort_prefix t.data t.len
 
-let of_array a = { data = (if Array.length a = 0 then Array.make 1 0 else Array.copy a); len = Array.length a }
+let of_array a = { data = (if Array.length a = 0 then Array.make 1 0 else copy_ints a); len = Array.length a }
 
 (* Zero-copy slices. A slice captures the backing array by reference, so
    it stays valid across later [push]es (including ones that grow and

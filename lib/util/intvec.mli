@@ -44,6 +44,22 @@ val of_array : int array -> t
 val last : t -> int
 (** @raise Invalid_argument if empty. *)
 
+(** {2 Int moves}
+
+    [Array.blit] on an array in the major heap pays the write barrier
+    per element, because it cannot know the elements are immediate.
+    These are int-typed moves for the int payloads of this module and
+    of {!Cset}. *)
+
+val blit_ints : int array -> int -> int array -> int -> int -> unit
+(** [blit_ints src spos dst dpos len] copies [src.(spos .. spos+len-1)]
+    to [dst.(dpos ..)], like [Array.blit]; overlapping ranges of one
+    array are handled. @raise Invalid_argument on an invalid range. *)
+
+val copy_ints : int array -> int array
+(** A fresh copy of the whole array: [Array.copy] while the copy fits
+    the minor heap, the int-typed loop above that. *)
+
 (** {2 Zero-copy slices}
 
     A slice is a read-only window into a vector's backing storage,

@@ -1,7 +1,8 @@
 (* Unit and property tests for Repro_util.Cset, the adaptive compressed
    set behind large-n knowledge state. Every operation is checked
-   against a sorted, duplicate-free int list, with generators biased to cross the container representation boundaries:
-   sorted-array → bitmap promotion at range/32 members, bitmap → run
+   against a sorted, duplicate-free int list, with generators biased
+   to cross the container representation boundaries: sorted-array →
+   bitmap promotion at range/256 members (floored at 8), bitmap → run
    collapse at saturation, and multi-container universes. *)
 
 open Repro_util
@@ -33,7 +34,8 @@ let test_empty () =
   check_int "capacity" 100 (Cset.capacity t)
 
 let test_add_remove_promote () =
-  (* range 320 → promotion to bitmap at 10 members; walk across it *)
+  (* range 320 → promotion to bitmap at 8 members (the floor); walk
+     across it *)
   let n = 320 in
   let t = Cset.create n in
   let m = ref [] in
@@ -113,6 +115,34 @@ let test_container_edges () =
   check_bool "mem removed" false (Cset.mem t 65_536);
   check_bool "neighbour kept" true (Cset.mem t 65_535);
   check_int "cardinal after remove" (List.length edges - 1) (Cset.cardinal t)
+
+(* Sorted inserts and removals shift the members of an array container
+   in place. Fill one container to a member short of promotion in
+   descending order (every add lands at the front and moves the whole
+   array), move it to the major heap, then remove and re-add members
+   in the middle, checking against the model after each step. *)
+let test_array_shifts () =
+  let n = 65_536 in
+  let t = Cset.create n in
+  let members = List.init 255 (fun i -> (254 - i) * 257) in
+  List.iter (fun v -> check_bool "add" true (Cset.add t v)) members;
+  Gc.full_major ();
+  let m = ref (model_of members) in
+  let agree what = Alcotest.(check (list int)) what !m (Cset.elements t) in
+  agree "after descending adds";
+  List.iter
+    (fun v ->
+      check_bool "remove" true (Cset.remove t v);
+      m := List.filter (fun x -> x <> v) !m;
+      agree (Printf.sprintf "after remove %d" v))
+    [ 0; 127 * 257; 254 * 257; 3 * 257 ];
+  List.iter
+    (fun v ->
+      check_bool "add between" true (Cset.add t v);
+      m := model_of (v :: !m);
+      agree (Printf.sprintf "after add %d" v))
+    [ 1; 127 * 257; 65_535; 200 ];
+  check_int "cardinal" (List.length !m) (Cset.cardinal t)
 
 let test_union () =
   let a = Cset.of_array 100 [| 1; 2; 3; 40; 64 |] in
@@ -563,8 +593,8 @@ let same_as_model ~what model c =
   check_int (what ^ ": memory_words") (Cset.memory_words model) (Cset.memory_words c)
 
 (* the Arr -> Bmp promotion point of a container spanning [range] ids:
-   range/32 members, floored at 8 (see cset.ml) *)
-let arr_max range = max 8 (range lsr 5)
+   range/256 members, floored at 8 (see cset.ml) *)
+let arr_max range = max 8 (range lsr 8)
 
 (* [count] members of the container starting at [base] with span [range] *)
 let container_members ~base ~range count =
@@ -601,7 +631,7 @@ let test_bitmap_boundaries () =
           in
           check_bitmap_codec ~what:(Printf.sprintf "arr_max+%d at %d" extra n) n members)
         [ 0; 1 ])
-    [ 1; 7; 8; 9; 33; 300; 65_536; 70_001; 140_003 ]
+    [ 1; 7; 8; 9; 33; 300; 17_408; 65_536; 70_001; 140_003 ]
 
 let test_bitmap_ignores_tail_bits () =
   (* bits of the last byte beyond the universe are not members *)
@@ -674,6 +704,7 @@ let () =
           Alcotest.test_case "unbounded universe" `Quick test_unbounded;
           Alcotest.test_case "zero capacity" `Quick test_zero_capacity;
           Alcotest.test_case "add/remove at container edges" `Quick test_container_edges;
+          Alcotest.test_case "array shifts in place" `Quick test_array_shifts;
           Alcotest.test_case "union" `Quick test_union;
           Alcotest.test_case "union callback" `Quick test_union_with_callback;
           Alcotest.test_case "iteration order" `Quick test_iter_order;

@@ -99,6 +99,22 @@ let test_slice_survives_growth () =
   Alcotest.(check (array int)) "slice unchanged after growth" [| 10; 11 |]
     (Intvec.slice_to_array s)
 
+(* overlapping and disjoint blits are the property below *)
+let test_int_moves () =
+  let a = Array.init 10 Fun.id in
+  let c = Intvec.copy_ints a in
+  Alcotest.(check (array int)) "copy" a c;
+  c.(0) <- 99;
+  Alcotest.(check int) "copy copies" 0 a.(0);
+  Alcotest.(check (array int)) "empty copy" [||] (Intvec.copy_ints [||]);
+  let big = Array.init 1000 (fun i -> i * 3) in
+  Alcotest.(check (array int)) "copy past the minor-heap size" big (Intvec.copy_ints big);
+  let bad what f = Alcotest.check_raises what (Invalid_argument what) f in
+  List.iter
+    (fun (spos, dpos, len) ->
+      bad "Intvec.blit_ints: invalid range" (fun () -> Intvec.blit_ints a spos c dpos len))
+    [ (-1, 0, 1); (0, -1, 1); (0, 0, -1); (6, 0, 5); (0, 6, 5) ]
+
 let prop_push_pop_roundtrip =
   QCheck2.Test.make ~name:"pushes then pops return reversed input" ~count:200
     QCheck2.Gen.(list_size (int_range 0 100) int)
@@ -128,6 +144,24 @@ let prop_sort_prefix_matches_array_sort =
       Array.sort compare all;
       Intvec.to_array v = all)
 
+let prop_blit_ints_matches_array_blit =
+  QCheck2.Test.make ~name:"blit_ints moves what Array.blit moves" ~count:300
+    QCheck2.Gen.(
+      let* n = int_range 0 40 in
+      let* spos = int_range 0 n in
+      let* dpos = int_range 0 n in
+      let* len = int_range 0 (n - max spos dpos) in
+      let* same = bool in
+      return (n, spos, dpos, len, same))
+    (fun (n, spos, dpos, len, same) ->
+      let src = Array.init n (fun i -> i * 7) in
+      let dst = if same then src else Array.init n (fun i -> -i) in
+      let expect_src = Array.copy src and expect_dst = Array.copy dst in
+      let expect_dst = if same then expect_src else expect_dst in
+      Array.blit expect_src spos expect_dst dpos len;
+      Intvec.blit_ints src spos dst dpos len;
+      dst = expect_dst && src = expect_src)
+
 let () =
   Alcotest.run "intvec"
     [
@@ -141,8 +175,13 @@ let () =
           Alcotest.test_case "slice" `Quick test_slice;
           Alcotest.test_case "slice bounds" `Quick test_slice_bounds;
           Alcotest.test_case "slice survives growth" `Quick test_slice_survives_growth;
+          Alcotest.test_case "int moves" `Quick test_int_moves;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_push_pop_roundtrip; prop_sort_prefix_matches_array_sort ] );
+          [
+            prop_push_pop_roundtrip;
+            prop_sort_prefix_matches_array_sort;
+            prop_blit_ints_matches_array_blit;
+          ] );
     ]

@@ -250,7 +250,7 @@ let prop_min_tracking_correct =
    or only through a bulk merge, which must stay out of the learn order.
    Universes up to 700 ids, with batches up to 120 ids, cross the
    sorted-array → bitmap promotion of the one container (at
-   max 8 (n/32) members). *)
+   max 8 (n/256) members, i.e. 8 at these sizes). *)
 let model_merge m ids =
   let sorted = Array.copy ids in
   Array.sort compare sorted;
