@@ -355,8 +355,9 @@ let commit () =
 (* Machine-readable trajectory point: one JSON document per bench run,
    compared across PRs. The header names the host, its core count and
    the commit ([git describe --always --dirty], null outside a git
-   checkout), the fields of the ROADMAP's row schema. NaN (an estimate
-   bechamel could not produce) is encoded as null. *)
+   checkout), so numbers from different machines or host phases are
+   not mistaken for a change. NaN (an estimate bechamel could not
+   produce) is encoded as null. *)
 let write_json path rows =
   let oc = open_out path in
   let num v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
