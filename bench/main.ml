@@ -1,13 +1,14 @@
 (* bench/main.exe — the full benchmark harness.
 
-   Part 1 (B2-B9, B11, B14): Bechamel microbenchmarks of the hot substrate
-   operations (B14: one wire round trip of a snapshot) and of one
-   complete discovery run per key algorithm, each measured on two
-   instances: monotonic clock (ns/run) and minor-heap allocation
-   (words/run); plus two single-shot subjects — B12 (full hm run at
-   65,536) and B13 (continuous-service soak, per-tick). The
-   allocation figure is the one the zero-copy/allocation-free engine
-   work is graded on — see EXPERIMENTS.md "Benchmark trajectory".
+   Part 1 (B2-B9, B11, B14, B15): Bechamel microbenchmarks of the hot
+   substrate operations (B14: one wire round trip of a snapshot) and of
+   one complete discovery run per key algorithm (B15: hm on the
+   asynchronous engine), each measured on two instances: monotonic
+   clock (ns/run) and minor-heap allocation (words/run); plus two
+   single-shot subjects — B12 (full hm run at 65,536) and B13
+   (continuous-service soak, per-tick). The allocation figure is the
+   one the zero-copy/allocation-free engine work is graded on — see
+   EXPERIMENTS.md "Benchmark trajectory".
 
    Part 2: the experiment suite — regenerates every table (T1-T7) and
    figure (F1-F4) of EXPERIMENTS.md into results/.
@@ -85,6 +86,25 @@ let b5 = full_run "B5 full_run_hm_1024" Hm_gossip.algorithm
 let b6 = full_run "B6 full_run_name_dropper_1024" Name_dropper.algorithm
 let b7 = full_run "B7 full_run_min_pointer_1024" Min_pointer.algorithm
 let b8 = full_run "B8 full_run_rand_gossip_1024" Rand_gossip.algorithm
+
+(* B5's run on the asynchronous engine: the async clock's event heap,
+   lazy lifecycle rules and per-message latency draws, under the same
+   algorithm and topology. *)
+let b15_async =
+  Test.make ~name:"B15 async_run_hm_1024"
+    (Staged.stage
+       (let counter = ref 0 in
+        fun () ->
+          incr counter;
+          let seed = !counter in
+          let topo =
+            Repro_experiments.Sweepcell.topology_of ~family:(Generate.K_out 3) ~n:1024 ~seed
+          in
+          let r =
+            Run_async.exec_spec { Run_async.default_spec with Run_async.seed } Hm_gossip.algorithm
+              topo
+          in
+          assert r.Run_async.completed))
 
 (* One broadcast round of the swamping instance at n = 65536, against a
    single shared receiver whose knowledge is already complete (so the
@@ -223,7 +243,7 @@ let measure_subjects () =
       @ cset_subjects "union" Cset.union_into
       @ cset_subjects "diff" Cset.diff_into
       @ cset_union_band
-      @ [ cset_add_sorted; b14_wire_bits ])
+      @ [ cset_add_sorted; b14_wire_bits; b15_async ])
   in
   let instances = Instance.[ monotonic_clock; minor_allocated ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 2.0) ~stabilize:true () in

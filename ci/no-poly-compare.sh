@@ -1,13 +1,15 @@
 #!/bin/sh
-# Guard the integer kernels of the knowledge-merge path and of the
-# membership service's update path against generic comparison. A
-# comparison whose operand type is inferred polymorphic ('a array, 'a,
-# int option) compiles to a C call into the runtime (caml_lessthan,
-# caml_equal, ...) instead of one machine instruction; on the merge,
-# sizing and member-step hot paths that call happens per element or per
-# message. This script lists the undefined symbols of the native objects
-# of the modules on those paths and fails if any of them references the
-# polymorphic comparison primitives.
+# Guard the integer kernels of the knowledge-merge path, of the
+# membership service's update path and of the asynchronous scheduler's
+# per-event path (event heap, async clock, mux) against generic
+# comparison. A comparison whose operand type is inferred polymorphic
+# ('a array, 'a, int option) compiles to a C call into the runtime
+# (caml_lessthan, caml_equal, ...) instead of one machine instruction;
+# on the merge, sizing, member-step and scheduler hot paths that call
+# happens per element, per message or per event. This script lists the
+# undefined symbols of the native objects of the modules on those paths
+# and fails if any of them references the polymorphic comparison
+# primitives.
 #
 # The int payload modules (Cset, Intvec) are also held to int-typed
 # moves: the generic Array.blit cannot tell an int array from one of
@@ -24,7 +26,7 @@ build=${1:-_build/default}
 modules="repro_util__Cset repro_util__Intvec repro_discovery__Knowledge
 repro_discovery__Payload repro_discovery__Wire repro_discovery__Hm_gossip
 repro_discovery__Flooding repro_discovery__Exec repro_service__Member
-repro_service__View"
+repro_service__View repro_util__Heap repro_engine__Async_sim repro_net__Mux"
 banned='caml_(compare|equal|notequal|lessthan|lessequal|greaterthan|greaterequal)$'
 int_modules="repro_util__Cset repro_util__Intvec"
 banned_blit='^(camlStdlib__Array\.blit|caml_array_blit)'

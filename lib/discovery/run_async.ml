@@ -38,10 +38,22 @@ let default_spec =
     trace = Trace.null;
   }
 
+let engine_config ~n spec =
+  let lmin, lmax = spec.latency in
+  {
+    Async_sim.horizon =
+      (match spec.horizon with Some h -> h | None -> (4.0 *. float_of_int n) +. 64.0);
+    tick_jitter = spec.tick_jitter;
+    latency_min = lmin;
+    latency_max = lmax;
+    fault = spec.fault;
+    engine_seed = spec.seed;
+    trace = spec.trace;
+  }
+
 let exec_spec spec (algo : Algorithm.t) topology =
-  let { seed; fault; completion; horizon; tick_jitter; latency; encoding; trace } = spec in
+  let { seed; fault; completion; encoding; trace; _ } = spec in
   let n = Topology.n topology in
-  let horizon = match horizon with Some h -> h | None -> (4.0 *. float_of_int n) +. 64.0 in
   let labels, instances = Exec.instances ~seed algo topology in
   let handlers = Adversary.wrap ~fault ~n ~trace (Exec.handlers instances) in
   let auditing = Fault.audit fault && not (Trace.is_null trace) in
@@ -53,18 +65,7 @@ let exec_spec spec (algo : Algorithm.t) topology =
   let stop ~time ~alive =
     time >= last_join && Exec.satisfied completion ~labels ~instances ~alive
   in
-  let lmin, lmax = latency in
-  let config =
-    {
-      Async_sim.horizon;
-      tick_jitter;
-      latency_min = lmin;
-      latency_max = lmax;
-      fault;
-      engine_seed = seed;
-      trace;
-    }
-  in
+  let config = engine_config ~n spec in
   let on_restart ~node =
     Exec.restart_instance ~seed algo topology instances ~node;
     if auditing then emit_genesis node

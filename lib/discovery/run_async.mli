@@ -50,6 +50,11 @@ val default_spec : spec
     latency ∈ [0.1, 0.9] (so a message takes about half a local round on
     average), adaptive byte sizing, no tracing. *)
 
+val engine_config : n:int -> spec -> Async_sim.config
+(** The engine configuration [spec] runs [n] nodes under: its horizon
+    (the default resolved for [n]), jitter, latency band, faults, seed
+    and trace. *)
+
 val exec_spec : spec -> Algorithm.t -> Topology.t -> result
 (** Determinism and the completion predicates are as in
     {!Run.exec_spec}; under late joins, completion is gated on the last

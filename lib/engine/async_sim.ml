@@ -29,238 +29,177 @@ type outcome = {
   alive : bool array;
 }
 
-(* A small binary min-heap of timestamped events, stored as parallel
-   arrays: an unboxed float array of times plus int arrays for the
-   tie-breaking sequence number, the event kind and its two int operands,
-   and a lazily-seeded ['msg] array for deliver payloads. Compared to a
-   heap of (float * int * event) tuples this allocates nothing per event
-   in steady state — pushing writes into preallocated slots, and the
-   peek/drop interface inspects the root fields in place instead of
-   materialising an option of a tuple.
+(* The clock: the engine stream, per-node periods, the lifecycle times
+   and one event heap ordered on (time, insertion sequence), so equal
+   times resolve in push order. [Monitor] doubles as the heap's dummy. *)
+type 'msg event = Tick of int | Deliver of { src : int; dst : int; msg : 'msg } | Monitor
 
-   The sequence number breaks timestamp ties deterministically
-   (insertion order), exactly as the tuple heap did.
+type 'msg clock = {
+  n : int;
+  config : config;
+  rng : Rng.t;
+  period : float array;
+  alive : bool array;
+  crash_time : float array;
+  restart_time : float array;
+  join_time : float array;
+  (* crashes are applied lazily, so a node that crashes before ever
+     activating never produces a Crash event; remember which crashes
+     were announced so drop reasons match the emitted lifecycle *)
+  crash_emitted : bool array;
+  heap : 'msg event Heap.t;
+  mutable now : float;
+  mutable ticks : int;
+}
 
-   Kinds: 0 = Tick (a = node), 1 = Deliver (a = src, b = dst, msg),
-   2 = Monitor. The payload array stays empty until the first deliver is
-   pushed — ['msg] has no fabricable dummy — and is only touched while
-   non-empty, which is safe because ticks and monitors never read it. *)
-module Heap = struct
-  type 'msg t = {
-    mutable times : float array;
-    mutable seqs : int array;
-    mutable kinds : int array;
-    mutable a : int array;
-    mutable b : int array;
-    mutable msgs : 'msg array;
-    mutable len : int;
-    mutable seq : int;
+type 'msg hooks = {
+  join : node:int -> restart:bool -> unit;
+  crash : node:int -> restarts:bool -> unit;
+  tick : node:int -> unit;
+  deliver : src:int -> dst:int -> 'msg -> unit;
+  lost : src:int -> dst:int -> Trace.drop_reason -> unit;
+}
+
+let schedule_times n pairs ~default =
+  let times = Array.make n default in
+  List.iter (fun (node, round) -> if node < n then times.(node) <- float_of_int round) pairs;
+  times
+
+let clock ~who ~n config =
+  if n < 0 then invalid_arg (who ^ ": negative node count");
+  if config.horizon <= 0.0 then invalid_arg (who ^ ": horizon must be positive");
+  if config.tick_jitter < 0.0 || config.tick_jitter >= 1.0 then
+    invalid_arg (who ^ ": jitter must be in [0, 1)");
+  if config.latency_min < 0.0 || config.latency_max < config.latency_min then
+    invalid_arg (who ^ ": invalid latency interval");
+  let rng = Rng.substream ~seed:config.engine_seed ~index:0xa5f1 in
+  let fault = config.fault in
+  let jitter = config.tick_jitter in
+  {
+    n;
+    config;
+    rng;
+    (* the stream's first n draws *)
+    period = Array.init n (fun _ -> 1.0 -. jitter +. Rng.float rng (2.0 *. jitter));
+    alive = Array.make n true;
+    crash_time = schedule_times n (Fault.crashed_nodes fault) ~default:infinity;
+    restart_time = schedule_times n (Fault.restarting_nodes fault) ~default:infinity;
+    join_time = schedule_times n (Fault.joining_nodes fault) ~default:0.0;
+    crash_emitted = Array.make n false;
+    heap = Heap.create ~dummy:Monitor;
+    now = 0.0;
+    ticks = 0;
   }
 
-  let tick_kind = 0
-  let deliver_kind = 1
-  let monitor_kind = 2
+let now c = c.now
+let ticks c = c.ticks
+let alive c = c.alive
+let latency c =
+  c.config.latency_min +. Rng.float c.rng (c.config.latency_max -. c.config.latency_min)
+let send c ~at ~src ~dst msg = Heap.push c.heap at (Deliver { src; dst; msg })
 
-  let create () =
-    {
-      times = Array.make 64 0.0;
-      seqs = Array.make 64 0;
-      kinds = Array.make 64 0;
-      a = Array.make 64 0;
-      b = Array.make 64 0;
-      msgs = [||];
-      len = 0;
-      seq = 0;
-    }
-
-  let lt h i j = h.times.(i) < h.times.(j) || (h.times.(i) = h.times.(j) && h.seqs.(i) < h.seqs.(j))
-
-  let swap h i j =
-    let swap_at arr =
-      let tmp = arr.(i) in
-      arr.(i) <- arr.(j);
-      arr.(j) <- tmp
-    in
-    let tmp = h.times.(i) in
-    h.times.(i) <- h.times.(j);
-    h.times.(j) <- tmp;
-    swap_at h.seqs;
-    swap_at h.kinds;
-    swap_at h.a;
-    swap_at h.b;
-    if Array.length h.msgs > 0 then swap_at h.msgs
-
-  let grow h =
-    let cap = Array.length h.times in
-    let cap' = 2 * cap in
-    let extend dummy arr =
-      let arr' = Array.make cap' dummy in
-      Array.blit arr 0 arr' 0 h.len;
-      arr'
-    in
-    h.times <- extend 0.0 h.times;
-    h.seqs <- extend 0 h.seqs;
-    h.kinds <- extend 0 h.kinds;
-    h.a <- extend 0 h.a;
-    h.b <- extend 0 h.b;
-    if Array.length h.msgs > 0 then h.msgs <- extend h.msgs.(0) h.msgs
-
-  let sift_up h =
-    let i = ref (h.len - 1) in
-    while
-      !i > 0
-      &&
-      let parent = (!i - 1) / 2 in
-      lt h !i parent
-    do
-      let parent = (!i - 1) / 2 in
-      swap h !i parent;
-      i := parent
-    done
-
-  let push_slot h time =
-    if h.len = Array.length h.times then grow h;
-    let i = h.len in
-    h.times.(i) <- time;
-    h.seqs.(i) <- h.seq;
-    h.seq <- h.seq + 1;
-    h.len <- h.len + 1;
-    i
-
-  let push_tick h time node =
-    let i = push_slot h time in
-    h.kinds.(i) <- tick_kind;
-    h.a.(i) <- node;
-    sift_up h
-
-  let push_monitor h time =
-    let i = push_slot h time in
-    h.kinds.(i) <- monitor_kind;
-    sift_up h
-
-  let push_deliver h time ~src ~dst msg =
-    let i = push_slot h time in
-    h.kinds.(i) <- deliver_kind;
-    h.a.(i) <- src;
-    h.b.(i) <- dst;
-    (* seed the payload array on first use, at the current capacity *)
-    if Array.length h.msgs = 0 then h.msgs <- Array.make (Array.length h.times) msg;
-    h.msgs.(i) <- msg;
-    sift_up h
-
-  let is_empty h = h.len = 0
-  let peek_time h = h.times.(0)
-  let peek_kind h = h.kinds.(0)
-  let peek_a h = h.a.(0)
-  let peek_b h = h.b.(0)
-  let peek_msg h = h.msgs.(0)
-
-  let drop h =
-    h.len <- h.len - 1;
-    if h.len > 0 then begin
-      swap h 0 h.len;
-      (* sift down *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && lt h l !smallest then smallest := l;
-        if r < h.len && lt h r !smallest then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          swap h !i !smallest;
-          i := !smallest
-        end
-      done
+let drive c hooks ~stop =
+  let trace = c.config.trace in
+  let alive = c.alive and crash_time = c.crash_time and restart_time = c.restart_time in
+  let is_alive v = v >= 0 && v < c.n && alive.(v) in
+  let crash v =
+    c.crash_emitted.(v) <- true;
+    Trace.emit trace (Trace.Crash { node = v });
+    hooks.crash ~node:v ~restarts:(restart_time.(v) < infinity)
+  in
+  (* a node is effectively dead for its whole life if it crashes before
+     joining; alive.(v) tracks "has joined and not crashed" lazily, at
+     the node's own events *)
+  let apply_crash v =
+    if alive.(v) && c.now >= crash_time.(v) then begin
+      alive.(v) <- false;
+      crash v
     end
-end
+  in
+  (* like crashes, restarts are applied lazily at the node's next event *)
+  let apply_restart v =
+    if (not alive.(v)) && c.now >= crash_time.(v) && c.now >= restart_time.(v) then begin
+      if not c.crash_emitted.(v) then crash v;
+      alive.(v) <- true;
+      crash_time.(v) <- infinity;
+      restart_time.(v) <- infinity;
+      hooks.join ~node:v ~restart:true
+    end
+  in
+  for v = 0 to c.n - 1 do
+    if c.join_time.(v) > 0.0 then alive.(v) <- false else hooks.join ~node:v ~restart:false;
+    (* first tick: a random phase within the first period after joining *)
+    Heap.push c.heap (c.join_time.(v) +. Rng.float c.rng c.period.(v)) (Tick v)
+  done;
+  Heap.push c.heap 1.0 Monitor;
+  let completed = ref (stop ~time:0.0 ~alive:is_alive) in
+  while
+    (not !completed)
+    && (not (Heap.is_empty c.heap))
+    && Heap.min_time c.heap <= c.config.horizon
+  do
+    c.now <- Heap.min_time c.heap;
+    match Heap.pop c.heap with
+    | Tick v ->
+      apply_crash v;
+      if (not alive.(v)) && c.now >= c.join_time.(v) && c.now < crash_time.(v) then begin
+        alive.(v) <- true;
+        hooks.join ~node:v ~restart:false
+      end;
+      apply_restart v;
+      if alive.(v) then begin
+        c.ticks <- c.ticks + 1;
+        hooks.tick ~node:v
+      end;
+      (* keep scheduling activations for a crashed node that still
+         has a restart ahead of it, so the restart can fire *)
+      if c.now < crash_time.(v) || restart_time.(v) < infinity then
+        Heap.push c.heap (c.now +. c.period.(v)) (Tick v)
+    | Deliver { src; dst; msg } ->
+      apply_crash dst;
+      apply_restart dst;
+      if alive.(dst) then hooks.deliver ~src ~dst msg
+      else
+        hooks.lost ~src ~dst
+          (if c.crash_emitted.(dst) then Trace.Dead_dst else Trace.Unjoined_dst)
+    | Monitor ->
+      if stop ~time:c.now ~alive:is_alive then completed := true
+      else Heap.push c.heap (c.now +. 1.0) Monitor
+  done;
+  Trace.emit trace (if !completed then Trace.Complete else Trace.Give_up);
+  Trace.flush trace;
+  (* final liveness snapshot *)
+  for v = 0 to c.n - 1 do
+    if alive.(v) && c.now >= crash_time.(v) then alive.(v) <- false
+  done;
+  !completed
 
 let run ~n ~config ~handlers ~measure ?(measure_bytes = fun _ -> 0) ~stop
     ?(on_restart = fun ~node:_ -> ()) () =
-  if n < 0 then invalid_arg "Async_sim.run: negative node count";
-  if config.horizon <= 0.0 then invalid_arg "Async_sim.run: horizon must be positive";
-  if config.tick_jitter < 0.0 || config.tick_jitter >= 1.0 then
-    invalid_arg "Async_sim.run: jitter must be in [0, 1)";
-  if config.latency_min < 0.0 || config.latency_max < config.latency_min then
-    invalid_arg "Async_sim.run: invalid latency interval";
+  let c = clock ~who:"Async_sim.run" ~n config in
   let metrics = Metrics.create () in
   Metrics.begin_round metrics;
-  let rng = Rng.substream ~seed:config.engine_seed ~index:0xa5f1 in
   let fault = config.fault in
   let has_partitions = Fault.partitions fault <> [] in
-  let alive = Array.make n true in
-  let crash_time = Array.make n infinity in
-  List.iter
-    (fun (node, round) -> if node < n then crash_time.(node) <- float_of_int round)
-    (Fault.crashed_nodes config.fault);
-  let restart_time = Array.make n infinity in
-  List.iter
-    (fun (node, round) -> if node < n then restart_time.(node) <- float_of_int round)
-    (Fault.restarting_nodes config.fault);
-  let join_time = Array.make n 0.0 in
-  List.iter
-    (fun (node, round) -> if node < n then join_time.(node) <- float_of_int round)
-    (Fault.joining_nodes config.fault);
-  (* a node is effectively dead for its whole life if it crashes before
-     joining; alive.(v) tracks "has joined and not crashed" lazily via
-     event processing below *)
-  let period = Array.init n (fun _ -> 1.0 -. config.tick_jitter +. Rng.float rng (2.0 *. config.tick_jitter)) in
   let tick_count = Array.make n 0 in
-  let is_alive v = v >= 0 && v < n && alive.(v) in
-  let heap : 'msg Heap.t = Heap.create () in
-  let now = ref 0.0 in
   (* per-link bandwidth windows, keyed src*n+dst -> (window, used) *)
   let cap_used : (int, int * int) Hashtbl.t =
-    Hashtbl.create (if Fault.has_caps config.fault then 64 else 1)
-  in
-  let latency () =
-    config.latency_min +. Rng.float rng (config.latency_max -. config.latency_min)
+    Hashtbl.create (if Fault.has_caps fault then 64 else 1)
   in
   (* tracing is observational only, exactly as in Sim: same RNG draws,
      same schedule, no allocation with the null sink *)
   let trace = config.trace in
   let tracing = not (Trace.is_null trace) in
-  (* crashes are applied lazily, so a node that crashes before ever
-     activating never produces a Crash event; remember which crashes
-     were announced so drop reasons match the emitted lifecycle *)
-  let crash_emitted = if tracing then Array.make n false else [||] in
-  let emit_crash v =
-    crash_emitted.(v) <- true;
-    Trace.emit trace (Trace.Crash { node = v })
+  let lost ~src ~dst reason =
+    Metrics.record_drop metrics;
+    if tracing then Trace.emit trace (Trace.Drop { src; dst; reason })
   in
-  (* like crashes, restarts are applied lazily at the node's next event;
-     the revived node gets its initial state back (via [on_restart]) and
-     a fresh tick sequence *)
-  let apply_restart v =
-    if (not alive.(v)) && !now >= crash_time.(v) && !now >= restart_time.(v) then begin
-      if tracing && not crash_emitted.(v) then emit_crash v;
-      alive.(v) <- true;
-      crash_time.(v) <- infinity;
-      restart_time.(v) <- infinity;
-      tick_count.(v) <- 0;
-      if tracing then Trace.emit trace (Trace.Join { node = v });
-      on_restart ~node:v
-    end
-  in
-  for v = 0 to n - 1 do
-    if join_time.(v) > 0.0 then alive.(v) <- false
-    else if tracing then Trace.emit trace (Trace.Join { node = v });
-    (* first tick: a random phase within the first period after joining *)
-    Heap.push_tick heap (join_time.(v) +. Rng.float rng period.(v)) v
-  done;
-  Heap.push_monitor heap 1.0;
-  let ticks = ref 0 in
-  let completed = ref (stop ~time:0.0 ~alive:is_alive) in
   let send_from src ~dst payload =
     if dst < 0 || dst >= n then invalid_arg "Async_sim.send: destination out of range";
     let pointers = measure payload and bytes = measure_bytes payload in
     Metrics.record_send metrics ~pointers ~bytes;
     if tracing then Trace.emit trace (Trace.Send { src; dst; pointers; bytes });
-    if has_partitions && Fault.cut fault ~src ~dst ~time:!now then begin
-      Metrics.record_drop metrics;
-      if tracing then Trace.emit trace (Trace.Drop { src; dst; reason = Trace.Partitioned })
-    end
+    if has_partitions && Fault.cut fault ~src ~dst ~time:c.now then lost ~src ~dst Trace.Partitioned
     else begin
       let lk = Fault.link_between fault ~src ~dst in
       let throttled =
@@ -269,7 +208,7 @@ let run ~n ~config ~handlers ~measure ?(measure_bytes = fun _ -> 0) ~stop
         (* bandwidth window: [cap] messages per unit of simulated time
            (the mean tick period) per directed link *)
         let key = (src * n) + dst in
-        let window = int_of_float !now in
+        let window = int_of_float c.now in
         let used =
           match Hashtbl.find_opt cap_used key with
           | Some (w, u) when w = window -> u
@@ -278,95 +217,36 @@ let run ~n ~config ~handlers ~measure ?(measure_bytes = fun _ -> 0) ~stop
         Hashtbl.replace cap_used key (window, used + 1);
         used >= lk.Fault.cap
       in
-      if throttled then begin
-        Metrics.record_drop metrics;
-        if tracing then Trace.emit trace (Trace.Drop { src; dst; reason = Trace.Throttled })
-      end
-      else if lk.Fault.loss > 0.0 && Rng.bernoulli rng ~p:lk.Fault.loss then begin
-        Metrics.record_drop metrics;
-        if tracing then Trace.emit trace (Trace.Drop { src; dst; reason = Trace.Loss })
-      end
-      else
-        Heap.push_deliver heap
-          (!now +. latency () +. float_of_int lk.Fault.delay)
-          ~src ~dst payload
+      if throttled then lost ~src ~dst Trace.Throttled
+      else if lk.Fault.loss > 0.0 && Rng.bernoulli c.rng ~p:lk.Fault.loss then
+        lost ~src ~dst Trace.Loss
+      else send c ~at:(c.now +. latency c +. float_of_int lk.Fault.delay) ~src ~dst payload
     end
   in
-  let continue = ref true in
-  while !continue && not !completed do
-    if Heap.is_empty heap then continue := false
-    else begin
-      let time = Heap.peek_time heap in
-      if time > config.horizon then continue := false
-      else begin
-        now := time;
-        let kind = Heap.peek_kind heap in
-        if kind = Heap.tick_kind then begin
-          let v = Heap.peek_a heap in
-          Heap.drop heap;
-          (* lazily apply crash/join status at activation time *)
-          if alive.(v) && !now >= crash_time.(v) then begin
-            alive.(v) <- false;
-            if tracing then emit_crash v
-          end;
-          if (not alive.(v)) && !now >= join_time.(v) && !now < crash_time.(v) then begin
-            alive.(v) <- true;
-            if tracing then Trace.emit trace (Trace.Join { node = v })
-          end;
-          apply_restart v;
-          if alive.(v) then begin
-            incr ticks;
-            tick_count.(v) <- tick_count.(v) + 1;
-            if tracing then
-              Trace.emit trace (Trace.Tick { node = v; time = !now; count = tick_count.(v) });
-            handlers.Sim.round_begin ~node:v ~round:tick_count.(v)
-              ~send:(fun ~dst payload -> send_from v ~dst payload)
-          end;
-          (* keep scheduling activations for a crashed node that still
-             has a restart ahead of it, so the restart can fire *)
-          if !now < crash_time.(v) || restart_time.(v) < infinity then
-            Heap.push_tick heap (!now +. period.(v)) v
-        end
-        else if kind = Heap.deliver_kind then begin
-          let src = Heap.peek_a heap and dst = Heap.peek_b heap in
-          let payload = Heap.peek_msg heap in
-          Heap.drop heap;
-          if alive.(dst) && !now >= crash_time.(dst) then begin
-            alive.(dst) <- false;
-            if tracing then emit_crash dst
-          end;
-          apply_restart dst;
-          if alive.(dst) then begin
-            Metrics.record_delivery metrics;
-            if tracing then Trace.emit trace (Trace.Deliver { src; dst });
-            handlers.Sim.deliver ~node:dst ~src ~round:tick_count.(dst) payload
-          end
-          else begin
-            Metrics.record_drop metrics;
-            if tracing then
-              Trace.emit trace
-                (Trace.Drop
-                   {
-                     src;
-                     dst;
-                     reason = (if crash_emitted.(dst) then Trace.Dead_dst else Trace.Unjoined_dst);
-                   })
-          end
-        end
-        else begin
-          Heap.drop heap;
-          if stop ~time:!now ~alive:is_alive then completed := true
-          else Heap.push_monitor heap (!now +. 1.0)
-        end
-      end
-    end
-  done;
-  if tracing then begin
-    Trace.emit trace (if !completed then Trace.Complete else Trace.Give_up);
-    Trace.flush trace
-  end;
-  (* final liveness snapshot *)
-  for v = 0 to n - 1 do
-    if alive.(v) && !now >= crash_time.(v) then alive.(v) <- false
-  done;
-  { completed = !completed; time = !now; ticks = !ticks; metrics; alive }
+  let hooks =
+    {
+      join =
+        (fun ~node ~restart ->
+          (* a revived node gets a fresh tick sequence and, via
+             [on_restart], its initial algorithm state back *)
+          tick_count.(node) <- 0;
+          if tracing then Trace.emit trace (Trace.Join { node });
+          if restart then on_restart ~node);
+      crash = (fun ~node:_ ~restarts:_ -> ());
+      tick =
+        (fun ~node ->
+          tick_count.(node) <- tick_count.(node) + 1;
+          if tracing then
+            Trace.emit trace (Trace.Tick { node; time = c.now; count = tick_count.(node) });
+          handlers.Sim.round_begin ~node ~round:tick_count.(node)
+            ~send:(fun ~dst payload -> send_from node ~dst payload));
+      deliver =
+        (fun ~src ~dst payload ->
+          Metrics.record_delivery metrics;
+          if tracing then Trace.emit trace (Trace.Deliver { src; dst });
+          handlers.Sim.deliver ~node:dst ~src ~round:tick_count.(dst) payload);
+      lost;
+    }
+  in
+  let completed = drive c hooks ~stop in
+  { completed; time = c.now; ticks = c.ticks; metrics; alive = c.alive }

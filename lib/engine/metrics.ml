@@ -76,10 +76,6 @@ let byte_series t = Intvec.to_array t.bytes_per_round
 
 let max_messages_in_round t = Intvec.fold max 0 t.sent_per_round
 
-let pp ppf t =
-  Format.fprintf ppf "rounds=%d msgs=%d (delivered=%d dropped=%d) pointers=%d bytes=%d"
-    (rounds t) t.sent t.delivered t.dropped t.pointers t.bytes
-
 let to_csv_rows t =
   List.init (rounds t) (fun i ->
       [

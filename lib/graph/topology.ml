@@ -148,4 +148,3 @@ let map_nodes t perm =
     perm;
   create ~n:t.n ~edges:(List.map (fun (u, v) -> (perm.(u), perm.(v))) (edges t))
 
-let pp ppf t = Format.fprintf ppf "topology(n=%d, m=%d)" t.n (edge_count t)

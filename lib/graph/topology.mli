@@ -44,6 +44,3 @@ val symmetrize : t -> t
 val map_nodes : t -> int array -> t
 (** [map_nodes t perm] relabels node [i] as [perm.(i)].
     @raise Invalid_argument if [perm] is not a permutation of [0..n-1]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Short description like ["topology(n=16, m=30)"]. *)

@@ -23,9 +23,3 @@ let of_string = function
   | s -> Error (Printf.sprintf "unknown backend %S (loopback|uds|tcp|mux)" s)
 
 let is_live = function Loopback -> false | Process _ | Mux -> true
-
-let description = function
-  | Loopback -> "in-process, delegates scheduling to the async simulator"
-  | Process Uds -> "one OS process per node over unix-domain sockets"
-  | Process Tcp -> "one OS process per node over TCP (127.0.0.1)"
-  | Mux -> "every node multiplexed into one process, full wire stack, virtual time"

@@ -35,6 +35,3 @@ val of_string : string -> (t, string) result
 val is_live : t -> bool
 (** Does the backend exercise the real wire stack (envelope framing,
     go-back-N, fault shim)? [false] only for {!Loopback}. *)
-
-val description : t -> string
-(** One-line human description (the README backend matrix). *)

@@ -39,7 +39,6 @@ type kind = Data | Ack | Hello | Done
 type t = { kind : kind; src : int; stamp : int; seq : int; ack : int; comp : bool; body : bytes }
 
 let kind_code = function Data -> 0 | Ack -> 1 | Hello -> 2 | Done -> 3
-let kind_name = function Data -> "data" | Ack -> "ack" | Hello -> "hello" | Done -> "done"
 let comp_bit = 0x80
 let crc_mismatch = "CRC mismatch"
 
@@ -79,8 +78,6 @@ let get_u32 buf off =
   lor (Char.code (Bytes.unsafe_get buf (off + 1)) lsl 8)
   lor (Char.code (Bytes.unsafe_get buf (off + 2)) lsl 16)
   lor (Char.code (Bytes.unsafe_get buf (off + 3)) lsl 24)
-
-let encoded_size t = header_size + Bytes.length t.body
 
 let check_u31 name v =
   if v < 0 || v > 0x7FFFFFFF then invalid_arg (Printf.sprintf "Envelope.encode: %s out of range" name)

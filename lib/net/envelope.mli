@@ -42,9 +42,6 @@ val header_size : int
 val max_body : int
 (** Upper bound on [Bytes.length body] accepted by both directions. *)
 
-val kind_name : kind -> string
-(** ["data"], ["ack"], ["hello"] or ["done"]. *)
-
 val peek_kind : bytes -> kind option
 (** The frame kind of an encoded envelope, read from the header without
     a full decode (no CRC check) — used by the mux runtime to classify a
@@ -55,9 +52,6 @@ val crc_mismatch : string
 (** The exact [`Corrupt] reason produced by a CRC failure — receivers
     key the [corrupt_frames] counter on it (all other corruption counts
     as a decode error). *)
-
-val encoded_size : t -> int
-(** [header_size + length body]. *)
 
 val encode : t -> bytes
 (** @raise Invalid_argument on a negative/overflowing [src], [stamp],

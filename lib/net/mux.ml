@@ -8,14 +8,14 @@ open Repro_discovery
    all of them live in this one process and frames travel through a
    virtual-time event heap instead of sockets.
 
-   The scheduler is a faithful replica of {!Async_sim}'s: the same
-   engine RNG substream, the same draw order (per-node period jitter,
-   first-tick phase, then one transit latency per data frame at
-   transmission time), the same lazy crash/join/restart application, the
-   same monitor cadence. Frames the async oracle does not have — bare
-   acks, hellos, done probes — draw their latency from a private
-   substream, so their extra heap events never perturb the shared
-   sequence of draws. That is what makes a fault-free mux run
+   The mux runs on {!Async_sim}'s clock: the same engine RNG substream
+   and draw order (per-node period jitter, first-tick phase, then one
+   transit latency per data frame at transmission time), the same lazy
+   crash/join/restart application, the same monitor cadence. This module
+   only says what each event does to a core. Frames the async oracle
+   does not have — bare acks, hellos, done probes — draw their latency
+   from a private substream, so their extra heap events never perturb
+   the shared sequence of draws. That is what makes a fault-free mux run
    trace-identical to the loopback oracle (see mux.mli for the exact
    claim and its boundaries). *)
 
@@ -24,24 +24,13 @@ let rto = 3.0
    latency_max ≈ 2.9 with the default spec, so 3.0 never fires a
    spurious retransmission on a healthy link. *)
 
-type ev = Tick of int | Frame of { dst : int; frame : bytes } | Monitor
-
 let exec_spec (spec : Run_async.spec) (algo : Algorithm.t) topology =
   let n = Topology.n topology in
-  let horizon =
-    match spec.Run_async.horizon with Some h -> h | None -> (4.0 *. float_of_int n) +. 64.0
-  in
-  if horizon <= 0.0 then invalid_arg "Mux.exec_spec: horizon must be positive";
-  if spec.Run_async.tick_jitter < 0.0 || spec.Run_async.tick_jitter >= 1.0 then
-    invalid_arg "Mux.exec_spec: jitter must be in [0, 1)";
   let lmin, lmax = spec.Run_async.latency in
-  if lmin < 0.0 || lmax < lmin then invalid_arg "Mux.exec_spec: invalid latency interval";
   let seed = spec.Run_async.seed in
   let fault = spec.Run_async.fault in
   let trace = spec.Run_async.trace in
-  (* the engine stream: every draw below must stay in lockstep with
-     Async_sim.run for the fault-free trace-identity guarantee *)
-  let rng = Rng.substream ~seed ~index:0xa5f1 in
+  let clock = Async_sim.clock ~who:"Mux.exec_spec" ~n (Run_async.engine_config ~n spec) in
   (* bare frames (acks, hellos, done probes) have no async counterpart:
      their transit draws come from a private stream *)
   let aux = Rng.substream ~seed ~index:0xba2e in
@@ -52,38 +41,10 @@ let exec_spec (spec : Run_async.spec) (algo : Algorithm.t) topology =
      nodes) *)
   let labels, instances = Exec.instances ~seed algo topology in
   let last_join = float_of_int (Exec.last_join_round fault) in
-  let is_alive_ref = ref (fun _ -> false) in
-  let stop ~time =
-    time >= last_join
-    && Exec.satisfied spec.Run_async.completion ~labels ~instances ~alive:!is_alive_ref
+  let stop ~time ~alive =
+    time >= last_join && Exec.satisfied spec.Run_async.completion ~labels ~instances ~alive
   in
-  let alive = Array.make n true in
-  let crash_time = Array.make n infinity in
-  List.iter
-    (fun (node, round) -> if node < n then crash_time.(node) <- float_of_int round)
-    (Fault.crashed_nodes fault);
-  let restart_time = Array.make n infinity in
-  List.iter
-    (fun (node, round) -> if node < n then restart_time.(node) <- float_of_int round)
-    (Fault.restarting_nodes fault);
-  let join_time = Array.make n 0.0 in
-  List.iter
-    (fun (node, round) -> if node < n then join_time.(node) <- float_of_int round)
-    (Fault.joining_nodes fault);
-  let is_alive v = v >= 0 && v < n && alive.(v) in
-  is_alive_ref := is_alive;
-  let period =
-    Array.init n (fun _ ->
-        1.0 -. spec.Run_async.tick_jitter +. Rng.float rng (2.0 *. spec.Run_async.tick_jitter))
-  in
-  (* ordered on (time, insertion seq), the async engine's contract, so
-     identical event times resolve identically *)
-  let heap = Heap.create ~dummy:Monitor in
-  let now = ref 0.0 in
-  let latency () = lmin +. Rng.float rng (lmax -. lmin) in
-  let aux_latency () = lmin +. Rng.float aux (lmax -. lmin) in
   let cores : Node_core.t option array = Array.make n None in
-  let crash_emitted = Array.make n false in
   let make_core v ~announce =
     let actions =
       {
@@ -94,16 +55,17 @@ let exec_spec (spec : Run_async.spec) (algo : Algorithm.t) topology =
                else rides the private stream *)
             let lat =
               match Envelope.peek_kind frame with
-              | Some Envelope.Data -> latency ()
-              | Some (Envelope.Ack | Envelope.Hello | Envelope.Done) | None -> aux_latency ()
+              | Some Envelope.Data -> Async_sim.latency clock
+              | Some (Envelope.Ack | Envelope.Hello | Envelope.Done) | None ->
+                lmin +. Rng.float aux (lmax -. lmin)
             in
-            Heap.push heap (now +. lat) (Frame { dst; frame }));
+            Async_sim.send clock ~at:(now +. lat) ~src:v ~dst frame);
         notify_complete = (fun ~now:_ ~tick:_ -> ());
         (* "establishing a connection" is instantaneous here *)
         wake =
           (fun ~dst ->
             match cores.(v) with
-            | Some core -> Node_core.link_up core ~now:!now ~dst
+            | Some core -> Node_core.link_up core ~now:(Async_sim.now clock) ~dst
             | None -> ());
       }
     in
@@ -122,97 +84,53 @@ let exec_spec (spec : Run_async.spec) (algo : Algorithm.t) topology =
           encoding = spec.Run_async.encoding;
           fleet_halt = false;  (* the monitor is the authority on completion *)
         }
-        actions ~labels ~links_up:true ~now:!now
+        actions ~labels ~links_up:true ~now:(Async_sim.now clock)
     in
     cores.(v) <- Some core;
-    instances.(v) <- Node_core.instance core;
-    core
+    instances.(v) <- Node_core.instance core
   in
-  let emit_crash v =
-    crash_emitted.(v) <- true;
-    Trace.emit trace (Trace.Crash { node = v });
-    (* a peer that will never return is written off by every transport
-       at once (the socket runtime reaches the same verdict through its
-       retry budget); one that restarts later keeps its links, exactly
-       like the probing a live runtime does for a will-return peer *)
-    if restart_time.(v) = infinity then
-      Array.iteri
-        (fun u core ->
-          match core with
-          | Some c when u <> v -> Node_core.link_dead c ~now:!now ~dst:v
-          | _ -> ())
-        cores
+  let hooks =
+    {
+      (* a restart is a fresh incarnation: new instance, tick count
+         reset, and an announce so peers void the old sequence state *)
+      Async_sim.join = (fun ~node ~restart -> make_core node ~announce:restart);
+      crash =
+        (fun ~node:v ~restarts ->
+          (* a peer that will never return is written off by every
+             transport at once (the socket runtime reaches the same
+             verdict through its retry budget); one that restarts later
+             keeps its links, exactly like the probing a live runtime
+             does for a will-return peer *)
+          if not restarts then
+            Array.iteri
+              (fun u core ->
+                match core with
+                | Some c when u <> v -> Node_core.link_dead c ~now:(Async_sim.now clock) ~dst:v
+                | _ -> ())
+              cores);
+      tick =
+        (fun ~node ->
+          match cores.(node) with
+          | Some core ->
+            let now = Async_sim.now clock in
+            Node_core.flush_faults core ~now;
+            Node_core.tick core ~now;
+            (* owed bare acks and retransmission timeouts ride the tick
+               cadence: the round trip budgeted by [rto] accounts for it *)
+            Node_core.pump core ~now
+          | None -> ());
+      deliver =
+        (fun ~src:_ ~dst frame ->
+          match cores.(dst) with
+          | Some core -> Node_core.receive core ~now:(Async_sim.now clock) frame
+          | None -> ());
+      (* a wire into a dead or unborn node: the frame vanishes, as it
+         would on a real socket; the sender's go-back-N either redelivers
+         it after a revival or accounts it when the link is declared dead *)
+      lost = (fun ~src:_ ~dst:_ _ -> ());
+    }
   in
-  let apply_restart v =
-    if (not alive.(v)) && !now >= crash_time.(v) && !now >= restart_time.(v) then begin
-      if not crash_emitted.(v) then emit_crash v;
-      alive.(v) <- true;
-      crash_time.(v) <- infinity;
-      restart_time.(v) <- infinity;
-      (* a fresh incarnation: new instance, tick count reset, and an
-         announce so peers void the old sequence state *)
-      ignore (make_core v ~announce:true)
-    end
-  in
-  (* setup mirrors the oracle's: periods drawn above, then per node a
-     Join (for round-0 joiners) and a first-tick phase draw *)
-  for v = 0 to n - 1 do
-    if join_time.(v) > 0.0 then alive.(v) <- false else ignore (make_core v ~announce:false);
-    Heap.push heap (join_time.(v) +. Rng.float rng period.(v)) (Tick v)
-  done;
-  Heap.push heap 1.0 Monitor;
-  let ticks = ref 0 in
-  let completed = ref (stop ~time:0.0) in
-  let continue = ref true in
-  while !continue && not !completed do
-    if Heap.is_empty heap || Heap.min_time heap > horizon then continue := false
-    else begin
-      now := Heap.min_time heap;
-      match Heap.pop heap with
-      | Tick v ->
-        if alive.(v) && !now >= crash_time.(v) then begin
-          alive.(v) <- false;
-          emit_crash v
-        end;
-        if (not alive.(v)) && !now >= join_time.(v) && !now < crash_time.(v) then begin
-          alive.(v) <- true;
-          ignore (make_core v ~announce:false)
-        end;
-        apply_restart v;
-        (match cores.(v) with
-        | Some core when alive.(v) ->
-          incr ticks;
-          Node_core.flush_faults core ~now:!now;
-          Node_core.tick core ~now:!now;
-          (* owed bare acks and retransmission timeouts ride the tick
-             cadence: the round trip budgeted by [rto] accounts for it *)
-          Node_core.pump core ~now:!now
-        | _ -> ());
-        if !now < crash_time.(v) || restart_time.(v) < infinity then
-          Heap.push heap (!now +. period.(v)) (Tick v)
-      | Frame { dst; frame } -> (
-        if alive.(dst) && !now >= crash_time.(dst) then begin
-          alive.(dst) <- false;
-          emit_crash dst
-        end;
-        apply_restart dst;
-        match cores.(dst) with
-        | Some core when alive.(dst) -> Node_core.receive core ~now:!now frame
-        | _ ->
-          (* a wire into a dead or unborn node: the frame vanishes, as
-             it would on a real socket; the sender's go-back-N either
-             redelivers it after a revival or accounts it when the
-             link is declared dead *)
-          ())
-      | Monitor ->
-        if stop ~time:!now then completed := true else Heap.push heap (!now +. 1.0) Monitor
-    end
-  done;
-  Trace.emit trace (if !completed then Trace.Complete else Trace.Give_up);
-  Trace.flush trace;
-  for v = 0 to n - 1 do
-    if alive.(v) && !now >= crash_time.(v) then alive.(v) <- false
-  done;
+  let completed = Async_sim.drive clock hooks ~stop in
   (* per-node counters come from the cores themselves (the final
      incarnation's, matching what a socket cluster aggregates) *)
   let finals =
@@ -228,13 +146,13 @@ let exec_spec (spec : Run_async.spec) (algo : Algorithm.t) topology =
       Run_async.algorithm = algo.Algorithm.name;
       n;
       seed;
-      completed = !completed;
-      time = !now;
-      ticks = !ticks;
+      completed;
+      time = Async_sim.now clock;
+      ticks = Async_sim.ticks clock;
       messages = Metrics.messages_sent metrics;
       pointers = Metrics.pointers_sent metrics;
       dropped = Metrics.messages_dropped metrics;
       metrics;
-      alive;
+      alive = Async_sim.alive clock;
     },
     finals )

@@ -3,9 +3,10 @@
 
     Every node is the same protocol machine a socket process runs — real
     {!Envelope} frames, go-back-N reliable delivery, hello handshakes,
-    the {!Faultnet} shim — but frames travel through an in-process event
-    heap whose scheduling replicates {!Repro_engine.Async_sim} draw for
-    draw. That buys two things at once:
+    the {!Faultnet} shim — but the mux runs on
+    {!Repro_engine.Async_sim}'s clock: frames travel through the async
+    engine's own event heap, on its draw order and lifecycle rules. That
+    buys two things at once:
 
     - {b scale}: thousands of live nodes fit in one process (no fork,
       no fd pressure, no wall-clock tick timers), so the live protocol

@@ -19,12 +19,13 @@
      the write barrier per element into a major-heap array.
    - [Bmp]: a dense bitmap, 32 bits per word, counted with a SWAR
      popcount.
-   - [Run]: sorted disjoint (start, length) pairs. Containers collapse
-     to a single full run the moment they saturate, which makes the
-     dominant steady state of discovery runs — every node knows
+   - [Full]: every id of the container's range, with no payload.
+     Containers collapse to it the moment they saturate, which makes
+     the dominant steady state of discovery runs — every node knows
      everyone — O(1) memory per container and O(1) to merge: a union
      whose source container is full replaces the destination container
-     outright, and a union into a full destination is a no-op.
+     outright, and a union into a full destination is a no-op. Removing
+     a member of a full container expands it to a bitmap first.
 
    Sharing: [freeze] is an O(containers) immutable view (mutating it
    raises); the owner keeps mutating through copy-on-write. Two levels:
@@ -38,15 +39,14 @@
 (* container kinds *)
 let arr_kind = 0
 let bmp_kind = 1
-let run_kind = 2
+let full_kind = 2
 
 type container = {
   mutable kind : int;
   mutable data : int array;
-      (* Arr: sorted low-16 ids in [0..card-1];
-         Bmp: 32-bit words; Run: [s0; l0; s1; l1; ..] over 2*nruns *)
+      (* Arr: sorted low-16 ids in [0..card-1]; Bmp: 32-bit words;
+         Full: empty, [ccard] is the container's range *)
   mutable ccard : int;
-  mutable nruns : int;  (* Run only *)
   mutable cshared : bool;  (* [data] is aliased: copy before in-place write *)
 }
 
@@ -80,7 +80,7 @@ let imax (a : int) b = if a > b then a else b
    sets at n = 1M would otherwise pay a fresh record per container per
    set. Mutators must replace it with a private record before writing
    ([writable] below); nothing ever mutates the sentinel itself. *)
-let empty_c = { kind = arr_kind; data = [||]; ccard = 0; nruns = 0; cshared = true }
+let empty_c = { kind = arr_kind; data = [||]; ccard = 0; cshared = true }
 
 let containers_for n = (n + container_span - 1) lsr container_bits
 
@@ -126,7 +126,7 @@ let unshare_set t =
       Array.map
         (fun c ->
           if c == empty_c then c
-          else { kind = c.kind; data = c.data; ccard = c.ccard; nruns = c.nruns; cshared = true })
+          else { kind = c.kind; data = c.data; ccard = c.ccard; cshared = true })
         t.containers;
     t.status <- Owned
   | Frozen -> frozen_error ()
@@ -135,7 +135,7 @@ let unshare_set t =
 let writable t ci =
   let c = t.containers.(ci) in
   if c == empty_c then begin
-    let c' = { kind = arr_kind; data = [||]; ccard = 0; nruns = 0; cshared = false } in
+    let c' = { kind = arr_kind; data = [||]; ccard = 0; cshared = false } in
     t.containers.(ci) <- c';
     c'
   end
@@ -184,21 +184,11 @@ let arr_mem (data : int array) card (v : int) =
   let i = arr_rank data card v in
   i < card && data.(i) = v
 
-let run_index_mem data nruns v =
-  let lo = ref 0 and hi = ref (nruns - 1) in
-  let found = ref false in
-  while (not !found) && !lo <= !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    let s = data.(2 * mid) and l = data.((2 * mid) + 1) in
-    if v < s then hi := mid - 1 else if v >= s + l then lo := mid + 1 else found := true
-  done;
-  !found
-
 let cmem c v =
   if c.ccard = 0 then false
   else if c.kind = arr_kind then arr_mem c.data c.ccard v
   else if c.kind = bmp_kind then c.data.(v lsr 5) land (1 lsl (v land 31)) <> 0
-  else run_index_mem c.data c.nruns v
+  else (* full *) true
 
 let check t v =
   if v < 0 || ((not t.unbounded) && v >= t.n) then invalid_arg "Cset: element out of range"
@@ -213,33 +203,26 @@ let mem t v =
 
 let to_bmp c range =
   if c.kind <> bmp_kind then begin
-    let words = Array.make (words_for range) 0 in
-    (if c.kind = arr_kind then
-       for i = 0 to c.ccard - 1 do
-         let v = c.data.(i) in
-         words.(v lsr 5) <- words.(v lsr 5) lor (1 lsl (v land 31))
-       done
-     else
-       for r = 0 to c.nruns - 1 do
-         let s = c.data.(2 * r) and l = c.data.((2 * r) + 1) in
-         for v = s to s + l - 1 do
-           words.(v lsr 5) <- words.(v lsr 5) lor (1 lsl (v land 31))
-         done
-       done);
+    let nw = words_for range in
+    let words = Array.make nw (if c.kind = full_kind then 0xFFFFFFFF else 0) in
+    if c.kind = arr_kind then
+      for i = 0 to c.ccard - 1 do
+        let v = c.data.(i) in
+        words.(v lsr 5) <- words.(v lsr 5) lor (1 lsl (v land 31))
+      done
+    else if range land 31 <> 0 then words.(nw - 1) <- (1 lsl (range land 31)) - 1;
     c.kind <- bmp_kind;
     c.data <- words;
-    c.nruns <- 0;
     c.cshared <- false
   end
 
 let make_full c range =
-  c.kind <- run_kind;
-  c.data <- [| 0; range |];
-  c.nruns <- 1;
+  c.kind <- full_kind;
+  c.data <- [||];
   c.ccard <- range;
   c.cshared <- false
 
-(* collapse a just-saturated container to the O(1) full-run form *)
+(* collapse a just-saturated container to the payload-free full form *)
 let maybe_collapse c range = if c.ccard = range then make_full c range
 
 (* ---- add / remove ---- *)
@@ -290,13 +273,9 @@ let add t v =
          end
        end
      end
-     else if c.kind = bmp_kind then begin
-       own_data c;
-       c.data.(low lsr 5) <- c.data.(low lsr 5) lor (1 lsl (low land 31))
-     end
      else begin
-       (* non-full run container gaining a member: go through the bitmap *)
-       to_bmp c range;
+       (* a bitmap: a full container already holds [low] *)
+       own_data c;
        c.data.(low lsr 5) <- c.data.(low lsr 5) lor (1 lsl (low land 31))
      end);
     c.ccard <- c.ccard + 1;
@@ -314,7 +293,7 @@ let remove t v =
   else begin
     unshare_set t;
     let c = writable t ci in
-    (if c.kind = run_kind then to_bmp c (range_of t ci);
+    (if c.kind = full_kind then to_bmp c (range_of t ci);
      if c.kind = bmp_kind then begin
        own_data c;
        c.data.(low lsr 5) <- c.data.(low lsr 5) land lnot (1 lsl (low land 31))
@@ -350,11 +329,8 @@ let citer c base f =
         if bits <> 0 then iter_word_bits (base + (w lsl 5)) bits f
       done
     else
-      for r = 0 to c.nruns - 1 do
-        let s = c.data.(2 * r) and l = c.data.((2 * r) + 1) in
-        for v = base + s to base + s + l - 1 do
-          f v
-        done
+      for v = base to base + c.ccard - 1 do
+        f v
       done
 
 let iter f t =
@@ -469,17 +445,16 @@ let of_bitmap_bytes n buf pos =
     done;
     let card = !card in
     (* the representation [add] would reach, member by member in
-       ascending order: saturated collapses to a run, at most [arr_max]
+       ascending order: saturated collapses to full, at most [arr_max]
        members stay an array, anything denser is a bitmap *)
     if card = range then
-      t.containers.(ci) <-
-        { kind = run_kind; data = [| 0; range |]; ccard = range; nruns = 1; cshared = false }
+      t.containers.(ci) <- { kind = full_kind; data = [||]; ccard = range; cshared = false }
     else if card > arr_max range then begin
       let words = Array.make nw 0 in
       for w = 0 to nw - 1 do
         words.(w) <- container_word buf off nbytes range w
       done;
-      t.containers.(ci) <- { kind = bmp_kind; data = words; ccard = card; nruns = 0; cshared = false }
+      t.containers.(ci) <- { kind = bmp_kind; data = words; ccard = card; cshared = false }
     end
     else if card > 0 then begin
       let data = Array.make (arr_capacity card) 0 in
@@ -493,7 +468,7 @@ let of_bitmap_bytes n buf pos =
           bits := !bits lxor low
         done
       done;
-      t.containers.(ci) <- { kind = arr_kind; data; ccard = card; nruns = 0; cshared = false }
+      t.containers.(ci) <- { kind = arr_kind; data; ccard = card; cshared = false }
     end;
     t.card <- t.card + card
   done;
@@ -519,11 +494,7 @@ let blit_bitmap_bytes t buf pos =
           for i = 0 to c.ccard - 1 do
             set_bit buf off c.data.(i)
           done
-        else
-          for r = 0 to c.nruns - 1 do
-            let s = c.data.(2 * r) in
-            set_bit_range buf off s (s + c.data.((2 * r) + 1))
-          done
+        else set_bit_range buf off 0 c.ccard
     end
   done
 
@@ -541,15 +512,7 @@ let choose_nth t k =
   let base = !ci lsl container_bits in
   let k = !remaining in
   if c.kind = arr_kind then base + c.data.(k)
-  else if c.kind = run_kind then begin
-    let k = ref k in
-    let r = ref 0 in
-    while !k >= c.data.((2 * !r) + 1) do
-      k := !k - c.data.((2 * !r) + 1);
-      incr r
-    done;
-    base + c.data.(2 * !r) + !k
-  end
+  else if c.kind = full_kind then base + k
   else begin
     let k = ref k in
     let w = ref 0 in
@@ -586,22 +549,7 @@ let rank t v =
         done;
         acc := !acc + popcount (c.data.(low lsr 5) land ((1 lsl (low land 31)) - 1))
       end
-      else begin
-        let r = ref 0 in
-        let stop = ref false in
-        while (not !stop) && !r < c.nruns do
-          let s = c.data.(2 * !r) and l = c.data.((2 * !r) + 1) in
-          if low < s then stop := true
-          else if low < s + l then begin
-            acc := !acc + (low - s);
-            stop := true
-          end
-          else begin
-            acc := !acc + l;
-            incr r
-          end
-        done
-      end
+      else acc := !acc + low
   end;
   !acc
 
@@ -614,7 +562,7 @@ let min_elt t =
   let c = t.containers.(!ci) in
   let base = !ci lsl container_bits in
   if c.kind = arr_kind then base + c.data.(0)
-  else if c.kind = run_kind then base + c.data.(0)
+  else if c.kind = full_kind then base
   else begin
     let w = ref 0 in
     while c.data.(!w) = 0 do
@@ -797,22 +745,11 @@ let cunion t ci c (src : container) base f =
            match f with Some f -> f (base + v) | None -> ()
          end
        done
-     else if src.kind = bmp_kind then begin
+     else begin
+       (* a bitmap: a full source was handled above *)
        let nw = Array.length src.data in
        c.ccard <- c.ccard + union_words_with c.data src.data 0 nw 0 base f
-     end
-     else
-       for r = 0 to src.nruns - 1 do
-         let s = src.data.(2 * r) and l = src.data.((2 * r) + 1) in
-         for v = s to s + l - 1 do
-           let w = v lsr 5 and bit = 1 lsl (v land 31) in
-           if c.data.(w) land bit = 0 then begin
-             c.data.(w) <- c.data.(w) lor bit;
-             c.ccard <- c.ccard + 1;
-             match f with Some f -> f (base + v) | None -> ()
-           end
-         done
-       done);
+     end);
     maybe_collapse c range;
     c.ccard - before
   end
@@ -840,7 +777,7 @@ let union_gen ~dst ~src f =
         if alias_ok && dc0.ccard = 0 then begin
           unshare_set dst;
           dst.containers.(ci) <-
-            { kind = sc.kind; data = sc.data; ccard = sc.ccard; nruns = sc.nruns; cshared = true };
+            { kind = sc.kind; data = sc.data; ccard = sc.ccard; cshared = true };
           added := !added + sc.ccard
         end
         else if alias_ok && dc0.kind = arr_kind && sc.kind = bmp_kind then begin
@@ -859,8 +796,7 @@ let union_gen ~dst ~src f =
           unshare_set dst;
           if !miss = 0 then begin
             dst.containers.(ci) <-
-              { kind = sc.kind; data = sc.data; ccard = sc.ccard; nruns = sc.nruns;
-                cshared = true };
+              { kind = sc.kind; data = sc.data; ccard = sc.ccard; cshared = true };
             added := !added + (sc.ccard - dc0.ccard)
           end
           else begin
@@ -870,7 +806,6 @@ let union_gen ~dst ~src f =
             let c = writable dst ci in
             c.kind <- bmp_kind;
             c.data <- Intvec.copy_ints sc.data;
-            c.nruns <- 0;
             c.cshared <- false;
             c.ccard <- sc.ccard;
             for i = 0 to acard - 1 do
@@ -946,26 +881,6 @@ let inter_cardinal a b =
 
 (* ---- difference ---- *)
 
-(* clear the members of bitmap container [c] in low ids [s, e), one
-   masked word at a time; [c] must be a private record. Returns the
-   number cleared. *)
-let clear_bit_range c s e =
-  let removed = ref 0 in
-  let v = ref s in
-  while !v < e do
-    let w = !v lsr 5 in
-    let hi = imin 32 (e - (w lsl 5)) in
-    let mask = ((1 lsl hi) - 1) land lnot ((1 lsl (!v land 31)) - 1) in
-    let hit = c.data.(w) land mask in
-    if hit <> 0 then begin
-      own_data c;
-      c.data.(w) <- c.data.(w) lxor hit;
-      removed := !removed + popcount hit
-    end;
-    v := (w + 1) lsl 5
-  done;
-  !removed
-
 (* remove from container [c] (private record, non-empty) every member of
    [src] (non-empty, not full). Work follows [c]: an array is filtered in
    place by probing [src]; a bitmap clears [src]'s bits word by word, or
@@ -973,7 +888,7 @@ let clear_bit_range c s e =
    only when the first member is actually removed. Returns the number
    removed. *)
 let cdiff c (src : container) range =
-  if c.kind = run_kind then to_bmp c range;
+  if c.kind = full_kind then to_bmp c range;
   if c.kind = arr_kind then begin
     let k = ref 0 in
     for i = 0 to c.ccard - 1 do
@@ -1001,7 +916,7 @@ let cdiff c (src : container) range =
            removed := !removed + popcount hit
          end
        done
-     else if src.kind = arr_kind then
+     else
        for i = 0 to src.ccard - 1 do
          let v = src.data.(i) in
          let bit = 1 lsl (v land 31) in
@@ -1010,11 +925,6 @@ let cdiff c (src : container) range =
            c.data.(v lsr 5) <- c.data.(v lsr 5) lxor bit;
            incr removed
          end
-       done
-     else
-       for r = 0 to src.nruns - 1 do
-         let s = src.data.(2 * r) in
-         removed := !removed + clear_bit_range c s (s + src.data.((2 * r) + 1))
        done);
     c.ccard <- c.ccard - !removed;
     !removed
@@ -1038,7 +948,7 @@ let diff_into ~dst ~src =
           c.ccard <- 0
         end
         else removed := !removed + cdiff c sc range;
-        (* an emptied bitmap or run is released; an emptied array keeps
+        (* an emptied bitmap is released; an emptied array keeps
            its small payload for the adds that refill it *)
         if c.ccard = 0 && c.kind <> arr_kind then dst.containers.(ci) <- empty_c
       end
@@ -1056,8 +966,7 @@ let copy t =
         (fun c ->
           if c.ccard = 0 then empty_c
           else
-            { kind = c.kind; data = Intvec.copy_ints c.data; ccard = c.ccard; nruns = c.nruns;
-              cshared = false })
+            { kind = c.kind; data = Intvec.copy_ints c.data; ccard = c.ccard; cshared = false })
         t.containers;
     card = t.card;
     status = Owned;

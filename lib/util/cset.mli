@@ -3,9 +3,9 @@
     The knowledge-set representation at every scale: the universe
     [0 .. n-1] is split into containers of 65,536 consecutive
     ids, and each container independently picks a sorted array (sparse),
-    a bitmap (dense) or run-length form (saturated) — so a set costs
-    O(members) when sparse and O(1) per container once full, instead of
-    O(n) bits always. Saturated containers also merge in O(1): the
+    a bitmap (dense) or the payload-free full form (saturated) — so a
+    set costs O(members) when sparse and O(1) per container once full,
+    instead of O(n) bits always. Saturated containers also merge in O(1): the
     dominant case for converged knowledge sets.
 
     The sparse/dense boundary is set by merge cost, not memory. A
@@ -88,7 +88,7 @@ val diff_into : dst:t -> src:t -> int
     [dst], not [src]: O(1) per container whose source container is full,
     a probe of [src] per member of an array container, and a word pass
     for a bitmap container. A private destination allocates nothing
-    unless a saturated run container has to split into a bitmap; a
+    unless a full container has to expand into a bitmap; a
     destination with a frozen view re-materialises its containers
     first, so the view keeps its members.
     @raise Invalid_argument if [dst] is frozen or capacities differ. *)

@@ -152,10 +152,6 @@ let float t bound =
   let x = (t.rh lsl 21) lor (t.rl lsr 11) in
   float_of_int x *. (1.0 /. 9007199254740992.0) *. bound
 
-let bool t =
-  next t;
-  t.rl land 1 = 1
-
 let bernoulli t ~p = if p <= 0.0 then false else if p >= 1.0 then true else float t 1.0 < p
 
 let pick t a =

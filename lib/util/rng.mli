@@ -33,9 +33,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] returns a uniform float in [\[0, bound)]. *)
 
-val bool : t -> bool
-(** Uniform boolean. *)
-
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is [true] with probability [p]. *)
 

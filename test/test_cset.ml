@@ -2,7 +2,7 @@
    set behind large-n knowledge state. Every operation is checked
    against a sorted, duplicate-free int list, with generators biased
    to cross the container representation boundaries: sorted-array →
-   bitmap promotion at range/256 members (floored at 8), bitmap → run
+   bitmap promotion at range/256 members (floored at 8), bitmap → full
    collapse at saturation, and multi-container universes. *)
 
 open Repro_util
@@ -59,7 +59,7 @@ let test_full_collapse () =
   done;
   check_bool "is_full" true (Cset.is_full t);
   check_int "cardinal" n (Cset.cardinal t);
-  (* saturated containers collapse to O(1) run form *)
+  (* saturated containers collapse to the O(1) full form *)
   if Cset.memory_words t > 64 then
     Alcotest.failf "full set holds %d payload words (expected O(containers))"
       (Cset.memory_words t);
@@ -71,7 +71,28 @@ let test_full_collapse () =
   (* merging a full set into an empty one is a whole-container copy *)
   let d = Cset.create n in
   check_int "union of full" n (Cset.union_into ~dst:d ~src:t);
-  check_bool "dst full" true (Cset.is_full d)
+  check_bool "dst full" true (Cset.is_full d);
+  (* a removal expands the ragged tail container (4,464 ids) to a
+     bitmap; adding the id back collapses it again *)
+  let v = 68_000 in
+  let check_model label model =
+    Alcotest.(check (array int)) (label ^ " to_array") model (Cset.to_array t);
+    Array.iteri
+      (fun k u ->
+        if k mod 997 = 0 || u >= v - 1 then begin
+          check_int (label ^ " rank") k (Cset.rank t u);
+          check_int (label ^ " choose_nth") u (Cset.choose_nth t k)
+        end)
+      model
+  in
+  check_bool "remove from full" true (Cset.remove t v);
+  check_bool "removed" false (Cset.mem t v);
+  check_model "with the hole" (Array.of_list (List.filter (( <> ) v) (List.init n Fun.id)));
+  check_bool "add back" true (Cset.add t v);
+  check_bool "full again" true (Cset.is_full t);
+  if Cset.memory_words t > 64 then
+    Alcotest.failf "re-filled set holds %d payload words" (Cset.memory_words t);
+  check_model "re-filled" (Array.init n Fun.id)
 
 let test_bounds () =
   let t = Cset.create 10 in
