@@ -73,7 +73,7 @@ let inject ~universe (p : Payload.t) ids =
 let genesis_event ~node knowledge =
   Trace.Genesis { node; ids = Cset.to_array (Knowledge.contents knowledge) }
 
-let wrap ~fault ~n ~trace (h : Payload.t Sim.handlers) : Payload.t Sim.handlers =
+let wrap ~fault ~n (h : Payload.t Sim.handlers) : Payload.t Sim.handlers =
   let fab_by_node = Array.make (max n 1) [] in
   let has_fabs = ref false in
   List.iter
@@ -83,10 +83,10 @@ let wrap ~fault ~n ~trace (h : Payload.t Sim.handlers) : Payload.t Sim.handlers 
         has_fabs := true
       end)
     (Fault.fabrications fault);
-  let audit = Fault.audit fault && not (Trace.is_null trace) in
-  if (not !has_fabs) && not audit then h
+  if not !has_fabs then h
   else
     {
+      h with
       Sim.round_begin =
         (fun ~node ~round ~send ->
           match fab_by_node.(node) with
@@ -94,11 +94,19 @@ let wrap ~fault ~n ~trace (h : Payload.t Sim.handlers) : Payload.t Sim.handlers 
           | ids ->
             h.Sim.round_begin ~node ~round ~send:(fun ~dst p ->
                 send ~dst (inject ~universe:n p ids)));
-      deliver =
-        (fun ~node ~src ~round payload ->
-          (if audit then
-             match payload_ids payload with
-             | Some ids -> Trace.emit trace (Trace.Content { src; dst = node; ids })
-             | None -> ());
-          h.Sim.deliver ~node ~src ~round payload);
     }
+
+let audit ~fault ~trace (instances : Algorithm.instance array) =
+  if (not (Fault.audit fault)) || Trace.is_null trace then (None, fun ~node:_ -> ())
+  else begin
+    let genesis ~node =
+      Trace.emit trace (genesis_event ~node instances.(node).Algorithm.knowledge)
+    in
+    Array.iteri (fun node _ -> genesis ~node) instances;
+    let content ~src ~dst payload =
+      match payload_ids payload with
+      | Some ids -> Trace.emit trace (Trace.Content { src; dst; ids })
+      | None -> ()
+    in
+    (Some content, genesis)
+  end

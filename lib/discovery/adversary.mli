@@ -8,19 +8,16 @@
 
     - the injection primitive ({!inject}) that adds the scheduled ids to
       every data payload a fabricating node sends, and
-    - the audit instrumentation ({!wrap}, {!genesis_event},
+    - the audit instrumentation ({!audit}, {!genesis_event},
       {!payload_ids}) that lets {!Repro_engine.Trace.Invariants} verify
       the provenance invariant "every advertised id was genuinely
       learned" and flag the fabricator. *)
 
 open Repro_engine
 
-val data_ids : Payload.data -> int array
-(** The identifiers a data payload advertises, ascending. Allocates; used
-    only on audited runs. *)
-
 val payload_ids : Payload.t -> int array option
-(** {!data_ids} of a data-bearing payload; [None] for [Probe]/[Halt]
+(** The identifiers a data-bearing payload advertises, ascending
+    (allocates; used only on audited runs); [None] for [Probe]/[Halt]
     (they advertise nothing beyond the sender's own address, which the
     checker credits from the [Deliver] event itself). *)
 
@@ -36,11 +33,20 @@ val genesis_event : node:int -> Knowledge.t -> Trace.event
     birth (initial knowledge = self + out-neighbors) and after a restart
     re-initialises the instance. *)
 
-val wrap : fault:Fault.t -> n:int -> trace:Trace.sink -> Payload.t Sim.handlers -> Payload.t Sim.handlers
-(** Wrap engine handlers with the plan's content behaviour: fabricating
-    nodes have every outgoing payload pass through {!inject}, and — when
-    the plan's audit flag is on and tracing is enabled — every delivered
-    data payload emits a [Content] event (adjacent to its [Deliver])
-    naming the ids it advertises. Returns the handlers unchanged when the
-    plan schedules neither, so unaudited runs stay on the untouched hot
-    path. *)
+val wrap : fault:Fault.t -> n:int -> Payload.t Sim.handlers -> Payload.t Sim.handlers
+(** Wrap engine handlers with the plan's content adversaries:
+    fabricating nodes have every outgoing payload pass through
+    {!inject}. Returns the handlers unchanged when the plan schedules no
+    fabrication, so honest runs stay on the untouched hot path. *)
+
+val audit :
+  fault:Fault.t ->
+  trace:Trace.sink ->
+  Algorithm.instance array ->
+  (src:int -> dst:int -> Payload.t -> unit) option * (node:int -> unit)
+(** The content audit of a simulated run. When the plan's audit flag is
+    on and [trace] is not {!Repro_engine.Trace.null}, it emits every
+    node's birth [Genesis] event, then returns the engines' [on_deliver]
+    hook (a [Content] event naming the ids a delivered data payload
+    advertises) and the [Genesis] emitter to call once a restart has
+    re-initialised a node's instance. Otherwise [(None, no-op)]. *)

@@ -48,12 +48,8 @@ let exec_spec spec (algo : Algorithm.t) topology =
   let n = Topology.n topology in
   let max_rounds = match max_rounds with Some m -> m | None -> (4 * n) + 64 in
   let labels, instances = Exec.instances ~seed algo topology in
-  let handlers = Adversary.wrap ~fault ~n ~trace (Exec.handlers instances) in
-  let auditing = Fault.audit fault && not (Trace.is_null trace) in
-  let emit_genesis node =
-    Trace.emit trace (Adversary.genesis_event ~node instances.(node).Algorithm.knowledge)
-  in
-  if auditing then Array.iteri (fun node _ -> emit_genesis node) instances;
+  let handlers = Adversary.wrap ~fault ~n (Exec.handlers instances) in
+  let on_deliver, genesis = Adversary.audit ~fault ~trace instances in
   (* Completion predicates quantify over alive nodes, so they could fire
      while scheduled joiners are still offline; gate them on the last
      join having happened. *)
@@ -71,20 +67,16 @@ let exec_spec spec (algo : Algorithm.t) topology =
       growth := (float_of_int !total /. float_of_int (max 1 n)) :: !growth
     end
   in
-  (* Content auditing emits a trace event from inside the deliver
-     handler, which would interleave with the engine's canonical event
-     order on the parallel path: audited runs are clamped sequential. *)
-  let jobs = if auditing then 1 else jobs in
   let config = { Sim.max_rounds; fault; engine_seed = seed; trace; jobs } in
   let measure_bytes = Wire.encoded_size encoding ~universe:n in
   let on_restart ~node =
     Exec.restart_instance ~seed algo topology instances ~node;
     (* a restart resets the node's provenance to its initial knowledge *)
-    if auditing then emit_genesis node
+    genesis ~node
   in
   let outcome =
     Sim.run ~n ~config ~handlers ~measure:Payload.measure ~measure_bytes ~stop ~on_round_end
-      ~on_restart ()
+      ~on_restart ?on_deliver ()
   in
   {
     algorithm = algo.Algorithm.name;

@@ -71,9 +71,8 @@ type spec = {
   jobs : int;
       (** domains sharding this single run's nodes (see
           {!Repro_engine.Sim.config}); any value produces a
-          byte-identical trace and result. Clamped to 1 when the fault
-          model requests content auditing (the audit wrapper emits trace
-          events from the deliver handler). *)
+          byte-identical trace and result, content-audited runs
+          included. *)
 }
 (** Everything that parameterises a run besides the algorithm and the
     topology. One immutable value per run: this is what the parallel

@@ -55,12 +55,8 @@ let exec_spec spec (algo : Algorithm.t) topology =
   let { seed; fault; completion; encoding; trace; _ } = spec in
   let n = Topology.n topology in
   let labels, instances = Exec.instances ~seed algo topology in
-  let handlers = Adversary.wrap ~fault ~n ~trace (Exec.handlers instances) in
-  let auditing = Fault.audit fault && not (Trace.is_null trace) in
-  let emit_genesis node =
-    Trace.emit trace (Adversary.genesis_event ~node instances.(node).Algorithm.knowledge)
-  in
-  if auditing then Array.iteri (fun node _ -> emit_genesis node) instances;
+  let handlers = Adversary.wrap ~fault ~n (Exec.handlers instances) in
+  let on_deliver, genesis = Adversary.audit ~fault ~trace instances in
   let last_join = float_of_int (Exec.last_join_round fault) in
   let stop ~time ~alive =
     time >= last_join && Exec.satisfied completion ~labels ~instances ~alive
@@ -68,12 +64,12 @@ let exec_spec spec (algo : Algorithm.t) topology =
   let config = engine_config ~n spec in
   let on_restart ~node =
     Exec.restart_instance ~seed algo topology instances ~node;
-    if auditing then emit_genesis node
+    genesis ~node
   in
   let measure_bytes = Wire.encoded_size encoding ~universe:n in
   let outcome =
     Async_sim.run ~n ~config ~handlers ~measure:Payload.measure ~measure_bytes ~stop
-      ~on_restart ()
+      ~on_restart ?on_deliver ()
   in
   {
     algorithm = algo.Algorithm.name;

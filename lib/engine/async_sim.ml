@@ -175,17 +175,15 @@ let drive c hooks ~stop =
   !completed
 
 let run ~n ~config ~handlers ~measure ?(measure_bytes = fun _ -> 0) ~stop
-    ?(on_restart = fun ~node:_ -> ()) () =
+    ?(on_restart = fun ~node:_ -> ()) ?(on_deliver = fun ~src:_ ~dst:_ _ -> ()) () =
   let c = clock ~who:"Async_sim.run" ~n config in
   let metrics = Metrics.create () in
   Metrics.begin_round metrics;
   let fault = config.fault in
-  let has_partitions = Fault.partitions fault <> [] in
   let tick_count = Array.make n 0 in
-  (* per-link bandwidth windows, keyed src*n+dst -> (window, used) *)
-  let cap_used : (int, int * int) Hashtbl.t =
-    Hashtbl.create (if Fault.has_caps fault then 64 else 1)
-  in
+  (* bandwidth windows: [cap] messages per unit of simulated time (the
+     mean tick period) per directed link *)
+  let windows = Fault.windows () in
   (* tracing is observational only, exactly as in Sim: same RNG draws,
      same schedule, no allocation with the null sink *)
   let trace = config.trace in
@@ -199,29 +197,10 @@ let run ~n ~config ~handlers ~measure ?(measure_bytes = fun _ -> 0) ~stop
     let pointers = measure payload and bytes = measure_bytes payload in
     Metrics.record_send metrics ~pointers ~bytes;
     if tracing then Trace.emit trace (Trace.Send { src; dst; pointers; bytes });
-    if has_partitions && Fault.cut fault ~src ~dst ~time:c.now then lost ~src ~dst Trace.Partitioned
-    else begin
-      let lk = Fault.link_between fault ~src ~dst in
-      let throttled =
-        lk.Fault.cap > 0
-        &&
-        (* bandwidth window: [cap] messages per unit of simulated time
-           (the mean tick period) per directed link *)
-        let key = (src * n) + dst in
-        let window = int_of_float c.now in
-        let used =
-          match Hashtbl.find_opt cap_used key with
-          | Some (w, u) when w = window -> u
-          | _ -> 0
-        in
-        Hashtbl.replace cap_used key (window, used + 1);
-        used >= lk.Fault.cap
-      in
-      if throttled then lost ~src ~dst Trace.Throttled
-      else if lk.Fault.loss > 0.0 && Rng.bernoulli c.rng ~p:lk.Fault.loss then
-        lost ~src ~dst Trace.Loss
-      else send c ~at:(c.now +. latency c +. float_of_int lk.Fault.delay) ~src ~dst payload
-    end
+    let lk = Fault.link_between fault ~src ~dst in
+    match Fault.fate fault windows c.rng ~src ~dst ~time:c.now lk with
+    | Some reason -> lost ~src ~dst reason
+    | None -> send c ~at:(c.now +. latency c +. float_of_int lk.Fault.delay) ~src ~dst payload
   in
   let hooks =
     {
@@ -244,6 +223,7 @@ let run ~n ~config ~handlers ~measure ?(measure_bytes = fun _ -> 0) ~stop
         (fun ~src ~dst payload ->
           Metrics.record_delivery metrics;
           if tracing then Trace.emit trace (Trace.Deliver { src; dst });
+          on_deliver ~src ~dst payload;
           handlers.Sim.deliver ~node:dst ~src ~round:tick_count.(dst) payload);
       lost;
     }

@@ -57,6 +57,7 @@ val run :
   ?measure_bytes:('msg -> int) ->
   stop:(time:float -> alive:(int -> bool) -> bool) ->
   ?on_restart:(node:int -> unit) ->
+  ?on_deliver:(src:int -> dst:int -> 'msg -> unit) ->
   unit ->
   outcome
 (** [handlers.round_begin] is invoked on each node tick with [round]
@@ -65,7 +66,10 @@ val run :
     like crashes: at the revived node's next event the engine emits
     [Crash] (if not yet announced) then [Join], resets the node's tick
     sequence, and calls [on_restart] so the caller can reinstall the
-    node's initial algorithm state (default: no-op).
+    node's initial algorithm state (default: no-op). [on_deliver] runs
+    at each arrival at an alive node, between its [Deliver] event and
+    [handlers.deliver] (default: no-op). A send meets {!Fault.fate} at
+    the current time, on the engine stream.
     @raise Invalid_argument on a negative [n], a non-positive [horizon],
     a jitter outside [0, 1), or an invalid latency interval. *)
 

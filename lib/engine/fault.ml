@@ -97,12 +97,14 @@ let with_link t ~src ~dst lk =
 
 (* --- WAN profiles ----------------------------------------------------- *)
 
-let region_of w v =
-  let rec go i = function
-    | [] -> -1
-    | g :: rest -> if List.mem v g then i else go (i + 1) rest
-  in
-  go 0 w.regions
+(* Group lookups run per message, so they are plain top-level loops: a
+   local [go] capturing [v], or [List.mem], would allocate or compare
+   polymorphically on every call. *)
+let rec mem_node v = function [] -> false | (u : int) :: rest -> u = v || mem_node v rest
+
+let rec group_index v i = function
+  | [] -> -1
+  | g :: rest -> if mem_node v g then i else group_index v (i + 1) rest
 
 let with_wan t ~regions ~cross =
   if regions = [] || List.exists (fun g -> g = []) regions then
@@ -118,28 +120,28 @@ let with_wan t ~regions ~cross =
   if equal_link cross default_link then invalid_arg "Fault.with_wan: cross profile has no faults";
   { t with wan = Some { regions; cross } }
 
-let wan t = t.wan
-
-let link_between t ~src ~dst =
-  match List.assoc_opt (src, dst) t.overrides with
-  | Some lk -> lk
-  | None -> (
+(* The first matching override is the only one: [with_link] replaces
+   and [of_string] rejects duplicates. Matching the pair field by field
+   builds no [(src, dst)] key per message. *)
+let rec link_in t ~src ~dst = function
+  | ((s, d), lk) :: _ when s = src && d = dst -> lk
+  | _ :: rest -> link_in t ~src ~dst rest
+  | [] -> (
       match t.wan with
-      | Some w when region_of w src <> region_of w dst -> w.cross
+      | Some w when group_index src 0 w.regions <> group_index dst 0 w.regions -> w.cross
       | _ -> t.base)
+
+let link_between t ~src ~dst = link_in t ~src ~dst t.overrides
 
 let overrides t = List.sort compare t.overrides
 
 let has_link_faults t =
   (not (equal_link t.base default_link)) || t.overrides <> [] || t.wan <> None
 
-let fold_links t f acc =
-  let acc = f acc t.base in
-  let acc = List.fold_left (fun acc (_, lk) -> f acc lk) acc t.overrides in
-  match t.wan with None -> acc | Some w -> f acc w.cross
-
-let has_delays t = fold_links t (fun acc lk -> acc || lk.delay > 0) false
-let has_caps t = fold_links t (fun acc lk -> acc || lk.cap > 0) false
+let has_delays t =
+  t.base.delay > 0
+  || List.exists (fun (_, lk) -> lk.delay > 0) t.overrides
+  || match t.wan with Some w -> w.cross.delay > 0 | None -> false
 
 (* --- partitions ------------------------------------------------------ *)
 
@@ -159,21 +161,50 @@ let with_partition t ~groups ~start ~heal =
 
 let partitions t = t.partitions
 
-let group_of p v =
-  let rec go i = function
-    | [] -> -1
-    | g :: rest -> if List.mem v g then i else go (i + 1) rest
-  in
-  go 0 p.groups
+let rec cut_by ~src ~dst ~time = function
+  | [] -> false
+  | p :: rest ->
+    (float_of_int p.start <= time
+    && time < float_of_int p.heal
+    && group_index src 0 p.groups <> group_index dst 0 p.groups)
+    || cut_by ~src ~dst ~time rest
 
-let cut t ~src ~dst ~time =
-  t.partitions <> []
-  && List.exists
-       (fun p ->
-         float_of_int p.start <= time
-         && time < float_of_int p.heal
-         && group_of p src <> group_of p dst)
-       t.partitions
+let cut t ~src ~dst ~time = cut_by ~src ~dst ~time t.partitions
+
+(* --- link fate ------------------------------------------------------- *)
+
+module Itbl = Hashtbl.Make (Int)
+
+(* A capped link's current window and the messages it carried there,
+   updated in place: the link allocates once, on first use. *)
+type window = { mutable window : int; mutable used : int }
+type windows = window Itbl.t
+
+let windows () = Itbl.create 8
+
+let over_cap windows ~src ~dst ~time cap =
+  let window = int_of_float time in
+  (* node ids fit in 31 bits, so the pair packs into one int key *)
+  let key = (src lsl 31) lor dst in
+  match Itbl.find windows key with
+  | w when w.window = window ->
+    w.used <- w.used + 1;
+    w.used > cap
+  | w ->
+    w.window <- window;
+    w.used <- 1;
+    1 > cap
+  | exception Not_found ->
+    Itbl.add windows key { window; used = 1 };
+    1 > cap
+
+(* Constant constructors and [Some] of one are static data: no verdict
+   allocates. *)
+let fate t windows rng ~src ~dst ~time lk =
+  if cut t ~src ~dst ~time then Some Trace.Partitioned
+  else if lk.cap > 0 && over_cap windows ~src ~dst ~time lk.cap then Some Trace.Throttled
+  else if lk.loss > 0.0 && Repro_util.Rng.bernoulli rng ~p:lk.loss then Some Trace.Loss
+  else None
 
 (* --- crash / restart / join schedules -------------------------------- *)
 

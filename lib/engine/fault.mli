@@ -50,12 +50,6 @@ type partition = { groups : int list list; start : int; heal : int }
     [start .. heal-1]; nodes in no listed group form an implicit extra
     group. *)
 
-type wan = { regions : int list list; cross : link }
-(** A WAN profile: nodes cluster into latency [regions]; every link whose
-    endpoints sit in different regions (nodes in no listed region form an
-    implicit extra region) uses the [cross] link profile instead of the
-    base link. Per-link overrides still win over the WAN profile. *)
-
 val none : t
 (** The fault-free plan. *)
 
@@ -95,27 +89,23 @@ val link_between : t -> src:int -> dst:int -> link
     exists, else the WAN cross profile when the endpoints sit in different
     regions, else the base link. *)
 
-val overrides : t -> ((int * int) * link) list
-(** All per-link overrides, sorted by (src, dst). *)
-
 val has_link_faults : t -> bool
 (** Any nonzero base field, any override, or a WAN profile. *)
 
 val has_delays : t -> bool
 (** Any link (base, override or WAN cross) with a nonzero delay. *)
 
-val has_caps : t -> bool
-(** Any link (base, override or WAN cross) with a bandwidth cap. *)
-
 (** {1 WAN profiles} *)
 
 val with_wan : t -> regions:int list list -> cross:link -> t
-(** Install a WAN profile (replacing any previous one).
+(** Install a WAN profile (replacing any previous one): nodes cluster
+    into [regions]; every link whose endpoints sit in different regions
+    (nodes in no listed region form an implicit extra region) uses the
+    [cross] link profile instead of the base link. Per-link overrides
+    still win over the WAN profile.
     @raise Invalid_argument if a region is empty, a node appears in two
     regions, [cross] has an out-of-range field, or [cross] is all-default
     (a no-op profile is almost certainly a mistake). *)
-
-val wan : t -> wan option
 
 (** {1 Partitions} *)
 
@@ -130,6 +120,25 @@ val cut : t -> src:int -> dst:int -> time:float -> bool
 (** Is the [src -> dst] link severed by a partition at [time]? Rounds are
     compared as floats so the asynchronous engines can pass fractional
     times; the synchronous simulator passes [float_of_int round]. *)
+
+(** {1 Link fate} *)
+
+type windows
+(** Cap-window state: per capped directed link, its current window and
+    the messages it carried there. One per message path. *)
+
+val windows : unit -> windows
+
+val fate :
+  t -> windows -> Repro_util.Rng.t -> src:int -> dst:int -> time:float -> link ->
+  Trace.drop_reason option
+(** [fate t windows rng ~src ~dst ~time lk] — with [lk = link_between t
+    ~src ~dst] — is the rule both simulators and the live shim apply to
+    every message: [Some Partitioned] if {!cut} at [time], else
+    [Some Throttled] if the link already carried [lk.cap > 0] messages in
+    window [int_of_float time] (the message counts either way), else
+    [Some Loss] on a [lk.loss] coin drawn from [rng], else [None].
+    Allocates nothing once a capped link has its window. *)
 
 (** {1 Crash / restart / join schedules} *)
 

@@ -44,7 +44,15 @@ let push t ~src ~dst msg =
   t.msgs.(t.len) <- msg;
   t.len <- t.len + 1
 
+(* a cancelled message keeps its slot, marked by a negative destination *)
 let iter t f =
   for i = 0 to t.len - 1 do
-    f t.srcs.(i) t.dsts.(i) t.msgs.(i)
+    let dst = t.dsts.(i) in
+    if dst >= 0 then f t.srcs.(i) dst t.msgs.(i)
+  done
+
+let filter t keep =
+  for i = 0 to t.len - 1 do
+    let dst = t.dsts.(i) in
+    if dst >= 0 && not (keep t.srcs.(i) dst t.msgs.(i)) then t.dsts.(i) <- -1
   done

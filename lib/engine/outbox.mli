@@ -25,7 +25,14 @@ val capacity : 'msg t -> int
     reuse. *)
 
 val push : 'msg t -> src:int -> dst:int -> 'msg -> unit
+(** [dst] must be non-negative: a negative destination marks a
+    cancelled slot. *)
 
 val iter : 'msg t -> (int -> int -> 'msg -> unit) -> unit
-(** [iter t f] calls [f src dst msg] for each buffered message, in push
-    order. The buffer must not be modified during iteration. *)
+(** [iter t f] calls [f src dst msg] for each message not cancelled, in
+    push order. The buffer must not be modified during iteration. *)
+
+val filter : 'msg t -> (int -> int -> 'msg -> bool) -> unit
+(** [filter t keep] cancels, in place, each message for which [keep src
+    dst msg] (called in push order) is [false]; it keeps its slot, and
+    {!length}, until {!clear}. *)

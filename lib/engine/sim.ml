@@ -18,69 +18,64 @@ let default_config =
 
 type outcome = { completed : bool; rounds : int; metrics : Metrics.t; alive : bool array }
 
-(* The parallel path shards one run's nodes across a persistent domain
-   team and replays the sequential engine's event order exactly:
+(* One round loop at every job count. The nodes are split into [jobs]
+   contiguous shards, run by a persistent domain team (at [jobs = 1] the
+   team is just the calling domain), and every round has three phases:
 
-   - send phase (parallel): shard s runs [round_begin] for its nodes,
-     pushing raw messages into a shard-private outbox — no accounting,
-     no tracing, no shared writes. Shard s covers the contiguous nodes
-     [s*chunk, (s+1)*chunk), so concatenating the shard outboxes in
-     shard order reproduces the sequential engine's global send order.
+   - send (per shard): shard s runs [round_begin] for its alive nodes
+     [s*chunk, (s+1)*chunk), pushing raw messages into its own outbox —
+     no accounting, no tracing, no shared writes. The outboxes in shard
+     order hold the canonical send order: node order.
 
-   - accounting + resolution (coordinator, sequential): walk the shard
-     outboxes in canonical order emitting Send events and metrics, then
-     release due delayed messages, then resolve each message's fate
-     (liveness, partition, cap, loss, delay) in the same order and with
-     the same RNG stream as the sequential engine, emitting Drop/Deliver
-     events as resolved and pushing survivors into the destination
-     shard's delivery inbox.
+   - accounting and resolution (coordinator): walk the outboxes in that
+     order emitting Send events and metrics; release the delayed
+     messages now due into a small side buffer; then decide each
+     message's fate (liveness, then {!Fault.fate}, then delay) in the
+     canonical order on the engine's loss stream, emitting Drop events,
+     or Deliver events followed by [on_deliver]. A message that is
+     dropped or held back by a delay is cancelled in its outbox.
 
-   - delivery phase (parallel): shard s applies [handlers.deliver] for
-     the messages in its inbox, in inbox order. Deliveries to one node
-     keep their canonical relative order; deliveries to different nodes
-     commute because a deliver handler only touches its own node's state
-     (payloads are immutable snapshots; see {!Repro_util.Cset.freeze}).
+   - delivery (per shard): shard s walks the side buffer, then every
+     outbox in shard order (in place: no second buffer holds the
+     round's messages), and applies [handlers.deliver] to the
+     uncancelled messages addressed to its nodes. Deliveries to one
+     node keep their canonical order; deliveries to different nodes
+     commute because a deliver handler touches only its own node's
+     state (payloads are immutable snapshots; see
+     {!Repro_util.Cset.freeze}).
 
-   Every trace event, metric and RNG draw therefore happens on the
-   coordinator in the sequential order — a run at [jobs = k] is
-   byte-identical to [jobs = 1]. The team barrier between phases gives
-   the happens-before edges: phase N's writes are visible to phase N+1
-   on every member. *)
+   Every trace event, metric and RNG draw happens on the coordinator in
+   the canonical order, so a run is byte-identical at any [jobs]. The
+   team barrier between phases orders each phase's writes before the
+   next phase's reads. *)
 let run ~n ~config ~handlers ~measure ?(measure_bytes = fun _ -> 0) ~stop
-    ?(on_round_end = fun ~round:_ -> ()) ?(on_restart = fun ~node:_ -> ()) () =
+    ?(on_round_end = fun ~round:_ -> ()) ?(on_restart = fun ~node:_ -> ())
+    ?(on_deliver = fun ~src:_ ~dst:_ _ -> ()) () =
   if n < 0 then invalid_arg "Sim.run: negative node count";
   if config.max_rounds < 0 then invalid_arg "Sim.run: negative round budget";
   let alive = Array.make n true in
   let metrics = Metrics.create () in
   let loss_rng = Rng.substream ~seed:config.engine_seed ~index:0x10ad in
   let fault = config.fault in
-  let has_partitions = Fault.partitions fault <> [] in
   let has_delays = Fault.has_delays fault in
-  let has_caps = Fault.has_caps fault in
-  (* per-round per-link bandwidth accounting, keyed src*n+dst *)
-  let cap_used : (int, int) Hashtbl.t = Hashtbl.create (if has_caps then 64 else 1) in
+  let windows = Fault.windows () in
   (* messages held by delayed links, (release_round, src, dst, payload)
-     newest first; they outlive the outbox, which is cleared per round *)
+     newest first; they outlive the outboxes, which are cleared per round *)
   let pending = ref [] in
-  let crash_at = Array.make n max_int in
-  List.iter
-    (fun (node, round) -> if node < n then crash_at.(node) <- round)
-    (Fault.crashed_nodes config.fault);
-  let restart_at = Array.make n max_int in
-  List.iter
-    (fun (node, round) -> if node < n then restart_at.(node) <- round)
-    (Fault.restarting_nodes config.fault);
-  let join_at = Array.make n 1 in
-  List.iter
-    (fun (node, round) ->
-      if node < n then begin
-        join_at.(node) <- round;
-        if round > 1 then alive.(node) <- false
-      end)
-    (Fault.joining_nodes config.fault);
+  let schedule pairs ~default =
+    let at = Array.make n default in
+    List.iter (fun (node, round) -> if node < n then at.(node) <- round) pairs;
+    at
+  in
+  let crash_at = schedule (Fault.crashed_nodes fault) ~default:max_int in
+  let restart_at = schedule (Fault.restarting_nodes fault) ~default:max_int in
+  let join_at = schedule (Fault.joining_nodes fault) ~default:1 in
+  Array.iteri (fun v round -> if round > 1 then alive.(v) <- false) join_at;
   let is_alive v = v >= 0 && v < n && alive.(v) in
   let completed = ref (stop ~round:0 ~alive:is_alive) in
   let round = ref 0 in
+  (* the round as the fault plan's clock, boxed once per round *)
+  let now = ref 0.0 in
   (* tracing is observational only: no RNG draw, metric or delivery
      depends on it, and with the null sink no event is even constructed *)
   let trace = config.trace in
@@ -106,9 +101,31 @@ let run ~n ~config ~handlers ~measure ?(measure_bytes = fun _ -> 0) ~stop
       end
     done
   in
-  (* Delivery-fate closures are hoisted out of the round loop (they read
-     the current round through the [round] ref) so a steady-state round
-     allocates nothing. *)
+  let team = Pool.Team.create ~members:(min (max 1 config.jobs) (max 1 n)) in
+  (* the team may cap its size: one shard per member *)
+  let jobs = Pool.Team.members team in
+  let chunk = max 1 ((n + jobs - 1) / jobs) in
+  let outboxes : 'msg Outbox.t array = Array.init jobs (fun _ -> Outbox.create ()) in
+  (* delayed messages released this round; they deliver first *)
+  let released : 'msg Outbox.t = Outbox.create () in
+  (* one send closure per node for the whole run, pushing into its
+     shard's outbox — building them inside the round loop would put n
+     closures per round on the minor heap *)
+  let senders =
+    Array.init n (fun v ->
+        let outbox = outboxes.(v / chunk) in
+        fun ~dst payload ->
+          if dst < 0 || dst >= n then invalid_arg "Sim.send: destination out of range";
+          Outbox.push outbox ~src:v ~dst payload)
+  in
+  (* The coordinator's per-message closures are hoisted out of the round
+     loop (they read the current round through refs), so a steady-state
+     round allocates nothing. *)
+  let account src dst payload =
+    let pointers = measure payload and bytes = measure_bytes payload in
+    Metrics.record_send metrics ~pointers ~bytes;
+    if tracing then Trace.emit trace (Trace.Send { src; dst; pointers; bytes })
+  in
   let drop src dst reason =
     Metrics.record_drop metrics;
     if tracing then Trace.emit trace (Trace.Drop { src; dst; reason })
@@ -116,144 +133,88 @@ let run ~n ~config ~handlers ~measure ?(measure_bytes = fun _ -> 0) ~stop
   let drop_dead src dst =
     drop src dst (if crash_at.(dst) <= !round then Trace.Dead_dst else Trace.Unjoined_dst)
   in
-  (* [resolve] decides a message's fate — shared verbatim by both paths
-     so the RNG stream and event order cannot diverge. [deliver] is the
-     path-specific survivor action. *)
-  let resolve ~deliver src dst payload =
-    if not alive.(dst) then drop_dead src dst
-    else if has_partitions && Fault.cut fault ~src ~dst ~time:(float_of_int !round) then
-      drop src dst Trace.Partitioned
-    else begin
+  (* a survivor's Deliver event, metric and hook come at resolution, in
+     the canonical order; its handler runs in the delivery phase *)
+  let delivered src dst payload =
+    Metrics.record_delivery metrics;
+    if tracing then Trace.emit trace (Trace.Deliver { src; dst });
+    on_deliver ~src ~dst payload
+  in
+  (* released messages already passed the link's fate at send time;
+     only liveness is re-checked *)
+  let release_due r =
+    let due, held = List.partition (fun (rel, _, _, _) -> rel <= r) !pending in
+    pending := held;
+    List.iter
+      (fun (_, src, dst, payload) ->
+        if not alive.(dst) then drop_dead src dst
+        else begin
+          delivered src dst payload;
+          Outbox.push released ~src ~dst payload
+        end)
+      (List.rev due)
+  in
+  (* [true] keeps the message for this round's delivery phase *)
+  let resolve src dst payload =
+    if not alive.(dst) then begin
+      drop_dead src dst;
+      false
+    end
+    else
       let lk = Fault.link_between fault ~src ~dst in
-      let throttled =
-        lk.Fault.cap > 0
-        &&
-        let key = (src * n) + dst in
-        let used = Option.value ~default:0 (Hashtbl.find_opt cap_used key) in
-        Hashtbl.replace cap_used key (used + 1);
-        used >= lk.Fault.cap
-      in
-      if throttled then drop src dst Trace.Throttled
-      else if lk.Fault.loss > 0.0 && Rng.bernoulli loss_rng ~p:lk.Fault.loss then
-        drop src dst Trace.Loss
-      else if lk.Fault.delay > 0 then
-        pending := (!round + lk.Fault.delay, src, dst, payload) :: !pending
-      else deliver src dst payload
-    end
+      match Fault.fate fault windows loss_rng ~src ~dst ~time:!now lk with
+      | Some reason ->
+        drop src dst reason;
+        false
+      | None ->
+        if lk.Fault.delay > 0 then begin
+          pending := (!round + lk.Fault.delay, src, dst, payload) :: !pending;
+          false
+        end
+        else begin
+          delivered src dst payload;
+          true
+        end
   in
-  let release_due ~deliver r =
-    if has_delays && !pending <> [] then begin
-      let due, held = List.partition (fun (rel, _, _, _) -> rel <= r) !pending in
-      pending := held;
-      List.iter
-        (fun (_, src, dst, payload) ->
-          if not alive.(dst) then drop_dead src dst else deliver src dst payload)
-        (List.rev due)
-    end
-  in
-  let jobs = min (max 1 config.jobs) (max 1 n) in
-  if jobs = 1 then begin
-    (* ---- sequential path ---- *)
-    (* one buffer for the whole run: cleared (not reallocated) per round *)
-    let outbox : 'msg Outbox.t = Outbox.create () in
-    (* one send closure per node for the whole run — building them inside
-       the round loop would put n closures per round on the minor heap *)
-    let senders =
-      Array.init n (fun v ~dst payload ->
-          if dst < 0 || dst >= n then invalid_arg "Sim.send: destination out of range";
-          let pointers = measure payload and bytes = measure_bytes payload in
-          Metrics.record_send metrics ~pointers ~bytes;
-          if tracing then Trace.emit trace (Trace.Send { src = v; dst; pointers; bytes });
-          Outbox.push outbox ~src:v ~dst payload)
-    in
-    let deliver src dst payload =
-      Metrics.record_delivery metrics;
-      if tracing then Trace.emit trace (Trace.Deliver { src; dst });
-      handlers.deliver ~node:dst ~src ~round:!round payload
-    in
-    let resolve_deliver src dst payload = resolve ~deliver src dst payload in
-    while (not !completed) && !round < config.max_rounds do
-      incr round;
-      let r = !round in
-      if tracing then Trace.emit trace (Trace.Round_begin { round = r });
-      Metrics.begin_round metrics;
-      transitions r;
-      (* send phase: all sends are computed from start-of-round state *)
-      Outbox.clear outbox;
-      for v = 0 to n - 1 do
-        if alive.(v) then handlers.round_begin ~node:v ~round:r ~send:senders.(v)
-      done;
-      if has_caps then Hashtbl.reset cap_used;
-      (* messages released by delayed links deliver first (they are older
-         than this round's outbox), oldest sends first; partitions and
-         loss were already resolved at send time, only liveness is
-         re-checked *)
-      release_due ~deliver r;
-      Outbox.iter outbox resolve_deliver;
-      on_round_end ~round:r;
-      if stop ~round:r ~alive:is_alive then completed := true
+  let send_phase s =
+    let lo = s * chunk in
+    for v = lo to min n (lo + chunk) - 1 do
+      if alive.(v) then handlers.round_begin ~node:v ~round:!round ~send:senders.(v)
     done
-  end
-  else begin
-    (* ---- parallel path ---- *)
-    let chunk = (n + jobs - 1) / jobs in
-    let shard_of v = v / chunk in
-    let shard_out : 'msg Outbox.t array = Array.init jobs (fun _ -> Outbox.create ()) in
-    let shard_in : 'msg Outbox.t array = Array.init jobs (fun _ -> Outbox.create ()) in
-    (* raw per-node senders: shard-private push, zero shared writes *)
-    let senders =
-      Array.init n (fun v ~dst payload ->
-          if dst < 0 || dst >= n then invalid_arg "Sim.send: destination out of range";
-          Outbox.push shard_out.(shard_of v) ~src:v ~dst payload)
-    in
-    let account src dst payload =
-      let pointers = measure payload and bytes = measure_bytes payload in
-      Metrics.record_send metrics ~pointers ~bytes;
-      if tracing then Trace.emit trace (Trace.Send { src; dst; pointers; bytes })
-    in
-    (* a survivor's Deliver event and metric are emitted at resolution
-       time (the sequential order); the handler itself runs in the
-       delivery phase on the destination's shard *)
-    let deliver src dst payload =
-      Metrics.record_delivery metrics;
-      if tracing then Trace.emit trace (Trace.Deliver { src; dst });
-      Outbox.push shard_in.(shard_of dst) ~src ~dst payload
-    in
-    let resolve_deliver src dst payload = resolve ~deliver src dst payload in
-    let team = Pool.Team.create ~members:jobs in
-    let send_phase s =
-      let lo = s * chunk in
-      let hi = min n (lo + chunk) - 1 in
-      for v = lo to hi do
-        if alive.(v) then handlers.round_begin ~node:v ~round:!round ~send:senders.(v)
-      done
-    in
-    let deliver_phase s =
-      Outbox.iter shard_in.(s) (fun src dst payload ->
-          handlers.deliver ~node:dst ~src ~round:!round payload)
-    in
-    Fun.protect
-      ~finally:(fun () -> Pool.Team.shutdown team)
-      (fun () ->
-        while (not !completed) && !round < config.max_rounds do
-          incr round;
-          let r = !round in
-          if tracing then Trace.emit trace (Trace.Round_begin { round = r });
-          Metrics.begin_round metrics;
-          transitions r;
-          Array.iter Outbox.clear shard_out;
-          Pool.Team.run team send_phase;
-          (* canonical accounting: shard concatenation = node order *)
-          Array.iter (fun ob -> Outbox.iter ob account) shard_out;
-          if has_caps then Hashtbl.reset cap_used;
-          Array.iter Outbox.clear shard_in;
-          release_due ~deliver r;
-          Array.iter (fun ob -> Outbox.iter ob resolve_deliver) shard_out;
-          Pool.Team.run team deliver_phase;
-          on_round_end ~round:r;
-          if stop ~round:r ~alive:is_alive then completed := true
-        done)
-  end;
+  in
+  let deliverers =
+    Array.init jobs (fun s ->
+        let lo = s * chunk in
+        let hi = min n (lo + chunk) - 1 in
+        fun src dst payload ->
+          if dst >= lo && dst <= hi then handlers.deliver ~node:dst ~src ~round:!round payload)
+  in
+  let deliver_phase s =
+    let deliver = deliverers.(s) in
+    Outbox.iter released deliver;
+    Array.iter (fun outbox -> Outbox.iter outbox deliver) outboxes
+  in
+  Fun.protect
+    ~finally:(fun () -> Pool.Team.shutdown team)
+    (fun () ->
+      while (not !completed) && !round < config.max_rounds do
+        incr round;
+        let r = !round in
+        now := float_of_int r;
+        if tracing then Trace.emit trace (Trace.Round_begin { round = r });
+        Metrics.begin_round metrics;
+        transitions r;
+        (* all sends are computed from start-of-round state *)
+        Array.iter Outbox.clear outboxes;
+        Pool.Team.run team send_phase;
+        Array.iter (fun outbox -> Outbox.iter outbox account) outboxes;
+        Outbox.clear released;
+        if has_delays then release_due r;
+        Array.iter (fun outbox -> Outbox.filter outbox resolve) outboxes;
+        Pool.Team.run team deliver_phase;
+        on_round_end ~round:r;
+        if stop ~round:r ~alive:is_alive then completed := true
+      done);
   if tracing then begin
     Trace.emit trace (if !completed then Trace.Complete else Trace.Give_up);
     Trace.flush trace

@@ -33,22 +33,19 @@ type config = {
           the execution is identical whatever the sink, and the default
           {!Trace.null} adds no per-event work or allocation. *)
   jobs : int;
-      (** Domains sharding {e this} run's nodes ([<= 1] = sequential).
-          Nodes are split into [jobs] contiguous shards; each round, the
-          shards compute their sends in parallel, the coordinator then
-          accounts and resolves every message in the sequential engine's
-          canonical order (so all trace events, metrics and RNG draws
-          are emitted in the identical sequence), and the shards apply
-          deliveries in parallel. A run at [jobs = k] is byte-identical
-          — same trace, same metrics, same outcome — to [jobs = 1].
+      (** Domains sharding {e this} run's nodes (values below 1 count as
+          1). One round loop serves every job count: the nodes are split
+          into [jobs] contiguous shards that compute their sends in
+          parallel, the coordinator accounts and resolves every message
+          in the canonical order (all trace events, metrics and RNG
+          draws), and the shards apply deliveries in parallel. A run at
+          [jobs = k] is byte-identical — same trace, same metrics, same
+          outcome — to [jobs = 1].
 
-          Requirements on the handlers, beyond the sequential contract:
           [round_begin] and [deliver] for node [v] may touch only node
-          [v]'s state plus immutable shared data (message payloads must
-          be frozen snapshots), and must not emit trace events (the
-          engine owns the canonical event order; callers that wrap
-          [deliver] with trace emission — e.g. content auditing — must
-          clamp to [jobs = 1], see {!Repro_discovery.Run.exec_spec}). *)
+          [v]'s state plus immutable shared data (payloads must be
+          frozen snapshots), and must not emit trace events: per-delivery
+          events (e.g. content auditing) belong in [on_deliver]. *)
 }
 
 val default_config : config
@@ -70,6 +67,7 @@ val run :
   stop:(round:int -> alive:(int -> bool) -> bool) ->
   ?on_round_end:(round:int -> unit) ->
   ?on_restart:(node:int -> unit) ->
+  ?on_deliver:(src:int -> dst:int -> 'msg -> unit) ->
   unit ->
   outcome
 (** Execute rounds [1, 2, …] until [stop] returns true (checked after each
@@ -80,5 +78,8 @@ val run :
     scheduled restart revives a crashed node, before the node's next
     [round_begin]: the caller must reset that node's algorithm state to
     its initial world view (default: no-op, i.e. the node resumes with
-    whatever state the handlers still hold for it).
+    whatever state the handlers still hold for it). [on_deliver] runs
+    right after each [Deliver] event, in the canonical order, and may
+    emit trace events; the message's [deliver] handler runs later, in
+    the delivery phase (default: no-op).
     @raise Invalid_argument if [n < 0] or [config.max_rounds < 0]. *)

@@ -13,8 +13,8 @@ type t = {
   epoch : float;
   tick_period : float;
   mutable held : held list;
-  (* per-destination bandwidth windows: dst -> (window, frames sent) *)
-  caps : (int, int * int) Hashtbl.t;
+  (* this node's outgoing cap windows *)
+  windows : Fault.windows;
 }
 
 let active plan = Fault.has_link_faults plan || Fault.partitions plan <> []
@@ -30,7 +30,7 @@ let create ~plan ~seed ~node ~epoch ~tick_period =
     epoch;
     tick_period;
     held = [];
-    caps = Hashtbl.create (if Fault.has_caps plan then 8 else 1);
+    windows = Fault.windows ();
   }
 
 (* Map wall time to the simulator's round clock so partition windows
@@ -46,25 +46,15 @@ let corrupt_copy t frame =
 
 let pending t = t.held <> []
 
-let over_cap t ~now ~dst cap =
-  (* cap frames per tick-period window per destination; like loss and
-     partitions the excess is silently swallowed and retransmission
-     recovers, modelling a saturated WAN link *)
-  let window = int_of_float (round_now t ~now) in
-  let used =
-    match Hashtbl.find_opt t.caps dst with Some (w, u) when w = window -> u | _ -> 0
-  in
-  Hashtbl.replace t.caps dst (window, used + 1);
-  used >= cap
-
+(* Partitions, caps and loss are the simulators' rule, on the round
+   clock; like loss, a partitioned or throttled frame is silently
+   swallowed and retransmission recovers, modelling a saturated or
+   severed WAN link. *)
 let send t ~now ~dst frame ~queue =
   let lk = Fault.link_between t.plan ~src:t.node ~dst in
-  if Fault.cut t.plan ~src:t.node ~dst ~time:(round_now t ~now) then ()
-    (* partitioned: silently swallowed — the reliability layer's
-       retransmission delivers it after the heal *)
-  else if lk.Fault.cap > 0 && over_cap t ~now ~dst lk.Fault.cap then ()
-  else if lk.Fault.loss > 0.0 && Rng.bernoulli t.rng ~p:lk.Fault.loss then ()
-  else begin
+  match Fault.fate t.plan t.windows t.rng ~src:t.node ~dst ~time:(round_now t ~now) lk with
+  | Some _ -> ()
+  | None ->
     let frame =
       if lk.Fault.corrupt > 0.0 && Rng.bernoulli t.rng ~p:lk.Fault.corrupt then
         corrupt_copy t frame
@@ -82,7 +72,6 @@ let send t ~now ~dst frame ~queue =
     in
     emit frame;
     if lk.Fault.dup > 0.0 && Rng.bernoulli t.rng ~p:lk.Fault.dup then emit (Bytes.copy frame)
-  end
 
 let flush_due t ~now ~queue =
   if t.held <> [] then begin

@@ -10,6 +10,11 @@
     frame sequence, the same frames are dropped/held/corrupted,
     independent of wall clock or process interleaving.
 
+    Partition, cap and loss are {!Repro_engine.Fault.fate}, the rule
+    both simulators apply, on the node's round clock (below) and its
+    substream; corruption, delay, reordering and duplication then act
+    on the frames that pass.
+
     Suppressed frames vanish {e silently}: no [Drop] trace event and no
     drop counter, because the node's reliability layer retransmits
     unacknowledged frames and a later copy (usually) gets through —

@@ -146,13 +146,14 @@ let int t bound =
     draw mask
   end
 
-let float t bound =
-  (* 53 random mantissa bits *)
+(* 53 random mantissa bits in [0, 1); inlined, so a comparison against
+   it (the engines' per-message loss coin) boxes no float *)
+let[@inline] unit t =
   next t;
-  let x = (t.rh lsl 21) lor (t.rl lsr 11) in
-  float_of_int x *. (1.0 /. 9007199254740992.0) *. bound
+  float_of_int ((t.rh lsl 21) lor (t.rl lsr 11)) *. (1.0 /. 9007199254740992.0)
 
-let bernoulli t ~p = if p <= 0.0 then false else if p >= 1.0 then true else float t 1.0 < p
+let float t bound = unit t *. bound
+let bernoulli t ~p = if p <= 0.0 then false else if p >= 1.0 then true else unit t < p
 
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";

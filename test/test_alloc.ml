@@ -179,6 +179,48 @@ let test_idle_pump_allocates_nothing () =
   let extra = after -. before -. overhead in
   if extra > 0.0 then Alcotest.failf "1,000 idle pumps allocated %.0f minor words (expected 0)" extra
 
+(* Every message of both simulators and every live frame looks up its
+   link ([Fault.link_between]) and meets the shared fate rule
+   ([Fault.fate]: partition, cap, loss). Neither may allocate, with or
+   without per-link overrides, a WAN profile or a partition. A capped
+   link allocates its window cell once, on first use, so a warm-up pass
+   in an earlier window comes first; the measured pass reuses the cells
+   in a new window. The times are literal constants, so the calls pass
+   static floats. *)
+let test_link_fate_allocates_nothing () =
+  let plan s = match Repro_engine.Fault.of_string s with Ok f -> f | Error e -> failwith e in
+  let rng = Rng.create ~seed:1 in
+  List.iter
+    (fun (name, fault) ->
+      let windows = Repro_engine.Fault.windows () in
+      let pass time =
+        for src = 0 to 15 do
+          for dst = 0 to 15 do
+            let lk = Repro_engine.Fault.link_between fault ~src ~dst in
+            let verdict = Repro_engine.Fault.fate fault windows rng ~src ~dst ~time lk in
+            ignore (Sys.opaque_identity verdict)
+          done
+        done
+      in
+      pass 1.0;
+      let cal_before = Gc.minor_words () in
+      let cal_after = Gc.minor_words () in
+      let overhead = cal_after -. cal_before in
+      let before = Gc.minor_words () in
+      pass 2.5;
+      let after = Gc.minor_words () in
+      let extra = after -. before -. overhead in
+      if extra > 0.0 then
+        Alcotest.failf "%s: 256 link lookups and fates allocated %.0f minor words (expected 0)" name
+          extra)
+    [
+      ("no faults", Repro_engine.Fault.none);
+      ("base loss", plan "loss=0.05");
+      ("per-link overrides", plan "link=1>2:loss=0.5,link=3>4:cap=1,link=5>6:delay=2,cap=2");
+      ("wan profile", plan "wan=0-7|8-15:loss=0.2:cap=2");
+      ("partition", plan "part=0-4|5-9@2..6,cap=3,loss=0.1");
+    ]
+
 (* The event heap stores times and sequence numbers unboxed beside the
    payloads: once its arrays have grown, a push and a pop of an
    immediate payload write into preallocated slots and allocate
@@ -358,6 +400,8 @@ let () =
             test_node_core_create_is_constant;
           Alcotest.test_case "idle pump is allocation-free" `Quick
             test_idle_pump_allocates_nothing;
+          Alcotest.test_case "link lookup and fate are allocation-free" `Quick
+            test_link_fate_allocates_nothing;
           Alcotest.test_case "heap push and pop are allocation-free" `Quick
             test_heap_push_pop_allocates_nothing;
           Alcotest.test_case "in-place array union is allocation-free" `Quick

@@ -274,7 +274,6 @@ let test_wan_dsl_example () =
     Alcotest.(check (float 1e-9)) "cross loss" 0.1 cross.Fault.loss;
     Alcotest.(check int) "cross cap" 5 cross.Fault.cap;
     Alcotest.(check int) "base cap" 9 (Fault.link_between f ~src:0 ~dst:1).Fault.cap;
-    Alcotest.(check bool) "has_caps" true (Fault.has_caps f);
     Alcotest.(check bool) "has_delays" true (Fault.has_delays f);
     (match Fault.of_string (Fault.to_string f) with
     | Ok f' -> Alcotest.(check bool) "round-trips" true (Fault.equal f f')
