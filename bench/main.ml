@@ -345,7 +345,7 @@ let print_table rows =
     (fun r ->
       Table.add_row table [ r.name; human_time r.ns_per_run; human_words r.minor_words_per_run ])
     rows;
-  Table.print table;
+  print_string (Table.render table);
   print_newline ()
 
 (* The CPU model, which is what tells two hosts' numbers apart; the

@@ -36,46 +36,21 @@ let t7 report ~quick ~jobs =
   let n = n ~quick in
   Report.section report ~id:"T7"
     ~title:(Printf.sprintf "Design ablations (k-out, n = %d; DNF = over 300 rounds)" n);
-  let table =
-    Table.create
-      ~columns:
-        [
-          ("variant", Table.Left);
-          ("rounds", Table.Right);
-          ("messages", Table.Right);
-          ("pointers", Table.Right);
-          ("what it isolates", Table.Left);
-        ]
-  in
-  let csv_rows = ref [] in
-  let variants = variants () in
-  let cells =
-    Sweepcell.run_batch ~jobs
-      (List.map
-         (fun ((algo : Algorithm.t), _) ->
-           Sweepcell.request ~algo ~family ~n ~seeds:(seeds ~quick) ~max_rounds:300 ())
-         variants)
-  in
-  List.iter2
-    (fun ((algo : Algorithm.t), note) c ->
-      Table.add_row table
-        [
-          algo.Algorithm.name;
-          Sweepcell.rounds_cell c;
-          Sweepcell.messages_cell c;
-          Sweepcell.pointers_cell c;
-          note;
-        ];
-      csv_rows :=
-        [
-          algo.Algorithm.name;
-          Sweepcell.rounds_cell c;
-          Sweepcell.messages_cell c;
-          Sweepcell.pointers_cell c;
-        ]
-        :: !csv_rows)
-    variants cells;
-  Report.emit report (Table.render table);
-  Report.csv report ~name:"t7_ablations"
-    ~header:[ "variant"; "rounds"; "messages"; "pointers" ]
-    ~rows:(List.rev !csv_rows)
+  let metrics = Sweepcell.[ Rounds; Messages; Pointers ] in
+  Report.table report
+    ~csv:("t7_ablations", "variant" :: Sweepcell.csv_header metrics)
+    ~header:
+      [
+        ("variant", Table.Left);
+        ("rounds", Table.Right);
+        ("messages", Table.Right);
+        ("pointers", Table.Right);
+        ("what it isolates", Table.Left);
+      ]
+    ~row:(fun ((algo : Algorithm.t), _) -> ([ algo.Algorithm.name ], [ algo.Algorithm.name ]))
+    ~col:(fun () -> [])
+    ~cell:(fun (_, note) () results ->
+      ( List.map (fun m -> Sweepcell.cell m results) metrics @ [ note ],
+        Sweepcell.csv_fields metrics results ))
+    (Report.grid ~jobs ~seeds:(seeds ~quick) (variants ()) [ () ] (fun (algo, _) () seed ->
+         Sweepcell.exec ~algo ~family ~n ~max_rounds:300 seed))

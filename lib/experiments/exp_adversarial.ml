@@ -34,67 +34,31 @@ let t12 report ~quick ~jobs =
   Report.section report ~id:"T12"
     ~title:
       (Printf.sprintf "Adversarial scenario matrix (n = %d; DNF = over %d rounds)" n (8 * n));
-  let names = List.map (fun a -> a.Algorithm.name) algorithms in
-  let table =
-    Table.create
-      ~columns:
-        (("topology", Table.Left) :: ("links", Table.Left)
-        :: List.map (fun a -> (a, Table.Right)) names)
-  in
-  let grid =
-    List.concat_map
-      (fun family -> List.map (fun profile -> (family, profile)) (profiles ~n))
-      Generate.adversarial_families
-  in
-  let csv_rows = ref [] in
-  let all_cells =
-    Sweepcell.run_batch ~jobs
-      (List.concat_map
-         (fun (family, (_, fault)) ->
-           List.map
-             (fun algo ->
-               Sweepcell.request ~algo ~family ~n ~seeds:(seeds ~quick) ~max_rounds:(8 * n)
-                 ~fault:(fun _ -> fault)
-                 ())
-             algorithms)
-         grid)
-  in
-  List.iter2
-    (fun (family, (profile, _)) cells ->
-      List.iter
-        (fun (c : Sweepcell.t) ->
-          csv_rows :=
-            [
-              Generate.family_name family;
-              profile;
-              c.Sweepcell.algo;
-              string_of_int n;
-              (match c.Sweepcell.rounds with
-              | None -> "DNF"
-              | Some s -> Printf.sprintf "%.1f" s.Stats.mean);
-              (match c.Sweepcell.messages with
-              | None -> ""
-              | Some s -> Printf.sprintf "%.0f" s.Stats.mean);
-              (match c.Sweepcell.dropped with
-              | None -> ""
-              | Some s -> Printf.sprintf "%.1f" s.Stats.mean);
-            ]
-            :: !csv_rows)
-        cells;
-      Table.add_row table
-        (Generate.family_name family :: profile :: List.map Sweepcell.rounds_cell cells))
-    grid
-    (Sweepcell.chunks (List.length algorithms) all_cells);
-  Report.emit report (Table.render table);
-  Report.emit report
-    "Notes: the sorted chain is min_pointer's deterministic worst case (see the regression test\n\
-     in test_adversarial.ml — its pointer cost separates from hm's there); kniesburges is the\n\
-     sorted low-weft instance from the KPV analysis. WAN crossings slow every algorithm by a\n\
-     few rounds. The saturated profile throttles every cross-region link to one message per\n\
-     round; the resulting drops show up in the CSV's dropped column, yet rounds and send counts\n\
-     stay at their clean-link values — the extra sends these gossips make over a hot link are\n\
-     duplicates of state the receiver gets elsewhere, so throttling them costs nothing. The\n\
-     deterministic cap accounting itself is pinned by test_adversarial.ml's cap tests.\n";
-  Report.csv report ~name:"t12_adversarial"
-    ~header:[ "topology"; "links"; "algorithm"; "n"; "rounds"; "messages"; "dropped" ]
-    ~rows:(List.rev !csv_rows)
+  let metrics = Sweepcell.[ Rounds; Messages; Dropped ] in
+  Report.table report
+    ~csv:("t12_adversarial", [ "topology"; "links"; "n"; "algorithm" ] @ Sweepcell.csv_header metrics)
+    ~header:
+      (("topology", Table.Left) :: ("links", Table.Left)
+      :: List.map (fun (a : Algorithm.t) -> (a.Algorithm.name, Table.Right)) algorithms)
+    ~row:(fun (family, (profile, _)) ->
+      let label = [ Generate.family_name family; profile ] in
+      (label, label @ [ string_of_int n ]))
+    ~col:(fun (a : Algorithm.t) -> [ a.Algorithm.name ])
+    ~cell:(fun _ _ results ->
+      ([ Sweepcell.cell Sweepcell.Rounds results ], Sweepcell.csv_fields metrics results))
+    ~notes:
+      "Notes: the sorted chain is min_pointer's deterministic worst case (see the regression test\n\
+       in test_adversarial.ml — its pointer cost separates from hm's there); kniesburges is the\n\
+       sorted low-weft instance from the KPV analysis. WAN crossings slow every algorithm by a\n\
+       few rounds. The saturated profile throttles every cross-region link to one message per\n\
+       round; the resulting drops show up in the CSV's dropped column, yet rounds and send counts\n\
+       stay at their clean-link values — the extra sends these gossips make over a hot link are\n\
+       duplicates of state the receiver gets elsewhere, so throttling them costs nothing. The\n\
+       deterministic cap accounting itself is pinned by test_adversarial.ml's cap tests.\n"
+    (Report.grid ~jobs ~seeds:(seeds ~quick)
+       (List.concat_map
+          (fun family -> List.map (fun profile -> (family, profile)) (profiles ~n))
+          Generate.adversarial_families)
+       algorithms
+       (fun (family, (_, fault)) algo seed ->
+         Sweepcell.exec ~algo ~family ~n ~max_rounds:(8 * n) ~fault seed))

@@ -29,76 +29,47 @@ let t10 report ~quick ~jobs =
          "Asynchronous execution (k-out, n = %d): completion time in node periods; \"sync\" is \
           the synchronous round count"
          n);
-  let table =
-    Table.create
-      ~columns:
-        (("regime", Table.Left)
-        :: List.map (fun (a : Algorithm.t) -> (a.Algorithm.name, Table.Right)) algorithms)
-  in
-  let csv_rows = ref [] in
-  let sync_cells =
-    List.map
-      (fun c ->
-        csv_rows := [ "sync"; c.Sweepcell.algo; Sweepcell.rounds_cell c ] :: !csv_rows;
-        Sweepcell.rounds_cell c)
-      (Sweepcell.run_batch ~jobs
-         (List.map
-            (fun algo ->
-              Sweepcell.request ~algo ~family ~n ~seeds:(seeds ~quick) ~max_rounds:500 ())
-            algorithms))
-  in
-  Table.add_row table ("sync (rounds)" :: sync_cells);
-  Table.add_separator table;
-  (* the asynchronous grid, sharded per (regime, algorithm, seed) *)
-  let groups =
-    List.concat_map (fun r -> List.map (fun a -> (r, a)) algorithms) regimes
-  in
-  let k = List.length (seeds ~quick) in
-  let all_times =
-    Pool.map ~jobs
-      (fun (regime, (algo : Algorithm.t), seed) ->
-        let topology = Sweepcell.topology_of ~family ~n ~seed in
-        let spec =
-          {
-            Run_async.default_spec with
-            Run_async.seed;
-            tick_jitter = regime.jitter;
-            latency = regime.latency;
-          }
-        in
-        let r = Run_async.exec_spec spec algo topology in
-        if not r.Run_async.completed then
-          failwith (Printf.sprintf "%s did not complete asynchronously" algo.Algorithm.name);
-        r.Run_async.time)
-      (List.concat_map
-         (fun (r, a) -> List.map (fun seed -> (r, a, seed)) (seeds ~quick))
-         groups)
-  in
-  let summaries =
-    List.map2
-      (fun (regime, (algo : Algorithm.t)) times ->
-        ((regime.label, algo.Algorithm.name), Stats.summarize times))
-      groups
-      (Sweepcell.chunks k all_times)
-  in
-  List.iter
-    (fun regime ->
-      let cells =
-        List.map
-          (fun (algo : Algorithm.t) ->
-            let s = List.assoc (regime.label, algo.Algorithm.name) summaries in
-            csv_rows :=
-              [ regime.label; algo.Algorithm.name; Printf.sprintf "%.1f" s.Stats.mean ]
-              :: !csv_rows;
-            Table.cell_mean_std s)
-          algorithms
+  (* [None] is the synchronous baseline row *)
+  let measure regime (algo : Algorithm.t) seed =
+    match regime with
+    | None ->
+      let r = Sweepcell.exec ~algo ~family ~n ~max_rounds:500 seed in
+      if not r.Run.completed then
+        failwith (Printf.sprintf "%s did not complete synchronously" algo.Algorithm.name);
+      float_of_int r.Run.rounds
+    | Some regime ->
+      let topology = Sweepcell.topology_of ~family ~n ~seed in
+      let spec =
+        {
+          Run_async.default_spec with
+          Run_async.seed;
+          tick_jitter = regime.jitter;
+          latency = regime.latency;
+        }
       in
-      Table.add_row table (regime.label :: cells))
-    regimes;
-  Report.emit report (Table.render table);
-  Report.emit report
-    "Completion times track the synchronous round counts within a small constant even under\n\
-     harsh latency spread — the algorithms rely on acknowledgement and retransmission, never\n\
-     on lockstep rounds, so the synchronous analysis carries over.\n";
-  Report.csv report ~name:"t10_async" ~header:[ "regime"; "algorithm"; "time" ]
-    ~rows:(List.rev !csv_rows)
+      let r = Run_async.exec_spec spec algo topology in
+      if not r.Run_async.completed then
+        failwith (Printf.sprintf "%s did not complete asynchronously" algo.Algorithm.name);
+      r.Run_async.time
+  in
+  Report.table report
+    ~csv:("t10_async", [ "regime"; "algorithm"; "time_mean"; "time_std" ])
+    ~header:
+      (("regime", Table.Left)
+      :: List.map (fun (a : Algorithm.t) -> (a.Algorithm.name, Table.Right)) algorithms)
+    ~row:(function
+      | None -> ([ "sync (rounds)" ], [ "sync" ])
+      | Some regime -> ([ regime.label ], [ regime.label ]))
+    ~col:(fun (a : Algorithm.t) -> [ a.Algorithm.name ])
+    ~cell:(fun regime _ times ->
+      let s = Stats.summarize times in
+      ( [ (if Option.is_none regime then Sweepcell.mean_cell s else Table.cell_mean_std s) ],
+        Sweepcell.summary_fields s ))
+    ~rule:(fun regime -> regime = Some (List.hd regimes))
+    ~notes:
+      "Completion times track the synchronous round counts within a small constant even under\n\
+       harsh latency spread — the algorithms rely on acknowledgement and retransmission, never\n\
+       on lockstep rounds, so the synchronous analysis carries over.\n"
+    (Report.grid ~jobs ~seeds:(seeds ~quick)
+       (None :: List.map Option.some regimes)
+       algorithms measure)

@@ -20,47 +20,30 @@ let t5_algorithms () =
     Min_pointer.algorithm;
   ]
 
+let algo_header (a : Algorithm.t) = (a.Algorithm.name, Table.Right)
+let algo_key (a : Algorithm.t) = [ a.Algorithm.name ]
+
+let rounds_cell _ _ results =
+  ([ Sweepcell.cell Sweepcell.Rounds results ], Sweepcell.csv_fields [ Sweepcell.Rounds ] results)
+
 let t5 report ~quick ~jobs =
   let n = n ~quick in
   Report.section report ~id:"T5"
     ~title:(Printf.sprintf "Rounds under message loss (k-out, n = %d)" n);
   let algos = t5_algorithms () in
-  let table =
-    Table.create
-      ~columns:
-        (("loss" , Table.Right)
-        :: List.map (fun (a : Algorithm.t) -> (a.Algorithm.name, Table.Right)) algos)
-  in
-  let csv_rows = ref [] in
-  let all_cells =
-    Sweepcell.run_batch ~jobs
-      (List.concat_map
-         (fun p ->
-           List.map
-             (fun algo ->
-               Sweepcell.request ~algo ~family ~n ~seeds:(seeds ~quick) ~max_rounds:2000
-                 ~fault:(fun _ -> Fault.with_loss Fault.none ~p)
-                 ())
-             algos)
-         loss_levels)
-  in
-  List.iter2
-    (fun p cells ->
-      List.iter
-        (fun (c : Sweepcell.t) ->
-          csv_rows :=
-            [ Printf.sprintf "%.2f" p; c.Sweepcell.algo; Sweepcell.rounds_cell c ] :: !csv_rows)
-        cells;
-      Table.add_row table (Printf.sprintf "%.0f%%" (100.0 *. p) :: List.map Sweepcell.rounds_cell cells))
-    loss_levels
-    (Sweepcell.chunks (List.length algos) all_cells);
-  Report.emit report (Table.render table);
-  Report.emit report
-    "hm's delta reports are retransmitted until the head's Reply acknowledges them, so loss\n\
-     costs rounds, never correctness; hm:full converges slightly faster under heavy loss at a\n\
-     much higher pointer cost.\n";
-  Report.csv report ~name:"t5_loss" ~header:[ "loss"; "algorithm"; "rounds" ]
-    ~rows:(List.rev !csv_rows)
+  Report.table report
+    ~csv:("t5_loss", [ "loss"; "algorithm" ] @ Sweepcell.csv_header [ Sweepcell.Rounds ])
+    ~header:(("loss", Table.Right) :: List.map algo_header algos)
+    ~row:(fun p -> ([ Printf.sprintf "%.0f%%" (100.0 *. p) ], [ Printf.sprintf "%.2f" p ]))
+    ~col:algo_key ~cell:rounds_cell
+    ~notes:
+      "hm's delta reports are retransmitted until the head's Reply acknowledges them, so loss\n\
+       costs rounds, never correctness; hm:full converges slightly faster under heavy loss at a\n\
+       much higher pointer cost.\n"
+    (Report.grid ~jobs ~seeds:(seeds ~quick) loss_levels algos (fun p algo seed ->
+         Sweepcell.exec ~algo ~family ~n ~max_rounds:2000
+           ~fault:(Fault.with_loss Fault.none ~p)
+           seed))
 
 let crash_fractions = [ 0.0; 0.01; 0.05; 0.10 ]
 
@@ -76,41 +59,20 @@ let t6 report ~quick ~jobs =
           knows every survivor)"
          n);
   let algos = t6_algorithms () in
-  let table =
-    Table.create
-      ~columns:
-        (("crashed", Table.Right)
-        :: List.map (fun (a : Algorithm.t) -> (a.Algorithm.name, Table.Right)) algos)
+  let csv = ("t6_crashes", [ "crashed"; "algorithm" ] @ Sweepcell.csv_header [ Sweepcell.Rounds ]) in
+  let crashes fault_of rows =
+    Report.grid ~jobs ~seeds:(seeds ~quick) rows algos (fun row algo seed ->
+        Sweepcell.exec ~algo ~family ~n ~max_rounds:2000 ~fault:(fault_of row seed)
+          ~completion:Run.Survivors_strong seed)
   in
-  let csv_rows = ref [] in
   let count_of frac = int_of_float (Float.round (frac *. float_of_int n)) in
-  let all_cells =
-    Sweepcell.run_batch ~jobs
-      (List.concat_map
-         (fun frac ->
-           let count = count_of frac in
-           List.map
-             (fun algo ->
-               Sweepcell.request ~algo ~family ~n ~seeds:(seeds ~quick) ~max_rounds:2000
-                 ~fault:(fun seed -> Sweepcell.crash_fault ~seed ~n ~count)
-                 ~completion:Run.Survivors_strong ())
-             algos)
-         crash_fractions)
-  in
-  List.iter2
-    (fun frac cells ->
+  Report.table report ~csv
+    ~header:(("crashed", Table.Right) :: List.map algo_header algos)
+    ~row:(fun frac ->
       let count = count_of frac in
-      List.iter
-        (fun (c : Sweepcell.t) ->
-          csv_rows :=
-            [ string_of_int count; c.Sweepcell.algo; Sweepcell.rounds_cell c ] :: !csv_rows)
-        cells;
-      Table.add_row table
-        (Printf.sprintf "%d (%.0f%%)" count (100.0 *. frac)
-        :: List.map Sweepcell.rounds_cell cells))
-    crash_fractions
-    (Sweepcell.chunks (List.length algos) all_cells);
-  Report.emit report (Table.render table);
+      ([ Printf.sprintf "%d (%.0f%%)" count (100.0 *. frac) ], [ string_of_int count ]))
+    ~col:algo_key ~cell:rounds_cell ~notes:"\n"
+    (crashes (fun frac seed -> Sweepcell.crash_fault ~seed ~n ~count:(count_of frac)) crash_fractions);
   (* Uniform victims rarely include the aggregation sink, so also crash
      it deliberately — and at the worst possible moment. The node with
      the smallest rank (hm's sink) and the node with the smallest raw
@@ -118,38 +80,19 @@ let t6 report ~quick ~jobs =
      every node has already converged on reporting to them; earlier
      crashes lose the race against the surviving roots and are survivable
      even without failure detection. *)
-  let adversarial_fault seed =
+  let adversarial_fault () seed =
     let labels = Repro_util.Rng.permutation (Repro_util.Rng.substream ~seed ~index:0) n in
     let rank_min = ref 0 in
     Array.iteri (fun v l -> if l < labels.(!rank_min) then rank_min := v) labels;
     Fault.with_crashes Fault.none [ (0, 5); (!rank_min, 5) ]
   in
-  let adv =
-    Sweepcell.run_batch ~jobs
-      (List.map
-         (fun algo ->
-           Sweepcell.request ~algo ~family ~n ~seeds:(seeds ~quick) ~max_rounds:2000
-             ~fault:adversarial_fault ~completion:Run.Survivors_strong ())
-         algos)
-  in
-  let adv_table =
-    Table.create
-      ~columns:
-        (("scenario", Table.Left)
-        :: List.map (fun (a : Algorithm.t) -> (a.Algorithm.name, Table.Right)) algos)
-  in
-  Table.add_row adv_table
-    ("both aggregation sinks crash at round 5 (endgame)" :: List.map Sweepcell.rounds_cell adv);
-  Report.emit report "\n";
-  Report.emit report (Table.render adv_table);
-  List.iter
-    (fun (c : Sweepcell.t) ->
-      csv_rows := [ "sinks"; c.Sweepcell.algo; Sweepcell.rounds_cell c ] :: !csv_rows)
-    adv;
-  Report.emit report
-    "hm suspects its silent head candidate after a few unanswered reports and re-clusters\n\
-     around the smallest surviving rank; min_pointer has no failure detection, so once the\n\
-     minimum identifier crashes the survivors report to it forever — the deterministic\n\
-     baseline survives random churn only as long as its sink does.\n";
-  Report.csv report ~name:"t6_crashes" ~header:[ "crashed"; "algorithm"; "rounds" ]
-    ~rows:(List.rev !csv_rows)
+  Report.table report ~csv
+    ~header:(("scenario", Table.Left) :: List.map algo_header algos)
+    ~row:(fun () -> ([ "both aggregation sinks crash at round 5 (endgame)" ], [ "sinks" ]))
+    ~col:algo_key ~cell:rounds_cell
+    ~notes:
+      "hm suspects its silent head candidate after a few unanswered reports and re-clusters\n\
+       around the smallest surviving rank; min_pointer has no failure detection, so once the\n\
+       minimum identifier crashes the survivors report to it forever — the deterministic\n\
+       baseline survives random churn only as long as its sink does.\n"
+    (crashes adversarial_fault [ () ])

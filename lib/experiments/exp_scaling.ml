@@ -28,7 +28,8 @@ let algorithms () =
     Hm_gossip.algorithm;
   ]
 
-let sweep_cache : (bool, Sweepcell.t list) Hashtbl.t = Hashtbl.create 2
+let sweep_cache : (bool, (int, Algorithm.t, Run.result option) Report.cells) Hashtbl.t =
+  Hashtbl.create 2
 
 (* The cache key ignores [jobs]: cell results are deterministic in the
    seeds, so the worker count cannot change what is memoised. *)
@@ -36,53 +37,45 @@ let sweep ~quick ~jobs =
   match Hashtbl.find_opt sweep_cache quick with
   | Some cells -> cells
   | None ->
-    let requests =
-      List.concat_map
-        (fun algo ->
-          List.filter_map
-            (fun n ->
-              if algo.Algorithm.name = "swamping" && n > swamping_limit then None
-              else
-                Some (Sweepcell.request ~algo ~family ~n ~seeds:(seeds ~quick) ~max_rounds:500 ()))
-            (sizes ~quick))
-        (algorithms ())
+    let cells =
+      Report.grid ~jobs ~seeds:(seeds ~quick) (sizes ~quick) (algorithms ()) (fun n algo seed ->
+          if algo.Algorithm.name = "swamping" && n > swamping_limit then None
+          else Some (Sweepcell.exec ~algo ~family ~n ~max_rounds:500 seed))
     in
-    let cells = Sweepcell.run_batch ~jobs requests in
     Hashtbl.replace sweep_cache quick cells;
     cells
 
-let cell cells ~algo ~n =
-  List.find_opt (fun (c : Sweepcell.t) -> c.Sweepcell.algo = algo && c.Sweepcell.n = n) cells
+(* (n, mean rounds) of the named algorithm at every size whose runs
+   [ok] accepts *)
+let rounds_curve cells ~ok name =
+  List.filter_map
+    (fun (n, by_algo) ->
+      List.find_map
+        (fun ((a : Algorithm.t), results) ->
+          let results = List.filter_map Fun.id results in
+          if a.Algorithm.name = name && ok results then
+            Option.map
+              (fun (s : Stats.summary) -> (float_of_int n, s.Stats.mean))
+              (Sweepcell.stat Sweepcell.Rounds results)
+          else None)
+        by_algo)
+    cells
 
 let algo_names () = List.map (fun a -> a.Algorithm.name) (algorithms ())
 
-let metric_table report ~quick ~jobs ~title ~id ~cell_of ~csv_name ~csv_value =
+let metric_table report ~quick ~jobs ~title ~id ~metric ~csv_name =
   let cells = sweep ~quick ~jobs in
   Report.section report ~id ~title;
-  let names = algo_names () in
-  let table =
-    Table.create ~columns:(("n", Table.Right) :: List.map (fun a -> (a, Table.Right)) names)
-  in
-  List.iter
-    (fun n ->
-      Table.add_row table
-        (string_of_int n
-        :: List.map
-             (fun a ->
-               match cell cells ~algo:a ~n with None -> "—" | Some c -> cell_of c)
-             names))
-    (sizes ~quick);
-  Report.emit report (Table.render table);
-  let rows =
-    List.concat_map
-      (fun (c : Sweepcell.t) ->
-        match csv_value c with
-        | None -> []
-        | Some v ->
-          [ [ c.Sweepcell.algo; string_of_int c.Sweepcell.n; Printf.sprintf "%.3f" v ] ])
-      cells
-  in
-  Report.csv report ~name:csv_name ~header:[ "algorithm"; "n"; "value" ] ~rows
+  Report.table report
+    ~csv:(csv_name, [ "n"; "algorithm" ] @ Sweepcell.csv_header [ metric ])
+    ~header:(("n", Table.Right) :: List.map (fun a -> (a, Table.Right)) (algo_names ()))
+    ~row:(fun n -> ([ string_of_int n ], [ string_of_int n ]))
+    ~col:(fun (a : Algorithm.t) -> [ a.Algorithm.name ])
+    ~cell:(fun _ _ results ->
+      match List.filter_map Fun.id results with
+      | [] -> ([ "—" ], List.map (fun _ -> "") (Sweepcell.csv_header [ metric ]))
+      | results -> ([ Sweepcell.cell metric results ], Sweepcell.csv_fields [ metric ] results))
+    cells
 
 (* Least-squares shape check: which reference curve best explains the
    measured rounds of each algorithm? *)
@@ -95,54 +88,45 @@ let fit_summary report ~quick ~jobs =
       ("log^2 n", fun n -> Stats.log2 n ** 2.0);
     ]
   in
-  Report.emit report "\nShape fit (normalised RMS residual of best c*f(n) fit; lower = better):\n";
-  let table =
-    Table.create
-      ~columns:
-        (("algorithm", Table.Left)
-        :: (List.map (fun (name, _) -> (name, Table.Right)) curves @ [ ("best", Table.Left) ]))
+  let all_completed = List.for_all (fun r -> r.Run.completed) in
+  let fits =
+    List.filter_map
+      (fun a ->
+        let points = rounds_curve cells ~ok:all_completed a in
+        if List.length points < 4 then None
+        else
+          let xs = List.map fst points and ys = List.map snd points in
+          Some (a, List.map (fun (name, f) -> (name, Stats.fit_residual ~xs ~ys ~f)) curves))
+      (algo_names ())
   in
-  List.iter
-    (fun a ->
-      let points =
-        List.filter_map
-          (fun (c : Sweepcell.t) ->
-            if c.Sweepcell.algo = a && c.Sweepcell.completions = c.Sweepcell.attempts then
-              Option.map (fun (s : Stats.summary) -> (float_of_int c.Sweepcell.n, s.Stats.mean)) c.Sweepcell.rounds
-            else None)
-          cells
+  Report.emit report "\nShape fit (normalised RMS residual of best c*f(n) fit; lower = better):\n";
+  Report.table report
+    ~header:
+      (("algorithm", Table.Left)
+      :: (List.map (fun (name, _) -> (name, Table.Right)) curves @ [ ("best", Table.Left) ]))
+    ~row:(fun (a, _) -> ([ a ], []))
+    ~col:(fun () -> [])
+    ~cell:(fun (_, residuals) () _ ->
+      let best =
+        List.fold_left (fun (bn, bv) (n, v) -> if v < bv then (n, v) else (bn, bv))
+          ("?", infinity) residuals
       in
-      if List.length points >= 4 then begin
-        let xs = List.map fst points and ys = List.map snd points in
-        let residuals =
-          List.map (fun (name, f) -> (name, Stats.fit_residual ~xs ~ys ~f)) curves
-        in
-        let best =
-          List.fold_left (fun (bn, bv) (n, v) -> if v < bv then (n, v) else (bn, bv))
-            ("?", infinity) residuals
-        in
-        Table.add_row table
-          (a :: (List.map (fun (_, v) -> Printf.sprintf "%.3f" v) residuals @ [ fst best ]))
-      end)
-    (algo_names ());
-  Report.emit report (Table.render table)
+      (List.map (fun (_, v) -> Printf.sprintf "%.3f" v) residuals @ [ fst best ], []))
+    (List.map (fun fit -> (fit, [ ((), []) ])) fits)
 
 let t1 report ~quick ~jobs =
   metric_table report ~quick ~jobs ~id:"T1"
-    ~title:"Rounds to complete discovery vs n (k-out graphs, k=3)"
-    ~cell_of:Sweepcell.rounds_cell ~csv_name:"t1_rounds_vs_n"
-    ~csv_value:(fun c -> Option.map (fun (s : Stats.summary) -> s.Stats.mean) c.Sweepcell.rounds);
+    ~title:"Rounds to complete discovery vs n (k-out graphs, k=3)" ~metric:Sweepcell.Rounds
+    ~csv_name:"t1_rounds_vs_n";
   fit_summary report ~quick ~jobs
 
 let t2 report ~quick ~jobs =
   metric_table report ~quick ~jobs ~id:"T2" ~title:"Message complexity vs n"
-    ~cell_of:Sweepcell.messages_cell ~csv_name:"t2_messages_vs_n"
-    ~csv_value:(fun c -> Option.map (fun (s : Stats.summary) -> s.Stats.mean) c.Sweepcell.messages)
+    ~metric:Sweepcell.Messages ~csv_name:"t2_messages_vs_n"
 
 let t3 report ~quick ~jobs =
   metric_table report ~quick ~jobs ~id:"T3" ~title:"Pointer complexity vs n"
-    ~cell_of:Sweepcell.pointers_cell ~csv_name:"t3_pointers_vs_n"
-    ~csv_value:(fun c -> Option.map (fun (s : Stats.summary) -> s.Stats.mean) c.Sweepcell.pointers)
+    ~metric:Sweepcell.Pointers ~csv_name:"t3_pointers_vs_n"
 
 let f1 report ~quick ~jobs =
   let cells = sweep ~quick ~jobs in
@@ -150,17 +134,9 @@ let f1 report ~quick ~jobs =
   let series =
     List.filter_map
       (fun a ->
-        let points =
-          List.filter_map
-            (fun (c : Sweepcell.t) ->
-              if c.Sweepcell.algo = a then
-                Option.map
-                  (fun (s : Stats.summary) -> (float_of_int c.Sweepcell.n, s.Stats.mean))
-                  c.Sweepcell.rounds
-              else None)
-            cells
-        in
-        if points = [] then None else Some { Plot.label = a; points })
+        match rounds_curve cells ~ok:(fun _ -> true) a with
+        | [] -> None
+        | points -> Some { Plot.label = a; points })
       [ "name_dropper"; "rand_gossip"; "min_pointer"; "hm" ]
   in
   Report.emit report

@@ -24,29 +24,9 @@ type observation = {
   safe : bool;  (* knowledge complete at quiescence *)
 }
 
-let observe ~family ~n ~seed =
+let observe ~n family () seed =
   let topology = Sweepcell.topology_of ~family ~n ~seed in
-  let labels = Rng.permutation (Rng.substream ~seed ~index:0) n in
-  let instances =
-    Array.init n (fun node ->
-        let ctx =
-          {
-            Algorithm.n;
-            node;
-            neighbors = Topology.out_neighbors topology node;
-            labels;
-            rng = Rng.substream ~seed ~index:(node + 1);
-            params = Params.default;
-          }
-        in
-        Hm_gossip.algorithm.Algorithm.make ctx)
-  in
-  let handlers =
-    {
-      Sim.round_begin = (fun ~node ~round ~send -> instances.(node).Algorithm.round ~round ~send);
-      deliver = (fun ~node ~src ~round:_ p -> instances.(node).Algorithm.receive ~src p);
-    }
-  in
+  let _, instances = Exec.instances ~seed Hm_gossip.algorithm topology in
   let complete_round = ref 0 and quiescent_round = ref 0 in
   let stop ~round ~alive:_ =
     if
@@ -57,12 +37,10 @@ let observe ~family ~n ~seed =
     then quiescent_round := round;
     !quiescent_round > 0
   in
-  let outcome =
-    Sim.run ~n
-      ~config:{ Sim.default_config with Sim.max_rounds = 2000; engine_seed = seed }
-      ~handlers ~measure:Payload.measure ~stop ()
-  in
-  ignore outcome.Sim.completed;
+  ignore
+    (Sim.run ~n
+       ~config:{ Sim.default_config with Sim.max_rounds = 2000; engine_seed = seed }
+       ~handlers:(Exec.handlers instances) ~measure:Payload.measure ~stop ());
   let safe = Array.for_all (fun i -> Knowledge.is_complete i.Algorithm.knowledge) instances in
   { complete_round = !complete_round; quiescent_round = !quiescent_round; safe }
 
@@ -74,56 +52,34 @@ let t11 report ~quick ~jobs =
          "Local termination detection (n = %d): completion is what the observer sees, \
           quiescence is when every node has decided to stop"
          n);
-  let table =
-    Table.create
-      ~columns:
-        [
-          ("topology", Table.Left);
-          ("complete", Table.Right);
-          ("quiescent", Table.Right);
-          ("lag", Table.Right);
-          ("safe", Table.Right);
-        ]
-  in
-  let csv_rows = ref [] in
-  let all_obs =
-    Pool.map ~jobs
-      (fun (family, seed) -> observe ~family ~n ~seed)
-      (List.concat_map
-         (fun family -> List.map (fun seed -> (family, seed)) (seeds ~quick))
-         (families ~quick))
-  in
-  List.iter2
-    (fun family obs ->
+  Report.table report
+    ~csv:("t11_termination", [ "topology"; "complete_round"; "quiescent_round"; "safe" ])
+    ~header:
+      [
+        ("topology", Table.Left);
+        ("complete", Table.Right);
+        ("quiescent", Table.Right);
+        ("lag", Table.Right);
+        ("safe", Table.Right);
+      ]
+    ~row:(fun family -> ([ Generate.family_name family ], [ Generate.family_name family ]))
+    ~col:(fun () -> [])
+    ~cell:(fun _ () obs ->
       let mean f = Stats.mean (List.map (fun o -> float_of_int (f o)) obs) in
       let all_safe = List.for_all (fun o -> o.safe && o.complete_round > 0) obs in
       let complete = mean (fun o -> o.complete_round) in
       let quiescent = mean (fun o -> o.quiescent_round) in
-      Table.add_row table
-        [
-          Generate.family_name family;
+      ( [
           Printf.sprintf "%.1f" complete;
           Printf.sprintf "%.1f" quiescent;
           Printf.sprintf "+%.1f" (quiescent -. complete);
           (if all_safe then "yes" else "NO");
-        ];
-      csv_rows :=
-        [
-          Generate.family_name family;
-          Printf.sprintf "%.1f" complete;
-          Printf.sprintf "%.1f" quiescent;
-          string_of_bool all_safe;
-        ]
-        :: !csv_rows)
-    (families ~quick)
-    (Sweepcell.chunks (List.length (seeds ~quick)) all_obs);
-  Report.emit report (Table.render table);
-  Report.emit report
-    "The lag is the halt patience (5 quiet rounds) plus the Halt broadcast — the price of not\n\
-     having an omniscient observer. Safety (\"was knowledge actually complete when the nodes\n\
-     stopped?\") held in every run; the decision is heuristic, so this is a measured property,\n\
-     not a theorem (an identifier could in principle still be in flight up a long report\n\
-     chain when a head goes quiet).\n";
-  Report.csv report ~name:"t11_termination"
-    ~header:[ "topology"; "complete_round"; "quiescent_round"; "safe" ]
-    ~rows:(List.rev !csv_rows)
+        ],
+        [ Printf.sprintf "%.1f" complete; Printf.sprintf "%.1f" quiescent; string_of_bool all_safe ] ))
+    ~notes:
+      "The lag is the halt patience (5 quiet rounds) plus the Halt broadcast — the price of not\n\
+       having an omniscient observer. Safety (\"was knowledge actually complete when the nodes\n\
+       stopped?\") held in every run; the decision is heuristic, so this is a measured property,\n\
+       not a theorem (an identifier could in principle still be in flight up a long report\n\
+       chain when a head goes quiet).\n"
+    (Report.grid ~jobs ~seeds:(seeds ~quick) (families ~quick) [ () ] (observe ~n))

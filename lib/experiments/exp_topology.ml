@@ -21,59 +21,30 @@ let algorithms =
 
 let t4 report ~quick ~jobs =
   let n = t4_n ~quick in
+  let max_rounds = (3 * n) + 64 in
   Report.section report ~id:"T4"
-    ~title:(Printf.sprintf "Rounds by initial topology (n = %d; DNF = over %d rounds)" n ((3 * n) + 64));
-  let names = List.map (fun a -> a.Algorithm.name) algorithms in
-  let table =
-    Table.create
-      ~columns:
-        (("topology", Table.Left) :: ("diam", Table.Right)
-        :: List.map (fun a -> (a, Table.Right)) names)
+    ~title:(Printf.sprintf "Rounds by initial topology (n = %d; DNF = over %d rounds)" n max_rounds);
+  let diameter family =
+    Analyze.weak_diameter_estimate ~rng:(Rng.substream ~seed:1 ~index:99)
+      (Sweepcell.topology_of ~family ~n ~seed:1)
   in
-  let csv_rows = ref [] in
-  let all_cells =
-    Sweepcell.run_batch ~jobs
-      (List.concat_map
-         (fun family ->
-           List.map
-             (fun algo ->
-               Sweepcell.request ~algo ~family ~n ~seeds:(seeds ~quick)
-                 ~max_rounds:((3 * n) + 64) ())
-             algorithms)
-         Generate.all_families)
-  in
-  List.iter2
-    (fun family cells ->
-      let topo = Sweepcell.topology_of ~family ~n ~seed:1 in
-      let diam =
-        Analyze.weak_diameter_estimate ~rng:(Rng.substream ~seed:1 ~index:99) topo
-      in
-      List.iter
-        (fun (c : Sweepcell.t) ->
-          csv_rows :=
-            [
-              Generate.family_name family;
-              c.Sweepcell.algo;
-              string_of_int n;
-              (match c.Sweepcell.rounds with
-              | None -> "DNF"
-              | Some s -> Printf.sprintf "%.1f" s.Stats.mean);
-            ]
-            :: !csv_rows)
-        cells;
-      Table.add_row table
-        (Generate.family_name family :: string_of_int diam
-        :: List.map Sweepcell.rounds_cell cells))
-    Generate.all_families
-    (Sweepcell.chunks (List.length algorithms) all_cells);
-  Report.emit report (Table.render table);
-  Report.emit report
-    "Notes: flooding cannot finish on weakly-but-not-strongly connected inputs (dpath, instar);\n\
-     pull-only pointer_jump cannot spread identifiers of nodes nobody knows (dpath, instar) —\n\
-     both DNFs reproduce the qualitative claims of HLL99.\n";
-  Report.csv report ~name:"t4_topology"
-    ~header:[ "topology"; "algorithm"; "n"; "rounds" ]
-    ~rows:(List.rev !csv_rows)
+  Report.table report
+    ~csv:("t4_topology", [ "topology"; "diam"; "n"; "algorithm" ] @ Sweepcell.csv_header [ Sweepcell.Rounds ])
+    ~header:
+      (("topology", Table.Left) :: ("diam", Table.Right)
+      :: List.map (fun (a : Algorithm.t) -> (a.Algorithm.name, Table.Right)) algorithms)
+    ~row:(fun family ->
+      let label = [ Generate.family_name family; string_of_int (diameter family) ] in
+      (label, label @ [ string_of_int n ]))
+    ~col:(fun (a : Algorithm.t) -> [ a.Algorithm.name ])
+    ~cell:(fun _ _ results ->
+      ([ Sweepcell.cell Sweepcell.Rounds results ], Sweepcell.csv_fields [ Sweepcell.Rounds ] results))
+    ~notes:
+      "Notes: flooding cannot finish on weakly-but-not-strongly connected inputs (dpath, instar);\n\
+       pull-only pointer_jump cannot spread identifiers of nodes nobody knows (dpath, instar) —\n\
+       both DNFs reproduce the qualitative claims of HLL99.\n"
+    (Report.grid ~jobs ~seeds:(seeds ~quick) Generate.all_families algorithms
+       (fun family algo seed -> Sweepcell.exec ~algo ~family ~n ~max_rounds seed))
 
 let f3_sizes ~quick = if quick then [ 128; 256; 512 ] else [ 128; 256; 512; 1024; 2048; 4096; 8192 ]
 
@@ -84,46 +55,36 @@ let f3 report ~quick ~jobs =
     [ Name_dropper.algorithm; Min_pointer.algorithm; Rand_gossip.algorithm; Hm_gossip.algorithm ]
   in
   let cells =
-    Sweepcell.run_batch ~jobs
-      (List.concat_map
-         (fun algo ->
-           List.map
-             (fun n ->
-               Sweepcell.request ~algo ~family:Generate.Path ~n ~seeds:(seeds ~quick)
-                 ~max_rounds:1000 ())
-             (f3_sizes ~quick))
-         algos)
+    Report.grid ~jobs ~seeds:(seeds ~quick) algos (f3_sizes ~quick) (fun algo n seed ->
+        Sweepcell.exec ~algo ~family:Generate.Path ~n ~max_rounds:1000 seed)
   in
-  let series =
-    List.map
-      (fun (a : Algorithm.t) ->
-        {
-          Plot.label = a.Algorithm.name;
-          points =
-            List.filter_map
-              (fun (c : Sweepcell.t) ->
-                if c.Sweepcell.algo = a.Algorithm.name then
-                  Option.map
-                    (fun (s : Stats.summary) -> (float_of_int c.Sweepcell.n, s.Stats.mean))
-                    c.Sweepcell.rounds
-                else None)
-              cells;
-        })
-      algos
+  let rounds_by_n by_n =
+    List.filter_map
+      (fun (n, results) ->
+        Option.map
+          (fun (s : Stats.summary) -> (n, s.Stats.mean))
+          (Sweepcell.stat Sweepcell.Rounds results))
+      by_n
   in
   Report.emit report
     (Plot.render ~logx:true ~title:"rounds on a path (worst-case diameter)" ~xlabel:"n"
-       ~ylabel:"rounds" series);
+       ~ylabel:"rounds"
+       (List.map
+          (fun ((a : Algorithm.t), by_n) ->
+            {
+              Plot.label = a.Algorithm.name;
+              points = List.map (fun (n, r) -> (float_of_int n, r)) (rounds_by_n by_n);
+            })
+          cells));
   Report.emit report
     "Every algorithm pays the Ω(log D) knowledge-composition lower bound on a path; hm tracks\n\
      c·log2 n with a small constant, while flat gossip and Name-Dropper pay extra factors.\n";
   Report.csv report ~name:"f3_path_rounds"
     ~header:[ "algorithm"; "n"; "rounds" ]
     ~rows:
-      (List.filter_map
-         (fun (c : Sweepcell.t) ->
-           Option.map
-             (fun (s : Stats.summary) ->
-               [ c.Sweepcell.algo; string_of_int c.Sweepcell.n; Printf.sprintf "%.1f" s.Stats.mean ])
-             c.Sweepcell.rounds)
+      (List.concat_map
+         (fun ((a : Algorithm.t), by_n) ->
+           List.map
+             (fun (n, r) -> [ a.Algorithm.name; string_of_int n; Printf.sprintf "%.1f" r ])
+             (rounds_by_n by_n))
          cells)

@@ -1,26 +1,11 @@
-(** One aggregated measurement: an (algorithm, topology, size, fault)
-    configuration replicated across seeds. *)
+(** One sweep cell: an (algorithm, topology, size, fault) configuration,
+    run once per seed by {!exec} and summarised across seeds for a
+    report table. *)
 
 open Repro_util
 open Repro_graph
 open Repro_engine
 open Repro_discovery
-
-type t = {
-  algo : string;
-  family : Generate.family;
-  n : int;
-  attempts : int;
-  completions : int;
-  rounds : Stats.summary option;  (** over completed runs; [None] if all DNF *)
-  messages : Stats.summary option;
-  pointers : Stats.summary option;
-  bytes : Stats.summary option;  (** wire bytes, {!Repro_discovery.Wire.Adaptive} codec *)
-  peak_round_messages : Stats.summary option;
-  dropped : Stats.summary option;
-      (** messages the fault model destroyed in flight (loss, corruption
-          past detection, or a bandwidth-cap throttle) *)
-}
 
 val topology_of : family:Generate.family -> n:int -> seed:int -> Topology.t
 (** The topology a given seed produces — shared with the CLI so that
@@ -29,67 +14,55 @@ val topology_of : family:Generate.family -> n:int -> seed:int -> Topology.t
 val crash_fault : seed:int -> n:int -> count:int -> Fault.t
 (** [count] uniform victims crashing at uniform rounds in [1..5]. *)
 
-type request
-(** One cell to measure: an (algorithm, family, n, fault) configuration
-    with its seed list. Built with {!request}, executed with
-    {!run_batch}. *)
-
-val request :
+val exec :
   algo:Algorithm.t ->
   family:Generate.family ->
   n:int ->
-  seeds:int list ->
   ?max_rounds:int ->
-  ?fault:(int -> Fault.t) ->
+  ?fault:Fault.t ->
   ?completion:Run.completion ->
-  unit ->
-  request
-(** [fault] maps a seed to its fault model (so crash victims vary
-    across seeds). *)
-
-val run_batch : ?jobs:int -> request list -> t list
-(** Execute every (request, seed) pair — the full cross product — as
-    one flat work batch on a {!Repro_util.Pool} of [jobs] workers
-    (default {!Repro_util.Pool.default_jobs}), then aggregate per
-    request. Results are merged in (request, seed) order, so the
-    output is byte-identical to a sequential sweep regardless of
-    [jobs].
+  int ->
+  Run.result
+(** [exec ~algo ~family ~n seed] builds the seed's topology and runs
+    [algo] on it: the per-seed measurement of a sweep cell, safe to call
+    from a {!Report.grid} worker.
 
     When the [REPRO_TRACE_INVARIANTS] environment variable is set (to
-    anything but [""] or ["0"]), every run executes under the
+    anything but [""] or ["0"]), the run executes under the
     {!Repro_engine.Trace.Invariants} online checker and raises
     [Violation] on the first offending event — [make check] runs the
     quick suite this way. Off by default (tracing stays on the
     allocation-free null sink). *)
 
-val run :
-  ?jobs:int ->
-  algo:Algorithm.t ->
-  family:Generate.family ->
-  n:int ->
-  seeds:int list ->
-  ?max_rounds:int ->
-  ?fault:(int -> Fault.t) ->
-  ?completion:Run.completion ->
-  unit ->
-  t
-(** [run_batch] for a single request: one run per seed (replicates
-    sharded across [jobs] workers), aggregated. *)
+(** {2 Summaries over a cell's seeds} *)
 
-val chunks : int -> 'a list -> 'a list list
-(** [chunks k xs] splits [xs] into consecutive groups of [k] — the
-    inverse of flattening a per-request grid into a batch.
-    @raise Invalid_argument if [List.length xs] is not a multiple of [k]. *)
+type metric = Rounds | Messages | Pointers | Bytes | Dropped
+(** [Bytes] are wire bytes under the {!Repro_discovery.Wire.Adaptive}
+    codec; [Dropped] counts messages the fault model destroyed in flight
+    (loss, corruption past detection, or a bandwidth-cap throttle). *)
 
-(** {2 Table-cell formatting} *)
+val stat : metric -> Run.result list -> Stats.summary option
+(** The metric over the completed runs; [None] if none completed. *)
 
-val rounds_cell : t -> string
-(** ["12.4 ± 0.8"], or ["DNF"] when nothing completed, or
+val cell : metric -> Run.result list -> string
+(** Table text: ["12.4 ± 0.8"] for [Rounds] (["12.0"] when the seeds
+    agree), ["2.1k"] for the counts, ["DNF"] when nothing completed,
     ["9.0 ± 1.0 (1/5 DNF)"] on partial completion. *)
 
-val messages_cell : t -> string
-val pointers_cell : t -> string
-val bytes_cell : t -> string
+val mean_cell : Stats.summary -> string
+(** ["12.0"] when the standard deviation is below 0.05, else
+    ["12.4 ± 0.8"]. *)
+
+val csv_header : metric list -> string list
+(** [runs; completed; m_mean; m_std; …] for each metric. *)
+
+val csv_fields : metric list -> Run.result list -> string list
+(** The raw fields under {!csv_header}: means and standard deviations
+    to three decimals over the completed runs, [DNF] and an empty
+    field for a metric with no completed run. *)
+
+val summary_fields : Stats.summary -> string list
+(** [mean; stddev] to three decimals. *)
 
 val approx_int : float -> string
 (** Human-scaled count: ["2.1k"], ["37M"], … *)

@@ -16,33 +16,20 @@ let escape s =
 
 let row_to_string cells = String.concat "," (List.map escape cells)
 
-let rec mkdir_p dir =
+let rec ensure_dir dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
+    ensure_dir (Filename.dirname dir);
     (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
   end
 
-let ensure_dir = mkdir_p
-
-let with_channel path flags f =
-  mkdir_p (Filename.dirname path);
-  let oc = open_out_gen flags 0o644 path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
-
 let write ~path ~header ~rows =
-  with_channel path [ Open_wronly; Open_creat; Open_trunc ] (fun oc ->
-      output_string oc (row_to_string header);
-      output_char oc '\n';
+  ensure_dir (Filename.dirname path);
+  let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
       List.iter
         (fun row ->
           output_string oc (row_to_string row);
           output_char oc '\n')
-        rows)
-
-let append_rows ~path ~rows =
-  with_channel path [ Open_wronly; Open_creat; Open_append ] (fun oc ->
-      List.iter
-        (fun row ->
-          output_string oc (row_to_string row);
-          output_char oc '\n')
-        rows)
+        (header :: rows))

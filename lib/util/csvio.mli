@@ -15,6 +15,3 @@ val row_to_string : string list -> string
 val write : path:string -> header:string list -> rows:string list list -> unit
 (** Write a whole file (header first). Creates parent directories as
     needed. *)
-
-val append_rows : path:string -> rows:string list list -> unit
-(** Append rows to an existing file. *)

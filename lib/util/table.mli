@@ -19,12 +19,5 @@ val add_separator : t -> unit
 val render : t -> string
 (** Render with column widths fitted to content. *)
 
-val print : t -> unit
-(** [render] to stdout followed by a newline. *)
-
-(** Cell formatting helpers. *)
-
-val cell_int : int -> string
-val cell_float : ?decimals:int -> float -> string
 val cell_mean_std : Stats.summary -> string
 (** ["12.4 ± 0.8"]. *)

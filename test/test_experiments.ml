@@ -14,26 +14,29 @@ let tmpdir () =
   dir
 
 let test_sweepcell_aggregates () =
-  let c =
-    Sweepcell.run ~algo:Hm_gossip.algorithm ~family:(Generate.K_out 3) ~n:64
-      ~seeds:[ 1; 2; 3 ] ()
+  let results =
+    List.map
+      (Sweepcell.exec ~algo:Hm_gossip.algorithm ~family:(Generate.K_out 3) ~n:64)
+      [ 1; 2; 3 ]
   in
-  Alcotest.(check int) "attempts" 3 c.Sweepcell.attempts;
-  Alcotest.(check int) "completions" 3 c.Sweepcell.completions;
-  (match c.Sweepcell.rounds with
+  (match Sweepcell.stat Sweepcell.Rounds results with
   | None -> Alcotest.fail "expected rounds summary"
   | Some s -> Alcotest.(check int) "three samples" 3 s.Stats.count);
-  Alcotest.(check string) "algo" "hm" c.Sweepcell.algo
+  Alcotest.(check (list string)) "csv fields" [ "3"; "3" ]
+    (List.filteri (fun i _ -> i < 2) (Sweepcell.csv_fields [ Sweepcell.Rounds ] results))
 
 let test_sweepcell_dnf () =
-  let c =
-    Sweepcell.run
-      ~algo:(Hm_gossip.with_variant ~broadcast:Hm_gossip.Off ())
-      ~family:(Generate.K_out 3) ~n:64 ~seeds:[ 1 ] ~max_rounds:50 ()
+  let results =
+    [
+      Sweepcell.exec
+        ~algo:(Hm_gossip.with_variant ~broadcast:Hm_gossip.Off ())
+        ~family:(Generate.K_out 3) ~n:64 ~max_rounds:50 1;
+    ]
   in
-  Alcotest.(check int) "no completions" 0 c.Sweepcell.completions;
-  Alcotest.(check string) "cell renders DNF" "DNF" (Sweepcell.rounds_cell c);
-  Alcotest.(check string) "messages DNF" "DNF" (Sweepcell.messages_cell c)
+  Alcotest.(check string) "cell renders DNF" "DNF" (Sweepcell.cell Sweepcell.Rounds results);
+  Alcotest.(check string) "messages DNF" "DNF" (Sweepcell.cell Sweepcell.Messages results);
+  Alcotest.(check (list string)) "csv marks DNF" [ "1"; "0"; "DNF"; "" ]
+    (Sweepcell.csv_fields [ Sweepcell.Rounds ] results)
 
 let test_topology_of_matches_cli_convention () =
   let a = Sweepcell.topology_of ~family:(Generate.K_out 3) ~n:50 ~seed:5 in
@@ -60,6 +63,13 @@ let test_approx_int () =
   Alcotest.(check string) "M" "3.5M" (Sweepcell.approx_int 3_500_000.0);
   Alcotest.(check string) "G" "2.10G" (Sweepcell.approx_int 2.1e9)
 
+let read_file path =
+  let ic = open_in_bin path in
+  let len = in_channel_length ic in
+  let s = really_input_string ic len in
+  close_in ic;
+  s
+
 let test_report_capture_and_csv () =
   let dir = tmpdir () in
   let r = Report.create ~results_dir:dir in
@@ -67,9 +77,67 @@ let test_report_capture_and_csv () =
   Report.emit r "hello\n";
   Report.csv r ~name:"smoke" ~header:[ "a" ] ~rows:[ [ "1" ]; [ "2" ] ];
   let captured = Report.captured r in
-  Alcotest.(check bool) "section captured" true
-    (String.length captured > 0 && Report.results_dir r = dir);
-  Alcotest.(check bool) "csv exists" true (Sys.file_exists (Filename.concat dir "smoke.csv"))
+  Alcotest.(check string) "section, text, then the data note"
+    (Printf.sprintf "\n## TX — smoke\n\nhello\n(data: %s)\n" (Filename.concat dir "smoke.csv"))
+    captured;
+  Alcotest.(check string) "csv" "a\n1\n2\n" (read_file (Filename.concat dir "smoke.csv"))
+
+let test_report_table () =
+  (* a 2 x 2 grid with one DNF cell; a second table naming the same CSV
+     joins its file, and the one data note follows the next text *)
+  let dir = tmpdir () in
+  let r = Report.create ~results_dir:dir in
+  let measure row col seed = if row = "b" && col = 2 then None else Some (col * seed) in
+  let csv = ("grid", [ "row"; "col"; "sum" ]) in
+  let table rows =
+    Report.table r ~csv
+      ~header:[ ("row", Table.Left); ("c1", Table.Right); ("c2", Table.Right) ]
+      ~row:(fun row -> ([ row ], [ row ]))
+      ~col:(fun col -> [ string_of_int col ])
+      ~cell:(fun _ _ results ->
+        let shown =
+          match List.filter_map Fun.id results with
+          | [] -> "DNF"
+          | xs -> string_of_int (List.fold_left ( + ) 0 xs)
+        in
+        ([ shown ], [ shown ]))
+      ~notes:"note\n"
+      (Report.grid ~jobs:2 ~seeds:[ 1; 2 ] rows [ 1; 2 ] measure)
+  in
+  table [ "a"; "b" ];
+  table [ "c" ];
+  Report.emit r "after\n";
+  Alcotest.(check string) "markdown"
+    (String.concat ""
+       [
+         "| row | c1 |  c2 |\n";
+         "|-----|----|-----|\n";
+         "| a   |  3 |   6 |\n";
+         "| b   |  3 | DNF |\n";
+         "note\n";
+         "| row | c1 | c2 |\n";
+         "|-----|----|----|\n";
+         "| c   |  3 |  6 |\n";
+         "note\n";
+         Printf.sprintf "(data: %s)\n" (Filename.concat dir "grid.csv");
+         "after\n";
+       ])
+    (Report.captured r);
+  Alcotest.(check string) "csv" "row,col,sum\na,1,3\na,2,6\nb,1,3\nb,2,DNF\nc,1,3\nc,2,6\n"
+    (read_file (Filename.concat dir "grid.csv"))
+
+let test_report_grid_order () =
+  (* cells come back in (row, column, seed) order at any [jobs] *)
+  let measure row col seed = (row, col, seed) in
+  let at jobs = Report.grid ~jobs ~seeds:[ 1; 2 ] [ "x"; "y"; "z" ] [ 10; 20 ] measure in
+  let expected =
+    List.map
+      (fun row ->
+        (row, List.map (fun col -> (col, [ (row, col, 1); (row, col, 2) ])) [ 10; 20 ]))
+      [ "x"; "y"; "z" ]
+  in
+  Alcotest.(check bool) "jobs=1" true (at 1 = expected);
+  Alcotest.(check bool) "jobs=3" true (at 3 = expected)
 
 let test_suite_ids () =
   Alcotest.(check (list string)) "experiment ids"
@@ -81,24 +149,20 @@ let test_suite_unknown_id () =
   | Ok () -> Alcotest.fail "expected error for unknown id"
   | Error msg -> Alcotest.(check bool) "mentions the id" true (String.length msg > 0)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
 let test_jobs_determinism () =
   (* the tentpole guarantee: a parallel suite run produces byte-identical
      output. Run the same selection twice into the same directory (the
      report embeds the results path) with jobs=1 and jobs=4 and compare
-     bytes. T5 and F3 are used because they are cheap and, unlike
-     T1-T3/F1, not served from the memoised scaling sweep on the second
-     run. *)
+     bytes. T5, F3, T8 and T11 are used because they are cheap and,
+     unlike T1-T3/F1, not served from the memoised scaling sweep on the
+     second run; T11 measures hand-built instances rather than
+     Sweepcell runs. *)
   let dir = tmpdir () in
-  let files = [ "report.md"; "t5_loss.csv"; "f3_path_rounds.csv" ] in
+  let files =
+    [ "report.md"; "t5_loss.csv"; "f3_path_rounds.csv"; "t8_wire_bytes.csv"; "t11_termination.csv" ]
+  in
   let snapshot jobs =
-    match Suite.run ~only:[ "T5"; "F3" ] ~quick:true ~jobs ~results_dir:dir () with
+    match Suite.run ~only:[ "T5"; "F3"; "T8"; "T11" ] ~quick:true ~jobs ~results_dir:dir () with
     | Error msg -> Alcotest.fail msg
     | Ok () -> List.map (fun f -> read_file (Filename.concat dir f)) files
   in
@@ -108,31 +172,6 @@ let test_jobs_determinism () =
     (fun f (a, b) ->
       if a <> b then Alcotest.failf "%s differs between jobs=1 and jobs=4" f)
     files (List.combine seq par)
-
-let test_run_batch_groups () =
-  (* run_batch aggregates exactly like per-request run, in request order *)
-  let req algo =
-    Sweepcell.request ~algo ~family:(Generate.K_out 3) ~n:64 ~seeds:[ 1; 2 ] ()
-  in
-  let batch = Sweepcell.run_batch ~jobs:3 [ req Hm_gossip.algorithm; req Name_dropper.algorithm ] in
-  let solo =
-    List.map
-      (fun algo -> Sweepcell.run ~jobs:1 ~algo ~family:(Generate.K_out 3) ~n:64 ~seeds:[ 1; 2 ] ())
-      [ Hm_gossip.algorithm; Name_dropper.algorithm ]
-  in
-  Alcotest.(check (list string)) "same cells in request order"
-    (List.map Sweepcell.rounds_cell solo)
-    (List.map Sweepcell.rounds_cell batch);
-  Alcotest.(check (list string)) "algo order preserved" [ "hm"; "name_dropper" ]
-    (List.map (fun c -> c.Sweepcell.algo) batch)
-
-let test_chunks () =
-  Alcotest.(check (list (list int))) "even split" [ [ 1; 2 ]; [ 3; 4 ] ]
-    (Sweepcell.chunks 2 [ 1; 2; 3; 4 ]);
-  Alcotest.(check (list (list int))) "empty" [] (Sweepcell.chunks 3 []);
-  match Sweepcell.chunks 2 [ 1; 2; 3 ] with
-  | _ -> Alcotest.fail "ragged chunks accepted"
-  | exception Invalid_argument _ -> ()
 
 let test_suite_quick_selection () =
   (* run the two cheapest entries end-to-end in quick mode *)
@@ -156,11 +195,13 @@ let () =
           Alcotest.test_case "topology convention" `Quick test_topology_of_matches_cli_convention;
           Alcotest.test_case "crash fault shape" `Quick test_crash_fault_shape;
           Alcotest.test_case "approx_int" `Quick test_approx_int;
-          Alcotest.test_case "run_batch groups" `Quick test_run_batch_groups;
-          Alcotest.test_case "chunks" `Quick test_chunks;
         ] );
       ( "report",
-        [ Alcotest.test_case "capture and csv" `Quick test_report_capture_and_csv ] );
+        [
+          Alcotest.test_case "capture and csv" `Quick test_report_capture_and_csv;
+          Alcotest.test_case "table" `Quick test_report_table;
+          Alcotest.test_case "grid order" `Quick test_report_grid_order;
+        ] );
       ( "suite",
         [
           Alcotest.test_case "ids" `Quick test_suite_ids;
