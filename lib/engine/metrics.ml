@@ -75,12 +75,3 @@ let pointer_series t = Intvec.to_array t.pointers_per_round
 let byte_series t = Intvec.to_array t.bytes_per_round
 
 let max_messages_in_round t = Intvec.fold max 0 t.sent_per_round
-
-let to_csv_rows t =
-  List.init (rounds t) (fun i ->
-      [
-        string_of_int (i + 1);
-        string_of_int (Intvec.get t.sent_per_round i);
-        string_of_int (Intvec.get t.pointers_per_round i);
-        string_of_int (Intvec.get t.bytes_per_round i);
-      ])

@@ -59,7 +59,3 @@ val byte_series : t -> int array
 
 val max_messages_in_round : t -> int
 (** 0 when no round has run. *)
-
-val to_csv_rows : t -> string list list
-(** Rows of [round; sent; pointers; bytes] suitable for {!Csvio.write}
-    with header [\["round"; "messages"; "pointers"; "bytes"\]]. *)

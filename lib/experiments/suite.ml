@@ -2,79 +2,31 @@ type entry = { id : string; title : string; run : Report.t -> quick:bool -> jobs
 
 let all =
   [
-    {
-      id = "T1";
-      title = "rounds vs n, all algorithms";
-      run = (fun r ~quick ~jobs -> Exp_scaling.t1 r ~quick ~jobs);
-    };
-    {
-      id = "T2";
-      title = "message complexity vs n";
-      run = (fun r ~quick ~jobs -> Exp_scaling.t2 r ~quick ~jobs);
-    };
-    {
-      id = "T3";
-      title = "pointer complexity vs n";
-      run = (fun r ~quick ~jobs -> Exp_scaling.t3 r ~quick ~jobs);
-    };
-    { id = "F1"; title = "rounds-vs-n curves"; run = (fun r ~quick ~jobs -> Exp_scaling.f1 r ~quick ~jobs) };
-    { id = "T4"; title = "topology sensitivity"; run = (fun r ~quick ~jobs -> Exp_topology.t4 r ~quick ~jobs) };
-    {
-      id = "F3";
-      title = "rounds vs diameter (paths)";
-      run = (fun r ~quick ~jobs -> Exp_topology.f3 r ~quick ~jobs);
-    };
-    { id = "T5"; title = "message-loss robustness"; run = (fun r ~quick ~jobs -> Exp_faults.t5 r ~quick ~jobs) };
-    { id = "T6"; title = "crash-stop failures"; run = (fun r ~quick ~jobs -> Exp_faults.t6 r ~quick ~jobs) };
-    { id = "T7"; title = "design ablations"; run = (fun r ~quick ~jobs -> Exp_ablation.t7 r ~quick ~jobs) };
-    { id = "T8"; title = "wire-byte complexity"; run = (fun r ~quick ~jobs -> Exp_wire.t8 r ~quick ~jobs) };
-    { id = "T9"; title = "discovery under churn"; run = (fun r ~quick ~jobs -> Exp_churn.t9 r ~quick ~jobs) };
-    {
-      id = "T10";
-      title = "asynchronous execution";
-      run = (fun r ~quick ~jobs -> Exp_async.t10 r ~quick ~jobs);
-    };
-    {
-      id = "T11";
-      title = "local termination detection";
-      run = (fun r ~quick ~jobs -> Exp_termination.t11 r ~quick ~jobs);
-    };
-    {
-      id = "T12";
-      title = "adversarial scenario matrix";
-      run = (fun r ~quick ~jobs -> Exp_adversarial.t12 r ~quick ~jobs);
-    };
-    {
-      id = "T13";
-      title = "continuous service steady state";
-      run = (fun r ~quick ~jobs -> Exp_churn.t13 r ~quick ~jobs);
-    };
-    {
-      id = "T14";
-      title = "failure-detector precision under loss";
-      run = (fun r ~quick ~jobs -> Exp_churn.t14 r ~quick ~jobs);
-    };
-    {
-      id = "F2";
-      title = "knowledge-growth dynamics";
-      run = (fun r ~quick ~jobs -> Exp_dynamics.f2 r ~quick ~jobs);
-    };
-    {
-      id = "F4";
-      title = "per-round message budget";
-      run = (fun r ~quick ~jobs -> Exp_dynamics.f4 r ~quick ~jobs);
-    };
-    {
-      id = "F5";
-      title = "cluster-head population dynamics";
-      run = (fun r ~quick ~jobs -> Exp_dynamics.f5 r ~quick ~jobs);
-    };
+    { id = "T1"; title = "rounds vs n, all algorithms"; run = Exp_scaling.t1 };
+    { id = "T2"; title = "message complexity vs n"; run = Exp_scaling.t2 };
+    { id = "T3"; title = "pointer complexity vs n"; run = Exp_scaling.t3 };
+    { id = "F1"; title = "rounds-vs-n curves"; run = Exp_scaling.f1 };
+    { id = "T4"; title = "topology sensitivity"; run = Exp_topology.t4 };
+    { id = "F3"; title = "rounds vs diameter (paths)"; run = Exp_topology.f3 };
+    { id = "T5"; title = "message-loss robustness"; run = Exp_faults.t5 };
+    { id = "T6"; title = "crash-stop failures"; run = Exp_faults.t6 };
+    { id = "T7"; title = "design ablations"; run = Exp_ablation.t7 };
+    { id = "T8"; title = "wire-byte complexity"; run = Exp_wire.t8 };
+    { id = "T9"; title = "discovery under churn"; run = Exp_churn.t9 };
+    { id = "T10"; title = "asynchronous execution"; run = Exp_async.t10 };
+    { id = "T11"; title = "local termination detection"; run = Exp_termination.t11 };
+    { id = "T12"; title = "adversarial scenario matrix"; run = Exp_adversarial.t12 };
+    { id = "T13"; title = "continuous service steady state"; run = Exp_churn.t13 };
+    { id = "T14"; title = "failure-detector precision under loss"; run = Exp_churn.t14 };
+    { id = "F2"; title = "knowledge-growth dynamics"; run = Exp_dynamics.f2 };
+    { id = "F4"; title = "per-round message budget"; run = Exp_dynamics.f4 };
+    { id = "F5"; title = "cluster-head population dynamics"; run = Exp_dynamics.f5 };
   ]
 
 let ids () = List.map (fun e -> e.id) all
 
 (* [jobs] shards the seed replicates and sweep cells of every entry
-   across domains (see Sweepcell.run_batch / Repro_util.Pool). Results
+   across domains (see Report.grid / Repro_util.Pool). Results
    are merged in deterministic (cell, seed) order, so report.md and the
    CSVs are byte-identical at any [jobs]. *)
 let run ?only ?(quick = false) ?(jobs = Repro_util.Pool.default_jobs ()) ~results_dir () =

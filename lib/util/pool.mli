@@ -28,7 +28,7 @@ val run : jobs:int -> (unit -> 'a) array -> 'a array
       failing task is re-raised, so failure behaviour is deterministic.
     - Nested use: calling [run ~jobs] with [jobs > 1] from inside a pool
       task raises [Invalid_argument] — flatten the work into a single
-      task array instead (see {!Repro_experiments.Sweepcell.run_batch}).
+      task array instead (see {!Repro_experiments.Report.grid}).
       The [jobs <= 1] sequential path is allowed anywhere. *)
 
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list

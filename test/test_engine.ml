@@ -73,12 +73,11 @@ let test_metrics_accounting () =
   Alcotest.(check int) "peak" 2 (Metrics.max_messages_in_round m)
 
 (* The metrics recorder driven directly, without an engine: the per-round
-   series, CSV projection and peak are pure functions of the recorded
-   sequence. *)
+   series and peak are pure functions of the recorded sequence. *)
 let test_metrics_direct () =
   let m = Metrics.create () in
   Alcotest.(check int) "no rounds" 0 (Metrics.rounds m);
-  Alcotest.(check (list (list string))) "no rows" [] (Metrics.to_csv_rows m);
+  Alcotest.(check (array int)) "empty sent series" [||] (Metrics.sent_series m);
   Alcotest.(check (array int)) "empty byte series" [||] (Metrics.byte_series m);
   Alcotest.(check int) "peak of nothing" 0 (Metrics.max_messages_in_round m);
   Metrics.begin_round m;
@@ -99,14 +98,7 @@ let test_metrics_direct () =
   Alcotest.(check (array int)) "byte series" [| 14; 0; 6 |] (Metrics.byte_series m);
   Alcotest.(check (array int)) "sent series" [| 2; 0; 1 |] (Metrics.sent_series m);
   Alcotest.(check int) "peak round" 2 (Metrics.max_messages_in_round m);
-  Alcotest.(check (list (list string)))
-    "csv rows are [round; messages; pointers; bytes]"
-    [
-      [ "1"; "2"; "4"; "14" ];
-      [ "2"; "0"; "0"; "0" ];
-      [ "3"; "1"; "2"; "6" ];
-    ]
-    (Metrics.to_csv_rows m)
+  Alcotest.(check (array int)) "pointer series" [| 4; 0; 2 |] (Metrics.pointer_series m)
 
 let test_stop_before_first_round () =
   let outcome =
