@@ -19,6 +19,12 @@
 # Array.blit or the runtime's caml_array_blit; Intvec.blit_ints is the
 # int-typed loop to use instead.
 #
+# No library object may reference the lazy-value runtime
+# (CamlinternalLazy): library code runs on pool worker domains, and
+# OCaml 5 raises CamlinternalLazy.Undefined when two domains force the
+# same lazy value at once. Compute such values eagerly at module
+# initialisation instead.
+#
 # Usage: ci/no-poly-compare.sh [BUILD_DIR]   (default: _build/default,
 # after `dune build`).
 set -eu
@@ -55,6 +61,12 @@ for m in $modules; do
       fi
       ;;
   esac
+done
+for obj in $(find "$build/lib" -path '*/native/*' -name '*.o'); do
+  if nm -u "$obj" | awk '{print $NF}' | grep -q '^camlCamlinternalLazy'; then
+    echo "no-poly-compare: $(basename "$obj" .o) forces a lazy value (not domain-safe)" >&2
+    status=1
+  fi
 done
 [ "$status" -eq 0 ] && echo "no-poly-compare: ok"
 exit "$status"

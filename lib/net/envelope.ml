@@ -45,18 +45,17 @@ let crc_mismatch = "CRC mismatch"
 (* --- CRC-32 (IEEE 802.3), table-driven --- *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun i ->
-         let c = ref i in
-         for _ = 0 to 7 do
-           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun i ->
+      let c = ref i in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc_init = 0xFFFFFFFF
 
 let crc_update c buf off len =
-  let table = Lazy.force crc_table in
+  let table = crc_table in
   let c = ref c in
   for i = off to off + len - 1 do
     c := table.((!c lxor Char.code (Bytes.unsafe_get buf i)) land 0xFF) lxor (!c lsr 8)
