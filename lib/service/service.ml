@@ -210,9 +210,10 @@ let drain heap now until deliver =
 
 (* The certification path: every payload is wire-encoded and decoded
    (so the codec is exercised on every hop), and the transport itself
-   applies the fault plan's loss coin and partition cuts. *)
+   applies the fault plan's link fate (partition cut, cap, loss coin). *)
 let direct_transport (cfg : config) ~members ~now ~dropped_loss ~dropped_dead =
   let rng = Rng.substream ~seed:cfg.seed ~index:0x11e7 in
+  let windows = Fault.windows () in
   let heap = Heap.create ~dummy:no_hop in
   let deliver hop =
     match members.(hop.dst) with
@@ -227,12 +228,10 @@ let direct_transport (cfg : config) ~members ~now ~dropped_loss ~dropped_dead =
       (fun ~src ~dst payload ->
         let frame = Wire.encode Wire.Adaptive ~universe:cfg.cap payload in
         let link = Fault.link_between cfg.fault ~src ~dst in
-        let lost =
-          (link.Fault.loss > 0.0 && Rng.bernoulli rng ~p:link.Fault.loss)
-          || Fault.cut cfg.fault ~src ~dst ~time:!now
-        in
-        if lost then incr dropped_loss
-        else Heap.push heap (!now +. latency rng +. float_of_int link.Fault.delay) { src; dst; frame };
+        (match Fault.fate cfg.fault windows rng ~src ~dst ~time:!now link with
+        | Some _ -> incr dropped_loss
+        | None ->
+          Heap.push heap (!now +. latency rng +. float_of_int link.Fault.delay) { src; dst; frame });
         Bytes.length frame);
     deliver_due = (fun until -> drain heap now until deliver);
     step = (fun _ m -> Member.step m ~now:!now);

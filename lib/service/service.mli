@@ -13,7 +13,8 @@
     [backend]. [None] or [Some Loopback] is the {e direct} transport,
     the certification path: every payload is {!Repro_discovery.Wire}
     encoded and decoded on every hop, and the transport itself applies
-    the fault plan's loss coin and partition cuts. [Some Mux] is the
+    {!Repro_engine.Fault.fate} (partition cuts, link caps per tick, the
+    loss coin) to every message. [Some Mux] is the
     {e hosted} transport: every member lives inside a real
     {!Repro_net.Node_core}, so messages also ride envelope framing +
     CRC, per-link go-back-N (lost frames are retransmitted, so
@@ -101,7 +102,7 @@ type stats = {
   full_syncs : int;  (** periodic full-state sync pushes *)
   bootstraps : int;  (** bootstrap requests + full-state replies *)
   dropped_loss : int;
-      (** lost to the fault plan's coin / partitions; always 0 on the
+      (** lost to the fault plan's coin, partitions or caps; always 0 on the
           mux backend, where the fault shim drops frames silently and
           go-back-N retransmits them *)
   dropped_dead : int;  (** destination no longer live *)

@@ -419,6 +419,16 @@ let test_service_lossy_churn_converges () =
   Alcotest.(check bool) "loss actually applied" true (stats.Service.dropped_loss > 0);
   Alcotest.(check bool) "backstop auto-enabled" true (stats.Service.full_syncs > 0)
 
+let test_service_loopback_caps_throttle () =
+  (* the direct transport applies Fault.fate, so a link cap drops the
+     messages a link carries past its per-tick limit *)
+  let churn = { Service.rate = 0.05; min_live = 8; until = 400 } in
+  let lossy = Fault.with_loss Fault.none ~p:0.05 in
+  let run fault = Service.run (soak_config ~churn ~fault ~seed:3 ()) in
+  let uncapped = run lossy and capped = run (Fault.with_cap lossy ~limit:1) in
+  Alcotest.(check bool) "the cap drops messages" true
+    (capped.Service.dropped_loss > uncapped.Service.dropped_loss)
+
 let test_service_scheduled_churn () =
   let fault =
     Fault.with_leave (Fault.with_crash (Fault.with_join Fault.none ~node:20 ~round:100) ~node:2 ~round:50)
@@ -646,6 +656,7 @@ let () =
           Alcotest.test_case "clean churn converges" `Quick test_service_clean_churn_converges;
           Alcotest.test_case "quiet fleet silent" `Quick test_service_quiet_fleet_sends_no_gossip;
           Alcotest.test_case "lossy churn converges" `Quick test_service_lossy_churn_converges;
+          Alcotest.test_case "loopback caps throttle" `Quick test_service_loopback_caps_throttle;
           Alcotest.test_case "scheduled churn" `Quick test_service_scheduled_churn;
           Alcotest.test_case "deterministic" `Quick test_service_deterministic;
           Alcotest.test_case "traffic scales with churn" `Slow
