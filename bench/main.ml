@@ -224,7 +224,7 @@ let b14_wire_bits =
   Test.make ~name:"B14 wire_bits_roundtrip_65536"
     (Staged.stage (fun () ->
          match
-           Wire.decode Wire.Adaptive ~universe:n (Wire.encode Wire.Adaptive ~universe:n payload)
+           Wire.decode ~universe:n (Wire.encode Wire.Adaptive ~universe:n payload)
          with
          | Ok _ -> ()
          | Error msg -> failwith msg))

@@ -16,13 +16,15 @@ let varint_size v =
   let rec go v acc = if v < 0x80 then acc else go (v lsr 7) (acc + 1) in
   go (max v 0) 1
 
-let write_varint buf v =
-  let v = ref v in
+let put_varint out pos v =
+  let v = ref v and pos = ref pos in
   while !v >= 0x80 do
-    Buffer.add_char buf (Char.chr (0x80 lor (!v land 0x7F)));
-    v := !v lsr 7
+    Bytes.set out !pos (Char.unsafe_chr (0x80 lor (!v land 0x7F)));
+    v := !v lsr 7;
+    incr pos
   done;
-  Buffer.add_char buf (Char.chr !v)
+  Bytes.set out !pos (Char.unsafe_chr !v);
+  !pos + 1
 
 let read_varint bytes pos =
   let v = ref 0 and shift = ref 0 and continue = ref true in
@@ -51,59 +53,6 @@ let ids_of_payload = function
   | Payload.Share d | Payload.Exchange d | Payload.Reply d -> ids_of_data d
   | Payload.Probe | Payload.Halt | Payload.Probe_req _ | Payload.Probe_ack _
   | Payload.Suspicion _ -> []
-
-let check_range ~universe ids =
-  List.iter
-    (fun v ->
-      if v < 0 || v >= universe then invalid_arg "Wire.encode: identifier out of range")
-    ids
-
-(* --- id-set codecs (byte bodies, excluding the message kind byte) --- *)
-
-let raw32_body ids =
-  let buf = Buffer.create (4 * List.length ids) in
-  write_varint buf (List.length ids);
-  List.iter
-    (fun v ->
-      Buffer.add_char buf (Char.chr (v land 0xFF));
-      Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-      Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-      Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF)))
-    ids;
-  buf
-
-let varint_body ids =
-  let buf = Buffer.create 64 in
-  write_varint buf (List.length ids);
-  let prev = ref (-1) in
-  List.iter
-    (fun v ->
-      write_varint buf (v - !prev - 1);
-      prev := v)
-    ids;
-  buf
-
-let varint_size_of ids =
-  let total = ref (varint_size (List.length ids)) in
-  let prev = ref (-1) in
-  List.iter
-    (fun v ->
-      total := !total + varint_size (v - !prev - 1);
-      prev := v)
-    ids;
-  !total
-
-let bitmap_body ~universe ids =
-  let width = (universe + 7) / 8 in
-  let body = Bytes.make width '\000' in
-  List.iter
-    (fun v ->
-      let byte = v lsr 3 and bit = v land 7 in
-      Bytes.set body byte (Char.chr (Char.code (Bytes.get body byte) lor (1 lsl bit))))
-    ids;
-  let buf = Buffer.create (width + 1) in
-  Buffer.add_bytes buf body;
-  buf
 
 let bitmap_size ~universe = (universe + 7) / 8
 
@@ -183,42 +132,68 @@ let check_liveness ~universe ~target ~aux =
   if target < 0 || target >= universe then invalid_arg "Wire.encode: identifier out of range";
   if aux < 0 then invalid_arg "Wire.encode: negative correlation value"
 
-let body_choice encoding ~universe ids =
+(* --- the id-set codecs: one rule, one writer ---
+
+   An id-set body is one of three codecs (codec byte 0 raw32, 1 varint,
+   2 bitmap) over the set's distinct ids in ascending order:
+   - raw32: varint count, then 4 little-endian bytes per id;
+   - varint: varint count, then per id a varint gap (id - prev - 1);
+   - bitmap: ⌈universe/8⌉ bytes, bit [id land 7] of byte [id lsr 3].
+   [Bits] snapshots iterate their set; [Ids]/[Delta] lists are sorted
+   and deduplicated into a scratch array first. Both then go through
+   the same codec rule ({!codec_of}), the same size ({!body_size}) and
+   the same writer ({!write_body}), so [encode] writes exactly
+   [encoded_size] bytes. *)
+
+(* The body codec of a set of [card] distinct ids. [Adaptive] takes the
+   varint body when it is no larger than the bitmap. A varint body is at
+   least one byte per id plus its count prefix, so a cardinality that
+   reaches the bitmap width settles the rule in O(1). [vbytes x] is the
+   varint body's size; it is only applied when the rule needs it, since
+   for a snapshot it is a walk of the set. *)
+let codec_of encoding ~universe ~card vbytes x =
   match encoding with
-  | Raw32 -> `Raw
-  | Varint_delta -> `Varint
-  | Bitmap -> `Bitmap
-  | Adaptive -> if varint_size_of ids <= bitmap_size ~universe then `Varint else `Bitmap
+  | Raw32 -> 0
+  | Varint_delta -> 1
+  | Bitmap -> 2
+  | Adaptive ->
+    let width = bitmap_size ~universe in
+    if card < width && vbytes x <= width then 1 else 2
 
-(* An [Ids]/[Delta] list, built in a growing buffer. *)
-let encode_ids encoding ~universe kind d =
-  let buf = Buffer.create 64 in
-  Buffer.add_char buf (Char.chr kind);
-  let ids = ids_of_data d in
-  check_range ~universe ids;
-  (match body_choice encoding ~universe ids with
-  | `Raw ->
-    Buffer.add_char buf '\000';
-    Buffer.add_buffer buf (raw32_body ids)
-  | `Varint ->
-    Buffer.add_char buf '\001';
-    Buffer.add_buffer buf (varint_body ids)
-  | `Bitmap ->
-    Buffer.add_char buf '\002';
-    Buffer.add_buffer buf (bitmap_body ~universe ids));
-  Buffer.to_bytes buf
+let body_size codec ~universe ~card vbytes x =
+  match codec with
+  | 0 -> varint_size card + (4 * card)
+  | 1 -> vbytes x
+  | _ -> bitmap_size ~universe
 
-(* Size-only fast paths: computing the exact encoded size must not cost
-   more than the encoding decision itself. For [Bits] payloads the
-   identifier list is never materialised — the varint body size is
-   accumulated by iterating the set, and when the cardinality already
-   reaches the bitmap width the varint body (>= 1 byte per identifier
-   plus the count prefix) provably exceeds the bitmap, so [Adaptive] can
-   choose the bitmap in O(1). The size is memoised in the snapshot's
-   [vbytes] slot: a snapshot is shared across a whole fan-out (and, via
-   {!Knowledge.snapshot}'s version cache, across rounds in the steady
-   state), so each distinct knowledge state is walked once, not once per
-   recipient per round. *)
+(* The [codec] body of [card] ids, written into the zeroed, exactly
+   sized [out] from byte 2. [iter f] applies [f] to every id once, in
+   ascending order. *)
+let write_body codec out ~card iter =
+  match codec with
+  | 0 ->
+    let pos = ref (put_varint out 2 card) in
+    iter (fun v ->
+        Bytes.set_uint16_le out !pos (v land 0xFFFF);
+        Bytes.set_uint16_le out (!pos + 2) ((v lsr 16) land 0xFFFF);
+        pos := !pos + 4)
+  | 1 ->
+    let pos = ref (put_varint out 2 card) in
+    let prev = ref (-1) in
+    iter (fun v ->
+        pos := put_varint out !pos (v - !prev - 1);
+        prev := v)
+  | _ ->
+    iter (fun v ->
+        let i = 2 + (v lsr 3) in
+        Bytes.set out i (Char.unsafe_chr (Char.code (Bytes.get out i) lor (1 lsl (v land 7)))))
+
+let id_frame kind codec_byte body =
+  let out = Bytes.make (2 + body) '\000' in
+  Bytes.set out 0 (Char.unsafe_chr kind);
+  Bytes.set out 1 (Char.unsafe_chr codec_byte);
+  out
+
 (* Fold step for the set walk, with (prev + 1, running total) packed
    into one int so the accumulator stays immediate. Top-level so passing
    it to [Cset.fold] costs no closure. *)
@@ -226,6 +201,11 @@ let varint_bits_step acc v =
   let prev = (acc lsr 31) - 1 in
   ((v + 1) lsl 31) lor ((acc land 0x7FFFFFFF) + varint_size (v - prev - 1))
 
+(* A snapshot's varint body size, memoised in its [vbytes] slot: a
+   snapshot is shared across a whole fan-out (and, via
+   {!Knowledge.snapshot}'s version cache, across rounds in the steady
+   state), so each distinct knowledge state is walked once, not once per
+   recipient per round. *)
 let varint_size_of_bits (b : Knowledge.snap) =
   if b.Knowledge.vbytes >= 0 then b.Knowledge.vbytes
   else begin
@@ -237,22 +217,87 @@ let varint_size_of_bits (b : Knowledge.snap) =
     size
   end
 
-(* Adaptive's rule for a snapshot, without materialising its ids: the
-   varint body when it is no larger than the bitmap. A cardinality that
-   already reaches the bitmap width settles it in O(1). *)
-let bits_prefer_varint ~universe (b : Knowledge.snap) =
-  Cset.cardinal b.Knowledge.set < bitmap_size ~universe
-  && varint_size_of_bits b <= bitmap_size ~universe
+(* A [Bits] snapshot is written straight from its set, with the
+   snapshot flag on its codec byte. A bitmap body of a set bounded by
+   the universe is a blit of the set's own bitmap bytes. *)
+let encode_bits encoding ~universe kind (b : Knowledge.snap) =
+  let set = b.Knowledge.set in
+  (* a set bounded by the universe cannot hold an out-of-range id *)
+  if Cset.capacity set > universe then
+    Cset.iter
+      (fun v -> if v >= universe then invalid_arg "Wire.encode: identifier out of range")
+      set;
+  let card = Cset.cardinal set in
+  let codec = codec_of encoding ~universe ~card varint_size_of_bits b in
+  let out =
+    id_frame kind (codec lor snapshot_flag)
+      (body_size codec ~universe ~card varint_size_of_bits b)
+  in
+  if codec = 2 && Cset.capacity set <= universe then Cset.blit_bitmap_bytes set out 2
+  else write_body codec out ~card (fun f -> Cset.iter f set);
+  out
 
-let put_varint out pos v =
-  let v = ref v and pos = ref pos in
-  while !v >= 0x80 do
-    Bytes.set out !pos (Char.unsafe_chr (0x80 lor (!v land 0x7F)));
-    v := !v lsr 7;
-    incr pos
+(* [Ids]/[Delta] lists are sorted in a grow-only scratch array
+   ({!Intvec.sort_prefix}) rather than materialised as a list per
+   message: delta windows are re-sent every round until acknowledged,
+   so a list per sized or encoded message would be the dominant
+   allocator of a full run. Domain-local because parallel sweeps size
+   messages concurrently. *)
+let size_scratch : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
+
+(* Sort a list payload's ids into the scratch and drop duplicates in
+   place; returns the distinct count [card]: the canonical set is then
+   the scratch's first [card] slots. *)
+let sort_ids d =
+  let scratch = Domain.DLS.get size_scratch in
+  let m =
+    match d with
+    | Payload.Ids a -> Array.length a
+    | Payload.Delta s -> Intvec.slice_length s
+    | Payload.Bits _ | Payload.Updates _ -> invalid_arg "Wire.sort_ids: non-list payload"
+  in
+  if Array.length !scratch < m then scratch := Array.make (max m (2 * Array.length !scratch)) 0;
+  let arr = !scratch in
+  (match d with
+  | Payload.Ids a -> Intvec.blit_ints a 0 arr 0 m
+  | Payload.Delta s ->
+    for i = 0 to m - 1 do
+      arr.(i) <- Intvec.slice_get s i
+    done
+  | Payload.Bits _ | Payload.Updates _ -> ());
+  Intvec.sort_prefix arr m;
+  let card = ref (min m 1) in
+  for i = 1 to m - 1 do
+    let v = arr.(i) in
+    if v <> arr.(!card - 1) then begin
+      arr.(!card) <- v;
+      incr card
+    end
   done;
-  Bytes.set out !pos (Char.unsafe_chr !v);
-  !pos + 1
+  !card
+
+(* Varint body size of the scratch's first [card] ids. *)
+let sorted_vbytes arr card =
+  let total = ref (varint_size card) and prev = ref (-1) in
+  for i = 0 to card - 1 do
+    total := !total + varint_size (arr.(i) - !prev - 1);
+    prev := arr.(i)
+  done;
+  !total
+
+let encode_ids encoding ~universe kind d =
+  let card = sort_ids d in
+  let arr = !(Domain.DLS.get size_scratch) in
+  if card > 0 && (arr.(0) < 0 || arr.(card - 1) >= universe) then
+    invalid_arg "Wire.encode: identifier out of range";
+  let vbytes = sorted_vbytes arr card in
+  let codec = codec_of encoding ~universe ~card Fun.id vbytes in
+  let out = id_frame kind codec (body_size codec ~universe ~card Fun.id vbytes) in
+  write_body codec out ~card (fun f ->
+      for i = 0 to card - 1 do
+        f arr.(i)
+      done);
+  out
 
 (* Kinds 3-7 and update batches are written straight into one exactly
    sized buffer: a probe costs its one-byte block and nothing else. *)
@@ -280,61 +325,6 @@ let encode_updates ~universe kind ~full entries =
   done;
   out
 
-(* A [Bits] snapshot is written straight from its set into an exactly
-   sized buffer — the same bytes the list path gives for
-   [Ids (Cset.to_array set)], plus the snapshot flag, without building
-   the list. *)
-let encode_bits encoding ~universe kind (b : Knowledge.snap) =
-  let set = b.Knowledge.set in
-  (* a set bounded by the universe cannot hold an out-of-range id *)
-  if Cset.capacity set > universe then
-    Cset.iter
-      (fun v -> if v >= universe then invalid_arg "Wire.encode: identifier out of range")
-      set;
-  let card = Cset.cardinal set in
-  let codec =
-    match encoding with
-    | Raw32 -> 0
-    | Varint_delta -> 1
-    | Bitmap -> 2
-    | Adaptive -> if bits_prefer_varint ~universe b then 1 else 2
-  in
-  let body =
-    match codec with
-    | 0 -> varint_size card + (4 * card)
-    | 1 -> varint_size_of_bits b
-    | _ -> bitmap_size ~universe
-  in
-  let out = Bytes.make (2 + body) '\000' in
-  Bytes.set out 0 (Char.chr kind);
-  Bytes.set out 1 (Char.chr (codec lor snapshot_flag));
-  (match codec with
-  | 0 ->
-    let pos = ref (put_varint out 2 card) in
-    Cset.iter
-      (fun v ->
-        Bytes.set_uint16_le out !pos (v land 0xFFFF);
-        Bytes.set_uint16_le out (!pos + 2) ((v lsr 16) land 0xFFFF);
-        pos := !pos + 4)
-      set
-  | 1 ->
-    let pos = ref (put_varint out 2 card) in
-    let prev = ref (-1) in
-    Cset.iter
-      (fun v ->
-        pos := put_varint out !pos (v - !prev - 1);
-        prev := v)
-      set
-  | _ ->
-    if Cset.capacity set <= universe then Cset.blit_bitmap_bytes set out 2
-    else
-      Cset.iter
-        (fun v ->
-          let i = 2 + (v lsr 3) in
-          Bytes.set out i (Char.unsafe_chr (Char.code (Bytes.get out i) lor (1 lsl (v land 7)))))
-        set);
-  out
-
 let encode encoding ~universe payload =
   let kind = kind_tag payload in
   match payload with
@@ -351,80 +341,25 @@ let encode encoding ~universe payload =
     encode_updates ~universe kind ~full:u.full u.entries
   | Payload.Share d | Payload.Exchange d | Payload.Reply d -> encode_ids encoding ~universe kind d
 
-(* For [Ids]/[Delta] payloads the canonical form is sorted and
-   deduplicated, but materialising it as a list per sized message is the
-   dominant allocator of a full run (delta windows are re-sent every
-   round until acknowledged). Instead the identifiers are copied into a
-   grow-only scratch array, sorted in place ({!Intvec.sort_prefix}), and
-   walked once — domain-local because parallel sweeps size messages
-   concurrently. *)
-let size_scratch : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
-
-(* Distinct count and varint body size of a sorted scratch prefix,
-   skipping duplicates exactly as the canonical list form would. Packed
-   as [count lsl 31 lor bytes] — returning a pair would put a tuple on
-   the minor heap for every sized message. *)
-let sorted_prefix_sizes arr m =
-  let distinct = ref 0 in
-  let vbytes = ref 0 in
-  let prev = ref (-1) in
-  for i = 0 to m - 1 do
-    let v = arr.(i) in
-    if v <> !prev then begin
-      incr distinct;
-      vbytes := !vbytes + varint_size (v - !prev - 1);
-      prev := v
-    end
-  done;
-  (!distinct lsl 31) lor !vbytes
-
-let ids_sizes d =
-  let scratch = Domain.DLS.get size_scratch in
-  let m =
-    match d with
-    | Payload.Ids a -> Array.length a
-    | Payload.Delta s -> Intvec.slice_length s
-    | Payload.Bits _ | Payload.Updates _ -> invalid_arg "Wire.ids_sizes: non-id payload"
-  in
-  if Array.length !scratch < m then scratch := Array.make (max m (2 * Array.length !scratch)) 0;
-  let arr = !scratch in
-  (match d with
-  | Payload.Ids a -> Array.blit a 0 arr 0 m
-  | Payload.Delta s ->
-    for i = 0 to m - 1 do
-      arr.(i) <- Intvec.slice_get s i
-    done
-  | Payload.Bits _ | Payload.Updates _ -> ());
-  Intvec.sort_prefix arr m;
-  sorted_prefix_sizes arr m
-
 let encoded_size encoding ~universe payload =
   match payload with
   | Payload.Probe | Payload.Halt -> 1
   | Payload.Probe_req { target; nonce } | Payload.Probe_ack { target; nonce } ->
     1 + varint_size target + varint_size nonce
   | Payload.Suspicion { target; version } -> 1 + varint_size target + varint_size version
+  | Payload.Share (Payload.Updates u)
+  | Payload.Exchange (Payload.Updates u)
+  | Payload.Reply (Payload.Updates u) ->
+    2 + updates_body_size u.entries
+  | Payload.Share (Payload.Bits b) | Payload.Exchange (Payload.Bits b)
+  | Payload.Reply (Payload.Bits b) ->
+    let card = Cset.cardinal b.Knowledge.set in
+    let codec = codec_of encoding ~universe ~card varint_size_of_bits b in
+    2 + body_size codec ~universe ~card varint_size_of_bits b
   | Payload.Share d | Payload.Exchange d | Payload.Reply d ->
-    let body =
-      match (encoding, d) with
-      | _, Payload.Updates u -> updates_body_size u.entries
-      | Raw32, Payload.Bits b ->
-        let card = Cset.cardinal b.Knowledge.set in
-        varint_size card + (4 * card)
-      | Varint_delta, Payload.Bits b -> varint_size_of_bits b
-      | Bitmap, _ -> bitmap_size ~universe
-      | Adaptive, Payload.Bits b ->
-        if bits_prefer_varint ~universe b then varint_size_of_bits b else bitmap_size ~universe
-      | (Raw32 | Varint_delta | Adaptive), (Payload.Ids _ | Payload.Delta _) ->
-        let packed = ids_sizes d in
-        let distinct = packed lsr 31 and vbytes = packed land 0x7FFFFFFF in
-        let vsize = varint_size distinct + vbytes in
-        (match encoding with
-        | Raw32 -> varint_size distinct + (4 * distinct)
-        | Varint_delta -> vsize
-        | Bitmap | Adaptive -> min vsize (bitmap_size ~universe))
-    in
-    2 + body
+    let card = sort_ids d in
+    let vbytes = sorted_vbytes !(Domain.DLS.get size_scratch) card in
+    2 + body_size (codec_of encoding ~universe ~card Fun.id vbytes) ~universe ~card Fun.id vbytes
 
 (* Decoding is defensive: the input may come off a socket, so every
    malformed buffer — truncation, corruption, hostile lengths — must be
@@ -557,7 +492,7 @@ let decode_exn ~universe bytes =
     | _ -> invalid_arg "Wire.decode: unknown message kind"
   end
 
-let decode _encoding ~universe bytes =
+let decode ~universe bytes =
   if universe < 0 then Error "Wire.decode: negative universe"
   else match decode_exn ~universe bytes with
     | payload -> Ok payload

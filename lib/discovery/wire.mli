@@ -25,11 +25,18 @@ val encoding_name : encoding -> string
 val all_encodings : encoding list
 
 val encode : encoding -> universe:int -> Payload.t -> bytes
-(** Serialise a message. [universe] is the id space size [n] (needed for
-    bitmap width); identifiers must lie in [0, universe).
+(** Serialise a message into one buffer of exactly {!encoded_size}
+    bytes. [universe] is the id space size [n] (needed for bitmap
+    width); identifiers must lie in [0, universe). Every identifier set
+    — a [Bits] snapshot, an [Ids] list or a [Delta] slice — is written
+    as its distinct identifiers in ascending order under one codec rule:
+    [Raw32], [Varint_delta] and [Bitmap] fix the body codec, and
+    [Adaptive] takes the varint body when it is no larger than the
+    bitmap. The update batches and the liveness kinds have one codec
+    each, whatever the [encoding].
     @raise Invalid_argument on out-of-range identifiers. *)
 
-val decode : encoding -> universe:int -> bytes -> (Payload.t, string) result
+val decode : universe:int -> bytes -> (Payload.t, string) result
 (** Inverse of {!encode} up to the set-of-identifiers semantics of the
     payload: identifier lists come back sorted and deduplicated, and a
     [Delta] slice comes back as [Ids]. The snapshot form is preserved
@@ -43,8 +50,9 @@ val decode : encoding -> universe:int -> bytes -> (Payload.t, string) result
     [Error], never an exception, and claimed element counts are
     validated against the bytes actually present before any allocation
     is sized from them (a 5-byte buffer cannot demand a billion-element
-    array). The network transport layer decodes socket input through
-    this function. *)
+    array). The codec byte of each frame names its body codec, so no
+    [encoding] is needed. The network transport layer decodes socket
+    input through this function. *)
 
 val encoded_size : encoding -> universe:int -> Payload.t -> int
 (** [encoded_size e ~universe p] = [Bytes.length (encode e ~universe p)],

@@ -13,7 +13,6 @@ type spec = {
   tick_period : float;
   timeout : float;
   loss_max : float;
-  encoding : Wire.encoding;
   dir : string option;
 }
 
@@ -28,7 +27,6 @@ let default_spec algo =
     tick_period = Node.default_tick_period;
     timeout = 10.0;
     loss_max = 0.2;
-    encoding = Wire.Adaptive;
     dir = None;
   }
 
@@ -47,23 +45,29 @@ type report = {
 
 let all_passed r = r.passed = List.length r.trials
 
-(* One randomized-but-seeded plan per trial: some base link noise
-   (quantized to whole percents so plans print compactly), one scheduled
+let pct p = float_of_int p /. 100.0
+
+let group lo hi = List.init (hi - lo) (fun i -> lo + i)
+
+(* Base link noise, quantized to whole percents so plans print
+   compactly: a loss rate up to [loss_max], and small duplication,
+   reordering and corruption probabilities. *)
+let link_noise ~rng ~loss_max =
+  let max_pct = int_of_float ((loss_max *. 100.0) +. 0.5) in
+  let plan =
+    Fault.with_loss Fault.none ~p:(pct (if max_pct <= 0 then 0 else Rng.int rng (max_pct + 1)))
+  in
+  let plan = Fault.with_dup plan ~p:(pct (Rng.int rng 6)) in
+  let plan = Fault.with_reorder plan ~p:(pct (Rng.int rng 11)) in
+  Fault.with_corrupt plan ~p:(pct (Rng.int rng 3))
+
+(* One randomized-but-seeded plan per trial: base link noise, one scheduled
    partition that heals, and one crash that restarts. Every trial
    therefore exercises the reliability layer, the partition window and
    the rejoin handshake at once. *)
 let random_plan ~rng ~n ~loss_max =
-  let pct p = float_of_int p /. 100.0 in
-  let max_pct = int_of_float ((loss_max *. 100.0) +. 0.5) in
-  let plan = Fault.none in
-  let plan =
-    Fault.with_loss plan ~p:(pct (if max_pct <= 0 then 0 else Rng.int rng (max_pct + 1)))
-  in
-  let plan = Fault.with_dup plan ~p:(pct (Rng.int rng 6)) in
-  let plan = Fault.with_reorder plan ~p:(pct (Rng.int rng 11)) in
-  let plan = Fault.with_corrupt plan ~p:(pct (Rng.int rng 3)) in
+  let plan = link_noise ~rng ~loss_max in
   let split = 1 + Rng.int rng (n - 1) in
-  let group lo hi = List.init (hi - lo) (fun i -> lo + i) in
   let start = 3 + Rng.int rng 8 in
   let heal = start + 5 + Rng.int rng 11 in
   let plan = Fault.with_partition plan ~groups:[ group 0 split; group split n ] ~start ~heal in
@@ -73,38 +77,48 @@ let random_plan ~rng ~n ~loss_max =
   let plan = Fault.with_crash plan ~node:victim ~round:crash in
   Fault.with_restart plan ~node:victim ~round:restart
 
+let check_soak ~who ~trials ~n backend =
+  if trials < 1 then invalid_arg (Printf.sprintf "Chaos.%s: trials must be positive" who);
+  if n < 2 then invalid_arg (Printf.sprintf "Chaos.%s: n must be at least 2" who);
+  match backend with
+  | Backend.Loopback ->
+    invalid_arg (Printf.sprintf "Chaos.%s: chaos needs a live backend (uds|tcp|mux)" who)
+  | Backend.Process _ | Backend.Mux -> ()
+
+(* The cluster of one trial: [algo] over [family], seeded with the
+   trial's seed, under [plan]. *)
+let trial_spec algo ~family ~n ~backend ~timeout ~seed plan =
+  { (Cluster.default_spec algo) with Cluster.n; family; seed; backend; timeout; fault = plan }
+
+(* One trial's run and its verdict: converged, with no violation from
+   the online invariant checker. *)
+let run_trial spec =
+  let result = Cluster.run spec in
+  let invariants_ok =
+    match result.Cluster.invariants with
+    | Cluster.Failed _ -> false
+    | Cluster.Passed _ | Cluster.Skipped _ -> true
+  in
+  (result, result.Cluster.converged && invariants_ok)
+
 let run ?(progress = fun _ -> ()) (spec : spec) =
-  if spec.trials < 1 then invalid_arg "Chaos.run: trials must be positive";
-  if spec.n < 2 then invalid_arg "Chaos.run: n must be at least 2";
-  (match spec.backend with
-  | Backend.Loopback -> invalid_arg "Chaos.run: chaos needs a live backend (uds|tcp|mux)"
-  | Backend.Process _ | Backend.Mux -> ());
+  check_soak ~who:"run" ~trials:spec.trials ~n:spec.n spec.backend;
   let trials =
     List.init spec.trials (fun index ->
         let seed = spec.seed + index in
         let rng = Rng.substream ~seed ~index:0xc405 in
         let plan = random_plan ~rng ~n:spec.n ~loss_max:spec.loss_max in
-        let result =
-          Cluster.run
+        let result, passed =
+          run_trial
             {
-              (Cluster.default_spec spec.algo) with
-              Cluster.n = spec.n;
-              family = spec.family;
-              seed;
-              backend = spec.backend;
-              tick_period = spec.tick_period;
-              timeout = spec.timeout;
-              encoding = spec.encoding;
+              (trial_spec spec.algo ~family:spec.family ~n:spec.n ~backend:spec.backend
+                 ~timeout:spec.timeout ~seed plan)
+              with
+              Cluster.tick_period = spec.tick_period;
               dir = spec.dir;
-              fault = plan;
             }
         in
-        let invariants_ok =
-          match result.Cluster.invariants with
-          | Cluster.Failed _ -> false
-          | Cluster.Passed _ | Cluster.Skipped _ -> true
-        in
-        let trial = { index; seed; plan; result; passed = result.Cluster.converged && invariants_ok } in
+        let trial = { index; seed; plan; result; passed } in
         progress trial;
         trial)
   in
@@ -124,19 +138,9 @@ let run ?(progress = fun _ -> ()) (spec : spec) =
 
 let plan_families = [ "links"; "partition"; "crash"; "wan" ]
 
-let group lo hi = List.init (hi - lo) (fun i -> lo + i)
-
 let plan_of_family name ~rng ~n ~loss_max =
-  let pct p = float_of_int p /. 100.0 in
   match name with
-  | "links" ->
-    let max_pct = int_of_float ((loss_max *. 100.0) +. 0.5) in
-    let plan =
-      Fault.with_loss Fault.none ~p:(pct (if max_pct <= 0 then 0 else Rng.int rng (max_pct + 1)))
-    in
-    let plan = Fault.with_dup plan ~p:(pct (Rng.int rng 6)) in
-    let plan = Fault.with_reorder plan ~p:(pct (Rng.int rng 11)) in
-    Fault.with_corrupt plan ~p:(pct (Rng.int rng 3))
+  | "links" -> link_noise ~rng ~loss_max
   | "partition" ->
     let split = 1 + Rng.int rng (n - 1) in
     let start = 2 + Rng.int rng 4 in
@@ -158,6 +162,20 @@ let plan_of_family name ~rng ~n ~loss_max =
       ~cross:{ Fault.default_link with Fault.delay; loss; cap = 2 }
   | other -> invalid_arg (Printf.sprintf "Chaos.plan_of_family: unknown plan family %S" other)
 
+let plan_index ~who name =
+  match List.find_index (String.equal name) plan_families with
+  | Some i -> i
+  | None -> invalid_arg (Printf.sprintf "Chaos.%s: unknown plan family %S" who name)
+
+(* Trial [trial] of plan family [name]. One substream per (plan family,
+   trial): the same plan therefore stresses every (algorithm, topology)
+   cell, which makes cell-to-cell comparisons meaningful. Returns the
+   trial's seed and its plan. *)
+let family_plan ~who name ~seed ~trial ~n ~loss_max =
+  let trial_seed = seed + trial in
+  let rng = Rng.substream ~seed:trial_seed ~index:(0xc406 + plan_index ~who name) in
+  (trial_seed, plan_of_family name ~rng ~n ~loss_max)
+
 type cell = {
   cell_algo : string;
   cell_topology : string;
@@ -177,52 +195,23 @@ let matrix_to_json cells = String.concat "\n" (List.map cell_to_json cells) ^ "\
 
 let matrix ?(progress = fun _ -> ()) ~algos ~families ~plans ~n ~trials ~seed ~backend ~timeout
     ~loss_max () =
-  if trials < 1 then invalid_arg "Chaos.matrix: trials must be positive";
-  if n < 2 then invalid_arg "Chaos.matrix: n must be at least 2";
-  (match backend with
-  | Backend.Loopback -> invalid_arg "Chaos.matrix: chaos needs a live backend (uds|tcp|mux)"
-  | Backend.Process _ | Backend.Mux -> ());
-  let indexed = List.mapi (fun i p -> (p, i)) plan_families in
-  let plans =
-    List.map
-      (fun p ->
-        match List.assoc_opt p indexed with
-        | Some i -> (p, i)
-        | None -> invalid_arg (Printf.sprintf "Chaos.matrix: unknown plan family %S" p))
-      plans
-  in
+  check_soak ~who:"matrix" ~trials ~n backend;
+  List.iter (fun p -> ignore (plan_index ~who:"matrix" p)) plans;
   List.concat_map
     (fun algo ->
       List.concat_map
         (fun family ->
           List.map
-            (fun (plan_name, plan_index) ->
+            (fun plan_name ->
               let passed = ref 0 in
-              for index = 0 to trials - 1 do
-                let trial_seed = seed + index in
-                (* One substream per (plan family, trial): the same plan
-                   therefore stresses every (algorithm, topology) cell,
-                   which makes cell-to-cell comparisons meaningful. *)
-                let rng = Rng.substream ~seed:trial_seed ~index:(0xc406 + plan_index) in
-                let plan = plan_of_family plan_name ~rng ~n ~loss_max in
-                let result =
-                  Cluster.run
-                    {
-                      (Cluster.default_spec algo) with
-                      Cluster.n;
-                      family;
-                      seed = trial_seed;
-                      backend;
-                      timeout;
-                      fault = plan;
-                    }
+              for trial = 0 to trials - 1 do
+                let trial_seed, plan =
+                  family_plan ~who:"matrix" plan_name ~seed ~trial ~n ~loss_max
                 in
-                let invariants_ok =
-                  match result.Cluster.invariants with
-                  | Cluster.Failed _ -> false
-                  | Cluster.Passed _ | Cluster.Skipped _ -> true
+                let _, ok =
+                  run_trial (trial_spec algo ~family ~n ~backend ~timeout ~seed:trial_seed plan)
                 in
-                if result.Cluster.converged && invariants_ok then incr passed
+                if ok then incr passed
               done;
               let cell =
                 {
@@ -252,14 +241,7 @@ type diagnosis = {
 }
 
 let diagnose ~algo ~family ~plan_family ~n ~trial ~seed ~backend ~timeout ~loss_max () =
-  let plan_index =
-    match List.find_index (String.equal plan_family) plan_families with
-    | Some i -> i
-    | None -> invalid_arg (Printf.sprintf "Chaos.diagnose: unknown plan family %S" plan_family)
-  in
-  let trial_seed = seed + trial in
-  let rng = Rng.substream ~seed:trial_seed ~index:(0xc406 + plan_index) in
-  let plan = plan_of_family plan_family ~rng ~n ~loss_max in
+  let trial_seed, plan = family_plan ~who:"diagnose" plan_family ~seed ~trial ~n ~loss_max in
   let last_send = Array.make n neg_infinity in
   let clock = ref 0.0 in
   let sink =
@@ -268,25 +250,14 @@ let diagnose ~algo ~family ~plan_family ~n ~trial ~seed ~backend ~timeout ~loss_
       | Trace.Send { src; _ } -> if !clock > last_send.(src) then last_send.(src) <- !clock
       | _ -> ())
   in
-  let result =
-    Cluster.run
-      {
-        (Cluster.default_spec algo) with
-        Cluster.n;
-        family;
-        seed = trial_seed;
-        backend;
-        timeout;
-        fault = plan;
-        trace = sink;
-      }
-  in
+  let spec = trial_spec algo ~family ~n ~backend ~timeout ~seed:trial_seed plan in
+  let result = Cluster.run { spec with Cluster.trace = sink } in
   (* in-process backends run on the virtual round clock (one unit per
      round); the socket backends tie rounds to the real tick period *)
   let round_period =
     match backend with
     | Backend.Mux | Backend.Loopback -> 1.0
-    | Backend.Process _ -> (Cluster.default_spec algo).Cluster.tick_period
+    | Backend.Process _ -> spec.Cluster.tick_period
   in
   let heal_time =
     List.fold_left

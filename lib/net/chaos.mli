@@ -25,7 +25,6 @@ type spec = {
   tick_period : float;
   timeout : float;  (** per-trial wall-clock budget *)
   loss_max : float;  (** upper bound on each trial's base loss rate *)
-  encoding : Wire.encoding;
   dir : string option;
 }
 
@@ -82,11 +81,6 @@ val plan_families : string list
     (cross-region delay, loss and a bandwidth cap). Fabrication is
     deliberately excluded: an audited fabrication must fail, so it has
     its own negative tests instead of a pass-count cell. *)
-
-val plan_of_family :
-  string -> rng:Repro_util.Rng.t -> n:int -> loss_max:float -> Fault.t
-(** The seeded plan generator behind each family name.
-    @raise Invalid_argument on an unknown name. *)
 
 (** {2 Trace-level diagnosis of a failing cell}
 

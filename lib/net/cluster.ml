@@ -538,12 +538,7 @@ let run_sockets (spec : spec) =
       | [], Some t -> (
         (* end-to-end agreement between the merged trace and the nodes'
            own counters, via the same final_check the engines use *)
-        let metrics = Metrics.create () in
-        Metrics.absorb metrics ~retransmits:t.Control.retransmits
-          ~corrupt_frames:t.Control.corrupt_frames ~sent:t.Control.sent
-          ~delivered:t.Control.delivered ~dropped:t.Control.dropped ~pointers:t.Control.pointers
-          ~bytes:t.Control.bytes ();
-        match Trace.Invariants.final_check inv metrics with
+        match Trace.Invariants.final_check inv (Control.metrics_of_final t) with
         | () -> Passed (Trace.Invariants.events_seen inv)
         | exception Trace.Invariants.Violation msg -> Failed msg)
       | _ :: _, _ -> Skipped "crashed nodes: totals are partial"

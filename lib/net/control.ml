@@ -41,6 +41,12 @@ let add_final acc f =
     corrupt_frames = acc.corrupt_frames + f.corrupt_frames;
   }
 
+let metrics_of_final t =
+  let metrics = Metrics.create () in
+  Metrics.absorb metrics ~retransmits:t.retransmits ~corrupt_frames:t.corrupt_frames ~sent:t.sent
+    ~delivered:t.delivered ~dropped:t.dropped ~pointers:t.pointers ~bytes:t.bytes ();
+  metrics
+
 type msg = Event of float * Trace.event | Completed of float * int | Final of final
 
 (* Times are printed with the same "%.12g" convention as the trace JSON

@@ -40,6 +40,11 @@ val add_final : final -> final -> final
 (** Field-wise sum of every counter, for fleet totals; [complete_tick]
     is the accumulator's, since a per-node tick has no sum. *)
 
+val metrics_of_final : final -> Metrics.t
+(** Fresh metrics holding a report's totals — sent, delivered, dropped,
+    pointers, bytes, retransmits and corrupt frames — for comparing fleet
+    totals with a trace or building a run result. *)
+
 type msg = Event of float * Trace.event | Completed of float * int | Final of final
 
 val event_line : time:float -> Trace.event -> string

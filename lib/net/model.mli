@@ -38,8 +38,6 @@ type move =
   | Crash of int
   | Restart of int
 
-val pp_move : Format.formatter -> move -> unit
-
 type config = {
   n : int;  (** fleet size (path topology); at least 2 *)
   depth : int;  (** moves per explored schedule *)

@@ -137,11 +137,9 @@ let exec_spec (spec : Run_async.spec) (algo : Algorithm.t) topology =
     Array.init n (fun v ->
         match cores.(v) with Some core -> Node_core.final core | None -> Control.zero_final)
   in
-  let t = Array.fold_left Control.add_final Control.zero_final finals in
-  let metrics = Metrics.create () in
-  Metrics.absorb metrics ~retransmits:t.Control.retransmits
-    ~corrupt_frames:t.Control.corrupt_frames ~sent:t.Control.sent ~delivered:t.Control.delivered
-    ~dropped:t.Control.dropped ~pointers:t.Control.pointers ~bytes:t.Control.bytes ();
+  let metrics =
+    Control.metrics_of_final (Array.fold_left Control.add_final Control.zero_final finals)
+  in
   ( {
       Run_async.algorithm = algo.Algorithm.name;
       n;

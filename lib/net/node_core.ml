@@ -453,7 +453,7 @@ let handle_frame t ~now (env : Envelope.t) =
           link.recv_cum <- link.recv_cum + 1;
           link.recv_early <- List.filter (fun s -> s > link.recv_cum) link.recv_early
         done;
-        match Wire.decode t.cfg.encoding ~universe:t.cfg.n env.Envelope.body with
+        match Wire.decode ~universe:t.cfg.n env.Envelope.body with
         | Error _ -> t.decode_errors <- t.decode_errors + 1
         | Ok payload ->
           deliver t ~now ~src payload;

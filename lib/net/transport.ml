@@ -60,7 +60,6 @@ module Conn = struct
     mutable wbuf : Bytes.t;  (* write backlog, [wpos, wlen) pending *)
     mutable wpos : int;
     mutable wlen : int;
-    mutable queued_frames : int;  (* frames accepted but not yet fully written *)
     mutable closed : bool;  (* stream dead: EOF, hard error, or corrupt framing *)
     mutable fd_closed : bool;
   }
@@ -74,14 +73,12 @@ module Conn = struct
       wbuf = Bytes.create 4096;
       wpos = 0;
       wlen = 0;
-      queued_frames = 0;
       closed = false;
       fd_closed = false;
     }
 
   let fd t = t.fd
   let pending_out t = t.wlen > t.wpos
-  let queued_frames t = t.queued_frames
 
   let ensure_write_room t extra =
     (* compact first, then grow *)
@@ -104,12 +101,11 @@ module Conn = struct
     let len = Bytes.length frame in
     ensure_write_room t len;
     Bytes.blit frame 0 t.wbuf t.wlen len;
-    t.wlen <- t.wlen + len;
-    t.queued_frames <- t.queued_frames + 1
+    t.wlen <- t.wlen + len
 
   (* Nonblocking drain of the write backlog. [`Closed] on a hard error
-     (peer gone); progress resets the queued-frame count once the
-     backlog empties. *)
+     (peer gone); the backlog rewinds to the buffer's start once it
+     empties. *)
   let flush t =
     if t.closed then `Closed
     else begin
@@ -123,7 +119,6 @@ module Conn = struct
           if t.wpos >= t.wlen then begin
             t.wpos <- 0;
             t.wlen <- 0;
-            t.queued_frames <- 0;
             continue := false
           end
         | exception Unix.Unix_error ((EWOULDBLOCK | EAGAIN | EINTR), _, _) -> continue := false

@@ -47,9 +47,6 @@ module Conn : sig
   (** Append one encoded frame to the write backlog. *)
 
   val pending_out : t -> bool
-  val queued_frames : t -> int
-  (** Frames queued since the backlog last fully drained — what is lost
-      if the connection dies now. *)
 
   val flush : t -> [ `Ok | `Closed ]
   val read : t -> handle:(Envelope.t -> unit) -> [ `Ok | `Closed | `Corrupt of string ]

@@ -219,7 +219,7 @@ let direct_transport (cfg : config) ~members ~now ~dropped_loss ~dropped_dead =
     match members.(hop.dst) with
     | None -> incr dropped_dead
     | Some m -> (
-      match Wire.decode Wire.Adaptive ~universe:cfg.cap hop.frame with
+      match Wire.decode ~universe:cfg.cap hop.frame with
       | Ok payload -> Member.deliver m ~src:hop.src ~now:!now payload
       | Error msg -> failwith ("Service.run: wire decode failed: " ^ msg))
   in

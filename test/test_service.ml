@@ -160,7 +160,7 @@ let updates ?(full = false) entries =
 
 let roundtrip p =
   let b = Wire.encode Wire.Adaptive ~universe:300 p in
-  match Wire.decode Wire.Adaptive ~universe:300 b with
+  match Wire.decode ~universe:300 b with
   | Ok p' -> p'
   | Error e -> Alcotest.failf "decode failed: %s" e
 
@@ -188,18 +188,18 @@ let test_wire_updates_bad_bytes_rejected () =
   (* flip the status byte (last byte) to an unknown value *)
   let bad = Bytes.copy good in
   Bytes.set bad (Bytes.length bad - 1) (Char.chr 7);
-  (match Wire.decode Wire.Adaptive ~universe:300 bad with
+  (match Wire.decode ~universe:300 bad with
   | Ok _ -> Alcotest.fail "unknown status accepted"
   | Error _ -> ());
   (* truncated body *)
-  (match Wire.decode Wire.Adaptive ~universe:300 (Bytes.sub good 0 (Bytes.length good - 1)) with
+  (match Wire.decode ~universe:300 (Bytes.sub good 0 (Bytes.length good - 1)) with
   | Ok _ -> Alcotest.fail "truncated batch accepted"
   | Error _ -> ());
   (* the full flag is meaningless on a non-update codec *)
   let share = Wire.encode Wire.Adaptive ~universe:300 (Payload.Share (Payload.Ids [| 1; 2 |])) in
   let bad = Bytes.copy share in
   Bytes.set bad 1 (Char.chr (Char.code (Bytes.get share 1) lor 0x40));
-  match Wire.decode Wire.Adaptive ~universe:300 bad with
+  match Wire.decode ~universe:300 bad with
   | Ok _ -> Alcotest.fail "stray full flag accepted"
   | Error _ -> ()
 
@@ -265,16 +265,16 @@ let test_wire_probe_payloads_bad_bytes_rejected () =
   (* canonical form is exactly two varints: a trailing byte is noise *)
   let padded = Bytes.extend good 0 1 in
   Bytes.set padded (Bytes.length padded - 1) '\000';
-  (match Wire.decode Wire.Adaptive ~universe:300 padded with
+  (match Wire.decode ~universe:300 padded with
   | Ok _ -> Alcotest.fail "trailing byte accepted"
   | Error _ -> ());
   (* truncated body *)
-  (match Wire.decode Wire.Adaptive ~universe:300 (Bytes.sub good 0 1) with
+  (match Wire.decode ~universe:300 (Bytes.sub good 0 1) with
   | Ok _ -> Alcotest.fail "missing body accepted"
   | Error _ -> ());
   (* a decoded target is range-checked against the receiver's universe *)
   let wide = Wire.encode Wire.Adaptive ~universe:1000 (Payload.Suspicion { target = 750; version = 2 }) in
-  match Wire.decode Wire.Adaptive ~universe:300 wide with
+  match Wire.decode ~universe:300 wide with
   | Ok _ -> Alcotest.fail "out-of-universe target accepted"
   | Error _ -> ()
 
