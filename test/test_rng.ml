@@ -9,6 +9,43 @@ let test_determinism () =
     Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
   done
 
+(* Known-answer pins: the exact stream is part of every determinism
+   claim (goldens, trace certifications, CI baselines), so any change
+   to the generator's arithmetic must leave these values unmoved. The
+   seed-0 words are the xoshiro256** reference stream for splitmix64
+   seed 0. *)
+let test_known_answers () =
+  let words r k = List.init k (fun _ -> Rng.bits64 r) in
+  Alcotest.(check (list int64))
+    "create ~seed:0"
+    [ 0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L ]
+    (words (Rng.create ~seed:0) 3);
+  Alcotest.(check (list int64)) "create ~seed:(-1)" [ 0x8f5520d52a7ead08L ]
+    (words (Rng.create ~seed:(-1)) 1);
+  let r = Rng.substream ~seed:1 ~index:0x70b0 in
+  let d1 = Rng.int r 1024 in
+  let d2 = Rng.int r 17_408 in
+  let d3 = Rng.int r 1_000_003 in
+  Alcotest.(check (list int)) "substream int draws" [ 216; 9050; 688659 ] [ d1; d2; d3 ];
+  let parent = Rng.create ~seed:9 in
+  let c1 = Rng.split parent in
+  let c2 = Rng.split parent in
+  Alcotest.(check (list int64))
+    "split children, then the parent"
+    [ 0x54e0325768c669c6L; 0xc979d400f14c44caL; 0x21e90bc830805b17L ]
+    (words c1 1 @ words c2 1 @ words parent 1);
+  let r = Rng.create ~seed:13 in
+  let f1 = Rng.float r 1.0 in
+  let f2 = Rng.float r 2.5 in
+  Alcotest.(check (list (float 0.0)))
+    "float draws" [ 0x1.f038933268cf8p-3; 0x1.f4fe3d0d3056ep+0 ] [ f1; f2 ];
+  Alcotest.(check (list int64))
+    "substream at the int extremes"
+    [ 0xce619da9dfea5cecL; 0x8f5520d52a7ead08L; 0xadec6bead50f3d7aL ]
+    (words (Rng.substream ~seed:min_int ~index:max_int) 1
+    @ words (Rng.substream ~seed:max_int ~index:min_int) 1
+    @ words (Rng.substream ~seed:(-5) ~index:(-7)) 1)
+
 let test_seed_sensitivity () =
   let a = Rng.create ~seed:1 and b = Rng.create ~seed:2 in
   let differs = ref false in
@@ -132,6 +169,7 @@ let () =
       ( "unit",
         [
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "known answers" `Quick test_known_answers;
           Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
           Alcotest.test_case "substream stability" `Quick test_substream_stability;
           Alcotest.test_case "split independence" `Quick test_split_independence;
