@@ -126,7 +126,7 @@ let main listen peers peers_file algo seed neighbors tick_period idle_timeout ma
               algo;
               seed;
               neighbors;
-              scheme = Addr_table.scheme addrs;
+              addrs;
               listen_fd = None;
               control_fd = None;
               epoch = Unix.gettimeofday ();

@@ -37,7 +37,6 @@ let () =
             neighbors = Topology.out_neighbors topology node;
             labels;
             rng = Rng.substream ~seed ~index:(node + 1);
-            params = Params.default;
           }
         in
         Hm_gossip.algorithm.Algorithm.make ctx)

@@ -6,7 +6,6 @@ type ctx = {
   neighbors : int array;
   labels : int array;
   rng : Rng.t;
-  params : Params.t;
 }
 
 type instance = {

@@ -14,7 +14,6 @@ type ctx = {
   neighbors : int array;  (** initial out-neighbors (sorted) *)
   labels : int array;  (** shared label permutation (see DESIGN.md §7) *)
   rng : Rng.t;  (** this node's private random stream *)
-  params : Params.t;  (** HM tuning knobs (ignored by baselines) *)
 }
 
 type instance = {

@@ -6,24 +6,17 @@ type completion = Strong | Survivors_strong | Leader | Quiescent
 
 let labels_of ~seed n = Rng.permutation (Rng.substream ~seed ~index:0) n
 
-let instances ~seed (algo : Algorithm.t) topology =
-  let n = Topology.n topology in
-  let labels = labels_of ~seed n in
-  let instances =
-    Array.init n (fun node ->
-        let ctx =
-          {
-            Algorithm.n;
-            node;
-            neighbors = Topology.out_neighbors topology node;
-            labels;
-            rng = Rng.substream ~seed ~index:(node + 1);
-            params = Params.default;
-          }
-        in
-        algo.Algorithm.make ctx)
+let instantiate ~seed ~labels (algo : Algorithm.t) ~node ~neighbors =
+  let n = Array.length labels in
+  algo.Algorithm.make
+    { Algorithm.n; node; neighbors; labels; rng = Rng.substream ~seed ~index:(node + 1) }
+
+let instances ~seed algo topology =
+  let labels = labels_of ~seed (Topology.n topology) in
+  let make node =
+    instantiate ~seed ~labels algo ~node ~neighbors:(Topology.out_neighbors topology node)
   in
-  (labels, instances)
+  (labels, Array.init (Topology.n topology) make)
 
 let strong_done instances ~alive n =
   let ok = ref true in
@@ -91,19 +84,9 @@ let last_join_round fault =
   let m = List.fold_left (fun acc (_, round) -> max acc round) 0 (Fault.joining_nodes fault) in
   List.fold_left (fun acc (_, round) -> max acc round) m (Fault.restarting_nodes fault)
 
-let restart_instance ~seed (algo : Algorithm.t) topology instances ~node =
-  let n = Topology.n topology in
-  let ctx =
-    {
-      Algorithm.n;
-      node;
-      neighbors = Topology.out_neighbors topology node;
-      labels = labels_of ~seed n;
-      rng = Rng.substream ~seed ~index:(node + 1);
-      params = Params.default;
-    }
-  in
-  instances.(node) <- algo.Algorithm.make ctx
+let restart_instance ~seed ~labels algo topology instances ~node =
+  instances.(node) <-
+    instantiate ~seed ~labels algo ~node ~neighbors:(Topology.out_neighbors topology node)
 
 let handlers instances =
   {

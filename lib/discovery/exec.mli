@@ -23,11 +23,24 @@ val labels_of : seed:int -> int -> int array
 (** The shared label permutation of a run with this master seed
     (see DESIGN.md §7): substream 0 of the seed. *)
 
+val instantiate :
+  seed:int ->
+  labels:int array ->
+  Algorithm.t ->
+  node:int ->
+  neighbors:int array ->
+  Algorithm.instance
+(** The one node-instantiation rule: node [node] of a run with master
+    seed [seed] and label permutation [labels] (so [n] is the length of
+    [labels]) starts from [neighbors] with its private RNG from
+    substream [node + 1]. Every executor, simulated or live, builds its
+    nodes through this function (the golden traces pin the resulting
+    RNG draw order). *)
+
 val instances : seed:int -> Algorithm.t -> Topology.t -> int array * Algorithm.instance array
-(** [(labels, instances)] — the canonical per-run instantiation: labels
-    from {!labels_of}, node [v]'s private RNG from substream [v + 1].
-    Every executor must build its nodes through this function (the
-    golden traces pin the resulting RNG draw order). *)
+(** [(labels, instances)] — every node of a run: labels from
+    {!labels_of}, node [v] from {!instantiate} with its out-neighbors in
+    the topology. *)
 
 val satisfied :
   completion ->
@@ -44,10 +57,16 @@ val last_join_round : Fault.t -> int
     completion must not be declared before this round/time. *)
 
 val restart_instance :
-  seed:int -> Algorithm.t -> Topology.t -> Algorithm.instance array -> node:int -> unit
-(** Reset [instances.(node)] to its initial state — the same derivation
-    as {!instances} (same labels, same RNG substream), mirroring a live
-    restart where the supervisor re-forks the node process from scratch.
+  seed:int ->
+  labels:int array ->
+  Algorithm.t ->
+  Topology.t ->
+  Algorithm.instance array ->
+  node:int ->
+  unit
+(** Reset [instances.(node)] to its initial state through
+    {!instantiate} with the run's [labels], mirroring a live restart
+    where the supervisor re-forks the node process from scratch.
     Pass it as the engines' [on_restart] callback. *)
 
 val handlers : Algorithm.instance array -> Payload.t Sim.handlers

@@ -6,17 +6,16 @@ type state = {
   mutable pushed_upto : int;  (* high-water mark for delta pushes *)
 }
 
-let partners (ctx : Algorithm.ctx) st =
-  match ctx.params.partner with
-  | Params.Uniform_known -> Knowledge.random_known_among st.knowledge ctx.rng ~k:ctx.params.fanout
+let partners (params : Params.t) (ctx : Algorithm.ctx) st =
+  match params.partner with
+  | Params.Uniform_known -> Knowledge.random_known_among st.knowledge ctx.rng ~k:params.fanout
   | Params.Initial_neighbor ->
     if Array.length ctx.neighbors = 0 then [||]
     else
-      Array.init (min ctx.params.fanout (Array.length ctx.neighbors)) (fun _ ->
+      Array.init (min params.fanout (Array.length ctx.neighbors)) (fun _ ->
           Rng.pick ctx.rng ctx.neighbors)
 
 let make_with params (ctx : Algorithm.ctx) =
-  let ctx = { ctx with Algorithm.params = params } in
   let knowledge = Algorithm.initial_knowledge ctx in
   let st = { knowledge; pending_replies = Intvec.create (); pushed_upto = 0 } in
   let push_data () =
@@ -36,7 +35,7 @@ let make_with params (ctx : Algorithm.ctx) =
       Intvec.iter (fun dst -> send ~dst reply) st.pending_replies;
       Intvec.clear st.pending_replies
     end;
-    let targets = partners ctx st in
+    let targets = partners params ctx st in
     if Array.length targets > 0 then begin
       match params.Params.mode with
       | Params.Push ->

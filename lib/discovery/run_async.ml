@@ -63,7 +63,7 @@ let exec_spec spec (algo : Algorithm.t) topology =
   in
   let config = engine_config ~n spec in
   let on_restart ~node =
-    Exec.restart_instance ~seed algo topology instances ~node;
+    Exec.restart_instance ~seed ~labels algo topology instances ~node;
     genesis ~node
   in
   let measure_bytes = Wire.encoded_size encoding ~universe:n in

@@ -410,7 +410,9 @@ let decode_exn ~universe bytes =
         let out = Array.make count 0 in
         for i = 0 to count - 1 do
           let b k = Char.code (Bytes.get bytes (!pos + k)) in
-          out.(i) <- b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24);
+          let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
+          if v >= universe then invalid_arg "Wire.decode: identifier out of range";
+          out.(i) <- v;
           pos := !pos + 4
         done;
         Payload.Ids out
@@ -469,12 +471,6 @@ let decode_exn ~universe bytes =
         Payload.Updates { full; entries }
       | _ -> invalid_arg "Wire.decode: unknown body codec"
     in
-    (match data with
-    | Payload.Ids out ->
-      Array.iter
-        (fun v -> if v < 0 || v >= universe then invalid_arg "Wire.decode: identifier out of range")
-        out
-    | Payload.Bits _ | Payload.Delta _ | Payload.Updates _ -> ());
     (* restore the sender's form: the body codec was a size decision *)
     let data =
       match (data, snapshot) with

@@ -72,8 +72,6 @@ let load path =
 
 let save path table = Out_channel.with_open_text path (fun oc -> output_string oc (to_string table))
 
-let scheme table = Transport.Table table
-
 let index_of table addr =
   match parse_entry addr with
   | Error _ -> None

@@ -33,9 +33,6 @@ val load : string -> (t, string) result
 
 val save : string -> t -> unit
 
-val scheme : t -> Transport.scheme
-(** The table as a {!Transport.scheme} for {!Node.run}. *)
-
 val index_of : t -> string -> int option
 (** Which node id a [--listen] spelling denotes: the first entry equal
     to its parse ([None] if absent or unparseable). *)

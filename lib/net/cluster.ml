@@ -234,10 +234,12 @@ let run_sockets (spec : spec) =
   let topology =
     Generate.build spec.family ~rng:(Rng.substream ~seed:spec.seed ~index:0x70b0) ~n:spec.n
   in
-  (* the id→address map: a socket directory for UDS, a port table for
-     TCP (bound to port 0 now, real ports read back before any fork) *)
+  (* the id→address table: socket paths in one directory for UDS;
+     for TCP, loopback listeners bound to port 0 now, their real
+     addresses read back before any fork, so the table is exact and
+     collision-free and no child can connect before a peer listens *)
   let cleanup_dir = ref None in
-  let scheme =
+  let listeners, addrs =
     match spec.backend with
     | Backend.Process Backend.Uds ->
       let dir =
@@ -249,14 +251,19 @@ let run_sockets (spec : spec) =
           cleanup_dir := Some d;
           d
       in
-      Transport.Dir dir
-    | Backend.Process Backend.Tcp -> Transport.Ports (Array.make spec.n 0)
+      let addrs =
+        Array.init spec.n (fun v ->
+            Unix.ADDR_UNIX (Filename.concat dir (Printf.sprintf "node-%d.sock" v)))
+      in
+      (Array.map Transport.listen_socket addrs, addrs)
+    | Backend.Process Backend.Tcp ->
+      let listeners =
+        Array.init spec.n (fun _ ->
+            Transport.listen_socket (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)))
+      in
+      (listeners, Array.map Unix.getsockname listeners)
     | Backend.Loopback | Backend.Mux -> assert false
   in
-  let listeners = Array.init spec.n (fun v -> Transport.listen_socket scheme v) in
-  (match scheme with
-  | Transport.Ports ports -> Array.iteri (fun v fd -> ports.(v) <- Transport.bound_port fd) listeners
-  | Transport.Dir _ | Transport.Table _ -> ());
   let epoch = Unix.gettimeofday () in
   let max_ticks =
     max
@@ -290,7 +297,7 @@ let run_sockets (spec : spec) =
                 algo = spec.algo;
                 seed = spec.seed;
                 neighbors = Topology.out_neighbors topology v;
-                scheme;
+                addrs;
                 listen_fd = Some listeners.(v);
                 control_fd = Some child_fd;
                 epoch;
@@ -477,9 +484,11 @@ let run_sockets (spec : spec) =
   List.iter (fun (_, fd) -> try Unix.close fd with Unix.Unix_error _ -> ()) !open_listeners;
   (match !cleanup_dir with
   | Some dir ->
-    for v = 0 to spec.n - 1 do
-      try Unix.unlink (Transport.socket_path dir v) with Unix.Unix_error _ -> ()
-    done;
+    Array.iter
+      (function
+        | Unix.ADDR_UNIX path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+        | Unix.ADDR_INET _ -> ())
+      addrs;
     (try Unix.rmdir dir with Unix.Unix_error _ -> ())
   | None -> ());
   let crashed =

@@ -30,7 +30,7 @@ type config = {
   algo : Algorithm.t;
   seed : int;
   neighbors : int array;
-  scheme : Transport.scheme;
+  addrs : Unix.sockaddr array;
   listen_fd : Unix.file_descr option;
   control_fd : Unix.file_descr option;
   epoch : float;
@@ -120,10 +120,11 @@ let connect_failed t dst =
   end
 
 let start_connect t dst =
-  let fd = Unix.socket (Transport.domain t.cfg.scheme) Unix.SOCK_STREAM 0 in
+  let addr = t.cfg.addrs.(dst) in
+  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   Unix.set_close_on_exec fd;
   Unix.set_nonblock fd;
-  match Unix.connect fd (Transport.sockaddr t.cfg.scheme dst) with
+  match Unix.connect fd addr with
   | () -> promote_ready t dst (Transport.Conn.create fd)
   | exception Unix.Unix_error ((EINPROGRESS | EWOULDBLOCK | EAGAIN | EINTR), _, _) ->
     t.conns.(dst).state <- Connecting (Transport.Conn.create fd)
@@ -197,7 +198,7 @@ let shutdown t =
   (match t.control with Some c -> Transport.Conn.close c | None -> ());
   if t.own_listener then begin
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    match Transport.sockaddr t.cfg.scheme t.cfg.node with
+    match t.cfg.addrs.(t.cfg.node) with
     | Unix.ADDR_UNIX path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     | Unix.ADDR_INET _ -> ()
   end
@@ -205,13 +206,14 @@ let shutdown t =
 let run cfg =
   if cfg.n <= 0 then invalid_arg "Node.run: n must be positive";
   if cfg.node < 0 || cfg.node >= cfg.n then invalid_arg "Node.run: node out of range";
+  if Array.length cfg.addrs <> cfg.n then invalid_arg "Node.run: addrs must have length n";
   if cfg.tick_period <= 0.0 then invalid_arg "Node.run: tick period must be positive";
   (* a write to a freshly-dead peer must surface as EPIPE, not a signal *)
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
   let listen_fd, own_listener =
     match cfg.listen_fd with
     | Some fd -> (fd, false)
-    | None -> (Transport.listen_socket cfg.scheme cfg.node, true)
+    | None -> (Transport.listen_socket cfg.addrs.(cfg.node), true)
   in
   let backoff_rng = Rng.substream ~seed:cfg.seed ~index:(0xb0ff + cfg.node) in
   let conns =

@@ -48,7 +48,7 @@ type config = {
   algo : Algorithm.t;
   seed : int;  (** must match the cluster seed: labels derive from it *)
   neighbors : int array;
-  scheme : Transport.scheme;
+  addrs : Unix.sockaddr array;  (** node [i] listens on [addrs.(i)]; length [n] *)
   listen_fd : Unix.file_descr option;
       (** listener inherited from the harness; [None] = bind our own *)
   control_fd : Unix.file_descr option;

@@ -1,4 +1,3 @@
-open Repro_util
 open Repro_engine
 open Repro_discovery
 
@@ -529,21 +528,12 @@ let create (cfg : config) (acts : actions) ~labels ~links_up ~now =
   if cfg.tick_period <= 0.0 then invalid_arg "Node_core.create: tick period must be positive";
   if cfg.rto <= 0.0 then invalid_arg "Node_core.create: rto must be positive";
   if Array.length labels <> cfg.n then invalid_arg "Node_core.create: labels must have length n";
-  let ctx =
-    {
-      Algorithm.n = cfg.n;
-      node = cfg.node;
-      neighbors = cfg.neighbors;
-      labels;
-      rng = Rng.substream ~seed:cfg.seed ~index:(cfg.node + 1);
-      params = Params.default;
-    }
-  in
   let t =
     {
       cfg;
       acts;
-      inst = cfg.algo.Algorithm.make ctx;
+      inst =
+        Exec.instantiate ~seed:cfg.seed ~labels cfg.algo ~node:cfg.node ~neighbors:cfg.neighbors;
       untouched = (if links_up then untouched_up else untouched_down);
       peers = [||];
       links = [||];

@@ -74,8 +74,9 @@ type status = Up | Down | Dead
 type t
 
 val create : config -> actions -> labels:int array -> links_up:bool -> now:float -> t
-(** Build the algorithm instance (same derivation as the simulators:
-    shared label permutation, per-node RNG substream), emit the [Join]
+(** Build the algorithm instance through {!Exec.instantiate}, the
+    simulators' derivation (shared label permutation, per-node RNG
+    substream), emit the [Join]
     event, and greet the neighbours if [announce]. [labels] is the run's
     label permutation ({!Exec.labels_of} of the deployment seed, or
     whatever labels the run's algorithms share), computed once per run

@@ -1,31 +1,4 @@
-type scheme =
-  | Dir of string  (** UDS: node [i] listens on [<dir>/node-<i>.sock] *)
-  | Ports of int array  (** TCP: node [i] listens on [127.0.0.1:ports.(i)] *)
-  | Table of Unix.sockaddr array  (** explicit per-node address table *)
-
-let socket_path dir node = Filename.concat dir (Printf.sprintf "node-%d.sock" node)
-
-let sockaddr scheme node =
-  match scheme with
-  | Dir dir -> Unix.ADDR_UNIX (socket_path dir node)
-  | Ports ports ->
-    if node < 0 || node >= Array.length ports then
-      invalid_arg "Transport.sockaddr: node out of range";
-    Unix.ADDR_INET (Unix.inet_addr_loopback, ports.(node))
-  | Table addrs ->
-    if node < 0 || node >= Array.length addrs then
-      invalid_arg "Transport.sockaddr: node out of range";
-    addrs.(node)
-
-let domain = function
-  | Dir _ -> Unix.PF_UNIX
-  | Ports _ -> Unix.PF_INET
-  | Table addrs ->
-    if Array.length addrs = 0 then invalid_arg "Transport.domain: empty address table"
-    else Unix.domain_of_sockaddr addrs.(0)
-
-let listen_socket scheme node =
-  let addr = sockaddr scheme node in
+let listen_socket addr =
   let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   (try
      Unix.set_close_on_exec fd;
@@ -39,16 +12,6 @@ let listen_socket scheme node =
      Unix.close fd;
      raise e);
   fd
-
-(* TCP listeners are bound to an OS-assigned port (bind to 0) before any
-   process starts, so the address map is exact and collision-free: the
-   harness binds all n listeners first, reads the ports back, and only
-   then forks — children inherit their listener, eliminating the
-   connect-before-listen startup race entirely. *)
-let bound_port fd =
-  match Unix.getsockname fd with
-  | Unix.ADDR_INET (_, port) -> port
-  | Unix.ADDR_UNIX _ -> invalid_arg "Transport.bound_port: not an inet socket"
 
 (* --- framed connections ------------------------------------------- *)
 

@@ -172,6 +172,8 @@ let test_decode_validation () =
       ("oversized probe", Bytes.of_string "\003\000");
       ("truncated varint", Bytes.of_string "\000\001\255");
       ("raw32 length mismatch", Bytes.of_string "\000\000\002\001\000\000\000");
+      (* one raw32 id, 2^32 - 1, far past the universe *)
+      ("raw32 id out of range", Bytes.of_string "\000\000\001\255\255\255\255");
       ("bitmap width mismatch", Bytes.of_string "\000\002\000");
       (* hostile length field: claims 2^35 raw32 elements in 4 bytes *)
       ("hostile raw32 count", Bytes.of_string "\000\000\128\128\128\128\128\001");
