@@ -79,7 +79,7 @@ let full_run name algo =
           incr counter;
           let seed = !counter in
           let topo =
-            Repro_experiments.Sweepcell.topology_of ~family:(Generate.K_out 3) ~n:1024 ~seed
+            Generate.of_seed (Generate.K_out 3) ~n:1024 ~seed
           in
           let r = Run.exec_spec { Run.default_spec with Run.seed } algo topo in
           assert r.Run.completed))
@@ -100,7 +100,7 @@ let b15_async =
           incr counter;
           let seed = !counter in
           let topo =
-            Repro_experiments.Sweepcell.topology_of ~family:(Generate.K_out 3) ~n:1024 ~seed
+            Generate.of_seed (Generate.K_out 3) ~n:1024 ~seed
           in
           let r =
             Run_async.exec_spec { Run_async.default_spec with Run_async.seed } Hm_gossip.algorithm
@@ -272,7 +272,7 @@ let scale_subject () =
   if Sys.getenv_opt "REPRO_BENCH_QUICK" <> None then []
   else begin
     let n = 65536 in
-    let topo = Repro_experiments.Sweepcell.topology_of ~family:(Generate.K_out 3) ~n ~seed:1 in
+    let topo = Generate.of_seed (Generate.K_out 3) ~n ~seed:1 in
     let spec = { Run.default_spec with Run.seed = 1; jobs = Pool.default_jobs () } in
     let w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in

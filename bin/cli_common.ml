@@ -16,14 +16,6 @@ let algo_conv =
   let print ppf (a : Algorithm.t) = Format.pp_print_string ppf a.Algorithm.name in
   Arg.conv (parse, print)
 
-let encoding_conv =
-  let parse s =
-    match List.find_opt (fun e -> Wire.encoding_name e = s) Wire.all_encodings with
-    | Some e -> Ok e
-    | None -> Error (`Msg (Printf.sprintf "unknown encoding %S (raw32|varint|bitmap|adaptive)" s))
-  in
-  Arg.conv (parse, fun ppf e -> Format.pp_print_string ppf (Wire.encoding_name e))
-
 let fault_conv =
   let parse s = Repro_engine.Fault.of_string s |> Result.map_error (fun e -> `Msg e) in
   Arg.conv (parse, Repro_engine.Fault.pp)
@@ -39,12 +31,6 @@ let tick_arg =
     value
     & opt float Repro_net.Node.default_tick_period
     & info [ "tick-period" ] ~docv:"SECONDS" ~doc:"Seconds between algorithm activations.")
-
-let encoding_arg =
-  Arg.(
-    value
-    & opt encoding_conv Wire.Adaptive
-    & info [ "encoding" ] ~docv:"CODEC" ~doc:"Wire codec: raw32, varint, bitmap or adaptive.")
 
 let seed_arg ~doc = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc)
 

@@ -49,13 +49,13 @@ let topology_arg =
            tree, grid, hypercube, lollipop, sorted_chain, kniesburges:W, kout:K, er:P, \
            clustered:C:K, seeds:S:F, ba:M, ws:K:B, geo:R.")
 
-let loss_arg =
-  Arg.(value & opt float 0.0 & info [ "loss" ] ~docv:"P" ~doc:"Per-message drop probability.")
-
 let crashes_arg =
   Arg.(
     value & opt int 0
-    & info [ "crashes" ] ~docv:"K" ~doc:"Crash K random nodes during the first 5 rounds.")
+    & info [ "crashes" ] ~docv:"K"
+        ~doc:
+          "Add K random node crashes in rounds 1-5 to the $(b,--fault) plan: the victims and \
+           rounds of the fault experiment's crash cells at the same seed.")
 
 let max_rounds_arg =
   Arg.(
@@ -100,23 +100,7 @@ let fault_arg =
        leave=N@R (graceful departure, service runtime only), fabricate=NODE@ID, audit=1. \
        Example: \
        loss=0.1,part=0-3|4-7@5..20,crash=5@8,restart=5@14. Example: \
-       wan=0-3|4-7:delay=2:loss=0.1:cap=5. Composes with $(b,--loss) and \
-       $(b,--crashes), which overlay the plan."
-
-(* --loss / --crashes predate the plan DSL; they overlay [base] so old
-   invocations keep their exact semantics (including the crash-victim
-   RNG substream). *)
-let build_fault ?(base = Repro_engine.Fault.none) ~seed ~n ~loss ~crashes () =
-  let open Repro_engine in
-  let fault = if loss > 0.0 then Fault.with_loss base ~p:loss else base in
-  if crashes <= 0 then fault
-  else begin
-    let rng = Rng.substream ~seed ~index:0xdead in
-    let victims = Rng.sample_distinct rng ~n ~k:(min crashes n) ~avoid:(-1) in
-    Array.fold_left
-      (fun f node -> Fault.with_crash f ~node ~round:(1 + Rng.int rng 5))
-      fault victims
-  end
+       wan=0-3|4-7:delay=2:loss=0.1:cap=5."
 
 (* A plan that takes nodes down for good makes Strong completion
    unreachable; one whose every crash restarts does not. *)
@@ -125,7 +109,7 @@ let has_fatal_crashes (fault : Repro_engine.Fault.t) =
   List.exists (fun (v, _) -> Fault.restart_round fault ~node:v = None) (Fault.crashed_nodes fault)
 
 let run_cmd =
-  let run algo family n seed seeds loss crashes plan max_rounds completion growth jobs =
+  let run algo family n seed seeds crashes plan max_rounds completion growth jobs =
     if seeds < 1 then `Error (false, "--seeds must be at least 1")
     else begin
       let completion =
@@ -137,7 +121,7 @@ let run_cmd =
         {
           Run.default_spec with
           Run.seed;
-          fault = build_fault ~base:plan ~seed ~n ~loss ~crashes ();
+          fault = Repro_engine.Fault.with_random_crashes plan ~seed ~n ~count:crashes;
           completion;
           max_rounds;
           track_growth = growth && seeds = 1;
@@ -147,8 +131,7 @@ let run_cmd =
         }
       in
       let exec seed =
-        let rng = Rng.substream ~seed ~index:0x70b0 in
-        let topology = Generate.build family ~rng ~n in
+        let topology = Generate.of_seed family ~n ~seed in
         (topology, Run.exec_spec (spec_of seed) algo topology)
       in
       if seeds = 1 then begin
@@ -216,8 +199,8 @@ let run_cmd =
   let term =
     Term.(
       ret
-        (const run $ algo_arg $ topology_arg $ n_arg $ seed_arg $ seeds_arg $ loss_arg
-       $ crashes_arg $ fault_arg $ max_rounds_arg $ completion_arg $ growth_arg $ jobs_arg))
+        (const run $ algo_arg $ topology_arg $ n_arg $ seed_arg $ seeds_arg $ crashes_arg
+       $ fault_arg $ max_rounds_arg $ completion_arg $ growth_arg $ jobs_arg))
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one discovery configuration.") term
 
@@ -233,16 +216,16 @@ let list_cmd =
 (* --- trace: emit the structured event stream of one run as JSONL --- *)
 
 let trace_cmd =
-  let trace algo family n seed loss crashes plan max_rounds completion asynchronous check output
-      jobs =
+  let trace algo family n seed crashes plan max_rounds completion asynchronous check output jobs
+      =
     let open Repro_engine in
     let completion =
       if (crashes > 0 || has_fatal_crashes plan) && completion = Run.Strong then
         Run.Survivors_strong
       else completion
     in
-    let fault = build_fault ~base:plan ~seed ~n ~loss ~crashes () in
-    let topology = Generate.build family ~rng:(Rng.substream ~seed ~index:0x70b0) ~n in
+    let fault = Fault.with_random_crashes plan ~seed ~n ~count:crashes in
+    let topology = Generate.of_seed family ~n ~seed in
     let oc, close =
       match output with
       | None -> (stdout, fun () -> flush stdout)
@@ -325,9 +308,8 @@ let trace_cmd =
   let term =
     Term.(
       ret
-        (const trace $ algo_arg $ topology_arg $ n_arg $ seed_arg $ loss_arg $ crashes_arg
-       $ fault_arg $ max_rounds_arg $ completion_arg $ async_arg $ check_arg $ output_arg
-       $ jobs_arg))
+        (const trace $ algo_arg $ topology_arg $ n_arg $ seed_arg $ crashes_arg $ fault_arg
+       $ max_rounds_arg $ completion_arg $ async_arg $ check_arg $ output_arg $ jobs_arg))
   in
   Cmd.v
     (Cmd.info "trace"
@@ -425,7 +407,6 @@ let dir_arg =
 let trace_out_arg ~doc = Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 let quiet_arg ~doc = Arg.(value & flag & info [ "quiet" ] ~doc)
 let trials_arg default ~doc = Arg.(value & opt int default & info [ "trials" ] ~docv:"K" ~doc)
-let loss_max_arg ~doc = Arg.(value & opt float 0.2 & info [ "loss-max" ] ~docv:"P" ~doc)
 
 (* --- cluster: run the algorithm as live processes over sockets --- *)
 
@@ -448,17 +429,7 @@ let cluster_cmd =
       & info [ "no-check" ]
           ~doc:"Skip the online invariant checker over the merged event stream.")
   in
-  let kill_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "kill" ] ~docv:"NODE"
-          ~doc:
-            "Sabotage: SIGKILL node $(docv) right after spawn. The run must then report the \
-             node as crashed and fail to converge (exit 1) — the failure-path drill.")
-  in
-  let cluster algo family n seed backend tick_period timeout encoding trace_out no_check kill
-      fault dir =
+  let cluster algo family n seed backend tick_period timeout trace_out no_check fault dir =
     if n < 1 then `Error (false, "-n must be at least 1")
     else begin
       let oc = Option.map open_out trace_out in
@@ -471,11 +442,9 @@ let cluster_cmd =
           backend;
           tick_period;
           timeout;
-          encoding;
           dir;
           trace = (match oc with Some oc -> Repro_engine.Trace.jsonl oc | None -> Repro_engine.Trace.null);
           check_invariants = not no_check;
-          kill_node = kill;
           fault;
         }
       in
@@ -505,10 +474,9 @@ let cluster_cmd =
       ret
         (const cluster $ algo_arg $ topology_arg $ n_arg $ seed_arg $ backend_arg $ tick_arg
         $ timeout_arg 30.0 ~doc:"Wall-clock budget; exceeding it counts as non-convergence."
-        $ encoding_arg
         $ trace_out_arg
             ~doc:"Write the merged, time-ordered JSONL event trace of the whole cluster to $(docv)."
-        $ no_check_arg $ kill_arg $ fault_arg $ dir_arg))
+        $ no_check_arg $ fault_arg $ dir_arg))
   in
   Cmd.v
     (Cmd.info "cluster"
@@ -530,7 +498,7 @@ let chaos_cmd =
           (Backend.Process Backend.Uds)
       & backend_info "Live backend for the trial clusters: $(b,uds), $(b,tcp) or $(b,mux).")
   in
-  let chaos algo n seed backend trials loss_max tick_period timeout quiet dir =
+  let chaos algo n seed backend trials tick_period timeout quiet dir =
     let spec =
       {
         (Chaos.default_spec algo) with
@@ -540,7 +508,6 @@ let chaos_cmd =
         backend;
         tick_period;
         timeout;
-        loss_max;
         dir;
       }
     in
@@ -570,7 +537,6 @@ let chaos_cmd =
         $ nodes_arg 8 ~doc:"Number of machines per trial."
         $ seed_arg $ backend_arg
         $ trials_arg 10 ~doc:"Number of seeded trials; trial i uses seed + i."
-        $ loss_max_arg ~doc:"Upper bound on each trial's randomized base loss rate."
         $ tick_arg
         $ timeout_arg 10.0 ~doc:"Per-trial wall-clock budget; exceeding it fails the trial."
         $ quiet_arg ~doc:"Suppress the per-trial progress lines on stderr."
@@ -644,15 +610,15 @@ let chaos_matrix_cmd =
       & info [ "o"; "out" ] ~docv:"FILE"
           ~doc:"Also write the summary to FILE (e.g. to regenerate the baseline).")
   in
-  let matrix algos topologies plans n seed backend trials timeout loss_max baseline out quiet =
+  let matrix algos topologies plans n seed backend trials timeout baseline out quiet =
     let progress (c : Chaos.cell) =
       if not quiet then
         Printf.eprintf "chaos-matrix: %s/%s/%s: %d/%d\n%!" c.Chaos.cell_algo c.Chaos.cell_topology
           c.Chaos.cell_plan c.Chaos.cell_passed c.Chaos.cell_trials
     in
     match
-      Chaos.matrix ~progress ~algos ~families:topologies ~plans ~n ~trials ~seed ~backend ~timeout
-        ~loss_max ()
+      Chaos.matrix ~progress ~algos ~families:topologies ~plans ~n ~trials ~seed ~backend
+        ~timeout ()
     with
     | exception Invalid_argument msg -> `Error (false, msg)
     | cells ->
@@ -703,7 +669,6 @@ let chaos_matrix_cmd =
         $ seed_arg $ backend_arg
         $ trials_arg 3 ~doc:"Seeded trials per cell; trial i uses seed + i for topology and plan."
         $ timeout_arg 10.0 ~doc:"Per-trial wall-clock budget; exceeding it fails the trial."
-        $ loss_max_arg ~doc:"Upper bound on the links plan family's randomized base loss rate."
         $ baseline_arg $ out_arg
         $ quiet_arg ~doc:"Suppress the per-cell progress lines on stderr."))
   in

@@ -92,8 +92,8 @@ let fleet_halt_arg =
            instead of exiting on the local idle timeout. All nodes of the deployment must \
            agree on this flag.")
 
-let main listen peers peers_file algo seed neighbors tick_period idle_timeout max_ticks encoding
-    fault announce fleet_halt =
+let main listen peers peers_file algo seed neighbors tick_period idle_timeout max_ticks fault
+    announce fleet_halt =
   let table =
     match (peers, peers_file) with
     | Some _, Some _ -> Error "--peers and --peers-file are mutually exclusive"
@@ -135,7 +135,6 @@ let main listen peers peers_file algo seed neighbors tick_period idle_timeout ma
               max_ticks;
               fault;
               announce;
-              encoding;
               fleet_halt;
             }
         in
@@ -155,8 +154,8 @@ let () =
     Term.(
       ret
         (const main $ listen_arg $ peers_arg $ peers_file_arg $ algo_arg $ seed_arg
-       $ neighbors_arg $ tick_arg $ idle_arg $ max_ticks_arg $ encoding_arg $ fault_arg
-       $ announce_arg $ fleet_halt_arg))
+       $ neighbors_arg $ tick_arg $ idle_arg $ max_ticks_arg $ fault_arg $ announce_arg
+       $ fleet_halt_arg))
   in
   let info =
     Cmd.info "discovery_node" ~version:"1.0.0"

@@ -22,7 +22,6 @@ type spec = {
   horizon : float option;
   tick_jitter : float;
   latency : float * float;
-  encoding : Wire.encoding;
   trace : Trace.sink;
 }
 
@@ -34,7 +33,6 @@ let default_spec =
     horizon = None;
     tick_jitter = 0.1;
     latency = (0.1, 0.9);
-    encoding = Wire.Adaptive;
     trace = Trace.null;
   }
 
@@ -52,7 +50,7 @@ let engine_config ~n spec =
   }
 
 let exec_spec spec (algo : Algorithm.t) topology =
-  let { seed; fault; completion; encoding; trace; _ } = spec in
+  let { seed; fault; completion; trace; _ } = spec in
   let n = Topology.n topology in
   let labels, instances = Exec.instances ~seed algo topology in
   let handlers = Adversary.wrap ~fault ~n (Exec.handlers instances) in
@@ -66,7 +64,7 @@ let exec_spec spec (algo : Algorithm.t) topology =
     Exec.restart_instance ~seed ~labels algo topology instances ~node;
     genesis ~node
   in
-  let measure_bytes = Wire.encoded_size encoding ~universe:n in
+  let measure_bytes = Wire.encoded_size Wire.Adaptive ~universe:n in
   let outcome =
     Async_sim.run ~n ~config ~handlers ~measure:Payload.measure ~measure_bytes ~stop
       ~on_restart ?on_deliver ()

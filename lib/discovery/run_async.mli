@@ -32,11 +32,6 @@ type spec = {
   horizon : float option;  (** time budget; [None] means [4·n + 64.] time units *)
   tick_jitter : float;  (** per-node clock drift, as a fraction of the period *)
   latency : float * float;  (** (min, max) uniform message latency *)
-  encoding : Wire.encoding;
-      (** wire codec used to {e size} each message ([Send] trace events and
-          byte metrics carry the codec's encoded length, exactly as the
-          live backends measure real frames); the payload itself is
-          delivered in memory *)
   trace : Trace.sink;
       (** structured event trace (see {!Repro_engine.Trace}); {!Run.spec}
           semantics — observational only, free when {!Repro_engine.Trace.null} *)
@@ -48,7 +43,7 @@ type spec = {
 val default_spec : spec
 (** Seed 0, no faults, strong completion, default horizon, jitter 0.1,
     latency ∈ [0.1, 0.9] (so a message takes about half a local round on
-    average), adaptive byte sizing, no tracing. *)
+    average), no tracing. *)
 
 val engine_config : n:int -> spec -> Async_sim.config
 (** The engine configuration [spec] runs [n] nodes under: its horizon
@@ -58,4 +53,6 @@ val engine_config : n:int -> spec -> Async_sim.config
 val exec_spec : spec -> Algorithm.t -> Topology.t -> result
 (** Determinism and the completion predicates are as in
     {!Run.exec_spec}; under late joins, completion is gated on the last
-    join time. *)
+    join time. Each message is delivered in memory but sized by the
+    {!Wire.Adaptive} codec, the live backends' wire format: [Send]
+    events and the byte metrics carry its encoded length. *)

@@ -221,6 +221,15 @@ let with_crash t ~node ~round =
 let with_crashes t pairs =
   List.fold_left (fun t (node, round) -> with_crash t ~node ~round) t pairs
 
+let with_random_crashes t ~seed ~n ~count =
+  if count <= 0 then t
+  else begin
+    let open Repro_util in
+    let rng = Rng.substream ~seed ~index:0xdead in
+    let victims = Rng.sample_distinct rng ~n ~k:(min count n) ~avoid:(-1) in
+    Array.fold_left (fun t node -> with_crash t ~node ~round:(1 + Rng.int rng 5)) t victims
+  end
+
 let crash_round t ~node = Imap.find_opt node t.crashes
 let crashed_nodes t = Imap.bindings t.crashes
 

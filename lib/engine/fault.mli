@@ -151,6 +151,13 @@ val with_crash : t -> node:int -> round:int -> t
 val with_crashes : t -> (int * int) list -> t
 (** Fold of {!with_crash} over [(node, round)] pairs. *)
 
+val with_random_crashes : t -> seed:int -> n:int -> count:int -> t
+(** [min count n] distinct uniform victims out of [0 .. n-1], each
+    crashing at a uniform round in [1 .. 5], all drawn from [seed]'s
+    [0xdead] substream and added to [t] by {!with_crash}; [t] itself
+    when [count <= 0]. The random-crash cells of the fault sweep (T6)
+    and [discovery_cli run --crashes] both draw their victims here. *)
+
 val crash_round : t -> node:int -> int option
 (** The round at which [node] crashes, if any. *)
 

@@ -38,7 +38,7 @@ let t10 report ~quick ~jobs =
         failwith (Printf.sprintf "%s did not complete synchronously" algo.Algorithm.name);
       float_of_int r.Run.rounds
     | Some regime ->
-      let topology = Sweepcell.topology_of ~family ~n ~seed in
+      let topology = Generate.of_seed family ~n ~seed in
       let spec =
         {
           Run_async.default_spec with

@@ -14,7 +14,7 @@ let per_round report ~jobs ~n ~spec ~series ~title ~ylabel ~notes ~csv_name ~col
   let runs =
     Pool.map ~jobs
       (fun (algo : Algorithm.t) ->
-        let topology = Sweepcell.topology_of ~family ~n ~seed:1 in
+        let topology = Generate.of_seed family ~n ~seed:1 in
         (algo.Algorithm.name, series (Run.exec_spec spec algo topology)))
       algos
   in
@@ -86,7 +86,7 @@ let f5 report ~quick ~jobs:_ =
          n);
   let seed = 1 in
   let _, instances =
-    Exec.instances ~seed Hm_gossip.algorithm (Sweepcell.topology_of ~family ~n ~seed)
+    Exec.instances ~seed Hm_gossip.algorithm (Generate.of_seed family ~n ~seed)
   in
   let head_counts = ref [] in
   let stop ~round:_ ~alive:_ =

@@ -72,7 +72,9 @@ let t6 report ~quick ~jobs =
       let count = count_of frac in
       ([ Printf.sprintf "%d (%.0f%%)" count (100.0 *. frac) ], [ string_of_int count ]))
     ~col:algo_key ~cell:rounds_cell ~notes:"\n"
-    (crashes (fun frac seed -> Sweepcell.crash_fault ~seed ~n ~count:(count_of frac)) crash_fractions);
+    (crashes
+       (fun frac seed -> Fault.with_random_crashes Fault.none ~seed ~n ~count:(count_of frac))
+       crash_fractions);
   (* Uniform victims rarely include the aggregation sink, so also crash
      it deliberately — and at the worst possible moment. The node with
      the smallest rank (hm's sink) and the node with the smallest raw

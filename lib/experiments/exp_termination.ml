@@ -25,7 +25,7 @@ type observation = {
 }
 
 let observe ~n family () seed =
-  let topology = Sweepcell.topology_of ~family ~n ~seed in
+  let topology = Generate.of_seed family ~n ~seed in
   let _, instances = Exec.instances ~seed Hm_gossip.algorithm topology in
   let complete_round = ref 0 and quiescent_round = ref 0 in
   let stop ~round ~alive:_ =

@@ -26,7 +26,7 @@ let t4 report ~quick ~jobs =
     ~title:(Printf.sprintf "Rounds by initial topology (n = %d; DNF = over %d rounds)" n max_rounds);
   let diameter family =
     Analyze.weak_diameter_estimate ~rng:(Rng.substream ~seed:1 ~index:99)
-      (Sweepcell.topology_of ~family ~n ~seed:1)
+      (Generate.of_seed family ~n ~seed:1)
   in
   Report.table report
     ~csv:("t4_topology", [ "topology"; "diam"; "n"; "algorithm" ] @ Sweepcell.csv_header [ Sweepcell.Rounds ])

@@ -47,7 +47,7 @@ let t8 report ~quick ~jobs =
   let codec =
     Report.grid ~jobs ~seeds:[ 1 ] codec_algorithms Wire.all_encodings (fun algo encoding seed ->
         let spec = { Run.default_spec with Run.seed; encoding; max_rounds = Some 500 } in
-        (Run.exec_spec spec algo (Sweepcell.topology_of ~family ~n ~seed)).Run.bytes)
+        (Run.exec_spec spec algo (Generate.of_seed family ~n ~seed)).Run.bytes)
   in
   let raw32_ratio ((a : Algorithm.t), by_codec) =
     let bytes encoding = float_of_int (List.hd (List.assoc encoding by_codec)) in

@@ -3,22 +3,6 @@ open Repro_graph
 open Repro_engine
 open Repro_discovery
 
-(* Must stay in sync with discovery_cli so `discovery run --seed s`
-   reproduces an experiment cell bit-for-bit. *)
-let topology_of ~family ~n ~seed =
-  let rng = Rng.substream ~seed ~index:0x70b0 in
-  Generate.build family ~rng ~n
-
-let crash_fault ~seed ~n ~count =
-  if count <= 0 then Fault.none
-  else begin
-    let rng = Rng.substream ~seed ~index:0xdead in
-    let victims = Rng.sample_distinct rng ~n ~k:(min count n) ~avoid:(-1) in
-    Array.fold_left
-      (fun f node -> Fault.with_crash f ~node ~round:(1 + Rng.int rng 5))
-      Fault.none victims
-  end
-
 (* With REPRO_TRACE_INVARIANTS set (the `make check` suite sets it),
    every sweep run executes under the online trace invariant checker —
    free certification of conservation, liveness discipline and metrics
@@ -33,7 +17,7 @@ let check_invariants =
    worker that calls this, driven only by the arguments. *)
 let exec ~algo ~family ~n ?max_rounds ?(fault = Fault.none) ?(completion = Run.Strong) seed =
   let spec = { Run.default_spec with Run.seed; fault; completion; max_rounds } in
-  let topology = topology_of ~family ~n ~seed in
+  let topology = Generate.of_seed family ~n ~seed in
   if check_invariants then begin
     (* delayed links legitimately carry messages across round boundaries *)
     let inv = Trace.Invariants.create ~allow_inflight:(Fault.has_delays fault) () in

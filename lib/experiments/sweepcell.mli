@@ -7,13 +7,6 @@ open Repro_graph
 open Repro_engine
 open Repro_discovery
 
-val topology_of : family:Generate.family -> n:int -> seed:int -> Topology.t
-(** The topology a given seed produces — shared with the CLI so that
-    [discovery_cli run] reproduces any experiment cell exactly. *)
-
-val crash_fault : seed:int -> n:int -> count:int -> Fault.t
-(** [count] uniform victims crashing at uniform rounds in [1..5]. *)
-
 val exec :
   algo:Algorithm.t ->
   family:Generate.family ->
@@ -23,8 +16,9 @@ val exec :
   ?completion:Run.completion ->
   int ->
   Run.result
-(** [exec ~algo ~family ~n seed] builds the seed's topology and runs
-    [algo] on it: the per-seed measurement of a sweep cell, safe to call
+(** [exec ~algo ~family ~n seed] builds the seed's topology
+    ({!Generate.of_seed}) and runs [algo] on it: the per-seed
+    measurement of a sweep cell, safe to call
     from a {!Report.grid} worker.
 
     When the [REPRO_TRACE_INVARIANTS] environment variable is set (to

@@ -75,14 +75,14 @@ let weak_diameter_exact t =
     with Exit -> -1
   end
 
-let weak_diameter_estimate ~rng ?(sweeps = 4) t =
+let weak_diameter_estimate ~rng t =
   let n = Topology.n t in
   if n <= 1 then 0
   else begin
     let csr = undirected_csr t in
     try
       let best = ref 0 in
-      for _ = 1 to sweeps do
+      for _ = 1 to 4 do
         (* double sweep: BFS from a random source, then from the farthest
            node found — exact on trees, a strong lower bound elsewhere. *)
         let d1 = bfs_csr n csr (Rng.int rng n) in

@@ -20,8 +20,8 @@ val weak_diameter_exact : Topology.t -> int
 (** Exact diameter of the symmetrised graph (all-sources BFS — use only
     for small [n]). Returns [-1] when disconnected, [0] for n ≤ 1. *)
 
-val weak_diameter_estimate : rng:Rng.t -> ?sweeps:int -> Topology.t -> int
-(** Lower-bound estimate via repeated double-sweep BFS from random
+val weak_diameter_estimate : rng:Rng.t -> Topology.t -> int
+(** Lower-bound estimate via four double-sweep BFS passes from random
     sources; exact on trees and within a small factor in practice.
     Returns [-1] when disconnected. *)
 

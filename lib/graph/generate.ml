@@ -446,6 +446,8 @@ let build family ~rng ~n =
   | Watts_strogatz (k, b) -> watts_strogatz ~rng ~n ~k ~beta:b
   | Random_geometric r -> random_geometric ~rng ~n ~radius:r
 
+let of_seed family ~n ~seed = build family ~rng:(Rng.substream ~seed ~index:0x70b0) ~n
+
 let all_families =
   [
     Path;

@@ -130,6 +130,13 @@ val build : family -> rng:Rng.t -> n:int -> Topology.t
 (** Instantiate a family at size [n]. [Grid] uses a near-square layout,
     [Hypercube] rounds [n] down to a power of two. *)
 
+val of_seed : family -> n:int -> seed:int -> Topology.t
+(** The topology a run seed stands for: {!build} over the seed's
+    [0x70b0] substream. Every execution path — the sweeps, the CLI, the
+    cluster backends — builds its topology here, so [discovery_cli run
+    --seed s] reproduces an experiment cell and a live cluster runs the
+    graph the simulators ran. *)
+
 val all_families : family list
 (** The families exercised by the topology-sensitivity experiment (T4). *)
 

@@ -6,13 +6,11 @@ open Repro_discovery
 type spec = {
   algo : Algorithm.t;
   n : int;
-  family : Generate.family;
   trials : int;
   seed : int;
   backend : Backend.t;
   tick_period : float;
   timeout : float;
-  loss_max : float;
   dir : string option;
 }
 
@@ -20,25 +18,26 @@ let default_spec algo =
   {
     algo;
     n = 8;
-    family = Generate.K_out 3;
     trials = 10;
     seed = 0;
     backend = Backend.Process Backend.Uds;
     tick_period = Node.default_tick_period;
     timeout = 10.0;
-    loss_max = 0.2;
     dir = None;
   }
+
+(* Every soak trial runs over kout:3, and no plan's base loss rate
+   exceeds 20%. *)
+let soak_family = Generate.K_out 3
+let loss_max_pct = 20
 
 type trial = { index : int; seed : int; plan : Fault.t; result : Cluster.result; passed : bool }
 
 type report = {
   algorithm : string;
-  family : string;
   backend : Backend.t;
   n : int;
   base_seed : int;
-  loss_max : float;
   trials : trial list;
   passed : int;
 }
@@ -50,13 +49,10 @@ let pct p = float_of_int p /. 100.0
 let group lo hi = List.init (hi - lo) (fun i -> lo + i)
 
 (* Base link noise, quantized to whole percents so plans print
-   compactly: a loss rate up to [loss_max], and small duplication,
+   compactly: a loss rate up to [loss_max_pct], and small duplication,
    reordering and corruption probabilities. *)
-let link_noise ~rng ~loss_max =
-  let max_pct = int_of_float ((loss_max *. 100.0) +. 0.5) in
-  let plan =
-    Fault.with_loss Fault.none ~p:(pct (if max_pct <= 0 then 0 else Rng.int rng (max_pct + 1)))
-  in
+let link_noise ~rng =
+  let plan = Fault.with_loss Fault.none ~p:(pct (Rng.int rng (loss_max_pct + 1))) in
   let plan = Fault.with_dup plan ~p:(pct (Rng.int rng 6)) in
   let plan = Fault.with_reorder plan ~p:(pct (Rng.int rng 11)) in
   Fault.with_corrupt plan ~p:(pct (Rng.int rng 3))
@@ -65,8 +61,8 @@ let link_noise ~rng ~loss_max =
    partition that heals, and one crash that restarts. Every trial
    therefore exercises the reliability layer, the partition window and
    the rejoin handshake at once. *)
-let random_plan ~rng ~n ~loss_max =
-  let plan = link_noise ~rng ~loss_max in
+let random_plan ~rng ~n =
+  let plan = link_noise ~rng in
   let split = 1 + Rng.int rng (n - 1) in
   let start = 3 + Rng.int rng 8 in
   let heal = start + 5 + Rng.int rng 11 in
@@ -107,11 +103,11 @@ let run ?(progress = fun _ -> ()) (spec : spec) =
     List.init spec.trials (fun index ->
         let seed = spec.seed + index in
         let rng = Rng.substream ~seed ~index:0xc405 in
-        let plan = random_plan ~rng ~n:spec.n ~loss_max:spec.loss_max in
+        let plan = random_plan ~rng ~n:spec.n in
         let result, passed =
           run_trial
             {
-              (trial_spec spec.algo ~family:spec.family ~n:spec.n ~backend:spec.backend
+              (trial_spec spec.algo ~family:soak_family ~n:spec.n ~backend:spec.backend
                  ~timeout:spec.timeout ~seed plan)
               with
               Cluster.tick_period = spec.tick_period;
@@ -125,11 +121,9 @@ let run ?(progress = fun _ -> ()) (spec : spec) =
   let passed = List.length (List.filter (fun (t : trial) -> t.passed) trials) in
   {
     algorithm = spec.algo.Algorithm.name;
-    family = Generate.family_name spec.family;
     backend = spec.backend;
     n = spec.n;
     base_seed = spec.seed;
-    loss_max = spec.loss_max;
     trials;
     passed;
   }
@@ -138,9 +132,9 @@ let run ?(progress = fun _ -> ()) (spec : spec) =
 
 let plan_families = [ "links"; "partition"; "crash"; "wan" ]
 
-let plan_of_family name ~rng ~n ~loss_max =
+let plan_of_family name ~rng ~n =
   match name with
-  | "links" -> link_noise ~rng ~loss_max
+  | "links" -> link_noise ~rng
   | "partition" ->
     let split = 1 + Rng.int rng (n - 1) in
     let start = 2 + Rng.int rng 4 in
@@ -171,10 +165,10 @@ let plan_index ~who name =
    trial): the same plan therefore stresses every (algorithm, topology)
    cell, which makes cell-to-cell comparisons meaningful. Returns the
    trial's seed and its plan. *)
-let family_plan ~who name ~seed ~trial ~n ~loss_max =
+let family_plan ~who name ~seed ~trial ~n =
   let trial_seed = seed + trial in
   let rng = Rng.substream ~seed:trial_seed ~index:(0xc406 + plan_index ~who name) in
-  (trial_seed, plan_of_family name ~rng ~n ~loss_max)
+  (trial_seed, plan_of_family name ~rng ~n)
 
 type cell = {
   cell_algo : string;
@@ -193,8 +187,8 @@ let cell_to_json c =
 
 let matrix_to_json cells = String.concat "\n" (List.map cell_to_json cells) ^ "\n"
 
-let matrix ?(progress = fun _ -> ()) ~algos ~families ~plans ~n ~trials ~seed ~backend ~timeout
-    ~loss_max () =
+let matrix ?(progress = fun _ -> ()) ~algos ~families ~plans ~n ~trials ~seed ~backend ~timeout ()
+    =
   check_soak ~who:"matrix" ~trials ~n backend;
   List.iter (fun p -> ignore (plan_index ~who:"matrix" p)) plans;
   List.concat_map
@@ -205,9 +199,7 @@ let matrix ?(progress = fun _ -> ()) ~algos ~families ~plans ~n ~trials ~seed ~b
             (fun plan_name ->
               let passed = ref 0 in
               for trial = 0 to trials - 1 do
-                let trial_seed, plan =
-                  family_plan ~who:"matrix" plan_name ~seed ~trial ~n ~loss_max
-                in
+                let trial_seed, plan = family_plan ~who:"matrix" plan_name ~seed ~trial ~n in
                 let _, ok =
                   run_trial (trial_spec algo ~family ~n ~backend ~timeout ~seed:trial_seed plan)
                 in
@@ -240,8 +232,8 @@ type diagnosis = {
   diag_converged : bool;
 }
 
-let diagnose ~algo ~family ~plan_family ~n ~trial ~seed ~backend ~timeout ~loss_max () =
-  let trial_seed, plan = family_plan ~who:"diagnose" plan_family ~seed ~trial ~n ~loss_max in
+let diagnose ~algo ~family ~plan_family ~n ~trial ~seed ~backend ~timeout () =
+  let trial_seed, plan = family_plan ~who:"diagnose" plan_family ~seed ~trial ~n in
   let last_send = Array.make n neg_infinity in
   let clock = ref 0.0 in
   let sink =
@@ -312,8 +304,8 @@ let trial_to_json t =
 let report_to_json r =
   Printf.sprintf
     {|{"algorithm":"%s","family":"%s","backend":"%s","n":%d,"seed":%d,"loss_max":%g,"trials":%d,"passed":%d,"failed":%d,"results":[%s]}|}
-    r.algorithm r.family
+    r.algorithm (Generate.family_name soak_family)
     (Backend.to_string r.backend)
-    r.n r.base_seed r.loss_max (List.length r.trials) r.passed
+    r.n r.base_seed (pct loss_max_pct) (List.length r.trials) r.passed
     (List.length r.trials - r.passed)
     (String.concat "," (List.map trial_to_json r.trials))

@@ -2,11 +2,11 @@
     but fully seeded — fault plans.
 
     Each trial derives a fault plan from [seed + trial_index]: a
-    quantized base loss rate up to [loss_max], small duplication /
-    reordering / corruption probabilities, one scheduled partition that
-    heals, and one crash with a later restart. The trial runs the
-    algorithm over a live {!Cluster} (socket or mux backends) under that
-    plan; it passes when the cluster converges and the online invariant
+    quantized base loss rate up to 0.2, small duplication / reordering
+    / corruption probabilities, one scheduled partition that heals, and
+    one crash with a later restart. The trial runs the algorithm over a
+    live {!Cluster} (socket or mux backends) on a [kout:3] topology
+    under that plan; it passes when the cluster converges and the online invariant
     checker did not flag a violation. The same seed therefore always
     replays the same soak — a failing trial can be re-run alone by
     passing its reported seed with [trials = 1]. *)
@@ -18,18 +18,16 @@ open Repro_discovery
 type spec = {
   algo : Algorithm.t;
   n : int;
-  family : Generate.family;
   trials : int;
   seed : int;  (** trial [i] uses [seed + i] for topology, labels and plan *)
   backend : Backend.t;  (** any live backend; loopback is rejected *)
   tick_period : float;
   timeout : float;  (** per-trial wall-clock budget *)
-  loss_max : float;  (** upper bound on each trial's base loss rate *)
   dir : string option;
 }
 
 val default_spec : Algorithm.t -> spec
-(** n = 8, 10 trials, seed 0, UDS, 10 s per trial, loss ≤ 0.2. *)
+(** n = 8, 10 trials, seed 0, UDS, 10 s per trial. *)
 
 type trial = {
   index : int;
@@ -41,18 +39,16 @@ type trial = {
 
 type report = {
   algorithm : string;
-  family : string;
   backend : Backend.t;
   n : int;
   base_seed : int;
-  loss_max : float;
   trials : trial list;
   passed : int;
 }
 
 val all_passed : report -> bool
 
-val random_plan : rng:Repro_util.Rng.t -> n:int -> loss_max:float -> Fault.t
+val random_plan : rng:Repro_util.Rng.t -> n:int -> Fault.t
 (** The per-trial plan generator — exposed so tests can pin its shape. *)
 
 val run : ?progress:(trial -> unit) -> spec -> report
@@ -63,7 +59,8 @@ val run : ?progress:(trial -> unit) -> spec -> report
 
 val report_to_json : report -> string
 (** One-line JSON soak report (stable field order, no trailing
-    newline). *)
+    newline); it names the fixed topology family and loss bound as
+    ["family":"kout:3"] and ["loss_max":0.2]. *)
 
 (** {2 The chaos matrix}
 
@@ -113,7 +110,6 @@ val diagnose :
   seed:int ->
   backend:Backend.t ->
   timeout:float ->
-  loss_max:float ->
   unit ->
   diagnosis
 (** Replay trial [trial] of the given matrix cell — same substream as
@@ -149,7 +145,6 @@ val matrix :
   seed:int ->
   backend:Backend.t ->
   timeout:float ->
-  loss_max:float ->
   unit ->
   cell list
 (** Run every (algorithm, topology, plan family) cell for [trials]

@@ -1,4 +1,3 @@
-open Repro_util
 open Repro_graph
 open Repro_engine
 open Repro_discovery
@@ -11,11 +10,9 @@ type spec = {
   backend : Backend.t;
   tick_period : float;
   timeout : float;
-  encoding : Wire.encoding;
   dir : string option;
   trace : Trace.sink;
   check_invariants : bool;
-  kill_node : int option;
   fault : Fault.t;
 }
 
@@ -28,11 +25,9 @@ let default_spec algo =
     backend = Backend.Process Backend.Uds;
     tick_period = Node.default_tick_period;
     timeout = 30.0;
-    encoding = Wire.Adaptive;
     dir = None;
     trace = Trace.null;
     check_invariants = true;
-    kill_node = None;
     fault = Fault.none;
   }
 
@@ -52,7 +47,6 @@ type result = {
   wall_time : float;
   events : int;
   crashed : int list;
-  killed : int option;
   invariants : invariant_status;
   nodes : node_report array;
   totals : Control.final option;  (** aggregate, when every node reported *)
@@ -62,8 +56,7 @@ type result = {
    on the live path (a payload delivered just before its ack was lost to
    a kill is later counted as dropped too), so any plan that can crash a
    process checks under the relaxed rules. *)
-let lenient_for (spec : spec) =
-  spec.kill_node <> None || Fault.crashed_nodes spec.fault <> []
+let lenient_for (spec : spec) = Fault.crashed_nodes spec.fault <> []
 
 (* --- in-process backends ------------------------------------------- *)
 
@@ -97,9 +90,7 @@ let exec_tallied (spec : Run_async.spec) algo topology =
 let run_in_process (spec : spec) =
   if spec.n < 1 then invalid_arg "Cluster.run: n must be positive";
   let mux = spec.backend = Backend.Mux in
-  let topology =
-    Generate.build spec.family ~rng:(Rng.substream ~seed:spec.seed ~index:0x70b0) ~n:spec.n
-  in
+  let topology = Generate.of_seed spec.family ~n:spec.n ~seed:spec.seed in
   (* The oracle accounts every frame exactly, so only a restart relaxes
      its checks. The mux follows the live crash rules (a payload can be
      counted delivered by the victim and dropped by the sender), so any
@@ -119,7 +110,6 @@ let run_in_process (spec : spec) =
       Run_async.default_spec with
       seed = spec.seed;
       fault = spec.fault;
-      encoding = spec.encoding;
       trace;
     }
   in
@@ -145,7 +135,6 @@ let run_in_process (spec : spec) =
     wall_time = sim.Run_async.time;
     events = (match checker with Some inv -> Trace.Invariants.events_seen inv | None -> 0);
     crashed;
-    killed = None;
     invariants;
     nodes =
       Array.mapi
@@ -170,7 +159,6 @@ type child = {
   mutable final : Control.final option;
   mutable eof : bool;
   mutable exit_status : Unix.process_status option;
-  mutable killed : bool;  (* sabotaged / force-killed by the harness *)
 }
 
 let event_rank (ev : Trace.event) =
@@ -221,9 +209,6 @@ let status_string = function
 
 let run_sockets (spec : spec) =
   if spec.n < 1 then invalid_arg "Cluster.run: n must be positive";
-  (match spec.kill_node with
-  | Some v when v < 0 || v >= spec.n -> invalid_arg "Cluster.run: kill_node out of range"
-  | _ -> ());
   List.iter
     (fun (v, _) ->
       if v >= spec.n then invalid_arg "Cluster.run: fault schedules a node outside the cluster")
@@ -231,9 +216,7 @@ let run_sockets (spec : spec) =
   (* writes to a crashed child's control socket must surface as EPIPE,
      not kill the harness *)
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
-  let topology =
-    Generate.build spec.family ~rng:(Rng.substream ~seed:spec.seed ~index:0x70b0) ~n:spec.n
-  in
+  let topology = Generate.of_seed spec.family ~n:spec.n ~seed:spec.seed in
   (* the id→address table: socket paths in one directory for UDS;
      for TCP, loopback listeners bound to port 0 now, their real
      addresses read back before any fork, so the table is exact and
@@ -306,7 +289,6 @@ let run_sockets (spec : spec) =
                 max_ticks;
                 fault = spec.fault;
                 announce;
-                encoding = spec.encoding;
                 fleet_halt = true;
               }
           in
@@ -331,7 +313,6 @@ let run_sockets (spec : spec) =
         final = None;
         eof = false;
         exit_status = None;
-        killed = false;
       }
   in
   let children = Array.init spec.n (fun v -> spawn ~announce:false v) in
@@ -346,12 +327,6 @@ let run_sockets (spec : spec) =
           false
         end)
       !open_listeners;
-  (* sabotage: kill one node outright to exercise the failure path *)
-  (match spec.kill_node with
-  | Some v ->
-    children.(v).killed <- true;
-    (try Unix.kill children.(v).pid Sys.sigkill with Unix.Unix_error _ -> ())
-  | None -> ());
   (* the fault plan's crash/restart schedule, on the shared round clock:
      round r's tick fires about r*tick_period after the epoch, so acting
      at (r - 0.5) ticks lands between the victim's rounds r-1 and r *)
@@ -393,10 +368,7 @@ let run_sockets (spec : spec) =
   in
   let signal_all signal =
     iter_all (fun c ->
-        if c.exit_status = None then begin
-          c.killed <- c.killed || signal = Sys.sigkill;
-          try Unix.kill c.pid signal with Unix.Unix_error _ -> ()
-        end)
+        if c.exit_status = None then try Unix.kill c.pid signal with Unix.Unix_error _ -> ())
   in
   let crashed_child c =
     match c.exit_status with
@@ -420,10 +392,8 @@ let run_sockets (spec : spec) =
              the signal landed — the cluster did not END converged *)
           if not (expects_respawn v) then fatal_kill := true;
           let c = children.(v) in
-          if c.exit_status = None then begin
-            c.killed <- true;
-            try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ()
-          end
+          if c.exit_status = None then (
+            try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ())
         | `Respawn ->
           retired := children.(v) :: !retired;
           children.(v) <- spawn ~announce:true v;
@@ -576,7 +546,6 @@ let run_sockets (spec : spec) =
     wall_time;
     events = List.length merged + 1;
     crashed;
-    killed = spec.kill_node;
     invariants;
     nodes;
     totals;
@@ -584,10 +553,7 @@ let run_sockets (spec : spec) =
 
 let run (spec : spec) =
   match spec.backend with
-  | Backend.Loopback | Backend.Mux ->
-    if spec.kill_node <> None then
-      invalid_arg "Cluster.run: kill_node requires a socket backend (uds|tcp)";
-    run_in_process spec
+  | Backend.Loopback | Backend.Mux -> run_in_process spec
   | Backend.Process _ -> run_sockets spec
 
 (* --- JSON report ---------------------------------------------------- *)
@@ -631,12 +597,11 @@ let result_to_json r =
     | Skipped why -> Printf.sprintf {|{"status":"skipped","reason":"%s"}|} (json_escape why)
   in
   Printf.sprintf
-    {|{"algorithm":"%s","family":"%s","backend":"%s","n":%d,"seed":%d,"converged":%b,"wall_time":%.6f,"events":%d,"crashed":[%s],"killed":%s,"invariants":%s,"totals":%s,"nodes":[%s]}|}
+    {|{"algorithm":"%s","family":"%s","backend":"%s","n":%d,"seed":%d,"converged":%b,"wall_time":%.6f,"events":%d,"crashed":[%s],"invariants":%s,"totals":%s,"nodes":[%s]}|}
     (json_escape r.algorithm) (json_escape r.family)
     (Backend.to_string r.backend)
     r.n r.seed r.converged r.wall_time r.events
     (String.concat "," (List.map string_of_int r.crashed))
-    (match r.killed with Some v -> string_of_int v | None -> "null")
     invariants
     (match r.totals with Some t -> json_final t | None -> "null")
     (String.concat "," (Array.to_list (Array.map node_json r.nodes)))

@@ -4,9 +4,10 @@
     reports whether the deployment converged (every node learned all [n]
     identifiers). The harness owns the whole lifecycle:
 
-    - builds the topology from [(family, seed)] exactly as the
-      simulators do (same RNG substream), so a cluster run is comparable
-      to a simulated run of the same parameters;
+    - builds the topology from [(family, seed)] with
+      {!Repro_graph.Generate.of_seed}, as the simulators' callers do, so
+      a cluster run is comparable to a simulated run of the same
+      parameters;
     - binds {e every} node's listening socket before forking — children
       inherit their listener, so there is no connect-before-listen
       startup race and, for TCP, no port collision (listeners bind port
@@ -23,7 +24,7 @@
       knowledge from its peers' replies;
     - declares convergence when the schedule has fully played out and
       every current incarnation has announced completion; a child that
-      dies early (crash, or {!spec.kill_node} sabotage) with no
+      dies early (a scheduled crash, or a fault of its own) with no
       scheduled restart is detected by [waitpid], reported as crashed —
       never hung — and the survivors are halted; unresponsive children
       are escalated SIGTERM → SIGKILL so teardown always finishes within
@@ -55,12 +56,9 @@ type spec = {
   backend : Backend.t;
   tick_period : float;
   timeout : float;  (** overall wall-clock budget; exceeding it = non-convergence *)
-  encoding : Wire.encoding;
   dir : string option;  (** UDS socket directory; default: fresh dir under /tmp *)
   trace : Trace.sink;  (** receives the merged, time-ordered event stream *)
   check_invariants : bool;
-  kill_node : int option;
-      (** sabotage: SIGKILL this node right after spawn (socket backends only) *)
   fault : Fault.t;
       (** unified fault plan: link faults and partitions are applied in
           the nodes via {!Faultnet}; crash/restart schedules are
@@ -91,7 +89,6 @@ type result = {
   wall_time : float;  (** seconds (loopback/mux: virtual time) *)
   events : int;
   crashed : int list;  (** nodes whose {e current} incarnation died abnormally *)
-  killed : int option;  (** echo of [spec.kill_node]: the sabotaged node, if any *)
   invariants : invariant_status;
   nodes : node_report array;
   totals : Control.final option;  (** aggregate, when every node reported *)
@@ -101,8 +98,8 @@ val run : spec -> result
 (** Execute the cluster and tear everything down before returning: all
     children reaped, control sockets closed, any harness-created UDS
     directory removed.
-    @raise Invalid_argument on a nonsensical spec ([n < 1], [kill_node]
-    out of range or combined with an in-process backend). *)
+    @raise Invalid_argument on a nonsensical spec ([n < 1], or a socket
+    run whose fault plan crashes a node outside the cluster). *)
 
 val result_to_json : result -> string
 (** One-line JSON report (stable field order, no trailing newline). *)

@@ -68,7 +68,6 @@ let core_config cfg v ~announce =
     rto = 3.0;
     fault = Fault.none;
     announce;
-    encoding = Wire.Adaptive;
     fleet_halt = false;
   }
 

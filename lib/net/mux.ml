@@ -81,7 +81,6 @@ let exec_spec (spec : Run_async.spec) (algo : Algorithm.t) topology =
           rto;
           fault;
           announce;
-          encoding = spec.Run_async.encoding;
           fleet_halt = false;  (* the monitor is the authority on completion *)
         }
         actions ~labels ~links_up:true ~now:(Async_sim.now clock)

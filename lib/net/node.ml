@@ -39,7 +39,6 @@ type config = {
   max_ticks : int;
   fault : Fault.t;
   announce : bool;
-  encoding : Wire.encoding;
   fleet_halt : bool;
 }
 
@@ -263,7 +262,6 @@ let run cfg =
         rto;
         fault = cfg.fault;
         announce = cfg.announce;
-        encoding = cfg.encoding;
         fleet_halt = cfg.fleet_halt;
       }
       actions

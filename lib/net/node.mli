@@ -58,7 +58,6 @@ type config = {
   max_ticks : int;  (** give up after this many ticks without halt *)
   fault : Fault.t;  (** link faults/partitions applied via {!Faultnet} *)
   announce : bool;  (** hello the neighbours on startup (set for restarts) *)
-  encoding : Wire.encoding;
   fleet_halt : bool;
       (** termination gossip: carry completion flags, probe quiet peers,
           and exit shortly after the whole fleet is known complete *)

@@ -14,7 +14,6 @@ type config = {
   rto : float;
   fault : Fault.t;
   announce : bool;
-  encoding : Wire.encoding;
   fleet_halt : bool;
 }
 
@@ -282,7 +281,7 @@ let send_payload t ~now ~dst payload =
     match t.byz with [] -> payload | ids -> Adversary.inject ~universe:t.cfg.n payload ids
   in
   let pointers = Payload.measure payload in
-  let body = Wire.encode t.cfg.encoding ~universe:t.cfg.n payload in
+  let body = Wire.encode Wire.Adaptive ~universe:t.cfg.n payload in
   t.sent <- t.sent + 1;
   t.pointers <- t.pointers + pointers;
   t.bytes <- t.bytes + Bytes.length body;

@@ -13,6 +13,10 @@
     - {!Mux}: thousands of cores in one process on a deterministic
       virtual clock (the callbacks push heap events).
 
+    Every payload goes on the wire in the {!Repro_discovery.Wire.Adaptive}
+    codec, the one codec of the live and asynchronous paths (the frame's
+    codec byte names its body codec, so receivers need no setting).
+
     Time is always {e relative}: the runtime passes the same [now] it
     uses for its own clocks (seconds since the run epoch for sockets,
     virtual time for the mux), and the core never reads a wall clock.
@@ -51,7 +55,6 @@ type config = {
   rto : float;  (** retransmission timeout, in [now] units *)
   fault : Fault.t;  (** link faults/partitions applied via {!Faultnet} *)
   announce : bool;  (** hello the neighbours on startup (set for restarts) *)
-  encoding : Wire.encoding;
   fleet_halt : bool;  (** termination gossip + stop ticking on fleet completion *)
 }
 

@@ -150,8 +150,7 @@ let make_member ~cap ~self ~labels ~rng ~full_sync ~indirect_k ~lifeguard action
     actions;
   }
 
-let create_genesis ~cap ~self ~labels ~peers ~rng ~full_sync ?(indirect_k = 2)
-    ?(lifeguard = true) actions =
+let create_genesis ~cap ~self ~labels ~peers ~rng ~full_sync ~indirect_k ~lifeguard actions =
   let t = make_member ~cap ~self ~labels ~rng ~full_sync ~indirect_k ~lifeguard actions in
   Array.iter
     (fun peer ->
@@ -160,8 +159,7 @@ let create_genesis ~cap ~self ~labels ~peers ~rng ~full_sync ?(indirect_k = 2)
     peers;
   t
 
-let create_joiner ~cap ~self ~labels ~contacts ~rng ~full_sync ?(indirect_k = 2)
-    ?(lifeguard = true) actions =
+let create_joiner ~cap ~self ~labels ~contacts ~rng ~full_sync ~indirect_k ~lifeguard actions =
   if Array.length contacts = 0 then invalid_arg "Member.create_joiner: no contacts";
   Array.iter
     (fun contact ->

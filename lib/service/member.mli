@@ -81,18 +81,18 @@ val full_sync_interval : float
 
 val create_genesis :
   cap:int -> self:int -> labels:int array -> peers:int array -> rng:Rng.t ->
-  full_sync:bool -> ?indirect_k:int -> ?lifeguard:bool -> actions -> t
+  full_sync:bool -> indirect_k:int -> lifeguard:bool -> actions -> t
 (** A founding member: starts with every [peer] (and itself) alive at
     version 1 and an empty log — the genesis membership is common
-    knowledge, not news. [indirect_k] (default 2) is the number of
-    intermediaries asked per indirect-probe round; 0 disables the round
-    (a direct timeout suspects immediately, the pre-lifeguard
-    behaviour). [lifeguard] (default true) enables the local-health
-    multiplier; off, all timeouts stay at their base values. *)
+    knowledge, not news. [indirect_k] is the number of intermediaries
+    asked per indirect-probe round; 0 disables the round (a direct
+    timeout suspects immediately, the pre-lifeguard behaviour).
+    [lifeguard] enables the local-health multiplier; off, all timeouts
+    stay at their base values. *)
 
 val create_joiner :
   cap:int -> self:int -> labels:int array -> contacts:int array -> rng:Rng.t ->
-  full_sync:bool -> ?indirect_k:int -> ?lifeguard:bool -> actions -> t
+  full_sync:bool -> indirect_k:int -> lifeguard:bool -> actions -> t
 (** A late joiner: knows only itself (incarnation 1) and the addresses
     of a few [contacts] to bootstrap from (tried in rotation). Its own
     join announcement is the first entry of its log.

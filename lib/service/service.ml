@@ -304,7 +304,6 @@ let hosted_transport (cfg : config) ~labels ~now ~dropped_dead =
           rto = 3.0;
           fault = cfg.fault;
           announce = false;
-          encoding = Wire.Adaptive;
           fleet_halt = false;
         }
         acts ~labels ~links_up:true ~now:!now

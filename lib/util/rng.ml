@@ -71,13 +71,14 @@ let int t bound =
   if bound land (bound - 1) = 0 then mask land (bound - 1)
   else reject t bound (0x3FFF_FFFF_FFFF_FFFF / bound * bound) mask
 
-(* 53 random mantissa bits in [0, 1); inlined, so a comparison against
-   it (the engines' per-message loss coin) boxes no float *)
+(* 53 random mantissa bits in [0, 1); inlined, as is [float], so a
+   comparison against a draw (the engines' per-message loss coin, the
+   latency draws) boxes no float *)
 let[@inline] unit t =
   float_of_int (Int64.to_int (Int64.shift_right_logical (next t) 11))
   *. (1.0 /. 9007199254740992.0)
 
-let float t bound = unit t *. bound
+let[@inline] float t bound = unit t *. bound
 let bernoulli t ~p = if p <= 0.0 then false else if p >= 1.0 then true else unit t < p
 
 let pick t a =

@@ -8,7 +8,7 @@ open Repro_graph
 open Repro_discovery
 open Repro_net
 
-let topology family ~n ~seed = Repro_experiments.Sweepcell.topology_of ~family ~n ~seed
+let topology family ~n ~seed = Generate.of_seed family ~n ~seed
 
 let checked_exec ?lenient spec algo topo =
   let inv = Trace.Invariants.create ?lenient ~allow_inflight:(Fault.has_delays spec.Run.fault) () in

@@ -113,7 +113,6 @@ let core_config ~n ~node algo =
     rto = 3.0;
     fault = Repro_engine.Fault.none;
     announce = false;
-    encoding = Wire.Adaptive;
     fleet_halt = false;
   }
 
@@ -248,6 +247,35 @@ let test_rng_draws_allocate_nothing () =
   if extra > 0.0 then
     Alcotest.failf "1,000 rounds of int and bernoulli draws allocated %.0f minor words (expected 0)"
       extra
+
+(* [Rng.float] is inlined like [Rng.unit], so a draw that only feeds a
+   comparison (the per-message latency draws of the async engine, the
+   service and the mux) stays unboxed instead of costing a float block
+   on the minor heap per call. The dev profile compiles every library
+   with -opaque, which turns cross-module inlining off: there a float
+   that any library function returns is boxed, inlined or not. The pin
+   therefore runs under the release profile, the one perfbench builds:
+   [dune exec --profile release test/test_alloc.exe]. *)
+let test_rng_float_allocates_nothing () =
+  if Build_profile.name <> "release" then Alcotest.skip ();
+  let rng = Rng.create ~seed:1 in
+  let draws () =
+    let acc = ref 0 in
+    for _ = 1 to 1000 do
+      if Rng.float rng 0.3 < 0.1 then incr acc
+    done;
+    ignore (Sys.opaque_identity !acc)
+  in
+  draws ();
+  let cal_before = Gc.minor_words () in
+  let cal_after = Gc.minor_words () in
+  let overhead = cal_after -. cal_before in
+  let before = Gc.minor_words () in
+  draws ();
+  let after = Gc.minor_words () in
+  let extra = after -. before -. overhead in
+  if extra > 0.0 then
+    Alcotest.failf "1,000 float draws compared against a constant allocated %.0f minor words" extra
 
 (* The event heap stores times and sequence numbers unboxed beside the
    payloads: once its arrays have grown, a push and a pop of an
@@ -445,6 +473,8 @@ let () =
             test_link_fate_allocates_nothing;
           Alcotest.test_case "rng draws are allocation-free" `Quick
             test_rng_draws_allocate_nothing;
+          Alcotest.test_case "rng float draws are allocation-free" `Quick
+            test_rng_float_allocates_nothing;
           Alcotest.test_case "heap push and pop are allocation-free" `Quick
             test_heap_push_pop_allocates_nothing;
           Alcotest.test_case "in-place array union is allocation-free" `Quick

@@ -4,7 +4,7 @@ open Repro_engine
 open Repro_graph
 open Repro_discovery
 
-let kout ~n ~seed = Repro_experiments.Sweepcell.topology_of ~family:(Generate.K_out 3) ~n ~seed
+let kout ~n ~seed = Generate.of_seed (Generate.K_out 3) ~n ~seed
 
 (* --- engine semantics --- *)
 

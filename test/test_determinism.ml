@@ -9,7 +9,7 @@ let summary (r : Run.result) =
   (r.Run.completed, r.Run.rounds, r.Run.messages, r.Run.pointers, r.Run.dropped)
 
 let run algo ~seed ?(fault = Fault.none) () =
-  let topology = Repro_experiments.Sweepcell.topology_of ~family:(Generate.K_out 3) ~n:128 ~seed in
+  let topology = Generate.of_seed (Generate.K_out 3) ~n:128 ~seed in
   Run.exec_spec { Run.default_spec with Run.seed; fault; max_rounds = Some 2000 } algo topology
 
 let test_same_seed (algo : Algorithm.t) () =
@@ -42,7 +42,7 @@ let test_min_pointer_uses_no_randomness () =
      the same topology even when the run seed (hence label permutation
      and rng streams) changes — its decisions use raw ids only. To test
      this, fix the topology while varying the seed. *)
-  let topology = Repro_experiments.Sweepcell.topology_of ~family:(Generate.K_out 3) ~n:128 ~seed:7 in
+  let topology = Generate.of_seed (Generate.K_out 3) ~n:128 ~seed:7 in
   let rounds =
     List.map
       (fun seed ->
@@ -64,7 +64,7 @@ let test_sharded_run_trace_identical () =
   let traced ~seed ~jobs =
     let buf = Buffer.create (1 lsl 16) in
     let topology =
-      Repro_experiments.Sweepcell.topology_of ~family:(Generate.K_out 3) ~n:1024 ~seed
+      Generate.of_seed (Generate.K_out 3) ~n:1024 ~seed
     in
     let spec =
       {
@@ -122,7 +122,7 @@ let contains s sub =
 
 let test_sharded_fates () =
   let topology =
-    Repro_experiments.Sweepcell.topology_of ~family:(Generate.K_out 3) ~n:128 ~seed:1
+    Generate.of_seed (Generate.K_out 3) ~n:128 ~seed:1
   in
   let traced algo fault ~jobs =
     let buf = Buffer.create (1 lsl 16) in
@@ -171,19 +171,12 @@ let test_sharded_fates () =
    to hm's internal state must leave every value unchanged. *)
 let scale_n = 1024
 
-let scale_topology =
-  lazy (Repro_experiments.Sweepcell.topology_of ~family:(Generate.K_out 3) ~n:scale_n ~seed:1)
+let scale_topology = lazy (Generate.of_seed (Generate.K_out 3) ~n:scale_n ~seed:1)
 
 let find name = match Registry.find name with Ok a -> a | Error e -> failwith e
 
 (* [discovery_cli run --crashes K]: the same victims and crash rounds *)
-let crash_plan k =
-  let open Repro_util in
-  let rng = Rng.substream ~seed:1 ~index:0xdead in
-  Array.fold_left
-    (fun f node -> Fault.with_crash f ~node ~round:(1 + Rng.int rng 5))
-    Fault.none
-    (Rng.sample_distinct rng ~n:scale_n ~k ~avoid:(-1))
+let crash_plan count = Fault.with_random_crashes Fault.none ~seed:1 ~n:scale_n ~count
 
 let sync_cell name ?(completion = Run.Strong) fault () =
   let r =

@@ -38,14 +38,16 @@ let test_sweepcell_dnf () =
   Alcotest.(check (list string)) "csv marks DNF" [ "1"; "0"; "DNF"; "" ]
     (Sweepcell.csv_fields [ Sweepcell.Rounds ] results)
 
-let test_topology_of_matches_cli_convention () =
-  let a = Sweepcell.topology_of ~family:(Generate.K_out 3) ~n:50 ~seed:5 in
+let test_of_seed_matches_cli_convention () =
+  let a = Generate.of_seed (Generate.K_out 3) ~n:50 ~seed:5 in
   let rng = Rng.substream ~seed:5 ~index:0x70b0 in
   let b = Generate.build (Generate.K_out 3) ~rng ~n:50 in
   Alcotest.(check bool) "same topology" true (Topology.edges a = Topology.edges b)
 
 let test_crash_fault_shape () =
-  let f = Sweepcell.crash_fault ~seed:1 ~n:100 ~count:10 in
+  let f =
+    Repro_engine.Fault.with_random_crashes Repro_engine.Fault.none ~seed:1 ~n:100 ~count:10
+  in
   let crashes = Repro_engine.Fault.crashed_nodes f in
   Alcotest.(check int) "ten victims" 10 (List.length crashes);
   List.iter
@@ -54,7 +56,10 @@ let test_crash_fault_shape () =
       if round < 1 || round > 5 then Alcotest.failf "crash round out of window: %d" round)
     crashes;
   Alcotest.(check int) "count 0 means no faults" 0
-    (List.length (Repro_engine.Fault.crashed_nodes (Sweepcell.crash_fault ~seed:1 ~n:100 ~count:0)))
+    (List.length
+       (Repro_engine.Fault.crashed_nodes
+          (Repro_engine.Fault.with_random_crashes Repro_engine.Fault.none ~seed:1 ~n:100
+             ~count:0)))
 
 let test_approx_int () =
   Alcotest.(check string) "small" "950" (Sweepcell.approx_int 950.0);
@@ -192,7 +197,7 @@ let () =
         [
           Alcotest.test_case "aggregates" `Quick test_sweepcell_aggregates;
           Alcotest.test_case "DNF rendering" `Quick test_sweepcell_dnf;
-          Alcotest.test_case "topology convention" `Quick test_topology_of_matches_cli_convention;
+          Alcotest.test_case "topology convention" `Quick test_of_seed_matches_cli_convention;
           Alcotest.test_case "crash fault shape" `Quick test_crash_fault_shape;
           Alcotest.test_case "approx_int" `Quick test_approx_int;
         ] );

@@ -6,7 +6,7 @@ open Repro_graph
 open Repro_discovery
 
 let topology ~n ~seed =
-  Repro_experiments.Sweepcell.topology_of ~family:(Generate.K_out 3) ~n ~seed
+  Generate.of_seed (Generate.K_out 3) ~n ~seed
 
 (* every run here injects a fault and needs headroom over the default
    round budget *)
@@ -58,7 +58,7 @@ let test_crash_survivors_complete () =
       List.iter
         (fun seed ->
           let n = 128 in
-          let fault = Repro_experiments.Sweepcell.crash_fault ~seed ~n ~count:12 in
+          let fault = Fault.with_random_crashes Fault.none ~seed ~n ~count:12 in
           let r =
             checked_exec
               { (spec ~seed ~fault) with Run.completion = Run.Survivors_strong }

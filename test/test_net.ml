@@ -96,7 +96,6 @@ let test_node_core_receive () =
         rto = 3.0;
         fault = Fault.none;
         announce = false;
-        encoding = Wire.Adaptive;
         fleet_halt = false;
       }
       {
@@ -538,7 +537,7 @@ let test_cluster_loopback () =
 
 (* --- live clusters -------------------------------------------------- *)
 
-let run_cluster ?kill_node ?(fault = Fault.none) ?(n = 16) ?(check = true) backend =
+let run_cluster ?(fault = Fault.none) ?(n = 16) ?(check = true) backend =
   let algo = get_algo "hm" in
   let spec =
     {
@@ -548,7 +547,6 @@ let run_cluster ?kill_node ?(fault = Fault.none) ?(n = 16) ?(check = true) backe
       seed = 5;
       timeout = 60.0;
       check_invariants = check;
-      kill_node;
       fault;
     }
   in
@@ -579,9 +577,8 @@ let test_cluster_uds () = check_converged (run_cluster uds)
 let test_cluster_tcp () = check_converged (run_cluster ~n:8 tcp)
 
 let test_cluster_crash_detected () =
-  let r = run_cluster ~kill_node:3 ~check:false uds in
+  let r = run_cluster ~fault:(Fault.with_crash Fault.none ~node:3 ~round:1) ~check:false uds in
   Alcotest.(check bool) "not converged" false r.Cluster.converged;
-  Alcotest.(check (option int)) "killed node echoed" (Some 3) r.Cluster.killed;
   Alcotest.(check bool) "victim reported crashed" true (List.mem 3 r.Cluster.crashed);
   (match r.Cluster.nodes.(3).Cluster.outcome with
   | Cluster.Crashed _ -> ()
@@ -599,7 +596,8 @@ let test_cluster_crash_detected () =
 
 let test_cluster_teardown_bounded () =
   let t0 = Unix.gettimeofday () in
-  let r = run_cluster ~n:8 ~kill_node:0 ~check:false uds in
+  let fault = Fault.with_crash Fault.none ~node:0 ~round:1 in
+  let r = run_cluster ~n:8 ~fault ~check:false uds in
   let elapsed = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool) "not converged" false r.Cluster.converged;
   (* crash → halt → grace(2s) → SIGTERM(0.5s) → SIGKILL: well under 30s *)
@@ -650,14 +648,13 @@ let test_cluster_fatal_crash_without_restart () =
   let fault = Fault.with_crash Fault.none ~node:1 ~round:1 in
   let r = run_cluster ~fault ~n:16 uds in
   Alcotest.(check bool) "not converged" false r.Cluster.converged;
-  Alcotest.(check bool) "victim reported crashed" true (List.mem 1 r.Cluster.crashed);
-  Alcotest.(check (option int)) "no sabotage kill" None r.Cluster.killed
+  Alcotest.(check bool) "victim reported crashed" true (List.mem 1 r.Cluster.crashed)
 
 let test_chaos_plan_shape () =
   (* the soak's plan generator: seeded, in-bounds, always heal + restart *)
   let rng = Repro_util.Rng.substream ~seed:42 ~index:0xc405 in
   for _ = 1 to 50 do
-    let plan = Chaos.random_plan ~rng ~n:16 ~loss_max:0.2 in
+    let plan = Chaos.random_plan ~rng ~n:16 in
     Alcotest.(check bool) "loss bounded" true (Fault.drop_probability plan <= 0.2);
     (match Fault.partitions plan with
     | [ p ] -> Alcotest.(check bool) "partition heals" true (p.Fault.heal > p.Fault.start)
@@ -671,9 +668,7 @@ let test_chaos_plan_shape () =
     | cs -> Alcotest.failf "expected one crash, got %d" (List.length cs)
   done;
   (* replayable: the same seed yields the same plan *)
-  let plan_of seed =
-    Chaos.random_plan ~rng:(Repro_util.Rng.substream ~seed ~index:0xc405) ~n:16 ~loss_max:0.2
-  in
+  let plan_of seed = Chaos.random_plan ~rng:(Repro_util.Rng.substream ~seed ~index:0xc405) ~n:16 in
   Alcotest.(check string) "seeded plans replay" (Fault.to_string (plan_of 9))
     (Fault.to_string (plan_of 9))
 
@@ -686,8 +681,7 @@ let test_chaos_matrix_deterministic () =
     Chaos.matrix
       ~algos:[ get_algo "hm" ]
       ~families:[ Repro_graph.Generate.Sorted_chain; Repro_graph.Generate.K_out 3 ]
-      ~plans:Chaos.plan_families ~n:8 ~trials:2 ~seed:0 ~backend:Backend.Mux ~timeout:10.0
-      ~loss_max:0.2 ()
+      ~plans:Chaos.plan_families ~n:8 ~trials:2 ~seed:0 ~backend:Backend.Mux ~timeout:10.0 ()
   in
   let cells = sweep () in
   Alcotest.(check int) "one cell per (topology, plan family)"
@@ -707,8 +701,7 @@ let test_chaos_matrix_deterministic () =
       ignore
         (Chaos.matrix ~algos:[ get_algo "hm" ]
            ~families:[ Repro_graph.Generate.K_out 3 ]
-           ~plans:[ "gamma-rays" ] ~n:8 ~trials:1 ~seed:0 ~backend:Backend.Mux ~timeout:10.0
-           ~loss_max:0.2 ()))
+           ~plans:[ "gamma-rays" ] ~n:8 ~trials:1 ~seed:0 ~backend:Backend.Mux ~timeout:10.0 ()))
 
 let test_cluster_report_json () =
   let r = run_cluster ~n:4 uds in
@@ -720,7 +713,6 @@ let test_cluster_report_json () =
   in
   Alcotest.(check bool) "mentions backend" true (contains {|"backend":"uds"|});
   Alcotest.(check bool) "converged flag" true (contains {|"converged":true|});
-  Alcotest.(check bool) "killed is null" true (contains {|"killed":null|});
   Alcotest.(check bool) "invariants passed" true (contains {|"status":"passed"|})
 
 (* --- Backend: typed runtime selector -------------------------------- *)

@@ -71,7 +71,7 @@ let accounting_balances =
       let* p10 = int_range 0 5 in
       return (seed, float_of_int p10 /. 10.0))
     (fun (seed, p) ->
-      let topology = Repro_experiments.Sweepcell.topology_of ~family:(Generate.K_out 3) ~n:64 ~seed in
+      let topology = Generate.of_seed (Generate.K_out 3) ~n:64 ~seed in
       let fault = Repro_engine.Fault.with_loss Repro_engine.Fault.none ~p in
       let r =
         checked_exec
@@ -155,7 +155,7 @@ let test_unacked_delta_unsound () =
     List.length
       (List.filter
          (fun seed ->
-           let topo = Repro_experiments.Sweepcell.topology_of ~family:(Generate.K_out 3) ~n:256 ~seed in
+           let topo = Generate.of_seed (Generate.K_out 3) ~n:256 ~seed in
            not
              (checked_exec { Run.default_spec with Run.seed; max_rounds = Some 400 } algo topo)
                .Run.completed)

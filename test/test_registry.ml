@@ -93,7 +93,7 @@ let test_parse_doc () =
 
 let test_spec_algorithms_run () =
   (* every parseable spec must produce a runnable algorithm *)
-  let topo = Repro_experiments.Sweepcell.topology_of ~family:(Repro_graph.Generate.K_out 3) ~n:48 ~seed:1 in
+  let topo = Repro_graph.Generate.of_seed (Repro_graph.Generate.K_out 3) ~n:48 ~seed:1 in
   List.iter
     (fun spec ->
       let algo = find_ok spec in

@@ -4,7 +4,7 @@
 open Repro_graph
 open Repro_discovery
 
-let kout ~n ~seed = Repro_experiments.Sweepcell.topology_of ~family:(Generate.K_out 3) ~n ~seed
+let kout ~n ~seed = Generate.of_seed (Generate.K_out 3) ~n ~seed
 
 let test_result_fields () =
   let r = Run.exec_spec { Run.default_spec with Run.seed = 4 } Hm_gossip.algorithm (kout ~n:64 ~seed:4) in

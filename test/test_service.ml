@@ -567,8 +567,7 @@ let test_chaos_known_failing_cell_pinned () =
   let open Repro_net in
   let cells =
     Chaos.matrix ~algos:[ Hm_gossip.algorithm ] ~families:[ Repro_graph.Generate.Binary_tree ]
-      ~plans:[ "partition" ] ~n:8 ~trials:3 ~seed:0 ~backend:Backend.Mux ~timeout:10.0
-      ~loss_max:0.2 ()
+      ~plans:[ "partition" ] ~n:8 ~trials:3 ~seed:0 ~backend:Backend.Mux ~timeout:10.0 ()
   in
   match cells with
   | [ cell ] ->
@@ -589,8 +588,7 @@ let test_chaos_failing_cell_diagnosed () =
   let open Repro_net in
   let diagnose trial =
     Chaos.diagnose ~algo:Hm_gossip.algorithm ~family:Repro_graph.Generate.Binary_tree
-      ~plan_family:"partition" ~n:8 ~trial ~seed:0 ~backend:Backend.Mux ~timeout:10.0
-      ~loss_max:0.2 ()
+      ~plan_family:"partition" ~n:8 ~trial ~seed:0 ~backend:Backend.Mux ~timeout:10.0 ()
   in
   let d = diagnose 0 in
   Alcotest.(check string) "failing trial diagnosis"

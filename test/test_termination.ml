@@ -7,7 +7,7 @@ open Repro_graph
 open Repro_engine
 open Repro_discovery
 
-let build family ~n ~seed = Repro_experiments.Sweepcell.topology_of ~family ~n ~seed
+let build family ~n ~seed = Generate.of_seed family ~n ~seed
 
 (* run hm with direct access to the instances *)
 let drive ?(fault = Fault.none) ?(max_rounds = 2000) ~family ~n ~seed ~stop () =

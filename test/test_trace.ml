@@ -9,7 +9,7 @@ open Repro_engine
 open Repro_discovery
 
 let topology ~n ~seed =
-  Repro_experiments.Sweepcell.topology_of ~family:(Generate.K_out 3) ~n ~seed
+  Generate.of_seed (Generate.K_out 3) ~n ~seed
 
 let find name = match Registry.find name with Ok a -> a | Error e -> Alcotest.fail e
 
@@ -245,7 +245,7 @@ let test_invariants_under_faults () =
   Alcotest.(check bool) "loss run completed" true r.Run.completed;
   Alcotest.(check bool) "some drops" true (r.Run.dropped > 0);
   (* crashes *)
-  let fault = Repro_experiments.Sweepcell.crash_fault ~seed:2 ~n:32 ~count:5 in
+  let fault = Fault.with_random_crashes Fault.none ~seed:2 ~n:32 ~count:5 in
   let _, r = checked_sync ~fault ~completion:Run.Survivors_strong ~seed:2 (find "hm") topo in
   Alcotest.(check bool) "crash run completed" true r.Run.completed;
   (* late joins *)
@@ -283,7 +283,7 @@ let test_invariants_async () =
   check "clean";
   check ~fault:(Fault.with_loss Fault.none ~p:0.2) "lossy";
   check
-    ~fault:(Repro_experiments.Sweepcell.crash_fault ~seed:3 ~n:16 ~count:3)
+    ~fault:(Fault.with_random_crashes Fault.none ~seed:3 ~n:16 ~count:3)
     ~completion:Run.Survivors_strong "crashy";
   check ~fault:(Fault.with_joins Fault.none [ (2, 3); (9, 5) ]) "churny"
 
