@@ -194,15 +194,15 @@ let cset_union_band =
     [ 32; 256; 1024 ]
 
 (* A sorted insert into a long-lived array container one member short
-   of promotion (n = 65,536, 255 members): adding the smallest absent
+   of promotion (n = 65,536, 127 members): adding the smallest absent
    id shifts every member up a slot, and removing it shifts them back.
    The set lives on the major heap, where a generic [Array.blit] pays
    the write barrier per moved element. *)
 let cset_add_sorted =
   let n = 65536 in
   let t = Cset.create n in
-  for i = 1 to 255 do
-    ignore (Cset.add t (i * 256))
+  for i = 1 to 127 do
+    ignore (Cset.add t (i * 512))
   done;
   Gc.full_major ();
   Test.make ~name:"B11 cset_add_sorted_65536"

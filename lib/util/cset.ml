@@ -5,8 +5,8 @@
    density and promotes itself as it fills:
 
    - [Arr]: a sorted array of the member ids' low 16 bits. O(members)
-     memory — a node that knows 12 of 65,536 ids pays 16 words, not a
-     2 KB bitmap. Promoted to [Bmp] past [arr_max] (= range/256), where
+     memory — a node that knows 12 of 65,536 ids pays 16 words, not an
+     8 KiB bitmap. Promoted to [Bmp] past [arr_max] (= range/512), where
      a bitmap becomes the cheaper one to merge into: an array union or
      sorted insert moves every member, a bitmap absorbs a member with
      one OR and a bitmap source one word at a time. The array is still
@@ -17,8 +17,10 @@
      payloads only — an aliased one is copied instead). Int payloads
      move through [Intvec.blit_ints], never [Array.blit], which pays
      the write barrier per element into a major-heap array.
-   - [Bmp]: a dense bitmap, 32 bits per word, counted with a SWAR
-     popcount.
+   - [Bmp]: a dense bitmap in a [Bytes] block, 64 bits per 8-byte word,
+     in the wire's bit order (member [v] is bit [v land 7] of byte
+     [v lsr 3]), counted with a SWAR popcount. The major GC does not
+     scan a [Bytes] block, and each of its words holds 64 members.
    - [Full]: every id of the container's range, with no payload.
      Containers collapse to it the moment they saturate, which makes
      the dominant steady state of discovery runs — every node knows
@@ -32,8 +34,8 @@
    the frozen view aliases the owner's container-pointer array (the
    owner re-materialises private container records on its first write
    after a freeze), and each re-materialised record initially aliases
-   the old payload array, copying it only when an in-place write lands
-   (a representation change allocates a fresh payload anyway). A merge
+   the old payload, copying it only when an in-place write lands (a
+   representation change allocates a fresh payload anyway). A merge
    that learns nothing therefore never copies. *)
 
 (* container kinds *)
@@ -43,11 +45,12 @@ let full_kind = 2
 
 type container = {
   mutable kind : int;
-  mutable data : int array;
-      (* Arr: sorted low-16 ids in [0..card-1]; Bmp: 32-bit words;
-         Full: empty, [ccard] is the container's range *)
+  mutable data : int array;  (* Arr: sorted low-16 ids in [0..card-1]; otherwise empty *)
+  mutable bits : Bytes.t;
+      (* Bmp: ⌈range/64⌉ 8-byte words, bits at or past the range clear;
+         otherwise empty. Full has neither payload: [ccard] is the range. *)
   mutable ccard : int;
-  mutable cshared : bool;  (* [data] is aliased: copy before in-place write *)
+  mutable cshared : bool;  (* the payload is aliased: copy before in-place write *)
 }
 
 type status = Owned | Shared | Frozen
@@ -80,7 +83,7 @@ let imax (a : int) b = if a > b then a else b
    sets at n = 1M would otherwise pay a fresh record per container per
    set. Mutators must replace it with a private record before writing
    ([writable] below); nothing ever mutates the sentinel itself. *)
-let empty_c = { kind = arr_kind; data = [||]; ccard = 0; cshared = true }
+let empty_c = { kind = arr_kind; data = [||]; bits = Bytes.empty; ccard = 0; cshared = true }
 
 let containers_for n = (n + container_span - 1) lsr container_bits
 
@@ -126,7 +129,7 @@ let unshare_set t =
       Array.map
         (fun c ->
           if c == empty_c then c
-          else { kind = c.kind; data = c.data; ccard = c.ccard; cshared = true })
+          else { kind = c.kind; data = c.data; bits = c.bits; ccard = c.ccard; cshared = true })
         t.containers;
     t.status <- Owned
   | Frozen -> frozen_error ()
@@ -135,36 +138,127 @@ let unshare_set t =
 let writable t ci =
   let c = t.containers.(ci) in
   if c == empty_c then begin
-    let c' = { kind = arr_kind; data = [||]; ccard = 0; cshared = false } in
+    let c' = { kind = arr_kind; data = [||]; bits = Bytes.empty; ccard = 0; cshared = false } in
     t.containers.(ci) <- c';
     c'
   end
   else c
 
-(* data array about to be written in place: privatise if aliased *)
+(* payload about to be written in place: privatise if aliased *)
 let own_data c =
   if c.cshared then begin
-    c.data <- Intvec.copy_ints c.data;
+    if c.kind = bmp_kind then c.bits <- Bytes.copy c.bits
+    else c.data <- Intvec.copy_ints c.data;
     c.cshared <- false
   end
 
-(* SWAR popcount over 32-bit values held in native ints: bit pairs, then
-   nibbles, then bytes summed by one multiply. *)
+(* ---- bitmap words ----
+
+   A [Bmp] payload is read and written a 64-bit word at a time through
+   the unchecked primitives below. An [int64] bound by [let] and passed
+   straight to a primitive or to an inlined function stays in a
+   register, also without flambda and across dune's -opaque, so no
+   kernel allocates. OR, AND-NOT and popcount do not depend on where a
+   bit sits in the word and use it as loaded; the kernels that need bit
+   positions read it in wire order through [load_le], which swaps the
+   bytes on a big-endian host, and work on its two 32-bit halves as
+   native ints. Single members are one byte access. *)
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] load bits w = get64 bits (w lsl 3)
+let[@inline] store bits w x = set64 bits (w lsl 3) x
+
+(* a loaded word with bit [i] standing for member [64w + i] *)
+let[@inline] le x = if Sys.big_endian then swap64 x else x
+let[@inline] load_le bits w = le (load bits w)
+let[@inline] andnot a b = Int64.logand a (Int64.logxor b (-1L))
+
+(* SWAR popcount of a 64-bit word: bit pairs, then nibbles, then bytes
+   summed by one multiply into the top byte. *)
+let[@inline] popcount64 x =
+  let x = Int64.sub x (Int64.logand (Int64.shift_right_logical x 1) 0x5555555555555555L) in
+  let x =
+    Int64.add (Int64.logand x 0x3333333333333333L)
+      (Int64.logand (Int64.shift_right_logical x 2) 0x3333333333333333L)
+  in
+  let x = Int64.logand (Int64.add x (Int64.shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL in
+  Int64.to_int (Int64.shift_right_logical (Int64.mul x 0x0101010101010101L) 56)
+
+(* the same over 32-bit values held in native ints *)
 let popcount x =
   let x = x - ((x lsr 1) land 0x55555555) in
   let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
   let x = (x + (x lsr 4)) land 0x0F0F0F0F in
   (x * 0x01010101) lsr 24 land 0xFF
 
-let words_for range = (range + 31) lsr 5
+let[@inline] lo32 x = Int64.to_int x land 0xFFFF_FFFF
+let[@inline] hi32 x = Int64.to_int (Int64.shift_right_logical x 32)
+
+(* index of the lowest set bit of a non-zero 32-bit value *)
+let[@inline] ctz32 b = popcount ((b land -b) - 1)
+
+(* index of the [k]-th set bit (0-based) of a 32-bit value *)
+let select32 b k =
+  let b = ref b in
+  for _ = 1 to k do
+    b := !b land (!b - 1)
+  done;
+  ctz32 !b
+
+(* lowest set bit and [k]-th set bit of a non-zero wire-order word *)
+let[@inline] lowest x =
+  let lo = lo32 x in
+  if lo <> 0 then ctz32 lo else 32 + ctz32 (hi32 x)
+
+let[@inline] select x k =
+  let lo = lo32 x in
+  let pl = popcount lo in
+  if k < pl then select32 lo k else 32 + select32 (hi32 x) (k - pl)
+
+let[@inline] byte buf i = Char.code (Bytes.unsafe_get buf i)
+
+(* bit [v] of the bitmap at byte [off] of [buf]; callers keep [v] in range *)
+let[@inline] bit_mem buf off v = byte buf (off + (v lsr 3)) land (1 lsl (v land 7)) <> 0
+
+let[@inline] set_bit buf off v =
+  let i = off + (v lsr 3) in
+  Bytes.unsafe_set buf i (Char.unsafe_chr (byte buf i lor (1 lsl (v land 7))))
+
+let[@inline] clear_bit buf v =
+  let i = v lsr 3 in
+  Bytes.unsafe_set buf i (Char.unsafe_chr (byte buf i land lnot (1 lsl (v land 7))))
+
+(* bits [s, e) of the bitmap at [off]: ragged ends bit by bit, whole
+   bytes in between by one fill *)
+let set_bit_range buf off s e =
+  let v = ref s in
+  while !v < e && !v land 7 <> 0 do
+    set_bit buf off !v;
+    incr v
+  done;
+  let aligned_end = e land lnot 7 in
+  if !v < aligned_end then begin
+    Bytes.fill buf (off + (!v lsr 3)) ((aligned_end - !v) lsr 3) '\255';
+    v := aligned_end
+  end;
+  while !v < e do
+    set_bit buf off !v;
+    incr v
+  done
+
+let words_for range = (range + 63) lsr 6
 
 (* Arr -> Bmp promotion threshold, floored so tiny containers still
    start as arrays: the merge-cost crossover, measured on whole hm runs
-   at n = 17,408 and 65,536 over range/32 … range/512 (EXPERIMENTS.md,
-   "Cset by merge cost"). range/32, the memory crossover (1 word/member
-   vs 1 bit/member) it used to be, kept hm's mid-density knowledge sets
-   in sorted arrays whose unions cost most of the merge time. *)
-let arr_max range = imax 8 (range lsr 8)
+   at n = 17,408 and 65,536 over range/64 … range/512 with 64-bit
+   bitmap words (EXPERIMENTS.md, "Cset by merge cost"). range/32, the
+   memory crossover (1 word/member vs 1 bit/member) it once was, kept
+   hm's mid-density knowledge sets in sorted arrays whose unions cost
+   most of the merge time. *)
+let arr_max range = imax 8 (range lsr 9)
 
 (* ---- per-kind membership ---- *)
 
@@ -187,7 +281,7 @@ let arr_mem (data : int array) card (v : int) =
 let cmem c v =
   if c.ccard = 0 then false
   else if c.kind = arr_kind then arr_mem c.data c.ccard v
-  else if c.kind = bmp_kind then c.data.(v lsr 5) land (1 lsl (v land 31)) <> 0
+  else if c.kind = bmp_kind then bit_mem c.bits 0 v
   else (* full *) true
 
 let check t v =
@@ -203,22 +297,22 @@ let mem t v =
 
 let to_bmp c range =
   if c.kind <> bmp_kind then begin
-    let nw = words_for range in
-    let words = Array.make nw (if c.kind = full_kind then 0xFFFFFFFF else 0) in
+    let bits = Bytes.make (words_for range lsl 3) '\000' in
     if c.kind = arr_kind then
       for i = 0 to c.ccard - 1 do
-        let v = c.data.(i) in
-        words.(v lsr 5) <- words.(v lsr 5) lor (1 lsl (v land 31))
+        set_bit bits 0 c.data.(i)
       done
-    else if range land 31 <> 0 then words.(nw - 1) <- (1 lsl (range land 31)) - 1;
+    else set_bit_range bits 0 0 range;
     c.kind <- bmp_kind;
-    c.data <- words;
+    c.data <- [||];
+    c.bits <- bits;
     c.cshared <- false
   end
 
 let make_full c range =
   c.kind <- full_kind;
   c.data <- [||];
+  c.bits <- Bytes.empty;
   c.ccard <- range;
   c.cshared <- false
 
@@ -251,8 +345,7 @@ let add t v =
     (if c.kind = arr_kind then begin
        if c.ccard >= arr_max range then begin
          to_bmp c range;
-         own_data c;
-         c.data.(low lsr 5) <- c.data.(low lsr 5) lor (1 lsl (low land 31))
+         set_bit c.bits 0 low
        end
        else begin
          let pos = arr_rank c.data c.ccard low in
@@ -276,7 +369,7 @@ let add t v =
      else begin
        (* a bitmap: a full container already holds [low] *)
        own_data c;
-       c.data.(low lsr 5) <- c.data.(low lsr 5) lor (1 lsl (low land 31))
+       set_bit c.bits 0 low
      end);
     c.ccard <- c.ccard + 1;
     t.card <- t.card + 1;
@@ -296,7 +389,7 @@ let remove t v =
     (if c.kind = full_kind then to_bmp c (range_of t ci);
      if c.kind = bmp_kind then begin
        own_data c;
-       c.data.(low lsr 5) <- c.data.(low lsr 5) land lnot (1 lsl (low land 31))
+       clear_bit c.bits low
      end
      else begin
        own_data c;
@@ -317,6 +410,11 @@ let rec iter_word_bits base bits f =
     iter_word_bits base (bits lxor low) f
   end
 
+(* the members of a wire-order word, ascending, through its halves *)
+let[@inline] iter_word base x f =
+  iter_word_bits base (lo32 x) f;
+  iter_word_bits (base + 32) (hi32 x) f
+
 let citer c base f =
   if c.ccard > 0 then
     if c.kind = arr_kind then
@@ -324,9 +422,9 @@ let citer c base f =
         f (base + c.data.(i))
       done
     else if c.kind = bmp_kind then
-      for w = 0 to Array.length c.data - 1 do
-        let bits = Array.unsafe_get c.data w in
-        if bits <> 0 then iter_word_bits (base + (w lsl 5)) bits f
+      for w = 0 to (Bytes.length c.bits lsr 3) - 1 do
+        let x = load c.bits w in
+        if x <> 0L then iter_word (base + (w lsl 6)) (le x) f
       done
     else
       for v = base to base + c.ccard - 1 do
@@ -362,59 +460,13 @@ let of_array n vs =
 
 (* ---- little-endian byte bitmaps ----
 
-   The wire's bitmap layout: member v is bit [v land 7] of byte [v lsr 3].
-   A [Bmp] container's 32-bit word [w] is exactly bytes [4w .. 4w+3] of
-   its 8 KiB slice, little-endian, so both directions move one word per
-   step; the byte-level paths below only handle a container's ragged
-   last word. *)
+   The wire's bitmap layout is the [Bmp] payload's own: member v is bit
+   [v land 7] of byte [v lsr 3], and container [ci] is the 8 KiB slice
+   at byte [ci * 8192]. Both directions copy a bitmap container with
+   one [Bytes.blit]; only the ragged last byte of the universe needs a
+   mask. *)
 
 let bytes_per_container = container_span lsr 3
-
-(* word [w] of the [nbytes]-byte region at [off], zero-padded past its end *)
-let get_word buf off nbytes w =
-  let b = w lsl 2 in
-  if b + 4 <= nbytes then
-    Bytes.get_uint16_le buf (off + b) lor (Bytes.get_uint16_le buf (off + b + 2) lsl 16)
-  else begin
-    let x = ref 0 in
-    for k = 0 to nbytes - b - 1 do
-      x := !x lor (Char.code (Bytes.get buf (off + b + k)) lsl (8 * k))
-    done;
-    !x
-  end
-
-let set_word buf off nbytes w x =
-  let b = w lsl 2 in
-  if b + 4 <= nbytes then begin
-    Bytes.set_uint16_le buf (off + b) (x land 0xFFFF);
-    Bytes.set_uint16_le buf (off + b + 2) ((x lsr 16) land 0xFFFF)
-  end
-  else
-    for k = 0 to nbytes - b - 1 do
-      Bytes.set buf (off + b + k) (Char.unsafe_chr ((x lsr (8 * k)) land 0xFF))
-    done
-
-let set_bit buf off v =
-  let i = off + (v lsr 3) in
-  Bytes.set buf i (Char.unsafe_chr (Char.code (Bytes.get buf i) lor (1 lsl (v land 7))))
-
-(* bits [s, e) of the region at [off]: ragged ends bit by bit, whole
-   bytes in between by one fill *)
-let set_bit_range buf off s e =
-  let v = ref s in
-  while !v < e && !v land 7 <> 0 do
-    set_bit buf off !v;
-    incr v
-  done;
-  let aligned_end = e land lnot 7 in
-  if !v < aligned_end then begin
-    Bytes.fill buf (off + (!v lsr 3)) ((aligned_end - !v) lsr 3) '\255';
-    v := aligned_end
-  end;
-  while !v < e do
-    set_bit buf off !v;
-    incr v
-  done
 
 (* Capacity an [Arr] payload reaches when [card] members are added one
    at a time: [add] starts at 8 slots and doubles. *)
@@ -422,12 +474,24 @@ let arr_capacity card =
   let rec grow c = if c >= card then c else grow (2 * c) in
   grow 8
 
-(* Word [w] of container [ci]'s slice, with bits at or beyond the
-   container's range cleared (they lie past the universe). *)
-let container_word buf off nbytes range w =
-  let x = get_word buf off nbytes w in
-  let tail = range land 31 in
-  if tail <> 0 && w = words_for range - 1 then x land ((1 lsl tail) - 1) else x
+(* byte [i] of a container's wire slice at [off], bits at or beyond the
+   container's [range] cleared (they lie past the universe) *)
+let[@inline] wire_byte buf off range i =
+  let b = byte buf (off + i) in
+  if (i + 1) lsl 3 > range then b land ((1 lsl (range land 7)) - 1) else b
+
+(* members in a container's wire slice: the words wholly inside
+   [range], then the rest byte by byte *)
+let wire_cardinal buf off range =
+  let whole = range lsr 6 in
+  let card = ref 0 in
+  for w = 0 to whole - 1 do
+    card := !card + popcount64 (get64 buf (off + (w lsl 3)))
+  done;
+  for i = whole lsl 3 to ((range + 7) lsr 3) - 1 do
+    card := !card + popcount (wire_byte buf off range i)
+  done;
+  !card
 
 let of_bitmap_bytes n buf pos =
   let t = create n in
@@ -438,37 +502,35 @@ let of_bitmap_bytes n buf pos =
     let range = range_of t ci in
     let off = pos + (ci * bytes_per_container) in
     let nbytes = (range + 7) lsr 3 in
-    let nw = words_for range in
-    let card = ref 0 in
-    for w = 0 to nw - 1 do
-      card := !card + popcount (container_word buf off nbytes range w)
-    done;
-    let card = !card in
+    let card = wire_cardinal buf off range in
     (* the representation [add] would reach, member by member in
        ascending order: saturated collapses to full, at most [arr_max]
        members stay an array, anything denser is a bitmap *)
     if card = range then
-      t.containers.(ci) <- { kind = full_kind; data = [||]; ccard = range; cshared = false }
+      t.containers.(ci) <-
+        { kind = full_kind; data = [||]; bits = Bytes.empty; ccard = range; cshared = false }
     else if card > arr_max range then begin
-      let words = Array.make nw 0 in
-      for w = 0 to nw - 1 do
-        words.(w) <- container_word buf off nbytes range w
-      done;
-      t.containers.(ci) <- { kind = bmp_kind; data = words; ccard = card; cshared = false }
+      let size = words_for range lsl 3 in
+      let bits = Bytes.create size in
+      Bytes.blit buf off bits 0 nbytes;
+      Bytes.fill bits nbytes (size - nbytes) '\000';
+      let last = nbytes - 1 in
+      Bytes.unsafe_set bits last (Char.unsafe_chr (wire_byte bits 0 range last));
+      t.containers.(ci) <- { kind = bmp_kind; data = [||]; bits; ccard = card; cshared = false }
     end
     else if card > 0 then begin
       let data = Array.make (arr_capacity card) 0 in
       let k = ref 0 in
-      for w = 0 to nw - 1 do
-        let bits = ref (container_word buf off nbytes range w) in
-        while !bits <> 0 do
-          let low = !bits land - !bits in
-          data.(!k) <- (w lsl 5) + popcount (low - 1);
+      for i = 0 to nbytes - 1 do
+        let b = ref (wire_byte buf off range i) in
+        while !b <> 0 do
+          data.(!k) <- (i lsl 3) + ctz32 !b;
           incr k;
-          bits := !bits lxor low
+          b := !b land (!b - 1)
         done
       done;
-      t.containers.(ci) <- { kind = arr_kind; data; ccard = card; cshared = false }
+      t.containers.(ci) <-
+        { kind = arr_kind; data; bits = Bytes.empty; ccard = card; cshared = false }
     end;
     t.card <- t.card + card
   done;
@@ -483,10 +545,7 @@ let blit_bitmap_bytes t buf pos =
     let nbytes = imin bytes_per_container (width - (ci * bytes_per_container)) in
     let off = pos + (ci * bytes_per_container) in
     let c = if ci < Array.length t.containers then t.containers.(ci) else empty_c in
-    if c.ccard > 0 && c.kind = bmp_kind then
-      for w = 0 to ((nbytes + 3) lsr 2) - 1 do
-        set_word buf off nbytes w c.data.(w)
-      done
+    if c.ccard > 0 && c.kind = bmp_kind then Bytes.blit c.bits 0 buf off nbytes
     else begin
       Bytes.fill buf off nbytes '\000';
       if c.ccard > 0 then
@@ -516,19 +575,13 @@ let choose_nth t k =
   else begin
     let k = ref k in
     let w = ref 0 in
-    let pc = ref (popcount c.data.(0)) in
+    let pc = ref (popcount64 (load c.bits 0)) in
     while !k >= !pc do
       k := !k - !pc;
       incr w;
-      pc := popcount c.data.(!w)
+      pc := popcount64 (load c.bits !w)
     done;
-    (* k-th set bit of word w *)
-    let bits = ref c.data.(!w) in
-    for _ = 1 to !k do
-      bits := !bits land (!bits - 1)
-    done;
-    let low = !bits land - !bits in
-    base + (!w lsl 5) + popcount (low - 1)
+    base + (!w lsl 6) + select (load_le c.bits !w) !k
   end
 
 let rank t v =
@@ -544,10 +597,11 @@ let rank t v =
     if c.ccard > 0 then
       if c.kind = arr_kind then acc := !acc + arr_rank c.data c.ccard low
       else if c.kind = bmp_kind then begin
-        for w = 0 to (low lsr 5) - 1 do
-          acc := !acc + popcount c.data.(w)
+        for w = 0 to (low lsr 6) - 1 do
+          acc := !acc + popcount64 (load c.bits w)
         done;
-        acc := !acc + popcount (c.data.(low lsr 5) land ((1 lsl (low land 31)) - 1))
+        let below = Int64.sub (Int64.shift_left 1L (low land 63)) 1L in
+        acc := !acc + popcount64 (Int64.logand (load_le c.bits (low lsr 6)) below)
       end
       else acc := !acc + low
   end;
@@ -565,11 +619,10 @@ let min_elt t =
   else if c.kind = full_kind then base
   else begin
     let w = ref 0 in
-    while c.data.(!w) = 0 do
+    while load c.bits !w = 0L do
       incr w
     done;
-    let low = c.data.(!w) land -c.data.(!w) in
-    base + (!w lsl 5) + popcount (low - 1)
+    base + (!w lsl 6) + lowest (load_le c.bits !w)
   end
 
 (* ---- union ---- *)
@@ -587,9 +640,9 @@ let csubset a b range =
   else if a.kind = bmp_kind && b.kind = bmp_kind then begin
     let ok = ref true in
     let w = ref 0 in
-    let nw = Array.length a.data in
+    let nw = Bytes.length a.bits lsr 3 in
     while !ok && !w < nw do
-      if a.data.(!w) land lnot b.data.(!w) <> 0 then ok := false;
+      if andnot (load a.bits !w) (load b.bits !w) <> 0L then ok := false;
       incr w
     done;
     !ok
@@ -661,15 +714,29 @@ let count_union (a : int array) na (b : int array) nb =
 let rec union_words_with dw sw w stop acc base f =
   if w >= stop then acc
   else begin
-    let d = Array.unsafe_get dw w and s = Array.unsafe_get sw w in
-    let fresh = s land lnot d in
-    if fresh = 0 then union_words_with dw sw (w + 1) stop acc base f
+    let d = load dw w and s = load sw w in
+    let fresh = andnot s d in
+    if fresh = 0L then union_words_with dw sw (w + 1) stop acc base f
     else begin
-      Array.unsafe_set dw w (d lor s);
-      (match f with Some f -> iter_word_bits (base + (w lsl 5)) fresh f | None -> ());
-      union_words_with dw sw (w + 1) stop (acc + popcount fresh) base f
+      store dw w (Int64.logor d s);
+      (match f with Some f -> iter_word (base + (w lsl 6)) (le fresh) f | None -> ());
+      union_words_with dw sw (w + 1) stop (acc + popcount64 fresh) base f
     end
   end
+
+(* OR the [card] sorted members [vals] into [c]'s private bitmap,
+   counting the fresh ones into [c.ccard] and calling [f] on each,
+   ascending *)
+let absorb_array c (vals : int array) card base f =
+  let bits = c.bits in
+  for i = 0 to card - 1 do
+    let v = vals.(i) in
+    if not (bit_mem bits 0 v) then begin
+      set_bit bits 0 v;
+      c.ccard <- c.ccard + 1;
+      match f with Some f -> f (base + v) | None -> ()
+    end
+  done
 
 (* add every member of [src] absent from [dst-container c]; [c] must be
    writable. Returns the number added; calls [f] per fresh id ascending. *)
@@ -717,15 +784,7 @@ let cunion t ci c (src : container) base f =
       (* merged array would cross the promotion threshold: go dense *)
       to_bmp c range;
       let before = c.ccard in
-      for i = 0 to src.ccard - 1 do
-        let v = src.data.(i) in
-        let w = v lsr 5 and bit = 1 lsl (v land 31) in
-        if c.data.(w) land bit = 0 then begin
-          c.data.(w) <- c.data.(w) lor bit;
-          c.ccard <- c.ccard + 1;
-          match f with Some f -> f (base + v) | None -> ()
-        end
-      done;
+      absorb_array c src.data src.ccard base f;
       maybe_collapse c range;
       c.ccard - before
     end
@@ -735,20 +794,11 @@ let cunion t ci c (src : container) base f =
     to_bmp c range;
     own_data c;
     let before = c.ccard in
-    (if src.kind = arr_kind then
-       for i = 0 to src.ccard - 1 do
-         let v = src.data.(i) in
-         let w = v lsr 5 and bit = 1 lsl (v land 31) in
-         if c.data.(w) land bit = 0 then begin
-           c.data.(w) <- c.data.(w) lor bit;
-           c.ccard <- c.ccard + 1;
-           match f with Some f -> f (base + v) | None -> ()
-         end
-       done
+    (if src.kind = arr_kind then absorb_array c src.data src.ccard base f
      else begin
        (* a bitmap: a full source was handled above *)
-       let nw = Array.length src.data in
-       c.ccard <- c.ccard + union_words_with c.data src.data 0 nw 0 base f
+       let nw = Bytes.length src.bits lsr 3 in
+       c.ccard <- c.ccard + union_words_with c.bits src.bits 0 nw 0 base f
      end);
     maybe_collapse c range;
     c.ccard - before
@@ -777,7 +827,7 @@ let union_gen ~dst ~src f =
         if alias_ok && dc0.ccard = 0 then begin
           unshare_set dst;
           dst.containers.(ci) <-
-            { kind = sc.kind; data = sc.data; ccard = sc.ccard; cshared = true };
+            { kind = sc.kind; data = sc.data; bits = sc.bits; ccard = sc.ccard; cshared = true };
           added := !added + sc.ccard
         end
         else if alias_ok && dc0.kind = arr_kind && sc.kind = bmp_kind then begin
@@ -796,7 +846,7 @@ let union_gen ~dst ~src f =
           unshare_set dst;
           if !miss = 0 then begin
             dst.containers.(ci) <-
-              { kind = sc.kind; data = sc.data; ccard = sc.ccard; cshared = true };
+              { kind = sc.kind; data = sc.data; bits = sc.bits; ccard = sc.ccard; cshared = true };
             added := !added + (sc.ccard - dc0.ccard)
           end
           else begin
@@ -805,17 +855,11 @@ let union_gen ~dst ~src f =
             let avals = dc0.data and acard = dc0.ccard in
             let c = writable dst ci in
             c.kind <- bmp_kind;
-            c.data <- Intvec.copy_ints sc.data;
+            c.data <- [||];
+            c.bits <- Bytes.copy sc.bits;
             c.cshared <- false;
             c.ccard <- sc.ccard;
-            for i = 0 to acard - 1 do
-              let v = avals.(i) in
-              let w = v lsr 5 and bit = 1 lsl (v land 31) in
-              if c.data.(w) land bit = 0 then begin
-                c.data.(w) <- c.data.(w) lor bit;
-                c.ccard <- c.ccard + 1
-              end
-            done;
+            absorb_array c avals acard 0 None;
             added := !added + (c.ccard - acard);
             maybe_collapse c (range_of dst ci)
           end
@@ -857,6 +901,15 @@ let subset a b =
 let equal a b =
   (not a.unbounded) && (not b.unbounded) && a.n = b.n && a.card = b.card && subset a b
 
+(* members of one container present in the other: iterate the smaller,
+   probe the larger. Its own function, so the counter that its closure
+   captures is allocated only on this path. *)
+let probe_count ca cb =
+  let small, big = if ca.ccard <= cb.ccard then (ca, cb) else (cb, ca) in
+  let k = ref 0 in
+  citer small 0 (fun v -> if cmem big v then incr k);
+  !k
+
 let inter_cardinal a b =
   same_capacity a b;
   let total = ref 0 in
@@ -867,14 +920,10 @@ let inter_cardinal a b =
       if ca.ccard = range then total := !total + cb.ccard
       else if cb.ccard = range then total := !total + ca.ccard
       else if ca.kind = bmp_kind && cb.kind = bmp_kind then
-        for w = 0 to Array.length ca.data - 1 do
-          total := !total + popcount (ca.data.(w) land cb.data.(w))
+        for w = 0 to (Bytes.length ca.bits lsr 3) - 1 do
+          total := !total + popcount64 (Int64.logand (load ca.bits w) (load cb.bits w))
         done
-      else begin
-        (* iterate the smaller, probe the larger *)
-        let small, big = if ca.ccard <= cb.ccard then (ca, cb) else (cb, ca) in
-        citer small 0 (fun v -> if cmem big v then incr total)
-      end
+      else total := !total + probe_count ca cb
     end
   done;
   !total
@@ -908,21 +957,20 @@ let cdiff c (src : container) range =
   else begin
     let removed = ref 0 in
     (if src.kind = bmp_kind then
-       for w = 0 to Array.length c.data - 1 do
-         let hit = c.data.(w) land src.data.(w) in
-         if hit <> 0 then begin
+       for w = 0 to (Bytes.length c.bits lsr 3) - 1 do
+         let hit = Int64.logand (load c.bits w) (load src.bits w) in
+         if hit <> 0L then begin
            own_data c;
-           c.data.(w) <- c.data.(w) lxor hit;
-           removed := !removed + popcount hit
+           store c.bits w (Int64.logxor (load c.bits w) hit);
+           removed := !removed + popcount64 hit
          end
        done
      else
        for i = 0 to src.ccard - 1 do
          let v = src.data.(i) in
-         let bit = 1 lsl (v land 31) in
-         if c.data.(v lsr 5) land bit <> 0 then begin
+         if bit_mem c.bits 0 v then begin
            own_data c;
-           c.data.(v lsr 5) <- c.data.(v lsr 5) lxor bit;
+           clear_bit c.bits v;
            incr removed
          end
        done);
@@ -966,19 +1014,29 @@ let copy t =
         (fun c ->
           if c.ccard = 0 then empty_c
           else
-            { kind = c.kind; data = Intvec.copy_ints c.data; ccard = c.ccard; cshared = false })
+            {
+              kind = c.kind;
+              data = Intvec.copy_ints c.data;
+              bits = (if c.kind = bmp_kind then Bytes.copy c.bits else Bytes.empty);
+              ccard = c.ccard;
+              cshared = false;
+            })
         t.containers;
     card = t.card;
     status = Owned;
   }
 
-(* Words of heap payload held by the set (container payloads plus the
-   pointer array); used by the scaling experiments to report knowledge
-   memory without OS-level noise. Shared payloads are counted once per
-   alias, which over-reports frozen views — fine for a ballpark. *)
+(* Heap words held by the set: the record and pointer array, and per
+   container its record and payload, headers included. A [Bytes] bitmap
+   of [8w] bytes is [w + 1] words (the last one holds the length
+   padding) plus its header. Shared payloads are counted once per alias,
+   which over-reports frozen views — fine for a ballpark. *)
 let memory_words t =
-  let total = ref (Array.length t.containers + 4) in
-  Array.iter (fun c -> if c != empty_c then total := !total + Array.length c.data + 6) t.containers;
+  let payload c =
+    if c.kind = bmp_kind then (Bytes.length c.bits lsr 3) + 2 else Array.length c.data + 1
+  in
+  let total = ref (Array.length t.containers + 7) in
+  Array.iter (fun c -> if c != empty_c then total := !total + 6 + payload c) t.containers;
   !total
 
 let pp ppf t =

@@ -3,13 +3,14 @@
     The knowledge-set representation at every scale: the universe
     [0 .. n-1] is split into containers of 65,536 consecutive
     ids, and each container independently picks a sorted array (sparse),
-    a bitmap (dense) or the payload-free full form (saturated) — so a
+    a bitmap (dense, 64 members per word of a [Bytes] block) or the
+    payload-free full form (saturated) — so a
     set costs O(members) when sparse and O(1) per container once full,
     instead of O(n) bits always. Saturated containers also merge in O(1): the
     dominant case for converged knowledge sets.
 
     The sparse/dense boundary is set by merge cost, not memory. A
-    container turns into a bitmap past 1/256 of its span (floored at 8
+    container turns into a bitmap past 1/512 of its span (floored at 8
     members), long before the bitmap would be the smaller form: a
     sorted-array union walks and moves every member of both sides,
     while a bitmap absorbs each source member with one OR. Knowledge
@@ -111,8 +112,10 @@ val of_bitmap_bytes : int -> bytes -> int -> t
 (** [of_bitmap_bytes n buf pos] is the set over [0 .. n-1] read from the
     little-endian byte bitmap of width [⌈n/8⌉] at [buf.[pos]]: [v] is a
     member iff bit [v land 7] of byte [pos + v lsr 3] is set. Bits of
-    the last byte at or beyond [n] are ignored. Reads 32 bits per step,
-    and every container gets the representation that adding the members
+    the last byte at or beyond [n] are ignored. This is the in-memory
+    layout of a bitmap container, so a bitmap container is one
+    [Bytes.blit] (plus a mask on the universe's ragged last byte), and
+    every container gets the representation that adding the members
     one at a time would give it (same kinds, cardinals and
     {!memory_words}).
     @raise Invalid_argument if the bitmap does not fit in [buf]. *)
@@ -120,7 +123,8 @@ val of_bitmap_bytes : int -> bytes -> int -> t
 val blit_bitmap_bytes : t -> bytes -> int -> unit
 (** [blit_bitmap_bytes t buf pos] writes [t] as the byte bitmap of width
     [⌈capacity t / 8⌉] at [buf.[pos]], the inverse of {!of_bitmap_bytes};
-    every byte of that range is overwritten.
+    every byte of that range is overwritten; a bitmap container is one
+    [Bytes.blit].
     @raise Invalid_argument if the bitmap does not fit in [buf]. *)
 
 val choose_nth : t -> int -> int
@@ -136,6 +140,8 @@ val min_elt : t -> int
 (** Smallest element. @raise Invalid_argument if the set is empty. *)
 
 val memory_words : t -> int
-(** Approximate heap words held by the set's payload (reporting aid). *)
+(** Approximate heap words held by the set (reporting aid): records,
+    headers and payloads, a bitmap counted as the words of its [Bytes]
+    block, 64 members per word. *)
 
 val pp : Format.formatter -> t -> unit

@@ -357,6 +357,84 @@ let test_diff_into_allocates_nothing () =
   if removed <> 10_923 + 7 + 20 then Alcotest.failf "diff removed %d ids (expected 10950)" removed;
   if extra > 0.0 then Alcotest.failf "difference allocated %.0f minor words (expected 0)" extra
 
+(* The bitmap kernels below read and write 64-bit words of a [Bytes]
+   payload through primitives declared in [Cset] itself and popcount
+   them with an inlined SWAR, so no word is ever boxed. Nothing they use
+   crosses a library boundary, so dune's -opaque does not matter: these
+   pins run, and must hold, in the dev profile ([dune runtest]) and in
+   the release profile alike. The sets span n = 17,408, one container,
+   as in hm-compact; every operand is a bitmap. *)
+let bitmap_n = 17_408
+
+let bitmap_of_step ~step ~offset =
+  let t = Cset.create bitmap_n in
+  let v = ref offset in
+  while !v < bitmap_n do
+    ignore (Cset.add t !v);
+    v := !v + step
+  done;
+  t
+
+(* minor words [f ()] allocates, less the measurement window's own *)
+let minor_words_of f =
+  let cal_before = Gc.minor_words () in
+  let cal_after = Gc.minor_words () in
+  let overhead = cal_after -. cal_before in
+  let before = Gc.minor_words () in
+  f ();
+  let after = Gc.minor_words () in
+  after -. before -. overhead
+
+(* bitmap ∪ bitmap into a private destination: one OR pass over the
+   words, in place (dev and release profile) *)
+let test_bitmap_union_allocates_nothing () =
+  let dst = bitmap_of_step ~step:3 ~offset:0 and src = bitmap_of_step ~step:2 ~offset:0 in
+  let added = ref 0 in
+  let extra = minor_words_of (fun () -> added := Cset.union_into ~dst ~src) in
+  (* even ids that are not multiples of 3: 8,704 - 2,902 *)
+  if !added <> 5_802 then Alcotest.failf "union added %d ids (expected 5802)" !added;
+  if extra > 0.0 then Alcotest.failf "bitmap union allocated %.0f minor words (expected 0)" extra
+
+(* the no-change union: the word-parallel subset pre-check on a bitmap
+   pair finds nothing fresh and writes nothing (dev and release
+   profile) *)
+let test_bitmap_subset_precheck_allocates_nothing () =
+  let dst = bitmap_of_step ~step:2 ~offset:0 and src = bitmap_of_step ~step:4 ~offset:0 in
+  let added = ref (-1) in
+  let extra = minor_words_of (fun () -> added := Cset.union_into ~dst ~src) in
+  if !added <> 0 then Alcotest.failf "no-change union added %d ids" !added;
+  if extra > 0.0 then
+    Alcotest.failf "no-change bitmap union allocated %.0f minor words (expected 0)" extra
+
+(* a bitmap difference into a private destination clears the source's
+   bits word by word (dev and release profile) *)
+let test_bitmap_diff_allocates_nothing () =
+  let dst = bitmap_of_step ~step:3 ~offset:0 and src = bitmap_of_step ~step:2 ~offset:0 in
+  let removed = ref 0 in
+  let extra = minor_words_of (fun () -> removed := Cset.diff_into ~dst ~src) in
+  (* multiples of 6 below 17,408 *)
+  if !removed <> 2_902 then Alcotest.failf "diff removed %d ids (expected 2902)" !removed;
+  if extra > 0.0 then Alcotest.failf "bitmap diff allocated %.0f minor words (expected 0)" extra
+
+(* the bitmap queries: [inter_cardinal] popcounts the ANDed words,
+   [rank] the words below an id, [choose_nth] selects within one word
+   (dev and release profile) *)
+let test_bitmap_queries_allocate_nothing () =
+  let a = bitmap_of_step ~step:3 ~offset:1 and b = bitmap_of_step ~step:2 ~offset:1 in
+  let acc = ref 0 in
+  let queries () =
+    acc := !acc + Cset.inter_cardinal a b;
+    for k = 0 to 999 do
+      let v = k * 17 in
+      acc := !acc + Cset.rank a v + Cset.choose_nth a (v mod Cset.cardinal a)
+    done
+  in
+  let extra = minor_words_of queries in
+  ignore (Sys.opaque_identity !acc);
+  if extra > 0.0 then
+    Alcotest.failf "1,000 bitmap rank and choose_nth queries allocated %.0f minor words (expected 0)"
+      extra
+
 (* A batch merge filters the fresh ids into a reused domain-local
    scratch and sorts it in place: once the scratch has grown (the
    warm-up batch), an unsorted 64-id batch allocates nothing. The
@@ -481,6 +559,14 @@ let () =
             test_array_union_in_place_allocates_nothing;
           Alcotest.test_case "difference into a private set is allocation-free" `Quick
             test_diff_into_allocates_nothing;
+          Alcotest.test_case "bitmap union is allocation-free" `Quick
+            test_bitmap_union_allocates_nothing;
+          Alcotest.test_case "no-change bitmap union is allocation-free" `Quick
+            test_bitmap_subset_precheck_allocates_nothing;
+          Alcotest.test_case "bitmap difference is allocation-free" `Quick
+            test_bitmap_diff_allocates_nothing;
+          Alcotest.test_case "bitmap queries are allocation-free" `Quick
+            test_bitmap_queries_allocate_nothing;
           Alcotest.test_case "unsorted batch merge is allocation-free" `Quick
             test_unsorted_batch_merge_allocates_nothing;
           Alcotest.test_case "probe encoding is one small block" `Quick

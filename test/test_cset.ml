@@ -2,7 +2,7 @@
    set behind large-n knowledge state. Every operation is checked
    against a sorted, duplicate-free int list, with generators biased
    to cross the container representation boundaries: sorted-array →
-   bitmap promotion at range/256 members (floored at 8), bitmap → full
+   bitmap promotion at range/512 members (floored at 8), bitmap → full
    collapse at saturation, and multi-container universes. *)
 
 open Repro_util
@@ -145,7 +145,7 @@ let test_container_edges () =
 let test_array_shifts () =
   let n = 65_536 in
   let t = Cset.create n in
-  let members = List.init 255 (fun i -> (254 - i) * 257) in
+  let members = List.init 127 (fun i -> (126 - i) * 513) in
   List.iter (fun v -> check_bool "add" true (Cset.add t v)) members;
   Gc.full_major ();
   let m = ref (model_of members) in
@@ -156,13 +156,13 @@ let test_array_shifts () =
       check_bool "remove" true (Cset.remove t v);
       m := List.filter (fun x -> x <> v) !m;
       agree (Printf.sprintf "after remove %d" v))
-    [ 0; 127 * 257; 254 * 257; 3 * 257 ];
+    [ 0; 63 * 513; 126 * 513; 3 * 513 ];
   List.iter
     (fun v ->
       check_bool "add between" true (Cset.add t v);
       m := model_of (v :: !m);
       agree (Printf.sprintf "after add %d" v))
-    [ 1; 127 * 257; 65_535; 200 ];
+    [ 1; 63 * 513; 65_535; 200 ];
   check_int "cardinal" (List.length !m) (Cset.cardinal t)
 
 let test_union () =
@@ -614,8 +614,8 @@ let same_as_model ~what model c =
   check_int (what ^ ": memory_words") (Cset.memory_words model) (Cset.memory_words c)
 
 (* the Arr -> Bmp promotion point of a container spanning [range] ids:
-   range/256 members, floored at 8 (see cset.ml) *)
-let arr_max range = max 8 (range lsr 8)
+   range/512 members, floored at 8 (see cset.ml) *)
+let arr_max range = max 8 (range lsr 9)
 
 (* [count] members of the container starting at [base] with span [range] *)
 let container_members ~base ~range count =
@@ -635,6 +635,11 @@ let check_bitmap_codec ~what n members =
   check_int (what ^ ": guard after") 0xAA (Char.code (Bytes.get out (width + 2)));
   same_as_model ~what:(what ^ " round trip") model (Cset.of_bitmap_bytes n out 2)
 
+(* Universes whose last container's range is 1, 31, 32, 33 or 63 above a
+   multiple of 64: the last bitmap word is partly past the universe, and
+   (but for 96 and 65,568) so is the last byte. *)
+let ragged_universes = [ 65; 95; 96; 97; 127; 65_537; 65_567; 65_568; 65_569; 65_599 ]
+
 let test_bitmap_boundaries () =
   List.iter
     (fun n ->
@@ -652,7 +657,18 @@ let test_bitmap_boundaries () =
           in
           check_bitmap_codec ~what:(Printf.sprintf "arr_max+%d at %d" extra n) n members)
         [ 0; 1 ])
-    [ 1; 7; 8; 9; 33; 300; 17_408; 65_536; 70_001; 140_003 ]
+    [ 1; 7; 8; 9; 33; 300; 17_408; 65_536; 70_001; 140_003 ];
+  (* the last container ending inside a 64-bit word, 1, 31, 32, 33 and
+     63 ids past its last whole one *)
+  List.iter
+    (fun n ->
+      check_bitmap_codec ~what:(Printf.sprintf "empty %d" n) n [];
+      check_bitmap_codec ~what:(Printf.sprintf "full %d" n) n (List.init n Fun.id);
+      check_bitmap_codec ~what:(Printf.sprintf "all but the last of %d" n) n
+        (List.init (n - 1) Fun.id);
+      check_bitmap_codec ~what:(Printf.sprintf "every third of %d" n) n
+        (List.filter (fun v -> v mod 3 = 0 || v = n - 1) (List.init n Fun.id)))
+    ragged_universes
 
 let test_bitmap_ignores_tail_bits () =
   (* bits of the last byte beyond the universe are not members *)
@@ -666,7 +682,14 @@ let test_bitmap_ignores_tail_bits () =
 
 let bitmap_universe_gen =
   QCheck2.Gen.(
-    oneof [ int_range 1 400; int_range 65_537 70_000; return 131_072; return 140_003 ])
+    oneof
+      [
+        int_range 1 400;
+        int_range 65_537 70_000;
+        return 131_072;
+        return 140_003;
+        oneofl ragged_universes;
+      ])
 
 (* Members drawn from a seeded stream: a density per container (empty,
    sparse, around the array threshold, dense, saturated), so one case
@@ -712,6 +735,54 @@ let prop_bitmap_blit_after_removals =
       Cset.blit_bitmap_bytes c out 0;
       Bytes.equal out (bitmap_of n kept)
       && Cset.elements (Cset.of_bitmap_bytes n out 0) = Cset.elements c)
+
+(* members of the sorted array [ma] below [v], by binary search *)
+let model_rank ma v =
+  let lo = ref 0 and hi = ref (Array.length ma) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if ma.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Bitmap pairs at the ragged universes: each id of a side is kept with
+   one probability in 15–85%, so containers with room for it are
+   bitmaps. The word kernels (OR, AND-NOT, the subset pre-check,
+   popcounts, in-word select) run on the partial last word. *)
+let prop_ragged_bitmap_pairs =
+  QCheck2.Test.make ~name:"bitmap pairs at ragged 64-bit tails match the model" ~count:60
+    QCheck2.Gen.(pair (oneofl ragged_universes) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let rng = Rng.create ~seed in
+      let side () =
+        let p = 15 + Rng.int rng 71 in
+        List.filter (fun _ -> Rng.int rng 100 < p) (List.init n Fun.id)
+      in
+      let c, m = of_list n (side ()) in
+      let sc, sm = of_list n (side ()) in
+      let um = model_union m sm and dm = model_diff m sm in
+      let u = Cset.copy c and d = Cset.copy c in
+      let added = Cset.union_into ~dst:u ~src:sc in
+      let removed = Cset.diff_into ~dst:d ~src:sc in
+      let card = List.length m in
+      (* every id of the last 70 and 16 more; every rank of the top 70
+         and 16 more *)
+      let ids = List.init (imin n 70) (fun i -> n - 1 - i) @ List.init 16 (fun _ -> Rng.int rng n) in
+      let ks = List.init (imin card 70) (fun i -> card - 1 - i) in
+      let ks = if card = 0 then ks else ks @ List.init 16 (fun _ -> Rng.int rng card) in
+      let ma = Array.of_list m in
+      added = List.length um - card
+      && agrees u um
+      && removed = card - List.length dm
+      && agrees d dm
+      && Cset.subset sc c = (model_diff sm m = [])
+      && Cset.subset d c && Cset.subset c u && Cset.subset sc u
+      && Cset.inter_cardinal c sc = card - List.length dm
+      && Cset.inter_cardinal d sc = 0
+      && (m = [] || Cset.min_elt c = List.hd m)
+      && (dm = [] || Cset.min_elt d = List.hd dm)
+      && List.for_all (fun v -> Cset.rank c v = model_rank ma v) ids
+      && List.for_all (fun k -> Cset.choose_nth c k = ma.(k)) ks)
 
 let () =
   Alcotest.run "cset"
@@ -761,5 +832,6 @@ let () =
             prop_iter_fold_in_order;
             prop_bitmap_codec;
             prop_bitmap_blit_after_removals;
+            prop_ragged_bitmap_pairs;
           ] );
     ]
