@@ -1,10 +1,11 @@
 (* bench/main.exe — the full benchmark harness.
 
-   Part 1 (B2-B9, B11, B14, B15): Bechamel microbenchmarks of the hot
-   substrate operations (B14: one wire round trip of a snapshot) and of
-   one complete discovery run per key algorithm (B15: hm on the
-   asynchronous engine), each measured on two instances: monotonic
-   clock (ns/run) and minor-heap allocation (words/run); plus two
+   Part 1 (B2-B9, B11, B14, B15): microbenchmarks of the hot substrate
+   operations (B14: one wire round trip of a snapshot) and of one
+   complete discovery run per key algorithm (B15: hm on the
+   asynchronous engine): time per run is Bechamel's OLS estimate on the
+   monotonic clock, and minor words per run an exact [Gc.minor_words]
+   count over a fixed number of runs after a warm-up run; plus two
    single-shot subjects — B12 (full hm run at 65,536) and B13
    (continuous-service soak, per-tick). The allocation figure is the
    one the zero-copy/allocation-free engine work is graded on — see
@@ -31,17 +32,21 @@ open Repro_discovery
 
 (* ---------- microbenchmark subjects ---------- *)
 
+(* A subject: its name and one run of it. *)
+type subject = { label : string; run : unit -> unit }
+
+let subject label f = { label; run = (fun () -> ignore (Sys.opaque_identity (f ()))) }
+
 (* 1,000 bounded draws at a bound that is not a power of two (the
    hm-compact node count), so every draw takes the rejection path *)
 let b2_rng =
   let rng = Rng.create ~seed:2 in
-  Test.make ~name:"B2 rng_int_1k"
-    (Staged.stage (fun () ->
-         let acc = ref 0 in
-         for _ = 1 to 1000 do
-           acc := !acc + Rng.int rng 17_408
-         done;
-         !acc))
+  subject "B2 rng_int_1k" (fun () ->
+      let acc = ref 0 in
+      for _ = 1 to 1000 do
+        acc := !acc + Rng.int rng 17_408
+      done;
+      !acc)
 
 let cset_pair n seed =
   let rng = Rng.create ~seed in
@@ -58,31 +63,26 @@ let b3_knowledge_merge =
   let n = 8192 in
   let labels = Array.init n (fun i -> i) in
   let _, src = cset_pair n 3 in
-  Test.make ~name:"B3 knowledge_merge_8192"
-    (Staged.stage (fun () ->
-         let k = Knowledge.create ~n ~owner:0 ~labels () in
-         ignore (Knowledge.merge_bits k src)))
+  subject "B3 knowledge_merge_8192" (fun () ->
+      let k = Knowledge.create ~n ~owner:0 ~labels () in
+      ignore (Knowledge.merge_bits k src))
 
 let b4_graph_gen =
-  Test.make ~name:"B4 kout_graph_4096"
-    (Staged.stage
-       (let counter = ref 0 in
-        fun () ->
-          incr counter;
-          ignore (Generate.k_out ~rng:(Rng.create ~seed:!counter) ~n:4096 ~k:3)))
+  subject "B4 kout_graph_4096"
+    (let counter = ref 0 in
+     fun () ->
+       incr counter;
+       ignore (Generate.k_out ~rng:(Rng.create ~seed:!counter) ~n:4096 ~k:3))
 
 let full_run name algo =
-  Test.make ~name
-    (Staged.stage
-       (let counter = ref 0 in
-        fun () ->
-          incr counter;
-          let seed = !counter in
-          let topo =
-            Generate.of_seed (Generate.K_out 3) ~n:1024 ~seed
-          in
-          let r = Run.exec_spec { Run.default_spec with Run.seed } algo topo in
-          assert r.Run.completed))
+  subject name
+    (let counter = ref 0 in
+     fun () ->
+       incr counter;
+       let seed = !counter in
+       let topo = Generate.of_seed (Generate.K_out 3) ~n:1024 ~seed in
+       let r = Run.exec_spec { Run.default_spec with Run.seed } algo topo in
+       assert r.Run.completed)
 
 let b5 = full_run "B5 full_run_hm_1024" Hm_gossip.algorithm
 let b6 = full_run "B6 full_run_name_dropper_1024" Name_dropper.algorithm
@@ -93,20 +93,17 @@ let b8 = full_run "B8 full_run_rand_gossip_1024" Rand_gossip.algorithm
    lazy lifecycle rules and per-message latency draws, under the same
    algorithm and topology. *)
 let b15_async =
-  Test.make ~name:"B15 async_run_hm_1024"
-    (Staged.stage
-       (let counter = ref 0 in
-        fun () ->
-          incr counter;
-          let seed = !counter in
-          let topo =
-            Generate.of_seed (Generate.K_out 3) ~n:1024 ~seed
-          in
-          let r =
-            Run_async.exec_spec { Run_async.default_spec with Run_async.seed } Hm_gossip.algorithm
-              topo
-          in
-          assert r.Run_async.completed))
+  subject "B15 async_run_hm_1024"
+    (let counter = ref 0 in
+     fun () ->
+       incr counter;
+       let seed = !counter in
+       let topo = Generate.of_seed (Generate.K_out 3) ~n:1024 ~seed in
+       let r =
+         Run_async.exec_spec { Run_async.default_spec with Run_async.seed } Hm_gossip.algorithm
+           topo
+       in
+       assert r.Run_async.completed)
 
 (* One broadcast round of the swamping instance at n = 65536, against a
    single shared receiver whose knowledge is already complete (so the
@@ -147,8 +144,8 @@ let b9_broadcast =
     Repro_engine.Metrics.record_send metrics ~pointers:(Payload.measure payload) ~bytes:0;
     receiver.Algorithm.receive ~src:0 payload
   in
-  Test.make ~name:"B9 broadcast_round_65536"
-    (Staged.stage (fun () -> sender.Algorithm.round ~round:1 ~send))
+  subject "B9 broadcast_round_65536"
+    (fun () -> sender.Algorithm.round ~round:1 ~send)
 
 (* Binary set operations at the knowledge-state sizes the large-n
    engine work targets: copy the destination, then union a fixed
@@ -160,11 +157,11 @@ let cset_subjects op_name op =
   List.map
     (fun n ->
       let dst0, src = cset_pair n (n lxor 22) in
-      Test.make
-        ~name:(Printf.sprintf "B11 cset_%s_%d" op_name n)
-        (Staged.stage (fun () ->
-             let dst = Cset.copy dst0 in
-             ignore (op ~dst ~src))))
+      subject
+        (Printf.sprintf "B11 cset_%s_%d" op_name n)
+        (fun () ->
+          let dst = Cset.copy dst0 in
+          ignore (op ~dst ~src)))
     [ 4096; 65536; 1048576 ]
 
 (* The mid-density band hm's merges live in: at n = 17,408 (one
@@ -186,11 +183,11 @@ let cset_union_band =
         b
       in
       let dst0 = mk () and src = mk () in
-      Test.make
-        ~name:(Printf.sprintf "B11 cset_union_%d_card%d" n card)
-        (Staged.stage (fun () ->
-             let dst = Cset.copy dst0 in
-             ignore (Cset.union_into ~dst ~src))))
+      subject
+        (Printf.sprintf "B11 cset_union_%d_card%d" n card)
+        (fun () ->
+          let dst = Cset.copy dst0 in
+          ignore (Cset.union_into ~dst ~src)))
     [ 32; 256; 1024 ]
 
 (* A sorted insert into a long-lived array container one member short
@@ -205,10 +202,10 @@ let cset_add_sorted =
     ignore (Cset.add t (i * 512))
   done;
   Gc.full_major ();
-  Test.make ~name:"B11 cset_add_sorted_65536"
-    (Staged.stage (fun () ->
-         ignore (Cset.add t 0);
-         ignore (Cset.remove t 0)))
+  subject "B11 cset_add_sorted_65536"
+    (fun () ->
+      ignore (Cset.add t 0);
+      ignore (Cset.remove t 0))
 
 (* One wire round trip of a half-full knowledge snapshot at n = 65,536,
    the per-frame cost a snapshot pays on the mux path: Adaptive picks
@@ -222,13 +219,12 @@ let b14_wire_bits =
     if Rng.int rng 2 = 0 then ignore (Cset.add set v)
   done;
   let payload = Payload.Share (Payload.Bits (Knowledge.external_snapshot (Cset.freeze set))) in
-  Test.make ~name:"B14 wire_bits_roundtrip_65536"
-    (Staged.stage (fun () ->
-         match
-           Wire.decode ~universe:n (Wire.encode Wire.Adaptive ~universe:n payload)
-         with
-         | Ok _ -> ()
-         | Error msg -> failwith msg))
+  subject "B14 wire_bits_roundtrip_65536"
+    (fun () ->
+      let frame = Wire.encode Wire.Adaptive ~universe:n ~room:0 payload in
+      match Wire.decode ~universe:n frame ~off:0 ~len:(Bytes.length frame) with
+      | Ok _ -> ()
+      | Error msg -> failwith msg)
 
 (* ---------- measurement and reporting ---------- *)
 
@@ -237,31 +233,46 @@ type row = { name : string; ns_per_run : float; minor_words_per_run : float }
 let estimate ols =
   match Bechamel.Analyze.OLS.estimates ols with Some (t :: _) -> t | _ -> Float.nan
 
+(* Runs per exact allocation count. Bechamel's [minor_allocated]
+   estimate reads 0 for subjects that allocate a few dozen words per run
+   (its per-run figure drowns in the sampling noise), so the words come
+   from [Gc.minor_words] itself: one warm-up run (scratch growth,
+   memoised snapshots), then this many runs between two readings. The
+   reading is unboxed, so the window adds nothing of its own. *)
+let exact_runs = 64
+
+let words_per_run s =
+  s.run ();
+  let before = Gc.minor_words () in
+  for _ = 1 to exact_runs do
+    s.run ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int exact_runs
+
 let measure_subjects () =
+  let subjects =
+    [ b2_rng; b3_knowledge_merge; b4_graph_gen; b5; b6; b7; b8; b9_broadcast ]
+    @ cset_subjects "union" Cset.union_into
+    @ cset_subjects "diff" Cset.diff_into
+    @ cset_union_band
+    @ [ cset_add_sorted; b14_wire_bits; b15_async ]
+  in
   let tests =
     Test.make_grouped ~name:"repro"
-      ([ b2_rng; b3_knowledge_merge; b4_graph_gen; b5; b6; b7; b8; b9_broadcast ]
-      @ cset_subjects "union" Cset.union_into
-      @ cset_subjects "diff" Cset.diff_into
-      @ cset_union_band
-      @ [ cset_add_sorted; b14_wire_bits; b15_async ])
+      (List.map (fun s -> Test.make ~name:s.label (Staged.stage s.run)) subjects)
   in
-  let instances = Instance.[ monotonic_clock; minor_allocated ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 2.0) ~stabilize:true () in
-  let raw = Benchmark.all cfg instances tests in
+  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
   let ols = Bechamel.Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
   let times = Bechamel.Analyze.all ols Instance.monotonic_clock raw in
-  let allocs = Bechamel.Analyze.all ols Instance.minor_allocated raw in
-  let rows =
-    Hashtbl.fold
-      (fun name t acc ->
-        let words =
-          match Hashtbl.find_opt allocs name with Some a -> estimate a | None -> Float.nan
-        in
-        { name; ns_per_run = estimate t; minor_words_per_run = words } :: acc)
-      times []
-  in
-  List.sort (fun a b -> String.compare a.name b.name) rows
+  List.map
+    (fun s ->
+      let name = "repro/" ^ s.label in
+      let ns =
+        match Hashtbl.find_opt times name with Some t -> estimate t | None -> Float.nan
+      in
+      { name; ns_per_run = ns; minor_words_per_run = words_per_run s })
+    subjects
 
 (* The scale subject: one complete hm run at n = 65,536 (compact
    knowledge regime, domain-parallel engine at the machine's default job
@@ -336,7 +347,7 @@ let human_words w =
   else Printf.sprintf "%.0f w" w
 
 let print_table rows =
-  print_endline "## Microbenchmarks (OLS per-run estimates)\n";
+  print_endline "## Microbenchmarks (time: OLS per-run estimate; words: exact count per run)\n";
   let table =
     Table.create
       ~columns:

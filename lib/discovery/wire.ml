@@ -26,10 +26,14 @@ let put_varint out pos v =
   Bytes.set out !pos (Char.unsafe_chr !v);
   !pos + 1
 
-let read_varint bytes pos =
-  let v = ref 0 and shift = ref 0 and continue = ref true in
+(* The varint at [pos], which must end before [stop]. Only the minimal
+   form of a non-negative value is accepted, so the varint is exactly
+   [varint_bytes v] bytes long: callers advance by that, and keep their
+   position in an unboxed local. *)
+let read_varint bytes pos stop =
+  let v = ref 0 and shift = ref 0 and continue = ref true and pos = ref pos in
   while !continue do
-    if !pos >= Bytes.length bytes then invalid_arg "Wire.decode: truncated varint";
+    if !pos >= stop then invalid_arg "Wire.decode: truncated varint";
     let b = Char.code (Bytes.get bytes !pos) in
     incr pos;
     (* a zero final group after the first is a padded, non-minimal
@@ -40,7 +44,13 @@ let read_varint bytes pos =
     if b < 0x80 then continue := false
     else if !shift > 62 then invalid_arg "Wire.decode: varint overflow"
   done;
+  if !v < 0 then invalid_arg "Wire.decode: varint overflow";
   !v
+
+(* [varint_size] of a value [read_varint] returned. It is never
+   negative, so it needs no clamp, and [varint_size]'s [max] is a call
+   to the polymorphic comparison per varint. *)
+let rec varint_bytes v = if v < 0x80 then 1 else 1 + varint_bytes (v lsr 7)
 
 (* canonical identifier list of a data payload: sorted, deduplicated *)
 let ids_of_data = function
@@ -139,11 +149,11 @@ let check_liveness ~universe ~target ~aux =
    - raw32: varint count, then 4 little-endian bytes per id;
    - varint: varint count, then per id a varint gap (id - prev - 1);
    - bitmap: ⌈universe/8⌉ bytes, bit [id land 7] of byte [id lsr 3].
-   [Bits] snapshots iterate their set; [Ids]/[Delta] lists are sorted
-   and deduplicated into a scratch array first. Both then go through
-   the same codec rule ({!codec_of}), the same size ({!body_size}) and
-   the same writer ({!write_body}), so [encode] writes exactly
-   [encoded_size] bytes. *)
+   [Bits] snapshots are walked into a scratch array (unless their body
+   is a bitmap blit); [Ids]/[Delta] lists are sorted and deduplicated
+   into it. Both then go through the same codec rule ({!codec_of}), the
+   same size ({!body_size}) and the same writer ({!write_body}), so
+   [encode] writes exactly [encoded_size] bytes. *)
 
 (* The body codec of a set of [card] distinct ids. [Adaptive] takes the
    varint body when it is no larger than the bitmap. A varint body is at
@@ -166,32 +176,40 @@ let body_size codec ~universe ~card vbytes x =
   | 1 -> vbytes x
   | _ -> bitmap_size ~universe
 
-(* The [codec] body of [card] ids, written into the zeroed, exactly
-   sized [out] from byte 2. [iter f] applies [f] to every id once, in
-   ascending order. *)
-let write_body codec out ~card iter =
+(* The [codec] body of the ascending, distinct ids [arr.(0 .. card-1)],
+   written into the zeroed, exactly sized [out] from byte [at]. Plain
+   loops: no closure and no boxed counter per message. *)
+let write_body codec out ~at arr card =
   match codec with
   | 0 ->
-    let pos = ref (put_varint out 2 card) in
-    iter (fun v ->
-        Bytes.set_uint16_le out !pos (v land 0xFFFF);
-        Bytes.set_uint16_le out (!pos + 2) ((v lsr 16) land 0xFFFF);
-        pos := !pos + 4)
+    let pos = ref (put_varint out at card) in
+    for i = 0 to card - 1 do
+      let v = arr.(i) in
+      Bytes.set_uint16_le out !pos (v land 0xFFFF);
+      Bytes.set_uint16_le out (!pos + 2) ((v lsr 16) land 0xFFFF);
+      pos := !pos + 4
+    done
   | 1 ->
-    let pos = ref (put_varint out 2 card) in
+    let pos = ref (put_varint out at card) in
     let prev = ref (-1) in
-    iter (fun v ->
-        pos := put_varint out !pos (v - !prev - 1);
-        prev := v)
+    for i = 0 to card - 1 do
+      let v = arr.(i) in
+      pos := put_varint out !pos (v - !prev - 1);
+      prev := v
+    done
   | _ ->
-    iter (fun v ->
-        let i = 2 + (v lsr 3) in
-        Bytes.set out i (Char.unsafe_chr (Char.code (Bytes.get out i) lor (1 lsl (v land 7)))))
+    for i = 0 to card - 1 do
+      let v = arr.(i) in
+      let j = at + (v lsr 3) in
+      Bytes.set out j (Char.unsafe_chr (Char.code (Bytes.get out j) lor (1 lsl (v land 7))))
+    done
 
-let id_frame kind codec_byte body =
-  let out = Bytes.make (2 + body) '\000' in
-  Bytes.set out 0 (Char.unsafe_chr kind);
-  Bytes.set out 1 (Char.unsafe_chr codec_byte);
+(* A zeroed id-set message of [body] body bytes after [room] bytes of
+   room: kind byte at [room], codec byte at [room + 1]. *)
+let id_frame ~room kind codec_byte body =
+  let out = Bytes.make (room + 2 + body) '\000' in
+  Bytes.set out room (Char.unsafe_chr kind);
+  Bytes.set out (room + 1) (Char.unsafe_chr codec_byte);
   out
 
 (* Fold step for the set walk, with (prev + 1, running total) packed
@@ -217,26 +235,6 @@ let varint_size_of_bits (b : Knowledge.snap) =
     size
   end
 
-(* A [Bits] snapshot is written straight from its set, with the
-   snapshot flag on its codec byte. A bitmap body of a set bounded by
-   the universe is a blit of the set's own bitmap bytes. *)
-let encode_bits encoding ~universe kind (b : Knowledge.snap) =
-  let set = b.Knowledge.set in
-  (* a set bounded by the universe cannot hold an out-of-range id *)
-  if Cset.capacity set > universe then
-    Cset.iter
-      (fun v -> if v >= universe then invalid_arg "Wire.encode: identifier out of range")
-      set;
-  let card = Cset.cardinal set in
-  let codec = codec_of encoding ~universe ~card varint_size_of_bits b in
-  let out =
-    id_frame kind (codec lor snapshot_flag)
-      (body_size codec ~universe ~card varint_size_of_bits b)
-  in
-  if codec = 2 && Cset.capacity set <= universe then Cset.blit_bitmap_bytes set out 2
-  else write_body codec out ~card (fun f -> Cset.iter f set);
-  out
-
 (* [Ids]/[Delta] lists are sorted in a grow-only scratch array
    ({!Intvec.sort_prefix}) rather than materialised as a list per
    message: delta windows are re-sent every round until acknowledged,
@@ -245,19 +243,70 @@ let encode_bits encoding ~universe kind (b : Knowledge.snap) =
    messages concurrently. *)
 let size_scratch : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
 
+(* Grow the scratch to hold [m] ids; returns it. *)
+let scratch_for m =
+  let scratch = Domain.DLS.get size_scratch in
+  if Array.length !scratch < m then scratch := Array.make (max m (2 * Array.length !scratch)) 0;
+  !scratch
+
+(* A set's ids are walked into the scratch by one sink per domain,
+   built once with its closure, so a walk allocates nothing. *)
+type sink = { into : int array ref; mutable len : int; push : int -> unit }
+
+let sink_key =
+  Domain.DLS.new_key (fun () ->
+      let rec s =
+        {
+          into = Domain.DLS.get size_scratch;
+          len = 0;
+          push =
+            (fun v ->
+              !(s.into).(s.len) <- v;
+              s.len <- s.len + 1);
+        }
+      in
+      s)
+
+(* The set's ids, ascending, in the scratch's first [cardinal] slots. *)
+let collect set =
+  let arr = scratch_for (Cset.cardinal set) in
+  let s = Domain.DLS.get sink_key in
+  s.len <- 0;
+  Cset.iter s.push set;
+  arr
+
+(* A [Bits] snapshot is written from its set, with the snapshot flag on
+   its codec byte. A bitmap body of a set bounded by the universe is a
+   blit of the set's own bitmap bytes; any other body is written from
+   the set's ids walked into the scratch, where the largest also shows
+   whether a set wider than the universe holds an out-of-range id. *)
+let encode_bits encoding ~universe ~room kind (b : Knowledge.snap) =
+  let set = b.Knowledge.set in
+  let card = Cset.cardinal set in
+  let codec = codec_of encoding ~universe ~card varint_size_of_bits b in
+  let blit = codec = 2 && Cset.capacity set <= universe in
+  let arr = if blit then [||] else collect set in
+  if (not blit) && card > 0 && arr.(card - 1) >= universe then
+    invalid_arg "Wire.encode: identifier out of range";
+  let out =
+    id_frame ~room kind (codec lor snapshot_flag)
+      (body_size codec ~universe ~card varint_size_of_bits b)
+  in
+  if blit then Cset.blit_bitmap_bytes set out (room + 2)
+  else write_body codec out ~at:(room + 2) arr card;
+  out
+
 (* Sort a list payload's ids into the scratch and drop duplicates in
    place; returns the distinct count [card]: the canonical set is then
    the scratch's first [card] slots. *)
 let sort_ids d =
-  let scratch = Domain.DLS.get size_scratch in
   let m =
     match d with
     | Payload.Ids a -> Array.length a
     | Payload.Delta s -> Intvec.slice_length s
     | Payload.Bits _ | Payload.Updates _ -> invalid_arg "Wire.sort_ids: non-list payload"
   in
-  if Array.length !scratch < m then scratch := Array.make (max m (2 * Array.length !scratch)) 0;
-  let arr = !scratch in
+  let arr = scratch_for m in
   (match d with
   | Payload.Ids a -> Intvec.blit_ints a 0 arr 0 m
   | Payload.Delta s ->
@@ -285,35 +334,32 @@ let sorted_vbytes arr card =
   done;
   !total
 
-let encode_ids encoding ~universe kind d =
+let encode_ids encoding ~universe ~room kind d =
   let card = sort_ids d in
   let arr = !(Domain.DLS.get size_scratch) in
   if card > 0 && (arr.(0) < 0 || arr.(card - 1) >= universe) then
     invalid_arg "Wire.encode: identifier out of range";
   let vbytes = sorted_vbytes arr card in
   let codec = codec_of encoding ~universe ~card Fun.id vbytes in
-  let out = id_frame kind codec (body_size codec ~universe ~card Fun.id vbytes) in
-  write_body codec out ~card (fun f ->
-      for i = 0 to card - 1 do
-        f arr.(i)
-      done);
+  let out = id_frame ~room kind codec (body_size codec ~universe ~card Fun.id vbytes) in
+  write_body codec out ~at:(room + 2) arr card;
   out
 
 (* Kinds 3-7 and update batches are written straight into one exactly
    sized buffer: a probe costs its one-byte block and nothing else. *)
-let encode_liveness kind ~universe ~target ~aux =
+let encode_liveness kind ~universe ~room ~target ~aux =
   check_liveness ~universe ~target ~aux;
-  let out = Bytes.create (1 + varint_size target + varint_size aux) in
-  Bytes.set out 0 (Char.unsafe_chr kind);
-  ignore (put_varint out (put_varint out 1 target) aux);
+  let out = Bytes.create (room + 1 + varint_size target + varint_size aux) in
+  Bytes.set out room (Char.unsafe_chr kind);
+  ignore (put_varint out (put_varint out (room + 1) target) aux);
   out
 
-let encode_updates ~universe kind ~full entries =
+let encode_updates ~universe ~room kind ~full entries =
   check_updates ~universe entries;
-  let out = Bytes.create (2 + updates_body_size entries) in
-  Bytes.set out 0 (Char.unsafe_chr kind);
-  Bytes.set out 1 (Char.unsafe_chr (3 lor if full then updates_full_flag else 0));
-  let pos = ref (put_varint out 2 (Payload.update_count entries)) in
+  let out = Bytes.create (room + 2 + updates_body_size entries) in
+  Bytes.set out room (Char.unsafe_chr kind);
+  Bytes.set out (room + 1) (Char.unsafe_chr (3 lor if full then updates_full_flag else 0));
+  let pos = ref (put_varint out (room + 2) (Payload.update_count entries)) in
   let prev = ref (-1) in
   for i = 0 to Payload.update_count entries - 1 do
     let node = Payload.update_node entries i in
@@ -325,21 +371,27 @@ let encode_updates ~universe kind ~full entries =
   done;
   out
 
-let encode encoding ~universe payload =
+let encode encoding ~universe ~room payload =
+  if room < 0 then invalid_arg "Wire.encode: negative room";
   let kind = kind_tag payload in
   match payload with
-  | Payload.Probe | Payload.Halt -> Bytes.make 1 (Char.unsafe_chr kind)
+  | Payload.Probe | Payload.Halt ->
+    let out = Bytes.create (room + 1) in
+    Bytes.set out room (Char.unsafe_chr kind);
+    out
   | Payload.Probe_req { target; nonce } | Payload.Probe_ack { target; nonce } ->
-    encode_liveness kind ~universe ~target ~aux:nonce
-  | Payload.Suspicion { target; version } -> encode_liveness kind ~universe ~target ~aux:version
+    encode_liveness kind ~universe ~room ~target ~aux:nonce
+  | Payload.Suspicion { target; version } ->
+    encode_liveness kind ~universe ~room ~target ~aux:version
   | Payload.Share (Payload.Bits b) | Payload.Exchange (Payload.Bits b)
   | Payload.Reply (Payload.Bits b) ->
-    encode_bits encoding ~universe kind b
+    encode_bits encoding ~universe ~room kind b
   | Payload.Share (Payload.Updates u)
   | Payload.Exchange (Payload.Updates u)
   | Payload.Reply (Payload.Updates u) ->
-    encode_updates ~universe kind ~full:u.full u.entries
-  | Payload.Share d | Payload.Exchange d | Payload.Reply d -> encode_ids encoding ~universe kind d
+    encode_updates ~universe ~room kind ~full:u.full u.entries
+  | Payload.Share d | Payload.Exchange d | Payload.Reply d ->
+    encode_ids encoding ~universe ~room kind d
 
 let encoded_size encoding ~universe payload =
   match payload with
@@ -365,23 +417,30 @@ let encoded_size encoding ~universe payload =
    malformed buffer — truncation, corruption, hostile lengths — must be
    reported as [Error], never raised, and must never trigger a large
    allocation (claimed element counts are validated against the bytes
-   actually present before any array is sized from them). The raising
-   internal form is wrapped once at the bottom. *)
-let decode_exn ~universe bytes =
-  if Bytes.length bytes < 1 then invalid_arg "Wire.decode: empty message";
-  let kind = Char.code (Bytes.get bytes 0) in
+   actually present before any array is sized from them). The message
+   is the [len] bytes at [off]; nothing outside them is read. The
+   raising internal form is wrapped once at the bottom. *)
+
+(* The set a list-form id body is not built into: never written. *)
+let no_set = Cset.create 0
+
+let decode_exn ~universe bytes ~off ~len =
+  let stop = off + len in
+  if len < 1 then invalid_arg "Wire.decode: empty message";
+  let kind = Char.code (Bytes.get bytes off) in
   if kind = 3 || kind = 4 then begin
-    if Bytes.length bytes <> 1 then invalid_arg "Wire.decode: oversized probe/halt";
+    if len <> 1 then invalid_arg "Wire.decode: oversized probe/halt";
     if kind = 3 then Payload.Probe else Payload.Halt
   end
   else if kind >= 5 && kind <= 7 then begin
-    let pos = ref 1 in
-    let target = read_varint bytes pos in
-    if target < 0 || target >= universe then invalid_arg "Wire.decode: identifier out of range";
-    let aux = read_varint bytes pos in
-    if aux < 0 then invalid_arg "Wire.decode: correlation value overflow";
+    let pos = ref (off + 1) in
+    let target = read_varint bytes !pos stop in
+    pos := !pos + varint_bytes target;
+    if target >= universe then invalid_arg "Wire.decode: identifier out of range";
+    let aux = read_varint bytes !pos stop in
+    pos := !pos + varint_bytes aux;
     (* canonical form is exactly two varints: trailing bytes are noise *)
-    if !pos <> Bytes.length bytes then invalid_arg "Wire.decode: trailing bytes";
+    if !pos <> stop then invalid_arg "Wire.decode: trailing bytes";
     match kind with
     | 5 -> Payload.Probe_req { target; nonce = aux }
     | 6 -> Payload.Probe_ack { target; nonce = aux }
@@ -389,97 +448,95 @@ let decode_exn ~universe bytes =
   end
   else begin
     if kind > 2 then invalid_arg "Wire.decode: unknown message kind";
-    if Bytes.length bytes < 2 then invalid_arg "Wire.decode: truncated header";
-    let codec_byte = Char.code (Bytes.get bytes 1) in
+    if len < 2 then invalid_arg "Wire.decode: truncated header";
+    let codec_byte = Char.code (Bytes.get bytes (off + 1)) in
     let snapshot = codec_byte land snapshot_flag <> 0 in
     let full = codec_byte land updates_full_flag <> 0 in
     let codec = codec_byte land 0x3F in
     if full && codec <> 3 then invalid_arg "Wire.decode: full flag on a non-update codec";
     if snapshot && codec = 3 then invalid_arg "Wire.decode: snapshot flag on an update batch";
-    let pos = ref 2 in
+    let pos = ref (off + 2) in
+    (* The snapshot flag restores the sender's form: the body codec was
+       a size decision. A snapshot is built straight into its set, a
+       list into its array, whichever codec carried the ids. *)
     let data =
       match codec with
-      | 0 ->
-        let count = read_varint bytes pos in
-        (* exact-length check before sizing the array: a hostile count
-           cannot make us allocate more than the buffer itself implies *)
-        if count < 0 || count > (Bytes.length bytes - !pos) / 4 then
-          invalid_arg "Wire.decode: raw32 length mismatch";
-        if Bytes.length bytes - !pos <> 4 * count then
-          invalid_arg "Wire.decode: raw32 length mismatch";
-        let out = Array.make count 0 in
-        for i = 0 to count - 1 do
-          let b k = Char.code (Bytes.get bytes (!pos + k)) in
-          let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-          if v >= universe then invalid_arg "Wire.decode: identifier out of range";
-          out.(i) <- v;
-          pos := !pos + 4
-        done;
-        Payload.Ids out
-      | 1 ->
-        let count = read_varint bytes pos in
-        (* each gap varint is at least one byte, so a valid count never
-           exceeds the remaining length *)
-        if count < 0 || count > Bytes.length bytes - !pos then
+      | 0 | 1 ->
+        let count = read_varint bytes !pos stop in
+        pos := !pos + varint_bytes count;
+        (* validated before anything is sized from it: a raw32 body is
+           exactly 4 bytes per id, and each varint gap is at least one
+           byte, so a valid count never exceeds the remaining length *)
+        if codec = 0 then begin
+          if count > (stop - !pos) / 4 || stop - !pos <> 4 * count then
+            invalid_arg "Wire.decode: raw32 length mismatch"
+        end
+        else if count > stop - !pos then
           invalid_arg "Wire.decode: varint count exceeds buffer";
-        let out = Array.make count 0 in
+        let set = if snapshot then Cset.create universe else no_set in
+        let out = if snapshot then [||] else Array.make count 0 in
         let prev = ref (-1) in
         for i = 0 to count - 1 do
-          let gap = read_varint bytes pos in
-          let v = !prev + 1 + gap in
+          let v =
+            if codec = 0 then begin
+              let p = !pos in
+              pos := p + 4;
+              let b k = Char.code (Bytes.get bytes (p + k)) in
+              b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
+            end
+            else begin
+              let gap = read_varint bytes !pos stop in
+              pos := !pos + varint_bytes gap;
+              !prev + 1 + gap
+            end
+          in
           (* checked per element: gap-sum overflow would otherwise wrap
              negative and slip past a final >= universe test *)
           if v < 0 || v >= universe then invalid_arg "Wire.decode: identifier out of range";
-          out.(i) <- v;
+          if snapshot then ignore (Cset.add set v) else out.(i) <- v;
           prev := v
         done;
-        if !pos <> Bytes.length bytes then invalid_arg "Wire.decode: trailing bytes";
-        Payload.Ids out
+        if !pos <> stop then invalid_arg "Wire.decode: trailing bytes";
+        if snapshot then Payload.Bits (Knowledge.external_snapshot set) else Payload.Ids out
       | 2 ->
         let width = (universe + 7) / 8 in
-        if Bytes.length bytes - 2 <> width then invalid_arg "Wire.decode: bitmap width mismatch";
+        if len - 2 <> width then invalid_arg "Wire.decode: bitmap width mismatch";
         (* bits of the final partial byte beyond [universe) would be
            silently dropped; reject them as corruption instead *)
         if universe land 7 <> 0 then begin
-          let last = Char.code (Bytes.get bytes (Bytes.length bytes - 1)) in
+          let last = Char.code (Bytes.get bytes (stop - 1)) in
           if last lsr (universe land 7) <> 0 then
             invalid_arg "Wire.decode: bitmap has bits beyond the universe"
         end;
-        Payload.Bits (Knowledge.external_snapshot (Cset.of_bitmap_bytes universe bytes 2))
+        let set = Cset.of_bitmap_bytes universe bytes (off + 2) in
+        if snapshot then Payload.Bits (Knowledge.external_snapshot set)
+        else Payload.Ids (Cset.to_array set)
       | 3 ->
-        let count = read_varint bytes pos in
+        let count = read_varint bytes !pos stop in
+        pos := !pos + varint_bytes count;
         (* each entry is at least three bytes (gap, version, status), so
            a valid count never exceeds a third of the remaining length *)
-        if count < 0 || count > (Bytes.length bytes - !pos) / 3 then
+        if count > (stop - !pos) / 3 then
           invalid_arg "Wire.decode: updates count exceeds buffer";
         let entries = Array.make (2 * count) 0 in
         let prev = ref (-1) in
         for i = 0 to count - 1 do
-          let gap = read_varint bytes pos in
+          let gap = read_varint bytes !pos stop in
+          pos := !pos + varint_bytes gap;
           let node = !prev + 1 + gap in
           if node < 0 || node >= universe then invalid_arg "Wire.decode: identifier out of range";
-          let version = read_varint bytes pos in
-          if version < 0 then invalid_arg "Wire.decode: version overflow";
-          if !pos >= Bytes.length bytes then invalid_arg "Wire.decode: truncated update status";
+          let version = read_varint bytes !pos stop in
+          pos := !pos + varint_bytes version;
+          if !pos >= stop then invalid_arg "Wire.decode: truncated update status";
           let status = Char.code (Bytes.get bytes !pos) in
           incr pos;
           if status > Payload.status_down then invalid_arg "Wire.decode: unknown update status";
           Payload.set_update entries i ~node ~version ~status;
           prev := node
         done;
-        if !pos <> Bytes.length bytes then invalid_arg "Wire.decode: trailing bytes";
+        if !pos <> stop then invalid_arg "Wire.decode: trailing bytes";
         Payload.Updates { full; entries }
       | _ -> invalid_arg "Wire.decode: unknown body codec"
-    in
-    (* restore the sender's form: the body codec was a size decision *)
-    let data =
-      match (data, snapshot) with
-      | Payload.Ids out, true ->
-        let bits = Cset.create universe in
-        Array.iter (fun v -> ignore (Cset.add bits v)) out;
-        Payload.Bits (Knowledge.external_snapshot bits)
-      | Payload.Bits b, false -> Payload.Ids (Cset.to_array b.Knowledge.set)
-      | (Payload.Ids _ | Payload.Bits _ | Payload.Delta _ | Payload.Updates _), _ -> data
     in
     match kind with
     | 0 -> Payload.Share data
@@ -488,8 +545,11 @@ let decode_exn ~universe bytes =
     | _ -> invalid_arg "Wire.decode: unknown message kind"
   end
 
-let decode ~universe bytes =
+let decode ~universe bytes ~off ~len =
   if universe < 0 then Error "Wire.decode: negative universe"
-  else match decode_exn ~universe bytes with
+  else if off < 0 || len < 0 || off > Bytes.length bytes - len then
+    Error "Wire.decode: slice out of bounds"
+  else
+    match decode_exn ~universe bytes ~off ~len with
     | payload -> Ok payload
     | exception Invalid_argument msg -> Error msg

@@ -24,20 +24,28 @@ type encoding = Raw32 | Varint_delta | Bitmap | Adaptive
 val encoding_name : encoding -> string
 val all_encodings : encoding list
 
-val encode : encoding -> universe:int -> Payload.t -> bytes
-(** Serialise a message into one buffer of exactly {!encoded_size}
-    bytes. [universe] is the id space size [n] (needed for bitmap
-    width); identifiers must lie in [0, universe). Every identifier set
+val encode : encoding -> universe:int -> room:int -> Payload.t -> bytes
+(** Serialise a message into one buffer of exactly [room +]
+    {!encoded_size} bytes: the message starts at byte [room], and the
+    first [room] bytes are left for the caller to fill (the live path
+    passes [Envelope.header_size], so the envelope's header is written
+    into the same buffer and the body is never copied). [universe] is
+    the id space size [n] (needed for bitmap width); identifiers must
+    lie in [0, universe). Every identifier set
     — a [Bits] snapshot, an [Ids] list or a [Delta] slice — is written
     as its distinct identifiers in ascending order under one codec rule:
     [Raw32], [Varint_delta] and [Bitmap] fix the body codec, and
     [Adaptive] takes the varint body when it is no larger than the
     bitmap. The update batches and the liveness kinds have one codec
     each, whatever the [encoding].
-    @raise Invalid_argument on out-of-range identifiers. *)
+    @raise Invalid_argument on out-of-range identifiers or a negative
+    [room]. *)
 
-val decode : universe:int -> bytes -> (Payload.t, string) result
-(** Inverse of {!encode} up to the set-of-identifiers semantics of the
+val decode : universe:int -> bytes -> off:int -> len:int -> (Payload.t, string) result
+(** [decode ~universe buf ~off ~len] decodes the message held in the
+    [len] bytes at [off], reading nothing outside them, so a message
+    is decoded where it lies (in an envelope, in a stream buffer).
+    Inverse of {!encode} up to the set-of-identifiers semantics of the
     payload: identifier lists come back sorted and deduplicated, and a
     [Delta] slice comes back as [Ids]. The snapshot form is preserved
     exactly — a payload sent as [Bits] decodes as [Bits] and one sent as
@@ -50,12 +58,14 @@ val decode : universe:int -> bytes -> (Payload.t, string) result
     [Error], never an exception, and claimed element counts are
     validated against the bytes actually present before any allocation
     is sized from them (a 5-byte buffer cannot demand a billion-element
-    array). The codec byte of each frame names its body codec, so no
-    [encoding] is needed. The network transport layer decodes socket
-    input through this function. *)
+    array); a slice outside the buffer is an [Error] too. The codec byte
+    of each frame names its body codec, so no [encoding] is needed. A
+    snapshot is built straight into its set and an id list into its
+    array, whichever body codec carried the ids. The network transport
+    layer decodes socket input through this function. *)
 
 val encoded_size : encoding -> universe:int -> Payload.t -> int
-(** [encoded_size e ~universe p] = [Bytes.length (encode e ~universe p)],
+(** [encoded_size e ~universe p] = [Bytes.length (encode e ~universe ~room:0 p)],
     computed without materialising the buffer. *)
 
 val ids_of_payload : Payload.t -> int list

@@ -36,8 +36,6 @@ let max_body = 16 * 1024 * 1024
 
 type kind = Data | Ack | Hello | Done
 
-type t = { kind : kind; src : int; stamp : int; seq : int; ack : int; comp : bool; body : bytes }
-
 let kind_code = function Data -> 0 | Ack -> 1 | Hello -> 2 | Done -> 3
 let comp_bit = 0x80
 let crc_mismatch = "CRC mismatch"
@@ -79,30 +77,31 @@ let get_u32 buf off =
   lor (Char.code (Bytes.unsafe_get buf (off + 3)) lsl 24)
 
 let check_u31 name v =
-  if v < 0 || v > 0x7FFFFFFF then invalid_arg (Printf.sprintf "Envelope.encode: %s out of range" name)
+  if v < 0 || v > 0x7FFFFFFF then invalid_arg (Printf.sprintf "Envelope.seal: %s out of range" name)
 
-let encode t =
-  check_u31 "src" t.src;
-  check_u31 "stamp" t.stamp;
-  check_u31 "seq" t.seq;
-  check_u31 "ack" t.ack;
-  let blen = Bytes.length t.body in
-  if blen > max_body then invalid_arg "Envelope.encode: body too large";
-  let out = Bytes.create (header_size + blen) in
-  Bytes.set out 0 magic0;
-  Bytes.set out 1 magic1;
-  Bytes.set out 2 (Char.chr version);
-  Bytes.set out 3 (Char.chr (kind_code t.kind lor if t.comp then comp_bit else 0));
-  put_u32 out 4 t.src;
-  put_u32 out 8 t.stamp;
-  put_u32 out 12 t.seq;
-  put_u32 out 16 t.ack;
-  put_u32 out 20 blen;
-  Bytes.blit t.body 0 out header_size blen;
+(* The header is written into the frame's first [header_size] bytes,
+   where [Wire.encode ~room:header_size] left room; the body behind it
+   is read for the CRC and never moved. *)
+let seal frame kind ~src ~stamp ~seq ~ack ~comp =
+  check_u31 "src" src;
+  check_u31 "stamp" stamp;
+  check_u31 "seq" seq;
+  check_u31 "ack" ack;
+  let blen = Bytes.length frame - header_size in
+  if blen < 0 then invalid_arg "Envelope.seal: frame shorter than the header";
+  if blen > max_body then invalid_arg "Envelope.seal: body too large";
+  Bytes.unsafe_set frame 0 magic0;
+  Bytes.unsafe_set frame 1 magic1;
+  Bytes.unsafe_set frame 2 (Char.unsafe_chr version);
+  Bytes.unsafe_set frame 3 (Char.unsafe_chr (kind_code kind lor if comp then comp_bit else 0));
+  put_u32 frame 4 src;
+  put_u32 frame 8 stamp;
+  put_u32 frame 12 seq;
+  put_u32 frame 16 ack;
+  put_u32 frame 20 blen;
   (* CRC spans the 24 addressing bytes plus the body (the CRC field
      itself is excluded) *)
-  put_u32 out 24 (crc_finish (crc_update (crc_update crc_init out 0 24) t.body 0 blen));
-  out
+  put_u32 frame 24 (crc_finish (crc_update (crc_update crc_init frame 0 24) frame header_size blen))
 
 (* The mux runtime classifies frames it is about to "transmit" without
    a full decode: data frames get simulator-aligned latency draws. *)
@@ -116,41 +115,58 @@ let peek_kind buf =
     | 3 -> Some Done
     | _ -> None
 
+(* [decode]'s verdicts: a frame's length, or one of these *)
+let need_more = 0
+let bad_magic = -1
+let bad_version = -2
+let bad_kind = -3
+let bad_length = -4
+let bad_crc = -5
+
 let decode buf ~off ~len =
-  if len < header_size then `Need_more
-  else if Bytes.get buf off <> magic0 || Bytes.get buf (off + 1) <> magic1 then
-    `Corrupt "bad magic"
-  else if Char.code (Bytes.get buf (off + 2)) <> version then
-    `Corrupt
-      (Printf.sprintf "unsupported envelope version %d (this build speaks %d)"
-         (Char.code (Bytes.get buf (off + 2)))
-         version)
+  if off < 0 || len < 0 || off > Bytes.length buf - len then
+    invalid_arg "Envelope.decode: slice out of bounds";
+  if len < header_size then need_more
+  else if Bytes.unsafe_get buf off <> magic0 || Bytes.unsafe_get buf (off + 1) <> magic1 then
+    bad_magic
+  else if Char.code (Bytes.unsafe_get buf (off + 2)) <> version then bad_version
+  else if Char.code (Bytes.unsafe_get buf (off + 3)) land lnot comp_bit > 3 then bad_kind
   else begin
-    let kind_byte = Char.code (Bytes.get buf (off + 3)) in
-    let comp = kind_byte land comp_bit <> 0 in
-    let kind_byte = kind_byte land lnot comp_bit in
-    if kind_byte > 3 then `Corrupt (Printf.sprintf "unknown frame kind %d" kind_byte)
-    else begin
-      let src = get_u32 buf (off + 4) in
-      let stamp = get_u32 buf (off + 8) in
-      let seq = get_u32 buf (off + 12) in
-      let ack = get_u32 buf (off + 16) in
-      let blen = get_u32 buf (off + 20) in
-      if blen < 0 || blen > max_body then
-        `Corrupt (Printf.sprintf "body length %d out of bounds" blen)
-      else if len < header_size + blen then `Need_more
-      else begin
-        let crc = get_u32 buf (off + 24) in
-        let actual =
-          crc_finish (crc_update (crc_update crc_init buf off 24) buf (off + header_size) blen)
-        in
-        if crc <> actual then `Corrupt crc_mismatch
-        else begin
-          let kind = match kind_byte with 0 -> Data | 1 -> Ack | 2 -> Hello | _ -> Done in
-          `Frame
-            ( { kind; src; stamp; seq; ack; comp; body = Bytes.sub buf (off + header_size) blen },
-              header_size + blen )
-        end
-      end
-    end
+    let blen = get_u32 buf (off + 20) in
+    if blen > max_body then bad_length
+    else if len < header_size + blen then need_more
+    else if
+      get_u32 buf (off + 24)
+      <> crc_finish (crc_update (crc_update crc_init buf off 24) buf (off + header_size) blen)
+    then bad_crc
+    else header_size + blen
   end
+
+let reason buf ~off verdict =
+  if verdict = bad_magic then "bad magic"
+  else if verdict = bad_version then
+    Printf.sprintf "unsupported envelope version %d (this build speaks %d)"
+      (Char.code (Bytes.get buf (off + 2)))
+      version
+  else if verdict = bad_kind then
+    Printf.sprintf "unknown frame kind %d" (Char.code (Bytes.get buf (off + 3)) land lnot comp_bit)
+  else if verdict = bad_length then
+    Printf.sprintf "body length %d out of bounds" (get_u32 buf (off + 20))
+  else if verdict = bad_crc then crc_mismatch
+  else invalid_arg "Envelope.reason: not a corruption verdict"
+
+(* --- header fields of a frame [decode] accepted, read in place --- *)
+
+let kind buf ~off =
+  match Char.code (Bytes.get buf (off + 3)) land lnot comp_bit with
+  | 0 -> Data
+  | 1 -> Ack
+  | 2 -> Hello
+  | _ -> Done
+
+let comp buf ~off = Char.code (Bytes.get buf (off + 3)) land comp_bit <> 0
+let src buf ~off = get_u32 buf (off + 4)
+let stamp buf ~off = get_u32 buf (off + 8)
+let seq buf ~off = get_u32 buf (off + 12)
+let ack buf ~off = get_u32 buf (off + 16)
+let body_length buf ~off = get_u32 buf (off + 20)

@@ -18,29 +18,46 @@
     complete. Every frame additionally carries a completion flag
     ([comp]), so any traffic at all doubles as termination gossip.
 
+    {b A frame's life.} A data frame is one buffer from encode to
+    delivery. {!Repro_discovery.Wire.encode} writes the payload after
+    {!header_size} bytes of room, once, and the sender's go-back-N send
+    buffer keeps that buffer. On the frame's first transmission {!seal}
+    writes the header and CRC into the room, in place, and the buffer is
+    lent to the transport. Once lent it is never written again: the
+    transport may still hold it (the mux's event heap, the fault shim's
+    hold queue). Every later transmission of the frame — a
+    retransmission, or the resend after a hello reset — copies the
+    buffer and seals the copy with the current sequence number and
+    ack. A bare frame is one {!header_size}-byte buffer, sealed once. A
+    receiver checks a frame where it lies ({!decode}) and reads its
+    header fields and body in place: no body is copied out of a frame.
+
     Decoding is incremental (a TCP read may deliver half a frame) and
-    defensive: truncation is [`Need_more], while corruption — bad magic,
-    unknown version or kind, out-of-bounds length, CRC mismatch — is
-    [`Corrupt] with a reason, and a hostile length field is bounded
-    {e before} any allocation depends on it. *)
+    defensive: truncation is {!need_more}, while corruption — bad magic,
+    unknown version or kind, out-of-bounds length, CRC mismatch — is a
+    negative verdict that {!reason} names, and a hostile length field is
+    bounded {e before} any allocation depends on it. *)
 
 type kind = Data | Ack | Hello | Done
-
-type t = {
-  kind : kind;
-  src : int;  (** sender's node id *)
-  stamp : int;  (** sender's tick count when the message was sent *)
-  seq : int;  (** per-link data sequence number (1-based; 0 for bare frames) *)
-  ack : int;  (** cumulative: highest in-order seq received from the destination *)
-  comp : bool;  (** the sender's knowledge was complete when this frame left *)
-  body : bytes;  (** [Wire]-encoded payload (empty for bare frames) *)
-}
 
 val header_size : int
 (** 28 bytes. *)
 
 val max_body : int
-(** Upper bound on [Bytes.length body] accepted by both directions. *)
+(** Upper bound on a frame's body length accepted by both directions. *)
+
+val seal :
+  bytes -> kind -> src:int -> stamp:int -> seq:int -> ack:int -> comp:bool -> unit
+(** [seal frame kind ~src ~stamp ~seq ~ack ~comp] writes the header,
+    CRC included, into the first {!header_size} bytes of [frame]; the
+    body is the rest of the buffer. [seq] is the per-link data sequence
+    number (1-based; 0 for bare frames), [ack] the cumulative ack
+    (highest in-order seq received from the destination), [stamp] the
+    sender's tick count, [comp] whether the sender's knowledge was
+    complete.
+    @raise Invalid_argument on a negative/overflowing [src], [stamp],
+    [seq] or [ack], a frame shorter than the header, or a body larger
+    than {!max_body}. *)
 
 val peek_kind : bytes -> kind option
 (** The frame kind of an encoded envelope, read from the header without
@@ -49,17 +66,37 @@ val peek_kind : bytes -> kind option
     the kind byte is unknown. *)
 
 val crc_mismatch : string
-(** The exact [`Corrupt] reason produced by a CRC failure — receivers
-    key the [corrupt_frames] counter on it (all other corruption counts
-    as a decode error). *)
+(** The exact {!reason} for a CRC failure — receivers key the
+    [corrupt_frames] counter on it (all other corruption counts as a
+    decode error). *)
 
-val encode : t -> bytes
-(** @raise Invalid_argument on a negative/overflowing [src], [stamp],
-    [seq] or [ack], or a body larger than {!max_body}. *)
+val need_more : int
+(** [0]: the {!decode} verdict for a buffer holding only a frame prefix. *)
 
-val decode : bytes -> off:int -> len:int -> [ `Frame of t * int | `Need_more | `Corrupt of string ]
-(** [decode buf ~off ~len] inspects the [len] bytes at [off].
-    [`Frame (env, consumed)] hands back one complete envelope and how
-    many bytes it occupied; [`Need_more] means the buffer holds only a
-    frame prefix; [`Corrupt] means the stream can no longer be trusted
-    (the connection should be dropped — there is no resynchronisation). *)
+val decode : bytes -> off:int -> len:int -> int
+(** [decode buf ~off ~len] checks the [len] bytes at [off] for one whole
+    envelope, in place and without allocating. A positive verdict is the
+    frame's length: the readers below then give its header fields at
+    [off], and its body is the {!body_length} bytes at
+    [off + header_size]. {!need_more} means the buffer holds only a frame
+    prefix; a negative verdict means the stream can no longer be trusted
+    (the connection should be dropped — there is no resynchronisation)
+    and {!reason} names why.
+    @raise Invalid_argument if the slice lies outside [buf]. *)
+
+val reason : bytes -> off:int -> int -> string
+(** [reason buf ~off verdict] names a negative {!decode} verdict for the
+    frame at [off].
+    @raise Invalid_argument on a verdict that is not negative. *)
+
+(** {2 Header fields}
+
+    Each reads one field of a frame at [off] that {!decode} accepted. *)
+
+val kind : bytes -> off:int -> kind
+val src : bytes -> off:int -> int
+val stamp : bytes -> off:int -> int
+val seq : bytes -> off:int -> int
+val ack : bytes -> off:int -> int
+val comp : bytes -> off:int -> bool
+val body_length : bytes -> off:int -> int

@@ -46,32 +46,47 @@ let corrupt_copy t frame =
 
 let pending t = t.held <> []
 
+type verdict = Gone | Pass | Queue of bytes list
+
+(* Hold [frame] back if the link delays or (by a coin) reorders it;
+   [true] when it is to be queued now instead. *)
+let passes t ~now ~dst (lk : Fault.link) frame =
+  if lk.Fault.delay > 0 then begin
+    let release = now +. (float_of_int lk.Fault.delay *. t.tick_period) in
+    t.held <- { release; dst; frame } :: t.held;
+    false
+  end
+  else if lk.Fault.reorder > 0.0 && Rng.bernoulli t.rng ~p:lk.Fault.reorder then begin
+    (* reorder: hold one tick so later frames overtake this one *)
+    t.held <- { release = now +. t.tick_period; dst; frame } :: t.held;
+    false
+  end
+  else true
+
 (* Partitions, caps and loss are the simulators' rule, on the round
    clock; like loss, a partitioned or throttled frame is silently
    swallowed and retransmission recovers, modelling a saturated or
-   severed WAN link. *)
-let send t ~now ~dst frame ~queue =
+   severed WAN link. The frame itself is never written: a corrupted or
+   duplicated frame is a fresh copy. *)
+let send t ~now ~dst frame =
   let lk = Fault.link_between t.plan ~src:t.node ~dst in
   match Fault.fate t.plan t.windows t.rng ~src:t.node ~dst ~time:(round_now t ~now) lk with
-  | Some _ -> ()
+  | Some _ -> Gone
   | None ->
-    let frame =
-      if lk.Fault.corrupt > 0.0 && Rng.bernoulli t.rng ~p:lk.Fault.corrupt then
-        corrupt_copy t frame
-      else frame
-    in
-    let emit frame =
-      if lk.Fault.delay > 0 then
-        t.held <-
-          { release = now +. (float_of_int lk.Fault.delay *. t.tick_period); dst; frame }
-          :: t.held
-      else if lk.Fault.reorder > 0.0 && Rng.bernoulli t.rng ~p:lk.Fault.reorder then
-        (* reorder: hold one tick so later frames overtake this one *)
-        t.held <- { release = now +. t.tick_period; dst; frame } :: t.held
-      else queue frame
-    in
-    emit frame;
-    if lk.Fault.dup > 0.0 && Rng.bernoulli t.rng ~p:lk.Fault.dup then emit (Bytes.copy frame)
+    let corrupted = lk.Fault.corrupt > 0.0 && Rng.bernoulli t.rng ~p:lk.Fault.corrupt in
+    let first = if corrupted then corrupt_copy t frame else frame in
+    let first_now = passes t ~now ~dst lk first in
+    if lk.Fault.dup > 0.0 && Rng.bernoulli t.rng ~p:lk.Fault.dup then begin
+      let copy = Bytes.copy first in
+      match (first_now, passes t ~now ~dst lk copy) with
+      | true, true -> Queue [ first; copy ]
+      | true, false -> if corrupted then Queue [ first ] else Pass
+      | false, true -> Queue [ copy ]
+      | false, false -> Gone
+    end
+    else if not first_now then Gone
+    else if corrupted then Queue [ first ]
+    else Pass
 
 let flush_due t ~now ~queue =
   if t.held <> [] then begin

@@ -40,11 +40,19 @@ val create : plan:Fault.t -> seed:int -> node:int -> epoch:float -> tick_period:
     private substream), [epoch]/[tick_period] anchor the round clock.
     @raise Invalid_argument if [tick_period <= 0]. *)
 
-val send : t -> now:float -> dst:int -> bytes -> queue:(bytes -> unit) -> unit
-(** Route one encoded frame: either pass it (possibly corrupted, and
-    possibly twice) to [queue] now, hold it for later release, or drop
-    it. [queue] must copy or consume the bytes synchronously (the
-    transport's write buffer does). *)
+(** What to put on the wire now for one frame. *)
+type verdict =
+  | Gone  (** nothing: the frame was lost, cut, throttled or held back *)
+  | Pass  (** the frame itself *)
+  | Queue of bytes list
+      (** these buffers, in order, in its place: a corrupted copy, a
+          duplicate, or both frame and duplicate *)
+
+val send : t -> now:float -> dst:int -> bytes -> verdict
+(** Route one encoded frame: pass it (possibly corrupted, and possibly
+    twice) now, hold it for later release, or drop it. The frame is
+    never written: corruption and duplication make fresh copies, so
+    every buffer in a [Queue] other than the frame itself is new. *)
 
 val pending : t -> bool
 (** Frames currently held by delay/reorder faults. *)

@@ -51,7 +51,7 @@ type sys = {
 
 let actions sys v =
   {
-    Node_core.emit = (fun ~now:_ _ -> ());
+    Node_core.emit = None;
     xmit = (fun ~now:_ ~dst frame -> Queue.push frame sys.queues.(v).(dst));
     notify_complete = (fun ~now:_ ~tick:_ -> ());
     wake = (fun ~dst:_ -> ());
@@ -114,10 +114,10 @@ let apply cfg sys move =
     match sys.cores.(dst) with
     | None -> ()  (* the receiver is down: the frame dies with it *)
     | Some c -> (
-      match Envelope.decode frame ~off:0 ~len:(Bytes.length frame) with
-      | `Frame (env, _) -> Node_core.handle_frame c ~now:sys.now env
-      | `Need_more -> fail "model: frame in flight truncated"
-      | `Corrupt reason -> fail "model: frame in flight undecodable (%s)" reason))
+      let verdict = Envelope.decode frame ~off:0 ~len:(Bytes.length frame) in
+      if verdict > 0 then Node_core.handle_frame c ~now:sys.now frame ~off:0
+      else if verdict = Envelope.need_more then fail "model: frame in flight truncated"
+      else fail "model: frame in flight undecodable (%s)" (Envelope.reason frame ~off:0 verdict)))
   | Crash v ->
     sys.cores.(v) <- None;
     sys.crashes <- sys.crashes + 1

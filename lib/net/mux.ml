@@ -48,7 +48,8 @@ let exec_spec (spec : Run_async.spec) (algo : Algorithm.t) topology =
   let make_core v ~announce =
     let actions =
       {
-        Node_core.emit = (fun ~now:_ ev -> Trace.emit trace ev);
+        Node_core.emit =
+          (if Trace.is_null trace then None else Some (fun ~now:_ ev -> Trace.emit trace ev));
         xmit =
           (fun ~now ~dst frame ->
             (* data frames take the oracle's latency draw; everything

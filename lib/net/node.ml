@@ -230,10 +230,10 @@ let run cfg =
   let actions =
     {
       Node_core.emit =
-        (fun ~now ev ->
-          match control with
-          | None -> ()
-          | Some c -> Transport.Conn.queue c (Bytes.of_string (Control.event_line ~time:now ev)));
+        Option.map
+          (fun c ~now ev ->
+            Transport.Conn.queue c (Bytes.of_string (Control.event_line ~time:now ev)))
+          control;
       xmit =
         (fun ~now:_ ~dst frame ->
           match conns.(dst).state with
@@ -363,8 +363,8 @@ let run cfg =
         (fun c ->
           if List.mem (Transport.Conn.fd c) readable then begin
             match
-              Transport.Conn.read c ~handle:(fun env ->
-                  Node_core.handle_frame core ~now:(rel cfg) env)
+              Transport.Conn.read c ~handle:(fun buf ~off ->
+                  Node_core.handle_frame core ~now:(rel cfg) buf ~off)
             with
             | `Ok -> true
             | `Closed ->

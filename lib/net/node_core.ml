@@ -18,7 +18,7 @@ type config = {
 }
 
 type actions = {
-  emit : now:float -> Trace.event -> unit;
+  emit : (now:float -> Trace.event -> unit) option;
   xmit : now:float -> dst:int -> bytes -> unit;
   notify_complete : now:float -> tick:int -> unit;
   wake : dst:int -> unit;
@@ -26,18 +26,30 @@ type actions = {
 
 type status = Up | Down | Dead
 
-(* Outgoing link to one peer. Data payloads live in [sendbuf] from the
-   moment they are sent until the peer's cumulative ack covers them;
-   frames are (re)encoded at transmission time so sequence numbers and
-   piggybacked acks are always current. [base_seq] is the sequence number
-   of the frame at the queue's front. *)
-type frame = { stamp : int; body : bytes; mutable txed : bool }
+(* Outgoing link to one peer. Data frames live in the send ring from
+   the moment they are sent until the peer's cumulative ack covers
+   them: [held] frames from slot [head] (capacity a power of two),
+   oldest first, each the buffer [Wire.encode] made with envelope room
+   and the tick [stamps] it was sent at. Transmission seals a frame's
+   header in place, so sequence numbers and piggybacked acks are always
+   current. Frames are transmitted oldest first and all together, so
+   the ones already transmitted since the last reset are the front
+   [txed], and those whose buffer has been lent to the transport (and
+   may no more be written) the front [lent]. [base_seq] is the sequence
+   number of the front frame. *)
+(* all-float, so the field is stored unboxed: setting it allocates nothing *)
+type deadline = { mutable at : float }
 
 type link = {
   mutable status : status;
-  sendbuf : frame Queue.t;
+  mutable frames : bytes array;
+  mutable stamps : int array;
+  mutable head : int;
+  mutable held : int;
+  mutable txed : int;
+  mutable lent : int;
   mutable base_seq : int;
-  mutable rto_at : float;
+  rto : deadline;
   mutable recv_cum : int;  (** highest contiguous data seq received from this peer *)
   mutable recv_early : int list;  (** seqs above [recv_cum + 1] already delivered (gap pending) *)
   mutable ack_owed : bool;
@@ -49,9 +61,14 @@ type link = {
 let new_link status =
   {
     status;
-    sendbuf = Queue.create ();
+    frames = [||];
+    stamps = [||];
+    head = 0;
+    held = 0;
+    txed = 0;
+    lent = 0;
     base_seq = 1;
-    rto_at = infinity;
+    rto = { at = infinity };
     recv_cum = 0;
     recv_early = [];
     ack_owed = false;
@@ -59,6 +76,35 @@ let new_link status =
     done_owed = false;
     peer_done = false;
   }
+
+(* ring slot of the [i]-th frame from the front *)
+let slot link i = (link.head + i) land (Array.length link.frames - 1)
+
+let push_frame link frame ~stamp =
+  let cap = Array.length link.frames in
+  if link.held = cap then begin
+    let ncap = max 4 (2 * cap) in
+    let frames = Array.make ncap Bytes.empty and stamps = Array.make ncap 0 in
+    for i = 0 to link.held - 1 do
+      let s = slot link i in
+      frames.(i) <- link.frames.(s);
+      stamps.(i) <- link.stamps.(s)
+    done;
+    link.frames <- frames;
+    link.stamps <- stamps;
+    link.head <- 0
+  end;
+  let s = slot link link.held in
+  link.frames.(s) <- frame;
+  link.stamps.(s) <- stamp;
+  link.held <- link.held + 1
+
+let pop_frame link =
+  link.frames.(link.head) <- Bytes.empty;
+  link.head <- slot link 1;
+  link.held <- link.held - 1;
+  if link.txed > 0 then link.txed <- link.txed - 1;
+  if link.lent > 0 then link.lent <- link.lent - 1
 
 (* What an untouched link reads as, per initial status. Read-only: only
    the non-creating accessors ever return these, and they never write. *)
@@ -79,6 +125,7 @@ type t = {
   mutable nlinks : int;
   fn : Faultnet.t option;
   byz : int list;  (** ids this node fabricates into every data payload *)
+  tracing : bool;  (** [acts.emit] is live: trace events are built only then *)
   auditing : bool;
   mutable tick_count : int;
   mutable sent : int;
@@ -142,69 +189,59 @@ let link_status t ~dst = (peek t dst).status
 
 let wants_link t ~dst =
   let link = peek t dst in
-  (not (Queue.is_empty link.sendbuf)) || link.ack_owed || link.hello_owed || link.done_owed
+  link.held > 0 || link.ack_owed || link.hello_owed || link.done_owed
 
 let note_bad_frame t reason =
   if String.equal reason Envelope.crc_mismatch then t.corrupt_frames <- t.corrupt_frames + 1
   else t.decode_errors <- t.decode_errors + 1
 
+let emit t ~now ev = match t.acts.emit with Some f -> f ~now ev | None -> ()
+
 (* Every encoded frame to a peer passes through the fault shim when one
-   is active; the shim calls [queue] zero, one or two times. *)
+   is active; the shim's verdict says what goes on the wire now. *)
 let queue_frame t ~now ~dst frame =
   match t.fn with
   | None -> t.acts.xmit ~now ~dst frame
-  | Some fn -> Faultnet.send fn ~now ~dst frame ~queue:(fun f -> t.acts.xmit ~now ~dst f)
+  | Some fn -> (
+    match Faultnet.send fn ~now ~dst frame with
+    | Faultnet.Gone -> ()
+    | Faultnet.Pass -> t.acts.xmit ~now ~dst frame
+    | Faultnet.Queue frames -> List.iter (fun f -> t.acts.xmit ~now ~dst f) frames)
 
 (* (Re)transmit data frames on an up link: all of them when [resend]
    (fresh connection or retransmission timeout), otherwise only frames
-   never yet put on the wire. Acks ride along for free. *)
+   never yet put on the wire. Acks ride along for free. A frame whose
+   buffer was lent before is copied, and the copy sealed. *)
 let transmit_data t ~now dst ~resend =
   let link = touch t dst in
   match link.status with
   | Up ->
-    let any = ref false in
-    let seq = ref link.base_seq in
-    Queue.iter
-      (fun f ->
-        if resend || not f.txed then begin
-          if f.txed then t.retransmits <- t.retransmits + 1;
-          queue_frame t ~now ~dst
-            (Envelope.encode
-               {
-                 Envelope.kind = Envelope.Data;
-                 src = t.cfg.node;
-                 stamp = f.stamp;
-                 seq = !seq;
-                 ack = link.recv_cum;
-                 comp = t.complete_announced;
-                 body = f.body;
-               });
-          f.txed <- true;
-          any := true
-        end;
-        incr seq)
-      link.sendbuf;
-    if !any then begin
+    let first = if resend then 0 else link.txed in
+    if first < link.held then begin
+      for i = first to link.held - 1 do
+        if i < link.txed then t.retransmits <- t.retransmits + 1;
+        let s = slot link i in
+        let frame = if i < link.lent then Bytes.copy link.frames.(s) else link.frames.(s) in
+        Envelope.seal frame Envelope.Data ~src:t.cfg.node ~stamp:link.stamps.(s)
+          ~seq:(link.base_seq + i) ~ack:link.recv_cum ~comp:t.complete_announced;
+        queue_frame t ~now ~dst frame
+      done;
+      link.txed <- link.held;
+      link.lent <- link.held;
       link.ack_owed <- false;
-      link.rto_at <- now +. t.cfg.rto
+      link.rto.at <- now +. t.cfg.rto
     end
   | Down | Dead -> ()
 
+(* A bare frame is its header alone, sealed once. *)
 let send_bare t ~now ~dst kind ~ack =
   let link = touch t dst in
   match link.status with
   | Up ->
-    queue_frame t ~now ~dst
-      (Envelope.encode
-         {
-           Envelope.kind;
-           src = t.cfg.node;
-           stamp = t.tick_count;
-           seq = 0;
-           ack;
-           comp = t.complete_announced;
-           body = Bytes.empty;
-         })
+    let frame = Bytes.create Envelope.header_size in
+    Envelope.seal frame kind ~src:t.cfg.node ~stamp:t.tick_count ~seq:0 ~ack
+      ~comp:t.complete_announced;
+    queue_frame t ~now ~dst frame
   | Down | Dead -> ()
 
 (* Termination gossip: a bare frame saying "my knowledge is complete".
@@ -221,18 +258,18 @@ let send_done t ~now ~dst =
     t.acts.wake ~dst
   | Dead -> ()
 
-let drop_link_frames t ~now dst count =
-  for _ = 1 to count do
-    t.dropped <- t.dropped + 1;
-    t.acts.emit ~now (Trace.Drop { src = t.cfg.node; dst; reason = Trace.Dead_dst })
-  done
+let drop_frame t ~now dst =
+  t.dropped <- t.dropped + 1;
+  if t.tracing then emit t ~now (Trace.Drop { src = t.cfg.node; dst; reason = Trace.Dead_dst })
 
 (* The runtime has given up reaching [dst]: everything queued for it is
    accounted as dropped and the link stops accepting traffic. *)
 let link_dead t ~now ~dst =
   let link = touch t dst in
-  drop_link_frames t ~now dst (Queue.length link.sendbuf);
-  Queue.clear link.sendbuf;
+  while link.held > 0 do
+    drop_frame t ~now dst;
+    pop_frame link
+  done;
   link.ack_owed <- false;
   link.hello_owed <- false;
   link.done_owed <- false;
@@ -261,11 +298,13 @@ let link_up t ~now ~dst =
 let deliver t ~now ~src payload =
   t.delivered <- t.delivered + 1;
   t.last_activity <- now;
-  t.acts.emit ~now (Trace.Deliver { src; dst = t.cfg.node });
-  (if t.auditing then
-     match Adversary.payload_ids payload with
-     | Some ids -> t.acts.emit ~now (Trace.Content { src; dst = t.cfg.node; ids })
-     | None -> ());
+  if t.tracing then begin
+    emit t ~now (Trace.Deliver { src; dst = t.cfg.node });
+    if t.auditing then
+      match Adversary.payload_ids payload with
+      | Some ids -> emit t ~now (Trace.Content { src; dst = t.cfg.node; ids })
+      | None -> ()
+  end;
   t.inst.Algorithm.receive ~src payload
 
 let announce_if_complete t ~now =
@@ -281,23 +320,23 @@ let send_payload t ~now ~dst payload =
     match t.byz with [] -> payload | ids -> Adversary.inject ~universe:t.cfg.n payload ids
   in
   let pointers = Payload.measure payload in
-  let body = Wire.encode Wire.Adaptive ~universe:t.cfg.n payload in
+  let frame = Wire.encode Wire.Adaptive ~universe:t.cfg.n ~room:Envelope.header_size payload in
+  (* the body alone is what a message costs, as in the simulators *)
+  let bytes = Bytes.length frame - Envelope.header_size in
   t.sent <- t.sent + 1;
   t.pointers <- t.pointers + pointers;
-  t.bytes <- t.bytes + Bytes.length body;
-  t.acts.emit ~now (Trace.Send { src = t.cfg.node; dst; pointers; bytes = Bytes.length body });
+  t.bytes <- t.bytes + bytes;
+  if t.tracing then emit t ~now (Trace.Send { src = t.cfg.node; dst; pointers; bytes });
   if dst = t.cfg.node then deliver t ~now ~src:t.cfg.node payload
   else begin
     let link = touch t dst in
     match link.status with
-    | Dead ->
-      t.dropped <- t.dropped + 1;
-      t.acts.emit ~now (Trace.Drop { src = t.cfg.node; dst; reason = Trace.Dead_dst })
+    | Dead -> drop_frame t ~now dst
     | Up ->
-      Queue.push { stamp = t.tick_count; body; txed = false } link.sendbuf;
+      push_frame link frame ~stamp:t.tick_count;
       transmit_data t ~now dst ~resend:false
     | Down ->
-      Queue.push { stamp = t.tick_count; body; txed = false } link.sendbuf;
+      push_frame link frame ~stamp:t.tick_count;
       t.acts.wake ~dst
   end
 
@@ -344,7 +383,8 @@ let request_hellos t ~now =
 let tick t ~now =
   if not (t.cfg.fleet_halt && fleet_done t) then begin
     t.tick_count <- t.tick_count + 1;
-    t.acts.emit ~now (Trace.Tick { node = t.cfg.node; time = now; count = t.tick_count });
+    if t.tracing then
+      emit t ~now (Trace.Tick { node = t.cfg.node; time = now; count = t.tick_count });
     (* a restarted node keeps announcing itself until its knowledge is
        whole again, in case an earlier hello (or its reply) was lost *)
     if t.cfg.announce && (not t.complete_announced) && t.tick_count mod hello_interval = 0 then
@@ -368,14 +408,14 @@ let tick t ~now =
 (* Pop everything the peer's cumulative ack covers. *)
 let apply_ack t ~now ~src ack =
   let link = touch t src in
-  let advanced = ref false in
-  while (not (Queue.is_empty link.sendbuf)) && link.base_seq <= ack do
-    ignore (Queue.pop link.sendbuf);
-    link.base_seq <- link.base_seq + 1;
-    advanced := true
+  let acked = ack - link.base_seq + 1 in
+  let covered = if acked < link.held then acked else link.held in
+  for _ = 1 to covered do
+    pop_frame link
   done;
-  if Queue.is_empty link.sendbuf then link.rto_at <- infinity
-  else if !advanced then link.rto_at <- now +. t.cfg.rto
+  if covered > 0 then link.base_seq <- link.base_seq + covered;
+  if link.held = 0 then link.rto.at <- infinity
+  else if covered > 0 then link.rto.at <- now +. t.cfg.rto
 
 let clear_peer_done t link =
   if link.peer_done then begin
@@ -407,8 +447,8 @@ let handle_hello t ~now ~src =
     t.acts.wake ~dst:src
   | Up | Down -> ());
   link.base_seq <- 1;
-  Queue.iter (fun f -> f.txed <- false) link.sendbuf;
-  link.rto_at <- (if Queue.is_empty link.sendbuf then infinity else 0.0);
+  link.txed <- 0;
+  link.rto.at <- (if link.held = 0 then infinity else 0.0);
   link.recv_cum <- 0;
   link.recv_early <- [];
   link.ack_owed <- false;
@@ -418,22 +458,39 @@ let handle_hello t ~now ~src =
   send_payload t ~now ~dst:src
     (Payload.Share (Payload.Bits (Knowledge.snapshot t.inst.Algorithm.knowledge)))
 
-let handle_frame t ~now (env : Envelope.t) =
-  if env.Envelope.src < 0 || env.Envelope.src >= t.cfg.n || env.Envelope.src = t.cfg.node then
-    t.decode_errors <- t.decode_errors + 1
+(* A fresh data seq is delivered on arrival; [recv_cum] advances only
+   contiguously, absorbing early seqs the arrival made contiguous. The
+   in-order arrival, the common one, leaves an empty list as it was. *)
+let note_fresh link seq =
+  if seq = link.recv_cum + 1 then begin
+    link.recv_cum <- seq;
+    match link.recv_early with
+    | [] -> ()
+    | early ->
+      while List.mem (link.recv_cum + 1) early do
+        link.recv_cum <- link.recv_cum + 1
+      done;
+      link.recv_early <- List.filter (fun s -> s > link.recv_cum) early
+  end
+  else link.recv_early <- seq :: link.recv_early
+
+let handle_frame t ~now buf ~off =
+  let src = Envelope.src buf ~off in
+  if src < 0 || src >= t.cfg.n || src = t.cfg.node then t.decode_errors <- t.decode_errors + 1
   else begin
-    let src = env.Envelope.src in
     let link = touch t src in
-    (match env.Envelope.kind with
+    let kind = Envelope.kind buf ~off in
+    (match kind with
     | Envelope.Hello -> ()  (* a hello resets peer state below; its comp flag is moot *)
     | Envelope.Data | Envelope.Ack | Envelope.Done ->
-      if env.Envelope.comp then
-        mark_peer_done t ~now ~src ~probe:(env.Envelope.kind = Envelope.Done));
-    match env.Envelope.kind with
-    | Envelope.Ack | Envelope.Done -> apply_ack t ~now ~src env.Envelope.ack
+      if Envelope.comp buf ~off then
+        mark_peer_done t ~now ~src
+          ~probe:(match kind with Envelope.Done -> true | _ -> false));
+    match kind with
+    | Envelope.Ack | Envelope.Done -> apply_ack t ~now ~src (Envelope.ack buf ~off)
     | Envelope.Hello -> handle_hello t ~now ~src
     | Envelope.Data ->
-      apply_ack t ~now ~src env.Envelope.ack;
+      apply_ack t ~now ~src (Envelope.ack buf ~off);
       link.ack_owed <- true;
       (* Deliver-on-arrival with dedup: the discovery channel model is
          non-FIFO (the async oracle draws an independent latency per
@@ -443,15 +500,13 @@ let handle_frame t ~now (env : Envelope.t) =
          semantics they certify against. [recv_cum] still only advances
          contiguously: it is the cumulative ack mark, and the sender's
          go-back-N retransmission fills the gaps, deduplicated here. *)
-      let seq = env.Envelope.seq in
-      let fresh = seq > link.recv_cum && not (List.mem seq link.recv_early) in
-      if fresh then begin
-        link.recv_early <- seq :: link.recv_early;
-        while List.mem (link.recv_cum + 1) link.recv_early do
-          link.recv_cum <- link.recv_cum + 1;
-          link.recv_early <- List.filter (fun s -> s > link.recv_cum) link.recv_early
-        done;
-        match Wire.decode ~universe:t.cfg.n env.Envelope.body with
+      let seq = Envelope.seq buf ~off in
+      if seq > link.recv_cum && not (List.mem seq link.recv_early) then begin
+        note_fresh link seq;
+        match
+          Wire.decode ~universe:t.cfg.n buf ~off:(off + Envelope.header_size)
+            ~len:(Envelope.body_length buf ~off)
+        with
         | Error _ -> t.decode_errors <- t.decode_errors + 1
         | Ok payload ->
           deliver t ~now ~src payload;
@@ -460,10 +515,10 @@ let handle_frame t ~now (env : Envelope.t) =
   end
 
 let receive t ~now frame =
-  match Envelope.decode frame ~off:0 ~len:(Bytes.length frame) with
-  | `Frame (env, _) -> handle_frame t ~now env
-  | `Corrupt reason -> note_bad_frame t reason
-  | `Need_more -> t.decode_errors <- t.decode_errors + 1
+  let verdict = Envelope.decode frame ~off:0 ~len:(Bytes.length frame) in
+  if verdict > 0 then handle_frame t ~now frame ~off:0
+  else if verdict = Envelope.need_more then t.decode_errors <- t.decode_errors + 1
+  else note_bad_frame t (Envelope.reason frame ~off:0 verdict)
 
 (* Retransmission timeouts and owed bare frames, over every up link.
    An untouched link owes nothing, so only the touched ones are walked —
@@ -473,7 +528,7 @@ let pump t ~now =
     let dst = t.peers.(i) and link = t.links.(i) in
     match link.status with
     | Up ->
-      if (not (Queue.is_empty link.sendbuf)) && now >= link.rto_at then
+      if link.held > 0 && now >= link.rto.at then
         transmit_data t ~now dst ~resend:true;
       if link.hello_owed then begin
         send_bare t ~now ~dst Envelope.Hello ~ack:0;
@@ -502,7 +557,7 @@ let next_rto_deadline t =
   for i = 0 to t.nlinks - 1 do
     let link = t.links.(i) in
     match link.status with
-    | Up when not (Queue.is_empty link.sendbuf) -> deadline := Float.min !deadline link.rto_at
+    | Up when link.held > 0 -> deadline := Float.min !deadline link.rto.at
     | _ -> ()
   done;
   !deadline
@@ -544,6 +599,7 @@ let create (cfg : config) (acts : actions) ~labels ~links_up ~now =
                 ~tick_period:cfg.tick_period)
          else None);
       byz = Fault.fabricated_ids cfg.fault ~node:cfg.node;
+      tracing = Option.is_some acts.emit;
       auditing = Fault.audit cfg.fault;
       tick_count = 0;
       sent = 0;
@@ -560,11 +616,13 @@ let create (cfg : config) (acts : actions) ~labels ~links_up ~now =
       last_activity = now;
     }
   in
-  acts.emit ~now (Trace.Join { node = cfg.node });
-  (* a re-created (restarted) core re-emits its genesis, resetting its
-     provenance to initial knowledge *)
-  if t.auditing then
-    acts.emit ~now (Adversary.genesis_event ~node:cfg.node t.inst.Algorithm.knowledge);
+  if t.tracing then begin
+    emit t ~now (Trace.Join { node = cfg.node });
+    (* a re-created (restarted) core re-emits its genesis, resetting its
+       provenance to initial knowledge *)
+    if t.auditing then
+      emit t ~now (Adversary.genesis_event ~node:cfg.node t.inst.Algorithm.knowledge)
+  end;
   announce_if_complete t ~now;
   if cfg.announce then request_hellos t ~now;
   t
@@ -583,7 +641,7 @@ let link_view t ~dst =
   {
     view_status = l.status;
     view_base_seq = l.base_seq;
-    view_inflight = Queue.length l.sendbuf;
+    view_inflight = l.held;
     view_recv_cum = l.recv_cum;
     view_recv_early = List.sort compare l.recv_early;
     view_peer_done = l.peer_done;

@@ -61,10 +61,12 @@ type config = {
 (** How the core acts on the world. All callbacks receive the same
     relative [now] the runtime passed in. *)
 type actions = {
-  emit : now:float -> Trace.event -> unit;  (** lifecycle trace events *)
+  emit : (now:float -> Trace.event -> unit) option;
+      (** lifecycle trace events; with [None] the core builds none *)
   xmit : now:float -> dst:int -> bytes -> unit;
       (** put one encoded envelope on the wire to [dst]; only invoked
-          while the link is [Up] *)
+          while the link is [Up]. The buffer is the runtime's from then
+          on: the core never writes it again (see {!Envelope}). *)
   notify_complete : now:float -> tick:int -> unit;
       (** local knowledge just became complete *)
   wake : dst:int -> unit;
@@ -80,7 +82,8 @@ val create : config -> actions -> labels:int array -> links_up:bool -> now:float
 (** Build the algorithm instance through {!Exec.instantiate}, the
     simulators' derivation (shared label permutation, per-node RNG
     substream), emit the [Join]
-    event, and greet the neighbours if [announce]. [labels] is the run's
+    event, and greet the neighbours if [announce]. Whether the core
+    traces is fixed here, by [actions.emit]. [labels] is the run's
     label permutation ({!Exec.labels_of} of the deployment seed, or
     whatever labels the run's algorithms share), computed once per run
     and shared by every core, not copied. [links_up] is the initial
@@ -93,18 +96,20 @@ val tick : t -> now:float -> unit
     checks completion, and drives re-hello and termination gossip.
     A no-op once [fleet_halt] has detected fleet-wide completion. *)
 
-val handle_frame : t -> now:float -> Envelope.t -> unit
-(** Process one decoded envelope from the wire (any kind). *)
+val handle_frame : t -> now:float -> bytes -> off:int -> unit
+(** Process one envelope from the wire (any kind), read in place: the
+    frame at [off] must be one {!Envelope.decode} accepted. Nothing is
+    kept of the buffer once this returns. *)
 
 val receive : t -> now:float -> bytes -> unit
 (** Process one whole encoded frame, as an in-process runtime delivers
-    it: decode the envelope, then {!handle_frame} it, or count why it
+    it: check the envelope, then {!handle_frame} it, or count why it
     was rejected — a CRC failure as a [corrupt_frames] count, anything
     else (including a truncated frame) as a [decode_errors] count. *)
 
 val send : t -> now:float -> dst:int -> Payload.t -> unit
 (** Put one payload on the reliable channel to [dst] — the same path
-    the algorithm's [round] callback uses (go-back-N sendbuf, fault
+    the algorithm's [round] callback uses (go-back-N send buffer, fault
     shim, counters). Exposed for runtimes whose protocol logic emits
     messages outside the round callback (the continuous service's
     members reply from their delivery handler).
@@ -178,7 +183,7 @@ val final : t -> Control.final
     invariants between moves without reaching into the representation. *)
 type link_view = {
   view_status : status;
-  view_base_seq : int;  (** sequence number of the sendbuf's front frame *)
+  view_base_seq : int;  (** sequence number of the send buffer's front frame *)
   view_inflight : int;  (** unacknowledged data frames queued *)
   view_recv_cum : int;  (** highest contiguous data seq received *)
   view_recv_early : int list;  (** out-of-order seqs already delivered, ascending *)

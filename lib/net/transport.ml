@@ -101,8 +101,8 @@ module Conn = struct
     end
 
   (* Read whatever the socket has and hand every complete envelope to
-     [handle]. [`Closed] on EOF or hard error, [`Corrupt] if the stream
-     framing broke (caller should drop the connection). *)
+     [handle], in place. [`Closed] on EOF or hard error, [`Corrupt] if
+     the stream framing broke (caller should drop the connection). *)
   let read t ~handle =
     if t.closed then `Closed
     else begin
@@ -126,15 +126,19 @@ module Conn = struct
       let off = ref 0 in
       let extracting = ref true in
       while !extracting do
-        match Envelope.decode t.rbuf ~off:!off ~len:(t.rlen - !off) with
-        | `Frame (env, consumed) ->
-          off := !off + consumed;
-          handle env
-        | `Need_more -> extracting := false
-        | `Corrupt reason ->
-          t.closed <- true;
-          state := `Corrupt reason;
+        let at = !off in
+        let verdict = Envelope.decode t.rbuf ~off:at ~len:(t.rlen - at) in
+        if verdict > 0 then begin
+          off := at + verdict;
+          handle t.rbuf ~off:at
+        end
+        else begin
+          if verdict <> Envelope.need_more then begin
+            t.closed <- true;
+            state := `Corrupt (Envelope.reason t.rbuf ~off:at verdict)
+          end;
           extracting := false
+        end
       done;
       if !off > 0 then begin
         Bytes.blit t.rbuf !off t.rbuf 0 (t.rlen - !off);

@@ -33,6 +33,10 @@ module Conn : sig
   val pending_out : t -> bool
 
   val flush : t -> [ `Ok | `Closed ]
-  val read : t -> handle:(Envelope.t -> unit) -> [ `Ok | `Closed | `Corrupt of string ]
+  val read : t -> handle:(bytes -> off:int -> unit) -> [ `Ok | `Closed | `Corrupt of string ]
+  (** Read what the socket has and hand every complete envelope to
+      [handle] where it lies in the read buffer: [handle buf ~off] gets
+      a frame {!Envelope.decode} accepted, and must not keep [buf]. *)
+
   val close : t -> unit
 end

@@ -219,14 +219,14 @@ let direct_transport (cfg : config) ~members ~now ~dropped_loss ~dropped_dead =
     match members.(hop.dst) with
     | None -> incr dropped_dead
     | Some m -> (
-      match Wire.decode ~universe:cfg.cap hop.frame with
+      match Wire.decode ~universe:cfg.cap hop.frame ~off:0 ~len:(Bytes.length hop.frame) with
       | Ok payload -> Member.deliver m ~src:hop.src ~now:!now payload
       | Error msg -> failwith ("Service.run: wire decode failed: " ^ msg))
   in
   {
     send =
       (fun ~src ~dst payload ->
-        let frame = Wire.encode Wire.Adaptive ~universe:cfg.cap payload in
+        let frame = Wire.encode Wire.Adaptive ~universe:cfg.cap ~room:0 payload in
         let link = Fault.link_between cfg.fault ~src ~dst in
         (match Fault.fate cfg.fault windows rng ~src ~dst ~time:!now link with
         | Some _ -> incr dropped_loss
@@ -278,7 +278,7 @@ let hosted_transport (cfg : config) ~labels ~now ~dropped_dead =
     in
     let acts =
       {
-        Node_core.emit = (fun ~now:_ _ -> ());
+        Node_core.emit = None;
         xmit =
           (fun ~now:sent_at ~dst frame ->
             Heap.push heap (sent_at +. latency rng) { src = id; dst; frame });

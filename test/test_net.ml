@@ -12,59 +12,53 @@ let get_algo name =
 
 let sample_body = Bytes.of_string "\001\000\003\000\000\000\005\000\000\000"
 
+(* A frame as the live path builds one: the body after header room,
+   the header sealed in place. *)
+let frame_of kind ~src ~stamp ~seq ~ack ~comp body =
+  let frame = Bytes.create (Envelope.header_size + Bytes.length body) in
+  Bytes.blit body 0 frame Envelope.header_size (Bytes.length body);
+  Envelope.seal frame kind ~src ~stamp ~seq ~ack ~comp;
+  frame
+
 let encode_sample () =
-  Envelope.encode
-    {
-      Envelope.kind = Envelope.Data;
-      src = 7;
-      stamp = 42;
-      seq = 3;
-      ack = 1;
-      comp = false;
-      body = sample_body;
-    }
+  frame_of Envelope.Data ~src:7 ~stamp:42 ~seq:3 ~ack:1 ~comp:false sample_body
+
+let body_of frame ~off =
+  Bytes.sub frame (off + Envelope.header_size) (Envelope.body_length frame ~off)
 
 let test_envelope_roundtrip () =
   let frame = encode_sample () in
-  match Envelope.decode frame ~off:0 ~len:(Bytes.length frame) with
-  | `Frame (env, consumed) ->
-    Alcotest.(check int) "consumed" (Bytes.length frame) consumed;
-    Alcotest.(check bool) "kind" true (env.Envelope.kind = Envelope.Data);
-    Alcotest.(check int) "src" 7 env.Envelope.src;
-    Alcotest.(check int) "stamp" 42 env.Envelope.stamp;
-    Alcotest.(check int) "seq" 3 env.Envelope.seq;
-    Alcotest.(check int) "ack" 1 env.Envelope.ack;
-    Alcotest.(check bytes) "body" sample_body env.Envelope.body
-  | `Need_more -> Alcotest.fail "decode wanted more bytes"
-  | `Corrupt reason -> Alcotest.fail ("corrupt: " ^ reason)
+  Alcotest.(check int) "consumed" (Bytes.length frame)
+    (Envelope.decode frame ~off:0 ~len:(Bytes.length frame));
+  Alcotest.(check bool) "kind" true (Envelope.kind frame ~off:0 = Envelope.Data);
+  Alcotest.(check int) "src" 7 (Envelope.src frame ~off:0);
+  Alcotest.(check int) "stamp" 42 (Envelope.stamp frame ~off:0);
+  Alcotest.(check int) "seq" 3 (Envelope.seq frame ~off:0);
+  Alcotest.(check int) "ack" 1 (Envelope.ack frame ~off:0);
+  Alcotest.(check bytes) "body" sample_body (body_of frame ~off:0)
 
 let test_envelope_kinds () =
   (* ack and hello frames: empty body, seq 0, cumulative ack carried *)
   List.iter
     (fun kind ->
-      let frame =
-        Envelope.encode
-          { Envelope.kind; src = 2; stamp = 5; seq = 0; ack = 17; comp = false; body = Bytes.empty }
-      in
-      match Envelope.decode frame ~off:0 ~len:(Bytes.length frame) with
-      | `Frame (env, consumed) ->
-        Alcotest.(check int) "consumed" Envelope.header_size consumed;
-        Alcotest.(check bool) "kind survives" true (env.Envelope.kind = kind);
-        Alcotest.(check int) "ack survives" 17 env.Envelope.ack;
-        Alcotest.(check int) "empty body" 0 (Bytes.length env.Envelope.body)
-      | `Need_more -> Alcotest.fail "decode wanted more bytes"
-      | `Corrupt reason -> Alcotest.fail ("corrupt: " ^ reason))
+      let frame = frame_of kind ~src:2 ~stamp:5 ~seq:0 ~ack:17 ~comp:false Bytes.empty in
+      Alcotest.(check int) "consumed" Envelope.header_size
+        (Envelope.decode frame ~off:0 ~len:(Bytes.length frame));
+      Alcotest.(check bool) "kind survives" true (Envelope.kind frame ~off:0 = kind);
+      Alcotest.(check int) "ack survives" 17 (Envelope.ack frame ~off:0);
+      Alcotest.(check int) "empty body" 0 (Envelope.body_length frame ~off:0))
     [ Envelope.Ack; Envelope.Hello; Envelope.Done ]
 
 let test_envelope_incremental () =
   let frame = encode_sample () in
-  (* every strict prefix is Need_more, never Corrupt: framing is
+  (* every strict prefix is need_more, never corrupt: framing is
      length-prefixed so partial reads are normal *)
   for len = 0 to Bytes.length frame - 1 do
-    match Envelope.decode frame ~off:0 ~len with
-    | `Need_more -> ()
-    | `Frame _ -> Alcotest.failf "prefix of %d bytes decoded as a full frame" len
-    | `Corrupt reason -> Alcotest.failf "prefix of %d bytes reported corrupt: %s" len reason
+    let verdict = Envelope.decode frame ~off:0 ~len in
+    if verdict > 0 then Alcotest.failf "prefix of %d bytes decoded as a full frame" len
+    else if verdict < 0 then
+      Alcotest.failf "prefix of %d bytes reported corrupt: %s" len
+        (Envelope.reason frame ~off:0 verdict)
   done
 
 let test_envelope_corruption () =
@@ -73,12 +67,68 @@ let test_envelope_corruption () =
   for i = 0 to Bytes.length frame - 1 do
     let mutated = Bytes.copy frame in
     Bytes.set mutated i (Char.chr (Char.code (Bytes.get mutated i) lxor 0xff));
-    match Envelope.decode mutated ~off:0 ~len:(Bytes.length mutated) with
-    | `Corrupt _ -> incr corrupted
-    | `Need_more -> incr corrupted (* length field grew: frame looks unfinished *)
-    | `Frame _ -> Alcotest.failf "single-byte corruption at offset %d went unnoticed" i
+    (* a negative verdict is corruption; need_more means the length
+       field grew, so the frame looks unfinished *)
+    if Envelope.decode mutated ~off:0 ~len:(Bytes.length mutated) <= 0 then incr corrupted
+    else Alcotest.failf "single-byte corruption at offset %d went unnoticed" i
   done;
   Alcotest.(check bool) "every mutation detected" true (!corrupted = Bytes.length (encode_sample ()))
+
+(* Envelopes where they lie. A stream reader sees frames back to back
+   in one read buffer, at whatever offset the previous frame ended: two
+   sealed frames between junk bytes must check and read exactly as each
+   does alone, bodies included, and a cut through the second is a
+   prefix (need_more), not corruption. *)
+let gen_envelope =
+  QCheck2.Gen.(
+    let* kind = oneofl [ Envelope.Data; Envelope.Ack; Envelope.Hello; Envelope.Done ] in
+    let* src = int_bound 0x7FFFFFFF and* stamp = int_bound 0x7FFFFFFF in
+    let* seq = int_bound 0x7FFFFFFF and* ack = int_bound 0x7FFFFFFF and* comp = bool in
+    let+ body = string_size ~gen:char (int_range 0 64) in
+    frame_of kind ~src ~stamp ~seq ~ack ~comp (Bytes.of_string body))
+
+let fields frame ~off =
+  ( (Envelope.kind frame ~off, Envelope.comp frame ~off),
+    (Envelope.src frame ~off, Envelope.stamp frame ~off, Envelope.seq frame ~off),
+    (Envelope.ack frame ~off, Bytes.to_string (body_of frame ~off)) )
+
+let prop_envelopes_back_to_back =
+  QCheck2.Test.make ~name:"back-to-back envelopes at an offset read as alone" ~count:500
+    QCheck2.Gen.(
+      quad gen_envelope gen_envelope (string_size ~gen:char (int_range 0 31))
+        (string_size ~gen:char (int_range 0 31)))
+    (fun (a, b, pre, post) ->
+      let buf = Bytes.concat Bytes.empty [ Bytes.of_string pre; a; b; Bytes.of_string post ] in
+      let off = String.length pre and la = Bytes.length a and lb = Bytes.length b in
+      let rest = Bytes.length buf - off in
+      Envelope.decode buf ~off ~len:rest = la
+      && Envelope.decode buf ~off:(off + la) ~len:(rest - la) = lb
+      && Envelope.decode buf ~off:(off + la) ~len:(lb - 1) = Envelope.need_more
+      && fields buf ~off = fields a ~off:0
+      && fields buf ~off:(off + la) = fields b ~off:0)
+
+(* A hostile body length at an offset: a header claiming more than
+   [max_body] is refused as corrupt, one claiming more than the buffer
+   holds is a prefix, and neither verdict allocates anything. *)
+let test_envelope_hostile_length () =
+  let off = 11 in
+  let buf = Bytes.make (off + 200) '\000' in
+  Bytes.blit (encode_sample ()) 0 buf off (Bytes.length (encode_sample ()));
+  let claim blen =
+    Bytes.set_int32_le buf (off + 20) (Int32.of_int blen);
+    let before = Gc.minor_words () in
+    let verdict = Envelope.decode buf ~off ~len:(Bytes.length buf - off) in
+    let words = Gc.minor_words () -. before in
+    if words > 0.0 then Alcotest.failf "decode allocated %.0f words on a hostile length" words;
+    verdict
+  in
+  let huge = claim (Envelope.max_body + 1) in
+  Alcotest.(check bool) "length over max_body is corrupt" true (huge < 0);
+  Alcotest.(check string) "named as a length fault"
+    (Printf.sprintf "body length %d out of bounds" (Envelope.max_body + 1))
+    (Envelope.reason buf ~off huge);
+  Alcotest.(check int) "length past the buffer is a prefix" Envelope.need_more
+    (claim Envelope.max_body)
 
 (* One whole frame into a core: a valid frame is handled, a flipped
    body byte fails the CRC, a truncated frame is a decode error. *)
@@ -99,7 +149,7 @@ let test_node_core_receive () =
         fleet_halt = false;
       }
       {
-        Node_core.emit = (fun ~now:_ _ -> ());
+        Node_core.emit = None;
         xmit = (fun ~now:_ ~dst:_ _ -> ());
         notify_complete = (fun ~now:_ ~tick:_ -> ());
         wake = (fun ~dst:_ -> ());
@@ -107,17 +157,10 @@ let test_node_core_receive () =
       ~labels:(Array.init n Fun.id) ~links_up:true ~now:0.0
   in
   let frame =
-    Envelope.encode
-      {
-        Envelope.kind = Envelope.Data;
-        src = 1;
-        stamp = 0;
-        seq = 1;
-        ack = 0;
-        comp = false;
-        body = Wire.encode Wire.Adaptive ~universe:n (Payload.Share (Payload.Ids [| 5 |]));
-      }
+    Wire.encode Wire.Adaptive ~universe:n ~room:Envelope.header_size
+      (Payload.Share (Payload.Ids [| 5 |]))
   in
+  Envelope.seal frame Envelope.Data ~src:1 ~stamp:0 ~seq:1 ~ack:0 ~comp:false;
   let counts () =
     let f = Node_core.final core in
     (f.Control.delivered, f.Control.corrupt_frames, f.Control.decode_errors)
@@ -137,42 +180,132 @@ let test_node_core_receive () =
   check "truncated frame is a decode error" (1, 1, 1)
 
 let test_envelope_comp_bit () =
-  (* the completion-gossip bit survives encoding on every kind, and
+  (* the completion-gossip bit survives sealing on every kind, and
      peek_kind classifies a raw frame without a CRC pass *)
   List.iter
     (fun kind ->
       List.iter
         (fun comp ->
-          let env =
-            { Envelope.kind; src = 3; stamp = 1; seq = 0; ack = 5; comp; body = Bytes.empty }
-          in
-          let frame = Envelope.encode env in
+          let frame = frame_of kind ~src:3 ~stamp:1 ~seq:0 ~ack:5 ~comp Bytes.empty in
           Alcotest.(check bool) "peek_kind agrees" true (Envelope.peek_kind frame = Some kind);
-          match Envelope.decode frame ~off:0 ~len:(Bytes.length frame) with
-          | `Frame (env', _) ->
-            Alcotest.(check bool) "kind survives" true (env'.Envelope.kind = kind);
-            Alcotest.(check bool) "comp survives" comp env'.Envelope.comp
-          | `Need_more | `Corrupt _ -> Alcotest.fail "frame did not decode")
+          if Envelope.decode frame ~off:0 ~len:(Bytes.length frame) <= 0 then
+            Alcotest.fail "frame did not decode";
+          Alcotest.(check bool) "kind survives" true (Envelope.kind frame ~off:0 = kind);
+          Alcotest.(check bool) "comp survives" comp (Envelope.comp frame ~off:0))
         [ false; true ])
     [ Envelope.Data; Envelope.Ack; Envelope.Hello; Envelope.Done ];
   Alcotest.(check bool) "short buffer peeks None" true (Envelope.peek_kind Bytes.empty = None)
 
 let test_envelope_limits () =
-  let base =
-    {
-      Envelope.kind = Envelope.Data;
-      src = 0;
-      stamp = 0;
-      seq = 1;
-      ack = 0;
-      comp = false;
-      body = Bytes.empty;
-    }
+  let seal frame ~src = Envelope.seal frame Envelope.Data ~src ~stamp:0 ~seq:1 ~ack:0 ~comp:false in
+  Alcotest.check_raises "oversized body" (Invalid_argument "Envelope.seal: body too large")
+    (fun () -> seal (Bytes.create (Envelope.header_size + Envelope.max_body + 1)) ~src:0);
+  Alcotest.check_raises "negative src" (Invalid_argument "Envelope.seal: src out of range")
+    (fun () -> seal (Bytes.create Envelope.header_size) ~src:(-1));
+  Alcotest.check_raises "no header room"
+    (Invalid_argument "Envelope.seal: frame shorter than the header") (fun () ->
+      seal (Bytes.create (Envelope.header_size - 1)) ~src:0)
+
+(* A buffer lent to the transport is never written again. A core sends
+   one data frame and then, before any ack, meets a hello reset (the
+   frame goes out again as seq 1, a snapshot with it), a data frame
+   that moves its cumulative ack to 1, and a retransmission timeout
+   (both frames again, now carrying ack 1). Under each fault path of
+   the shim (none, duplication, corruption, delay, reordering) every
+   buffer [xmit] receives must still hold, at the end, the bytes it held
+   when it was lent, and no buffer may be lent twice. Where the first
+   transmission's buffer itself reaches [xmit] (all but corruption), it
+   must still carry ack 0: a reseal in place at the timeout would have
+   written ack 1 into it, even into a frame the delay path was still
+   holding. *)
+let test_lent_frames_never_written () =
+  let n = 8 in
+  let peer_hello = frame_of Envelope.Hello ~src:1 ~stamp:0 ~seq:0 ~ack:0 ~comp:false Bytes.empty in
+  let peer_data =
+    let frame =
+      Wire.encode Wire.Adaptive ~universe:n ~room:Envelope.header_size
+        (Payload.Share (Payload.Ids [| 3 |]))
+    in
+    Envelope.seal frame Envelope.Data ~src:1 ~stamp:0 ~seq:1 ~ack:0 ~comp:false;
+    frame
   in
-  Alcotest.check_raises "oversized body" (Invalid_argument "Envelope.encode: body too large")
-    (fun () -> ignore (Envelope.encode { base with Envelope.body = Bytes.create (Envelope.max_body + 1) }));
-  Alcotest.check_raises "negative src" (Invalid_argument "Envelope.encode: src out of range")
-    (fun () -> ignore (Envelope.encode { base with Envelope.src = -1 }))
+  List.iter
+    (fun (name, plan, lent_frames) ->
+      let fault = match Fault.of_string plan with Ok f -> f | Error e -> Alcotest.fail e in
+      let captured = ref [] in
+      let core =
+        Node_core.create
+          {
+            Node_core.node = 0;
+            n;
+            algo = get_algo "flooding";
+            seed = 1;
+            neighbors = [| 1 |];
+            tick_period = 1.0;
+            rto = 3.0;
+            fault;
+            announce = false;
+            fleet_halt = false;
+          }
+          {
+            Node_core.emit = None;
+            xmit = (fun ~now:_ ~dst:_ frame -> captured := (frame, Bytes.copy frame) :: !captured);
+            notify_complete = (fun ~now:_ ~tick:_ -> ());
+            wake = (fun ~dst:_ -> ());
+          }
+          ~labels:(Array.init n Fun.id) ~links_up:true ~now:0.0
+      in
+      Node_core.send core ~now:0.0 ~dst:1 (Payload.Share (Payload.Ids [| 5; 6 |]));
+      Node_core.receive core ~now:1.0 peer_hello;
+      Node_core.receive core ~now:2.0 peer_data;
+      Node_core.pump core ~now:5.0;
+      Node_core.flush_faults core ~now:20.0;
+      let lent = List.rev !captured in
+      Alcotest.(check int) (name ^ ": frames lent") lent_frames (List.length lent);
+      Alcotest.(check int)
+        (name ^ ": retransmissions") 2 (Node_core.final core).Control.retransmits;
+      List.iteri
+        (fun i (frame, at_lend) ->
+          Alcotest.(check bytes) (Printf.sprintf "%s: frame %d unchanged since lent" name i) at_lend
+            frame;
+          List.iteri
+            (fun j (other, _) ->
+              if j > i && frame == other then
+                Alcotest.failf "%s: frames %d and %d are one buffer" name i j)
+            lent)
+        lent;
+      if not (String.equal name "corrupt") then begin
+        let first, _ = List.hd lent in
+        Alcotest.(check bool) (name ^ ": first frame decodes") true
+          (Envelope.decode first ~off:0 ~len:(Bytes.length first) > 0);
+        Alcotest.(check (pair int int))
+          (name ^ ": first frame's seq and ack as first sealed") (1, 0)
+          (Envelope.seq first ~off:0, Envelope.ack first ~off:0)
+      end)
+    [
+      ("none", "", 5);
+      ("dup", "dup=1", 10);
+      ("corrupt", "corrupt=1", 5);
+      ("delay", "delay=2", 5);
+      ("reorder", "reorder=1", 5);
+    ]
+;
+  (* the shim itself: the frame it is given is never written, and every
+     buffer it queues besides the frame itself is a fresh one *)
+  List.iter
+    (fun plan ->
+      let plan = match Fault.of_string plan with Ok f -> f | Error e -> Alcotest.fail e in
+      let fn = Faultnet.create ~plan ~seed:1 ~node:0 ~epoch:0.0 ~tick_period:1.0 in
+      for i = 1 to 20 do
+        let frame = encode_sample () in
+        let before = Bytes.copy frame in
+        (match Faultnet.send fn ~now:(float_of_int i) ~dst:1 frame with
+        | Faultnet.Gone | Faultnet.Pass -> ()
+        | Faultnet.Queue [ a; b ] when a == b -> Alcotest.fail "shim queued one buffer twice"
+        | Faultnet.Queue _ -> ());
+        Alcotest.(check bytes) "shim left its input unchanged" before frame
+      done)
+    [ "corrupt=1"; "dup=1"; "corrupt=0.5,dup=0.5,reorder=0.5" ]
 
 (* --- Control protocol ---------------------------------------------- *)
 
@@ -942,6 +1075,9 @@ let () =
           Alcotest.test_case "comp-bit" `Quick test_envelope_comp_bit;
           Alcotest.test_case "limits" `Quick test_envelope_limits;
           Alcotest.test_case "core-receive" `Quick test_node_core_receive;
+          Alcotest.test_case "lent-frames-never-written" `Quick test_lent_frames_never_written;
+          Alcotest.test_case "hostile-length-at-offset" `Quick test_envelope_hostile_length;
+          QCheck_alcotest.to_alcotest prop_envelopes_back_to_back;
         ] );
       ("backend", [ Alcotest.test_case "roundtrip" `Quick test_backend_roundtrip ]);
       ( "addr-table",

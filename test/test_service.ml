@@ -151,6 +151,10 @@ let test_lag_converge_between_same_time_ticks () =
 
 (* --- Wire codec 3: versioned update batches --------------------------- *)
 
+(* a whole message in a buffer of its own *)
+let encode e ~universe p = Wire.encode e ~universe ~room:0 p
+let decode ~universe b = Wire.decode ~universe b ~off:0 ~len:(Bytes.length b)
+
 let updates ?(full = false) entries =
   let flat = Array.make (2 * List.length entries) 0 in
   List.iteri
@@ -159,8 +163,8 @@ let updates ?(full = false) entries =
   Payload.Updates { full; entries = flat }
 
 let roundtrip p =
-  let b = Wire.encode Wire.Adaptive ~universe:300 p in
-  match Wire.decode ~universe:300 b with
+  let b = encode Wire.Adaptive ~universe:300 p in
+  match decode ~universe:300 b with
   | Ok p' -> p'
   | Error e -> Alcotest.failf "decode failed: %s" e
 
@@ -178,34 +182,34 @@ let test_wire_updates_roundtrip () =
 let test_wire_updates_canonical_enforced () =
   let check_invalid name p =
     Alcotest.check_raises name (Invalid_argument "Wire.encode: updates not strictly ascending")
-      (fun () -> ignore (Wire.encode Wire.Adaptive ~universe:300 p))
+      (fun () -> ignore (encode Wire.Adaptive ~universe:300 p))
   in
   check_invalid "unsorted rejected" (Payload.Share (updates [ (7, 1, 0); (3, 1, 0) ]));
   check_invalid "duplicate rejected" (Payload.Share (updates [ (3, 1, 0); (3, 2, 0) ]))
 
 let test_wire_updates_bad_bytes_rejected () =
-  let good = Wire.encode Wire.Adaptive ~universe:300 (Payload.Share (updates [ (5, 3, 1) ])) in
+  let good = encode Wire.Adaptive ~universe:300 (Payload.Share (updates [ (5, 3, 1) ])) in
   (* flip the status byte (last byte) to an unknown value *)
   let bad = Bytes.copy good in
   Bytes.set bad (Bytes.length bad - 1) (Char.chr 7);
-  (match Wire.decode ~universe:300 bad with
+  (match decode ~universe:300 bad with
   | Ok _ -> Alcotest.fail "unknown status accepted"
   | Error _ -> ());
   (* truncated body *)
-  (match Wire.decode ~universe:300 (Bytes.sub good 0 (Bytes.length good - 1)) with
+  (match decode ~universe:300 (Bytes.sub good 0 (Bytes.length good - 1)) with
   | Ok _ -> Alcotest.fail "truncated batch accepted"
   | Error _ -> ());
   (* the full flag is meaningless on a non-update codec *)
-  let share = Wire.encode Wire.Adaptive ~universe:300 (Payload.Share (Payload.Ids [| 1; 2 |])) in
+  let share = encode Wire.Adaptive ~universe:300 (Payload.Share (Payload.Ids [| 1; 2 |])) in
   let bad = Bytes.copy share in
   Bytes.set bad 1 (Char.chr (Char.code (Bytes.get share 1) lor 0x40));
-  match Wire.decode ~universe:300 bad with
+  match decode ~universe:300 bad with
   | Ok _ -> Alcotest.fail "stray full flag accepted"
   | Error _ -> ()
 
 let test_wire_updates_size_exact () =
   let p = Payload.Share (updates [ (0, 1, 0); (150, 200, 2) ]) in
-  let b = Wire.encode Wire.Adaptive ~universe:300 p in
+  let b = encode Wire.Adaptive ~universe:300 p in
   Alcotest.(check int) "encoded_size agrees" (Bytes.length b)
     (Wire.encoded_size Wire.Adaptive ~universe:300 p)
 
@@ -237,7 +241,7 @@ let test_wire_probe_payloads_roundtrip () =
       Payload.Suspicion { target = 0; version = 77 };
     ];
   (* the three kinds must stay distinct on the wire even with equal fields *)
-  let enc p = Bytes.to_string (Wire.encode Wire.Adaptive ~universe:300 p) in
+  let enc p = Bytes.to_string (encode Wire.Adaptive ~universe:300 p) in
   Alcotest.(check bool) "req <> ack" true
     (enc (Payload.Probe_req { target = 5; nonce = 9 }) <> enc (Payload.Probe_ack { target = 5; nonce = 9 }));
   Alcotest.(check bool) "ack <> suspicion" true
@@ -250,7 +254,7 @@ let test_wire_probe_payloads_canonical_enforced () =
     (fun (name, p) ->
       Alcotest.(check bool) name true
         (try
-           ignore (Wire.encode Wire.Adaptive ~universe:300 p);
+           ignore (encode Wire.Adaptive ~universe:300 p);
            false
          with Invalid_argument _ -> true))
     [
@@ -261,27 +265,27 @@ let test_wire_probe_payloads_canonical_enforced () =
     ]
 
 let test_wire_probe_payloads_bad_bytes_rejected () =
-  let good = Wire.encode Wire.Adaptive ~universe:300 (Payload.Probe_req { target = 5; nonce = 9 }) in
+  let good = encode Wire.Adaptive ~universe:300 (Payload.Probe_req { target = 5; nonce = 9 }) in
   (* canonical form is exactly two varints: a trailing byte is noise *)
   let padded = Bytes.extend good 0 1 in
   Bytes.set padded (Bytes.length padded - 1) '\000';
-  (match Wire.decode ~universe:300 padded with
+  (match decode ~universe:300 padded with
   | Ok _ -> Alcotest.fail "trailing byte accepted"
   | Error _ -> ());
   (* truncated body *)
-  (match Wire.decode ~universe:300 (Bytes.sub good 0 1) with
+  (match decode ~universe:300 (Bytes.sub good 0 1) with
   | Ok _ -> Alcotest.fail "missing body accepted"
   | Error _ -> ());
   (* a decoded target is range-checked against the receiver's universe *)
-  let wide = Wire.encode Wire.Adaptive ~universe:1000 (Payload.Suspicion { target = 750; version = 2 }) in
-  match Wire.decode ~universe:300 wide with
+  let wide = encode Wire.Adaptive ~universe:1000 (Payload.Suspicion { target = 750; version = 2 }) in
+  match decode ~universe:300 wide with
   | Ok _ -> Alcotest.fail "out-of-universe target accepted"
   | Error _ -> ()
 
 let test_wire_probe_payloads_size_exact () =
   List.iter
     (fun p ->
-      let b = Wire.encode Wire.Adaptive ~universe:300 p in
+      let b = encode Wire.Adaptive ~universe:300 p in
       Alcotest.(check int) "encoded_size agrees" (Bytes.length b)
         (Wire.encoded_size Wire.Adaptive ~universe:300 p))
     [

@@ -6,6 +6,10 @@ open Repro_discovery
 
 let universe = 300
 
+(* a whole message in a buffer of its own *)
+let encode e ~universe p = Wire.encode e ~universe ~room:0 p
+let decode ~universe b = Wire.decode ~universe b ~off:0 ~len:(Bytes.length b)
+
 let bsnap n ids = Knowledge.external_snapshot (Cset.of_array n ids)
 
 let payload_testable =
@@ -14,7 +18,7 @@ let payload_testable =
     (fun a b -> Wire.ids_of_payload a = Wire.ids_of_payload b && Payload.(measure Probe) >= 0)
 
 let roundtrip encoding p =
-  match Wire.decode ~universe (Wire.encode encoding ~universe p) with
+  match decode ~universe (encode encoding ~universe p) with
   | Ok p -> p
   | Error msg -> Alcotest.failf "%s: valid encoding rejected: %s" (Wire.encoding_name encoding) msg
 
@@ -124,7 +128,7 @@ let test_size_matches_encode () =
         (fun p ->
           Alcotest.(check int)
             (Printf.sprintf "%s size" (Wire.encoding_name e))
-            (Bytes.length (Wire.encode e ~universe p))
+            (Bytes.length (encode e ~universe p))
             (Wire.encoded_size e ~universe p))
         payloads)
     Wire.all_encodings
@@ -150,13 +154,13 @@ let test_probe_size () =
 
 let test_range_validation () =
   Alcotest.check_raises "too big" (Invalid_argument "Wire.encode: identifier out of range")
-    (fun () -> ignore (Wire.encode Wire.Raw32 ~universe (Payload.Share (Payload.Ids [| universe |]))))
+    (fun () -> ignore (encode Wire.Raw32 ~universe (Payload.Share (Payload.Ids [| universe |]))))
 
 let test_decode_validation () =
   let bad cases =
     List.iter
       (fun (name, bytes) ->
-        match Wire.decode ~universe bytes with
+        match decode ~universe bytes with
         | Error _ -> ()
         | Ok _ -> Alcotest.failf "%s: decode accepted malformed input" name
         | exception e ->
@@ -204,7 +208,7 @@ let test_decode_fuzz () =
   let attempts = ref 0 in
   let try_decode name bytes =
     incr attempts;
-    match Wire.decode ~universe bytes with
+    match decode ~universe bytes with
     | Ok _ | Error _ -> ()
     | exception e ->
       Alcotest.failf "%s: decode raised %s on %S" name (Printexc.to_string e)
@@ -214,7 +218,7 @@ let test_decode_fuzz () =
     (fun enc ->
       List.iter
         (fun p ->
-          let valid = Wire.encode enc ~universe p in
+          let valid = encode enc ~universe p in
           let len = Bytes.length valid in
           for i = 0 to len - 1 do
             (* all 255 single-byte overwrites at position i *)
@@ -252,8 +256,8 @@ let prop_roundtrip =
         | 1 -> Payload.Exchange data
         | _ -> Payload.Reply data
       in
-      let encoded = Wire.encode enc ~universe p in
-      match Wire.decode ~universe encoded with
+      let encoded = encode enc ~universe p in
+      match decode ~universe encoded with
       | Error _ -> false
       | Ok back ->
         Wire.ids_of_payload back = List.sort_uniq compare ids
@@ -275,9 +279,9 @@ let prop_detector_roundtrip =
         | 1 -> Payload.Probe_ack { target; nonce = aux }
         | _ -> Payload.Suspicion { target; version = aux }
       in
-      let encoded = Wire.encode enc ~universe p in
+      let encoded = encode enc ~universe p in
       (* the detector payloads are codec-independent: two varints *)
-      match Wire.decode ~universe encoded with
+      match decode ~universe encoded with
       | Error _ -> false
       | Ok back ->
         back = p
@@ -304,8 +308,8 @@ let check_bits_identity ~universe enc kind set =
     match kind with 0 -> Payload.Share d | 1 -> Payload.Exchange d | _ -> Payload.Reply d
   in
   let bits = wrap (Payload.Bits (Knowledge.external_snapshot set)) in
-  let eb = Wire.encode enc ~universe bits in
-  let el = Wire.encode enc ~universe (wrap (Payload.Ids (Cset.to_array set))) in
+  let eb = encode enc ~universe bits in
+  let el = encode enc ~universe (wrap (Payload.Ids (Cset.to_array set))) in
   let byte b i = Char.code (Bytes.get b i) in
   Bytes.length eb = Bytes.length el
   && Bytes.length eb = Wire.encoded_size enc ~universe bits
@@ -314,7 +318,7 @@ let check_bits_identity ~universe enc kind set =
   && Bytes.get eb 0 = Bytes.get el 0
   && Bytes.equal (Bytes.sub eb 2 (Bytes.length eb - 2)) (Bytes.sub el 2 (Bytes.length el - 2))
   &&
-  match (kind, Wire.decode ~universe eb) with
+  match (kind, decode ~universe eb) with
   | 0, Ok (Payload.Share (Payload.Bits b))
   | 1, Ok (Payload.Exchange (Payload.Bits b))
   | 2, Ok (Payload.Reply (Payload.Bits b)) ->
@@ -436,13 +440,74 @@ let test_pinned_frames () =
     (fun (name, p, universe, frames) ->
       List.iter2
         (fun e expected ->
-          let encoded = Wire.encode e ~universe p in
+          let encoded = encode e ~universe p in
           let label = Printf.sprintf "%s, %s" name (Wire.encoding_name e) in
           Alcotest.(check string) label expected (fingerprint encoded);
           Alcotest.(check int) (label ^ " size") (Bytes.length encoded)
             (Wire.encoded_size e ~universe p))
         Wire.all_encodings frames)
     pinned_frames
+
+(* --- messages where they lie: decoding at an offset ---
+
+   The live path decodes a body inside its envelope, and a stream
+   reader inside its read buffer, so a message is the [len] bytes at
+   [off] of a larger buffer. Each pinned frame, under each encoding,
+   placed between junk bytes must decode exactly as the bare frame does
+   (same verdict; an accepted payload re-encodes to the same bytes,
+   which also pins its form), and encoding with room must place the
+   bare frame's bytes after the room. *)
+let pinned_cases =
+  List.concat_map
+    (fun (name, p, universe, _) ->
+      List.map (fun e -> (Printf.sprintf "%s, %s" name (Wire.encoding_name e), e, p, universe))
+        Wire.all_encodings)
+    pinned_frames
+
+let verdict_bytes ~universe e = function
+  | Ok p -> Ok (Bytes.to_string (encode e ~universe p))
+  | Error msg -> Error msg
+
+let prop_pinned_at_offset =
+  QCheck2.Test.make ~name:"pinned frames decode at an offset as they do bare" ~count:200
+    ~print:(fun (i, pre, post) ->
+      let name, _, _, _ = List.nth pinned_cases i in
+      Printf.sprintf "%s, %d junk bytes before, %d after" name (String.length pre)
+        (String.length post))
+    QCheck2.Gen.(
+      triple
+        (int_bound (List.length pinned_cases - 1))
+        (string_size ~gen:char (int_range 1 24))
+        (string_size ~gen:char (int_range 0 24)))
+    (fun (i, pre, post) ->
+      let _, e, p, universe = List.nth pinned_cases i in
+      let bare = encode e ~universe p in
+      let off = String.length pre and len = Bytes.length bare in
+      let buf = Bytes.cat (Bytes.of_string pre) (Bytes.cat bare (Bytes.of_string post)) in
+      let roomy = Wire.encode e ~universe ~room:off p in
+      verdict_bytes ~universe e (decode ~universe bare)
+      = verdict_bytes ~universe e (Wire.decode ~universe buf ~off ~len)
+      && Bytes.equal (Bytes.sub roomy off len) bare)
+
+(* A hostile count at an offset is still bounded by the message's own
+   length, not by the buffer's: a varint-codec message claiming 400,000
+   ids in 5 bytes, followed by 500,000 zero bytes that would satisfy the
+   claim, is refused before any array is sized from it (sizing one
+   would cost 400,000 words). *)
+let test_hostile_count_at_offset () =
+  let msg = Bytes.of_string "\000\001\128\181\024" in
+  let off = 13 in
+  let buf = Bytes.make (off + Bytes.length msg + 500_000) '\000' in
+  Bytes.blit msg 0 buf off (Bytes.length msg);
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let verdict = Wire.decode ~universe:1_000_000 buf ~off ~len:(Bytes.length msg) in
+  let _, promoted1, major1 = Gc.counters () in
+  let words = Gc.minor_words () -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  (match verdict with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a count beyond the message's bytes was accepted");
+  if words > 64.0 then Alcotest.failf "refusing the hostile count allocated %.0f words" words
 
 (* --- the service payloads: codec 3 update batches and kinds 3-7 --- *)
 
@@ -496,9 +561,9 @@ let print_service (universe, p) =
 let prop_service_roundtrip =
   QCheck2.Test.make ~name:"service payloads roundtrip at their exact size" ~count:300
     ~print:print_service gen_service_payload (fun (universe, p) ->
-      let encoded = Wire.encode Wire.Adaptive ~universe p in
+      let encoded = encode Wire.Adaptive ~universe p in
       Bytes.length encoded = Wire.encoded_size Wire.Adaptive ~universe p
-      && Wire.decode ~universe encoded = Ok p)
+      && decode ~universe encoded = Ok p)
 
 (* A mutated service frame must decode to [Error] or to a payload that
    re-encodes to exactly the mutated bytes (the decoder accepts only
@@ -516,7 +581,7 @@ let prop_service_mutations =
       let* byte = int_range 1 255 in
       return (universe_p, how, at, byte))
     (fun ((universe, p), how, at, byte) ->
-      let valid = Wire.encode Wire.Adaptive ~universe p in
+      let valid = encode Wire.Adaptive ~universe p in
       let len = Bytes.length valid in
       let mutated =
         match how with
@@ -528,13 +593,13 @@ let prop_service_mutations =
         | 1 -> Bytes.sub valid 0 (at mod len)
         | _ -> Bytes.cat valid (Bytes.make (1 + (at mod 3)) (Char.chr byte))
       in
-      match Wire.decode ~universe mutated with
+      match decode ~universe mutated with
       | Error _ -> true
       | Ok (Payload.Share (Payload.Ids _ | Payload.Bits _ | Payload.Delta _))
       | Ok (Payload.Exchange (Payload.Ids _ | Payload.Bits _ | Payload.Delta _))
       | Ok (Payload.Reply (Payload.Ids _ | Payload.Bits _ | Payload.Delta _)) ->
         true
-      | Ok back -> Bytes.equal (Wire.encode Wire.Adaptive ~universe back) mutated
+      | Ok back -> Bytes.equal (encode Wire.Adaptive ~universe back) mutated
       | exception e -> QCheck2.Test.fail_reportf "decode raised %s" (Printexc.to_string e))
 
 (* Encoding refuses a flat array that is not canonical: an odd length,
@@ -563,7 +628,7 @@ let prop_noncanonical_batch_refused =
         end
       in
       let p = Payload.Share (Payload.Updates { full = false; entries = bad }) in
-      match Wire.encode Wire.Adaptive ~universe p with
+      match encode Wire.Adaptive ~universe p with
       | _ -> false
       | exception Invalid_argument _ -> true)
 
@@ -594,6 +659,7 @@ let () =
           Alcotest.test_case "encode range" `Quick test_range_validation;
           Alcotest.test_case "decode malformed" `Quick test_decode_validation;
           Alcotest.test_case "decode mutation fuzz" `Quick test_decode_fuzz;
+          Alcotest.test_case "hostile count at an offset" `Quick test_hostile_count_at_offset;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -602,6 +668,7 @@ let () =
             prop_detector_roundtrip;
             prop_adaptive_never_worse;
             prop_bits_byte_identity;
+            prop_pinned_at_offset;
             prop_service_roundtrip;
             prop_service_mutations;
             prop_noncanonical_batch_refused;
