@@ -147,21 +147,31 @@ let b9_broadcast =
   subject "B9 broadcast_round_65536"
     (fun () -> sender.Algorithm.round ~round:1 ~send)
 
+(* [a] minus [b], as a fresh set *)
+let cset_minus a b =
+  let d = Cset.copy a in
+  ignore (Cset.diff_into ~dst:d ~src:b);
+  d
+
 (* Binary set operations at the knowledge-state sizes the large-n
-   engine work targets: copy the destination, then union a fixed
-   half-full source in, or diff it out (the custody bookkeeping hm runs
-   on every absorbed snapshot). The adaptive set pays container
-   dispatch at 4096, meets its promotion boundary around 65,536 (one
-   container) and spans 16 containers at 1M. *)
-let cset_subjects op_name op =
+   engine work targets: union a fixed half-full source in, or diff it
+   out (the custody bookkeeping hm runs on every absorbed snapshot),
+   then put the destination back in place with the inverse operation
+   on the ids that moved. The destination is one private set for all
+   runs, so a run allocates only what the two operations allocate, not
+   a fresh copy of the set. The adaptive set pays container dispatch at
+   4096, meets its promotion boundary around 65,536 (one container) and
+   spans 16 containers at 1M. *)
+let cset_subjects op_name op undo moved =
   List.map
     (fun n ->
       let dst0, src = cset_pair n (n lxor 22) in
+      let dst = Cset.copy dst0 and back = moved dst0 src in
       subject
         (Printf.sprintf "B11 cset_%s_%d" op_name n)
         (fun () ->
-          let dst = Cset.copy dst0 in
-          ignore (op ~dst ~src)))
+          ignore (op ~dst ~src);
+          undo ~dst ~src:back))
     [ 4096; 65536; 1048576 ]
 
 (* The mid-density band hm's merges live in: at n = 17,408 (one
@@ -252,8 +262,9 @@ let words_per_run s =
 let measure_subjects () =
   let subjects =
     [ b2_rng; b3_knowledge_merge; b4_graph_gen; b5; b6; b7; b8; b9_broadcast ]
-    @ cset_subjects "union" Cset.union_into
-    @ cset_subjects "diff" Cset.diff_into
+    @ cset_subjects "union" Cset.union_into Cset.diff_into (fun dst0 src -> cset_minus src dst0)
+    @ cset_subjects "diff" Cset.diff_into Cset.union_into (fun dst0 src ->
+          cset_minus dst0 (cset_minus dst0 src))
     @ cset_union_band
     @ [ cset_add_sorted; b14_wire_bits; b15_async ]
   in

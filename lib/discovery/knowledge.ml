@@ -306,7 +306,7 @@ let min_known_excluding t ~suspects =
 
 (* --- per-node versions (version-vector style) ------------------------ *)
 
-let node_version t v =
+let[@inline] node_version t v =
   if v < 0 || v >= Cset.capacity t.bits then invalid_arg "Knowledge.node_version: out of range";
   if Array.length t.versions = 0 then 0 else t.versions.(v)
 

@@ -12,11 +12,17 @@ let all_encodings = [ Raw32; Varint_delta; Bitmap; Adaptive ]
 
 (* --- primitive writers/readers --- *)
 
-let varint_size v =
-  let rec go v acc = if v < 0x80 then acc else go (v lsr 7) (acc + 1) in
-  go (max v 0) 1
+(* Bytes in [v]'s varint; a negative value, which no writer puts on the
+   wire, counts one. Inlined: a one-byte varint costs one test. *)
+let[@inline] varint_size v =
+  let n = ref 1 and v = ref v in
+  while !v >= 0x80 do
+    incr n;
+    v := !v lsr 7
+  done;
+  !n
 
-let put_varint out pos v =
+let[@inline] put_varint out pos v =
   let v = ref v and pos = ref pos in
   while !v >= 0x80 do
     Bytes.set out !pos (Char.unsafe_chr (0x80 lor (!v land 0x7F)));
@@ -28,7 +34,7 @@ let put_varint out pos v =
 
 (* The varint at [pos], which must end before [stop]. Only the minimal
    form of a non-negative value is accepted, so the varint is exactly
-   [varint_bytes v] bytes long: callers advance by that, and keep their
+   [varint_size v] bytes long: callers advance by that, and keep their
    position in an unboxed local. *)
 let read_varint bytes pos stop =
   let v = ref 0 and shift = ref 0 and continue = ref true and pos = ref pos in
@@ -47,10 +53,11 @@ let read_varint bytes pos stop =
   if !v < 0 then invalid_arg "Wire.decode: varint overflow";
   !v
 
-(* [varint_size] of a value [read_varint] returned. It is never
-   negative, so it needs no clamp, and [varint_size]'s [max] is a call
-   to the polymorphic comparison per varint. *)
-let rec varint_bytes v = if v < 0x80 then 1 else 1 + varint_bytes (v lsr 7)
+(* [read_varint], with a one-byte varint (most gaps and versions) read
+   in place; any other byte, or none, goes through its checks. *)
+let[@inline] read_varint_fast bytes pos stop =
+  let b = if pos < stop then Char.code (Bytes.get bytes pos) else 0x80 in
+  if b < 0x80 then b else read_varint bytes pos stop
 
 (* canonical identifier list of a data payload: sorted, deduplicated *)
 let ids_of_data = function
@@ -77,27 +84,21 @@ let bitmap_size ~universe = (universe + 7) / 8
 
 let updates_full_flag = 0x40
 
-let check_updates ~universe entries =
+(* A batch's body size, checked for canonical form in the same pass. *)
+let updates_body_size ~universe entries =
   if Array.length entries land 1 <> 0 then invalid_arg "Wire.encode: odd-length update batch";
-  let prev = ref (-1) in
-  for i = 0 to Payload.update_count entries - 1 do
-    let node = Payload.update_node entries i in
-    let status = Payload.update_status entries i in
-    if node <= !prev then invalid_arg "Wire.encode: updates not strictly ascending";
-    if node >= universe then invalid_arg "Wire.encode: identifier out of range";
-    if Payload.update_version entries i < 0 then invalid_arg "Wire.encode: negative version";
-    if status > Payload.status_down then invalid_arg "Wire.encode: unknown update status";
-    prev := node
-  done
-
-let updates_body_size entries =
   let count = Payload.update_count entries in
   let total = ref (varint_size count) in
   let prev = ref (-1) in
   for i = 0 to count - 1 do
     let node = Payload.update_node entries i in
-    total :=
-      !total + varint_size (node - !prev - 1) + varint_size (Payload.update_version entries i) + 1;
+    let version = Payload.update_version entries i in
+    if node <= !prev then invalid_arg "Wire.encode: updates not strictly ascending";
+    if node >= universe then invalid_arg "Wire.encode: identifier out of range";
+    if version < 0 then invalid_arg "Wire.encode: negative version";
+    if Payload.update_status entries i > Payload.status_down then
+      invalid_arg "Wire.encode: unknown update status";
+    total := !total + varint_size (node - !prev - 1) + varint_size version + 1;
     prev := node
   done;
   !total
@@ -355,8 +356,7 @@ let encode_liveness kind ~universe ~room ~target ~aux =
   out
 
 let encode_updates ~universe ~room kind ~full entries =
-  check_updates ~universe entries;
-  let out = Bytes.create (room + 2 + updates_body_size entries) in
+  let out = Bytes.create (room + 2 + updates_body_size ~universe entries) in
   Bytes.set out room (Char.unsafe_chr kind);
   Bytes.set out (room + 1) (Char.unsafe_chr (3 lor if full then updates_full_flag else 0));
   let pos = ref (put_varint out (room + 2) (Payload.update_count entries)) in
@@ -402,7 +402,7 @@ let encoded_size encoding ~universe payload =
   | Payload.Share (Payload.Updates u)
   | Payload.Exchange (Payload.Updates u)
   | Payload.Reply (Payload.Updates u) ->
-    2 + updates_body_size u.entries
+    2 + updates_body_size ~universe u.entries
   | Payload.Share (Payload.Bits b) | Payload.Exchange (Payload.Bits b)
   | Payload.Reply (Payload.Bits b) ->
     let card = Cset.cardinal b.Knowledge.set in
@@ -435,10 +435,10 @@ let decode_exn ~universe bytes ~off ~len =
   else if kind >= 5 && kind <= 7 then begin
     let pos = ref (off + 1) in
     let target = read_varint bytes !pos stop in
-    pos := !pos + varint_bytes target;
+    pos := !pos + varint_size target;
     if target >= universe then invalid_arg "Wire.decode: identifier out of range";
     let aux = read_varint bytes !pos stop in
-    pos := !pos + varint_bytes aux;
+    pos := !pos + varint_size aux;
     (* canonical form is exactly two varints: trailing bytes are noise *)
     if !pos <> stop then invalid_arg "Wire.decode: trailing bytes";
     match kind with
@@ -463,7 +463,7 @@ let decode_exn ~universe bytes ~off ~len =
       match codec with
       | 0 | 1 ->
         let count = read_varint bytes !pos stop in
-        pos := !pos + varint_bytes count;
+        pos := !pos + varint_size count;
         (* validated before anything is sized from it: a raw32 body is
            exactly 4 bytes per id, and each varint gap is at least one
            byte, so a valid count never exceeds the remaining length *)
@@ -485,8 +485,8 @@ let decode_exn ~universe bytes ~off ~len =
               b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
             end
             else begin
-              let gap = read_varint bytes !pos stop in
-              pos := !pos + varint_bytes gap;
+              let gap = read_varint_fast bytes !pos stop in
+              pos := !pos + varint_size gap;
               !prev + 1 + gap
             end
           in
@@ -513,7 +513,7 @@ let decode_exn ~universe bytes ~off ~len =
         else Payload.Ids (Cset.to_array set)
       | 3 ->
         let count = read_varint bytes !pos stop in
-        pos := !pos + varint_bytes count;
+        pos := !pos + varint_size count;
         (* each entry is at least three bytes (gap, version, status), so
            a valid count never exceeds a third of the remaining length *)
         if count > (stop - !pos) / 3 then
@@ -521,12 +521,12 @@ let decode_exn ~universe bytes ~off ~len =
         let entries = Array.make (2 * count) 0 in
         let prev = ref (-1) in
         for i = 0 to count - 1 do
-          let gap = read_varint bytes !pos stop in
-          pos := !pos + varint_bytes gap;
+          let gap = read_varint_fast bytes !pos stop in
+          pos := !pos + varint_size gap;
           let node = !prev + 1 + gap in
           if node < 0 || node >= universe then invalid_arg "Wire.decode: identifier out of range";
-          let version = read_varint bytes !pos stop in
-          pos := !pos + varint_bytes version;
+          let version = read_varint_fast bytes !pos stop in
+          pos := !pos + varint_size version;
           if !pos >= stop then invalid_arg "Wire.decode: truncated update status";
           let status = Char.code (Bytes.get bytes !pos) in
           incr pos;

@@ -66,7 +66,9 @@ val decode : universe:int -> bytes -> off:int -> len:int -> (Payload.t, string) 
 
 val encoded_size : encoding -> universe:int -> Payload.t -> int
 (** [encoded_size e ~universe p] = [Bytes.length (encode e ~universe ~room:0 p)],
-    computed without materialising the buffer. *)
+    computed without materialising the buffer. An update batch is
+    checked for canonical form in the same pass that sizes it.
+    @raise Invalid_argument on an update batch that {!encode} refuses. *)
 
 val ids_of_payload : Payload.t -> int list
 (** The sorted identifier set a payload carries (empty for [Probe]) —

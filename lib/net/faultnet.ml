@@ -67,10 +67,19 @@ let passes t ~now ~dst (lk : Fault.link) frame =
    clock; like loss, a partitioned or throttled frame is silently
    swallowed and retransmission recovers, modelling a saturated or
    severed WAN link. The frame itself is never written: a corrupted or
-   duplicated frame is a fresh copy. *)
+   duplicated frame is a fresh copy. [Fault.fate] reads the round
+   clock only for a partition or a cap; without either it gets a static
+   0.0. A float computed here and passed into another library is a
+   boxed block per frame, and so is a float bound to a choice between
+   the two, hence one call per case. *)
 let send t ~now ~dst frame =
   let lk = Fault.link_between t.plan ~src:t.node ~dst in
-  match Fault.fate t.plan t.windows t.rng ~src:t.node ~dst ~time:(round_now t ~now) lk with
+  let fate =
+    match Fault.partitions t.plan with
+    | [] when lk.Fault.cap <= 0 -> Fault.fate t.plan t.windows t.rng ~src:t.node ~dst ~time:0.0 lk
+    | _ -> Fault.fate t.plan t.windows t.rng ~src:t.node ~dst ~time:(round_now t ~now) lk
+  in
+  match fate with
   | Some _ -> Gone
   | None ->
     let corrupted = lk.Fault.corrupt > 0.0 && Rng.bernoulli t.rng ~p:lk.Fault.corrupt in

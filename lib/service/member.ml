@@ -199,12 +199,15 @@ let observe t ~node ~version ~status ~relog =
   end
   else begin
     (* a fresher alive incarnation outranks any in-flight suspicion of
-       an older one: cancel it instead of letting it convict later *)
-    (match Hashtbl.find_opt t.probes node with
-    | Some (Suspected s)
-      when status = Payload.status_alive && version > s.version ->
-      cancel_probe t ~target:node ~refuted:true
-    | Some _ | None -> ());
+       an older one: cancel it instead of letting it convict later. The
+       table is empty for nearly every entry of a full-state batch, so
+       that case skips the hash. *)
+    if Hashtbl.length t.probes > 0 then begin
+      match Hashtbl.find_opt t.probes node with
+      | Some (Suspected s) when status = Payload.status_alive && version > s.version ->
+        cancel_probe t ~target:node ~refuted:true
+      | Some _ | None -> ()
+    end;
     match View.apply t.view ~node ~version ~status with
     | View.Stale -> ()
     | View.Updated -> if relog then log_append t ~node ~version ~status
@@ -275,17 +278,22 @@ let cursor t target = Option.value (Hashtbl.find_opt t.cursors target) ~default:
 
 (* Every known node at its current (version, status) — the full-state
    payload for bootstrap replies and the lossy-network backstop. The
-   known set iterates in ascending order, so the batch is canonical as
-   filled. *)
+   known nodes are those with a status, so one ascending scan of the
+   statuses fills the batch in canonical order, with no closure call
+   per node. *)
 let full_entries t =
-  let entries = Array.make (2 * Knowledge.cardinal (View.knowledge t.view)) 0 in
+  let known = View.knowledge t.view in
+  let entries = Array.make (2 * Knowledge.cardinal known) 0 in
   let k = ref 0 in
-  View.iter_known t.view (fun node ->
-      let s = View.status t.view node in
+  for node = 0 to Knowledge.universe known - 1 do
+    let s = View.status t.view node in
+    if s <> View.unknown then begin
       (* suspicion is local: export the lattice status, not the hunch *)
       let status = if s = Payload.status_suspect then Payload.status_alive else s in
       Payload.set_update entries !k ~node ~version:(View.version t.view node) ~status;
-      incr k);
+      incr k
+    end
+  done;
   entries
 
 let gossip t =

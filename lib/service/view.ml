@@ -40,7 +40,7 @@ let set_status t node s =
   else if now && not was then t.live <- t.live + 1;
   if was = now then Updated else Changed now
 
-let apply t ~node ~version ~status:s =
+let[@inline] apply t ~node ~version ~status:s =
   if node < 0 || node >= Bytes.length t.statuses then invalid_arg "View.apply: node out of range";
   if version < 0 then invalid_arg "View.apply: negative version";
   if s < 0 || s > Payload.status_down then invalid_arg "View.apply: unknown status";

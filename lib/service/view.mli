@@ -35,7 +35,9 @@ val knowledge : t -> Knowledge.t
 val owner : t -> int
 
 val unknown : int
-(** The {!status} of a never-observed node (255). *)
+(** The {!status} of a never-observed node (255). A node is in the
+    knowledge set exactly when its status is not [unknown]: {!apply}
+    adds it as it records its first status, and nothing removes it. *)
 
 val status : t -> int -> int
 (** Wire status of a node ({!Repro_discovery.Payload.status_alive} /

@@ -378,6 +378,31 @@ let minor_words_of f =
   let after = Gc.minor_words () in
   after -. before -. overhead
 
+(* The live fault shim maps its clock onto rounds only for a plan that
+   reads it (a partition or a link cap): under plain loss a frame's
+   verdict ([Gone] or [Pass]) costs nothing, where a round clock passed
+   into [Fault.fate] would box a float per frame. The times are literal
+   constants, so the calls pass static floats. Profile: dev and release
+   alike; the shim calls no library function that returns a float. *)
+let test_faultnet_loss_allocates_nothing () =
+  let plan = match Repro_engine.Fault.of_string "loss=0.05" with Ok f -> f | Error e -> failwith e in
+  let fn = Repro_net.Faultnet.create ~plan ~seed:1 ~node:0 ~epoch:0.0 ~tick_period:1.0 in
+  let frame = Bytes.make 40 'x' in
+  let gone = ref 0 in
+  let sends now =
+    for i = 1 to 1000 do
+      match Repro_net.Faultnet.send fn ~now ~dst:(1 + (i land 7)) frame with
+      | Repro_net.Faultnet.Gone -> incr gone
+      | Repro_net.Faultnet.Pass -> ()
+      | Repro_net.Faultnet.Queue _ -> Alcotest.fail "plain loss queued a buffer"
+    done
+  in
+  sends 1.0;
+  let extra = minor_words_of (fun () -> sends 2.5) in
+  if !gone = 0 then Alcotest.fail "no frame was lost";
+  if extra > 0.0 then
+    Alcotest.failf "1,000 shim sends under loss=0.05 allocated %.0f minor words (expected 0)" extra
+
 (* bitmap ∪ bitmap into a private destination: one OR pass over the
    words, in place (dev and release profile) *)
 let test_bitmap_union_allocates_nothing () =
@@ -608,13 +633,13 @@ let test_frame_seal_and_decode_allocate_frame_and_payload () =
    One fixed small run per message path: hm on kout:3 at n = 256 under
    5% loss, seed 1, through the asynchronous engine's clock and through
    the mux's live cores (envelope, CRC, go-back-N, fault shim), and a
-   64-member service soak on the hosted mux transport under the same
-   loss. Each pin is the minor words of the whole run (its set-up
-   included, the topology excluded) per data frame delivered to an
-   algorithm, or per member message on the soak, at the value the
-   current code measures, with 2% headroom (the soak's counts vary by
-   ~0.1% from run to run). A regression of a few words per frame on any
-   path fails its pin.
+   64-member service soak under the same loss, on the hosted mux
+   transport and on the direct (loopback) one. Each pin is the minor
+   words of the whole run (its set-up included, the topology excluded)
+   per data frame delivered to an algorithm, or per member message on
+   the soak, at the value the current code measures, with 2% headroom
+   (the soak's counts vary by ~0.1% from run to run). A regression of a
+   few words per frame on any path fails its pin.
 
    Profile: release only ([dune exec --profile release
    test/test_alloc.exe], a CI step). Under the dev profile dune
@@ -648,7 +673,7 @@ let mux_words_per_frame () =
   let delivered = Array.fold_left (fun acc f -> acc + f.Repro_net.Control.delivered) 0 finals in
   words /. float_of_int delivered
 
-let service_words_per_message () =
+let service_words_per_message backend () =
   let module Service = Repro_service.Service in
   let cfg =
     {
@@ -660,7 +685,7 @@ let service_words_per_message () =
       fault = pinned_loss;
       lag_bound = None;
       full_sync = None;
-      backend = Some Repro_net.Backend.Mux;
+      backend;
       indirect_k = 2;
       lifeguard = true;
       trace = Repro_engine.Trace.null;
@@ -673,12 +698,19 @@ let service_words_per_message () =
    (encoded once with envelope room, sealed in place, decoded in place)
    the mux read 227.95 words per delivered frame and the hosted service
    219.48 words per message; the async clock, which carries payloads by
-   reference, is unchanged. *)
+   reference, is unchanged. The fault shim's clock float (2 words per
+   frame under loss) took the mux from 119.12 to 116.33 and the hosted
+   service from 111.36 to 107.71. The direct transport is the service
+   with no net layer: each message encoded and decoded on the loopback
+   heap. *)
 let path_pins =
   [
     ("async clock, words per delivered frame", async_words_per_frame, 42.1);
-    ("mux over node cores, words per delivered frame", mux_words_per_frame, 119.2);
-    ("service hosted transport, words per message", service_words_per_message, 111.4);
+    ("mux over node cores, words per delivered frame", mux_words_per_frame, 116.4);
+    ( "service hosted transport, words per message",
+      service_words_per_message (Some Repro_net.Backend.Mux),
+      107.8 );
+    ("service direct transport, words per message", service_words_per_message None, 71.2);
   ]
 
 let test_path_pin measure budget () =
@@ -703,6 +735,8 @@ let () =
             test_idle_pump_allocates_nothing;
           Alcotest.test_case "link lookup and fate are allocation-free" `Quick
             test_link_fate_allocates_nothing;
+          Alcotest.test_case "fault shim under loss is allocation-free" `Quick
+            test_faultnet_loss_allocates_nothing;
           Alcotest.test_case "rng draws are allocation-free" `Quick
             test_rng_draws_allocate_nothing;
           Alcotest.test_case "rng float draws are allocation-free" `Quick

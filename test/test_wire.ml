@@ -490,24 +490,53 @@ let prop_pinned_at_offset =
       && Bytes.equal (Bytes.sub roomy off len) bare)
 
 (* A hostile count at an offset is still bounded by the message's own
-   length, not by the buffer's: a varint-codec message claiming 400,000
-   ids in 5 bytes, followed by 500,000 zero bytes that would satisfy the
+   length, not by the buffer's: a message claiming 400,000 elements in
+   5 bytes, followed by 500,000 zero bytes that would satisfy the
    claim, is refused before any array is sized from it (sizing one
-   would cost 400,000 words). *)
+   would cost 400,000 words or more). The count heads a varint-codec id
+   list, a raw32 id list and an update batch in turn. *)
 let test_hostile_count_at_offset () =
-  let msg = Bytes.of_string "\000\001\128\181\024" in
-  let off = 13 in
-  let buf = Bytes.make (off + Bytes.length msg + 500_000) '\000' in
-  Bytes.blit msg 0 buf off (Bytes.length msg);
-  let _, promoted0, major0 = Gc.counters () in
-  let minor0 = Gc.minor_words () in
-  let verdict = Wire.decode ~universe:1_000_000 buf ~off ~len:(Bytes.length msg) in
-  let _, promoted1, major1 = Gc.counters () in
-  let words = Gc.minor_words () -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
-  (match verdict with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "a count beyond the message's bytes was accepted");
-  if words > 64.0 then Alcotest.failf "refusing the hostile count allocated %.0f words" words
+  List.iter
+    (fun (name, msg) ->
+      let msg = Bytes.of_string msg in
+      let off = 13 in
+      let buf = Bytes.make (off + Bytes.length msg + 500_000) '\000' in
+      Bytes.blit msg 0 buf off (Bytes.length msg);
+      let _, promoted0, major0 = Gc.counters () in
+      let minor0 = Gc.minor_words () in
+      let verdict = Wire.decode ~universe:1_000_000 buf ~off ~len:(Bytes.length msg) in
+      let _, promoted1, major1 = Gc.counters () in
+      let words = Gc.minor_words () -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+      (match verdict with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: a count beyond the message's bytes was accepted" name);
+      if words > 64.0 then
+        Alcotest.failf "%s: refusing the hostile count allocated %.0f words" name words)
+    [
+      ("varint ids", "\000\001\128\181\024");
+      ("raw32 ids", "\000\000\128\181\024");
+      ("update batch", "\000\003\128\181\024");
+    ]
+
+(* The edges of the update-batch decoder's one-byte varint read, each
+   refused by the check meant for it: an entry that ends exactly where
+   its status byte should be (the count check passes, since the first
+   entry's two-byte version makes room for it), and a value below 128
+   spelled in two bytes, at the gap and at the version. *)
+let test_batch_boundaries () =
+  List.iter
+    (fun (name, msg, want) ->
+      match decode ~universe (Bytes.of_string msg) with
+      | Error got -> Alcotest.(check string) name want got
+      | Ok p -> Alcotest.failf "%s: decoded as %s" name (Format.asprintf "%a" Payload.pp p)
+      | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e))
+    [
+      ( "truncated at a status byte",
+        "\000\003\002\000\128\001\000\000\001",
+        "Wire.decode: truncated update status" );
+      ("two-byte gap 127", "\000\003\001\255\000\001\000", "Wire.decode: non-minimal varint");
+      ("two-byte version 0", "\000\003\001\000\128\000\000", "Wire.decode: non-minimal varint");
+    ]
 
 (* --- the service payloads: codec 3 update batches and kinds 3-7 --- *)
 
@@ -564,6 +593,43 @@ let prop_service_roundtrip =
       let encoded = encode Wire.Adaptive ~universe p in
       Bytes.length encoded = Wire.encoded_size Wire.Adaptive ~universe p
       && decode ~universe encoded = Ok p)
+
+(* Node gaps and versions at the varint width boundaries (127/128 and
+   16,383/16,384), so that the decoder's one-byte read and its
+   [read_varint] fallback both run, in an update batch and in a
+   varint-codec id list over the same nodes. *)
+let prop_varint_boundaries_roundtrip =
+  let edge = QCheck2.Gen.oneofl [ 0; 1; 126; 127; 128; 129; 16_382; 16_383; 16_384; 16_385 ] in
+  QCheck2.Test.make ~name:"batches and id lists roundtrip across varint widths" ~count:300
+    QCheck2.Gen.(
+      let* count = int_range 0 40 in
+      let* gaps = list_size (return count) edge in
+      let* versions = list_size (return count) edge in
+      let* statuses = list_size (return count) (int_range 0 Payload.status_down) in
+      return (gaps, versions, statuses))
+    (fun (gaps, versions, statuses) ->
+      let count = List.length gaps in
+      let entries = Array.make (2 * count) 0 in
+      let prev = ref (-1) in
+      List.iteri
+        (fun i ((gap, version), status) ->
+          let node = !prev + 1 + gap in
+          Payload.set_update entries i ~node ~version ~status;
+          prev := node)
+        (List.combine (List.combine gaps versions) statuses);
+      let universe = !prev + 2 in
+      let batch = Payload.Reply (Payload.Updates { full = true; entries }) in
+      let ids = Payload.Share (Payload.Ids (Array.init count (Payload.update_node entries))) in
+      List.for_all
+        (fun (enc, p) ->
+          let encoded = encode enc ~universe p in
+          Bytes.length encoded = Wire.encoded_size enc ~universe p
+          &&
+          match (decode ~universe encoded, p) with
+          | Ok (Payload.Share (Payload.Ids back)), Payload.Share (Payload.Ids sent) -> back = sent
+          | Ok back, _ -> back = p
+          | Error _, _ -> false)
+        [ (Wire.Adaptive, batch); (Wire.Varint_delta, ids) ])
 
 (* A mutated service frame must decode to [Error] or to a payload that
    re-encodes to exactly the mutated bytes (the decoder accepts only
@@ -660,6 +726,7 @@ let () =
           Alcotest.test_case "decode malformed" `Quick test_decode_validation;
           Alcotest.test_case "decode mutation fuzz" `Quick test_decode_fuzz;
           Alcotest.test_case "hostile count at an offset" `Quick test_hostile_count_at_offset;
+          Alcotest.test_case "update batch boundaries" `Quick test_batch_boundaries;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -670,6 +737,7 @@ let () =
             prop_bits_byte_identity;
             prop_pinned_at_offset;
             prop_service_roundtrip;
+            prop_varint_boundaries_roundtrip;
             prop_service_mutations;
             prop_noncanonical_batch_refused;
           ] );
