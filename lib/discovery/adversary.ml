@@ -14,7 +14,7 @@ let data_ids (d : Payload.data) =
     a
   | Payload.Updates u ->
     (* entries are canonically sorted by node already *)
-    Array.init (Payload.update_count u.entries) (Payload.update_node u.entries)
+    Array.init u.count (Payload.update_node u.entries)
 
 let payload_ids (p : Payload.t) =
   match p with
@@ -55,11 +55,12 @@ let inject_data ~universe ids (d : Payload.data) =
             (fun (a, _, _) (b, _, _) -> Int.compare a b)
             (List.init (Array.length nodes) entry @ fab)
         in
-        let entries = Array.make (2 * List.length all) 0 in
+        let count = List.length all in
+        let entries = Array.make (2 * count) 0 in
         List.iteri
           (fun i (node, version, status) -> Payload.set_update entries i ~node ~version ~status)
           all;
-        Payload.Updates { u with entries }
+        Payload.Updates { u with count; entries }
       end
 
 let inject ~universe (p : Payload.t) ids =

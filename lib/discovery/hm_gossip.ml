@@ -253,7 +253,7 @@ let make_with ~broadcast ~upward (ctx : Algorithm.ctx) =
     | Payload.Ids ids -> Array.iter owe ids
     | Payload.Delta s -> Intvec.slice_iter owe s
     | Payload.Updates u ->
-      for i = 0 to Payload.update_count u.entries - 1 do
+      for i = 0 to u.count - 1 do
         owe (Payload.update_node u.entries i)
       done
   in
@@ -313,7 +313,7 @@ let make_with ~broadcast ~upward (ctx : Algorithm.ctx) =
       | Payload.Ids ids -> Array.iter settle ids
       | Payload.Delta s -> Intvec.slice_iter settle s
       | Payload.Updates u ->
-        for i = 0 to Payload.update_count u.entries - 1 do
+        for i = 0 to u.count - 1 do
           settle (Payload.update_node u.entries i)
         done)
     | Reply d | Share d ->

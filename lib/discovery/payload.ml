@@ -4,7 +4,7 @@ type data =
   | Bits of Knowledge.snap
   | Ids of int array
   | Delta of Intvec.slice
-  | Updates of { full : bool; entries : int array }
+  | Updates of { full : bool; count : int; entries : int array }
 
 type t =
   | Share of data
@@ -21,8 +21,8 @@ let status_suspect = 1
 let status_down = 2
 
 (* Flat batch layout: entry [i] is [entries.(2i) = (node lsl 2) lor
-   status] and [entries.(2i+1) = version]. *)
-let update_count entries = Array.length entries lsr 1
+   status] and [entries.(2i+1) = version]; a batch is the first [count]
+   entries. *)
 let update_node entries i = entries.(2 * i) asr 2
 let update_status entries i = entries.(2 * i) land 3
 let update_version entries i = entries.((2 * i) + 1)
@@ -36,7 +36,7 @@ let data_size = function
   | Bits b -> Cset.cardinal b.Knowledge.set
   | Ids a -> Array.length a
   | Delta s -> Intvec.slice_length s
-  | Updates u -> update_count u.entries
+  | Updates u -> u.count
 
 let measure = function
   | Share d | Exchange d | Reply d ->
@@ -57,7 +57,7 @@ let merge_data knowledge = function
        status annotation is protocol state, applied by the service's
        membership view, not by the knowledge set *)
     let fresh = ref 0 in
-    for i = 0 to update_count u.entries - 1 do
+    for i = 0 to u.count - 1 do
       let node = update_node u.entries i in
       if Knowledge.add knowledge node then incr fresh;
       ignore (Knowledge.observe_version knowledge ~node ~version:(update_version u.entries i))

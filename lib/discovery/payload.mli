@@ -20,14 +20,16 @@ type data =
           delta (see {!Knowledge.since_slice}). Carries the same
           identifiers as the equivalent [Ids] array: identical
           {!measure}, merge result, and wire encoding. *)
-  | Updates of { full : bool; entries : int array }
+  | Updates of { full : bool; count : int; entries : int array }
       (** Versioned membership delta — the anti-entropy currency of the
-          continuous discovery service. [entries] is flat and
-          pointer-free: two ints per entry, [(node lsl 2) lor status]
-          then [version] (read and write it with {!update_node},
-          {!update_version}, {!update_status} and {!set_update}). One
-          entry says that [node] was seen at [version] (its incarnation
-          counter, see {!Knowledge.observe_version}) with [status] —
+          continuous discovery service. The batch is the first [count]
+          entries of [entries], a flat, pointer-free window: two ints per
+          entry, [(node lsl 2) lor status] then [version] (read and
+          write it with {!update_node}, {!update_version},
+          {!update_status} and {!set_update}); anything past entry
+          [count - 1] is not part of the batch. One entry says that
+          [node] was seen at [version] (its incarnation counter, see
+          {!Knowledge.observe_version}) with [status] —
           {!status_alive}, {!status_suspect} or {!status_down}.
           Conflicts resolve by [(version, status)] lexicographically: a
           higher version always wins, and at equal versions the more
@@ -35,8 +37,16 @@ type data =
           incarnation can only be refuted by the node itself bumping its
           version.
 
-          The batch must be canonical: even length, entries sorted by
-          node and strictly ascending (one entry per node), nodes in the
+          A batch may be {e lent}: the service's members build their
+          full-state and gossip batches in one per-domain scratch, and
+          {!Wire.decode} writes a decoded batch into another, so
+          [entries] can be overwritten once the message has been handed
+          on (see {!Wire.decode} for how long a decoded batch lives).
+          Read a batch while handling it; copy what must outlive that.
+
+          The batch must be canonical: [0 <= count] and [2 * count] at
+          most the length of [entries], entries sorted by node and
+          strictly ascending (one entry per node), nodes in the
           universe, versions non-negative, statuses at most
           {!status_down}. {!Wire.encode} refuses anything else. [full]
           marks a full-state sync rather than an incremental delta: on
@@ -80,9 +90,6 @@ val status_down : int
     node is retired from the membership view until a higher incarnation
     refutes it. *)
 
-val update_count : int array -> int
-(** Number of entries in a flat update batch (half its length). *)
-
 val update_node : int array -> int -> int
 val update_version : int array -> int -> int
 val update_status : int array -> int -> int
@@ -90,7 +97,8 @@ val update_status : int array -> int -> int
 
 val set_update : int array -> int -> node:int -> version:int -> status:int -> unit
 (** [set_update entries i ~node ~version ~status] writes entry [i]; a
-    batch of [k] entries is [Array.make (2 * k) 0] filled in node order.
+    batch of [k] entries is a window of [count = k] over an array of at
+    least [2 * k] ints, filled in node order.
     @raise Invalid_argument on a status outside [0 .. status_down]. *)
 
 val data_size : data -> int

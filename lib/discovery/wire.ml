@@ -64,7 +64,7 @@ let ids_of_data = function
   | Payload.Bits b -> Cset.elements b.Knowledge.set
   | Payload.Ids a -> List.sort_uniq Int.compare (Array.to_list a)
   | Payload.Delta s -> List.sort_uniq Int.compare (Array.to_list (Intvec.slice_to_array s))
-  | Payload.Updates u -> List.init (Payload.update_count u.entries) (Payload.update_node u.entries)
+  | Payload.Updates u -> List.init u.count (Payload.update_node u.entries)
 
 let ids_of_payload = function
   | Payload.Share d | Payload.Exchange d | Payload.Reply d -> ids_of_data d
@@ -75,19 +75,19 @@ let bitmap_size ~universe = (universe + 7) / 8
 
 (* --- update-batch codec (body codec 3) ---
 
-   Canonical form required of the payload (see {!Payload.Updates}): an
-   even-length flat array whose entries are sorted by node, strictly
-   ascending (one entry per node). Body: varint count, then per entry a
-   varint node gap (node - prev - 1), a varint version and one status
-   byte. The 0x40 bit of the codec byte carries the batch's [full]
-   flag. *)
+   Canonical form required of the payload (see {!Payload.Updates}): a
+   window of [count] entries that fits its flat array, sorted by node,
+   strictly ascending (one entry per node). Body: varint count, then per
+   entry a varint node gap (node - prev - 1), a varint version and one
+   status byte. The 0x40 bit of the codec byte carries the batch's
+   [full] flag. *)
 
 let updates_full_flag = 0x40
 
 (* A batch's body size, checked for canonical form in the same pass. *)
-let updates_body_size ~universe entries =
-  if Array.length entries land 1 <> 0 then invalid_arg "Wire.encode: odd-length update batch";
-  let count = Payload.update_count entries in
+let updates_body_size ~universe ~count entries =
+  if count < 0 || count > Array.length entries / 2 then
+    invalid_arg "Wire.encode: update count outside its array";
   let total = ref (varint_size count) in
   let prev = ref (-1) in
   for i = 0 to count - 1 do
@@ -355,13 +355,13 @@ let encode_liveness kind ~universe ~room ~target ~aux =
   ignore (put_varint out (put_varint out (room + 1) target) aux);
   out
 
-let encode_updates ~universe ~room kind ~full entries =
-  let out = Bytes.create (room + 2 + updates_body_size ~universe entries) in
+let encode_updates ~universe ~room kind ~full ~count entries =
+  let out = Bytes.create (room + 2 + updates_body_size ~universe ~count entries) in
   Bytes.set out room (Char.unsafe_chr kind);
   Bytes.set out (room + 1) (Char.unsafe_chr (3 lor if full then updates_full_flag else 0));
-  let pos = ref (put_varint out (room + 2) (Payload.update_count entries)) in
+  let pos = ref (put_varint out (room + 2) count) in
   let prev = ref (-1) in
-  for i = 0 to Payload.update_count entries - 1 do
+  for i = 0 to count - 1 do
     let node = Payload.update_node entries i in
     pos := put_varint out !pos (node - !prev - 1);
     pos := put_varint out !pos (Payload.update_version entries i);
@@ -389,7 +389,7 @@ let encode encoding ~universe ~room payload =
   | Payload.Share (Payload.Updates u)
   | Payload.Exchange (Payload.Updates u)
   | Payload.Reply (Payload.Updates u) ->
-    encode_updates ~universe ~room kind ~full:u.full u.entries
+    encode_updates ~universe ~room kind ~full:u.full ~count:u.count u.entries
   | Payload.Share d | Payload.Exchange d | Payload.Reply d ->
     encode_ids encoding ~universe ~room kind d
 
@@ -402,7 +402,7 @@ let encoded_size encoding ~universe payload =
   | Payload.Share (Payload.Updates u)
   | Payload.Exchange (Payload.Updates u)
   | Payload.Reply (Payload.Updates u) ->
-    2 + updates_body_size ~universe u.entries
+    2 + updates_body_size ~universe ~count:u.count u.entries
   | Payload.Share (Payload.Bits b) | Payload.Exchange (Payload.Bits b)
   | Payload.Reply (Payload.Bits b) ->
     let card = Cset.cardinal b.Knowledge.set in
@@ -423,6 +423,13 @@ let encoded_size encoding ~universe payload =
 
 (* The set a list-form id body is not built into: never written. *)
 let no_set = Cset.create 0
+
+(* Decoded update batches are written into one grow-only array per
+   domain and lent to the receiver (see [decode] in wire.mli): a
+   full-state batch of a few hundred entries is above the minor heap's
+   size limit, so a fresh array per batch would go straight to the major
+   heap. Domain-local because parallel sweeps decode concurrently. *)
+let batch_scratch : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
 
 let decode_exn ~universe bytes ~off ~len =
   let stop = off + len in
@@ -518,7 +525,10 @@ let decode_exn ~universe bytes ~off ~len =
            a valid count never exceeds a third of the remaining length *)
         if count > (stop - !pos) / 3 then
           invalid_arg "Wire.decode: updates count exceeds buffer";
-        let entries = Array.make (2 * count) 0 in
+        (* grown only now, to a count the bytes present can hold *)
+        let scratch = Domain.DLS.get batch_scratch in
+        if Array.length !scratch < 2 * count then scratch := Array.make (2 * count) 0;
+        let entries = !scratch in
         let prev = ref (-1) in
         for i = 0 to count - 1 do
           let gap = read_varint_fast bytes !pos stop in
@@ -535,7 +545,7 @@ let decode_exn ~universe bytes ~off ~len =
           prev := node
         done;
         if !pos <> stop then invalid_arg "Wire.decode: trailing bytes";
-        Payload.Updates { full; entries }
+        Payload.Updates { full; count; entries }
       | _ -> invalid_arg "Wire.decode: unknown body codec"
     in
     match kind with

@@ -62,7 +62,15 @@ val decode : universe:int -> bytes -> off:int -> len:int -> (Payload.t, string) 
     of each frame names its body codec, so no [encoding] is needed. A
     snapshot is built straight into its set and an id list into its
     array, whichever body codec carried the ids. The network transport
-    layer decodes socket input through this function. *)
+    layer decodes socket input through this function.
+
+    A decoded update batch is {e lent}: its [entries] are a grow-only
+    array of the calling domain, valid until the next decode of an
+    update batch on that domain (successful or not), which overwrites
+    them. A decode on another domain does not touch them. Handle the
+    batch, or copy its first [count] entries, before decoding the next
+    one; the scratch grows only to a count already checked against the
+    bytes present. *)
 
 val encoded_size : encoding -> universe:int -> Payload.t -> int
 (** [encoded_size e ~universe p] = [Bytes.length (encode e ~universe ~room:0 p)],

@@ -314,6 +314,7 @@ let announce_if_complete t ~now =
     t.acts.notify_complete ~now ~tick:t.tick_count
   end
 
+(* Returns the message's body size, what the send costs on the wire. *)
 let send_payload t ~now ~dst payload =
   if dst < 0 || dst >= t.cfg.n then invalid_arg "Node_core.send: destination out of range";
   let payload =
@@ -338,7 +339,8 @@ let send_payload t ~now ~dst payload =
     | Down ->
       push_frame link frame ~stamp:t.tick_count;
       t.acts.wake ~dst
-  end
+  end;
+  bytes
 
 (* One unsolicited hello to [dst]: announce this (possibly fresh)
    incarnation so the peer voids any go-back-N state it still holds
@@ -390,7 +392,7 @@ let tick t ~now =
     if t.cfg.announce && (not t.complete_announced) && t.tick_count mod hello_interval = 0 then
       request_hellos t ~now;
     t.inst.Algorithm.round ~round:t.tick_count
-      ~send:(fun ~dst payload -> send_payload t ~now ~dst payload);
+      ~send:(fun ~dst payload -> ignore (send_payload t ~now ~dst payload));
     announce_if_complete t ~now;
     (* termination gossip: a complete node periodically probes the peers
        it has not yet heard completion from, until the whole fleet is
@@ -455,8 +457,9 @@ let handle_hello t ~now ~src =
   (* the fresh incarnation starts from scratch: its predecessor's
      completion claim no longer stands *)
   clear_peer_done t link;
-  send_payload t ~now ~dst:src
-    (Payload.Share (Payload.Bits (Knowledge.snapshot t.inst.Algorithm.knowledge)))
+  ignore
+    (send_payload t ~now ~dst:src
+       (Payload.Share (Payload.Bits (Knowledge.snapshot t.inst.Algorithm.knowledge))))
 
 (* A fresh data seq is delivered on arrival; [recv_cum] advances only
    contiguously, absorbing early seqs the arrival made contiguous. The

@@ -107,12 +107,16 @@ val receive : t -> now:float -> bytes -> unit
     was rejected — a CRC failure as a [corrupt_frames] count, anything
     else (including a truncated frame) as a [decode_errors] count. *)
 
-val send : t -> now:float -> dst:int -> Payload.t -> unit
+val send : t -> now:float -> dst:int -> Payload.t -> int
 (** Put one payload on the reliable channel to [dst] — the same path
     the algorithm's [round] callback uses (go-back-N send buffer, fault
-    shim, counters). Exposed for runtimes whose protocol logic emits
-    messages outside the round callback (the continuous service's
-    members reply from their delivery handler).
+    shim, counters) — and return its encoded body size in bytes, the
+    amount the core adds to its [bytes] counter. The payload is encoded
+    before anything else happens, so a lent payload (see
+    {!Repro_discovery.Wire.decode}) is consumed by the time a
+    self-addressed send delivers it. Exposed for runtimes whose protocol
+    logic emits messages outside the round callback (the continuous
+    service's members reply from their delivery handler).
     @raise Invalid_argument when [dst] is out of range. *)
 
 val greet : t -> now:float -> dst:int -> unit

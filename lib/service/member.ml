@@ -216,34 +216,51 @@ let observe t ~node ~version ~status ~relog =
       t.actions.on_view_change ~target:node ~alive
   end
 
-(* Scratch for [pending_entries], domain-local because parallel sweeps
-   step members concurrently: [stamp.(node) = gen] marks a node already
-   seen in the current call, [last.(node)] is its latest budgeted log
-   index, and [ids] collects the distinct nodes in first-seen order. *)
-type pending_scratch = {
+(* Scratch for the batches a member sends, domain-local because
+   parallel sweeps step members concurrently. For [pending_entries],
+   [stamp.(node) = gen] marks a node already seen in the current call,
+   [last.(node)] is its latest budgeted log index, and [ids] collects
+   the distinct nodes in first-seen order. [batch] holds the outgoing
+   gossip or full-state batch itself, lent to [actions.send], which
+   consumes it before returning: a full-state batch of a few hundred
+   entries is above the minor heap's size limit, so a fresh array per
+   batch would go straight to the major heap. *)
+type send_scratch = {
   mutable gen : int;
   mutable stamp : int array;
   mutable last : int array;
   mutable ids : int array;
+  mutable batch : int array;
 }
 
-let pending_scratch : pending_scratch Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { gen = 0; stamp = [||]; last = [||]; ids = [||] })
+let send_scratch : send_scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { gen = 0; stamp = [||]; last = [||]; ids = [||]; batch = [||] })
 
-(* The canonical batch of log entries in [from, len) that still have
-   transmission budget: latest observation per node, ascending by node.
+(* The scratch, grown to a universe of [cap] ids: a batch holds at most
+   one entry per id. *)
+let scratch_for cap =
+  let sc = Domain.DLS.get send_scratch in
+  if Array.length sc.stamp < cap then begin
+    sc.stamp <- Array.make cap 0;
+    sc.last <- Array.make cap 0;
+    sc.ids <- Array.make cap 0;
+    sc.batch <- Array.make (2 * cap) 0
+  end;
+  sc
+
+(* The first [count] entries of the scratch's batch, lent to the send. *)
+let lent_batch ~full count =
+  Payload.Updates { full; count; entries = (Domain.DLS.get send_scratch).batch }
+
+(* Writes the canonical batch of log entries in [from, len) that still
+   have transmission budget into the scratch's batch and returns its
+   entry count: latest observation per node, ascending by node.
    Decrements the budget of every entry it includes. *)
 let pending_entries t ~from =
   let len = Intvec.length t.log_nodes in
-  if from >= len then [||]
+  if from >= len then 0
   else begin
-    let sc = Domain.DLS.get pending_scratch in
-    let cap = Knowledge.universe (View.knowledge t.view) in
-    if Array.length sc.stamp < cap then begin
-      sc.stamp <- Array.make cap 0;
-      sc.last <- Array.make cap 0;
-      sc.ids <- Array.make cap 0
-    end;
+    let sc = scratch_for (Knowledge.universe (View.knowledge t.view)) in
     sc.gen <- sc.gen + 1;
     let gen = sc.gen in
     let m = ref 0 in
@@ -262,14 +279,13 @@ let pending_entries t ~from =
       end
     done;
     Intvec.sort_prefix sc.ids !m;
-    let entries = Array.make (2 * !m) 0 in
     for k = 0 to !m - 1 do
       let node = sc.ids.(k) in
       let i = sc.last.(node) in
-      Payload.set_update entries k ~node ~version:(Intvec.get t.log_versions i)
+      Payload.set_update sc.batch k ~node ~version:(Intvec.get t.log_versions i)
         ~status:(Intvec.get t.log_statuses i)
     done;
-    entries
+    !m
   end
 
 let advance_cursor t target = Hashtbl.replace t.cursors target (Intvec.length t.log_nodes)
@@ -277,13 +293,13 @@ let advance_cursor t target = Hashtbl.replace t.cursors target (Intvec.length t.
 let cursor t target = Option.value (Hashtbl.find_opt t.cursors target) ~default:0
 
 (* Every known node at its current (version, status) — the full-state
-   payload for bootstrap replies and the lossy-network backstop. The
-   known nodes are those with a status, so one ascending scan of the
-   statuses fills the batch in canonical order, with no closure call
-   per node. *)
+   payload for bootstrap replies and the lossy-network backstop, lent
+   from the scratch's batch. The known nodes are those with a status, so
+   one ascending scan of the statuses fills the batch in canonical
+   order, with no closure call per node. *)
 let full_entries t =
   let known = View.knowledge t.view in
-  let entries = Array.make (2 * Knowledge.cardinal known) 0 in
+  let entries = (scratch_for (Knowledge.universe known)).batch in
   let k = ref 0 in
   for node = 0 to Knowledge.universe known - 1 do
     let s = View.status t.view node in
@@ -294,16 +310,15 @@ let full_entries t =
       incr k
     end
   done;
-  entries
+  Payload.Updates { full = true; count = !k; entries }
 
 let gossip t =
   match View.random_live t.view t.rng with
   | None -> ()
   | Some target ->
-    let entries = pending_entries t ~from:(cursor t target) in
+    let count = pending_entries t ~from:(cursor t target) in
     advance_cursor t target;
-    if Array.length entries > 0 then
-      t.actions.send ~dst:target (Payload.Share (Payload.Updates { full = false; entries }))
+    if count > 0 then t.actions.send ~dst:target (Payload.Share (lent_batch ~full:false count))
 
 let send_bootstrap t ~now ~dst contacts idx backoff =
   (* [full = false]: the payload is the joiner's lone self-announcement,
@@ -311,7 +326,7 @@ let send_bootstrap t ~now ~dst contacts idx backoff =
      tell bootstrap requests from periodic full-sync pushes *)
   let entries = Array.make 2 0 in
   Payload.set_update entries 0 ~node:t.self ~version:t.incarnation ~status:Payload.status_alive;
-  t.actions.send ~dst (Payload.Exchange (Payload.Updates { full = false; entries }));
+  t.actions.send ~dst (Payload.Exchange (Payload.Updates { full = false; count = 1; entries }));
   t.bootstrap <- Some (contacts, idx, backoff, now +. Repro_net.Node.Backoff.next backoff)
 
 let fresh_nonce t = Rng.int t.rng 0x3FFFFFFF
@@ -419,8 +434,7 @@ let maybe_full_sync t ~now =
          a member serve the fleet while staying stale itself — it would
          heal only when someone else's sync happened to land on it,
          which at fleet size n is an expected n/2 intervals away. *)
-      t.actions.send ~dst:target
-        (Payload.Exchange (Payload.Updates { full = true; entries = full_entries t }))
+      t.actions.send ~dst:target (Payload.Exchange (full_entries t))
   end
 
 (* Drop relay entries whose requester stopped waiting long ago. *)
@@ -458,8 +472,8 @@ let step t ~now =
     prune_relays t ~now);
   gossip t
 
-let apply_updates t ~relog entries =
-  for i = 0 to Payload.update_count entries - 1 do
+let apply_updates t ~relog ~count entries =
+  for i = 0 to count - 1 do
     observe t ~node:(Payload.update_node entries i) ~version:(Payload.update_version entries i)
       ~status:(Payload.update_status entries i) ~relog
   done
@@ -467,7 +481,7 @@ let apply_updates t ~relog entries =
 let share_entry t ~dst ~node ~version ~status =
   let entries = Array.make 2 0 in
   Payload.set_update entries 0 ~node ~version ~status;
-  t.actions.send ~dst (Payload.Share (Payload.Updates { full = false; entries }))
+  t.actions.send ~dst (Payload.Share (Payload.Updates { full = false; count = 1; entries }))
 
 (* Answer every pending indirect-probe vouch for [target]: it just
    proved alive to us, so ack the requesters that asked us to check. *)
@@ -506,9 +520,9 @@ let deliver t ~src ~now payload =
   match (payload : Payload.t) with
   | Probe ->
     (* the reply is the ack; piggyback whatever the prober has not seen *)
-    let entries = pending_entries t ~from:(cursor t src) in
+    let count = pending_entries t ~from:(cursor t src) in
     advance_cursor t src;
-    t.actions.send ~dst:src (Payload.Reply (Payload.Updates { full = false; entries }))
+    t.actions.send ~dst:src (Payload.Reply (lent_batch ~full:false count))
   | Probe_req { target; nonce } ->
     if target = t.self then
       (* we are the accused and evidently alive: vouch for ourselves *)
@@ -564,17 +578,18 @@ let deliver t ~src ~now payload =
     (* push-pull state exchange (a joiner's bootstrap, or a peer's
        periodic full sync): learn what the sender knows — spreading any
        news — and answer with our whole view *)
-    apply_updates t ~relog:true u.entries;
+    apply_updates t ~relog:true ~count:u.count u.entries;
     advance_cursor t src;
-    t.actions.send ~dst:src (Payload.Reply (Payload.Updates { full = true; entries = full_entries t }))
+    t.actions.send ~dst:src (Payload.Reply (full_entries t))
   | Reply (Payload.Updates u) when u.full ->
-    apply_updates t ~relog:false u.entries;
+    apply_updates t ~relog:false ~count:u.count u.entries;
     (match t.bootstrap with
     | Some _ ->
       t.bootstrap <- None;
       t.next_full_sync <- now +. full_sync_interval
     | None -> ())
-  | Share (Payload.Updates u) | Reply (Payload.Updates u) -> apply_updates t ~relog:true u.entries
+  | Share (Payload.Updates u) | Reply (Payload.Updates u) ->
+    apply_updates t ~relog:true ~count:u.count u.entries
   | Share _ | Exchange _ | Reply _ | Halt ->
     (* one-shot discovery payloads are not part of the service protocol *)
     ()
@@ -584,7 +599,7 @@ let leave t =
   Payload.set_update entries 0 ~node:t.self ~version:t.incarnation ~status:Payload.status_down;
   log_append t ~node:t.self ~version:t.incarnation ~status:Payload.status_down;
   let targets = Knowledge.random_known_among (View.knowledge t.view) t.rng ~k:leave_fanout in
-  let payload = Payload.Share (Payload.Updates { full = false; entries }) in
+  let payload = Payload.Share (Payload.Updates { full = false; count = 1; entries }) in
   let sent = ref 0 in
   Array.iter
     (fun target ->

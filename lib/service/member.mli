@@ -53,7 +53,13 @@ open Repro_util
 open Repro_discovery
 
 type actions = {
-  send : dst:int -> Payload.t -> unit;  (** hand a message to the runtime *)
+  send : dst:int -> Payload.t -> unit;
+      (** hand a message to the runtime. An update batch the member
+          sends may be {e lent}: full-state and gossip batches are the
+          first [count] entries of a per-domain scratch that the
+          member's next batch overwrites. [send] must therefore consume
+          the payload — encode it, count it — before it returns, and
+          keep no reference to it. *)
   on_suspect : target:int -> unit;
   on_retire : target:int -> unit;
   on_view_change : target:int -> alive:bool -> unit;

@@ -369,10 +369,11 @@ let hosted_transport (cfg : config) ~labels ~now ~dropped_dead =
   {
     send =
       (fun ~src ~dst payload ->
-        (match cores.(src) with
+        (* the core encodes the payload once and returns its body size;
+           a member only sends while its core is alive *)
+        match cores.(src) with
         | Some core -> Node_core.send core ~now:!now ~dst payload
-        | None -> ());
-        Wire.encoded_size Wire.Adaptive ~universe:cap payload);
+        | None -> 0);
     deliver_due = (fun until -> drain heap now until deliver);
     step =
       (fun id _ ->
@@ -480,13 +481,13 @@ let run cfg =
       if u.full then incr bootstraps
       else begin
         incr acks;
-        update_entries := !update_entries + Payload.update_count u.entries
+        update_entries := !update_entries + u.count
       end
     | Share (Payload.Updates u) ->
       if u.full then incr full_syncs
       else begin
         incr gossip;
-        update_entries := !update_entries + Payload.update_count u.entries
+        update_entries := !update_entries + u.count
       end
     | Share _ | Exchange _ | Reply _ | Halt -> ()
   in

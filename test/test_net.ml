@@ -255,7 +255,10 @@ let test_lent_frames_never_written () =
           }
           ~labels:(Array.init n Fun.id) ~links_up:true ~now:0.0
       in
-      Node_core.send core ~now:0.0 ~dst:1 (Payload.Share (Payload.Ids [| 5; 6 |]));
+      let data = Payload.Share (Payload.Ids [| 5; 6 |]) in
+      Alcotest.(check int) "send returns the body size"
+        (Wire.encoded_size Wire.Adaptive ~universe:n data)
+        (Node_core.send core ~now:0.0 ~dst:1 data);
       Node_core.receive core ~now:1.0 peer_hello;
       Node_core.receive core ~now:2.0 peer_data;
       Node_core.pump core ~now:5.0;

@@ -160,7 +160,7 @@ let updates ?(full = false) entries =
   List.iteri
     (fun i (node, version, status) -> Payload.set_update flat i ~node ~version ~status)
     entries;
-  Payload.Updates { full; entries = flat }
+  Payload.Updates { full; count = List.length entries; entries = flat }
 
 let roundtrip p =
   let b = encode Wire.Adaptive ~universe:300 p in
@@ -170,7 +170,9 @@ let roundtrip p =
 
 let test_wire_updates_roundtrip () =
   List.iter
-    (fun p -> Alcotest.(check bool) "roundtrip preserves payload" true (roundtrip p = p))
+    (fun p ->
+      Alcotest.(check bool) "roundtrip preserves payload" true
+        (Batch_equal.same_payload (roundtrip p) p))
     [
       Payload.Share (updates [ (0, 1, 0); (7, 12, 2); (299, 1, 1) ]);
       Payload.Share (updates ~full:true [ (3, 1, 0); (4, 2, 0) ]);
@@ -223,9 +225,10 @@ let test_updates_fabrication_canonical () =
       [ 7; 1; 3; 400 ]
   in
   Alcotest.(check bool) "fabricated entries merged in node order" true
-    (forged = Payload.Share (updates [ (1, 0, 0); (3, 5, 1); (7, 0, 0); (9, 2, 0) ]));
+    (Batch_equal.same_payload forged
+       (Payload.Share (updates [ (1, 0, 0); (3, 5, 1); (7, 0, 0); (9, 2, 0) ])));
   Alcotest.(check (option (array int))) "ids" (Some [| 1; 3; 7; 9 |]) (Adversary.payload_ids forged);
-  Alcotest.(check bool) "still encodes" true (roundtrip forged = forged)
+  Alcotest.(check bool) "still encodes" true (Batch_equal.same_payload (roundtrip forged) forged)
 
 (* --- Wire: failure-detector payloads ----------------------------------- *)
 

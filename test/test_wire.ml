@@ -538,6 +538,49 @@ let test_batch_boundaries () =
       ("two-byte version 0", "\000\003\001\000\128\000\000", "Wire.decode: non-minimal varint");
     ]
 
+(* A decoded update batch is lent (see [Wire.decode]): its entries live
+   in one array per domain. A second batch decoded on the same domain
+   overwrites the first, and the shorter second batch is still exactly
+   its own [count] entries (it re-encodes to its own bytes, whatever the
+   longer first batch left past its window); a batch decoded on another
+   domain leaves the first one as it was. *)
+let test_decoded_batches_lent () =
+  let frame ~first ~count ~version =
+    let entries = Array.make (2 * count) 0 in
+    for i = 0 to count - 1 do
+      Payload.set_update entries i ~node:(first + i) ~version ~status:Payload.status_alive
+    done;
+    encode Wire.Adaptive ~universe
+      (Payload.Share (Payload.Updates { full = false; count; entries }))
+  in
+  let long = frame ~first:0 ~count:10 ~version:1 and short = frame ~first:20 ~count:5 ~version:7 in
+  let lent bytes =
+    match decode ~universe bytes with
+    | Ok (Payload.Share (Payload.Updates u)) -> (u.count, u.entries)
+    | Ok p -> Alcotest.failf "decoded as %s" (Format.asprintf "%a" Payload.pp p)
+    | Error msg -> Alcotest.failf "valid batch rejected: %s" msg
+  in
+  let count, first = lent long in
+  Alcotest.(check int) "first batch count" 10 count;
+  Alcotest.(check int) "first batch, entry 0" 0 (Payload.update_node first 0);
+  let count, second = lent short in
+  Alcotest.(check int) "second batch count" 5 count;
+  Alcotest.(check bool) "same domain, same array" true (first == second);
+  Alcotest.(check int) "the first batch is overwritten" 20 (Payload.update_node first 0);
+  Alcotest.(check int) "its version too" 7 (Payload.update_version first 0);
+  Alcotest.(check int) "past the second window, the first batch's entries" 5
+    (Payload.update_node second 5);
+  Alcotest.(check string) "the second batch is its window" (Bytes.to_string short)
+    (Bytes.to_string
+       (encode Wire.Adaptive ~universe
+          (Payload.Share (Payload.Updates { full = false; count; entries = second }))));
+  let _, mine = lent long in
+  let other = Domain.join (Domain.spawn (fun () -> Payload.update_node (snd (lent short)) 0)) in
+  Alcotest.(check int) "the other domain decoded its own batch" 20 other;
+  Alcotest.(check (list int)) "another domain's decode leaves this one's batch"
+    (List.init 10 Fun.id)
+    (List.init 10 (Payload.update_node mine))
+
 (* --- the service payloads: codec 3 update batches and kinds 3-7 --- *)
 
 (* A canonical flat batch of [count] entries over a universe that fits
@@ -571,7 +614,7 @@ let gen_service_payload =
     let* kind = int_range 0 7 in
     let* target = int_range 0 (universe - 1) in
     let* aux = int_range 0 (1 lsl 40) in
-    let data = Payload.Updates { full; entries } in
+    let data = Payload.Updates { full; count = Array.length entries / 2; entries } in
     return
       ( universe,
         match kind with
@@ -592,7 +635,10 @@ let prop_service_roundtrip =
     ~print:print_service gen_service_payload (fun (universe, p) ->
       let encoded = encode Wire.Adaptive ~universe p in
       Bytes.length encoded = Wire.encoded_size Wire.Adaptive ~universe p
-      && decode ~universe encoded = Ok p)
+      &&
+      match decode ~universe encoded with
+      | Ok back -> Batch_equal.same_payload back p
+      | Error _ -> false)
 
 (* Node gaps and versions at the varint width boundaries (127/128 and
    16,383/16,384), so that the decoder's one-byte read and its
@@ -618,7 +664,7 @@ let prop_varint_boundaries_roundtrip =
           prev := node)
         (List.combine (List.combine gaps versions) statuses);
       let universe = !prev + 2 in
-      let batch = Payload.Reply (Payload.Updates { full = true; entries }) in
+      let batch = Payload.Reply (Payload.Updates { full = true; count; entries }) in
       let ids = Payload.Share (Payload.Ids (Array.init count (Payload.update_node entries))) in
       List.for_all
         (fun (enc, p) ->
@@ -627,7 +673,7 @@ let prop_varint_boundaries_roundtrip =
           &&
           match (decode ~universe encoded, p) with
           | Ok (Payload.Share (Payload.Ids back)), Payload.Share (Payload.Ids sent) -> back = sent
-          | Ok back, _ -> back = p
+          | Ok back, _ -> Batch_equal.same_payload back p
           | Error _, _ -> false)
         [ (Wire.Adaptive, batch); (Wire.Varint_delta, ids) ])
 
@@ -668,8 +714,9 @@ let prop_service_mutations =
       | Ok back -> Bytes.equal (encode Wire.Adaptive ~universe back) mutated
       | exception e -> QCheck2.Test.fail_reportf "decode raised %s" (Printexc.to_string e))
 
-(* Encoding refuses a flat array that is not canonical: an odd length,
-   or two entries out of node order. *)
+(* Encoding refuses a batch that is not canonical: an odd-length array
+   whose count claims the half entry at its end (a window past the
+   array), or two entries out of node order. *)
 let prop_noncanonical_batch_refused =
   QCheck2.Test.make ~name:"odd-length or unordered flat batches are refused" ~count:300
     QCheck2.Gen.(
@@ -679,7 +726,7 @@ let prop_noncanonical_batch_refused =
       let* j = nat in
       return (universe, entries, odd, i, j))
     (fun (universe, entries, odd, i, j) ->
-      let count = Payload.update_count entries in
+      let count = Array.length entries / 2 in
       QCheck2.assume (odd || count >= 2);
       let bad =
         if odd then Array.append entries [| i |]
@@ -693,7 +740,8 @@ let prop_noncanonical_batch_refused =
           b
         end
       in
-      let p = Payload.Share (Payload.Updates { full = false; entries = bad }) in
+      let claimed = if odd then count + 1 else count in
+      let p = Payload.Share (Payload.Updates { full = false; count = claimed; entries = bad }) in
       match encode Wire.Adaptive ~universe p with
       | _ -> false
       | exception Invalid_argument _ -> true)
@@ -727,6 +775,7 @@ let () =
           Alcotest.test_case "decode mutation fuzz" `Quick test_decode_fuzz;
           Alcotest.test_case "hostile count at an offset" `Quick test_hostile_count_at_offset;
           Alcotest.test_case "update batch boundaries" `Quick test_batch_boundaries;
+          Alcotest.test_case "decoded update batches are lent" `Quick test_decoded_batches_lent;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
