@@ -83,17 +83,8 @@ let announce_arg =
           "Greet the initial neighbours with a hello frame on startup; peers answer with \
            their full identifier set. Use when (re)joining an already-running deployment.")
 
-let fleet_halt_arg =
-  Arg.(
-    value & flag
-    & info [ "fleet-halt" ]
-        ~doc:
-          "Gossip completion across the fleet and exit once every node is known to be done, \
-           instead of exiting on the local idle timeout. All nodes of the deployment must \
-           agree on this flag.")
-
 let main listen peers peers_file algo seed neighbors tick_period idle_timeout max_ticks fault
-    announce fleet_halt =
+    announce =
   let table =
     match (peers, peers_file) with
     | Some _, Some _ -> Error "--peers and --peers-file are mutually exclusive"
@@ -135,7 +126,6 @@ let main listen peers peers_file algo seed neighbors tick_period idle_timeout ma
               max_ticks;
               fault;
               announce;
-              fleet_halt;
             }
         in
         let f = report.Node.final in
@@ -154,8 +144,7 @@ let () =
     Term.(
       ret
         (const main $ listen_arg $ peers_arg $ peers_file_arg $ algo_arg $ seed_arg
-       $ neighbors_arg $ tick_arg $ idle_arg $ max_ticks_arg $ fault_arg $ announce_arg
-       $ fleet_halt_arg))
+       $ neighbors_arg $ tick_arg $ idle_arg $ max_ticks_arg $ fault_arg $ announce_arg))
   in
   let info =
     Cmd.info "discovery_node" ~version:"1.0.0"

@@ -34,10 +34,6 @@ type t = {
          entirely *)
   fy_pos : Intvec.t;  (* sampling scratch: positions displaced this call *)
   fy_val : Intvec.t;  (* sampling scratch: their current values *)
-  mutable versions : int array;
-      (* per-node observed versions (version-vector style), allocated on
-         first observation: one-shot runs never pay the O(n) words. An
-         empty array means every version is 0. *)
 }
 
 (* Most learn orders hold a handful of explicit learns (an hm node's
@@ -73,7 +69,6 @@ let create ~n ~owner ~labels () =
     last_merged = None;
     fy_pos = Intvec.create ~capacity:1 ();
     fy_val = Intvec.create ~capacity:1 ();
-    versions = [||];
   }
 
 let owner t = t.owner
@@ -302,24 +297,4 @@ let min_known_excluding t ~suspects =
     in
     Cset.iter consider t.bits;
     if !best < 0 then t.owner else !best
-  end
-
-(* --- per-node versions (version-vector style) ------------------------ *)
-
-let[@inline] node_version t v =
-  if v < 0 || v >= Cset.capacity t.bits then invalid_arg "Knowledge.node_version: out of range";
-  if Array.length t.versions = 0 then 0 else t.versions.(v)
-
-let observe_version t ~node ~version =
-  if node < 0 || node >= Cset.capacity t.bits then
-    invalid_arg "Knowledge.observe_version: out of range";
-  if version < 0 then invalid_arg "Knowledge.observe_version: negative version";
-  if version = 0 then false
-  else begin
-    if Array.length t.versions = 0 then t.versions <- Array.make (Cset.capacity t.bits) 0;
-    if version > t.versions.(node) then begin
-      t.versions.(node) <- version;
-      true
-    end
-    else false
   end

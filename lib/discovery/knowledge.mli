@@ -160,23 +160,3 @@ val min_known_excluding : t -> suspects:Cset.t -> int
     known node is suspected. O(cardinal) — used only on the
     failure-handling path.
     @raise Invalid_argument if [suspects] has the wrong capacity. *)
-
-(** {2 Per-node versions}
-
-    A version-vector-style annotation over the known set, used by the
-    continuous discovery service: each node carries a monotonically
-    increasing version (its incarnation counter), and a knowledge set
-    records the highest version it has observed per node. Orthogonal to
-    set membership — observing a version does not add the node to the
-    set — and lazily allocated, so one-shot runs pay nothing. *)
-
-val node_version : t -> int -> int
-(** The highest version observed for a node; 0 when never observed.
-    @raise Invalid_argument if the node is out of range. *)
-
-val observe_version : t -> node:int -> version:int -> bool
-(** [observe_version t ~node ~version] records [version] for [node] if
-    it exceeds the current record; [true] iff it advanced. Observing
-    version 0 (the universal initial version) is a no-op.
-    @raise Invalid_argument if [node] is out of range or [version]
-    negative. *)

@@ -53,14 +53,12 @@ let merge_data knowledge = function
   | Ids a -> Knowledge.merge_ids knowledge a
   | Delta s -> Knowledge.merge_slice knowledge s
   | Updates u ->
-    (* an update teaches the receiver the node's id and its version; the
-       status annotation is protocol state, applied by the service's
-       membership view, not by the knowledge set *)
+    (* an update teaches the receiver the node's id; its version and
+       status are protocol state, applied by the service's membership
+       view, not by the knowledge set *)
     let fresh = ref 0 in
     for i = 0 to u.count - 1 do
-      let node = update_node u.entries i in
-      if Knowledge.add knowledge node then incr fresh;
-      ignore (Knowledge.observe_version knowledge ~node ~version:(update_version u.entries i))
+      if Knowledge.add knowledge (update_node u.entries i) then incr fresh
     done;
     !fresh
 

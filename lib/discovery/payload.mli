@@ -28,8 +28,8 @@ type data =
           write it with {!update_node}, {!update_version},
           {!update_status} and {!set_update}); anything past entry
           [count - 1] is not part of the batch. One entry says that
-          [node] was seen at [version] (its incarnation counter, see
-          {!Knowledge.observe_version}) with [status] —
+          [node] was seen at [version] (its incarnation counter) with
+          [status] —
           {!status_alive}, {!status_suspect} or {!status_down}.
           Conflicts resolve by [(version, status)] lexicographically: a
           higher version always wins, and at equal versions the more
@@ -114,10 +114,9 @@ val measure : t -> int
 
 val merge_data : Knowledge.t -> data -> int
 (** Merge carried identifiers into a knowledge set; returns the number of
-    identifiers learned. [Updates] entries additionally record their
-    versions ({!Knowledge.observe_version}); their statuses are protocol
-    state for the service's membership view and are not interpreted
-    here. *)
+    identifiers learned. The versions and statuses of [Updates] entries
+    are protocol state for the service's membership view and are not
+    interpreted here. *)
 
 val empty_delta : data
 (** A preallocated empty [Delta] for steady-state "nothing new since my

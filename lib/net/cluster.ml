@@ -153,7 +153,8 @@ type child = {
   id : int;
   pid : int;
   fd : Unix.file_descr;  (* parent side of the control socketpair *)
-  buf : Buffer.t;  (* partial control line *)
+  lines : Control.reader;
+  mutable refused : string option;  (* why its control stream was dropped *)
   mutable events : (float * Trace.event) list;  (* newest first *)
   mutable completed : bool;
   mutable final : Control.final option;
@@ -178,6 +179,9 @@ let handle_line child line =
   | Ok (Control.Completed (_, _)) -> child.completed <- true
   | Ok (Control.Final f) -> child.final <- Some f
 
+(* A child whose line outgrows the cap is not speaking the protocol:
+   stop reading it, and shut the socket so that it sees its harness
+   gone and exits. It counts as crashed from then on. *)
 let drain_child child =
   let buf = Bytes.create 4096 in
   let reading = ref true in
@@ -186,15 +190,14 @@ let drain_child child =
     | 0 ->
       child.eof <- true;
       reading := false
-    | k ->
-      for i = 0 to k - 1 do
-        let c = Bytes.get buf i in
-        if c = '\n' then begin
-          handle_line child (Buffer.contents child.buf);
-          Buffer.clear child.buf
-        end
-        else Buffer.add_char child.buf c
-      done
+    | k -> (
+      match Control.feed child.lines buf k (handle_line child) with
+      | Ok () -> ()
+      | Error reason ->
+        child.refused <- Some reason;
+        child.eof <- true;
+        reading := false;
+        try Unix.shutdown child.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
     | exception Unix.Unix_error ((EWOULDBLOCK | EAGAIN | EINTR), _, _) -> reading := false
     | exception Unix.Unix_error _ ->
       child.eof <- true;
@@ -289,7 +292,6 @@ let run_sockets (spec : spec) =
                 max_ticks;
                 fault = spec.fault;
                 announce;
-                fleet_halt = true;
               }
           in
           ignore report;
@@ -307,7 +309,8 @@ let run_sockets (spec : spec) =
         id = v;
         pid;
         fd = parent_fd;
-        buf = Buffer.create 256;
+        lines = Control.reader ~max:(Control.max_line ~n:spec.n);
+        refused = None;
         events = [];
         completed = false;
         final = None;
@@ -371,6 +374,8 @@ let run_sockets (spec : spec) =
         if c.exit_status = None then try Unix.kill c.pid signal with Unix.Unix_error _ -> ())
   in
   let crashed_child c =
+    c.refused <> None
+    ||
     match c.exit_status with
     | Some (Unix.WEXITED 0) -> false
     | Some _ -> true
@@ -527,11 +532,12 @@ let run_sockets (spec : spec) =
     Array.map
       (fun c ->
         let outcome =
-          match (c.final, c.exit_status) with
-          | Some f, Some (Unix.WEXITED 0) -> Finished f
-          | _, Some (Unix.WEXITED 0) -> Unresponsive
-          | _, Some status -> Crashed (status_string status)
-          | _, None -> Unresponsive
+          match (c.refused, c.final, c.exit_status) with
+          | Some why, _, _ -> Crashed why
+          | None, Some f, Some (Unix.WEXITED 0) -> Finished f
+          | None, _, Some (Unix.WEXITED 0) -> Unresponsive
+          | None, _, Some status -> Crashed (status_string status)
+          | None, _, None -> Unresponsive
         in
         { id = c.id; outcome; completed = c.completed })
       children

@@ -193,3 +193,31 @@ let parse line =
            })
     | _ -> fail ()
   with Failure _ -> fail ()
+
+(* An event carries at most one id list: at most [n] distinct ids of at
+   most [digits n] digits, each followed by a comma or the end. Every
+   other field is an int (at most 19 digits, or "-1") or a "%.12g" time
+   (at most 19 characters), so the longest line without a list is the
+   final report's ten ints, 211 bytes. *)
+let max_line ~n = 256 + (n * (String.length (string_of_int n) + 1))
+
+type reader = { max : int; partial : Buffer.t }
+
+let reader ~max = { max; partial = Buffer.create 256 }
+
+let feed r buf k on_line =
+  let rec go i =
+    if i = k then Ok ()
+    else
+      match Bytes.get buf i with
+      | '\n' ->
+        on_line (Buffer.contents r.partial);
+        Buffer.clear r.partial;
+        go (i + 1)
+      | _ when Buffer.length r.partial >= r.max ->
+        Error (Printf.sprintf "control line longer than %d bytes" r.max)
+      | c ->
+        Buffer.add_char r.partial c;
+        go (i + 1)
+  in
+  go 0

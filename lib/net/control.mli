@@ -62,3 +62,22 @@ val parse : string -> (msg, string) result
     decimals without a sign, leading zero, base prefix or underscore
     (the final report's ["-1"] aside), and a time is finite and printed
     as ["%.12g"] prints it. *)
+
+(** {2 Splitting the node→harness stream into lines} *)
+
+val max_line : n:int -> int
+(** The longest line, newline excluded, that a node of an [n]-node run
+    prints: an event naming all [n] ids, plus room for every
+    fixed-arity line. *)
+
+type reader
+(** A stream's unfinished last line, bounded in length. *)
+
+val reader : max:int -> reader
+
+val feed : reader -> bytes -> int -> (string -> unit) -> (unit, string) result
+(** [feed r buf k f] hands [f] each line (without its newline) that the
+    first [k] bytes of [buf] complete, and keeps the unfinished rest for
+    the next call. [Error reason] once a line grows past [max] bytes:
+    the stream is no longer a control stream, and the reader must not
+    be fed again. *)

@@ -3,9 +3,8 @@
 
      offset  size  field
      0       2     magic "RD"
-     2       1     version (currently 3)
-     3       1     kind (low 7 bits: 0 = data, 1 = ack, 2 = hello,
-                   3 = done; bit 7: sender's knowledge is complete)
+     2       1     version (currently 4)
+     3       1     kind (0 = data, 1 = ack, 2 = hello)
      4       4     src node id
      8       4     stamp (sender's tick count when the message left)
      12      4     sequence number (per-link, 1-based; 0 on bare frames)
@@ -21,23 +20,23 @@
    reliability fields as well as the payload.
 
    Version 2 added the kind/seq/ack fields for the reliability layer;
-   version 3 added the Done kind and the completion flag bit for
-   fleet-wide termination gossip. Older frames are rejected as an
+   version 3 added a termination-gossip kind and a completion flag bit,
+   which version 4 removed again (the runtime's observer alone decides
+   that a run is over). Other versions are rejected as an
    unsupported version (live fleets are always spawned from one build,
    so no cross-version traffic exists). *)
 
 let magic0 = 'R'
 let magic1 = 'D'
-let version = 3
+let version = 4
 let header_size = 28
 
 (* generous per-message bound: a bitmap body for n = 2^24 nodes is 2 MiB *)
 let max_body = 16 * 1024 * 1024
 
-type kind = Data | Ack | Hello | Done
+type kind = Data | Ack | Hello
 
-let kind_code = function Data -> 0 | Ack -> 1 | Hello -> 2 | Done -> 3
-let comp_bit = 0x80
+let kind_code = function Data -> 0 | Ack -> 1 | Hello -> 2
 let crc_mismatch = "CRC mismatch"
 
 (* --- CRC-32 (IEEE 802.3), table-driven --- *)
@@ -82,7 +81,7 @@ let check_u31 name v =
 (* The header is written into the frame's first [header_size] bytes,
    where [Wire.encode ~room:header_size] left room; the body behind it
    is read for the CRC and never moved. *)
-let seal frame kind ~src ~stamp ~seq ~ack ~comp =
+let seal frame kind ~src ~stamp ~seq ~ack =
   check_u31 "src" src;
   check_u31 "stamp" stamp;
   check_u31 "seq" seq;
@@ -93,7 +92,7 @@ let seal frame kind ~src ~stamp ~seq ~ack ~comp =
   Bytes.unsafe_set frame 0 magic0;
   Bytes.unsafe_set frame 1 magic1;
   Bytes.unsafe_set frame 2 (Char.unsafe_chr version);
-  Bytes.unsafe_set frame 3 (Char.unsafe_chr (kind_code kind lor if comp then comp_bit else 0));
+  Bytes.unsafe_set frame 3 (Char.unsafe_chr (kind_code kind));
   put_u32 frame 4 src;
   put_u32 frame 8 stamp;
   put_u32 frame 12 seq;
@@ -108,11 +107,10 @@ let seal frame kind ~src ~stamp ~seq ~ack ~comp =
 let peek_kind buf =
   if Bytes.length buf < 4 then None
   else
-    match Char.code (Bytes.get buf 3) land lnot comp_bit with
+    match Char.code (Bytes.get buf 3) with
     | 0 -> Some Data
     | 1 -> Some Ack
     | 2 -> Some Hello
-    | 3 -> Some Done
     | _ -> None
 
 (* [decode]'s verdicts: a frame's length, or one of these *)
@@ -130,7 +128,7 @@ let decode buf ~off ~len =
   else if Bytes.unsafe_get buf off <> magic0 || Bytes.unsafe_get buf (off + 1) <> magic1 then
     bad_magic
   else if Char.code (Bytes.unsafe_get buf (off + 2)) <> version then bad_version
-  else if Char.code (Bytes.unsafe_get buf (off + 3)) land lnot comp_bit > 3 then bad_kind
+  else if Char.code (Bytes.unsafe_get buf (off + 3)) > 2 then bad_kind
   else begin
     let blen = get_u32 buf (off + 20) in
     if blen > max_body then bad_length
@@ -149,7 +147,7 @@ let reason buf ~off verdict =
       (Char.code (Bytes.get buf (off + 2)))
       version
   else if verdict = bad_kind then
-    Printf.sprintf "unknown frame kind %d" (Char.code (Bytes.get buf (off + 3)) land lnot comp_bit)
+    Printf.sprintf "unknown frame kind %d" (Char.code (Bytes.get buf (off + 3)))
   else if verdict = bad_length then
     Printf.sprintf "body length %d out of bounds" (get_u32 buf (off + 20))
   else if verdict = bad_crc then crc_mismatch
@@ -158,13 +156,8 @@ let reason buf ~off verdict =
 (* --- header fields of a frame [decode] accepted, read in place --- *)
 
 let kind buf ~off =
-  match Char.code (Bytes.get buf (off + 3)) land lnot comp_bit with
-  | 0 -> Data
-  | 1 -> Ack
-  | 2 -> Hello
-  | _ -> Done
+  match Char.code (Bytes.get buf (off + 3)) with 0 -> Data | 1 -> Ack | _ -> Hello
 
-let comp buf ~off = Char.code (Bytes.get buf (off + 3)) land comp_bit <> 0
 let src buf ~off = get_u32 buf (off + 4)
 let stamp buf ~off = get_u32 buf (off + 8)
 let seq buf ~off = get_u32 buf (off + 12)

@@ -13,10 +13,9 @@
     slot in the per-link sequence space; [Ack] is a pure cumulative
     acknowledgement (empty body, [seq = 0]); [Hello] announces a fresh
     incarnation after a restart and asks the receiver to reset its link
-    state for the sender (empty body, [seq = 0]); [Done] is termination
-    gossip — a bare probe/confirmation that the sender's knowledge is
-    complete. Every frame additionally carries a completion flag
-    ([comp]), so any traffic at all doubles as termination gossip.
+    state for the sender (empty body, [seq = 0]). No frame says whether
+    the run is over: the runtime's observer alone decides that. The
+    layout is version 4; a frame of any other version is rejected.
 
     {b A frame's life.} A data frame is one buffer from encode to
     delivery. {!Repro_discovery.Wire.encode} writes the payload after
@@ -38,7 +37,7 @@
     negative verdict that {!reason} names, and a hostile length field is
     bounded {e before} any allocation depends on it. *)
 
-type kind = Data | Ack | Hello | Done
+type kind = Data | Ack | Hello
 
 val header_size : int
 (** 28 bytes. *)
@@ -46,15 +45,13 @@ val header_size : int
 val max_body : int
 (** Upper bound on a frame's body length accepted by both directions. *)
 
-val seal :
-  bytes -> kind -> src:int -> stamp:int -> seq:int -> ack:int -> comp:bool -> unit
-(** [seal frame kind ~src ~stamp ~seq ~ack ~comp] writes the header,
+val seal : bytes -> kind -> src:int -> stamp:int -> seq:int -> ack:int -> unit
+(** [seal frame kind ~src ~stamp ~seq ~ack] writes the header,
     CRC included, into the first {!header_size} bytes of [frame]; the
     body is the rest of the buffer. [seq] is the per-link data sequence
     number (1-based; 0 for bare frames), [ack] the cumulative ack
-    (highest in-order seq received from the destination), [stamp] the
-    sender's tick count, [comp] whether the sender's knowledge was
-    complete.
+    (highest in-order seq received from the destination) and [stamp]
+    the sender's tick count.
     @raise Invalid_argument on a negative/overflowing [src], [stamp],
     [seq] or [ack], a frame shorter than the header, or a body larger
     than {!max_body}. *)
@@ -98,5 +95,4 @@ val src : bytes -> off:int -> int
 val stamp : bytes -> off:int -> int
 val seq : bytes -> off:int -> int
 val ack : bytes -> off:int -> int
-val comp : bytes -> off:int -> bool
 val body_length : bytes -> off:int -> int

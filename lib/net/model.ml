@@ -68,7 +68,6 @@ let core_config cfg v ~announce =
     rto = 3.0;
     fault = Fault.none;
     announce;
-    fleet_halt = false;
   }
 
 let boot cfg =

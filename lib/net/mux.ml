@@ -57,7 +57,7 @@ let exec_spec (spec : Run_async.spec) (algo : Algorithm.t) topology =
             let lat =
               match Envelope.peek_kind frame with
               | Some Envelope.Data -> Async_sim.latency clock
-              | Some (Envelope.Ack | Envelope.Hello | Envelope.Done) | None ->
+              | Some (Envelope.Ack | Envelope.Hello) | None ->
                 lmin +. Rng.float aux (lmax -. lmin)
             in
             Async_sim.send clock ~at:(now +. lat) ~src:v ~dst frame);
@@ -82,7 +82,6 @@ let exec_spec (spec : Run_async.spec) (algo : Algorithm.t) topology =
           rto;
           fault;
           announce;
-          fleet_halt = false;  (* the monitor is the authority on completion *)
         }
         actions ~labels ~links_up:true ~now:(Async_sim.now clock)
     in

@@ -26,9 +26,9 @@
     when a peer is written off, not per undelivered frame) — those runs
     are validated by the online invariant checker instead.
 
-    Cores run with [fleet_halt = false]: the run's completion monitor is
-    the single authority, sampling {!Repro_discovery.Exec.satisfied}
-    once per virtual time unit exactly like the async engine. *)
+    The run's completion monitor is the single authority on completion,
+    sampling {!Repro_discovery.Exec.satisfied} once per virtual time
+    unit exactly like the async engine. *)
 
 open Repro_graph
 open Repro_discovery

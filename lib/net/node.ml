@@ -39,7 +39,6 @@ type config = {
   max_ticks : int;
   fault : Fault.t;
   announce : bool;
-  fleet_halt : bool;
 }
 
 let default_tick_period = 0.01
@@ -78,7 +77,6 @@ type t = {
   listen_fd : Unix.file_descr;
   own_listener : bool;  (** we bound it ourselves, so we unlink/close it *)
   control : Transport.Conn.t option;  (** write side of the control channel *)
-  mutable fleet_exit_at : float;  (* absolute; infinity until fleet_done observed *)
   mutable halted : bool;
   mutable running : bool;
 }
@@ -262,7 +260,6 @@ let run cfg =
         rto;
         fault = cfg.fault;
         announce = cfg.announce;
-        fleet_halt = cfg.fleet_halt;
       }
       actions
       ~labels:(Exec.labels_of ~seed:cfg.seed cfg.n)
@@ -277,7 +274,6 @@ let run cfg =
       listen_fd;
       own_listener;
       control;
-      fleet_exit_at = infinity;
       halted = false;
       running = true;
     }
@@ -297,7 +293,7 @@ let run cfg =
     for dst = 0 to cfg.n - 1 do
       maybe_connect t dst
     done;
-    (* retransmission timeouts and owed bare acks / hellos / probes *)
+    (* retransmission timeouts and owed bare acks / hellos *)
     Node_core.pump core ~now:(rel cfg);
     (* opportunistic flush of every ready link *)
     Array.iteri
@@ -401,14 +397,6 @@ let run cfg =
           reading := false
       done
     | _ -> ());
-    (* fleet-wide completion detected by gossip: stop promptly (after a
-       short linger so final acks and done replies drain) instead of
-       chattering until an external halt or the idle window *)
-    if cfg.fleet_halt && Node_core.fleet_done core then begin
-      let now = Unix.gettimeofday () in
-      if t.fleet_exit_at = infinity then t.fleet_exit_at <- now +. (2.0 *. rto);
-      if t.running && now >= t.fleet_exit_at then t.running <- false
-    end;
     (* standalone convergence: complete and quiet for the idle window *)
     if
       t.running && cfg.control_fd = None

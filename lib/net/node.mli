@@ -3,7 +3,7 @@
 
     This is the [Process] backend's runtime. All protocol decisions —
     go-back-N reliable delivery, the hello handshake, fault-shim
-    routing, completion detection and termination gossip — live in the
+    routing and completion detection — live in the
     transport-agnostic {!Node_core}; this module owns what a real
     deployment owns: sockets, [select], connection establishment with
     bounded retry and decorrelated-jitter backoff ("connect-on-learn":
@@ -17,10 +17,11 @@
     Under a {!Cluster} harness ([control_fd] set) the node streams
     {!Control} lines upward and exits on the halt command. Standalone
     ([control_fd = None]) it exits once its knowledge is complete and
-    the link has been idle for [idle_timeout] seconds. With [fleet_halt]
-    (the default for live fleets) the core's termination gossip lets the
-    node wind down within a couple of RTOs of fleet-wide completion,
-    instead of chattering until an external halt or the idle window. *)
+    the link has been idle for [idle_timeout] seconds. A node never
+    decides on its own that the fleet is done: under a harness only the
+    harness ends it (the halt command, or the control channel closing),
+    since fleet-wide completion is the coordinator's verdict (it alone
+    knows the fault plan's schedule). *)
 
 open Repro_engine
 open Repro_discovery
@@ -58,9 +59,6 @@ type config = {
   max_ticks : int;  (** give up after this many ticks without halt *)
   fault : Fault.t;  (** link faults/partitions applied via {!Faultnet} *)
   announce : bool;  (** hello the neighbours on startup (set for restarts) *)
-  fleet_halt : bool;
-      (** termination gossip: carry completion flags, probe quiet peers,
-          and exit shortly after the whole fleet is known complete *)
 }
 
 val default_tick_period : float

@@ -2,7 +2,6 @@ open Repro_engine
 open Repro_discovery
 
 let hello_interval = 50
-let done_interval = 5
 
 type config = {
   node : int;
@@ -14,7 +13,6 @@ type config = {
   rto : float;
   fault : Fault.t;
   announce : bool;
-  fleet_halt : bool;
 }
 
 type actions = {
@@ -54,8 +52,6 @@ type link = {
   mutable recv_early : int list;  (** seqs above [recv_cum + 1] already delivered (gap pending) *)
   mutable ack_owed : bool;
   mutable hello_owed : bool;
-  mutable done_owed : bool;
-  mutable peer_done : bool;  (** peer has signalled complete knowledge *)
 }
 
 let new_link status =
@@ -73,8 +69,6 @@ let new_link status =
     recv_early = [];
     ack_owed = false;
     hello_owed = false;
-    done_owed = false;
-    peer_done = false;
   }
 
 (* ring slot of the [i]-th frame from the front *)
@@ -138,7 +132,6 @@ type t = {
   mutable corrupt_frames : int;
   mutable complete_tick : int option;
   mutable complete_announced : bool;
-  mutable done_known : int;  (** peers currently marked [peer_done] *)
   mutable last_activity : float;
 }
 
@@ -146,7 +139,6 @@ let tick_count t = t.tick_count
 let instance t = t.inst
 let is_complete t = t.complete_announced
 let last_activity t = t.last_activity
-let fleet_done t = t.complete_announced && t.done_known = t.cfg.n - 1
 
 (* index of the first touched id >= [dst] *)
 let lower_bound t dst =
@@ -189,7 +181,7 @@ let link_status t ~dst = (peek t dst).status
 
 let wants_link t ~dst =
   let link = peek t dst in
-  link.held > 0 || link.ack_owed || link.hello_owed || link.done_owed
+  link.held > 0 || link.ack_owed || link.hello_owed
 
 let note_bad_frame t reason =
   if String.equal reason Envelope.crc_mismatch then t.corrupt_frames <- t.corrupt_frames + 1
@@ -223,7 +215,7 @@ let transmit_data t ~now dst ~resend =
         let s = slot link i in
         let frame = if i < link.lent then Bytes.copy link.frames.(s) else link.frames.(s) in
         Envelope.seal frame Envelope.Data ~src:t.cfg.node ~stamp:link.stamps.(s)
-          ~seq:(link.base_seq + i) ~ack:link.recv_cum ~comp:t.complete_announced;
+          ~seq:(link.base_seq + i) ~ack:link.recv_cum;
         queue_frame t ~now ~dst frame
       done;
       link.txed <- link.held;
@@ -239,24 +231,9 @@ let send_bare t ~now ~dst kind ~ack =
   match link.status with
   | Up ->
     let frame = Bytes.create Envelope.header_size in
-    Envelope.seal frame kind ~src:t.cfg.node ~stamp:t.tick_count ~seq:0 ~ack
-      ~comp:t.complete_announced;
+    Envelope.seal frame kind ~src:t.cfg.node ~stamp:t.tick_count ~seq:0 ~ack;
     queue_frame t ~now ~dst frame
   | Down | Dead -> ()
-
-(* Termination gossip: a bare frame saying "my knowledge is complete".
-   It doubles as a cumulative ack (it carries one for free). *)
-let send_done t ~now ~dst =
-  let link = touch t dst in
-  match link.status with
-  | Up ->
-    send_bare t ~now ~dst Envelope.Done ~ack:link.recv_cum;
-    link.done_owed <- false;
-    link.ack_owed <- false
-  | Down ->
-    link.done_owed <- true;
-    t.acts.wake ~dst
-  | Dead -> ()
 
 let drop_frame t ~now dst =
   t.dropped <- t.dropped + 1;
@@ -272,7 +249,6 @@ let link_dead t ~now ~dst =
   done;
   link.ack_owed <- false;
   link.hello_owed <- false;
-  link.done_owed <- false;
   link.status <- Dead
 
 let link_down t ~dst =
@@ -288,7 +264,6 @@ let link_up t ~now ~dst =
     link.hello_owed <- false
   end;
   transmit_data t ~now dst ~resend:true;
-  if link.done_owed then send_done t ~now ~dst;
   if link.ack_owed then begin
     send_bare t ~now ~dst Envelope.Ack ~ack:link.recv_cum;
     link.ack_owed <- false
@@ -383,29 +358,16 @@ let request_hellos t ~now =
     t.cfg.neighbors
 
 let tick t ~now =
-  if not (t.cfg.fleet_halt && fleet_done t) then begin
-    t.tick_count <- t.tick_count + 1;
-    if t.tracing then
-      emit t ~now (Trace.Tick { node = t.cfg.node; time = now; count = t.tick_count });
-    (* a restarted node keeps announcing itself until its knowledge is
-       whole again, in case an earlier hello (or its reply) was lost *)
-    if t.cfg.announce && (not t.complete_announced) && t.tick_count mod hello_interval = 0 then
-      request_hellos t ~now;
-    t.inst.Algorithm.round ~round:t.tick_count
-      ~send:(fun ~dst payload -> ignore (send_payload t ~now ~dst payload));
-    announce_if_complete t ~now;
-    (* termination gossip: a complete node periodically probes the peers
-       it has not yet heard completion from, until the whole fleet is
-       known complete (and this node may stop ticking) *)
-    if
-      t.cfg.fleet_halt && t.complete_announced
-      && (not (fleet_done t))
-      && t.tick_count mod done_interval = 0
-    then
-      for dst = 0 to t.cfg.n - 1 do
-        if dst <> t.cfg.node && not (peek t dst).peer_done then send_done t ~now ~dst
-      done
-  end
+  t.tick_count <- t.tick_count + 1;
+  if t.tracing then
+    emit t ~now (Trace.Tick { node = t.cfg.node; time = now; count = t.tick_count });
+  (* a restarted node keeps announcing itself until its knowledge is
+     whole again, in case an earlier hello (or its reply) was lost *)
+  if t.cfg.announce && (not t.complete_announced) && t.tick_count mod hello_interval = 0 then
+    request_hellos t ~now;
+  t.inst.Algorithm.round ~round:t.tick_count
+    ~send:(fun ~dst payload -> ignore (send_payload t ~now ~dst payload));
+  announce_if_complete t ~now
 
 (* Pop everything the peer's cumulative ack covers. *)
 let apply_ack t ~now ~src ack =
@@ -418,24 +380,6 @@ let apply_ack t ~now ~src ack =
   if covered > 0 then link.base_seq <- link.base_seq + covered;
   if link.held = 0 then link.rto.at <- infinity
   else if covered > 0 then link.rto.at <- now +. t.cfg.rto
-
-let clear_peer_done t link =
-  if link.peer_done then begin
-    link.peer_done <- false;
-    t.done_known <- t.done_known - 1
-  end
-
-(* [src] has evidence of complete knowledge. First news from a peer that
-   arrived as an explicit Done probe gets one Done reply (if we are
-   complete ourselves), so both sides learn of each other even when
-   neither has data traffic left; re-probing covers lost replies. *)
-let mark_peer_done t ~now ~src ~probe =
-  let link = touch t src in
-  if not link.peer_done then begin
-    link.peer_done <- true;
-    t.done_known <- t.done_known + 1;
-    if probe && t.cfg.fleet_halt && t.complete_announced then send_done t ~now ~dst:src
-  end
 
 (* A hello announces a fresh incarnation of [src]: whatever sequence
    state we shared with the previous one is void. Reset both directions,
@@ -454,9 +398,6 @@ let handle_hello t ~now ~src =
   link.recv_cum <- 0;
   link.recv_early <- [];
   link.ack_owed <- false;
-  (* the fresh incarnation starts from scratch: its predecessor's
-     completion claim no longer stands *)
-  clear_peer_done t link;
   ignore
     (send_payload t ~now ~dst:src
        (Payload.Share (Payload.Bits (Knowledge.snapshot t.inst.Algorithm.knowledge))))
@@ -482,15 +423,8 @@ let handle_frame t ~now buf ~off =
   if src < 0 || src >= t.cfg.n || src = t.cfg.node then t.decode_errors <- t.decode_errors + 1
   else begin
     let link = touch t src in
-    let kind = Envelope.kind buf ~off in
-    (match kind with
-    | Envelope.Hello -> ()  (* a hello resets peer state below; its comp flag is moot *)
-    | Envelope.Data | Envelope.Ack | Envelope.Done ->
-      if Envelope.comp buf ~off then
-        mark_peer_done t ~now ~src
-          ~probe:(match kind with Envelope.Done -> true | _ -> false));
-    match kind with
-    | Envelope.Ack | Envelope.Done -> apply_ack t ~now ~src (Envelope.ack buf ~off)
+    match Envelope.kind buf ~off with
+    | Envelope.Ack -> apply_ack t ~now ~src (Envelope.ack buf ~off)
     | Envelope.Hello -> handle_hello t ~now ~src
     | Envelope.Data ->
       apply_ack t ~now ~src (Envelope.ack buf ~off);
@@ -537,7 +471,6 @@ let pump t ~now =
         send_bare t ~now ~dst Envelope.Hello ~ack:0;
         link.hello_owed <- false
       end;
-      if link.done_owed then send_done t ~now ~dst;
       if link.ack_owed then begin
         send_bare t ~now ~dst Envelope.Ack ~ack:link.recv_cum;
         link.ack_owed <- false
@@ -615,7 +548,6 @@ let create (cfg : config) (acts : actions) ~labels ~links_up ~now =
       corrupt_frames = 0;
       complete_tick = None;
       complete_announced = false;
-      done_known = 0;
       last_activity = now;
     }
   in
@@ -636,7 +568,6 @@ type link_view = {
   view_inflight : int;
   view_recv_cum : int;
   view_recv_early : int list;
-  view_peer_done : bool;
 }
 
 let link_view t ~dst =
@@ -647,5 +578,4 @@ let link_view t ~dst =
     view_inflight = l.held;
     view_recv_cum = l.recv_cum;
     view_recv_early = List.sort compare l.recv_early;
-    view_peer_done = l.peer_done;
   }

@@ -3,7 +3,7 @@
     Everything a node {e decides} — when to tick its algorithm, what to
     put on the wire, go-back-N reliable delivery per directed link, the
     hello handshake that rebuilds state across restarts, the fault-shim
-    routing, completion detection and termination gossip — lives here as
+    routing and completion detection — lives here as
     a pure state machine over an abstract clock. Everything a node
     {e does} to the outside world goes through the four {!actions}
     callbacks, so the same core drives
@@ -34,13 +34,11 @@
     owed). {!pump} and {!next_rto_deadline} walk only the touched links,
     in ascending peer order: O(touched), not O(n).
 
-    {b Termination gossip} ([fleet_halt]): every outgoing frame carries
-    a "my knowledge is complete" flag, and a complete node periodically
-    probes peers it has not heard completion from with a bare [Done]
-    frame (first news arriving as a probe gets one reply, so quiet pairs
-    converge). Once a node knows the {e whole fleet} is complete
-    ({!fleet_done}) it stops ticking — this is what lets idle live nodes
-    stop re-sending instead of chattering until an external halt. *)
+    {b Termination.} A core only reports its own completion
+    ({!actions.notify_complete}); it never decides that the run is over.
+    Fleet-wide completion is a global predicate, and the runtime's
+    observer alone evaluates it: the mux's completion monitor, the
+    cluster coordinator's halt, or a standalone node's idle timeout. *)
 
 open Repro_engine
 open Repro_discovery
@@ -55,7 +53,6 @@ type config = {
   rto : float;  (** retransmission timeout, in [now] units *)
   fault : Fault.t;  (** link faults/partitions applied via {!Faultnet} *)
   announce : bool;  (** hello the neighbours on startup (set for restarts) *)
-  fleet_halt : bool;  (** termination gossip + stop ticking on fleet completion *)
 }
 
 (** How the core acts on the world. All callbacks receive the same
@@ -93,8 +90,7 @@ val create : config -> actions -> labels:int array -> links_up:bool -> now:float
 
 val tick : t -> now:float -> unit
 (** One algorithm activation: emits the [Tick] event, runs the round,
-    checks completion, and drives re-hello and termination gossip.
-    A no-op once [fleet_halt] has detected fleet-wide completion. *)
+    checks completion, and drives re-hello. *)
 
 val handle_frame : t -> now:float -> bytes -> off:int -> unit
 (** Process one envelope from the wire (any kind), read in place: the
@@ -127,7 +123,7 @@ val greet : t -> now:float -> dst:int -> unit
     this when a node id from the retired pool is reborn. *)
 
 val pump : t -> now:float -> unit
-(** Retransmission timeouts and owed bare acks/hellos/done probes, over
+(** Retransmission timeouts and owed bare acks/hellos, over
     every touched [Up] link. Call once per event-loop iteration; when
     nothing is due it allocates nothing. *)
 
@@ -147,7 +143,7 @@ val link_dead : t -> now:float -> dst:int -> unit
     [Drop] events) and future sends are counted as drops. *)
 
 val wants_link : t -> dst:int -> bool
-(** Does the core have traffic (data, owed acks/hellos/probes) for
+(** Does the core have traffic (data, owed acks/hellos) for
     [dst]? The runtime's connect policy keys on this. *)
 
 val link_status : t -> dst:int -> status
@@ -173,10 +169,6 @@ val is_complete : t -> bool
 val last_activity : t -> float
 (** Time of the most recent local delivery (idle detection). *)
 
-val fleet_done : t -> bool
-(** This node is complete {e and} has heard completion from every peer.
-    With [fleet_halt] the runtime should wind the node down. *)
-
 val final : t -> Control.final
 (** The node's final counters. *)
 
@@ -191,7 +183,6 @@ type link_view = {
   view_inflight : int;  (** unacknowledged data frames queued *)
   view_recv_cum : int;  (** highest contiguous data seq received *)
   view_recv_early : int list;  (** out-of-order seqs already delivered, ascending *)
-  view_peer_done : bool;
 }
 
 val link_view : t -> dst:int -> link_view

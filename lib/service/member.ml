@@ -26,10 +26,6 @@ let suspicion_max = 9.0
 let suspicion_confirmation_cap = 3
 let suspicion_fanout = 3
 
-(* dead_after is kept as the historical name for the uncorroborated
-   suspicion window (diagnostics, tests). *)
-let dead_after = suspicion_max
-
 (* Local health (lifeguard): a saturating counter of recent evidence
    that *our own* probes are failing broadly. Every timeout or wrong
    verdict bumps it, every answered probe decays it; the multiplier it

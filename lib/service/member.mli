@@ -22,7 +22,7 @@
       the target is marked suspect locally, a [Suspicion] claim is sent
       to a few peers — each corroborates only from its own probe
       evidence — and the refutation window starts {e wide}
-      ([dead_after] ticks), shrinking toward a floor as independent
+      (9 ticks), shrinking toward a floor as independent
       confirmations arrive. Expiry convicts the target [down] at the
       incarnation that was suspected — the one verdict that is
       gossiped; a fresher incarnation makes it stale. A falsely accused
@@ -43,7 +43,7 @@
       merged without re-logging: the joiner must not re-broadcast the
       whole fleet.
 
-    An optional push-pull full-state sync every {!full_sync_interval}
+    An optional push-pull full-state sync every 64
     ticks (enabled whenever an update could die in flight: lossy
     networks, or any churn at all) repairs any update whose every
     transmission was unlucky — including facts that finished
@@ -68,22 +68,6 @@ type actions = {
 }
 
 type t
-
-val probe_interval : float
-
-val suspect_after : float
-(** Direct-probe window (base, before the local-health multiplier):
-    silence past it escalates to the indirect round. *)
-
-val indirect_after : float
-(** Indirect-round window (base): silence past it opens suspicion. *)
-
-val dead_after : float
-(** The uncorroborated suspicion window (base) — the refutation window
-    starts here and shrinks toward a floor of [suspicion_min] as
-    independent confirmations arrive. *)
-
-val full_sync_interval : float
 
 val create_genesis :
   cap:int -> self:int -> labels:int array -> peers:int array -> rng:Rng.t ->

@@ -247,8 +247,8 @@ let direct_transport (cfg : config) ~members ~now ~dropped_loss ~dropped_dead =
    and the transport delivers encoded frames, not payloads. The shim
    drops silently and the reliability layer re-sends, so [dropped_loss]
    stays 0 here. The core's own trace events are discarded (the service
-   emits the canonical lifecycle itself), and its completion machinery
-   is inert ([fleet_halt = false]). *)
+   emits the canonical lifecycle itself), and its completion report goes
+   nowhere: the service has no notion of a finished run. *)
 let hosted_transport (cfg : config) ~labels ~now ~dropped_dead =
   let cap = cfg.cap in
   let rng = Rng.substream ~seed:cfg.seed ~index:0x11e7 in
@@ -304,7 +304,6 @@ let hosted_transport (cfg : config) ~labels ~now ~dropped_dead =
           rto = 3.0;
           fault = cfg.fault;
           announce = false;
-          fleet_halt = false;
         }
         acts ~labels ~links_up:true ~now:!now
     in

@@ -8,6 +8,7 @@ let unknown = 255
 type t = {
   knowledge : Knowledge.t;
   statuses : Bytes.t;
+  versions : int array;  (* highest observed incarnation per node; 0 = never observed *)
   mutable live : int;  (* known nodes whose status is alive or suspect *)
 }
 
@@ -15,10 +16,11 @@ type applied = Stale | Updated | Changed of bool
 
 let create ~cap ~owner ~labels =
   let knowledge = Knowledge.create ~n:cap ~owner ~labels () in
-  ignore (Knowledge.observe_version knowledge ~node:owner ~version:1);
+  let versions = Array.make cap 0 in
+  versions.(owner) <- 1;
   let statuses = Bytes.make cap (Char.chr unknown) in
   Bytes.set statuses owner (Char.chr Payload.status_alive);
-  { knowledge; statuses; live = 1 }
+  { knowledge; statuses; versions; live = 1 }
 
 let knowledge t = t.knowledge
 let owner t = Knowledge.owner t.knowledge
@@ -27,7 +29,10 @@ let status t node =
   if node < 0 || node >= Bytes.length t.statuses then invalid_arg "View.status: out of range";
   Char.code (Bytes.get t.statuses node)
 
-let version t node = Knowledge.node_version t.knowledge node
+let version t node =
+  if node < 0 || node >= Array.length t.versions then invalid_arg "View.version: out of range";
+  t.versions.(node)
+
 let live_status s = s = Payload.status_alive || s = Payload.status_suspect
 let is_live t node = live_status (status t node)
 let live_count t = t.live
@@ -44,7 +49,7 @@ let[@inline] apply t ~node ~version ~status:s =
   if node < 0 || node >= Bytes.length t.statuses then invalid_arg "View.apply: node out of range";
   if version < 0 then invalid_arg "View.apply: negative version";
   if s < 0 || s > Payload.status_down then invalid_arg "View.apply: unknown status";
-  let cur_v = Knowledge.node_version t.knowledge node in
+  let cur_v = t.versions.(node) in
   let cur_s = status t node in
   let stronger =
     if cur_s = unknown then true
@@ -53,7 +58,7 @@ let[@inline] apply t ~node ~version ~status:s =
   if not stronger then Stale
   else begin
     ignore (Knowledge.add t.knowledge node);
-    ignore (Knowledge.observe_version t.knowledge ~node ~version);
+    t.versions.(node) <- version;
     set_status t node s
   end
 

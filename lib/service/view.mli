@@ -1,8 +1,9 @@
 (** A member's view of the fleet: knowledge plus per-node liveness.
 
     The view extends a {!Repro_discovery.Knowledge.t} (which contributes
-    the known-id set, the per-node version vector and uniform sampling)
-    with a status byte per node. Remote observations go through
+    the known-id set and uniform sampling) with a per-node version
+    vector (each node's highest observed incarnation) and a status byte
+    per node. Remote observations go through
     {!apply}, which resolves conflicts on the [(version, status)]
     lattice of {!Repro_discovery.Payload}: a higher version always wins,
     and at equal versions the more pessimistic status does, so a down
@@ -45,7 +46,8 @@ val status : t -> int -> int
     observed. Allocation-free. *)
 
 val version : t -> int -> int
-(** Highest observed incarnation of a node; 0 when never observed. *)
+(** Highest observed incarnation of a node; 0 when never observed.
+    @raise Invalid_argument if the node is out of range. *)
 
 val is_live : t -> int -> bool
 (** Known and not down — the membership classification the convergence

@@ -113,7 +113,6 @@ let core_config ~n ~node algo =
     rto = 3.0;
     fault = Repro_engine.Fault.none;
     announce = false;
-    fleet_halt = false;
   }
 
 (* A node core costs O(peers it talks to), not O(n): no link table and
@@ -156,7 +155,7 @@ let test_idle_pump_allocates_nothing () =
   for dst = 1 to cn - 1 do
     ignore (Repro_net.Node_core.send core ~now:0.0 ~dst Payload.Probe);
     let ack = Bytes.create Repro_net.Envelope.header_size in
-    Repro_net.Envelope.seal ack Repro_net.Envelope.Ack ~src:dst ~stamp:0 ~seq:0 ~ack:1 ~comp:false;
+    Repro_net.Envelope.seal ack Repro_net.Envelope.Ack ~src:dst ~stamp:0 ~seq:0 ~ack:1;
     Repro_net.Node_core.receive core ~now:1.0 ack
   done;
   for dst = 1 to cn - 1 do

@@ -14,14 +14,14 @@ let sample_body = Bytes.of_string "\001\000\003\000\000\000\005\000\000\000"
 
 (* A frame as the live path builds one: the body after header room,
    the header sealed in place. *)
-let frame_of kind ~src ~stamp ~seq ~ack ~comp body =
+let frame_of kind ~src ~stamp ~seq ~ack body =
   let frame = Bytes.create (Envelope.header_size + Bytes.length body) in
   Bytes.blit body 0 frame Envelope.header_size (Bytes.length body);
-  Envelope.seal frame kind ~src ~stamp ~seq ~ack ~comp;
+  Envelope.seal frame kind ~src ~stamp ~seq ~ack;
   frame
 
 let encode_sample () =
-  frame_of Envelope.Data ~src:7 ~stamp:42 ~seq:3 ~ack:1 ~comp:false sample_body
+  frame_of Envelope.Data ~src:7 ~stamp:42 ~seq:3 ~ack:1 sample_body
 
 let body_of frame ~off =
   Bytes.sub frame (off + Envelope.header_size) (Envelope.body_length frame ~off)
@@ -41,13 +41,13 @@ let test_envelope_kinds () =
   (* ack and hello frames: empty body, seq 0, cumulative ack carried *)
   List.iter
     (fun kind ->
-      let frame = frame_of kind ~src:2 ~stamp:5 ~seq:0 ~ack:17 ~comp:false Bytes.empty in
+      let frame = frame_of kind ~src:2 ~stamp:5 ~seq:0 ~ack:17 Bytes.empty in
       Alcotest.(check int) "consumed" Envelope.header_size
         (Envelope.decode frame ~off:0 ~len:(Bytes.length frame));
       Alcotest.(check bool) "kind survives" true (Envelope.kind frame ~off:0 = kind);
       Alcotest.(check int) "ack survives" 17 (Envelope.ack frame ~off:0);
       Alcotest.(check int) "empty body" 0 (Envelope.body_length frame ~off:0))
-    [ Envelope.Ack; Envelope.Hello; Envelope.Done ]
+    [ Envelope.Ack; Envelope.Hello ]
 
 let test_envelope_incremental () =
   let frame = encode_sample () in
@@ -81,14 +81,14 @@ let test_envelope_corruption () =
    prefix (need_more), not corruption. *)
 let gen_envelope =
   QCheck2.Gen.(
-    let* kind = oneofl [ Envelope.Data; Envelope.Ack; Envelope.Hello; Envelope.Done ] in
+    let* kind = oneofl [ Envelope.Data; Envelope.Ack; Envelope.Hello ] in
     let* src = int_bound 0x7FFFFFFF and* stamp = int_bound 0x7FFFFFFF in
-    let* seq = int_bound 0x7FFFFFFF and* ack = int_bound 0x7FFFFFFF and* comp = bool in
+    let* seq = int_bound 0x7FFFFFFF and* ack = int_bound 0x7FFFFFFF in
     let+ body = string_size ~gen:char (int_range 0 64) in
-    frame_of kind ~src ~stamp ~seq ~ack ~comp (Bytes.of_string body))
+    frame_of kind ~src ~stamp ~seq ~ack (Bytes.of_string body))
 
 let fields frame ~off =
-  ( (Envelope.kind frame ~off, Envelope.comp frame ~off),
+  ( Envelope.kind frame ~off,
     (Envelope.src frame ~off, Envelope.stamp frame ~off, Envelope.seq frame ~off),
     (Envelope.ack frame ~off, Bytes.to_string (body_of frame ~off)) )
 
@@ -146,7 +146,6 @@ let test_node_core_receive () =
         rto = 3.0;
         fault = Fault.none;
         announce = false;
-        fleet_halt = false;
       }
       {
         Node_core.emit = None;
@@ -160,7 +159,7 @@ let test_node_core_receive () =
     Wire.encode Wire.Adaptive ~universe:n ~room:Envelope.header_size
       (Payload.Share (Payload.Ids [| 5 |]))
   in
-  Envelope.seal frame Envelope.Data ~src:1 ~stamp:0 ~seq:1 ~ack:0 ~comp:false;
+  Envelope.seal frame Envelope.Data ~src:1 ~stamp:0 ~seq:1 ~ack:0;
   let counts () =
     let f = Node_core.final core in
     (f.Control.delivered, f.Control.corrupt_frames, f.Control.decode_errors)
@@ -179,25 +178,27 @@ let test_node_core_receive () =
   Node_core.receive core ~now:3.0 (Bytes.sub frame 0 (Bytes.length frame - 1));
   check "truncated frame is a decode error" (1, 1, 1)
 
-let test_envelope_comp_bit () =
-  (* the completion-gossip bit survives sealing on every kind, and
-     peek_kind classifies a raw frame without a CRC pass *)
+let test_envelope_peek_kind () =
+  (* every kind survives sealing, and peek_kind classifies a raw frame
+     without a CRC pass; a kind byte past the three is refused by both *)
   List.iter
     (fun kind ->
-      List.iter
-        (fun comp ->
-          let frame = frame_of kind ~src:3 ~stamp:1 ~seq:0 ~ack:5 ~comp Bytes.empty in
-          Alcotest.(check bool) "peek_kind agrees" true (Envelope.peek_kind frame = Some kind);
-          if Envelope.decode frame ~off:0 ~len:(Bytes.length frame) <= 0 then
-            Alcotest.fail "frame did not decode";
-          Alcotest.(check bool) "kind survives" true (Envelope.kind frame ~off:0 = kind);
-          Alcotest.(check bool) "comp survives" comp (Envelope.comp frame ~off:0))
-        [ false; true ])
-    [ Envelope.Data; Envelope.Ack; Envelope.Hello; Envelope.Done ];
+      let frame = frame_of kind ~src:3 ~stamp:1 ~seq:0 ~ack:5 Bytes.empty in
+      Alcotest.(check bool) "peek_kind agrees" true (Envelope.peek_kind frame = Some kind);
+      if Envelope.decode frame ~off:0 ~len:(Bytes.length frame) <= 0 then
+        Alcotest.fail "frame did not decode";
+      Alcotest.(check bool) "kind survives" true (Envelope.kind frame ~off:0 = kind))
+    [ Envelope.Data; Envelope.Ack; Envelope.Hello ];
+  let frame = frame_of Envelope.Data ~src:3 ~stamp:1 ~seq:0 ~ack:5 Bytes.empty in
+  Bytes.set frame 3 '\003';
+  Alcotest.(check bool) "kind 3 peeks None" true (Envelope.peek_kind frame = None);
+  let verdict = Envelope.decode frame ~off:0 ~len:(Bytes.length frame) in
+  Alcotest.(check string) "kind 3 is refused" "unknown frame kind 3"
+    (if verdict < 0 then Envelope.reason frame ~off:0 verdict else "accepted");
   Alcotest.(check bool) "short buffer peeks None" true (Envelope.peek_kind Bytes.empty = None)
 
 let test_envelope_limits () =
-  let seal frame ~src = Envelope.seal frame Envelope.Data ~src ~stamp:0 ~seq:1 ~ack:0 ~comp:false in
+  let seal frame ~src = Envelope.seal frame Envelope.Data ~src ~stamp:0 ~seq:1 ~ack:0 in
   Alcotest.check_raises "oversized body" (Invalid_argument "Envelope.seal: body too large")
     (fun () -> seal (Bytes.create (Envelope.header_size + Envelope.max_body + 1)) ~src:0);
   Alcotest.check_raises "negative src" (Invalid_argument "Envelope.seal: src out of range")
@@ -220,13 +221,13 @@ let test_envelope_limits () =
    holding. *)
 let test_lent_frames_never_written () =
   let n = 8 in
-  let peer_hello = frame_of Envelope.Hello ~src:1 ~stamp:0 ~seq:0 ~ack:0 ~comp:false Bytes.empty in
+  let peer_hello = frame_of Envelope.Hello ~src:1 ~stamp:0 ~seq:0 ~ack:0 Bytes.empty in
   let peer_data =
     let frame =
       Wire.encode Wire.Adaptive ~universe:n ~room:Envelope.header_size
         (Payload.Share (Payload.Ids [| 3 |]))
     in
-    Envelope.seal frame Envelope.Data ~src:1 ~stamp:0 ~seq:1 ~ack:0 ~comp:false;
+    Envelope.seal frame Envelope.Data ~src:1 ~stamp:0 ~seq:1 ~ack:0;
     frame
   in
   List.iter
@@ -245,7 +246,6 @@ let test_lent_frames_never_written () =
             rto = 3.0;
             fault;
             announce = false;
-            fleet_halt = false;
           }
           {
             Node_core.emit = None;
@@ -364,6 +364,55 @@ let test_control_roundtrip () =
   match Control.parse "E 1 drop 0 5 bogus" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown drop reason parsed"
+
+(* The coordinator's line splitter: lines may arrive cut anywhere, the
+   longest line a node of an n-node run prints fits the cap worked out
+   from n, and a line one byte past the cap refuses the stream. *)
+let test_control_line_cap () =
+  let feed r s =
+    let got = ref [] in
+    let add line = got := line :: !got in
+    let verdict = Control.feed r (Bytes.of_string s) (String.length s) add in
+    (verdict, List.rev !got)
+  in
+  let ok = Alcotest.(pair (result unit string) (list string)) in
+  let r = Control.reader ~max:64 in
+  Alcotest.check ok "first piece" (Ok (), [ "a" ]) (feed r "a\nb");
+  Alcotest.check ok "cut line joined" (Ok (), [ "bcd"; "" ]) (feed r "cd\n\n");
+  List.iter
+    (fun n ->
+      let ids = Array.init n Fun.id in
+      let time = -1.23456789012e-300 in
+      let wide = Control.event_line ~time (Trace.Content { src = n - 1; dst = n - 1; ids }) in
+      let big = max_int in
+      let final =
+        Control.final_line
+          {
+            Control.ticks = big;
+            sent = big;
+            delivered = big;
+            dropped = big;
+            pointers = big;
+            bytes = big;
+            complete_tick = None;
+            decode_errors = big;
+            retransmits = big;
+            corrupt_frames = big;
+          }
+      in
+      List.iter
+        (fun line ->
+          let r = Control.reader ~max:(Control.max_line ~n) in
+          Alcotest.check ok
+            (Printf.sprintf "longest line fits at n=%d" n)
+            (Ok (), [ String.sub line 0 (String.length line - 1) ])
+            (feed r line))
+        [ wide; final ])
+    [ 1; 9; 10; 1000; 100_000 ];
+  let r = Control.reader ~max:8 in
+  Alcotest.check ok "a line at the cap" (Ok (), [ "12345678" ]) (feed r "12345678\n");
+  Alcotest.check ok "one byte past the cap" (Error "control line longer than 8 bytes", [ "x" ])
+    (feed r "x\n123456789")
 
 (* The decoder takes each line only in the form the encoder prints it,
    with or without the trailing newline. *)
@@ -744,9 +793,9 @@ let test_cluster_teardown_bounded () =
 let test_cluster_reliable_under_loss () =
   (* 30% frame loss: the live transport must still converge and the
      merged trace must satisfy the (strict) invariant checker. No
-     retransmit-count assertion here: with completion gossip and
-     deliver-on-arrival, a fast wall-clock run can recover every loss
-     through the protocol's own redundancy before any RTO fires — the
+     retransmit-count assertion here: with deliver-on-arrival, a fast
+     wall-clock run can recover every loss through the algorithm's own
+     re-sends before any RTO fires — the
      deterministic mux drill pins [retransmits > 0] instead. *)
   let fault = Fault.with_loss Fault.none ~p:0.3 in
   let r = run_cluster ~fault ~n:32 uds in
@@ -777,6 +826,37 @@ let test_cluster_crash_restart () =
   match r.Cluster.invariants with
   | Cluster.Failed msg -> Alcotest.fail ("invariants failed: " ^ msg)
   | Cluster.Passed _ | Cluster.Skipped _ -> ()
+
+(* A restart scheduled after the rest of the fleet has completed: only
+   the coordinator decides that the run is over, so every peer is still
+   up when node 0 comes back, and the fresh incarnation rebuilds its
+   knowledge from them. Round 15 lands about when the others complete,
+   round 40 well after. *)
+let late_restart ~restart () =
+  let algo = get_algo "hm" in
+  let fault =
+    Fault.with_restart (Fault.with_crash Fault.none ~node:0 ~round:8) ~node:0 ~round:restart
+  in
+  let joins = ref 0 in
+  let count = function Trace.Join { node = 0 } -> incr joins | _ -> () in
+  let spec =
+    {
+      (Cluster.default_spec algo) with
+      n = 8;
+      seed = 1;
+      timeout = 5.0;
+      trace = Trace.callback count;
+      fault;
+    }
+  in
+  let r = Cluster.run spec in
+  Alcotest.(check bool) "converged" true r.Cluster.converged;
+  Alcotest.(check (list int)) "no incarnation left crashed" [] r.Cluster.crashed;
+  (match r.Cluster.invariants with
+  | Cluster.Passed _ -> ()
+  | Cluster.Failed msg -> Alcotest.fail ("invariants failed: " ^ msg)
+  | Cluster.Skipped why -> Alcotest.fail ("invariants skipped: " ^ why));
+  Alcotest.(check int) "node 0 joined twice" 2 !joins
 
 let test_cluster_fatal_crash_without_restart () =
   (* a scheduled crash with no restart must be reported, not hang; round
@@ -960,7 +1040,7 @@ let test_mux_trace_identity () =
   (* the tentpole identity at n=64: the mux's event stream is
      byte-for-byte the loopback's (itself certified against the async
      simulator), so every protocol-layer mechanism the mux adds —
-     go-back-N, hellos, acks, completion gossip — is invisible at the
+     go-back-N, hellos, acks — is invisible at the
      discovery level *)
   let algo = get_algo "hm" in
   let topology =
@@ -1075,7 +1155,7 @@ let () =
           Alcotest.test_case "kinds" `Quick test_envelope_kinds;
           Alcotest.test_case "incremental" `Quick test_envelope_incremental;
           Alcotest.test_case "corruption" `Quick test_envelope_corruption;
-          Alcotest.test_case "comp-bit" `Quick test_envelope_comp_bit;
+          Alcotest.test_case "peek-kind" `Quick test_envelope_peek_kind;
           Alcotest.test_case "limits" `Quick test_envelope_limits;
           Alcotest.test_case "core-receive" `Quick test_node_core_receive;
           Alcotest.test_case "lent-frames-never-written" `Quick test_lent_frames_never_written;
@@ -1092,6 +1172,7 @@ let () =
       ( "control",
         Alcotest.test_case "roundtrip" `Quick test_control_roundtrip
         :: Alcotest.test_case "canonical lines only" `Quick test_control_canonical_only
+        :: Alcotest.test_case "line cap" `Quick test_control_line_cap
         :: List.map QCheck_alcotest.to_alcotest
              [
                prop_control_event_roundtrip;
@@ -1132,6 +1213,8 @@ let () =
           Alcotest.test_case "reliable-under-loss" `Quick test_cluster_reliable_under_loss;
           Alcotest.test_case "partition-heals" `Quick test_cluster_partition_heals;
           Alcotest.test_case "crash-restart" `Quick test_cluster_crash_restart;
+          Alcotest.test_case "restart-at-15" `Quick (late_restart ~restart:15);
+          Alcotest.test_case "restart-after-completion" `Quick (late_restart ~restart:40);
           Alcotest.test_case "fatal-crash-reported" `Quick test_cluster_fatal_crash_without_restart;
           Alcotest.test_case "chaos-plan-shape" `Quick test_chaos_plan_shape;
           Alcotest.test_case "chaos-matrix-deterministic" `Quick test_chaos_matrix_deterministic;

@@ -298,30 +298,32 @@ let test_wire_probe_payloads_size_exact () =
       Payload.Suspicion { target = 200; version = 16384 };
     ]
 
-(* --- Knowledge versions / Payload updates ----------------------------- *)
+(* --- View versions / Payload updates ---------------------------------- *)
 
-let knowledge ~n ~owner = Knowledge.create ~n ~owner ~labels:(Array.init n Fun.id) ()
-
-let test_knowledge_versions () =
-  let k = knowledge ~n:32 ~owner:0 in
-  Alcotest.(check int) "unobserved is 0" 0 (Knowledge.node_version k 5);
-  Alcotest.(check bool) "first observation advances" true
-    (Knowledge.observe_version k ~node:5 ~version:3);
-  Alcotest.(check int) "recorded" 3 (Knowledge.node_version k 5);
-  Alcotest.(check bool) "regression ignored" false (Knowledge.observe_version k ~node:5 ~version:2);
-  Alcotest.(check bool) "equal ignored" false (Knowledge.observe_version k ~node:5 ~version:3);
-  Alcotest.(check bool) "advance accepted" true (Knowledge.observe_version k ~node:5 ~version:9);
-  Alcotest.(check bool) "zero is a no-op" false (Knowledge.observe_version k ~node:7 ~version:0);
-  Alcotest.(check int) "still unobserved" 0 (Knowledge.node_version k 7);
-  Alcotest.check_raises "range checked" (Invalid_argument "Knowledge.node_version: out of range")
-    (fun () -> ignore (Knowledge.node_version k 32))
+let test_view_versions () =
+  let v = View.create ~cap:32 ~owner:0 ~labels:(Array.init 32 Fun.id) in
+  let apply ~version = View.apply v ~node:5 ~version ~status:Payload.status_alive in
+  Alcotest.(check int) "owner starts at 1" 1 (View.version v 0);
+  Alcotest.(check int) "unobserved is 0" 0 (View.version v 5);
+  Alcotest.(check bool) "first observation recorded" true (apply ~version:3 <> View.Stale);
+  Alcotest.(check int) "recorded" 3 (View.version v 5);
+  Alcotest.(check bool) "regression ignored" true (apply ~version:2 = View.Stale);
+  Alcotest.(check bool) "equal ignored" true (apply ~version:3 = View.Stale);
+  Alcotest.(check int) "still 3" 3 (View.version v 5);
+  Alcotest.(check bool) "advance accepted" true (apply ~version:9 = View.Updated);
+  Alcotest.(check int) "advanced" 9 (View.version v 5);
+  (* a node first seen at version 0 is known, at version 0 *)
+  Alcotest.(check bool) "version 0 is known" true
+    (View.apply v ~node:7 ~version:0 ~status:Payload.status_alive <> View.Stale);
+  Alcotest.(check int) "recorded at 0" 0 (View.version v 7);
+  Alcotest.check_raises "range checked" (Invalid_argument "View.version: out of range")
+    (fun () -> ignore (View.version v 32))
 
 let test_payload_updates_merge () =
-  let k = knowledge ~n:32 ~owner:0 in
+  let k = Knowledge.create ~n:32 ~owner:0 ~labels:(Array.init 32 Fun.id) () in
   let d = updates [ (3, 2, 0); (4, 1, 2) ] in
   Alcotest.(check int) "both fresh" 2 (Payload.merge_data k d);
   Alcotest.(check bool) "ids learned" true (Knowledge.knows k 3 && Knowledge.knows k 4);
-  Alcotest.(check int) "version recorded" 2 (Knowledge.node_version k 3);
   Alcotest.(check int) "nothing new twice" 0 (Payload.merge_data k d);
   Alcotest.(check int) "empty batch still costs a pointer" 1
     (Payload.measure (Payload.Share (updates [])))
@@ -643,7 +645,7 @@ let () =
         ] );
       ( "versions",
         [
-          Alcotest.test_case "knowledge versions" `Quick test_knowledge_versions;
+          Alcotest.test_case "view versions" `Quick test_view_versions;
           Alcotest.test_case "payload merge" `Quick test_payload_updates_merge;
         ] );
       ( "fault",
