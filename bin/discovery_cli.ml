@@ -392,8 +392,6 @@ let backend_conv ?(reject = "") accepted =
 
 let backend_info doc = Arg.info [ "backend" ] ~docv:"BACKEND" ~doc
 
-let live_backends = List.filter Repro_net.Backend.is_live Repro_net.Backend.all
-
 let timeout_arg default ~doc =
   Arg.(value & opt float default & info [ "timeout" ] ~docv:"SECONDS" ~doc)
 
@@ -417,11 +415,10 @@ let cluster_cmd =
       value
       & opt (backend_conv Backend.all) (Backend.Process Backend.Uds)
       & backend_info
-          "Node runtime: $(b,loopback) (in-process, deterministic, trace-identical to the \
-             async simulator), $(b,uds) (one process per node over unix-domain sockets), \
-             $(b,tcp) (one process per node over 127.0.0.1) or $(b,mux) (every node a live \
-             protocol instance multiplexed in this process — thousands of nodes, still \
-             deterministic).")
+          "Node runtime: $(b,uds) (one process per node over unix-domain sockets), $(b,tcp) \
+             (one process per node over 127.0.0.1) or $(b,mux) (every node a live protocol \
+             instance multiplexed in this process — thousands of nodes, deterministic and \
+             trace-identical to $(b,trace --async)).")
   in
   let no_check_arg =
     Arg.(
@@ -493,9 +490,7 @@ let chaos_cmd =
   let backend_arg =
     Arg.(
       value
-      & opt
-          (backend_conv live_backends ~reject:"chaos needs a live backend (uds|tcp|mux)")
-          (Backend.Process Backend.Uds)
+      & opt (backend_conv Backend.all) (Backend.Process Backend.Uds)
       & backend_info "Live backend for the trial clusters: $(b,uds), $(b,tcp) or $(b,mux).")
   in
   let chaos algo n seed backend trials tick_period timeout quiet dir =
@@ -560,9 +555,7 @@ let chaos_matrix_cmd =
   let backend_arg =
     Arg.(
       value
-      & opt
-          (backend_conv live_backends ~reject:"chaos-matrix needs a live backend (uds|tcp|mux)")
-          Backend.Mux
+      & opt (backend_conv Backend.all) Backend.Mux
       & backend_info
           "Live backend for the cell clusters: $(b,uds), $(b,tcp) or $(b,mux). The default \
              mux backend runs on a virtual clock, which makes the summary byte-reproducible \
@@ -815,14 +808,16 @@ let soak_cmd =
       value
       & opt
           (some
-             (backend_conv
-                [ Repro_net.Backend.Loopback; Repro_net.Backend.Mux ]
-                ~reject:"the service multiplexes members into one process: use loopback or mux"))
+             (backend_conv [ Repro_net.Backend.Mux ]
+                ~reject:
+                  "the service multiplexes members into one process: use mux, or omit \
+                   --backend for the direct transport"))
           None
       & backend_info
-          "Member runtime: $(b,loopback) (default; members exchange wire-encoded payloads \
-             directly) or $(b,mux) (each member hosted inside a real node core — envelope \
-             framing, go-back-N retransmission and the seeded fault shim on every hop).")
+          "Member runtime: $(b,mux) hosts each member inside a real node core (envelope \
+             framing, go-back-N retransmission and the seeded fault shim on every hop). \
+             Without it, members run on the direct transport: they exchange wire-encoded \
+             payloads directly.")
   in
   let indirect_k_arg =
     Arg.(

@@ -73,13 +73,9 @@ let random_plan ~rng ~n =
   let plan = Fault.with_crash plan ~node:victim ~round:crash in
   Fault.with_restart plan ~node:victim ~round:restart
 
-let check_soak ~who ~trials ~n backend =
+let check_soak ~who ~trials ~n =
   if trials < 1 then invalid_arg (Printf.sprintf "Chaos.%s: trials must be positive" who);
-  if n < 2 then invalid_arg (Printf.sprintf "Chaos.%s: n must be at least 2" who);
-  match backend with
-  | Backend.Loopback ->
-    invalid_arg (Printf.sprintf "Chaos.%s: chaos needs a live backend (uds|tcp|mux)" who)
-  | Backend.Process _ | Backend.Mux -> ()
+  if n < 2 then invalid_arg (Printf.sprintf "Chaos.%s: n must be at least 2" who)
 
 (* The cluster of one trial: [algo] over [family], seeded with the
    trial's seed, under [plan]. *)
@@ -98,7 +94,7 @@ let run_trial spec =
   (result, result.Cluster.converged && invariants_ok)
 
 let run ?(progress = fun _ -> ()) (spec : spec) =
-  check_soak ~who:"run" ~trials:spec.trials ~n:spec.n spec.backend;
+  check_soak ~who:"run" ~trials:spec.trials ~n:spec.n;
   let trials =
     List.init spec.trials (fun index ->
         let seed = spec.seed + index in
@@ -189,7 +185,7 @@ let matrix_to_json cells = String.concat "\n" (List.map cell_to_json cells) ^ "\
 
 let matrix ?(progress = fun _ -> ()) ~algos ~families ~plans ~n ~trials ~seed ~backend ~timeout ()
     =
-  check_soak ~who:"matrix" ~trials ~n backend;
+  check_soak ~who:"matrix" ~trials ~n;
   List.iter (fun p -> ignore (plan_index ~who:"matrix" p)) plans;
   List.concat_map
     (fun algo ->
@@ -244,12 +240,10 @@ let diagnose ~algo ~family ~plan_family ~n ~trial ~seed ~backend ~timeout () =
   in
   let spec = trial_spec algo ~family ~n ~backend ~timeout ~seed:trial_seed plan in
   let result = Cluster.run { spec with Cluster.trace = sink } in
-  (* in-process backends run on the virtual round clock (one unit per
-     round); the socket backends tie rounds to the real tick period *)
+  (* the mux runs on the virtual round clock (one unit per round); the
+     socket backends tie rounds to the real tick period *)
   let round_period =
-    match backend with
-    | Backend.Mux | Backend.Loopback -> 1.0
-    | Backend.Process _ -> spec.Cluster.tick_period
+    match backend with Backend.Mux -> 1.0 | Backend.Process _ -> spec.Cluster.tick_period
   in
   let heal_time =
     List.fold_left

@@ -20,7 +20,7 @@ type spec = {
   n : int;
   trials : int;
   seed : int;  (** trial [i] uses [seed + i] for topology, labels and plan *)
-  backend : Backend.t;  (** any live backend; loopback is rejected *)
+  backend : Backend.t;
   tick_period : float;
   timeout : float;  (** per-trial wall-clock budget *)
   dir : string option;
@@ -54,8 +54,7 @@ val random_plan : rng:Repro_util.Rng.t -> n:int -> Fault.t
 val run : ?progress:(trial -> unit) -> spec -> report
 (** Run the soak; [progress] is called after each trial (for live
     status lines).
-    @raise Invalid_argument if [trials < 1], [n < 2] or the backend is
-    loopback. *)
+    @raise Invalid_argument if [trials < 1] or [n < 2]. *)
 
 val report_to_json : report -> string
 (** One-line JSON soak report (stable field order, no trailing
@@ -152,5 +151,5 @@ val matrix :
     in every cell, so cells are comparable. Cells appear in
     deterministic grid order (algorithms outermost, plan families
     innermost).
-    @raise Invalid_argument if [trials < 1], [n < 2], the backend is
-    loopback, or a plan name is unknown. *)
+    @raise Invalid_argument if [trials < 1], [n < 2], or a plan name is
+    unknown. *)

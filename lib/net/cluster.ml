@@ -58,47 +58,18 @@ type result = {
    process checks under the relaxed rules. *)
 let lenient_for (spec : spec) = Fault.crashed_nodes spec.fault <> []
 
-(* --- in-process backends ------------------------------------------- *)
+(* --- the mux: every node a live Node_core in this one process ------ *)
 
-(* Loopback delegates to the async oracle; its per-node tallies are
-   reconstructed from the trace stream with a callback sink teed in
-   front of the caller's sink, so enabling them cannot perturb the run
-   (tracing is observational by contract). [complete_tick],
-   [decode_errors] and the reliability counters do not apply in-process
-   and read [None]/[0]. *)
-let exec_tallied (spec : Run_async.spec) algo topology =
-  let finals = Array.make (Topology.n topology) Control.zero_final in
-  let add v delta = finals.(v) <- Control.add_final finals.(v) delta in
-  let tally (ev : Trace.event) =
-    match ev with
-    | Trace.Tick { node; _ } -> add node { Control.zero_final with ticks = 1 }
-    | Trace.Send { src; pointers; bytes; _ } ->
-      add src { Control.zero_final with sent = 1; pointers; bytes }
-    | Trace.Deliver { dst; _ } -> add dst { Control.zero_final with delivered = 1 }
-    | Trace.Drop { src; _ } -> add src { Control.zero_final with dropped = 1 }
-    | Trace.Round_begin _ | Trace.Crash _ | Trace.Join _ | Trace.Genesis _ | Trace.Content _
-    | Trace.Leave _ | Trace.Suspect _ | Trace.Retire _ | Trace.Converge _
-    | Trace.Complete | Trace.Give_up -> ()
-  in
-  let spec = { spec with Run_async.trace = Trace.tee (Trace.callback tally) spec.Run_async.trace } in
-  let result = Run_async.exec_spec spec algo topology in
-  (result, finals)
-
-(* Loopback runs the async oracle; mux runs every node as a live
-   Node_core in this one process on a virtual clock (trace-identical to
-   loopback on fault-free runs). *)
-let run_in_process (spec : spec) =
+(* The mux runs every node as a live Node_core in this one process on a
+   virtual clock (trace-identical to the async simulator on fault-free
+   runs). It follows the live crash rules, so any plan that can crash a
+   node checks under the relaxed rules, like the socket path. *)
+let run_mux (spec : spec) =
   if spec.n < 1 then invalid_arg "Cluster.run: n must be positive";
-  let mux = spec.backend = Backend.Mux in
   let topology = Generate.of_seed spec.family ~n:spec.n ~seed:spec.seed in
-  (* The oracle accounts every frame exactly, so only a restart relaxes
-     its checks. The mux follows the live crash rules (a payload can be
-     counted delivered by the victim and dropped by the sender), so any
-     plan that kills a node checks under the relaxed rules, like the
-     socket path. *)
-  let lenient = Fault.has_restarts spec.fault || (mux && Fault.crashed_nodes spec.fault <> []) in
   let checker =
-    if spec.check_invariants then Some (Trace.Invariants.create ~lenient ()) else None
+    if spec.check_invariants then Some (Trace.Invariants.create ~lenient:(lenient_for spec) ())
+    else None
   in
   let trace =
     match checker with
@@ -113,7 +84,7 @@ let run_in_process (spec : spec) =
       trace;
     }
   in
-  let sim, finals = (if mux then Mux.exec_spec else exec_tallied) run_spec spec.algo topology in
+  let sim, finals = Mux.exec_spec run_spec spec.algo topology in
   let invariants =
     match checker with
     | None -> Skipped "disabled"
@@ -122,8 +93,7 @@ let run_in_process (spec : spec) =
       | () -> Passed (Trace.Invariants.events_seen inv)
       | exception Trace.Invariants.Violation msg -> Failed msg)
   in
-  (* a node that ended the run dead is reported crashed, whichever
-     backend hosted it *)
+  (* a node that ended the run dead is reported crashed *)
   let crashed = List.filter (fun v -> not sim.Run_async.alive.(v)) (List.init spec.n Fun.id) in
   {
     algorithm = spec.algo.Algorithm.name;
@@ -139,10 +109,7 @@ let run_in_process (spec : spec) =
     nodes =
       Array.mapi
         (fun id (f : Control.final) ->
-          (* a live core knows when it completed; the oracle's nodes
-             share the run's verdict *)
-          let completed = if mux then f.Control.complete_tick <> None else sim.Run_async.completed in
-          { id; outcome = Finished f; completed })
+          { id; outcome = Finished f; completed = f.Control.complete_tick <> None })
         finals;
     totals = Some (Array.fold_left Control.add_final Control.zero_final finals);
   }
@@ -248,7 +215,7 @@ let run_sockets (spec : spec) =
             Transport.listen_socket (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)))
       in
       (listeners, Array.map Unix.getsockname listeners)
-    | Backend.Loopback | Backend.Mux -> assert false
+    | Backend.Mux -> assert false
   in
   let epoch = Unix.gettimeofday () in
   let max_ticks =
@@ -559,7 +526,7 @@ let run_sockets (spec : spec) =
 
 let run (spec : spec) =
   match spec.backend with
-  | Backend.Loopback | Backend.Mux -> run_in_process spec
+  | Backend.Mux -> run_mux spec
   | Backend.Process _ -> run_sockets spec
 
 (* --- JSON report ---------------------------------------------------- *)

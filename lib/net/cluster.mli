@@ -34,15 +34,14 @@
       {!Repro_engine.Trace.Invariants} checker, closing with the same
       [final_check] totals-agreement the engines use.
 
-    Process-per-node is one of three implementations of the {!Backend}
-    API. [Backend.Loopback] short-circuits all of the above to
-    {!Repro_discovery.Run_async} itself, with per-node counters tallied
-    from its event stream: in-process, deterministic, trace-identical to
-    the simulator. [Backend.Mux] runs the same live
-    protocol stack as the processes — every node a {!Node_core} — but
-    multiplexed into this one process on a virtual clock
-    ({!Mux.exec_spec}), scaling to thousands of live nodes while staying
-    trace-identical to loopback on fault-free runs. *)
+    Process-per-node is one of the two implementations of the
+    {!Backend} API. [Backend.Mux] runs the same live protocol stack as
+    the processes — every node a {!Node_core} — but multiplexed into
+    this one process on a virtual clock ({!Mux.exec_spec}), scaling to
+    thousands of live nodes while staying trace-identical to the async
+    simulator ({!Repro_discovery.Run_async}, [trace --async]) on
+    fault-free runs. The simulator itself is no backend: run it
+    directly. *)
 
 open Repro_graph
 open Repro_engine
@@ -62,8 +61,8 @@ type spec = {
   fault : Fault.t;
       (** unified fault plan: link faults and partitions are applied in
           the nodes via {!Faultnet}; crash/restart schedules are
-          executed by the harness (socket backends), the mux scheduler,
-          or the simulator (loopback). Runs that can crash a node are
+          executed by the harness (socket backends) or the mux
+          scheduler. Runs that can crash a node are
           checked with the invariant checker's relaxed ([lenient])
           rules. *)
 }
@@ -86,7 +85,7 @@ type result = {
   n : int;
   seed : int;
   converged : bool;
-  wall_time : float;  (** seconds (loopback/mux: virtual time) *)
+  wall_time : float;  (** seconds (mux: virtual time) *)
   events : int;
   crashed : int list;  (** nodes whose {e current} incarnation died abnormally *)
   invariants : invariant_status;

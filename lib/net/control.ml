@@ -43,8 +43,8 @@ let add_final acc f =
 
 let metrics_of_final t =
   let metrics = Metrics.create () in
-  Metrics.absorb metrics ~retransmits:t.retransmits ~corrupt_frames:t.corrupt_frames ~sent:t.sent
-    ~delivered:t.delivered ~dropped:t.dropped ~pointers:t.pointers ~bytes:t.bytes ();
+  Metrics.absorb metrics ~sent:t.sent ~delivered:t.delivered ~dropped:t.dropped
+    ~pointers:t.pointers ~bytes:t.bytes;
   metrics
 
 type msg = Event of float * Trace.event | Completed of float * int | Final of final

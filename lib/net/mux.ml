@@ -13,10 +13,10 @@ open Repro_discovery
    transit latency per data frame at transmission time), the same lazy
    crash/join/restart application, the same monitor cadence. This module
    only says what each event does to a core. Frames the async oracle
-   does not have — bare acks, hellos, done probes — draw their latency
+   does not have — bare acks and hellos — draw their latency
    from a private substream, so their extra heap events never perturb
    the shared sequence of draws. That is what makes a fault-free mux run
-   trace-identical to the loopback oracle (see mux.mli for the exact
+   trace-identical to the async oracle (see mux.mli for the exact
    claim and its boundaries). *)
 
 let rto = 3.0

@@ -13,9 +13,10 @@
       stack can be exercised at [n] far beyond what process-per-node
       reaches; and
     - {b certifiability}: a fault-free mux run is {e trace-identical} —
-      byte for byte under [trace-diff] — to the loopback oracle with the
-      same (algorithm, topology, spec, seed). Bare frames the oracle
-      does not model (acks, hellos, termination probes) draw their
+      byte for byte under [trace-diff] — to the async oracle
+      ({!Repro_discovery.Run_async}, [trace --async]) with the same
+      (algorithm, topology, spec, seed). Bare frames the oracle does not
+      model (acks, hellos) draw their
       transit latency from a private RNG substream, so they never
       perturb the shared draw sequence.
 
@@ -28,7 +29,11 @@
 
     The run's completion monitor is the single authority on completion,
     sampling {!Repro_discovery.Exec.satisfied} once per virtual time
-    unit exactly like the async engine. *)
+    unit exactly like the async engine.
+
+    The membership service hosts its members on the mux when
+    [Service.config.backend = Some Mux]; its default, [None], is the
+    direct transport, which has no node cores at all. *)
 
 open Repro_graph
 open Repro_discovery

@@ -160,7 +160,11 @@ let control_send t line =
   | None -> ()
   | Some c -> Transport.Conn.queue c (Bytes.of_string line)
 
-let flush_control t ~deadline =
+(* Block until every queued control line is written or the harness
+   closes its end. No deadline: the final report must not be dropped
+   when the harness drains slowly, and a harness that stops reading
+   bounds this child's exit with its own SIGTERM/SIGKILL escalation. *)
+let flush_control t =
   match t.control with
   | None -> ()
   | Some c ->
@@ -168,10 +172,8 @@ let flush_control t ~deadline =
       match Transport.Conn.flush c with
       | `Closed -> ()
       | `Ok ->
-        if Transport.Conn.pending_out c && Unix.gettimeofday () < deadline then begin
-          ignore
-            (restarting_select [] [ Transport.Conn.fd c ]
-               (max 0.01 (deadline -. Unix.gettimeofday ())));
+        if Transport.Conn.pending_out c then begin
+          ignore (restarting_select [] [ Transport.Conn.fd c ] (-1.0));
           go ()
         end
     in
@@ -179,7 +181,6 @@ let flush_control t ~deadline =
 
 let shutdown t =
   (* best-effort: push any queued data frames out, then the final report *)
-  let deadline = Unix.gettimeofday () +. 0.5 in
   Array.iter
     (fun c ->
       match c.state with
@@ -191,7 +192,7 @@ let shutdown t =
     t.conns;
   List.iter Transport.Conn.close t.incoming;
   control_send t (Control.final_line (Node_core.final t.core));
-  flush_control t ~deadline;
+  flush_control t;
   (match t.control with Some c -> Transport.Conn.close c | None -> ());
   if t.own_listener then begin
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());

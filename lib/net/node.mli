@@ -70,4 +70,8 @@ val run : config -> report
 (** Run the event loop to completion. Returns after graceful shutdown
     (halt command, standalone idle convergence, or tick budget
     exhausted). Sockets are closed and, if we bound our own UDS
-    listener, its path unlinked. *)
+    listener, its path unlinked. Before the control channel closes,
+    every queued control line is written, the final report last, for
+    as long as the harness takes to read them: only the harness closing
+    its end cuts that short, and a harness that stops reading ends the
+    child with its own SIGTERM/SIGKILL escalation. *)

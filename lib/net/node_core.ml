@@ -317,6 +317,18 @@ let send_payload t ~now ~dst payload =
   end;
   bytes
 
+(* The one hello rule: send it now on an up link, owe it (and wake the
+   transport) on a down one; a dead link gets none. *)
+let hello t ~now ~dst link =
+  match link.status with
+  | Up ->
+    send_bare t ~now ~dst Envelope.Hello ~ack:0;
+    link.hello_owed <- false
+  | Down ->
+    link.hello_owed <- true;
+    t.acts.wake ~dst
+  | Dead -> ()
+
 (* One unsolicited hello to [dst]: announce this (possibly fresh)
    incarnation so the peer voids any go-back-N state it still holds
    from a predecessor of this node id. Revives a link this side had
@@ -329,32 +341,14 @@ let greet t ~now ~dst =
       link.status <- Down;
       t.acts.wake ~dst
     | Up | Down -> ());
-    match link.status with
-    | Up ->
-      send_bare t ~now ~dst Envelope.Hello ~ack:0;
-      link.hello_owed <- false
-    | Down ->
-      link.hello_owed <- true;
-      t.acts.wake ~dst
-    | Dead -> ()
+    hello t ~now ~dst link
   end
 
 let send = send_payload
 
 let request_hellos t ~now =
   Array.iter
-    (fun dst ->
-      if dst <> t.cfg.node then begin
-        let link = touch t dst in
-        match link.status with
-        | Up ->
-          send_bare t ~now ~dst Envelope.Hello ~ack:0;
-          link.hello_owed <- false
-        | Down ->
-          link.hello_owed <- true;
-          t.acts.wake ~dst
-        | Dead -> ()
-      end)
+    (fun dst -> if dst <> t.cfg.node then hello t ~now ~dst (touch t dst))
     t.cfg.neighbors
 
 let tick t ~now =

@@ -441,12 +441,12 @@ let run cfg =
   let dropped_loss = ref 0 and dropped_dead = ref 0 in
   let transport =
     match cfg.backend with
-    | None | Some Backend.Loopback -> direct_transport cfg ~members ~now ~dropped_loss ~dropped_dead
+    | None -> direct_transport cfg ~members ~now ~dropped_loss ~dropped_dead
     | Some Backend.Mux -> hosted_transport cfg ~labels ~now ~dropped_dead
     | Some (Backend.Process _) ->
       invalid_arg
         "Service.run: process backends fork one OS process per node; the multiplexed service \
-         runs on loopback or mux"
+         runs on the direct transport or mux"
   in
   let obs = observer ~seed:cfg.seed ~cap ~bound trace in
   let counts = Array.make cap 0 in

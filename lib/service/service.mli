@@ -10,8 +10,8 @@
     number of ticks ({!Repro_engine.Trace.Lag}). A run has three parts.
 
     {b The transport} carries member messages, and is chosen once from
-    [backend]. [None] or [Some Loopback] is the {e direct} transport,
-    the certification path: every payload is {!Repro_discovery.Wire}
+    [backend]. [None], the default, is the {e direct transport}, the
+    certification path: every payload is {!Repro_discovery.Wire}
     encoded and decoded on every hop, and the transport itself applies
     {!Repro_engine.Fault.fate} (partition cuts, link caps per tick, the
     loss coin) to every message. [Some Mux] is the
@@ -69,7 +69,7 @@ type config = {
           snapshot can race an in-flight update whose piggyback budgets
           then expire *)
   backend : Repro_net.Backend.t option;
-      (** [None]/[Some Loopback]: direct payload delivery (the
+      (** [None]: the direct transport, direct payload delivery (the
           certification oracle); [Some Mux]: members hosted inside real
           node cores, full wire stack per hop. [Some (Process _)] is
           rejected. *)
@@ -116,7 +116,7 @@ type stats = {
   false_retirements : int;  (** down convictions of an in-truth-live target *)
   retransmits : int;
       (** go-back-N re-sends, summed over every hosted core's lifetime;
-          0 on the loopback path, which has no reliability layer *)
+          0 on the direct transport, which has no reliability layer *)
   snapshots_peak : int;
       (** high-water mark of the observer's epoch-snapshot table (see
           the module docs: pruned to O(bound · churn rate)) *)

@@ -190,8 +190,12 @@ module Team = struct
     t.epoch <- t.epoch + 1;
     Condition.broadcast t.wake;
     Mutex.unlock t.lock;
-    (* the caller is member 0 *)
+    (* the caller is member 0, marked as a member for the phase so that
+       its body cannot start a nested parallel region either *)
+    let outer = Domain.DLS.get inside_key in
+    Domain.DLS.set inside_key true;
     (try f 0 with e -> t.failures.(0) <- Some (e, Printexc.get_raw_backtrace ()));
+    Domain.DLS.set inside_key outer;
     Mutex.lock t.lock;
     t.pending <- t.pending - 1;
     if t.pending > 0 then

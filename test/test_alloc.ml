@@ -703,7 +703,7 @@ let test_frame_seal_and_decode_allocate_frame_and_payload () =
    5% loss, seed 1, through the asynchronous engine's clock and through
    the mux's live cores (envelope, CRC, go-back-N, fault shim), and a
    64-member service soak under the same loss, on the hosted mux
-   transport and on the direct (loopback) one. Each pin is the minor
+   transport and on the direct transport. Each pin is the minor
    words of the whole run (its set-up included, the topology excluded)
    per data frame delivered to an algorithm, or per member message on
    the soak, at the value the current code measures, with 2% headroom
@@ -777,7 +777,7 @@ let service_words_per_message backend () =
    reference, is unchanged. The fault shim's clock float (2 words per
    frame under loss) took the mux from 119.12 to 116.33 and the hosted
    service from 111.36 to 107.71. The direct transport is the service
-   with no net layer: each message encoded and decoded on the loopback
+   with no net layer: each message encoded and decoded on the service
    heap. *)
 let path_pins =
   [

@@ -69,16 +69,13 @@ let test_metrics_accounting () =
   Alcotest.(check int) "dropped" 0 (Metrics.messages_dropped m);
   Alcotest.(check int) "pointers" 16 (Metrics.pointers_sent m);
   Alcotest.(check (array int)) "per-round sends" [| 2; 2 |] (Metrics.sent_series m);
-  Alcotest.(check (array int)) "per-round pointers" [| 8; 8 |] (Metrics.pointer_series m);
   Alcotest.(check int) "peak" 2 (Metrics.max_messages_in_round m)
 
 (* The metrics recorder driven directly, without an engine: the per-round
-   series and peak are pure functions of the recorded sequence. *)
+   send series and peak are pure functions of the recorded sequence. *)
 let test_metrics_direct () =
   let m = Metrics.create () in
-  Alcotest.(check int) "no rounds" 0 (Metrics.rounds m);
   Alcotest.(check (array int)) "empty sent series" [||] (Metrics.sent_series m);
-  Alcotest.(check (array int)) "empty byte series" [||] (Metrics.byte_series m);
   Alcotest.(check int) "peak of nothing" 0 (Metrics.max_messages_in_round m);
   Metrics.begin_round m;
   Metrics.record_send m ~pointers:3 ~bytes:10;
@@ -86,19 +83,23 @@ let test_metrics_direct () =
   Metrics.record_delivery m;
   Metrics.record_drop m;
   Metrics.begin_round m;
-  (* a silent round stays in every series *)
+  (* a silent round stays in the series *)
   Metrics.begin_round m;
   Metrics.record_send m ~pointers:2 ~bytes:6;
-  Alcotest.(check int) "rounds" 3 (Metrics.rounds m);
   Alcotest.(check int) "sent" 3 (Metrics.messages_sent m);
   Alcotest.(check int) "delivered" 1 (Metrics.messages_delivered m);
   Alcotest.(check int) "dropped" 1 (Metrics.messages_dropped m);
   Alcotest.(check int) "pointers" 6 (Metrics.pointers_sent m);
   Alcotest.(check int) "bytes" 20 (Metrics.bytes_sent m);
-  Alcotest.(check (array int)) "byte series" [| 14; 0; 6 |] (Metrics.byte_series m);
   Alcotest.(check (array int)) "sent series" [| 2; 0; 1 |] (Metrics.sent_series m);
   Alcotest.(check int) "peak round" 2 (Metrics.max_messages_in_round m);
-  Alcotest.(check (array int)) "pointer series" [| 4; 0; 2 |] (Metrics.pointer_series m)
+  Metrics.absorb m ~sent:4 ~delivered:3 ~dropped:1 ~pointers:9 ~bytes:30;
+  Alcotest.(check int) "absorbed sent" 7 (Metrics.messages_sent m);
+  Alcotest.(check int) "absorbed bytes" 50 (Metrics.bytes_sent m);
+  Alcotest.(check (array int)) "absorb leaves the series" [| 2; 0; 1 |] (Metrics.sent_series m);
+  Alcotest.check_raises "negative totals refused"
+    (Invalid_argument "Metrics.absorb: negative totals") (fun () ->
+      Metrics.absorb m ~sent:(-1) ~delivered:0 ~dropped:0 ~pointers:0 ~bytes:0)
 
 let test_stop_before_first_round () =
   let outcome =

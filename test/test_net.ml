@@ -1,4 +1,4 @@
-(* Live transport layer: envelope framing, control protocol, loopback
+(* Live transport layer: envelope framing, control protocol, mux
    trace-identity, and real multi-process UDS/TCP clusters. *)
 
 open Repro_engine
@@ -665,11 +665,11 @@ let test_backoff_extremes () =
     (Invalid_argument "Node.Backoff.create: base must be positive") (fun () ->
       ignore (Node.Backoff.create ~rng ~base:0.0 ~cap:1.0))
 
-(* --- Loopback: trace-identical to the async simulator --------------- *)
+(* --- Cluster on the mux: trace-identical to the async simulator ------ *)
 
-let test_loopback_trace_identity () =
+let test_cluster_mux_trace_identity () =
   let algo = get_algo "hm" in
-  let sim_buf = Buffer.create 4096 and loop_buf = Buffer.create 4096 in
+  let sim_buf = Buffer.create 4096 and mux_buf = Buffer.create 4096 in
   let topology =
     Repro_graph.Generate.build (Repro_graph.Generate.K_out 3)
       ~rng:(Repro_util.Rng.substream ~seed:11 ~index:0x70b0)
@@ -678,29 +678,33 @@ let test_loopback_trace_identity () =
   let sim_spec = { Run_async.default_spec with seed = 11; trace = Trace.buffer sim_buf } in
   let sim = Run_async.exec_spec sim_spec algo topology in
   (* the cluster builds the same topology from (family, seed) *)
-  let loop =
+  let mux =
     Cluster.run
       {
         (Cluster.default_spec algo) with
-        backend = Backend.Loopback;
+        backend = Backend.Mux;
         n = 24;
         seed = 11;
-        trace = Trace.buffer loop_buf;
+        trace = Trace.buffer mux_buf;
       }
   in
   Alcotest.(check bool) "sim completed" true sim.Run_async.completed;
-  Alcotest.(check bool) "loopback completed" true loop.Cluster.converged;
+  Alcotest.(check bool) "mux completed" true mux.Cluster.converged;
+  (match mux.Cluster.invariants with
+  | Cluster.Passed k -> Alcotest.(check bool) "checked events" true (k > 0)
+  | Cluster.Failed msg -> Alcotest.fail ("invariants failed: " ^ msg)
+  | Cluster.Skipped why -> Alcotest.fail ("invariants skipped: " ^ why));
   (* the tentpole identity: byte-for-byte equal event streams *)
   Alcotest.(check string) "traces byte-identical" (Buffer.contents sim_buf)
-    (Buffer.contents loop_buf);
-  (* and the per-node tallies sum to the run totals *)
+    (Buffer.contents mux_buf);
+  (* and the per-core tallies sum to the run totals *)
   let finals =
     Array.map
       (fun nr ->
         match nr.Cluster.outcome with
         | Cluster.Finished f -> f
-        | Cluster.Crashed _ | Cluster.Unresponsive -> Alcotest.fail "loopback node did not finish")
-      loop.Cluster.nodes
+        | Cluster.Crashed _ | Cluster.Unresponsive -> Alcotest.fail "mux node did not finish")
+      mux.Cluster.nodes
   in
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 finals in
   Alcotest.(check int) "sent total" sim.Run_async.messages (sum (fun f -> f.Control.sent));
@@ -709,16 +713,6 @@ let test_loopback_trace_identity () =
     "bytes total"
     (Metrics.bytes_sent sim.Run_async.metrics)
     (sum (fun f -> f.Control.bytes))
-
-let test_cluster_loopback () =
-  let algo = get_algo "hm" in
-  let spec = { (Cluster.default_spec algo) with backend = Backend.Loopback; n = 16; seed = 3 } in
-  let r = Cluster.run spec in
-  Alcotest.(check bool) "converged" true r.Cluster.converged;
-  (match r.Cluster.invariants with
-  | Cluster.Passed k -> Alcotest.(check bool) "checked events" true (k > 0)
-  | Cluster.Failed msg -> Alcotest.fail ("invariants failed: " ^ msg)
-  | Cluster.Skipped why -> Alcotest.fail ("invariants skipped: " ^ why))
 
 (* --- live clusters -------------------------------------------------- *)
 
@@ -787,6 +781,85 @@ let test_cluster_teardown_bounded () =
   Alcotest.(check bool) "not converged" false r.Cluster.converged;
   (* crash → halt → grace(2s) → SIGTERM(0.5s) → SIGKILL: well under 30s *)
   Alcotest.(check bool) "teardown bounded" true (elapsed < 30.0)
+
+(* A halted node whose harness reads slowly still delivers its final
+   report: the control channel is full when the node shuts down (a
+   small send buffer, pre-filled), and the reader starts only after a
+   second. *)
+let test_node_final_report_slow_reader () =
+  let parent_fd, child_fd = Unix.socketpair ~cloexec:false Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int child_fd Unix.SO_SNDBUF 4096;
+  Unix.set_nonblock child_fd;
+  let junk = Bytes.make 512 'x' in
+  Bytes.set junk 511 '\n';
+  let filling = ref true in
+  while !filling do
+    match Unix.write child_fd junk 0 512 with
+    | _ -> ()
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> filling := false
+  done;
+  Unix.clear_nonblock child_fd;
+  (* the halt command is waiting before the node's loop starts *)
+  ignore (Unix.write_substring parent_fd Control.halt_line 0 (String.length Control.halt_line));
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "repro-final-%d.sock" (Unix.getpid ()))
+  in
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+    let code =
+      try
+        Unix.close parent_fd;
+        ignore
+          (Node.run
+             {
+               Node.node = 0;
+               n = 1;
+               algo = get_algo "hm";
+               seed = 1;
+               neighbors = [||];
+               addrs = [| Unix.ADDR_UNIX path |];
+               listen_fd = None;
+               control_fd = Some child_fd;
+               epoch = Unix.gettimeofday ();
+               tick_period = Node.default_tick_period;
+               idle_timeout = Node.default_idle_timeout;
+               max_ticks = 1000;
+               fault = Fault.none;
+               announce = false;
+             });
+        0
+      with _ -> 70
+    in
+    Unix._exit code
+  | pid ->
+    Unix.close child_fd;
+    Unix.sleepf 1.0;
+    let out = Buffer.create 65536 and buf = Bytes.create 4096 in
+    let deadline = Unix.gettimeofday () +. 20.0 in
+    let eof = ref false and timed_out = ref false in
+    while not (!eof || !timed_out) do
+      match Unix.select [ parent_fd ] [] [] (deadline -. Unix.gettimeofday ()) with
+      | [], _, _ -> timed_out := true
+      | _ -> (
+        match Unix.read parent_fd buf 0 4096 with
+        | 0 -> eof := true
+        | k -> Buffer.add_subbytes out buf 0 k)
+      | exception Unix.Unix_error (EINTR, _, _) -> ()
+    done;
+    Unix.close parent_fd;
+    if !timed_out then (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    let _, status = Unix.waitpid [] pid in
+    Alcotest.(check bool) "control channel closed" false !timed_out;
+    Alcotest.(check bool) "node exited cleanly" true (status = Unix.WEXITED 0);
+    let finals =
+      List.filter
+        (fun line -> match Control.parse line with Ok (Control.Final _) -> true | _ -> false)
+        (String.split_on_char '\n' (Buffer.contents out))
+    in
+    Alcotest.(check int) "final report delivered" 1 (List.length finals)
 
 (* --- fault plans on the live path ----------------------------------- *)
 
@@ -947,15 +1020,22 @@ let test_backend_roundtrip () =
       | Ok b -> Alcotest.(check bool) (s ^ " accepted") true (b = expect)
       | Error e -> Alcotest.fail e)
     [
-      ("sim", Backend.Loopback);
       ("unix", uds);
       ("process", uds);
       ("process:tcp", tcp);
       ("multiplexed", Backend.Mux);
     ];
-  match Backend.of_string "warp" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "nonsense backend parsed"
+  (* the async oracle is no backend: its old spellings are unknown *)
+  List.iter
+    (fun s ->
+      match Backend.of_string s with
+      | Error e ->
+        Alcotest.(check string)
+          (s ^ " refused")
+          (Printf.sprintf "unknown backend %S (uds|tcp|mux)" s)
+          e
+      | Ok _ -> Alcotest.failf "backend %S parsed" s)
+    [ "warp"; "loopback"; "sim" ]
 
 (* --- Addr_table: the deployment's static name service ---------------- *)
 
@@ -1038,20 +1118,19 @@ let test_addr_table_host_edge_cases () =
 
 let test_mux_trace_identity () =
   (* the tentpole identity at n=64: the mux's event stream is
-     byte-for-byte the loopback's (itself certified against the async
-     simulator), so every protocol-layer mechanism the mux adds —
-     go-back-N, hellos, acks — is invisible at the
-     discovery level *)
+     byte-for-byte the async simulator's, so every protocol-layer
+     mechanism the mux adds — go-back-N, hellos, acks — is invisible at
+     the discovery level *)
   let algo = get_algo "hm" in
   let topology =
     Repro_graph.Generate.build (Repro_graph.Generate.K_out 3)
       ~rng:(Repro_util.Rng.substream ~seed:11 ~index:0x70b0)
       ~n:64
   in
-  let loop_buf = Buffer.create 65536 and mux_buf = Buffer.create 65536 in
-  let loop =
+  let sim_buf = Buffer.create 65536 and mux_buf = Buffer.create 65536 in
+  let sim =
     Run_async.exec_spec
-      { Run_async.default_spec with seed = 11; trace = Trace.buffer loop_buf }
+      { Run_async.default_spec with seed = 11; trace = Trace.buffer sim_buf }
       algo topology
   in
   let mux, finals =
@@ -1059,11 +1138,11 @@ let test_mux_trace_identity () =
       { Run_async.default_spec with seed = 11; trace = Trace.buffer mux_buf }
       algo topology
   in
-  Alcotest.(check bool) "loopback completed" true loop.Run_async.completed;
+  Alcotest.(check bool) "sim completed" true sim.Run_async.completed;
   Alcotest.(check bool) "mux completed" true mux.Run_async.completed;
-  Alcotest.(check string) "traces byte-identical" (Buffer.contents loop_buf)
+  Alcotest.(check string) "traces byte-identical" (Buffer.contents sim_buf)
     (Buffer.contents mux_buf);
-  Alcotest.(check (float 0.0)) "completion times agree" loop.Run_async.time mux.Run_async.time;
+  Alcotest.(check (float 0.0)) "completion times agree" sim.Run_async.time mux.Run_async.time;
   (* per-core tallies cover the run totals *)
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 finals in
   Alcotest.(check bool)
@@ -1187,11 +1266,6 @@ let () =
           Alcotest.test_case "bounds" `Quick test_backoff_bounds;
           Alcotest.test_case "extremes" `Quick test_backoff_extremes;
         ] );
-      ( "loopback",
-        [
-          Alcotest.test_case "trace-identity" `Quick test_loopback_trace_identity;
-          Alcotest.test_case "cluster" `Quick test_cluster_loopback;
-        ] );
       ( "cluster",
         [
           Alcotest.test_case "uds-16" `Quick test_cluster_uds;
@@ -1199,10 +1273,12 @@ let () =
           Alcotest.test_case "crash-detected" `Quick test_cluster_crash_detected;
           Alcotest.test_case "teardown-bounded" `Quick test_cluster_teardown_bounded;
           Alcotest.test_case "report-json" `Quick test_cluster_report_json;
+          Alcotest.test_case "final-report-slow-reader" `Quick test_node_final_report_slow_reader;
         ] );
       ( "mux",
         [
           Alcotest.test_case "trace-identity-64" `Quick test_mux_trace_identity;
+          Alcotest.test_case "cluster-trace-identity" `Quick test_cluster_mux_trace_identity;
           Alcotest.test_case "cluster-512" `Quick test_mux_cluster_512;
           Alcotest.test_case "reliable-under-loss" `Quick test_mux_reliable_under_loss;
           Alcotest.test_case "crash-restart" `Quick test_mux_crash_restart;

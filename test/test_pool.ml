@@ -60,6 +60,32 @@ let test_nested_refused () =
     (fun i l -> Alcotest.(check (list int)) "sub-result" (List.init (i + 1) Fun.id) l)
     nested
 
+(* Every team member, the calling domain (member 0) included, is
+   refused a nested parallel region during a phase; the caller is
+   unmarked again once the phase returns. *)
+let test_team_nested_refused () =
+  let team = Pool.Team.create ~members:2 in
+  let pool_refused = Array.make 2 false and team_refused = Array.make 2 false in
+  Fun.protect
+    ~finally:(fun () -> Pool.Team.shutdown team)
+    (fun () ->
+      Pool.Team.run team (fun me ->
+          pool_refused.(me) <-
+            (match Pool.run ~jobs:2 (indices 2) with
+            | _ -> false
+            | exception Invalid_argument _ -> true);
+          team_refused.(me) <-
+            (match Pool.Team.create ~members:2 with
+            | inner ->
+              Pool.Team.shutdown inner;
+              false
+            | exception Invalid_argument _ -> true)));
+  Alcotest.(check (array bool)) "Pool.run refused on every member" [| true; true |] pool_refused;
+  Alcotest.(check (array bool))
+    "Team.create refused on every member" [| true; true |] team_refused;
+  Alcotest.(check (array int)) "caller unmarked after the phase" [| 0; 1 |]
+    (Pool.run ~jobs:2 (indices 2))
+
 let test_map () =
   Alcotest.(check (list int))
     "map keeps list order" [ 1; 4; 9; 16; 25 ]
@@ -102,6 +128,7 @@ let () =
           Alcotest.test_case "empty and singleton" `Quick test_empty_and_singleton;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagates;
           Alcotest.test_case "nested use refused" `Quick test_nested_refused;
+          Alcotest.test_case "team members refused nesting" `Quick test_team_nested_refused;
         ] );
       ( "map",
         [

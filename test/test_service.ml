@@ -507,7 +507,7 @@ let test_service_process_backend_rejected () =
   Alcotest.check_raises "one-process runtime"
     (Invalid_argument
        "Service.run: process backends fork one OS process per node; the multiplexed service \
-        runs on loopback or mux")
+        runs on the direct transport or mux")
     (fun () ->
       ignore
         (Service.run (soak_config ~backend:(Repro_net.Backend.Process Repro_net.Backend.Uds) ())))

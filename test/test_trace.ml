@@ -67,8 +67,8 @@ let test_goldens () =
     golden_algos
 
 (* The committed async golden pins the Async_sim event stream of hm, and
-   the live loopback transport backend must reproduce it byte-for-byte —
-   the trace-identity contract of lib/net. *)
+   the live mux backend must reproduce it byte-for-byte through the
+   cluster harness — the trace-identity contract of lib/net. *)
 let test_golden_async () =
   let topo = topology ~n:8 ~seed:1 in
   let golden = read_file (Filename.concat "golden" "hm_async.jsonl") in
@@ -81,13 +81,13 @@ let test_golden_async () =
     Repro_net.Cluster.run
       {
         (Repro_net.Cluster.default_spec (find "hm")) with
-        backend = Repro_net.Backend.Loopback;
+        backend = Repro_net.Backend.Mux;
         seed = 1;
         trace = Trace.buffer buf;
       }
   in
-  Alcotest.(check bool) "loopback completed" true live.Repro_net.Cluster.converged;
-  check_traces_equal "loopback vs async golden" (Buffer.contents buf) golden
+  Alcotest.(check bool) "mux completed" true live.Repro_net.Cluster.converged;
+  check_traces_equal "mux vs async golden" (Buffer.contents buf) golden
 
 let test_rerun_byte_identical () =
   let topo = topology ~n:8 ~seed:1 in
@@ -398,7 +398,7 @@ let () =
       ( "golden traces",
         [
           Alcotest.test_case "match committed goldens" `Quick test_goldens;
-          Alcotest.test_case "async golden and loopback identity" `Quick test_golden_async;
+          Alcotest.test_case "async golden and mux identity" `Quick test_golden_async;
           Alcotest.test_case "reruns are byte-identical" `Quick test_rerun_byte_identical;
           Alcotest.test_case "jobs=1 and jobs=4 traces agree" `Quick test_jobs_invariance;
         ] );
