@@ -799,8 +799,9 @@ let soak_cmd =
       value & flag
       & info [ "full-sync" ]
           ~doc:
-            "Force the periodic full-state anti-entropy backstop on (default: enabled exactly \
-             when an update could die in flight — the fault plan can lose messages, or \
+            "Force the periodic anti-entropy sync on: a view digest to a random live peer every \
+             64 ticks, and a whole-view exchange only when the digests differ (default: enabled \
+             exactly when an update could die in flight — the fault plan can lose messages, or \
              membership can change at all).")
   in
   let backend_arg =

@@ -20,7 +20,7 @@ let payload_ids (p : Payload.t) =
   match p with
   | Payload.Share d | Payload.Exchange d | Payload.Reply d -> Some (data_ids d)
   | Payload.Probe | Payload.Halt | Payload.Probe_req _ | Payload.Probe_ack _
-  | Payload.Suspicion _ -> None
+  | Payload.Suspicion _ | Payload.Sync _ -> None
 
 let inject_data ~universe ids (d : Payload.data) =
   let fresh = List.filter (fun id -> id >= 0 && id < universe) ids in
@@ -69,7 +69,7 @@ let inject ~universe (p : Payload.t) ids =
   | Payload.Exchange d -> Payload.Exchange (inject_data ~universe ids d)
   | Payload.Reply d -> Payload.Reply (inject_data ~universe ids d)
   | Payload.Probe | Payload.Halt | Payload.Probe_req _ | Payload.Probe_ack _
-  | Payload.Suspicion _ -> p
+  | Payload.Suspicion _ | Payload.Sync _ -> p
 
 let genesis_event ~node knowledge =
   Trace.Genesis { node; ids = Cset.to_array (Knowledge.contents knowledge) }

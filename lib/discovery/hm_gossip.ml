@@ -325,7 +325,7 @@ let make_with ~broadcast ~upward (ctx : Algorithm.ctx) =
       if Knowledge.add st.knowledge src then ignore (Cset.add st.owed src);
       Intvec.push st.pending_replies src
     | Halt -> st.halted <- true
-    | Probe_req _ | Probe_ack _ | Suspicion _ -> ()
+    | Probe_req _ | Probe_ack _ | Suspicion _ | Sync _ -> ()
   in
   { Algorithm.knowledge; round; receive; is_quiescent = (fun () -> st.halted) }
 

@@ -34,7 +34,7 @@ let make (ctx : Algorithm.ctx) =
       Intvec.push st.pending_replies src
     | Share d | Reply d -> ignore (Payload.merge_data st.knowledge d)
     | Probe -> Intvec.push st.pending_replies src
-    | Halt | Probe_req _ | Probe_ack _ | Suspicion _ -> ()
+    | Halt | Probe_req _ | Probe_ack _ | Suspicion _ | Sync _ -> ()
   in
   { Algorithm.knowledge; round; receive; is_quiescent = Algorithm.never_quiescent }
 

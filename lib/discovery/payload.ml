@@ -15,6 +15,7 @@ type t =
   | Probe_req of { target : int; nonce : int }
   | Probe_ack of { target : int; nonce : int }
   | Suspicion of { target : int; version : int }
+  | Sync of { digest : int }
 
 let status_alive = 0
 let status_suspect = 1
@@ -43,7 +44,7 @@ let measure = function
     (* an update batch always costs at least the sender's own address,
        like a Probe: empty full-state requests are real messages *)
     (match d with Updates _ -> max 1 (data_size d) | Bits _ | Ids _ | Delta _ -> data_size d)
-  | Probe | Halt -> 1
+  | Probe | Halt | Sync _ -> 1
   (* indirect-probe and suspicion traffic names a second node: the
      implicit sender address plus the target pointer *)
   | Probe_req _ | Probe_ack _ | Suspicion _ -> 2
@@ -75,3 +76,4 @@ let pp ppf = function
   | Probe_req p -> Format.fprintf ppf "probe-req(%d#%d)" p.target p.nonce
   | Probe_ack p -> Format.fprintf ppf "probe-ack(%d#%d)" p.target p.nonce
   | Suspicion s -> Format.fprintf ppf "suspicion(%d@%d)" s.target s.version
+  | Sync s -> Format.fprintf ppf "sync(%x)" s.digest

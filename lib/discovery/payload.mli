@@ -49,10 +49,12 @@ type data =
           strictly ascending (one entry per node), nodes in the
           universe, versions non-negative, statuses at most
           {!status_down}. {!Wire.encode} refuses anything else. [full]
-          marks a full-state sync rather than an incremental delta: on
-          an [Exchange] it is a bootstrap request (the receiver should
-          answer with its whole view), on a [Reply]/[Share] it announces
-          that the entries are the sender's complete view. *)
+          marks the sender's complete view rather than an incremental
+          delta. Every service [Exchange] asks the receiver for its
+          whole view as a [Reply]: with [full = false] it is a joiner's
+          bootstrap request carrying only the joiner's own entry, with
+          [full = true] it is the whole-view push that a mismatched
+          [Sync] digest triggers. *)
 
 type t =
   | Share of data  (** One-way knowledge transfer. *)
@@ -81,6 +83,17 @@ type t =
           the same (target, version) count it as a confirmation and
           shrink their suspicion timeout; the target itself refutes by
           bumping its incarnation. *)
+  | Sync of { digest : int }
+      (** Anti-entropy digest: the sender's 62-bit view digest (see
+          [View.digest] in the service library), a non-negative int.
+          It opens the service's periodic push-pull sync. A receiver
+          whose own digest is equal ends the exchange there; one whose
+          digest differs answers with its whole view as an [Exchange],
+          and the sender's full [Reply] completes the repair. Two views
+          that differ in one entry always have different digests; views
+          that differ in several collide with probability about
+          2{^-62}, and a collision only postpones that pair's repair to
+          a later sync. *)
 
 val status_alive : int
 val status_suspect : int
@@ -110,7 +123,7 @@ val measure : t -> int
     identifier count (the sender is always an element of its own
     knowledge). An empty [Updates] batch costs 1 like a probe.
     [Probe_req]/[Probe_ack]/[Suspicion] name a second node and cost
-    2. *)
+    2; a [Sync] names no node but its sender and costs 1. *)
 
 val merge_data : Knowledge.t -> data -> int
 (** Merge carried identifiers into a knowledge set; returns the number of

@@ -24,7 +24,7 @@ let make (ctx : Algorithm.ctx) =
          what makes RPJ degenerate (Θ(n)) on directed cycles. *)
       Intvec.push st.pending_replies src
     | Share d | Exchange d | Reply d -> ignore (Payload.merge_data st.knowledge d)
-    | Halt | Probe_req _ | Probe_ack _ | Suspicion _ -> ()
+    | Halt | Probe_req _ | Probe_ack _ | Suspicion _ | Sync _ -> ()
   in
   { Algorithm.knowledge; round; receive; is_quiescent = Algorithm.never_quiescent }
 

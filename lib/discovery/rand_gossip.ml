@@ -57,7 +57,7 @@ let make_with params (ctx : Algorithm.ctx) =
     | Probe ->
       ignore (Knowledge.add st.knowledge src);
       Intvec.push st.pending_replies src
-    | Halt | Probe_req _ | Probe_ack _ | Suspicion _ -> ()
+    | Halt | Probe_req _ | Probe_ack _ | Suspicion _ | Sync _ -> ()
   in
   { Algorithm.knowledge; round; receive; is_quiescent = Algorithm.never_quiescent }
 

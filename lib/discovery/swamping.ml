@@ -24,7 +24,7 @@ let make (ctx : Algorithm.ctx) =
   let receive ~src:_ payload =
     match (payload : Payload.t) with
     | Share d | Exchange d | Reply d -> ignore (Payload.merge_data st.knowledge d)
-    | Probe | Halt | Probe_req _ | Probe_ack _ | Suspicion _ -> ()
+    | Probe | Halt | Probe_req _ | Probe_ack _ | Suspicion _ | Sync _ -> ()
   in
   { Algorithm.knowledge; round; receive; is_quiescent = Algorithm.never_quiescent }
 

@@ -69,7 +69,7 @@ let ids_of_data = function
 let ids_of_payload = function
   | Payload.Share d | Payload.Exchange d | Payload.Reply d -> ids_of_data d
   | Payload.Probe | Payload.Halt | Payload.Probe_req _ | Payload.Probe_ack _
-  | Payload.Suspicion _ -> []
+  | Payload.Suspicion _ | Payload.Sync _ -> []
 
 let bitmap_size ~universe = (universe + 7) / 8
 
@@ -106,7 +106,7 @@ let updates_body_size ~universe ~count entries =
 (* --- message framing ---
 
    byte 0: message kind (0 Share, 1 Exchange, 2 Reply, 3 Probe, 4 Halt,
-     5 Probe_req, 6 Probe_ack, 7 Suspicion)
+     5 Probe_req, 6 Probe_ack, 7 Suspicion, 8 Sync)
    byte 1 (data payloads only): body codec (0 raw32, 1 varint, 2 bitmap,
      3 updates) in the low bits, plus the snapshot-form flag (0x80) in
      the top bit and — update batches only — the full-state flag (0x40)
@@ -133,6 +133,7 @@ let kind_tag = function
   | Payload.Probe_req _ -> 5
   | Payload.Probe_ack _ -> 6
   | Payload.Suspicion _ -> 7
+  | Payload.Sync _ -> 8
 
 (* Liveness control messages (kinds 5-7) carry two varints after the
    kind byte: the target identifier and a correlation value (the probe
@@ -142,6 +143,16 @@ let kind_tag = function
 let check_liveness ~universe ~target ~aux =
   if target < 0 || target >= universe then invalid_arg "Wire.encode: identifier out of range";
   if aux < 0 then invalid_arg "Wire.encode: negative correlation value"
+
+(* A sync digest (kind 8) is one varint after the kind byte: a
+   non-negative 62-bit value, so at most 9 bytes. Canonical form is
+   exactly that varint, minimal, with no trailing bytes. *)
+let encode_sync ~room digest =
+  if digest < 0 then invalid_arg "Wire.encode: negative digest";
+  let out = Bytes.create (room + 1 + varint_size digest) in
+  Bytes.set out room (Char.unsafe_chr 8);
+  ignore (put_varint out (room + 1) digest);
+  out
 
 (* --- the id-set codecs: one rule, one writer ---
 
@@ -346,7 +357,7 @@ let encode_ids encoding ~universe ~room kind d =
   write_body codec out ~at:(room + 2) arr card;
   out
 
-(* Kinds 3-7 and update batches are written straight into one exactly
+(* Kinds 3-8 and update batches are written straight into one exactly
    sized buffer: a probe costs its one-byte block and nothing else. *)
 let encode_liveness kind ~universe ~room ~target ~aux =
   check_liveness ~universe ~target ~aux;
@@ -383,6 +394,7 @@ let encode encoding ~universe ~room payload =
     encode_liveness kind ~universe ~room ~target ~aux:nonce
   | Payload.Suspicion { target; version } ->
     encode_liveness kind ~universe ~room ~target ~aux:version
+  | Payload.Sync { digest } -> encode_sync ~room digest
   | Payload.Share (Payload.Bits b) | Payload.Exchange (Payload.Bits b)
   | Payload.Reply (Payload.Bits b) ->
     encode_bits encoding ~universe ~room kind b
@@ -399,6 +411,9 @@ let encoded_size encoding ~universe payload =
   | Payload.Probe_req { target; nonce } | Payload.Probe_ack { target; nonce } ->
     1 + varint_size target + varint_size nonce
   | Payload.Suspicion { target; version } -> 1 + varint_size target + varint_size version
+  | Payload.Sync { digest } ->
+    if digest < 0 then invalid_arg "Wire.encode: negative digest";
+    1 + varint_size digest
   | Payload.Share (Payload.Updates u)
   | Payload.Exchange (Payload.Updates u)
   | Payload.Reply (Payload.Updates u) ->
@@ -452,6 +467,11 @@ let decode_exn ~universe bytes ~off ~len =
     | 5 -> Payload.Probe_req { target; nonce = aux }
     | 6 -> Payload.Probe_ack { target; nonce = aux }
     | _ -> Payload.Suspicion { target; version = aux }
+  end
+  else if kind = 8 then begin
+    let digest = read_varint bytes (off + 1) stop in
+    if off + 1 + varint_size digest <> stop then invalid_arg "Wire.decode: trailing bytes";
+    Payload.Sync { digest }
   end
   else begin
     if kind > 2 then invalid_arg "Wire.decode: unknown message kind";

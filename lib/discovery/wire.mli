@@ -17,7 +17,12 @@
 
     Every message additionally carries one kind byte ([Share] /
     [Exchange] / [Reply] / [Probe]) and, for identifier lists, a varint
-    length prefix. *)
+    length prefix.
+
+    The service's anti-entropy digest ({!Payload.Sync}, kind 8) is the
+    kind byte and one minimal varint: 10 bytes for a typical 62-bit
+    digest, against a few bytes per entry for the whole-view batch it
+    replaces when two views already agree. *)
 
 type encoding = Raw32 | Varint_delta | Bitmap | Adaptive
 
@@ -36,10 +41,10 @@ val encode : encoding -> universe:int -> room:int -> Payload.t -> bytes
     as its distinct identifiers in ascending order under one codec rule:
     [Raw32], [Varint_delta] and [Bitmap] fix the body codec, and
     [Adaptive] takes the varint body when it is no larger than the
-    bitmap. The update batches and the liveness kinds have one codec
-    each, whatever the [encoding].
-    @raise Invalid_argument on out-of-range identifiers or a negative
-    [room]. *)
+    bitmap. The update batches, the liveness kinds and the sync digest
+    have one codec each, whatever the [encoding].
+    @raise Invalid_argument on out-of-range identifiers, a negative
+    digest or a negative [room]. *)
 
 val decode : universe:int -> bytes -> off:int -> len:int -> (Payload.t, string) result
 (** [decode ~universe buf ~off ~len] decodes the message held in the

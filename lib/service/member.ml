@@ -288,9 +288,10 @@ let advance_cursor t target = Hashtbl.replace t.cursors target (Intvec.length t.
 
 let cursor t target = Option.value (Hashtbl.find_opt t.cursors target) ~default:0
 
-(* Every known node at its current (version, status) — the full-state
-   payload for bootstrap replies and the lossy-network backstop, lent
-   from the scratch's batch. The known nodes are those with a status, so
+(* Every known node at its current (version, exported status) — the
+   full-state payload for bootstrap replies and for both halves of a
+   sync repair, lent from the scratch's batch. Its triples are the ones
+   [View.digest] covers. The known nodes are those with a status, so
    one ascending scan of the statuses fills the batch in canonical
    order, with no closure call per node. *)
 let full_entries t =
@@ -298,10 +299,8 @@ let full_entries t =
   let entries = (scratch_for (Knowledge.universe known)).batch in
   let k = ref 0 in
   for node = 0 to Knowledge.universe known - 1 do
-    let s = View.status t.view node in
-    if s <> View.unknown then begin
-      (* suspicion is local: export the lattice status, not the hunch *)
-      let status = if s = Payload.status_suspect then Payload.status_alive else s in
+    let status = View.exported_status t.view node in
+    if status <> View.unknown then begin
       Payload.set_update entries !k ~node ~version:(View.version t.view node) ~status;
       incr k
     end
@@ -319,7 +318,7 @@ let gossip t =
 let send_bootstrap t ~now ~dst contacts idx backoff =
   (* [full = false]: the payload is the joiner's lone self-announcement,
      not a full state — which also lets the runtime's traffic classifier
-     tell bootstrap requests from periodic full-sync pushes *)
+     tell bootstrap requests from the whole-view pushes of sync repairs *)
   let entries = Array.make 2 0 in
   Payload.set_update entries 0 ~node:t.self ~version:t.incarnation ~status:Payload.status_alive;
   t.actions.send ~dst (Payload.Exchange (Payload.Updates { full = false; count = 1; entries }));
@@ -418,19 +417,38 @@ let maybe_probe t ~now =
     | Some _ | None -> ()
   end
 
+(* The periodic anti-entropy sync is digest first. The initiator sends
+   only its view digest. A peer whose digest is equal holds the same
+   exported view, and the exchange ends there: one small message, which
+   is every sync of a converged fleet. A peer whose digest differs
+   starts the old push-pull with the roles turned: it pushes its whole
+   view as an [Exchange], and the initiator answers with its own whole
+   view as a full [Reply]. Both sides end with the join of the two
+   views, as before. Push-pull, not push: a push-only repair would let
+   a member serve the fleet while staying stale itself — it would heal
+   only when someone else's sync happened to land on it, which at fleet
+   size n is an expected n/2 intervals away.
+
+   The gossip cursor keeps its meaning: [cursors] maps a peer to the
+   log prefix that peer is known to cover. A digest carries no entries,
+   so sending one moves no cursor. Equal digests show that the peer
+   holds every fact of our view, hence every fact of our log, so the
+   receiver of an equal digest moves its cursor for the initiator. On a
+   mismatch each side moves its cursor for the other when it sends or
+   receives the whole-view push, exactly where the old exchange moved
+   them.
+
+   The relog rule keeps its meaning too: entries learned from an
+   [Exchange] are relogged and spread further; entries learned from a
+   full [Reply] are not, so a joiner never re-announces the whole
+   fleet. In a mismatched pair the side that receives the push relogs
+   what it learns, as before; that side is now the initiator. *)
 let maybe_full_sync t ~now =
   if t.full_sync && now >= t.next_full_sync then begin
     t.next_full_sync <- now +. full_sync_interval;
     match View.random_live t.view t.rng with
     | None -> ()
-    | Some target ->
-      advance_cursor t target;
-      (* push-pull, like bootstrap: the Exchange both delivers our state
-         and solicits the peer's full Reply. A push-only sync would let
-         a member serve the fleet while staying stale itself — it would
-         heal only when someone else's sync happened to land on it,
-         which at fleet size n is an expected n/2 intervals away. *)
-      t.actions.send ~dst:target (Payload.Exchange (full_entries t))
+    | Some target -> t.actions.send ~dst:target (Payload.Sync { digest = View.digest t.view })
   end
 
 (* Drop relay entries whose requester stopped waiting long ago. *)
@@ -570,10 +588,16 @@ let deliver t ~src ~now payload =
           t.actions.send ~dst:target Payload.Probe
         end
     end
+  | Sync { digest } ->
+    (* equal digests end the sync; a mismatch opens the push-pull *)
+    advance_cursor t src;
+    if digest <> View.digest t.view then
+      t.actions.send ~dst:src (Payload.Exchange (full_entries t))
   | Exchange (Payload.Updates u) ->
-    (* push-pull state exchange (a joiner's bootstrap, or a peer's
-       periodic full sync): learn what the sender knows — spreading any
-       news — and answer with our whole view *)
+    (* push-pull state exchange (a joiner's bootstrap, or a peer's push
+       after our sync digest did not match its own): learn what the
+       sender knows — spreading any news — and answer with our whole
+       view *)
     apply_updates t ~relog:true ~count:u.count u.entries;
     advance_cursor t src;
     t.actions.send ~dst:src (Payload.Reply (full_entries t))

@@ -43,11 +43,22 @@
       merged without re-logging: the joiner must not re-broadcast the
       whole fleet.
 
-    An optional push-pull full-state sync every 64
-    ticks (enabled whenever an update could die in flight: lossy
-    networks, or any churn at all) repairs any update whose every
-    transmission was unlucky — including facts that finished
-    disseminating while a joiner's bootstrap snapshot was in flight. *)
+    An optional anti-entropy sync every 64 ticks (enabled whenever an
+    update could die in flight: lossy networks, or any churn at all)
+    repairs any update whose every transmission was unlucky — including
+    facts that finished disseminating while a joiner's bootstrap
+    snapshot was in flight. It is {e digest first}: the member sends a
+    random live peer only its {!View.digest}, one
+    {!Repro_discovery.Payload.Sync} of about 10 bytes. A peer whose
+    digest is equal holds the same exported view and does nothing more;
+    one whose digest differs pushes its whole view as an [Exchange], and
+    the member answers with its own as a full [Reply] — the push-pull
+    that used to run on every sync, now run only on a mismatch. A
+    converged fleet's sync therefore costs one small message per member
+    per interval instead of two whole views. A digest collision between
+    different views (impossible when they differ in one entry, about
+    2{^-62} otherwise) skips that one repair; the pair's next sync, or
+    either side's sync with another peer, performs it. *)
 
 open Repro_util
 open Repro_discovery
@@ -102,7 +113,7 @@ val health : t -> int
 val step : t -> now:float -> unit
 (** One activation at virtual time [now]: fire due bootstrap retries,
     probe timeouts (indirect escalation / suspicion / retirement), the
-    periodic probe, the full-sync backstop, and one gossip push. *)
+    periodic probe, the digest sync, and one gossip push. *)
 
 val deliver : t -> src:int -> now:float -> Payload.t -> unit
 (** Handle one message. Any message from [src] doubles as proof of life:

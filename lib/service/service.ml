@@ -37,11 +37,17 @@ type stats = {
   max_lag : float;
   msgs : int;
   bytes : int;
+  probe_bytes : int;
+  gossip_bytes : int;
+  digest_bytes : int;
+  full_state_bytes : int;
+  bootstrap_bytes : int;
   probes : int;
   acks : int;
   gossip : int;
   update_entries : int;
   full_syncs : int;
+  sync_repairs : int;
   bootstraps : int;
   dropped_loss : int;
   dropped_dead : int;
@@ -211,7 +217,7 @@ let drain heap now until deliver =
 (* The certification path: every payload is wire-encoded and decoded
    (so the codec is exercised on every hop), and the transport itself
    applies the fault plan's link fate (partition cut, cap, loss coin). *)
-let direct_transport (cfg : config) ~members ~now ~dropped_loss ~dropped_dead =
+let direct_transport (cfg : config) ~members ~deliver ~now ~dropped_loss ~dropped_dead =
   let rng = Rng.substream ~seed:cfg.seed ~index:0x11e7 in
   let windows = Fault.windows () in
   let heap = Heap.create ~dummy:no_hop in
@@ -220,7 +226,7 @@ let direct_transport (cfg : config) ~members ~now ~dropped_loss ~dropped_dead =
     | None -> incr dropped_dead
     | Some m -> (
       match Wire.decode ~universe:cfg.cap hop.frame ~off:0 ~len:(Bytes.length hop.frame) with
-      | Ok payload -> Member.deliver m ~src:hop.src ~now:!now payload
+      | Ok payload -> deliver m ~src:hop.src ~now:!now payload
       | Error msg -> failwith ("Service.run: wire decode failed: " ^ msg))
   in
   {
@@ -249,7 +255,7 @@ let direct_transport (cfg : config) ~members ~now ~dropped_loss ~dropped_dead =
    stays 0 here. The core's own trace events are discarded (the service
    emits the canonical lifecycle itself), and its completion report goes
    nowhere: the service has no notion of a finished run. *)
-let hosted_transport (cfg : config) ~labels ~now ~dropped_dead =
+let hosted_transport (cfg : config) ~labels ~deliver ~now ~dropped_dead =
   let cap = cfg.cap in
   let rng = Rng.substream ~seed:cfg.seed ~index:0x11e7 in
   let heap = Heap.create ~dummy:no_hop in
@@ -271,7 +277,7 @@ let hosted_transport (cfg : config) ~labels ~now ~dropped_dead =
             {
               Algorithm.knowledge = View.knowledge (Member.view m);
               round = (fun ~round:_ ~send:_ -> Member.step m ~now:!now);
-              receive = (fun ~src payload -> Member.deliver m ~src ~now:!now payload);
+              receive = (fun ~src payload -> deliver m ~src ~now:!now payload);
               is_quiescent = Algorithm.never_quiescent;
             });
       }
@@ -419,7 +425,7 @@ let run cfg =
   let cap = cfg.cap in
   let fault = cfg.fault in
   let lossy = Fault.has_link_faults fault || Fault.partitions fault <> [] in
-  (* The periodic full sync is the backstop for every way an update can
+  (* The periodic digest sync is the backstop for every way an update can
      die before reaching the whole fleet: a lossy link eats it, or a
      joiner bootstraps from a snapshot racing its dissemination and the
      piggyback budgets expire before anyone re-sends it. So it is on by
@@ -439,10 +445,24 @@ let run cfg =
   let members = Array.make cap None in
   let now = ref 0.0 in
   let dropped_loss = ref 0 and dropped_dead = ref 0 in
+  (* [true] while a member handles a joiner's bootstrap request: the
+     full [Reply] it sends then is a bootstrap reply, not the second
+     half of a sync repair, though the two are the same payload *)
+  let answering_bootstrap = ref false in
+  let deliver m ~src ~now payload =
+    (answering_bootstrap :=
+       match (payload : Payload.t) with
+       | Exchange (Payload.Updates u) -> not u.full
+       | Exchange _ | Share _ | Reply _ | Probe | Halt | Probe_req _ | Probe_ack _ | Suspicion _
+       | Sync _ ->
+         false);
+    Member.deliver m ~src ~now payload;
+    answering_bootstrap := false
+  in
   let transport =
     match cfg.backend with
-    | None -> direct_transport cfg ~members ~now ~dropped_loss ~dropped_dead
-    | Some Backend.Mux -> hosted_transport cfg ~labels ~now ~dropped_dead
+    | None -> direct_transport cfg ~members ~deliver ~now ~dropped_loss ~dropped_dead
+    | Some Backend.Mux -> hosted_transport cfg ~labels ~deliver ~now ~dropped_dead
     | Some (Backend.Process _) ->
       invalid_arg
         "Service.run: process backends fork one OS process per node; the multiplexed service \
@@ -462,41 +482,53 @@ let run cfg =
   let suspicions = ref 0 and retirements = ref 0 in
   let false_suspicions = ref 0 and false_retirements = ref 0 in
   let msgs = ref 0 and bytes = ref 0 in
+  let probe_bytes = ref 0 and gossip_bytes = ref 0 and digest_bytes = ref 0 in
+  let full_state_bytes = ref 0 and bootstrap_bytes = ref 0 in
   let probes = ref 0 and acks = ref 0 and gossip = ref 0 and update_entries = ref 0 in
   let probe_reqs = ref 0 and probe_acks = ref 0 and suspicion_msgs = ref 0 in
-  let full_syncs = ref 0 and bootstraps = ref 0 in
+  let full_syncs = ref 0 and sync_repairs = ref 0 and bootstraps = ref 0 in
 
+  (* Counts one sent message and returns the byte counter of its class:
+     the failure detector (probes, their acks with piggybacked entries,
+     indirect probes, suspicion claims), gossip pushes, sync digests,
+     the whole-view batches of a sync whose digests differed, and a
+     joiner's bootstrap request and the replies to it. *)
+  let count counter class_bytes =
+    incr counter;
+    class_bytes
+  in
   let classify payload =
     match (payload : Payload.t) with
-    | Probe -> incr probes
-    | Probe_req _ -> incr probe_reqs
-    | Probe_ack _ -> incr probe_acks
-    | Suspicion _ -> incr suspicion_msgs
+    | Probe -> count probes probe_bytes
+    | Probe_req _ -> count probe_reqs probe_bytes
+    | Probe_ack _ -> count probe_acks probe_bytes
+    | Suspicion _ -> count suspicion_msgs probe_bytes
+    | Sync _ -> count full_syncs digest_bytes
     | Exchange (Payload.Updates u) ->
-      (* push-pull exchanges: a periodic full sync carries full state, a
-         bootstrap request carries only the joiner's self-announcement *)
-      if u.full then incr full_syncs else incr bootstraps
-    | Reply (Payload.Updates u) ->
-      if u.full then incr bootstraps
-      else begin
-        incr acks;
-        update_entries := !update_entries + u.count
-      end
+      (* a sync repair pushes the whole view, a bootstrap request only
+         the joiner's self-announcement *)
+      if u.full then count sync_repairs full_state_bytes else count bootstraps bootstrap_bytes
+    | Reply (Payload.Updates u) when not u.full ->
+      update_entries := !update_entries + u.count;
+      count acks probe_bytes
+    | Reply (Payload.Updates _) ->
+      if !answering_bootstrap then count bootstraps bootstrap_bytes else full_state_bytes
     | Share (Payload.Updates u) ->
-      if u.full then incr full_syncs
-      else begin
-        incr gossip;
-        update_entries := !update_entries + u.count
-      end
-    | Share _ | Exchange _ | Reply _ | Halt -> ()
+      update_entries := !update_entries + u.count;
+      count gossip gossip_bytes
+    | Share _ | Exchange _ | Reply _ | Halt ->
+      (* one-shot discovery payloads: a member never sends them *)
+      gossip_bytes
   in
   let actions_for self =
     {
       Member.send =
         (fun ~dst payload ->
           incr msgs;
-          classify payload;
-          bytes := !bytes + transport.send ~src:self ~dst payload);
+          let class_bytes = classify payload in
+          let size = transport.send ~src:self ~dst payload in
+          class_bytes := !class_bytes + size;
+          bytes := !bytes + size);
       on_suspect =
         (fun ~target ->
           incr suspicions;
@@ -691,11 +723,17 @@ let run cfg =
     max_lag = Trace.Lag.max_lag lag;
     msgs = !msgs;
     bytes = !bytes;
+    probe_bytes = !probe_bytes;
+    gossip_bytes = !gossip_bytes;
+    digest_bytes = !digest_bytes;
+    full_state_bytes = !full_state_bytes;
+    bootstrap_bytes = !bootstrap_bytes;
     probes = !probes;
     acks = !acks;
     gossip = !gossip;
     update_entries = !update_entries;
     full_syncs = !full_syncs;
+    sync_repairs = !sync_repairs;
     bootstraps = !bootstraps;
     dropped_loss = !dropped_loss;
     dropped_dead = !dropped_dead;
@@ -711,9 +749,10 @@ let run cfg =
 
 let stats_to_json s =
   Printf.sprintf
-    "{\"ticks\":%d,\"cap\":%d,\"founders\":%d,\"final_live\":%d,\"joins\":%d,\"leaves\":%d,\"crashes\":%d,\"suspicions\":%d,\"retirements\":%d,\"epochs\":%d,\"epochs_closed\":%d,\"max_lag\":%.12g,\"msgs\":%d,\"bytes\":%d,\"probes\":%d,\"acks\":%d,\"gossip\":%d,\"update_entries\":%d,\"full_syncs\":%d,\"bootstraps\":%d,\"dropped_loss\":%d,\"dropped_dead\":%d,\"probe_reqs\":%d,\"probe_acks\":%d,\"suspicion_msgs\":%d,\"false_suspicions\":%d,\"false_retirements\":%d,\"retransmits\":%d,\"snapshots_peak\":%d,\"lag_table_peak\":%d}"
+    "{\"ticks\":%d,\"cap\":%d,\"founders\":%d,\"final_live\":%d,\"joins\":%d,\"leaves\":%d,\"crashes\":%d,\"suspicions\":%d,\"retirements\":%d,\"epochs\":%d,\"epochs_closed\":%d,\"max_lag\":%.12g,\"msgs\":%d,\"bytes\":%d,\"probe_bytes\":%d,\"gossip_bytes\":%d,\"digest_bytes\":%d,\"full_state_bytes\":%d,\"bootstrap_bytes\":%d,\"probes\":%d,\"acks\":%d,\"gossip\":%d,\"update_entries\":%d,\"full_syncs\":%d,\"sync_repairs\":%d,\"bootstraps\":%d,\"dropped_loss\":%d,\"dropped_dead\":%d,\"probe_reqs\":%d,\"probe_acks\":%d,\"suspicion_msgs\":%d,\"false_suspicions\":%d,\"false_retirements\":%d,\"retransmits\":%d,\"snapshots_peak\":%d,\"lag_table_peak\":%d}"
     s.ticks_run s.cap s.founders s.final_live s.joins s.leaves s.crashes s.suspicions
-    s.retirements s.epochs s.epochs_closed s.max_lag s.msgs s.bytes s.probes s.acks s.gossip
-    s.update_entries s.full_syncs s.bootstraps s.dropped_loss s.dropped_dead s.probe_reqs
+    s.retirements s.epochs s.epochs_closed s.max_lag s.msgs s.bytes s.probe_bytes s.gossip_bytes
+    s.digest_bytes s.full_state_bytes s.bootstrap_bytes s.probes s.acks s.gossip s.update_entries
+    s.full_syncs s.sync_repairs s.bootstraps s.dropped_loss s.dropped_dead s.probe_reqs
     s.probe_acks s.suspicion_msgs s.false_suspicions s.false_retirements s.retransmits
     s.snapshots_peak s.lag_table_peak

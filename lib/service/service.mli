@@ -62,12 +62,15 @@ type config = {
   fault : Fault.t;  (** scheduled churn, link loss/delay, partitions *)
   lag_bound : float option;  (** [None]: [max 64 (4 log2(cap)^2)] *)
   full_sync : bool option;
-      (** enable the periodic full-state backstop; [None]: auto — on
-          exactly when an update could die in flight: the fault plan can
-          lose messages, or membership can change at all (churn or
-          scheduled joins/leaves/crashes), since a joiner's bootstrap
-          snapshot can race an in-flight update whose piggyback budgets
-          then expire *)
+      (** enable the periodic anti-entropy sync (see {!Member}): every
+          64 ticks each member sends its view digest to a random live
+          peer, and only a peer whose digest differs answers with a
+          whole-view exchange. [None]: auto — on exactly when an update
+          could die in flight: the fault plan can lose messages, or
+          membership can change at all (churn or scheduled
+          joins/leaves/crashes), since a joiner's bootstrap snapshot can
+          race an in-flight update whose piggyback budgets then
+          expire *)
   backend : Repro_net.Backend.t option;
       (** [None]: the direct transport, direct payload delivery (the
           certification oracle); [Some Mux]: members hosted inside real
@@ -94,13 +97,28 @@ type stats = {
   epochs_closed : int;  (** epochs whose fleet-wide convergence was confirmed *)
   max_lag : float;  (** worst confirmed convergence lag, in ticks *)
   msgs : int;  (** total member-level messages sent (all kinds) *)
-  bytes : int;  (** total encoded payload bytes *)
+  bytes : int;
+      (** total encoded payload bytes: the sum of the five class totals
+          below *)
+  probe_bytes : int;
+      (** the failure detector: probes, their acks (with piggybacked
+          entries), indirect-probe requests and vouches, suspicion
+          claims *)
+  gossip_bytes : int;  (** incremental update pushes *)
+  digest_bytes : int;  (** periodic sync digests *)
+  full_state_bytes : int;
+      (** the two whole-view batches of each sync whose digests
+          differed *)
+  bootstrap_bytes : int;  (** joiners' bootstrap requests and the full replies to them *)
   probes : int;
   acks : int;  (** probe replies *)
   gossip : int;  (** incremental update pushes *)
-  update_entries : int;  (** entries carried by incremental pushes *)
-  full_syncs : int;  (** periodic full-state sync pushes *)
-  bootstraps : int;  (** bootstrap requests + full-state replies *)
+  update_entries : int;  (** entries carried by incremental pushes and probe acks *)
+  full_syncs : int;  (** periodic syncs opened: one digest message each *)
+  sync_repairs : int;
+      (** syncs whose digests differed: whole-view pushes answering a
+          digest (each also draws one full reply) *)
+  bootstraps : int;  (** joiners' bootstrap requests + the full replies to them *)
   dropped_loss : int;
       (** lost to the fault plan's coin, partitions or caps; always 0 on the
           mux backend, where the fault shim drops frames silently and

@@ -10,9 +10,41 @@ type t = {
   statuses : Bytes.t;
   versions : int array;  (* highest observed incarnation per node; 0 = never observed *)
   mutable live : int;  (* known nodes whose status is alive or suspect *)
+  mutable digest : int;  (* XOR of [entry_word] over the exported triples *)
 }
 
 type applied = Stale | Updated | Changed of bool
+
+(* --- the view digest ---
+
+   One word per known node, XORed together, so the digest does not
+   depend on the order the entries arrived in and [apply] updates it in
+   O(1). The word packs the exported triple into 62 bits (status in
+   bits 0-1, node in bits 2-25, version above) and runs it through an
+   invertible 62-bit mixer: xor-shifts and multiplications by odd
+   constants are bijections modulo 2^62. Packing is injective for
+   nodes below 2^24 and versions below 2^36, so two different triples
+   get two different words, and a pair of views that differ in one
+   entry (one word swapped, added or removed) cannot share a digest.
+   The xor with [offset] first makes the packed value whose word is 0
+   one with status bits 11, which no triple has, so no word is 0 and an
+   added entry always shows. *)
+
+let mask62 = (1 lsl 62) - 1
+let offset = 0x2545f4914f6cdd1f lor 3
+
+let[@inline] entry_word ~node ~version ~status =
+  let x = ((version lsl 26) lor (node lsl 2) lor status) land mask62 in
+  let x = x lxor offset in
+  let x = x lxor (x lsr 31) in
+  let x = (x * 0x3f51afd7ed558ccd) land mask62 in
+  let x = x lxor (x lsr 29) in
+  let x = (x * 0x04ceb9fe1a85ec53) land mask62 in
+  x lxor (x lsr 32)
+
+(* suspicion is local: a full-state batch, and so the digest, carries
+   the lattice status *)
+let[@inline] exported s = if s = Payload.status_suspect then Payload.status_alive else s
 
 let create ~cap ~owner ~labels =
   let knowledge = Knowledge.create ~n:cap ~owner ~labels () in
@@ -20,7 +52,8 @@ let create ~cap ~owner ~labels =
   versions.(owner) <- 1;
   let statuses = Bytes.make cap (Char.chr unknown) in
   Bytes.set statuses owner (Char.chr Payload.status_alive);
-  { knowledge; statuses; versions; live = 1 }
+  let digest = entry_word ~node:owner ~version:1 ~status:Payload.status_alive in
+  { knowledge; statuses; versions; live = 1; digest }
 
 let knowledge t = t.knowledge
 let owner t = Knowledge.owner t.knowledge
@@ -29,6 +62,8 @@ let status t node =
   if node < 0 || node >= Bytes.length t.statuses then invalid_arg "View.status: out of range";
   Char.code (Bytes.get t.statuses node)
 
+let exported_status t node = exported (status t node)
+
 let version t node =
   if node < 0 || node >= Array.length t.versions then invalid_arg "View.version: out of range";
   t.versions.(node)
@@ -36,6 +71,7 @@ let version t node =
 let live_status s = s = Payload.status_alive || s = Payload.status_suspect
 let is_live t node = live_status (status t node)
 let live_count t = t.live
+let digest t = t.digest
 
 let set_status t node s =
   let was = live_status (status t node) in
@@ -58,6 +94,10 @@ let[@inline] apply t ~node ~version ~status:s =
   if not stronger then Stale
   else begin
     ignore (Knowledge.add t.knowledge node);
+    let old =
+      if cur_s = unknown then 0 else entry_word ~node ~version:cur_v ~status:(exported cur_s)
+    in
+    t.digest <- t.digest lxor old lxor entry_word ~node ~version ~status:(exported s);
     t.versions.(node) <- version;
     set_status t node s
   end

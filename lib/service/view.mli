@@ -15,7 +15,11 @@
     locally without touching its version, so an unanswered probe never
     poisons the gossip stream — only a confirmed [down] (applied at the
     suspect's version) is shared. A suspected node still counts as live
-    ({!is_live}): suspicion is a hypothesis, not a verdict. *)
+    ({!is_live}): suspicion is a hypothesis, not a verdict.
+
+    The view also keeps a {!digest} of what its owner would export in a
+    full-state batch, for the service's digest-first anti-entropy: two
+    members whose digests agree skip the whole-view exchange. *)
 
 open Repro_util
 open Repro_discovery
@@ -45,6 +49,11 @@ val status : t -> int -> int
     [status_suspect] / [status_down]), or {!unknown} when never
     observed. Allocation-free. *)
 
+val exported_status : t -> int -> int
+(** The status a full-state batch carries for a node: {!status} with
+    [status_suspect] exported as [status_alive], since suspicion is
+    local. {!unknown} when never observed. Allocation-free. *)
+
 val version : t -> int -> int
 (** Highest observed incarnation of a node; 0 when never observed.
     @raise Invalid_argument if the node is out of range. *)
@@ -55,16 +64,37 @@ val is_live : t -> int -> bool
 
 val live_count : t -> int
 
+val digest : t -> int
+(** The view digest: the XOR of {!entry_word} over every known node's
+    exported triple [(node, version, exported_status)] — exactly the
+    triples a full-state batch carries. A non-negative 62-bit int.
+    {!apply} keeps it current in O(1) (the old word out, the new word
+    in); {!suspect} and {!unsuspect} never change it. Views that differ
+    in exactly one entry always have different digests, within
+    {!entry_word}'s bounds on nodes and versions. Views that differ in more
+    entries collide with probability about 2{^-62}; a collision costs
+    one skipped repair for that pair, which the next sync with a
+    differing peer performs. *)
+
+val entry_word : node:int -> version:int -> status:int -> int
+(** One triple's word in {!digest}: the triple packed into 62 bits
+    (status in bits 0-1, node in bits 2-25, version above) and passed
+    through an invertible 62-bit mixer. Distinct triples with
+    [node < 2{^24}] and [version < 2{^36}] get distinct words, and no
+    triple with a status of at most [status_down] gets the word 0.
+    Allocation-free. *)
+
 val apply : t -> node:int -> version:int -> status:int -> applied
 (** Merge one remote observation under the [(version, status)]
-    lattice. Adds the node to the knowledge set and records its version
-    when accepted.
+    lattice. Adds the node to the knowledge set, records its version
+    and updates the {!digest} when accepted.
     @raise Invalid_argument on an out-of-range node, negative version
     or unknown status. *)
 
 val suspect : t -> int -> bool
 (** Locally mark an alive node as suspected; [true] iff it changed.
-    No-op (false) on unknown, down or already-suspect nodes. *)
+    No-op (false) on unknown, down or already-suspect nodes. The
+    {!digest} does not change. *)
 
 val unsuspect : t -> int -> bool
 (** Clear a local suspicion (the node answered); [true] iff it was

@@ -385,6 +385,195 @@ let test_view_suspicion_is_local () =
   Alcotest.(check bool) "no double clear" false (View.unsuspect v 5);
   Alcotest.(check bool) "cannot suspect the unknown" false (View.suspect v 9)
 
+(* --- View digest and the digest-first sync ------------------------------ *)
+
+let exported s = if s = Payload.status_suspect then Payload.status_alive else s
+
+(* The digest recomputed from scratch: one word per known node's
+   exported triple. *)
+let scratch_digest v ~cap =
+  let d = ref 0 in
+  for node = 0 to cap - 1 do
+    let s = View.status v node in
+    if s <> View.unknown then
+      d := !d lxor View.entry_word ~node ~version:(View.version v node) ~status:(exported s)
+  done;
+  !d
+
+let quiet_actions send =
+  {
+    Member.send;
+    on_suspect = (fun ~target:_ -> ());
+    on_retire = (fun ~target:_ -> ());
+    on_view_change = (fun ~target:_ ~alive:_ -> ());
+  }
+
+type view_op = Apply of int * int * int | Suspect of int | Unsuspect of int
+
+(* After any sequence of merges and local suspicions, the digest [apply]
+   keeps equals the digest of the member's full-state batch: the member
+   answers a mismatched [Sync] with [Exchange (full_entries)], and the
+   XOR of that batch's entry words must be [View.digest]. A [Sync]
+   carrying the member's own digest draws no answer. Node [cap - 1]
+   sends the syncs and is never observed, so handling them leaves the
+   view as it was. *)
+let prop_view_digest_incremental =
+  let cap = 24 in
+  QCheck2.Test.make ~name:"incremental digest equals the full-state batch's digest" ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 0 60)
+        (let* node = int_range 1 (cap - 2) in
+         oneof
+           [
+             (let* version = int_range 0 4 and* status = int_range 0 Payload.status_down in
+              return (Apply (node, version, status)));
+             return (Suspect node);
+             return (Unsuspect node);
+           ]))
+    (fun ops ->
+      let sent = ref [] in
+      let m =
+        Member.create_genesis ~cap ~self:0 ~labels:(Array.init cap Fun.id) ~peers:[| 0; 1; 2; 3 |]
+          ~rng:(Repro_util.Rng.create ~seed:1) ~full_sync:true ~indirect_k:2 ~lifeguard:true
+          (quiet_actions (fun ~dst:_ payload ->
+               match payload with
+               | Payload.Exchange (Payload.Updates u) ->
+                 (* the batch is lent: read it before returning *)
+                 let d = ref 0 in
+                 for i = 0 to u.count - 1 do
+                   d :=
+                     !d
+                     lxor View.entry_word ~node:(Payload.update_node u.entries i)
+                            ~version:(Payload.update_version u.entries i)
+                            ~status:(Payload.update_status u.entries i)
+                 done;
+                 sent := `Batch !d :: !sent
+               | _ -> sent := `Other :: !sent))
+      in
+      let v = Member.view m in
+      let step_ok op =
+        (match op with
+        | Apply (node, version, status) -> ignore (View.apply v ~node ~version ~status)
+        | Suspect node -> ignore (View.suspect v node)
+        | Unsuspect node -> ignore (View.unsuspect v node));
+        View.digest v = scratch_digest v ~cap && View.digest v >= 0
+      in
+      List.for_all step_ok ops
+      &&
+      let src = cap - 1 in
+      Member.deliver m ~src ~now:1.0 (Payload.Sync { digest = View.digest v });
+      let quiet = !sent = [] in
+      Member.deliver m ~src ~now:1.0 (Payload.Sync { digest = View.digest v lxor 1 });
+      quiet && !sent = [ `Batch (View.digest v) ])
+
+(* Two views that differ in exactly one entry — one node held at
+   another (version, exported status), or known on one side only —
+   never share a digest. Every pair of one node's options is tried, for
+   every node, over a base that knows the other nodes. The words behind
+   it are distinct and non-zero over a grid of triples and at the
+   packing's edges. *)
+let test_view_digest_single_change () =
+  let cap = 32 in
+  let labels = Array.init cap Fun.id in
+  let options =
+    None
+    :: List.concat_map
+         (fun version ->
+           [ Some (version, Payload.status_alive); Some (version, Payload.status_down) ])
+         [ 0; 1; 2; 7 ]
+  in
+  let view_with node option =
+    let v = View.create ~cap ~owner:0 ~labels in
+    for other = 1 to cap - 1 do
+      if other <> node && other mod 3 <> 0 then
+        ignore
+          (View.apply v ~node:other ~version:(1 + (other mod 4))
+             ~status:(if other mod 5 = 0 then Payload.status_down else Payload.status_alive))
+    done;
+    Option.iter (fun (version, status) -> ignore (View.apply v ~node ~version ~status)) option;
+    View.digest v
+  in
+  for node = 1 to cap - 1 do
+    List.iteri
+      (fun i x ->
+        List.iteri
+          (fun j y ->
+            if i < j && view_with node x = view_with node y then
+              Alcotest.failf "node %d: two one-entry variants share digest %x" node
+                (view_with node x))
+          options)
+      options
+  done;
+  let seen = Hashtbl.create 8192 in
+  let check ~node ~version ~status =
+    let w = View.entry_word ~node ~version ~status in
+    if w = 0 then Alcotest.failf "word 0 for (%d, %d, %d)" node version status;
+    if w < 0 then Alcotest.failf "negative word for (%d, %d, %d)" node version status;
+    (match Hashtbl.find_opt seen w with
+    | Some (n, v, s) ->
+      Alcotest.failf "(%d, %d, %d) and (%d, %d, %d) share a word" n v s node version status
+    | None -> ());
+    Hashtbl.replace seen w (node, version, status)
+  in
+  for node = 0 to 63 do
+    for version = 0 to 31 do
+      for status = 0 to Payload.status_down do
+        check ~node ~version ~status
+      done
+    done
+  done;
+  List.iter
+    (fun (node, version) ->
+      for status = 0 to Payload.status_down do
+        check ~node ~version ~status
+      done)
+    [ ((1 lsl 24) - 1, 0); (0, (1 lsl 36) - 1); ((1 lsl 24) - 1, (1 lsl 36) - 1) ]
+
+(* A planted divergence that only the sync can repair. Two founders, so
+   each one's sync always lands on the other. [b] learns that node 9
+   left (down at version 3) from a full-state reply, which is merged
+   without relogging: the entry has no gossip budget, and no gossip
+   push will ever carry it. Messages take one tick per hop. The first
+   sync fires at tick 64; a digest, the whole-view push and the full
+   reply are three hops, so by tick 64 + 3 both views must hold the
+   entry and agree. *)
+let test_member_digest_repairs_planted_entry () =
+  let cap = 16 and interval = 64 in
+  let labels = Array.init cap Fun.id in
+  let wire = Queue.create () in
+  let member self =
+    Member.create_genesis ~cap ~self ~labels ~peers:[| 0; 1 |]
+      ~rng:(Repro_util.Rng.create ~seed:(7 + self)) ~full_sync:true ~indirect_k:2 ~lifeguard:true
+      (quiet_actions (fun ~dst payload ->
+           Queue.push (self, dst, encode Wire.Adaptive ~universe:cap payload) wire))
+  in
+  let members = [| member 0; member 1 |] in
+  let a = members.(0) and b = members.(1) in
+  Member.deliver b ~src:0 ~now:0.0
+    (Payload.Reply (updates ~full:true [ (9, 3, Payload.status_down) ]));
+  let knows_left m =
+    View.status (Member.view m) 9 = Payload.status_down && View.version (Member.view m) 9 = 3
+  in
+  Alcotest.(check bool) "planted in b" true (knows_left b);
+  for tick = 1 to interval + 3 do
+    let now = float_of_int tick in
+    (* deliver what the previous tick sent: one hop per tick *)
+    let due = Queue.fold (fun acc hop -> hop :: acc) [] wire |> List.rev in
+    Queue.clear wire;
+    List.iter
+      (fun (src, dst, frame) ->
+        match decode ~universe:cap frame with
+        | Ok payload -> Member.deliver members.(dst) ~src ~now payload
+        | Error msg -> Alcotest.failf "frame refused: %s" msg)
+      due;
+    if tick < interval && knows_left a then
+      Alcotest.failf "a learned the entry at tick %d, before any sync" tick;
+    Member.step a ~now;
+    Member.step b ~now
+  done;
+  Alcotest.(check bool) "repaired within one interval plus three hops" true (knows_left a);
+  Alcotest.(check int) "digests agree" (View.digest (Member.view a)) (View.digest (Member.view b))
+
 (* --- Service: end-to-end soaks ---------------------------------------- *)
 
 let soak_config ?(n = 16) ?(cap = 24) ?(ticks = 600) ?(seed = 11) ?churn ?(fault = Fault.none)
@@ -427,6 +616,31 @@ let test_service_lossy_churn_converges () =
   Alcotest.(check int) "every epoch closed" stats.Service.epochs stats.Service.epochs_closed;
   Alcotest.(check bool) "loss actually applied" true (stats.Service.dropped_loss > 0);
   Alcotest.(check bool) "backstop auto-enabled" true (stats.Service.full_syncs > 0)
+
+(* The byte total splits into five classes. A converged fleet with the
+   sync forced on sends digests only: no sync repairs, no whole-view
+   bytes, and a digest is at most 10 bytes. A scheduled join's
+   bootstrap is the only bootstrap traffic: its request and the full
+   replies to it, not the reply half of a sync. *)
+let test_service_traffic_classes () =
+  let classes (s : Service.stats) =
+    s.probe_bytes + s.gossip_bytes + s.digest_bytes + s.full_state_bytes + s.bootstrap_bytes
+  in
+  let quiet = Service.run { (soak_config ~ticks:300 ()) with Service.full_sync = Some true } in
+  Alcotest.(check int) "classes sum to bytes" quiet.Service.bytes (classes quiet);
+  Alcotest.(check bool) "syncs ran" true (quiet.Service.full_syncs > 0);
+  Alcotest.(check int) "no repair between equal views" 0 quiet.Service.sync_repairs;
+  Alcotest.(check int) "no whole-view bytes" 0 quiet.Service.full_state_bytes;
+  Alcotest.(check bool) "a digest is at most 10 bytes" true
+    (quiet.Service.digest_bytes <= 10 * quiet.Service.full_syncs);
+  Alcotest.(check int) "no bootstraps without a joiner" 0 quiet.Service.bootstraps;
+  let fault = Fault.with_join Fault.none ~node:20 ~round:100 in
+  let joined = Service.run (soak_config ~fault ~ticks:300 ()) in
+  Alcotest.(check int) "classes sum to bytes, with a joiner" joined.Service.bytes (classes joined);
+  Alcotest.(check int) "one joiner" 1 joined.Service.joins;
+  Alcotest.(check bool) "its request and a reply" true (joined.Service.bootstraps >= 2);
+  Alcotest.(check bool) "and not every sync's reply" true
+    (joined.Service.bootstraps < joined.Service.full_syncs)
 
 let test_service_loopback_caps_throttle () =
   (* the direct transport applies Fault.fate, so a link cap drops the
@@ -565,7 +779,9 @@ let test_service_observer_tables_bounded () =
   Alcotest.(check bool) "epoch table bounded by open epochs" true
     (stats.Service.lag_table_peak < stats.Service.epochs);
   Alcotest.(check int) "snapshot high-water pinned" 25 stats.Service.snapshots_peak;
-  Alcotest.(check int) "epoch-table high-water pinned" 10 stats.Service.lag_table_peak
+  (* 10 before the sync went digest first; the run's message trajectory
+     changed by design, and the bound checks above still hold *)
+  Alcotest.(check int) "epoch-table high-water pinned" 11 stats.Service.lag_table_peak
 
 (* --- chaos matrix: the known-failing cell stays pinned ---------------- *)
 
@@ -657,6 +873,10 @@ let () =
         [
           Alcotest.test_case "lattice" `Quick test_view_lattice;
           Alcotest.test_case "suspicion local" `Quick test_view_suspicion_is_local;
+          Alcotest.test_case "digest single change" `Quick test_view_digest_single_change;
+          QCheck_alcotest.to_alcotest prop_view_digest_incremental;
+          Alcotest.test_case "digest repairs planted entry" `Quick
+            test_member_digest_repairs_planted_entry;
         ] );
       ( "soak",
         [
@@ -664,6 +884,7 @@ let () =
           Alcotest.test_case "quiet fleet silent" `Quick test_service_quiet_fleet_sends_no_gossip;
           Alcotest.test_case "lossy churn converges" `Quick test_service_lossy_churn_converges;
           Alcotest.test_case "loopback caps throttle" `Quick test_service_loopback_caps_throttle;
+          Alcotest.test_case "traffic classes" `Quick test_service_traffic_classes;
           Alcotest.test_case "scheduled churn" `Quick test_service_scheduled_churn;
           Alcotest.test_case "deterministic" `Quick test_service_deterministic;
           Alcotest.test_case "traffic scales with churn" `Slow

@@ -88,7 +88,7 @@ let test_form_preserved () =
       | Payload.Bits _ -> true
       | Payload.Ids _ | Payload.Delta _ | Payload.Updates _ -> false)
     | Payload.Probe | Payload.Halt | Payload.Probe_req _ | Payload.Probe_ack _
-    | Payload.Suspicion _ ->
+    | Payload.Suspicion _ | Payload.Sync _ ->
       false
   in
   List.iter
@@ -120,6 +120,8 @@ let test_size_matches_encode () =
       Payload.Share (Payload.Ids (Array.init 50 (fun i -> i * 3)));
       Payload.Exchange (Payload.Bits (bsnap universe [| 1; 2; 100 |]));
       Payload.Reply (Payload.Bits (bsnap universe (Array.init universe (fun i -> i))));
+      Payload.Sync { digest = 0 };
+      Payload.Sync { digest = max_int };
     ]
   in
   List.iter
@@ -171,7 +173,7 @@ let test_decode_validation () =
   bad
     [
       ("empty", Bytes.create 0);
-      ("unknown kind", Bytes.of_string "\008\001\000");
+      ("unknown kind", Bytes.of_string "\009\001\000");
       ("unknown codec", Bytes.of_string "\000\009\000");
       ("oversized probe", Bytes.of_string "\003\000");
       ("truncated varint", Bytes.of_string "\000\001\255");
@@ -203,6 +205,7 @@ let test_decode_fuzz () =
       Payload.Share (Payload.Ids [| 0; 7; 250 |]);
       Payload.Exchange (Payload.Ids (Array.init 60 (fun i -> i * 5)));
       Payload.Reply (Payload.Bits (bsnap universe [| 1; 64; 299 |]));
+      Payload.Sync { digest = 0x0123456789abcdef };
     ]
   in
   let attempts = ref 0 in
@@ -424,6 +427,15 @@ let pinned_frames =
         "17503 bytes, md5 676cf1467875e66f472dad30e1a351be";
         "0181070004f9ff0300ef228fdd03e145";
       ] );
+    ( "sync digest",
+      Payload.Sync { digest = 0x0123456789abcdef },
+      universe,
+      [
+        "08ef9bafcdf8acd19101";
+        "08ef9bafcdf8acd19101";
+        "08ef9bafcdf8acd19101";
+        "08ef9bafcdf8acd19101";
+      ] );
     ( "bits, dense over three containers",
       Payload.Reply (Payload.Bits (bsnap multi (Array.init (multi / 3) (fun i -> 3 * i)))),
       multi,
@@ -447,6 +459,46 @@ let test_pinned_frames () =
             (Wire.encoded_size e ~universe p))
         Wire.all_encodings frames)
     pinned_frames
+
+(* The sync digest is the kind byte and one minimal varint. Its frame
+   is the same under every encoding and [encoded_size] matches it; the
+   decoder refuses a missing or cut varint, a padded (non-minimal) one,
+   one past 62 bits, and trailing bytes; the encoder refuses a negative
+   digest. *)
+let test_sync_frames () =
+  List.iter
+    (fun (digest, frame) ->
+      List.iter
+        (fun e ->
+          let p = Payload.Sync { digest } in
+          let encoded = encode e ~universe p in
+          Alcotest.(check string) (Printf.sprintf "sync %x frame" digest) frame (fingerprint encoded);
+          Alcotest.(check int) "size" (Bytes.length encoded) (Wire.encoded_size e ~universe p);
+          match decode ~universe encoded with
+          | Ok (Payload.Sync { digest = back }) -> Alcotest.(check int) "digest back" digest back
+          | Ok other -> Alcotest.failf "sync decoded as %s" (Format.asprintf "%a" Payload.pp other)
+          | Error msg -> Alcotest.failf "sync frame refused: %s" msg)
+        Wire.all_encodings)
+    [ (0, "0800"); (300, "08ac02"); (max_int, "08ffffffffffffffff3f") ];
+  List.iter
+    (fun (name, frame, reason) ->
+      match decode ~universe (Bytes.of_string frame) with
+      | Error msg -> Alcotest.(check string) name reason msg
+      | Ok p -> Alcotest.failf "%s: decoded as %s" name (Format.asprintf "%a" Payload.pp p))
+    [
+      ("no varint", "\008", "Wire.decode: truncated varint");
+      ("cut varint", "\008\239\155", "Wire.decode: truncated varint");
+      ("non-minimal zero", "\008\128\000", "Wire.decode: non-minimal varint");
+      ("non-minimal one", "\008\129\128\000", "Wire.decode: non-minimal varint");
+      (* nine groups reaching bit 62, the sign bit of an OCaml int *)
+      ("past 62 bits", "\008\255\255\255\255\255\255\255\255\127", "Wire.decode: varint overflow");
+      ("ten groups", "\008\255\255\255\255\255\255\255\255\255\001", "Wire.decode: varint overflow");
+      ("trailing bytes", "\008\005\000", "Wire.decode: trailing bytes");
+    ];
+  Alcotest.check_raises "negative digest" (Invalid_argument "Wire.encode: negative digest")
+    (fun () -> ignore (encode Wire.Adaptive ~universe (Payload.Sync { digest = -1 })));
+  Alcotest.check_raises "negative digest, sized" (Invalid_argument "Wire.encode: negative digest")
+    (fun () -> ignore (Wire.encoded_size Wire.Adaptive ~universe (Payload.Sync { digest = -1 })))
 
 (* --- messages where they lie: decoding at an offset ---
 
@@ -611,9 +663,10 @@ let gen_service_payload =
   QCheck2.Gen.(
     let* universe, entries = gen_batch in
     let* full = bool in
-    let* kind = int_range 0 7 in
+    let* kind = int_range 0 8 in
     let* target = int_range 0 (universe - 1) in
     let* aux = int_range 0 (1 lsl 40) in
+    let* digest = oneof [ int_range 0 (1 lsl 40); map (fun d -> d land max_int) int ] in
     let data = Payload.Updates { full; count = Array.length entries / 2; entries } in
     return
       ( universe,
@@ -625,7 +678,8 @@ let gen_service_payload =
         | 4 -> Payload.Halt
         | 5 -> Payload.Probe_req { target; nonce = aux }
         | 6 -> Payload.Probe_ack { target; nonce = aux }
-        | _ -> Payload.Suspicion { target; version = aux } ))
+        | 7 -> Payload.Suspicion { target; version = aux }
+        | _ -> Payload.Sync { digest } ))
 
 let print_service (universe, p) =
   Printf.sprintf "universe %d, %s" universe (Format.asprintf "%a" Payload.pp p)
@@ -776,6 +830,7 @@ let () =
           Alcotest.test_case "hostile count at an offset" `Quick test_hostile_count_at_offset;
           Alcotest.test_case "update batch boundaries" `Quick test_batch_boundaries;
           Alcotest.test_case "decoded update batches are lent" `Quick test_decoded_batches_lent;
+          Alcotest.test_case "sync digest frames" `Quick test_sync_frames;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
