@@ -1,11 +1,12 @@
 #!/bin/sh
 # Guard the integer kernels of the knowledge-merge path, of the
-# membership service's update path, of the asynchronous scheduler's
-# per-event path (event heap, async clock, mux), of the per-message
-# resolution path (the round engine, its outboxes and metrics recorder,
-# the live fault shim), of the per-frame path of every live node (the
-# node core and the envelope codec) and of the random generator every
-# draw goes through against generic comparison. A comparison whose operand type is
+# membership service's update path and runtime loop, of the
+# asynchronous scheduler's per-event path (event heap, async clock,
+# mux), of the per-message resolution path (the round engine, its
+# outboxes and metrics recorder, the live fault shim), of the
+# per-frame path of every live node (the node core and the envelope
+# codec) and of the random generator every draw goes through against
+# generic comparison. A comparison whose operand type is
 # inferred polymorphic ('a array, 'a, int option) compiles to a C call
 # into the runtime (caml_lessthan, caml_equal, ...) instead of one
 # machine instruction; on the merge, sizing, member-step, scheduler and
@@ -36,7 +37,7 @@ build=${1:-_build/default}
 modules="repro_util__Cset repro_util__Intvec repro_discovery__Knowledge
 repro_discovery__Payload repro_discovery__Wire repro_discovery__Hm_gossip
 repro_discovery__Flooding repro_discovery__Exec repro_service__Member
-repro_service__View repro_util__Heap repro_engine__Async_sim repro_net__Mux
+repro_service__View repro_service__Service repro_util__Heap repro_engine__Async_sim repro_net__Mux
 repro_engine__Sim repro_engine__Outbox repro_net__Faultnet repro_util__Rng
 repro_net__Node_core repro_net__Envelope repro_engine__Metrics"
 banned='caml_(compare|equal|notequal|lessthan|lessequal|greaterthan|greaterequal)$'

@@ -244,7 +244,6 @@ let with_restart t ~node ~round =
 
 let restart_round t ~node = Imap.find_opt node t.restarts
 let restarting_nodes t = Imap.bindings t.restarts
-let has_restarts t = not (Imap.is_empty t.restarts)
 
 let with_join t ~node ~round =
   if round < 1 then invalid_arg "Fault.with_join: rounds are 1-based";

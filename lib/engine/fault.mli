@@ -172,7 +172,6 @@ val with_restart : t -> node:int -> round:int -> t
 
 val restart_round : t -> node:int -> int option
 val restarting_nodes : t -> (int * int) list
-val has_restarts : t -> bool
 
 val with_join : t -> node:int -> round:int -> t
 (** Schedule [node] to join (become active) at the start of [round]

@@ -146,30 +146,24 @@ let handle_line child line =
   | Ok (Control.Completed (_, _)) -> child.completed <- true
   | Ok (Control.Final f) -> child.final <- Some f
 
-(* A child whose line outgrows the cap is not speaking the protocol:
-   stop reading it, and shut the socket so that it sees its harness
-   gone and exits. It counts as crashed from then on. *)
-let drain_child child =
-  let buf = Bytes.create 4096 in
-  let reading = ref true in
-  while !reading do
-    match Unix.read child.fd buf 0 4096 with
-    | 0 ->
+(* One read from a readable child. The coordinator reads each readable
+   child once per loop turn, so a child that streams faster than the
+   coordinator reads cannot hold the loop past its deadline. A child
+   whose line outgrows the cap is not speaking the protocol: stop
+   reading it, and shut the socket so that it sees its harness gone and
+   exits. It counts as crashed from then on. *)
+let read_child buf child =
+  match Unix.read child.fd buf 0 (Bytes.length buf) with
+  | 0 -> child.eof <- true
+  | k -> (
+    match Control.feed child.lines buf k (handle_line child) with
+    | Ok () -> ()
+    | Error reason -> (
+      child.refused <- Some reason;
       child.eof <- true;
-      reading := false
-    | k -> (
-      match Control.feed child.lines buf k (handle_line child) with
-      | Ok () -> ()
-      | Error reason ->
-        child.refused <- Some reason;
-        child.eof <- true;
-        reading := false;
-        try Unix.shutdown child.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    | exception Unix.Unix_error ((EWOULDBLOCK | EAGAIN | EINTR), _, _) -> reading := false
-    | exception Unix.Unix_error _ ->
-      child.eof <- true;
-      reading := false
-  done
+      try Unix.shutdown child.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()))
+  | exception Unix.Unix_error ((EWOULDBLOCK | EAGAIN | EINTR), _, _) -> ()
+  | exception Unix.Unix_error _ -> child.eof <- true
 
 let status_string = function
   | Unix.WEXITED 0 -> "exit 0"
@@ -350,8 +344,8 @@ let run_sockets (spec : spec) =
   in
   let all_reaped () = for_all_all (fun c -> c.exit_status <> None) in
   let all_eof () = for_all_all (fun c -> c.eof) in
+  let buf = Bytes.create 65536 in
   while not (all_reaped () && all_eof ()) do
-    let now = Unix.gettimeofday () in
     (* play out the fault plan's schedule *)
     let rec run_due () =
       match !schedule with
@@ -396,6 +390,13 @@ let run_sockets (spec : spec) =
               crash_events :=
                 (Unix.gettimeofday () -. epoch, Trace.Crash { node = c.id }) :: !crash_events
           | exception Unix.Unix_error (ECHILD, _, _) -> c.exit_status <- Some (Unix.WEXITED 0));
+    (* the deadline first, on a fresh clock reading: a completion read
+       after the deadline does not make a converged run *)
+    let now = Unix.gettimeofday () in
+    if (not !halt_sent) && now >= deadline then begin
+      timed_out := true;
+      broadcast_halt ()
+    end;
     let converged_now = !schedule = [] && Array.for_all (fun c -> c.completed) children in
     (* a crash makes convergence impossible (the dead node can never
        announce) — unless the plan revives it later, in which case the
@@ -404,10 +405,6 @@ let run_sockets (spec : spec) =
       Array.exists (fun c -> crashed_child c && not (expects_respawn c.id)) children
     in
     if (not !halt_sent) && (converged_now || fatal_crash) then broadcast_halt ();
-    if (not !halt_sent) && now >= deadline then begin
-      timed_out := true;
-      broadcast_halt ()
-    end;
     if !halt_sent && now >= !grace_deadline && not (all_reaped ()) then signal_all Sys.sigterm;
     if !halt_sent && now >= !term_deadline && not (all_reaped ()) then signal_all Sys.sigkill;
     let rfds = ref [] in
@@ -418,7 +415,7 @@ let run_sockets (spec : spec) =
       let readable, _, _ =
         try Unix.select !rfds [] [] 0.05 with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
       in
-      iter_all (fun c -> if List.mem c.fd readable then drain_child c)
+      iter_all (fun c -> if List.mem c.fd readable then read_child buf c)
     end
   done;
   let wall_time = Unix.gettimeofday () -. start in

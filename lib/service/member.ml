@@ -86,7 +86,6 @@ type t = {
 let self t = t.self
 let view t = t.view
 let incarnation t = t.incarnation
-let bootstrapping t = match t.bootstrap with Some _ -> true | None -> false
 let health t = t.health
 
 (* The local-health multiplier: 1x when healthy, up to 3x when every
@@ -120,14 +119,14 @@ let log_append t ~node ~version ~status =
   Intvec.push t.log_statuses status;
   Intvec.push t.log_budgets (budget_for t)
 
-let make_member ~cap ~self ~labels ~rng ~full_sync ~indirect_k ~lifeguard actions =
+let make_member ~cap ~self ~rng ~full_sync ~indirect_k ~lifeguard actions =
   if cap <= 0 then invalid_arg "Member.create: cap must be positive";
   if self < 0 || self >= cap then invalid_arg "Member.create: self out of range";
   if indirect_k < 0 then invalid_arg "Member.create: negative indirect_k";
   {
     self;
     rng;
-    view = View.create ~cap ~owner:self ~labels;
+    view = View.create ~cap ~owner:self;
     incarnation = 1;
     log_nodes = Intvec.create ();
     log_versions = Intvec.create ();
@@ -146,8 +145,8 @@ let make_member ~cap ~self ~labels ~rng ~full_sync ~indirect_k ~lifeguard action
     actions;
   }
 
-let create_genesis ~cap ~self ~labels ~peers ~rng ~full_sync ~indirect_k ~lifeguard actions =
-  let t = make_member ~cap ~self ~labels ~rng ~full_sync ~indirect_k ~lifeguard actions in
+let create_genesis ~cap ~self ~peers ~rng ~full_sync ~indirect_k ~lifeguard actions =
+  let t = make_member ~cap ~self ~rng ~full_sync ~indirect_k ~lifeguard actions in
   Array.iter
     (fun peer ->
       if peer <> self then
@@ -155,14 +154,14 @@ let create_genesis ~cap ~self ~labels ~peers ~rng ~full_sync ~indirect_k ~lifegu
     peers;
   t
 
-let create_joiner ~cap ~self ~labels ~contacts ~rng ~full_sync ~indirect_k ~lifeguard actions =
+let create_joiner ~cap ~self ~contacts ~rng ~full_sync ~indirect_k ~lifeguard actions =
   if Array.length contacts = 0 then invalid_arg "Member.create_joiner: no contacts";
   Array.iter
     (fun contact ->
       if contact < 0 || contact >= cap || contact = self then
         invalid_arg "Member.create_joiner: bad contact")
     contacts;
-  let t = make_member ~cap ~self ~labels ~rng ~full_sync ~indirect_k ~lifeguard actions in
+  let t = make_member ~cap ~self ~rng ~full_sync ~indirect_k ~lifeguard actions in
   log_append t ~node:self ~version:1 ~status:Payload.status_alive;
   let backoff = Repro_net.Node.Backoff.create ~rng ~base:2.0 ~cap:16.0 in
   t.bootstrap <- Some (contacts, 0, backoff, 0.0);
@@ -256,7 +255,7 @@ let pending_entries t ~from =
   let len = Intvec.length t.log_nodes in
   if from >= len then 0
   else begin
-    let sc = scratch_for (Knowledge.universe (View.knowledge t.view)) in
+    let sc = scratch_for (View.universe t.view) in
     sc.gen <- sc.gen + 1;
     let gen = sc.gen in
     let m = ref 0 in
@@ -295,10 +294,10 @@ let cursor t target = Option.value (Hashtbl.find_opt t.cursors target) ~default:
    one ascending scan of the statuses fills the batch in canonical
    order, with no closure call per node. *)
 let full_entries t =
-  let known = View.knowledge t.view in
-  let entries = (scratch_for (Knowledge.universe known)).batch in
+  let cap = View.universe t.view in
+  let entries = (scratch_for cap).batch in
   let k = ref 0 in
-  for node = 0 to Knowledge.universe known - 1 do
+  for node = 0 to cap - 1 do
     let status = View.exported_status t.view node in
     if status <> View.unknown then begin
       Payload.set_update entries !k ~node ~version:(View.version t.view node) ~status;
@@ -618,18 +617,7 @@ let leave t =
   let entries = Array.make 2 0 in
   Payload.set_update entries 0 ~node:t.self ~version:t.incarnation ~status:Payload.status_down;
   log_append t ~node:t.self ~version:t.incarnation ~status:Payload.status_down;
-  let targets = Knowledge.random_known_among (View.knowledge t.view) t.rng ~k:leave_fanout in
   let payload = Payload.Share (Payload.Updates { full = false; count = 1; entries }) in
-  let sent = ref 0 in
   Array.iter
-    (fun target ->
-      if View.is_live t.view target then begin
-        t.actions.send ~dst:target payload;
-        incr sent
-      end)
-    targets;
-  if !sent = 0 then
-    (* no live peer in the sample: fall back to anyone live *)
-    match View.random_live t.view t.rng with
-    | Some target -> t.actions.send ~dst:target payload
-    | None -> ()
+    (fun target -> t.actions.send ~dst:target payload)
+    (View.random_live_sample t.view t.rng ~k:leave_fanout ~exclude:t.self)

@@ -81,7 +81,7 @@ type actions = {
 type t
 
 val create_genesis :
-  cap:int -> self:int -> labels:int array -> peers:int array -> rng:Rng.t ->
+  cap:int -> self:int -> peers:int array -> rng:Rng.t ->
   full_sync:bool -> indirect_k:int -> lifeguard:bool -> actions -> t
 (** A founding member: starts with every [peer] (and itself) alive at
     version 1 and an empty log — the genesis membership is common
@@ -92,7 +92,7 @@ val create_genesis :
     stay at their base values. *)
 
 val create_joiner :
-  cap:int -> self:int -> labels:int array -> contacts:int array -> rng:Rng.t ->
+  cap:int -> self:int -> contacts:int array -> rng:Rng.t ->
   full_sync:bool -> indirect_k:int -> lifeguard:bool -> actions -> t
 (** A late joiner: knows only itself (incarnation 1) and the addresses
     of a few [contacts] to bootstrap from (tried in rotation). Its own
@@ -103,7 +103,6 @@ val create_joiner :
 val self : t -> int
 val view : t -> View.t
 val incarnation : t -> int
-val bootstrapping : t -> bool
 
 val health : t -> int
 (** Current local-health score, 0 (healthy) to 4 (every recent probe

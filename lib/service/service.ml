@@ -144,12 +144,13 @@ let try_converge o id =
     Trace.emit o.trace (Trace.Converge { node = id; epoch = e })
   | Some _ | None -> ()
 
-(* a (re)spawned member's view hash, from scratch; its convergence level
-   starts over — earlier verdicts were the previous incarnation's *)
+(* a (re)spawned member's view hash, from scratch: its live peers plus
+   itself. Its convergence level starts over — earlier verdicts were the
+   previous incarnation's *)
 let reset_view o id m =
   let view = Member.view m in
-  let h = ref 0 in
-  View.iter_known view (fun j -> if View.is_live view j then h := !h lxor o.zob.(j));
+  let h = ref (if View.is_live view id then o.zob.(id) else 0) in
+  View.iter_live view (fun j -> h := !h lxor o.zob.(j));
   o.vhash.(id) <- !h;
   o.conv_emitted.(id) <- 0
 
@@ -255,8 +256,9 @@ let direct_transport (cfg : config) ~members ~deliver ~now ~dropped_loss ~droppe
    stays 0 here. The core's own trace events are discarded (the service
    emits the canonical lifecycle itself), and its completion report goes
    nowhere: the service has no notion of a finished run. *)
-let hosted_transport (cfg : config) ~labels ~deliver ~now ~dropped_dead =
+let hosted_transport (cfg : config) ~deliver ~now ~dropped_dead =
   let cap = cfg.cap in
+  let labels = Array.init cap Fun.id in
   let rng = Rng.substream ~seed:cfg.seed ~index:0x11e7 in
   let heap = Heap.create ~dummy:no_hop in
   let cores : Node_core.t option array = Array.make cap None in
@@ -270,12 +272,14 @@ let hosted_transport (cfg : config) ~labels ~deliver ~now ~dropped_dead =
         Algorithm.name = "service-member";
         description = "continuous-service member hosted on a node core";
         make =
-          (fun _ctx ->
+          (fun ctx ->
             (* the member, not the ctx, is the protocol state: the
                core's round/receive hooks just forward to it on the
-               service's clock *)
+               service's clock. The core's knowledge is the ctx's own
+               (the member's self), so a hello it answers carries one id,
+               not a snapshot of the view the member would drop. *)
             {
-              Algorithm.knowledge = View.knowledge (Member.view m);
+              Algorithm.knowledge = Algorithm.initial_knowledge ctx;
               round = (fun ~round:_ ~send:_ -> Member.step m ~now:!now);
               receive = (fun ~src payload -> deliver m ~src ~now:!now payload);
               is_quiescent = Algorithm.never_quiescent;
@@ -415,10 +419,15 @@ let validate cfg =
     if c.min_live < 2 then invalid_arg "Service.run: min_live must be >= 2"
   | None -> ()
 
-(* A scheduled membership change. The constructors are in application
-   order, so sorting a tick's (change, id) pairs applies its joins, then
-   its leaves, then its crashes, each in ascending id order. *)
+(* A scheduled membership change. A tick's (change, id) pairs apply in
+   [change_order]: its joins, then its leaves, then its crashes, each
+   in ascending id order. *)
 type change = Join | Leave | Crash
+
+let change_rank = function Join -> 0 | Leave -> 1 | Crash -> 2
+
+let change_order (c, a) (d, b) =
+  match Int.compare (change_rank c) (change_rank d) with 0 -> Int.compare a b | o -> o
 
 let run cfg =
   validate cfg;
@@ -441,7 +450,6 @@ let run cfg =
   let bound = Option.value cfg.lag_bound ~default:(default_lag_bound ~cap) in
   let lag = Trace.Lag.create ~bound () in
   let trace = Trace.tee (Trace.Lag.sink lag) cfg.trace in
-  let labels = Array.init cap Fun.id in
   let members = Array.make cap None in
   let now = ref 0.0 in
   let dropped_loss = ref 0 and dropped_dead = ref 0 in
@@ -462,7 +470,7 @@ let run cfg =
   let transport =
     match cfg.backend with
     | None -> direct_transport cfg ~members ~deliver ~now ~dropped_loss ~dropped_dead
-    | Some Backend.Mux -> hosted_transport cfg ~labels ~deliver ~now ~dropped_dead
+    | Some Backend.Mux -> hosted_transport cfg ~deliver ~now ~dropped_dead
     | Some (Backend.Process _) ->
       invalid_arg
         "Service.run: process backends fork one OS process per node; the multiplexed service \
@@ -574,7 +582,7 @@ let run cfg =
     Pool.remove retired id;
     Pool.add live id;
     let m =
-      Member.create_joiner ~cap ~self:id ~labels ~contacts ~rng:(member_rng ()) ~full_sync
+      Member.create_joiner ~cap ~self:id ~contacts ~rng:(member_rng ()) ~full_sync
         ~indirect_k:cfg.indirect_k ~lifeguard:cfg.lifeguard (actions_for id)
     in
     members.(id) <- Some m;
@@ -619,7 +627,7 @@ let run cfg =
       toggle obs id;
       Pool.add live id;
       let m =
-        Member.create_genesis ~cap ~self:id ~labels ~peers:founders ~rng:(member_rng ())
+        Member.create_genesis ~cap ~self:id ~peers:founders ~rng:(member_rng ())
           ~full_sync ~indirect_k:cfg.indirect_k ~lifeguard:cfg.lifeguard (actions_for id)
       in
       members.(id) <- Some m)
@@ -668,7 +676,7 @@ let run cfg =
         | Join, id -> try_join id
         | Leave, id -> depart ~id ~graceful:true
         | Crash, id -> depart ~id ~graceful:false)
-      (List.sort compare (Option.value (Hashtbl.find_opt schedule tick) ~default:[]))
+      (List.sort change_order (Option.value (Hashtbl.find_opt schedule tick) ~default:[]))
   in
   let apply_churn tick =
     match cfg.churn with

@@ -6,10 +6,10 @@ open Repro_discovery
 let unknown = 255
 
 type t = {
-  knowledge : Knowledge.t;
+  owner : int;
   statuses : Bytes.t;
   versions : int array;  (* highest observed incarnation per node; 0 = never observed *)
-  mutable live : int;  (* known nodes whose status is alive or suspect *)
+  peers : Intvec.t;  (* the live (alive or suspect) nodes other than the owner, unordered *)
   mutable digest : int;  (* XOR of [entry_word] over the exported triples *)
 }
 
@@ -46,17 +46,20 @@ let[@inline] entry_word ~node ~version ~status =
    the lattice status *)
 let[@inline] exported s = if s = Payload.status_suspect then Payload.status_alive else s
 
-let create ~cap ~owner ~labels =
-  let knowledge = Knowledge.create ~n:cap ~owner ~labels () in
+let create ~cap ~owner =
+  if owner < 0 || owner >= cap then invalid_arg "View.create: owner out of range";
   let versions = Array.make cap 0 in
   versions.(owner) <- 1;
   let statuses = Bytes.make cap (Char.chr unknown) in
   Bytes.set statuses owner (Char.chr Payload.status_alive);
   let digest = entry_word ~node:owner ~version:1 ~status:Payload.status_alive in
-  { knowledge; statuses; versions; live = 1; digest }
+  (* sized to the universe up front: the list never grows, so it is
+     never copied *)
+  let peers = Intvec.create ~capacity:cap () in
+  { owner; statuses; versions; peers; digest }
 
-let knowledge t = t.knowledge
-let owner t = Knowledge.owner t.knowledge
+let owner t = t.owner
+let universe t = Array.length t.versions
 
 let status t node =
   if node < 0 || node >= Bytes.length t.statuses then invalid_arg "View.status: out of range";
@@ -70,15 +73,37 @@ let version t node =
 
 let live_status s = s = Payload.status_alive || s = Payload.status_suspect
 let is_live t node = live_status (status t node)
-let live_count t = t.live
+let live_count t = Intvec.length t.peers + if is_live t t.owner then 1 else 0
 let digest t = t.digest
+let iter_live t f = Intvec.iter f t.peers
+
+let swap t i j =
+  let v = Intvec.get t.peers i in
+  Intvec.set t.peers i (Intvec.get t.peers j);
+  Intvec.set t.peers j v
+
+(* The owner is never in [peers]: nobody draws itself. A node leaves
+   by swap-remove, the last peer moving into its hole; the hole is found
+   by a scan, as a node goes down far more rarely than a peer is
+   drawn. *)
+let add_peer t node = if node <> t.owner then Intvec.push t.peers node
+
+let remove_peer t node =
+  if node <> t.owner then begin
+    let last = Intvec.length t.peers - 1 in
+    let i = ref last in
+    while Intvec.get t.peers !i <> node do
+      decr i
+    done;
+    swap t !i last;
+    ignore (Intvec.pop t.peers)
+  end
 
 let set_status t node s =
   let was = live_status (status t node) in
   let now = live_status s in
   Bytes.set t.statuses node (Char.chr s);
-  if was && not now then t.live <- t.live - 1
-  else if now && not was then t.live <- t.live + 1;
+  if was && not now then remove_peer t node else if now && not was then add_peer t node;
   if was = now then Updated else Changed now
 
 let[@inline] apply t ~node ~version ~status:s =
@@ -93,7 +118,6 @@ let[@inline] apply t ~node ~version ~status:s =
   in
   if not stronger then Stale
   else begin
-    ignore (Knowledge.add t.knowledge node);
     let old =
       if cur_s = unknown then 0 else entry_word ~node ~version:cur_v ~status:(exported cur_s)
     in
@@ -113,87 +137,26 @@ let unsuspect t node =
       true)
 
 let random_live t rng =
-  if t.live <= 1 then None
-  else begin
-    (* the known set is mostly live in steady state, so rejection
-       sampling almost always lands within a draw or two *)
-    let found = ref (-1) in
-    let attempts = ref 0 in
-    while !found < 0 && !attempts < 8 do
-      incr attempts;
-      match Knowledge.random_known t.knowledge rng with
-      | Some v when is_live t v -> found := v
-      | Some _ | None -> ()
-    done;
-    if !found >= 0 then Some !found
-    else begin
-      (* retirement-heavy view: fall back to a uniform choice over an
-         explicit enumeration of the live non-owners *)
-      let self = owner t in
-      let live = ref [] in
-      let count = ref 0 in
-      Knowledge.iter_known t.knowledge (fun v ->
-          if v <> self && is_live t v then begin
-            live := v :: !live;
-            incr count
-          end);
-      if !count = 0 then None
-      else begin
-        let k = Rng.int rng !count in
-        let rec nth l i = match l with [] -> assert false | x :: tl -> if i = 0 then x else nth tl (i - 1) in
-        Some (nth !live k)
-      end
-    end
-  end
+  let n = Intvec.length t.peers in
+  if n = 0 then None else Some (Intvec.get t.peers (Rng.int rng n))
 
-(* Up to [k] distinct live nodes, excluding the owner and [exclude] —
-   the intermediary sample of an indirect-probe round. Rejection
-   sampling first (the known set is mostly live in steady state), then
-   a linear enumeration fallback like [random_live]. *)
+(* A partial Fisher-Yates over [peers] in place: each draw swaps a
+   uniform pick from [m .. range-1] into position [m]. A draw that lands
+   on [exclude] swaps it past the end of the range instead, where no
+   later draw reaches it. The list is unordered, so the shuffle loses
+   nothing. *)
 let random_live_sample t rng ~k ~exclude =
-  if k <= 0 || t.live <= 1 then [||]
-  else begin
-    let self = owner t in
-    let picked = Array.make k (-1) in
-    let count = ref 0 in
-    let mem v =
-      let rec go i = i < !count && (picked.(i) = v || go (i + 1)) in
-      go 0
-    in
-    let attempts = ref 0 in
-    while !count < k && !attempts < 8 * k do
-      incr attempts;
-      match Knowledge.random_known t.knowledge rng with
-      | Some v when v <> self && v <> exclude && is_live t v && not (mem v) ->
-        picked.(!count) <- v;
-        incr count
-      | Some _ | None -> ()
-    done;
-    if !count < k then begin
-      (* sparse live set: enumerate the candidates and take a uniform
-         draw-without-replacement over what the sampler missed *)
-      let rest = ref [] in
-      let rest_n = ref 0 in
-      Knowledge.iter_known t.knowledge (fun v ->
-          if v <> self && v <> exclude && is_live t v && not (mem v) then begin
-            rest := v :: !rest;
-            incr rest_n
-          end);
-      let rest = Array.of_list !rest in
-      (* Fisher-Yates over the remainder, stopping once [picked] fills *)
-      let n = !rest_n in
-      let i = ref 0 in
-      while !count < k && !i < n do
-        let j = !i + Rng.int rng (n - !i) in
-        let v = rest.(j) in
-        rest.(j) <- rest.(!i);
-        rest.(!i) <- v;
-        incr i;
-        picked.(!count) <- v;
-        incr count
-      done
-    end;
-    Array.sub picked 0 !count
-  end
-
-let iter_known t f = Knowledge.iter_known t.knowledge f
+  let range = ref (Intvec.length t.peers) in
+  let m = ref 0 in
+  while !m < k && !m < !range do
+    let j = !m + Rng.int rng (!range - !m) in
+    if Intvec.get t.peers j = exclude then begin
+      decr range;
+      swap t j !range
+    end
+    else begin
+      swap t j !m;
+      incr m
+    end
+  done;
+  Array.init !m (Intvec.get t.peers)

@@ -1,14 +1,15 @@
-(** A member's view of the fleet: knowledge plus per-node liveness.
+(** A member's view of the fleet: per-node liveness and versions.
 
-    The view extends a {!Repro_discovery.Knowledge.t} (which contributes
-    the known-id set and uniform sampling) with a per-node version
-    vector (each node's highest observed incarnation) and a status byte
-    per node. Remote observations go through
-    {!apply}, which resolves conflicts on the [(version, status)]
-    lattice of {!Repro_discovery.Payload}: a higher version always wins,
-    and at equal versions the more pessimistic status does, so a down
-    verdict sticks until the node itself refutes it with a higher
-    incarnation.
+    The view holds a status byte and a version (each node's highest
+    observed incarnation) per node of the id universe, plus the list of
+    its live peers — the live nodes other than the owner — from which
+    every peer draw is taken in O(1) per id drawn. A node enters the
+    list when it becomes alive (or suspect) and is swap-removed from it
+    when it goes down. Remote observations go through {!apply}, which
+    resolves conflicts on the [(version, status)] lattice of
+    {!Repro_discovery.Payload}: a higher version always wins, and at
+    equal versions the more pessimistic status does, so a down verdict
+    sticks until the node itself refutes it with a higher incarnation.
 
     Failure-detector suspicion is deliberately {e not} on that lattice:
     {!suspect}/{!unsuspect} flip a node between alive and suspect
@@ -22,7 +23,6 @@
     members whose digests agree skip the whole-view exchange. *)
 
 open Repro_util
-open Repro_discovery
 
 type t
 
@@ -31,18 +31,20 @@ type applied =
   | Updated  (** recorded, liveness class unchanged *)
   | Changed of bool  (** recorded, and the node is now live iff [true] *)
 
-val create : cap:int -> owner:int -> labels:int array -> t
+val create : cap:int -> owner:int -> t
 (** A fresh view over the id universe [0 .. cap-1] knowing only its
-    owner, alive at version 1. [labels] is shared across the fleet (see
-    {!Repro_discovery.Knowledge.create}). *)
+    owner, alive at version 1.
+    @raise Invalid_argument if the owner is out of range. *)
 
-val knowledge : t -> Knowledge.t
 val owner : t -> int
 
+val universe : t -> int
+(** The [cap] the view was created with. *)
+
 val unknown : int
-(** The {!status} of a never-observed node (255). A node is in the
-    knowledge set exactly when its status is not [unknown]: {!apply}
-    adds it as it records its first status, and nothing removes it. *)
+(** The {!status} of a never-observed node (255). A node is known
+    exactly when its status is not [unknown]: {!apply} records its first
+    status, and nothing forgets it. *)
 
 val status : t -> int -> int
 (** Wire status of a node ({!Repro_discovery.Payload.status_alive} /
@@ -63,6 +65,11 @@ val is_live : t -> int -> bool
     invariant compares against the true fleet. *)
 
 val live_count : t -> int
+(** The number of live nodes, the owner included when it is live. *)
+
+val iter_live : t -> (int -> unit) -> unit
+(** Iterate the live peers (live nodes other than the owner), in no
+    particular order. *)
 
 val digest : t -> int
 (** The view digest: the XOR of {!entry_word} over every known node's
@@ -86,8 +93,10 @@ val entry_word : node:int -> version:int -> status:int -> int
 
 val apply : t -> node:int -> version:int -> status:int -> applied
 (** Merge one remote observation under the [(version, status)]
-    lattice. Adds the node to the knowledge set, records its version
-    and updates the {!digest} when accepted.
+    lattice. Records the node's version and status, updates the
+    {!digest} and, when the node's liveness flips, adds it to or
+    removes it from the live peers. O(1), except that a removal scans
+    the live peers for the node's place.
     @raise Invalid_argument on an out-of-range node, negative version
     or unknown status. *)
 
@@ -101,16 +110,13 @@ val unsuspect : t -> int -> bool
     suspect. *)
 
 val random_live : t -> Rng.t -> int option
-(** A uniformly random live node other than the owner; [None] when the
-    owner is the only live node it knows. A few rejection-sampling
-    draws over the known set, then a linear scan fallback when the view
-    is dominated by retired nodes. *)
+(** A uniformly random live peer: one draw over the live-peer list.
+    [None] when the owner knows no other live node. *)
 
 val random_live_sample : t -> Rng.t -> k:int -> exclude:int -> int array
-(** Up to [k] {e distinct} live nodes, excluding the owner and
-    [exclude] — the intermediary sample of an indirect-probe round.
-    Shorter than [k] (possibly empty) when the view does not hold that
-    many other live nodes. *)
-
-val iter_known : t -> (int -> unit) -> unit
-(** Iterate every known id (including down nodes and the owner). *)
+(** [min k e] {e distinct} live peers drawn uniformly without
+    replacement, where [e] is the number of live peers other than
+    [exclude] — the intermediary sample of an indirect-probe round. A
+    partial Fisher–Yates over the live-peer list: one draw per id
+    returned, plus one if a draw lands on [exclude]. It reorders the
+    list, which has no meaningful order. *)

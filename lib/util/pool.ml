@@ -1,14 +1,15 @@
 (* A small fork/join pool over OCaml 5 domains for embarrassingly
    parallel work.
 
-   Tasks are pulled from a shared queue guarded by a mutex: the first
-   idle worker takes the lowest unstarted index, which load-balances
-   uneven task costs (a 16k-node cell next to a 128-node cell) without
-   static partitioning. Results land in a slot array indexed by task, so
-   the merged output is in task order and independent of scheduling — the
-   property the experiment harness relies on for byte-identical reports
-   at any [jobs]. A condition variable signals the caller when the last
-   in-flight task has finished. *)
+   [run] is one phase of a {!Team}: every member pulls the next task
+   index from an atomic counter, so the first idle worker takes the
+   lowest unstarted index, which load-balances uneven task costs (a
+   16k-node cell next to a 128-node cell) without static partitioning.
+   Results land in a slot array indexed by task, so the merged output is
+   in task order and independent of scheduling — the property the
+   experiment harness relies on for byte-identical reports at any
+   [jobs]. The phase's barrier tells the caller when the last task has
+   finished. *)
 
 type 'a slot = Pending | Done of 'a | Failed of exn * Printexc.raw_backtrace
 
@@ -44,79 +45,17 @@ let sequential tasks =
     out
   end
 
-let run ~jobs (tasks : (unit -> 'a) array) : 'a array =
-  let n = Array.length tasks in
-  let jobs = min (min jobs n) hard_cap in
-  if jobs > 1 && Domain.DLS.get inside_key then
-    invalid_arg "Pool.run: nested parallel region (flatten the work into one task array)";
-  if jobs <= 1 || n <= 1 then sequential tasks
-  else begin
-    let slots = Array.make n Pending in
-    let lock = Mutex.create () in
-    let finished = Condition.create () in
-    let next = ref 0 in
-    let completed = ref 0 in
-    let take () =
-      Mutex.lock lock;
-      let i = !next in
-      if i < n then incr next;
-      Mutex.unlock lock;
-      if i < n then Some i else None
-    in
-    let mark_done () =
-      Mutex.lock lock;
-      incr completed;
-      if !completed = n then Condition.broadcast finished;
-      Mutex.unlock lock
-    in
-    let rec work () =
-      match take () with
-      | None -> ()
-      | Some i ->
-        (* Every task runs even if an earlier one failed, so the slot
-           array is always fully populated and the re-raised exception
-           (lowest failing index, below) is deterministic. *)
-        slots.(i) <- (try Done (tasks.(i) ()) with e -> Failed (e, Printexc.get_raw_backtrace ()));
-        mark_done ();
-        work ()
-    in
-    let worker () =
-      Domain.DLS.set inside_key true;
-      work ()
-    in
-    let spawned = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    (* The calling domain is a worker too: [jobs] counts busy domains,
-       not helpers on top of an idle coordinator. *)
-    Domain.DLS.set inside_key true;
-    Fun.protect ~finally:(fun () -> Domain.DLS.set inside_key false) work;
-    Mutex.lock lock;
-    while !completed < n do
-      Condition.wait finished lock
-    done;
-    Mutex.unlock lock;
-    Array.iter Domain.join spawned;
-    for i = 0 to n - 1 do
-      match slots.(i) with
-      | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-      | Done _ | Pending -> ()
-    done;
-    Array.map (function Done v -> v | Pending | Failed _ -> assert false) slots
-  end
-
-let map ~jobs f items =
-  Array.to_list (run ~jobs (Array.of_list (List.map (fun x -> fun () -> f x) items)))
-
-(* Persistent worker team for phase-parallel work: [run] above spawns
-   and joins domains per call, which is fine for coarse sweep cells but
-   ~100x too expensive for a per-round barrier inside a single simulated
-   run. A team spawns its domains once; each [Team.run] is one
-   barrier-to-barrier phase in which every member (the caller
-   participates as member 0) executes the same closure on its own shard
-   index. Coordination is a mutex/condvar epoch: posting a phase bumps
-   the epoch and wakes the workers, and the call returns when the last
-   member checks in — so phase N's writes happen-before phase N+1's
-   reads on every member, which is what lets the engine hand frozen
-   snapshots across shards without further synchronisation. *)
+(* Persistent worker team for phase-parallel work: a team spawns its
+   domains once, so a per-round barrier inside a single simulated run
+   costs a mutex/condvar round-trip, not a domain spawn. Each
+   [Team.run] is one barrier-to-barrier phase in which every member
+   (the caller participates as member 0) executes the same closure on
+   its own shard index. Coordination is a mutex/condvar epoch: posting
+   a phase bumps the epoch and wakes the workers, and the call returns
+   when the last member checks in — so phase N's writes happen-before
+   phase N+1's reads on every member, which is what lets the engine
+   hand frozen snapshots across shards without further
+   synchronisation. *)
 module Team = struct
   type t = {
     members : int;
@@ -220,3 +159,35 @@ module Team = struct
       Array.iter Domain.join t.domains
     end
 end
+
+let run ~jobs (tasks : (unit -> 'a) array) : 'a array =
+  let n = Array.length tasks in
+  let jobs = min (min jobs n) hard_cap in
+  if jobs > 1 && Domain.DLS.get inside_key then
+    invalid_arg "Pool.run: nested parallel region (flatten the work into one task array)";
+  if jobs <= 1 || n <= 1 then sequential tasks
+  else begin
+    let slots = Array.make n Pending in
+    let next = Atomic.make 0 in
+    (* Every task runs even if an earlier one failed, so the slot array
+       is always fully populated and the re-raised exception (lowest
+       failing index, below) is deterministic. *)
+    let rec work () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        slots.(i) <- (try Done (tasks.(i) ()) with e -> Failed (e, Printexc.get_raw_backtrace ()));
+        work ()
+      end
+    in
+    let team = Team.create ~members:jobs in
+    Fun.protect ~finally:(fun () -> Team.shutdown team) (fun () -> Team.run team (fun _ -> work ()));
+    for i = 0 to n - 1 do
+      match slots.(i) with
+      | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
+      | Done _ | Pending -> ()
+    done;
+    Array.map (function Done v -> v | Pending | Failed _ -> assert false) slots
+  end
+
+let map ~jobs f items =
+  Array.to_list (run ~jobs (Array.of_list (List.map (fun x -> fun () -> f x) items)))

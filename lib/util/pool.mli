@@ -2,7 +2,7 @@
 
     The experiment harness shards seed replicates and sweep cells across
     cores through this module. Scheduling is dynamic (idle workers take
-    the next unstarted task from a shared queue), but results are merged
+    the next unstarted task from a shared counter), but results are merged
     in task order, so any aggregation over them is deterministic — a
     suite run produces byte-identical output at [jobs = 1] and
     [jobs = 64].
@@ -36,11 +36,11 @@ val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     list order. *)
 
 (** Persistent worker team for phase-parallel work inside one
-    computation (e.g. the engine's sharded round loop). Where {!run}
-    spawns and joins domains per call, a team spawns its domains once
-    and then executes an arbitrary number of barrier-delimited phases,
-    so the per-phase cost is a mutex/condvar round-trip rather than a
-    domain spawn. *)
+    computation (e.g. the engine's sharded round loop). A team spawns
+    its domains once and then executes an arbitrary number of
+    barrier-delimited phases, so the per-phase cost is a mutex/condvar
+    round-trip rather than a domain spawn. {!run} is one phase of a
+    team created and shut down per call. *)
 module Team : sig
   type t
 

@@ -571,10 +571,10 @@ let test_batch_decode_allocates_its_payload () =
 let test_full_exchange_allocates_no_major_words () =
   let module Member = Repro_service.Member in
   let view = 300 and cap = 320 in
-  let labels = Array.init cap Fun.id and peers = Array.init view Fun.id in
+  let peers = Array.init view Fun.id in
   let reply = ref Bytes.empty in
   let member self ~send =
-    Member.create_genesis ~cap ~self ~labels ~peers ~rng:(Rng.create ~seed:self) ~full_sync:true
+    Member.create_genesis ~cap ~self ~peers ~rng:(Rng.create ~seed:self) ~full_sync:true
       ~indirect_k:2 ~lifeguard:true
       {
         Member.send;

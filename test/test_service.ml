@@ -301,7 +301,7 @@ let test_wire_probe_payloads_size_exact () =
 (* --- View versions / Payload updates ---------------------------------- *)
 
 let test_view_versions () =
-  let v = View.create ~cap:32 ~owner:0 ~labels:(Array.init 32 Fun.id) in
+  let v = View.create ~cap:32 ~owner:0 in
   let apply ~version = View.apply v ~node:5 ~version ~status:Payload.status_alive in
   Alcotest.(check int) "owner starts at 1" 1 (View.version v 0);
   Alcotest.(check int) "unobserved is 0" 0 (View.version v 5);
@@ -353,7 +353,7 @@ let test_fault_leave_crash_exclusive () =
 (* --- View: the (version, status) lattice ------------------------------ *)
 
 let test_view_lattice () =
-  let v = View.create ~cap:16 ~owner:0 ~labels:(Array.init 16 Fun.id) in
+  let v = View.create ~cap:16 ~owner:0 in
   Alcotest.(check bool) "owner live" true (View.is_live v 0);
   Alcotest.(check bool) "unknown not live" false (View.is_live v 3);
   (match View.apply v ~node:3 ~version:1 ~status:Payload.status_alive with
@@ -376,7 +376,7 @@ let test_view_lattice () =
   Alcotest.(check int) "live count" 2 (View.live_count v)
 
 let test_view_suspicion_is_local () =
-  let v = View.create ~cap:16 ~owner:0 ~labels:(Array.init 16 Fun.id) in
+  let v = View.create ~cap:16 ~owner:0 in
   ignore (View.apply v ~node:5 ~version:1 ~status:Payload.status_alive);
   Alcotest.(check bool) "suspect flips" true (View.suspect v 5);
   Alcotest.(check bool) "still live" true (View.is_live v 5);
@@ -433,7 +433,7 @@ let prop_view_digest_incremental =
     (fun ops ->
       let sent = ref [] in
       let m =
-        Member.create_genesis ~cap ~self:0 ~labels:(Array.init cap Fun.id) ~peers:[| 0; 1; 2; 3 |]
+        Member.create_genesis ~cap ~self:0 ~peers:[| 0; 1; 2; 3 |]
           ~rng:(Repro_util.Rng.create ~seed:1) ~full_sync:true ~indirect_k:2 ~lifeguard:true
           (quiet_actions (fun ~dst:_ payload ->
                match payload with
@@ -466,6 +466,64 @@ let prop_view_digest_incremental =
       Member.deliver m ~src ~now:1.0 (Payload.Sync { digest = View.digest v lxor 1 });
       quiet && !sent = [ `Batch (View.digest v) ])
 
+(* After any sequence of merges and local suspicions, the live-peer
+   list is exactly the live nodes other than the owner, [live_count]
+   counts the live nodes, and a sample of [k] peers excluding [exclude]
+   holds [min k eligible] distinct live peers, never the owner or
+   [exclude]. Merges reach the owner too, and every step also draws
+   one sample, whose in-place shuffle must leave the list's set as it
+   was. *)
+let prop_view_live_list =
+  let cap = 24 and owner = 0 in
+  QCheck2.Test.make ~name:"live list tracks liveness; samples are distinct live peers" ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 0 80)
+        (let* node = int_range 0 (cap - 1) in
+         let* op =
+           oneof
+             [
+               (let* version = int_range 0 4 and* status = int_range 0 Payload.status_down in
+                return (Apply (node, version, status)));
+               return (Suspect node);
+               return (Unsuspect node);
+             ]
+         in
+         let* k = int_range 0 6 and* exclude = int_range (-1) (cap - 1) in
+         return (op, k, exclude)))
+    (fun steps ->
+      let v = View.create ~cap ~owner in
+      let rng = Repro_util.Rng.create ~seed:3 in
+      let list () =
+        let l = ref [] in
+        View.iter_live v (fun p -> l := p :: !l);
+        List.sort Int.compare !l
+      in
+      let expected () = List.filter (fun p -> p <> owner && View.is_live v p) (List.init cap Fun.id) in
+      let consistent () =
+        list () = expected ()
+        && View.live_count v = List.length (List.filter (View.is_live v) (List.init cap Fun.id))
+      in
+      let sample_ok k exclude =
+        let eligible = List.length (List.filter (fun p -> p <> exclude) (expected ())) in
+        let got = Array.to_list (View.random_live_sample v rng ~k ~exclude) in
+        List.length got = min k eligible
+        && List.length (List.sort_uniq Int.compare got) = List.length got
+        && List.for_all (fun p -> p <> owner && p <> exclude && View.is_live v p) got
+      in
+      let draw_ok () =
+        match View.random_live v rng with
+        | None -> expected () = []
+        | Some p -> p <> owner && View.is_live v p
+      in
+      List.for_all
+        (fun (op, k, exclude) ->
+          (match op with
+          | Apply (node, version, status) -> ignore (View.apply v ~node ~version ~status)
+          | Suspect node -> ignore (View.suspect v node)
+          | Unsuspect node -> ignore (View.unsuspect v node));
+          consistent () && sample_ok k exclude && consistent () && draw_ok ())
+        steps)
+
 (* Two views that differ in exactly one entry — one node held at
    another (version, exported status), or known on one side only —
    never share a digest. Every pair of one node's options is tried, for
@@ -474,7 +532,6 @@ let prop_view_digest_incremental =
    packing's edges. *)
 let test_view_digest_single_change () =
   let cap = 32 in
-  let labels = Array.init cap Fun.id in
   let options =
     None
     :: List.concat_map
@@ -483,7 +540,7 @@ let test_view_digest_single_change () =
          [ 0; 1; 2; 7 ]
   in
   let view_with node option =
-    let v = View.create ~cap ~owner:0 ~labels in
+    let v = View.create ~cap ~owner:0 in
     for other = 1 to cap - 1 do
       if other <> node && other mod 3 <> 0 then
         ignore
@@ -539,10 +596,9 @@ let test_view_digest_single_change () =
    entry and agree. *)
 let test_member_digest_repairs_planted_entry () =
   let cap = 16 and interval = 64 in
-  let labels = Array.init cap Fun.id in
   let wire = Queue.create () in
   let member self =
-    Member.create_genesis ~cap ~self ~labels ~peers:[| 0; 1 |]
+    Member.create_genesis ~cap ~self ~peers:[| 0; 1 |]
       ~rng:(Repro_util.Rng.create ~seed:(7 + self)) ~full_sync:true ~indirect_k:2 ~lifeguard:true
       (quiet_actions (fun ~dst payload ->
            Queue.push (self, dst, encode Wire.Adaptive ~universe:cap payload) wire))
@@ -779,9 +835,11 @@ let test_service_observer_tables_bounded () =
   Alcotest.(check bool) "epoch table bounded by open epochs" true
     (stats.Service.lag_table_peak < stats.Service.epochs);
   Alcotest.(check int) "snapshot high-water pinned" 25 stats.Service.snapshots_peak;
-  (* 10 before the sync went digest first; the run's message trajectory
-     changed by design, and the bound checks above still hold *)
-  Alcotest.(check int) "epoch-table high-water pinned" 11 stats.Service.lag_table_peak
+  (* 10 before the sync went digest first, 11 until peers were drawn
+     from the view's live list instead of by rank over its known set;
+     each moved the run's message trajectory by design, and the bound
+     checks above still hold *)
+  Alcotest.(check int) "epoch-table high-water pinned" 10 stats.Service.lag_table_peak
 
 (* --- chaos matrix: the known-failing cell stays pinned ---------------- *)
 
@@ -875,6 +933,7 @@ let () =
           Alcotest.test_case "suspicion local" `Quick test_view_suspicion_is_local;
           Alcotest.test_case "digest single change" `Quick test_view_digest_single_change;
           QCheck_alcotest.to_alcotest prop_view_digest_incremental;
+          QCheck_alcotest.to_alcotest prop_view_live_list;
           Alcotest.test_case "digest repairs planted entry" `Quick
             test_member_digest_repairs_planted_entry;
         ] );
