@@ -1,9 +1,10 @@
 (* bench/main.exe — the full benchmark harness.
 
-   Part 1 (B2-B9, B11, B14, B15): microbenchmarks of the hot substrate
-   operations (B14: one wire round trip of a snapshot) and of one
-   complete discovery run per key algorithm (B15: hm on the
-   asynchronous engine): time per run is Bechamel's OLS estimate on the
+   Part 1 (B2-B9, B11, B14-B17): microbenchmarks of the hot substrate
+   operations (B14: one wire round trip of a snapshot; B17: the int
+   sort on a learn-order-shaped batch) and of one complete discovery
+   run per key algorithm (B15: hm on the asynchronous engine; B16:
+   flooding): time per run is Bechamel's OLS estimate on the
    monotonic clock, and minor words per run an exact [Gc.minor_words]
    count over a fixed number of runs after a warm-up run; plus two
    single-shot subjects — B12 (full hm run at 65,536) and B13
@@ -88,6 +89,23 @@ let b5 = full_run "B5 full_run_hm_1024" Hm_gossip.algorithm
 let b6 = full_run "B6 full_run_name_dropper_1024" Name_dropper.algorithm
 let b7 = full_run "B7 full_run_min_pointer_1024" Min_pointer.algorithm
 let b8 = full_run "B8 full_run_rand_gossip_1024" Rand_gossip.algorithm
+
+(* Flooding is most of the paper table's time: every round re-sends a
+   node's unacknowledged learn-order slice to each neighbour, so the
+   run is dominated by sizing and merging those slices. *)
+let b16 = full_run "B16 full_run_flooding_1024" Flooding.algorithm
+
+(* The int sort behind message sizing and batch merges, on the shape a
+   flooding delta has: 4,096 ids in 8 ascending runs laid end to end.
+   Each run copies the input into a work array and sorts it there. *)
+let b17_sort_runs =
+  let m = 4096 and runs = 8 in
+  let input = Array.init m (fun i -> ((i mod (m / runs)) * runs) + (i / (m / runs))) in
+  let work = Array.make m 0 in
+  subject "B17 sort_prefix_runs_4096" (fun () ->
+      Intvec.blit_ints input 0 work 0 m;
+      Intvec.sort_prefix work m;
+      work.(0))
 
 (* B5's run on the asynchronous engine: the async clock's event heap,
    lazy lifecycle rules and per-message latency draws, under the same
@@ -261,7 +279,7 @@ let words_per_run s =
 
 let measure_subjects () =
   let subjects =
-    [ b2_rng; b3_knowledge_merge; b4_graph_gen; b5; b6; b7; b8; b9_broadcast ]
+    [ b2_rng; b3_knowledge_merge; b4_graph_gen; b5; b6; b7; b8; b16; b17_sort_runs; b9_broadcast ]
     @ cset_subjects "union" Cset.union_into Cset.diff_into (fun dst0 src -> cset_minus src dst0)
     @ cset_subjects "diff" Cset.diff_into Cset.union_into (fun dst0 src ->
           cset_minus dst0 (cset_minus dst0 src))

@@ -1,5 +1,7 @@
 #!/bin/sh
-# Guard the integer kernels of the knowledge-merge path, of the
+# Guard the integer kernels of the knowledge-merge path (with the
+# broadcast algorithms and the one-shot runners, Run and Run_async,
+# that size every message), of the
 # membership service's update path and runtime loop, of the
 # asynchronous scheduler's per-event path (event heap, async clock,
 # mux), of the per-message resolution path (the round engine, its
@@ -39,7 +41,8 @@ repro_discovery__Payload repro_discovery__Wire repro_discovery__Hm_gossip
 repro_discovery__Flooding repro_discovery__Exec repro_service__Member
 repro_service__View repro_service__Service repro_util__Heap repro_engine__Async_sim repro_net__Mux
 repro_engine__Sim repro_engine__Outbox repro_net__Faultnet repro_util__Rng
-repro_net__Node_core repro_net__Envelope repro_engine__Metrics"
+repro_net__Node_core repro_net__Envelope repro_engine__Metrics
+repro_discovery__Run repro_discovery__Run_async repro_discovery__Swamping"
 banned='caml_(compare|equal|notequal|lessthan|lessequal|greaterthan|greaterequal)$'
 int_modules="repro_util__Cset repro_util__Intvec"
 banned_blit='^(camlStdlib__Array\.blit|caml_array_blit)'

@@ -150,8 +150,8 @@ let merge_snapshot t (s : snap) =
 
    Most of a gossip batch is already known (about five in six ids of a
    flooding delta), so the batch is filtered first: only ids absent from
-   [bits] go into a scratch vector, which is sorted only when it is not
-   already ascending, and then added in order. The scratch is
+   [bits] go into a scratch vector, which is sorted (in one pass when it
+   is already ascending) and then added in order. The scratch is
    domain-local (parallel sweeps merge concurrently) rather than per
    knowledge, so a run pays for one, not one per node. *)
 let fresh_scratch : Intvec.t Domain.DLS.key = Domain.DLS.new_key (fun () -> Intvec.create ())
@@ -165,11 +165,7 @@ let stage t fresh v = if not (Cset.mem t.bits v) then Intvec.push fresh v
 
 let absorb_fresh t fresh =
   let m = Intvec.length fresh in
-  let ascending = ref true in
-  for i = 1 to m - 1 do
-    if Intvec.get fresh (i - 1) > Intvec.get fresh i then ascending := false
-  done;
-  if not !ascending then Intvec.sort fresh;
+  Intvec.sort fresh;
   let learned = ref 0 in
   for i = 0 to m - 1 do
     let v = Intvec.get fresh i in

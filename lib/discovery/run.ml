@@ -68,7 +68,7 @@ let exec_spec spec (algo : Algorithm.t) topology =
     end
   in
   let config = { Sim.max_rounds; fault; engine_seed = seed; trace; jobs } in
-  let measure_bytes = Wire.encoded_size encoding ~universe:n in
+  let measure_bytes = Wire.sizer encoding ~universe:n in
   let on_restart ~node =
     Exec.restart_instance ~seed ~labels algo topology instances ~node;
     (* a restart resets the node's provenance to its initial knowledge *)

@@ -64,7 +64,7 @@ let exec_spec spec (algo : Algorithm.t) topology =
     Exec.restart_instance ~seed ~labels algo topology instances ~node;
     genesis ~node
   in
-  let measure_bytes = Wire.encoded_size Wire.Adaptive ~universe:n in
+  let measure_bytes = Wire.sizer Wire.Adaptive ~universe:n in
   let outcome =
     Async_sim.run ~n ~config ~handlers ~measure:Payload.measure ~measure_bytes ~stop
       ~on_restart ?on_deliver ()

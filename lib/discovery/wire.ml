@@ -428,6 +428,19 @@ let encoded_size encoding ~universe payload =
     let vbytes = sorted_vbytes !(Domain.DLS.get size_scratch) card in
     2 + body_size (codec_of encoding ~universe ~card Fun.id vbytes) ~universe ~card Fun.id vbytes
 
+(* The engine sizes every message it accounts, and a fan-out hands one
+   payload value to each of its recipients in a row, so remembering the
+   last payload, by physical equality, sizes each fan-out once. The memo
+   starts at [Probe], a constant whose size is its own. *)
+let sizer encoding ~universe =
+  let last = ref Payload.Probe and size = ref (encoded_size encoding ~universe Payload.Probe) in
+  fun payload ->
+    if payload != !last then begin
+      size := encoded_size encoding ~universe payload;
+      last := payload
+    end;
+    !size
+
 (* Decoding is defensive: the input may come off a socket, so every
    malformed buffer — truncation, corruption, hostile lengths — must be
    reported as [Error], never raised, and must never trigger a large

@@ -83,6 +83,17 @@ val encoded_size : encoding -> universe:int -> Payload.t -> int
     checked for canonical form in the same pass that sizes it.
     @raise Invalid_argument on an update batch that {!encode} refuses. *)
 
+val sizer : encoding -> universe:int -> Payload.t -> int
+(** [sizer e ~universe] is [encoded_size e ~universe] with a memo of the
+    last payload sized, keyed by physical equality: a fan-out hands one
+    payload value to every recipient in a row, so it is sized once. The
+    engines' [measure_bytes] is this function ({!Repro_engine.Sim.run}
+    calls it from the coordinator only, in the canonical order). A
+    payload must not be mutated once sent, or a resend of the same value
+    reads its old size; a lent update batch is a fresh [Updates] record
+    per send, so it never hits the memo. The memo is one closure's
+    state, not shared: make one sizer per run, used by one domain. *)
+
 val ids_of_payload : Payload.t -> int list
 (** The sorted identifier set a payload carries (empty for [Probe]) —
     the equality used by the codec round-trip laws. *)

@@ -74,7 +74,11 @@ val run :
     round's deliveries, and once before round 1 for trivially-complete
     instances) or [max_rounds] is reached. [measure] gives the pointer
     count of a message for accounting; [measure_bytes] (default: constant
-    0, i.e. byte accounting off) its wire size. [on_restart] fires when a
+    0, i.e. byte accounting off) its wire size. Both are called once per
+    message, from the coordinator only, in the canonical order, so a
+    fan-out's messages are measured in a row and [measure_bytes] may
+    keep state, such as a memo of the last payload sized, without a
+    lock. [on_restart] fires when a
     scheduled restart revives a crashed node, before the node's next
     [round_begin]: the caller must reset that node's algorithm state to
     its initial world view (default: no-op, i.e. the node resumes with

@@ -86,6 +86,13 @@ val reason : bytes -> off:int -> int -> string
     frame at [off].
     @raise Invalid_argument on a verdict that is not negative. *)
 
+val crc32 : bytes -> off:int -> len:int -> int
+(** [crc32 buf ~off ~len] is the CRC-32 (IEEE 802.3, reflected, the
+    zlib/Ethernet checksum) of the [len] bytes at [off], the function
+    {!seal} and {!decode} apply to the header's first 24 bytes followed
+    by the body. Computed eight bytes a step (slicing-by-8), without
+    allocating. @raise Invalid_argument if the slice lies outside [buf]. *)
+
 (** {2 Header fields}
 
     Each reads one field of a frame at [off] that {!decode} accepted. *)

@@ -80,34 +80,120 @@ let fold f init t =
 
 let to_array t = Array.sub t.data 0 t.len
 
-(* In-place heapsort of [arr.(0..m-1)]: [Array.sort] cannot sort a
-   prefix of a longer scratch without an allocating copy, and its
-   comparison closure costs a call per step. [sift] and the swaps are
-   top-level and int-typed, so the sort builds no closures and compares
-   inline. *)
-let rec sift (arr : int array) i len =
-  let l = (2 * i) + 1 in
-  if l < len then begin
-    let c = if l + 1 < len && arr.(l + 1) > arr.(l) then l + 1 else l in
-    if arr.(c) > arr.(i) then begin
-      let t = arr.(i) in
-      arr.(i) <- arr.(c);
-      arr.(c) <- t;
-      sift arr c len
-    end
+(* Natural merge sort of [arr.(0..m-1)]. Discovery's id batches arrive
+   as a few ascending runs laid end to end (a flooding delta is a slice
+   of a learn order, which grows by ascending batches), so the sort finds
+   the maximal ascending runs, extends any run shorter than [min_run]
+   with insertion sort, and merges adjacent runs pairwise, back and forth
+   between [arr] and a scratch, until one run is left: O(m) on sorted
+   input, O(m log r) on r runs, O(m log m) at worst. [Array.sort] cannot
+   sort a prefix of a longer scratch without an allocating copy, and its
+   comparison closure costs a call per step; these loops are top-level
+   and int-typed, so they build no closures and compare inline.
+
+   The merge buffer and the run bounds are domain-local (parallel
+   sweeps sort concurrently) and grow-only. The first sort on a domain
+   sizes the buffer for at least [min_scratch] ids, so small sorts never
+   grow it again; every run but the last is at least [min_run] long, so
+   ⌈m / min_run⌉ + 1 bounds suffice. *)
+let min_run = 32
+let min_scratch = 1024
+
+type scratch = { mutable buf : int array; mutable bounds : int array }
+
+let bounds_for cap = Array.make (((cap + min_run - 1) / min_run) + 1) 0
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { buf = Array.make min_scratch 0; bounds = bounds_for min_scratch })
+
+let scratch_for m =
+  let sc = Domain.DLS.get scratch_key in
+  let have = Array.length sc.buf in
+  if have < m then begin
+    let cap = if m > 2 * have then m else 2 * have in
+    sc.buf <- Array.make cap 0;
+    sc.bounds <- bounds_for cap
+  end;
+  sc
+
+(* Insertion of [arr.(sorted .. hi-1)] into the ascending [arr.(lo .. sorted-1)]. *)
+let insertion_sort (arr : int array) lo sorted hi =
+  for i = sorted to hi - 1 do
+    let v = Array.unsafe_get arr i in
+    let j = ref (i - 1) in
+    while !j >= lo && Array.unsafe_get arr !j > v do
+      Array.unsafe_set arr (!j + 1) (Array.unsafe_get arr !j);
+      decr j
+    done;
+    Array.unsafe_set arr (!j + 1) v
+  done
+
+(* End of the run starting at [lo], at least [min_run] long (or up to [m]). *)
+let next_run (arr : int array) lo m =
+  let hi = ref (lo + 1) in
+  while !hi < m && Array.unsafe_get arr (!hi - 1) <= Array.unsafe_get arr !hi do
+    incr hi
+  done;
+  let stop = if lo + min_run < m then lo + min_run else m in
+  if !hi < stop then begin
+    insertion_sort arr lo !hi stop;
+    stop
   end
+  else !hi
+
+(* Merge ascending [src.(lo .. mid-1)] and [src.(mid .. hi-1)] into [dst.(lo .. hi-1)]. *)
+let merge (src : int array) lo mid hi (dst : int array) =
+  let i = ref lo and j = ref mid and k = ref lo in
+  while !i < mid && !j < hi do
+    let a = Array.unsafe_get src !i and b = Array.unsafe_get src !j in
+    if a <= b then begin
+      Array.unsafe_set dst !k a;
+      incr i
+    end
+    else begin
+      Array.unsafe_set dst !k b;
+      incr j
+    end;
+    incr k
+  done;
+  if !i < mid then blit_ints src !i dst !k (mid - !i) else blit_ints src !j dst !k (hi - !j)
 
 let sort_prefix arr m =
   if m < 0 || m > Array.length arr then invalid_arg "Intvec.sort_prefix: invalid length";
-  for i = (m / 2) - 1 downto 0 do
-    sift arr i m
+  let sc = scratch_for m in
+  let bounds = sc.bounds in
+  (* bounds.(0 .. runs) delimit the runs *)
+  let runs = ref 0 and lo = ref 0 in
+  while !lo < m do
+    let hi = next_run arr !lo m in
+    incr runs;
+    bounds.(!runs) <- hi;
+    lo := hi
   done;
-  for len = m - 1 downto 1 do
-    let t = arr.(0) in
-    arr.(0) <- arr.(len);
-    arr.(len) <- t;
-    sift arr 0 len
-  done
+  let src = ref arr and dst = ref sc.buf in
+  while !runs > 1 do
+    let merged = ref 0 and r = ref 0 in
+    while !r < !runs do
+      let lo = bounds.(!r) in
+      if !r + 1 < !runs then begin
+        merge !src lo bounds.(!r + 1) bounds.(!r + 2) !dst;
+        r := !r + 2
+      end
+      else begin
+        (* the odd run out moves across as it is *)
+        blit_ints !src lo !dst lo (bounds.(!r + 1) - lo);
+        incr r
+      end;
+      incr merged;
+      bounds.(!merged) <- bounds.(!r)
+    done;
+    runs := !merged;
+    let t = !src in
+    src := !dst;
+    dst := t
+  done;
+  if !src != arr then blit_ints !src 0 arr 0 m
 
 let sort t = sort_prefix t.data t.len
 

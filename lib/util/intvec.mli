@@ -33,12 +33,24 @@ val to_array : t -> int array
 
 val sort_prefix : int array -> int -> unit
 (** [sort_prefix arr m] sorts [arr.(0 .. m-1)] ascending in place,
-    leaving the rest of [arr] untouched. An allocation-free heapsort
-    with inline integer comparisons, for scratch arrays longer than the
-    part in use. @raise Invalid_argument unless [0 <= m <= Array.length arr]. *)
+    leaving the rest of [arr] untouched, for scratch arrays longer than
+    the part in use. A natural merge sort with inline integer
+    comparisons: it finds the maximal ascending runs, extends a run
+    shorter than 32 ids by insertion sort, and merges adjacent runs
+    pairwise until one is left, so it costs O(m) on sorted input,
+    O(m log r) on [r] ascending runs (a learn-order slice, which grows
+    by ascending batches) and O(m log m) at worst.
+
+    The merge buffer ([m] ints) and the run bounds (⌈m / 32⌉ + 1 ints)
+    are scratch of the calling domain, so sorts on different domains
+    run concurrently. The scratch only grows, and the first sort on a
+    domain sizes it for at least 1,024 ids: once a domain has sorted
+    [m] ids, a sort of up to [m] ids (and any sort of up to 1,024)
+    allocates nothing. @raise Invalid_argument unless
+    [0 <= m <= Array.length arr]. *)
 
 val sort : t -> unit
-(** Sorts the elements ascending in place, without allocating. *)
+(** Sorts the elements ascending in place with {!sort_prefix}. *)
 
 val of_array : int array -> t
 val last : t -> int

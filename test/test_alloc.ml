@@ -478,6 +478,34 @@ let test_unsorted_batch_merge_allocates_nothing () =
   if extra > 0.0 then
     Alcotest.failf "unsorted 64-id batch merge allocated %.0f minor words (expected 0)" extra
 
+(* The int sort's merge buffer and run bounds are domain-local and
+   grow-only: once one sort on the domain has grown them, sorts of any
+   size up to it allocate nothing on either heap. The inputs are the
+   learn-order shape (ascending runs end to end) with a scrambled
+   stretch, so both the insertion and the merge steps run. *)
+let test_sort_prefix_allocates_nothing () =
+  let input m = Array.init m (fun i -> if i < m / 2 then (i mod 97) * m + i else (i * 7919) mod m) in
+  let largest = 5000 in
+  let work = Array.make largest 0 in
+  let src = input largest in
+  Intvec.blit_ints src 0 work 0 largest;
+  Intvec.sort_prefix work largest;
+  List.iter
+    (fun m ->
+      let src = input m in
+      Intvec.blit_ints src 0 work 0 m;
+      let cal_before = allocated_words () in
+      let cal_after = allocated_words () in
+      let overhead = cal_after -. cal_before in
+      let before = allocated_words () in
+      Intvec.sort_prefix work m;
+      let words = allocated_words () -. before -. overhead in
+      for i = 1 to m - 1 do
+        if work.(i - 1) > work.(i) then Alcotest.failf "%d ids not sorted at %d" m i
+      done;
+      if words > 0.0 then Alcotest.failf "sorting %d ids allocated %.0f words (expected 0)" m words)
+    [ 64; 1000; largest ]
+
 (* A probe is encoded straight into its exactly sized frame: one
    [Bytes] block of at most 11 bytes (kind byte plus two varints) is a
    header and at most two words, with no growing buffer behind it. *)
@@ -834,6 +862,8 @@ let () =
             test_bitmap_queries_allocate_nothing;
           Alcotest.test_case "unsorted batch merge is allocation-free" `Quick
             test_unsorted_batch_merge_allocates_nothing;
+          Alcotest.test_case "int sort is allocation-free after a warm-up" `Quick
+            test_sort_prefix_allocates_nothing;
           Alcotest.test_case "probe encoding is one small block" `Quick
             test_probe_encode_is_one_block;
           Alcotest.test_case "delta encoding is small" `Quick test_delta_encode_is_small;

@@ -124,12 +124,47 @@ let prop_push_pop_roundtrip =
       let popped = List.init (List.length xs) (fun _ -> Intvec.pop v) in
       popped = List.rev xs && Intvec.is_empty v)
 
+(* Inputs shaped like the sort's callers' batches as well as arbitrary
+   ones: ascending runs laid end to end (a slice of a learn order, which
+   grows by ascending batches), descending, all-equal, heavy duplicates
+   and presorted; lengths run past the insertion-sort runs and the
+   first scratch size. *)
+let gen_sort_input =
+  QCheck2.Gen.(
+    let* len = oneof [ int_range 0 100; int_range 0 5000 ] in
+    let sorted a =
+      Array.sort compare a;
+      a
+    in
+    let* a =
+      oneof
+        [
+          array_size (return len) (int_range (-1_000_000) 1_000_000);
+          array_size (return len) (int_range (-50) 50);
+          map (fun v -> Array.make len v) int;
+          map (fun a -> sorted a) (array_size (return len) int);
+          map
+            (fun a ->
+              let a = sorted a in
+              Array.init len (fun i -> a.(len - 1 - i)))
+            (array_size (return len) int);
+          (let* runs = int_range 1 12 in
+           let* a = array_size (return len) (int_range 0 (4 * (len + 1))) in
+           let* cuts = array_size (return (runs - 1)) (int_range 0 len) in
+           let cuts = sorted (Array.append [| 0; len |] cuts) in
+           for r = 0 to Array.length cuts - 2 do
+             let part = Array.sub a cuts.(r) (cuts.(r + 1) - cuts.(r)) in
+             Array.blit (sorted part) 0 a cuts.(r) (Array.length part)
+           done;
+           return a);
+        ]
+    in
+    let* m = oneof [ return len; int_range 0 len ] in
+    return (a, m))
+
 let prop_sort_prefix_matches_array_sort =
-  QCheck2.Test.make ~name:"sort_prefix sorts the prefix and leaves the tail" ~count:300
-    QCheck2.Gen.(
-      let* xs = list_size (int_range 0 100) (int_range (-50) 50) in
-      let* m = int_range 0 (List.length xs) in
-      return (Array.of_list xs, m))
+  QCheck2.Test.make ~name:"sort_prefix sorts the prefix and leaves the tail" ~count:500
+    gen_sort_input
     (fun (a, m) ->
       let sorted = Array.sub a 0 m in
       Array.sort compare sorted;

@@ -130,6 +130,42 @@ let test_envelope_hostile_length () =
   Alcotest.(check int) "length past the buffer is a prefix" Envelope.need_more
     (claim Envelope.max_body)
 
+(* CRC-32 one byte at a time, from the polynomial: the reference the
+   envelope's table-driven CRC is checked against. *)
+let crc_reference buf off len =
+  let c = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code (Bytes.get buf i);
+    for _ = 1 to 8 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc_known_answer () =
+  let check = Bytes.of_string "123456789" in
+  Alcotest.(check int) "CRC-32 check value" 0xCBF43926 (Envelope.crc32 check ~off:0 ~len:9);
+  Alcotest.(check int) "reference check value" 0xCBF43926 (crc_reference check 0 9);
+  Alcotest.(check int) "empty input" 0 (Envelope.crc32 check ~off:4 ~len:0);
+  Alcotest.check_raises "slice past the end" (Invalid_argument "Envelope.crc32: slice out of bounds")
+    (fun () -> ignore (Envelope.crc32 check ~off:5 ~len:5))
+
+(* Every length from 0 to 600 at odd offsets, so the eight-byte steps
+   start unaligned and every tail length occurs; and a sealed frame's
+   CRC field is the reference over its first 24 bytes then its body. *)
+let prop_crc_matches_bytewise =
+  QCheck2.Test.make ~name:"crc32 and seal match the bytewise CRC" ~count:300
+    QCheck2.Gen.(
+      let* len = int_range 0 600 in
+      let* off = map (fun k -> (2 * k) + 1) (int_range 0 8) in
+      let* data = string_size ~gen:char (return (off + len)) in
+      return (Bytes.of_string data, off, len))
+    (fun (buf, off, len) ->
+      let frame = frame_of Envelope.Data ~src:5 ~stamp:len ~seq:off ~ack:1 (Bytes.sub buf off len) in
+      let split = Bytes.cat (Bytes.sub frame 0 24) (Bytes.sub buf off len) in
+      Envelope.crc32 buf ~off ~len = crc_reference buf off len
+      && Bytes.get_int32_le frame 24 = Int32.of_int (crc_reference split 0 (24 + len)))
+
 (* One whole frame into a core: a valid frame is handled, a flipped
    body byte fails the CRC, a truncated frame is a decode error. *)
 let test_node_core_receive () =
@@ -1240,6 +1276,8 @@ let () =
           Alcotest.test_case "lent-frames-never-written" `Quick test_lent_frames_never_written;
           Alcotest.test_case "hostile-length-at-offset" `Quick test_envelope_hostile_length;
           QCheck_alcotest.to_alcotest prop_envelopes_back_to_back;
+          Alcotest.test_case "crc-known-answer" `Quick test_crc_known_answer;
+          QCheck_alcotest.to_alcotest prop_crc_matches_bytewise;
         ] );
       ("backend", [ Alcotest.test_case "roundtrip" `Quick test_backend_roundtrip ]);
       ( "addr-table",

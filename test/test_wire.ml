@@ -151,6 +151,38 @@ let test_relative_sizes () =
   Alcotest.(check bool) "raw32 is the baseline" true
     (size Wire.Raw32 small >= size Wire.Varint_delta small)
 
+(* The sizer remembers the last payload by physical equality: over
+   repeats, alternations and a payload re-sent after others it agrees
+   with [encoded_size] every time, and a structurally equal but
+   physically distinct payload is sized afresh (its snapshot's cached
+   varint size, unset, is computed). *)
+let test_sizer_matches_encoded_size () =
+  let learn = Intvec.of_array [| 40; 41; 90; 3; 7; 250 |] in
+  let a = Payload.Share (Payload.Ids [| 9; 1; 5; 1 |])
+  and b = Payload.Share (Payload.Delta (Intvec.slice learn ~pos:1 ~len:5))
+  and c = Payload.Reply (Payload.Bits (bsnap universe (Array.init 200 Fun.id)))
+  and d = Payload.Exchange (Payload.Ids [| 299 |]) in
+  let sequence = [ a; a; a; b; a; b; a; c; c; Payload.Probe; b; d; a; Payload.Halt; a; d; d ] in
+  List.iter
+    (fun e ->
+      let size = Wire.sizer e ~universe in
+      List.iteri
+        (fun i p ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s, message %d" (Wire.encoding_name e) i)
+            (Wire.encoded_size e ~universe p) (size p))
+        sequence)
+    Wire.all_encodings;
+  let snap () = bsnap universe [| 1; 2; 3 |] in
+  let s1 = snap () and s2 = snap () in
+  let size = Wire.sizer Wire.Varint_delta ~universe in
+  let first = size (Payload.Share (Payload.Bits s1)) in
+  (* clear the first's cache, so the two are structurally equal *)
+  s1.Knowledge.vbytes <- -1;
+  Alcotest.(check int) "the second snapshot is not yet sized" (-1) s2.Knowledge.vbytes;
+  Alcotest.(check int) "equal payloads, equal sizes" first (size (Payload.Share (Payload.Bits s2)));
+  Alcotest.(check bool) "the second snapshot was sized" true (s2.Knowledge.vbytes >= 0)
+
 let test_probe_size () =
   Alcotest.(check int) "probe is one byte" 1 (Wire.encoded_size Wire.Adaptive ~universe Payload.Probe)
 
@@ -821,6 +853,7 @@ let () =
           Alcotest.test_case "size matches encode" `Quick test_size_matches_encode;
           Alcotest.test_case "relative sizes" `Quick test_relative_sizes;
           Alcotest.test_case "probe size" `Quick test_probe_size;
+          Alcotest.test_case "sizer matches encoded_size" `Quick test_sizer_matches_encoded_size;
         ] );
       ( "validation",
         [
