@@ -3,8 +3,12 @@
     One instance is reused across every round of a simulation run:
     {!clear} resets the length without releasing storage, so steady-state
     rounds push into already-allocated arrays and the engine's send phase
-    allocates nothing. Iteration order is push order — the engine's
-    delivery phase depends on it.
+    allocates nothing. Slots are numbered [0 .. length - 1] in push
+    order; {!iter} and {!filter} walk them in that order, and the
+    engine's delivery index names them by number.
+
+    A slot's source and destination are packed into one int word, so a
+    slot costs two words: its ids and its message.
 
     After {!clear}, message references pushed in earlier rounds are
     retained until overwritten by later pushes (the element type has no
@@ -12,6 +16,9 @@
     high-water mark. *)
 
 type 'msg t
+
+val max_id : int
+(** The largest source or destination a slot holds: [2^31 - 1]. *)
 
 val create : unit -> 'msg t
 val length : 'msg t -> int
@@ -25,8 +32,21 @@ val capacity : 'msg t -> int
     reuse. *)
 
 val push : 'msg t -> src:int -> dst:int -> 'msg -> unit
-(** [dst] must be non-negative: a negative destination marks a
-    cancelled slot. *)
+(** Append a slot.
+    @raise Invalid_argument if [src] or [dst] is outside [0 .. max_id]. *)
+
+val dst : 'msg t -> int -> int
+(** [dst t i] is slot [i]'s destination, or [-1] if the slot is
+    cancelled.
+    @raise Invalid_argument unless [0 <= i < length t]. *)
+
+val src : 'msg t -> int -> int
+(** [src t i] is slot [i]'s source, cancelled or not.
+    @raise Invalid_argument unless [0 <= i < length t]. *)
+
+val msg : 'msg t -> int -> 'msg
+(** [msg t i] is slot [i]'s message, cancelled or not.
+    @raise Invalid_argument unless [0 <= i < length t]. *)
 
 val iter : 'msg t -> (int -> int -> 'msg -> unit) -> unit
 (** [iter t f] calls [f src dst msg] for each message not cancelled, in

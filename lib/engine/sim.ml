@@ -18,6 +18,22 @@ let default_config =
 
 type outcome = { completed : bool; rounds : int; metrics : Metrics.t; alive : bool array }
 
+(* Deliveries are walked one destination block at a time: a shard's
+   nodes split into blocks of [delivery_block], counted from the shard's
+   first node. Within a block every receiver's state stays in cache
+   while one sender's payload fans out to the block's nodes. The size
+   is measured (EXPERIMENTS.md "Delivery by destination block"): hm at
+   n = 17,408 slows steadily from 2^6 to 2^12 nodes per block, and
+   2^3 to 2^5 were no faster than 2^6. One block for every node would
+   be the send order plus the cost of the index. *)
+let block_bits = 6
+let delivery_block = 1 lsl block_bits
+
+(* the delivery index: 4-byte global slot numbers in a [Bytes] block the
+   GC does not scan *)
+external get_slot : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set_slot : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+
 (* One round loop at every job count. The nodes are split into [jobs]
    contiguous shards, run by a persistent domain team (at [jobs = 1] the
    team is just the calling domain), and every round has three phases:
@@ -33,16 +49,19 @@ type outcome = { completed : bool; rounds : int; metrics : Metrics.t; alive : bo
      message's fate (liveness, then {!Fault.fate}, then delay) in the
      canonical order on the engine's loss stream, emitting Drop events,
      or Deliver events followed by [on_deliver]. A message that is
-     dropped or held back by a delay is cancelled in its outbox.
+     dropped or held back by a delay is cancelled in its outbox. Last,
+     a counting sort on destination block indexes the surviving slots:
+     slots are numbered side buffer first, then the outboxes in shard
+     order, and the sort is stable, so within a block the index keeps
+     that canonical order. Messages stay where they were pushed; the
+     index holds 4 bytes per survivor.
 
-   - delivery (per shard): shard s walks the side buffer, then every
-     outbox in shard order (in place: no second buffer holds the
-     round's messages), and applies [handlers.deliver] to the
-     uncancelled messages addressed to its nodes. Deliveries to one
-     node keep their canonical order; deliveries to different nodes
-     commute because a deliver handler touches only its own node's
-     state (payloads are immutable snapshots; see
-     {!Repro_util.Cset.freeze}).
+   - delivery (per shard): shard s walks its own blocks' run of the
+     index and applies [handlers.deliver] to each slot it names. Each
+     node receives in canonical order, released messages first;
+     deliveries to different nodes commute because a deliver handler
+     touches only its own node's state (payloads are immutable
+     snapshots; see {!Repro_util.Cset.freeze}).
 
    Every trace event, metric and RNG draw happens on the coordinator in
    the canonical order, so a run is byte-identical at any [jobs]. The
@@ -108,6 +127,19 @@ let run ~n ~config ~handlers ~measure ?(measure_bytes = fun _ -> 0) ~stop
   let outboxes : 'msg Outbox.t array = Array.init jobs (fun _ -> Outbox.create ()) in
   (* delayed messages released this round; they deliver first *)
   let released : 'msg Outbox.t = Outbox.create () in
+  (* every buffer in slot order; [bases.(k)] is the round's number for
+     [boxes.(k)]'s slot 0, and the last base is the round's slot count *)
+  let boxes = Array.append [| released |] outboxes in
+  let bases = Array.make (jobs + 2) 0 in
+  let per_shard = (chunk + delivery_block - 1) lsr block_bits in
+  let block_of dst =
+    let s = dst / chunk in
+    (s * per_shard) + ((dst - (s * chunk)) lsr block_bits)
+  in
+  (* survivors per block, then each block's start in [index] and, once
+     the slots are placed, its end *)
+  let bounds = Array.make (jobs * per_shard) 0 in
+  let index = ref Bytes.empty in
   (* one send closure per node for the whole run, pushing into its
      shard's outbox — building them inside the round loop would put n
      closures per round on the minor heap *)
@@ -182,17 +214,63 @@ let run ~n ~config ~handlers ~measure ?(measure_bytes = fun _ -> 0) ~stop
       if alive.(v) then handlers.round_begin ~node:v ~round:!round ~send:senders.(v)
     done
   in
-  let deliverers =
-    Array.init jobs (fun s ->
-        let lo = s * chunk in
-        let hi = min n (lo + chunk) - 1 in
-        fun src dst payload ->
-          if dst >= lo && dst <= hi then handlers.deliver ~node:dst ~src ~round:!round payload)
+  let index_survivors () =
+    Array.fill bounds 0 (Array.length bounds) 0;
+    let slots = ref 0 in
+    for k = 0 to jobs do
+      let box = boxes.(k) in
+      bases.(k) <- !slots;
+      slots := !slots + Outbox.length box;
+      for i = 0 to Outbox.length box - 1 do
+        let dst = Outbox.dst box i in
+        if dst >= 0 then begin
+          let b = block_of dst in
+          bounds.(b) <- bounds.(b) + 1
+        end
+      done
+    done;
+    bases.(jobs + 1) <- !slots;
+    if !slots > Int32.to_int Int32.max_int then failwith "Sim.run: over 2^31 messages in a round";
+    let survivors = ref 0 in
+    for b = 0 to Array.length bounds - 1 do
+      let c = bounds.(b) in
+      bounds.(b) <- !survivors;
+      survivors := !survivors + c
+    done;
+    if Bytes.length !index < 4 * !survivors then
+      index := Bytes.create (4 * max !survivors (Bytes.length !index / 2));
+    let index = !index in
+    for k = 0 to jobs do
+      let box = boxes.(k) in
+      for i = 0 to Outbox.length box - 1 do
+        let dst = Outbox.dst box i in
+        if dst >= 0 then begin
+          let b = block_of dst in
+          let at = bounds.(b) in
+          set_slot index (4 * at) (Int32.of_int (bases.(k) + i));
+          bounds.(b) <- at + 1
+        end
+      done
+    done
   in
   let deliver_phase s =
-    let deliver = deliverers.(s) in
-    Outbox.iter released deliver;
-    Array.iter (fun outbox -> Outbox.iter outbox deliver) outboxes
+    let first = s * per_shard in
+    let lo = if first = 0 then 0 else bounds.(first - 1) in
+    let hi = bounds.(first + per_shard - 1) in
+    let index = !index in
+    (* the buffer of the slot last delivered; a block restarts at the
+       side buffer *)
+    let k = ref 0 in
+    for j = lo to hi - 1 do
+      let slot = Int32.to_int (get_slot index (4 * j)) in
+      if slot < bases.(!k) then k := 0;
+      while slot >= bases.(!k + 1) do
+        incr k
+      done;
+      let box = boxes.(!k) and i = slot - bases.(!k) in
+      handlers.deliver ~node:(Outbox.dst box i) ~src:(Outbox.src box i) ~round:!round
+        (Outbox.msg box i)
+    done
   in
   Fun.protect
     ~finally:(fun () -> Pool.Team.shutdown team)
@@ -211,6 +289,7 @@ let run ~n ~config ~handlers ~measure ?(measure_bytes = fun _ -> 0) ~stop
         Outbox.clear released;
         if has_delays then release_due r;
         Array.iter (fun outbox -> Outbox.filter outbox resolve) outboxes;
+        index_survivors ();
         Pool.Team.run team deliver_phase;
         on_round_end ~round:r;
         if stop ~round:r ~alive:is_alive then completed := true

@@ -7,9 +7,13 @@
     algorithm state lives entirely in the caller's closures.
 
     Determinism: given the same handlers, node count, configuration and
-    seed, the engine performs the identical sequence of callbacks. Nodes
-    are polled for sends in index order, and messages are delivered in
-    send order; message loss is drawn from a dedicated engine RNG stream.
+    seed, the engine performs the identical sequence of callbacks for
+    each node. Nodes are polled for sends in index order. Each node
+    receives its messages in send order, the messages a delay releases
+    this round first; the delivery phase walks the nodes one
+    destination block ({!delivery_block} nodes) at a time, so calls for
+    different nodes interleave in block order, not send order. Message
+    loss is drawn from a dedicated engine RNG stream.
 *)
 
 type 'msg handlers = {
@@ -20,7 +24,9 @@ type 'msg handlers = {
           @raise Invalid_argument if [send] is given a destination outside
           [0 .. n-1]. *)
   deliver : node:int -> src:int -> round:int -> 'msg -> unit;
-      (** Called during the delivery phase of the same round. *)
+      (** Called during the delivery phase of the same round: for each
+          node in its messages' send order, and for different nodes in
+          destination-block order (see above), at every [jobs]. *)
 }
 
 type config = {
@@ -47,6 +53,12 @@ type config = {
           frozen snapshots), and must not emit trace events: per-delivery
           events (e.g. content auditing) belong in [on_deliver]. *)
 }
+
+val delivery_block : int
+(** Nodes per destination block of the delivery phase. Each shard's
+    nodes split into blocks of this many, counted from the shard's
+    first node; a round's deliveries run block by block in ascending
+    order, in send order within a block. *)
 
 val default_config : config
 (** [max_rounds = 10_000], no faults, seed 0, no tracing, [jobs = 1]. *)
@@ -85,5 +97,6 @@ val run :
     whatever state the handlers still hold for it). [on_deliver] runs
     right after each [Deliver] event, in the canonical order, and may
     emit trace events; the message's [deliver] handler runs later, in
-    the delivery phase (default: no-op).
+    the delivery phase, in the same order for each destination
+    (default: no-op).
     @raise Invalid_argument if [n < 0] or [config.max_rounds < 0]. *)

@@ -85,6 +85,51 @@ let test_steady_state_broadcast_round_allocates_nothing () =
   if extra > 64.0 then
     Alcotest.failf "steady-state broadcast round allocated %.0f minor words (expected 0)" extra
 
+(* The same guard for the synchronous engine itself: once its outboxes
+   and delivery index have grown to a round's traffic, a round — send
+   phase, accounting, resolution, the counting sort on destination
+   block and the block walk — allocates nothing per message. n = 4,096
+   spans many destination blocks, at one shard and at two. Each round is
+   read at its end; the clock float the fault plan reads is boxed once
+   per round, and the per-round send series grows by doubling, so a
+   round may show a few words but never one per message (12,288 sends
+   here). *)
+let test_steady_state_sim_round_allocates_nothing () =
+  let module Sim = Repro_engine.Sim in
+  let sn = 4096 and rounds = 10 in
+  let received = Array.make sn 0 in
+  let handlers =
+    {
+      Sim.round_begin =
+        (fun ~node ~round ~send ->
+          send ~dst:((node + 1) mod sn) round;
+          send ~dst:((node * 97 + 5) mod sn) round;
+          send ~dst:(sn - 1 - node) round);
+      deliver = (fun ~node ~src:_ ~round:_ _ -> received.(node) <- received.(node) + 1);
+    }
+  in
+  List.iter
+    (fun jobs ->
+      let words = Array.make (rounds + 1) 0.0 in
+      let outcome =
+        Sim.run ~n:sn
+          ~config:{ Sim.default_config with Sim.jobs }
+          ~handlers
+          ~measure:(fun _ -> 1)
+          ~stop:(fun ~round ~alive:_ -> round >= rounds)
+          ~on_round_end:(fun ~round -> words.(round) <- Gc.minor_words ())
+          ()
+      in
+      if Repro_engine.Metrics.messages_delivered outcome.Sim.metrics <> 3 * sn * rounds then
+        Alcotest.fail "not every message was delivered";
+      for r = 3 to rounds do
+        let extra = words.(r) -. words.(r - 1) in
+        if extra > 64.0 then
+          Alcotest.failf "jobs %d: steady-state round %d allocated %.0f minor words (expected 0)"
+            jobs r extra
+      done)
+    [ 1; 2 ]
+
 (* Words allocated on both heaps: the minor count plus direct major
    allocations (major words less the promoted ones, which the minor
    count already holds). A large array skips the minor heap. The minor
@@ -834,6 +879,8 @@ let () =
             test_steady_state_flooding_round_allocates_nothing;
           Alcotest.test_case "steady-state compact broadcast round is allocation-free" `Quick
             test_steady_state_broadcast_round_allocates_nothing;
+          Alcotest.test_case "a steady-state Sim round allocates nothing" `Quick
+            test_steady_state_sim_round_allocates_nothing;
           Alcotest.test_case "node core creation is O(1) beyond the algorithm" `Quick
             test_node_core_create_is_constant;
           Alcotest.test_case "idle pump is allocation-free" `Quick

@@ -286,6 +286,122 @@ let test_fault_model () =
   Alcotest.check_raises "bad round" (Invalid_argument "Fault.with_crash: rounds are 1-based")
     (fun () -> ignore (Fault.with_crash Fault.none ~node:0 ~round:0))
 
+(* Delivery order. The delivery phase walks the round's survivors one
+   destination block at a time, so handler calls for different nodes
+   interleave differently from the send order; what must hold is each
+   node's own order. n spans three full destination blocks and a
+   partial one. Every node fans out to five destinations, links across
+   the two halves of the node range delay by 2 rounds, every link loses
+   10%, and one destination crashes at round 3. For each node: its
+   handler sequence equals its subsequence of the trace's [Deliver]
+   events, the messages released from a delay come before the round's
+   fresh ones, and the sequence is the same at jobs 1, 2, 3 and 4. At
+   jobs 1 each round's handler calls also come in ascending block
+   order. *)
+let test_delivery_order () =
+  let block = Sim.delivery_block in
+  let n = (3 * block) + (block / 2) in
+  let crashed = block + 5 and rounds = 8 in
+  let fault =
+    Fault.with_crash
+      (Fault.with_wan
+         (Fault.with_loss Fault.none ~p:0.1)
+         ~regions:[ List.init (n / 2) Fun.id ]
+         ~cross:{ Fault.default_link with Fault.delay = 2; loss = 0.1 })
+      ~node:crashed ~round:3
+  in
+  let run jobs =
+    (* per node, newest first: (round, src, (sent round, fan-out index));
+       each list is written by the shard that owns the node *)
+    let got = Array.make n [] in
+    let calls = ref [] in
+    let events = Array.make n [] in
+    let now = ref 0 in
+    let trace =
+      Trace.callback (function
+        | Trace.Round_begin { round } -> now := round
+        | Trace.Deliver { src; dst } -> events.(dst) <- (!now, src) :: events.(dst)
+        | _ -> ())
+    in
+    let handlers =
+      {
+        Sim.round_begin =
+          (fun ~node ~round ~send ->
+            List.iteri
+              (fun j dst -> send ~dst (round, j))
+              [
+                (node + 1) mod n; (node * 7 + round) mod n; n - 1 - node; crashed; node * 131 mod n;
+              ]);
+        deliver =
+          (fun ~node ~src ~round msg ->
+            got.(node) <- (round, src, msg) :: got.(node);
+            if jobs = 1 then calls := (round, node) :: !calls);
+      }
+    in
+    let outcome =
+      Sim.run ~n
+        ~config:{ Sim.default_config with Sim.fault; jobs; engine_seed = 7; trace }
+        ~handlers ~measure:(fun _ -> 1)
+        ~stop:(fun ~round ~alive:_ -> round >= rounds)
+        ()
+    in
+    Alcotest.(check int) (Printf.sprintf "jobs %d: rounds" jobs) rounds outcome.Sim.rounds;
+    Array.iteri
+      (fun v seq ->
+        let seq = List.rev seq in
+        Alcotest.(check (list (pair int int)))
+          (Printf.sprintf "jobs %d: node %d receives in Deliver-event order" jobs v)
+          (List.rev events.(v))
+          (List.map (fun (r, src, _) -> (r, src)) seq);
+        (* released (sent before the round) first, then fresh *)
+        ignore
+          (List.fold_left
+             (fun (last_round, seen_fresh) (r, src, (sent, _)) ->
+               let seen_fresh = if r = last_round then seen_fresh else false in
+               let fresh = sent = r in
+               if seen_fresh && not fresh then
+                 Alcotest.failf
+                   "jobs %d: node %d got %d's round-%d message after a fresh one in round %d" jobs v
+                   src sent r;
+               (r, seen_fresh || fresh))
+             (0, false) seq))
+      got;
+    if jobs = 1 then
+      ignore
+        (List.fold_left
+           (fun (last_round, last_block) (r, node) ->
+             let b = node / block in
+             if r = last_round && b < last_block then
+               Alcotest.failf "round %d: a call for block %d after one for block %d" r b last_block;
+             (r, b))
+           (0, 0) (List.rev !calls));
+    Array.map List.rev got
+  in
+  let reference = run 1 in
+  (* the run mixes released and fresh messages in one node's round, and
+     the crashed node hears nothing once down *)
+  let mixed =
+    Array.exists
+      (fun seq ->
+        List.exists
+          (fun (r, _, (sent, _)) ->
+            sent < r && List.exists (fun (r', _, (s', _)) -> r' = r && s' = r) seq)
+          seq)
+      reference
+  in
+  Alcotest.(check bool) "some node receives released and fresh messages in one round" true mixed;
+  Alcotest.(check bool) "the crashed node hears nothing from round 3" true
+    (List.for_all (fun (r, _, _) -> r < 3) reference.(crashed));
+  List.iter
+    (fun jobs ->
+      let seqs = run jobs in
+      Array.iteri
+        (fun v seq ->
+          if seq <> reference.(v) then
+            Alcotest.failf "jobs %d: node %d's deliveries differ from jobs 1" jobs v)
+        seqs)
+    [ 2; 3; 4 ]
+
 let () =
   let test_basic_delivery () =
     let log = ref [] in
@@ -309,6 +425,7 @@ let () =
           Alcotest.test_case "stop before round 1" `Quick test_stop_before_first_round;
           Alcotest.test_case "max rounds" `Quick test_max_rounds;
           Alcotest.test_case "send validation" `Quick test_send_validation;
+          Alcotest.test_case "delivery order by destination block" `Quick test_delivery_order;
         ] );
       ( "accounting",
         [
