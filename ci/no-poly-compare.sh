@@ -16,7 +16,11 @@
 # or per frame. This script lists the
 # undefined symbols of the native objects of the modules on those paths
 # and fails if any of them references the polymorphic comparison
-# primitives.
+# primitives. Stdlib's List.mem, List.assoc, List.assoc_opt and
+# List.mem_assoc compare with the polymorphic compare inside Stdlib, so
+# a listed object that calls them references only the List function:
+# those symbols are rejected too (Intvec.mem_list is the int-typed
+# membership test).
 #
 # The int payload modules (Cset, Intvec) are also held to int-typed
 # moves: the generic Array.blit cannot tell an int array from one of
@@ -44,6 +48,7 @@ repro_engine__Sim repro_engine__Outbox repro_net__Faultnet repro_util__Rng
 repro_net__Node_core repro_net__Envelope repro_engine__Metrics
 repro_discovery__Run repro_discovery__Run_async repro_discovery__Swamping"
 banned='caml_(compare|equal|notequal|lessthan|lessequal|greaterthan|greaterequal)$'
+banned_list='^camlStdlib__List\.(mem|assoc|assoc_opt|mem_assoc)_[0-9]+$'
 int_modules="repro_util__Cset repro_util__Intvec"
 banned_blit='^(camlStdlib__Array\.blit|caml_array_blit)'
 
@@ -58,6 +63,11 @@ for m in $modules; do
   hits=$(nm -u "$obj" | awk '{print $NF}' | grep -E "^$banned" || true)
   if [ -n "$hits" ]; then
     echo "no-poly-compare: $m calls polymorphic comparison:" $hits >&2
+    status=1
+  fi
+  hits=$(nm -u "$obj" | awk '{print $NF}' | grep -E "$banned_list" || true)
+  if [ -n "$hits" ]; then
+    echo "no-poly-compare: $m compares list elements polymorphically:" $hits >&2
     status=1
   fi
   case " $int_modules " in

@@ -131,8 +131,9 @@ let merge_snapshot t (s : snap) =
         a
       end
       else
-        (* snapshot of unknown minima (wire-decoded or adversarial):
-           enumerate the fresh identifiers to maintain the argmin *)
+        (* snapshot of unknown minima (adversarial, or decoded without
+           the run's labels): enumerate the fresh identifiers to
+           maintain the argmin *)
         Cset.union_into_with ~dst:t.bits ~src:s.set (bump_best t)
     in
     if added > 0 then t.version <- t.version + 1;
@@ -210,6 +211,16 @@ let snapshot t =
     s
 
 let external_snapshot set = { set; sbest = -1; sbest_raw = -1; vbytes = -1 }
+
+(* One walk of the set, paid once per decoded view rather than once per
+   receiver that merges it. *)
+let decoded_snapshot ~(labels : int array) set =
+  if Array.length labels <> Cset.capacity set then
+    invalid_arg "Knowledge.decoded_snapshot: labels length mismatch";
+  let best = ref (-1) in
+  Cset.iter (fun v -> if !best < 0 || labels.(v) < labels.(!best) then best := v) set;
+  let raw = if !best < 0 then -1 else Cset.min_elt set in
+  { set = Cset.freeze set; sbest = !best; sbest_raw = raw; vbytes = -1 }
 
 let contents t = t.bits
 

@@ -14,8 +14,9 @@
       min-pointer style algorithms.
 
     Bulk snapshot merges are container-level unions with O(1) argmin
-    maintenance from payload-carried minima; they do not enter the
-    learn order, so per-node memory stays O(containers + explicit
+    maintenance from payload-carried minima (a sender's own
+    {!snapshot} carries them, and so does a {!decoded_snapshot} off the
+    wire); they do not enter the learn order, so per-node memory stays O(containers + explicit
     learns) rather than Θ(n) words.
 
     A knowledge set always contains its owner. *)
@@ -82,8 +83,8 @@ val merge_bits : t -> Cset.t -> int
 val merge_snapshot : t -> snap -> int
 (** Merge a snapshot payload; returns the number learned: a
     container-level union plus O(1) argmin update from the carried
-    minima — no element enumeration (unless the minima are unknown,
-    e.g. wire-decoded). The merged ids do not enter the learn order. *)
+    minima — no element enumeration (unless the minima are unknown: an
+    {!external_snapshot}). The merged ids do not enter the learn order. *)
 
 val merge_ids : t -> int array -> int
 (** Merge an explicit identifier list; returns the number learned.
@@ -110,9 +111,22 @@ val snapshot : t -> snap
     payload words are copied here. *)
 
 val external_snapshot : Cset.t -> snap
-(** Wrap a set not derived from a knowledge value (wire decode,
-    adversarial injection) as a snapshot with unknown minima;
-    receivers fall back to enumerating its fresh elements on merge. *)
+(** Wrap a set not derived from a knowledge value (adversarial
+    injection, or {!Wire.decode}, which has no labels) as a snapshot
+    with unknown minima; receivers fall back to enumerating its fresh
+    elements on merge. *)
+
+val decoded_snapshot : labels:int array -> Cset.t -> snap
+(** [decoded_snapshot ~labels set] is a snapshot of a set decoded off
+    the wire, with its minima: the label argmin under [labels] (the
+    run's permutation, as given to {!create}) and the smallest raw id,
+    both found by one walk of [set]. The set is frozen, so the snapshot
+    is safe to hand to every receiver of the view, and each of them
+    merges it in O(containers) like a sender's own {!snapshot}. The live
+    runtimes build one per decoded (sender, view), not one per receipt.
+    The caller must not mutate [set] afterwards.
+    @raise Invalid_argument if [labels] and [set] have different
+    universes. *)
 
 val contents : t -> Cset.t
 (** The live set — read-only alias for completion checks; callers must

@@ -588,6 +588,13 @@ let decode_exn ~universe bytes ~off ~len =
     | _ -> invalid_arg "Wire.decode: unknown message kind"
   end
 
+let snapshot_kind bytes ~off ~len =
+  if len < 2 || off < 0 || off > Bytes.length bytes - len then -1
+  else
+    let kind = Char.code (Bytes.get bytes off) in
+    if kind <= 2 && Char.code (Bytes.get bytes (off + 1)) land snapshot_flag <> 0 then kind
+    else -1
+
 let decode ~universe bytes ~off ~len =
   if universe < 0 then Error "Wire.decode: negative universe"
   else if off < 0 || len < 0 || off > Bytes.length bytes - len then

@@ -77,6 +77,16 @@ val decode : universe:int -> bytes -> off:int -> len:int -> (Payload.t, string) 
     one; the scratch grows only to a count already checked against the
     bytes present. *)
 
+val snapshot_kind : bytes -> off:int -> len:int -> int
+(** [snapshot_kind buf ~off ~len] is the kind tag (0 [Share], 1
+    [Exchange], 2 [Reply]) of the message held in the [len] bytes at
+    [off] when its codec byte carries the snapshot flag, i.e. when it
+    claims to be a [Bits] snapshot, and [-1] for any other message or a
+    slice outside the buffer. Only the first two bytes are read: the
+    message is not validated, so a claim means nothing until {!decode}
+    has accepted bytes equal to these. The live path keys its per-sender
+    decode memo on it (see [Node_core.memo]). *)
+
 val encoded_size : encoding -> universe:int -> Payload.t -> int
 (** [encoded_size e ~universe p] = [Bytes.length (encode e ~universe ~room:0 p)],
     computed without materialising the buffer. An update batch is

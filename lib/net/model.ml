@@ -47,6 +47,7 @@ type sys = {
   mutable now : float;
   mutable crashes : int;  (** crash moves taken on this path *)
   labels : int array;  (** the run's label permutation, shared by every core *)
+  memo : Node_core.memo;  (** the run's decode memo, shared by every core *)
 }
 
 let actions sys v =
@@ -78,13 +79,14 @@ let boot cfg =
       now = 0.0;
       crashes = 0;
       labels = Exec.labels_of ~seed:cfg.seed cfg.n;
+      memo = Node_core.memo ~n:cfg.n;
     }
   in
   for v = 0 to cfg.n - 1 do
     sys.cores.(v) <-
       Some
         (Node_core.create (core_config cfg v ~announce:false) (actions sys v) ~labels:sys.labels
-           ~links_up:true ~now:sys.now)
+           ~memo:sys.memo ~links_up:true ~now:sys.now)
   done;
   sys
 
@@ -123,10 +125,11 @@ let apply cfg sys move =
   | Restart v ->
     (* a fresh incarnation announces itself; stale frames from and to the
        previous incarnation stay in flight and remain deliverable *)
+    Node_core.forget sys.memo ~node:v;
     sys.cores.(v) <-
       Some
         (Node_core.create (core_config cfg v ~announce:true) (actions sys v) ~labels:sys.labels
-           ~links_up:true ~now:sys.now)
+           ~memo:sys.memo ~links_up:true ~now:sys.now)
 
 (* All moves enabled in a state, in a fixed deterministic order. [Pump]
    is offered only when it would act (a retransmission timeout is due) —

@@ -45,7 +45,12 @@ let exec_spec (spec : Run_async.spec) (algo : Algorithm.t) topology =
     time >= last_join && Exec.satisfied spec.Run_async.completion ~labels ~instances ~alive
   in
   let cores : Node_core.t option array = Array.make n None in
+  (* one decode memo for the whole fleet: a view is decoded once per
+     (sender, version), and every receiver merges that one value *)
+  let memo = Node_core.memo ~n in
   let make_core v ~announce =
+    (* a (re)started node's views are new values *)
+    Node_core.forget memo ~node:v;
     let actions =
       {
         Node_core.emit =
@@ -83,7 +88,7 @@ let exec_spec (spec : Run_async.spec) (algo : Algorithm.t) topology =
           fault;
           announce;
         }
-        actions ~labels ~links_up:true ~now:(Async_sim.now clock)
+        actions ~labels ~memo ~links_up:true ~now:(Async_sim.now clock)
     in
     cores.(v) <- Some core;
     instances.(v) <- Node_core.instance core

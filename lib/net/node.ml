@@ -264,7 +264,7 @@ let run cfg =
       }
       actions
       ~labels:(Exec.labels_of ~seed:cfg.seed cfg.n)
-      ~links_up:false ~now:(rel cfg)
+      ~memo:(Node_core.memo ~n:cfg.n) ~links_up:false ~now:(rel cfg)
   in
   let t =
     {

@@ -105,6 +105,42 @@ let pop_frame link =
 let untouched_up = new_link Up
 let untouched_down = new_link Down
 
+(* The decode memo of a run: per sender, the codec byte and body of the
+   last snapshot frame decoded from it ([Bytes.empty] when none) and the
+   frozen [Bits] view that decode built. A snapshot body is at least its
+   codec byte, so an empty entry never matches. *)
+type memo = { bodies : bytes array; views : Payload.data array }
+
+let memo ~n =
+  if n <= 0 then invalid_arg "Node_core.memo: n must be positive";
+  { bodies = Array.make n Bytes.empty; views = Array.make n Payload.empty_delta }
+
+let forget memo ~node =
+  memo.bodies.(node) <- Bytes.empty;
+  memo.views.(node) <- Payload.empty_delta
+
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(* [last] holds exactly the [len] bytes of [buf] at [off]: eight at a
+   time, then the tail (or the word that differed) byte by byte. *)
+let same_body last buf ~off ~len =
+  Bytes.length last = len
+  &&
+  let i = ref 0 in
+  while !i + 8 <= len && (get64u last !i : int64) = get64u buf (off + !i) do
+    i := !i + 8
+  done;
+  while !i < len && Bytes.unsafe_get last !i = Bytes.unsafe_get buf (off + !i) do
+    incr i
+  done;
+  !i = len
+
+let with_kind kind data =
+  match kind with
+  | 0 -> Payload.Share data
+  | 1 -> Payload.Exchange data
+  | _ -> Payload.Reply data
+
 (* Links are created on first use, so a core costs O(peers it talks to),
    not O(n): [peers] holds the touched ids ascending, [links.(i)] the
    link to [peers.(i)], both valid below [nlinks]. Walking them in index
@@ -113,6 +149,8 @@ type t = {
   cfg : config;
   acts : actions;
   inst : Algorithm.instance;
+  labels : int array;  (** the run's label permutation, for decoded views' minima *)
+  memo : memo;  (** the run's decode memo, shared with every other core *)
   untouched : link;
   mutable peers : int array;
   mutable links : link array;
@@ -392,6 +430,8 @@ let handle_hello t ~now ~src =
   link.recv_cum <- 0;
   link.recv_early <- [];
   link.ack_owed <- false;
+  (* a new incarnation's views are new values, as in the simulators *)
+  forget t.memo ~node:src;
   ignore
     (send_payload t ~now ~dst:src
        (Payload.Share (Payload.Bits (Knowledge.snapshot t.inst.Algorithm.knowledge))))
@@ -405,12 +445,37 @@ let note_fresh link seq =
     match link.recv_early with
     | [] -> ()
     | early ->
-      while List.mem (link.recv_cum + 1) early do
+      while Repro_util.Intvec.mem_list (link.recv_cum + 1) early do
         link.recv_cum <- link.recv_cum + 1
       done;
       link.recv_early <- List.filter (fun s -> s > link.recv_cum) early
   end
   else link.recv_early <- seq :: link.recv_early
+
+(* The body of a data frame from [src]. A snapshot body byte-equal to
+   the last one [src]'s views were decoded from is that view again, the
+   same frozen value every other receiver got; any other snapshot body
+   is decoded, given its minima, and replaces the entry. A body that
+   fails to decode leaves the memo as it was. *)
+let decode_body t ~src buf ~off ~len =
+  let kind = Wire.snapshot_kind buf ~off ~len in
+  if kind < 0 then Wire.decode ~universe:t.cfg.n buf ~off ~len
+  else begin
+    let m = t.memo in
+    if same_body m.bodies.(src) buf ~off:(off + 1) ~len:(len - 1) then
+      Ok (with_kind kind m.views.(src))
+    else
+      match Wire.decode ~universe:t.cfg.n buf ~off ~len with
+      | Ok
+          ( Payload.Share (Payload.Bits b)
+          | Payload.Exchange (Payload.Bits b)
+          | Payload.Reply (Payload.Bits b) ) ->
+        let view = Payload.Bits (Knowledge.decoded_snapshot ~labels:t.labels b.Knowledge.set) in
+        m.bodies.(src) <- Bytes.sub buf (off + 1) (len - 1);
+        m.views.(src) <- view;
+        Ok (with_kind kind view)
+      | decoded -> decoded
+  end
 
 let handle_frame t ~now buf ~off =
   let src = Envelope.src buf ~off in
@@ -432,10 +497,10 @@ let handle_frame t ~now buf ~off =
          contiguously: it is the cumulative ack mark, and the sender's
          go-back-N retransmission fills the gaps, deduplicated here. *)
       let seq = Envelope.seq buf ~off in
-      if seq > link.recv_cum && not (List.mem seq link.recv_early) then begin
+      if seq > link.recv_cum && not (Repro_util.Intvec.mem_list seq link.recv_early) then begin
         note_fresh link seq;
         match
-          Wire.decode ~universe:t.cfg.n buf ~off:(off + Envelope.header_size)
+          decode_body t ~src buf ~off:(off + Envelope.header_size)
             ~len:(Envelope.body_length buf ~off)
         with
         | Error _ -> t.decode_errors <- t.decode_errors + 1
@@ -506,18 +571,22 @@ let final t =
     corrupt_frames = t.corrupt_frames;
   }
 
-let create (cfg : config) (acts : actions) ~labels ~links_up ~now =
+let create (cfg : config) (acts : actions) ~labels ~memo ~links_up ~now =
   if cfg.n <= 0 then invalid_arg "Node_core.create: n must be positive";
   if cfg.node < 0 || cfg.node >= cfg.n then invalid_arg "Node_core.create: node out of range";
   if cfg.tick_period <= 0.0 then invalid_arg "Node_core.create: tick period must be positive";
   if cfg.rto <= 0.0 then invalid_arg "Node_core.create: rto must be positive";
   if Array.length labels <> cfg.n then invalid_arg "Node_core.create: labels must have length n";
+  if Array.length memo.bodies <> cfg.n then
+    invalid_arg "Node_core.create: memo must have universe n";
   let t =
     {
       cfg;
       acts;
       inst =
         Exec.instantiate ~seed:cfg.seed ~labels cfg.algo ~node:cfg.node ~neighbors:cfg.neighbors;
+      labels;
+      memo;
       untouched = (if links_up then untouched_up else untouched_down);
       peers = [||];
       links = [||];

@@ -75,7 +75,53 @@ type status = Up | Down | Dead
 
 type t
 
-val create : config -> actions -> labels:int array -> links_up:bool -> now:float -> t
+(** {2 The decode memo}
+
+    A head sends the same view to every node it knows, round after
+    round. The simulators hand all of those receivers one physical
+    snapshot, which they merge in O(containers) and which the
+    algorithms' identity shortcuts recognise on a second receipt. The
+    memo gives the live runtimes the same: a view is decoded once per
+    (sender, version), not once per receipt.
+
+    {b Ownership.} The decoding runtime owns one memo and passes it to
+    every core it creates: one per {!Mux.exec_spec} run, shared by all
+    of its cores; one per {!Node} process; one per {!Model} system;
+    one per hosted service run. It costs two words per node of the
+    universe, so {!create} stays O(1).
+
+    {b Entries.} The memo has one entry per sender: the codec byte and
+    body of the last snapshot frame ([Share], [Exchange] or [Reply] of
+    a [Bits] view; see {!Repro_discovery.Wire.snapshot_kind}) decoded
+    from that sender, and the frozen view the decode built, with its
+    minima computed once from the run's labels
+    ({!Repro_discovery.Knowledge.decoded_snapshot}). A snapshot frame
+    whose codec byte and body equal the entry's byte for byte is that
+    view again, wrapped in the frame's own kind, with no decode: the
+    body is equal to one that passed full validation. Any other
+    snapshot frame is decoded and, if it decodes, replaces the entry; a
+    frame that fails to decode is never memoised. Other frames do not
+    touch the memo.
+
+    {b Forgetting.} A sender's entry is forgotten when the runtime
+    restarts that node ({!forget}: the new incarnation's views are new
+    values, as in the simulators) and when any core receives a hello
+    from it (which announces a new incarnation to runtimes that see
+    restarts only through the wire). The entry is the sender's {e last}
+    view only: a receipt of an older one, overtaken in flight by a newer
+    one, decodes afresh. *)
+
+type memo
+
+val memo : n:int -> memo
+(** An empty memo over senders [0 .. n-1].
+    @raise Invalid_argument if [n <= 0]. *)
+
+val forget : memo -> node:int -> unit
+(** Drop [node]'s entry: its next snapshot frame is decoded afresh. *)
+
+val create :
+  config -> actions -> labels:int array -> memo:memo -> links_up:bool -> now:float -> t
 (** Build the algorithm instance through {!Exec.instantiate}, the
     simulators' derivation (shared label permutation, per-node RNG
     substream), emit the [Join]
@@ -83,10 +129,12 @@ val create : config -> actions -> labels:int array -> links_up:bool -> now:float
     traces is fixed here, by [actions.emit]. [labels] is the run's
     label permutation ({!Exec.labels_of} of the deployment seed, or
     whatever labels the run's algorithms share), computed once per run
-    and shared by every core, not copied. [links_up] is the initial
+    and shared by every core, not copied. [memo] is the runtime's
+    decode memo, shared the same way (see above). [links_up] is the initial
     status of every link: [true] for the mux (always reachable),
     [false] for socket runtimes (paths start unestablished).
-    @raise Invalid_argument on a nonsensical config. *)
+    @raise Invalid_argument on a nonsensical config, or a [memo] over a
+    universe other than [n]. *)
 
 val tick : t -> now:float -> unit
 (** One algorithm activation: emits the [Tick] event, runs the round,
@@ -95,7 +143,8 @@ val tick : t -> now:float -> unit
 val handle_frame : t -> now:float -> bytes -> off:int -> unit
 (** Process one envelope from the wire (any kind), read in place: the
     frame at [off] must be one {!Envelope.decode} accepted. Nothing is
-    kept of the buffer once this returns. *)
+    kept of the buffer once this returns (a snapshot body the memo
+    stores is copied). *)
 
 val receive : t -> now:float -> bytes -> unit
 (** Process one whole encoded frame, as an in-process runtime delivers

@@ -565,7 +565,7 @@ let deliver t ~src ~now payload =
       observe t ~node:t.self ~version ~status:Payload.status_suspect ~relog:true
     else begin
       match Hashtbl.find_opt t.probes target with
-      | Some (Suspected s) when version = s.version && not (List.mem src s.confirmers) ->
+      | Some (Suspected s) when version = s.version && not (Intvec.mem_list src s.confirmers) ->
         (* an independent corroboration: shrink the refutation window *)
         s.confirmers <- src :: s.confirmers;
         s.deadline <-

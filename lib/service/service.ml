@@ -262,6 +262,7 @@ let hosted_transport (cfg : config) ~deliver ~now ~dropped_dead =
   let rng = Rng.substream ~seed:cfg.seed ~index:0x11e7 in
   let heap = Heap.create ~dummy:no_hop in
   let cores : Node_core.t option array = Array.make cap None in
+  let memo = Node_core.memo ~n:cap in
   let ever_lived = Array.make cap false in
   let healing = Array.make cap false in
   (* go-back-N re-sends of cores already despawned *)
@@ -315,8 +316,9 @@ let hosted_transport (cfg : config) ~deliver ~now ~dropped_dead =
           fault = cfg.fault;
           announce = false;
         }
-        acts ~labels ~links_up:true ~now:!now
+        acts ~labels ~memo ~links_up:true ~now:!now
     in
+    Node_core.forget memo ~node:id;
     cores.(id) <- Some core;
     if ever_lived.(id) then begin
       (* A reborn id must void the go-back-N state peers still hold
@@ -657,7 +659,7 @@ let run cfg =
     while !n_picked < want && !attempts > 0 do
       decr attempts;
       match Pool.draw live churn_rng with
-      | Some c when c <> avoid && not (List.mem c !picked) ->
+      | Some c when c <> avoid && not (Intvec.mem_list c !picked) ->
         picked := c :: !picked;
         incr n_picked
       | Some _ | None -> ()

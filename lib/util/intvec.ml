@@ -30,6 +30,8 @@ let copy_ints (a : int array) =
     b
   end
 
+let rec mem_list (x : int) = function [] -> false | y :: rest -> x = y || mem_list x rest
+
 let create ?(capacity = 8) () = { data = Array.make (max capacity 1) 0; len = 0 }
 let length t = t.len
 

@@ -72,6 +72,11 @@ val copy_ints : int array -> int array
 (** A fresh copy of the whole array: [Array.copy] while the copy fits
     the minor heap, the int-typed loop above that. *)
 
+val mem_list : int -> int list -> bool
+(** [List.mem] on an int list, one integer comparison per element:
+    [List.mem] itself compares with the runtime's polymorphic
+    [compare]. *)
+
 (** {2 Zero-copy slices}
 
     A slice is a read-only window into a vector's backing storage,

@@ -180,8 +180,9 @@ let test_node_core_create_is_constant () =
     }
   in
   let cfg = core_config ~n:cn ~node:7 algo in
+  let memo = Repro_net.Node_core.memo ~n:cn in
   let before = allocated_words () in
-  let core = Repro_net.Node_core.create cfg quiet_actions ~labels ~links_up:true ~now:0.0 in
+  let core = Repro_net.Node_core.create cfg quiet_actions ~labels ~memo ~links_up:true ~now:0.0 in
   let extra = allocated_words () -. before -. !make_words in
   ignore (Sys.opaque_identity core);
   if extra > 1024.0 then
@@ -194,7 +195,7 @@ let test_idle_pump_allocates_nothing () =
   let labels = Array.init cn Fun.id in
   let core =
     Repro_net.Node_core.create (core_config ~n:cn ~node:0 Flooding.algorithm) quiet_actions
-      ~labels ~links_up:true ~now:0.0
+      ~labels ~memo:(Repro_net.Node_core.memo ~n:cn) ~links_up:true ~now:0.0
   in
   (* touch every link: one data frame out, then the peer's ack drains it *)
   for dst = 1 to cn - 1 do
@@ -692,19 +693,10 @@ let test_full_exchange_allocates_no_major_words () =
     Alcotest.failf "a full-state exchange of %d entries allocated %.0f major words (expected 0)"
       view words
 
-(* A data frame through two node cores allocates its frame and its
-   decoded payload and nothing else. The sender encodes the payload
-   once, after envelope room, and seals the header into that buffer in
-   place; the receiver checks the envelope and reads the header and
-   body where they lie, so decoding costs the payload and its [Ok]
-   (2 words). The receiving algorithm ignores what it gets, so its own
-   work is not counted. A warm-up frame each way first creates the link
-   records and the sender's send ring, and its ack empties the ring.
-   Payloads: a 3-id list (varint codec) and a dense snapshot (bitmap
-   codec). Profile: dev and release alike; the path calls no library
-   function that returns a float. *)
-let test_frame_seal_and_decode_allocate_frame_and_payload () =
-  let cn = 256 in
+(* Two node cores, 0 and 1, of a [cn]-node run over one decode memo,
+   whose algorithm ignores what it receives; [last] is the frame the
+   latest transmission put on the wire. *)
+let deaf_pair cn =
   let labels = Array.init cn Fun.id in
   let deaf =
     {
@@ -724,21 +716,43 @@ let test_frame_seal_and_decode_allocate_frame_and_payload () =
       wake = (fun ~dst:_ -> ());
     }
   in
+  let memo = Repro_net.Node_core.memo ~n:cn in
   let core node =
-    Repro_net.Node_core.create (core_config ~n:cn ~node deaf) acts ~labels ~links_up:true ~now:0.0
+    Repro_net.Node_core.create (core_config ~n:cn ~node deaf) acts ~labels ~memo ~links_up:true
+      ~now:0.0
   in
-  let a = core 0 and b = core 1 in
+  (core 0, core 1, last)
+
+(* A frame out of [a] and into [b], and [b]'s ack back into [a]. *)
+let frame_round_trip (a, b, last) ~now payload =
+  ignore (Repro_net.Node_core.send a ~now ~dst:1 payload);
+  Repro_net.Node_core.receive b ~now !last;
+  Repro_net.Node_core.pump b ~now;
+  Repro_net.Node_core.receive a ~now !last
+
+(* A data frame through two node cores allocates its frame and its
+   decoded payload and nothing else. The sender encodes the payload
+   once, after envelope room, and seals the header into that buffer in
+   place; the receiver checks the envelope and reads the header and
+   body where they lie, so decoding costs the payload and its [Ok]
+   (2 words). The receiving algorithm ignores what it gets, so its own
+   work is not counted. A warm-up frame each way first creates the link
+   records and the sender's send ring, and its ack empties the ring.
+   Payloads: a 3-id list (varint codec) and a dense snapshot (bitmap
+   codec); the snapshot's measured receipt repeats the warm-up's view,
+   so it is a decode-memo hit, pinned on its own below. Profile: dev
+   and release alike; the path calls no library function that returns
+   a float. *)
+let test_frame_seal_and_decode_allocate_frame_and_payload () =
+  let cn = 256 in
+  let ((a, b, last) as pair) = deaf_pair cn in
   let dense = Cset.create cn in
   for v = 0 to cn - 1 do
     if v mod 3 <> 0 then ignore (Cset.add dense v)
   done;
   List.iter
     (fun (name, payload) ->
-      (* warm-up: a frame out and in, and the receiver's ack back *)
-      ignore (Repro_net.Node_core.send a ~now:1.0 ~dst:1 payload);
-      Repro_net.Node_core.receive b ~now:1.0 !last;
-      Repro_net.Node_core.pump b ~now:1.0;
-      Repro_net.Node_core.receive a ~now:1.0 !last;
+      frame_round_trip pair ~now:1.0 payload;
       let sent =
         minor_words_of (fun () -> ignore (Repro_net.Node_core.send a ~now:2.0 ~dst:1 payload))
       in
@@ -769,6 +783,30 @@ let test_frame_seal_and_decode_allocate_frame_and_payload () =
       ( "bitmap snapshot",
         Payload.Share (Payload.Bits (Knowledge.external_snapshot (Cset.freeze dense))) );
     ]
+
+(* A view a sender repeats is decoded once: the receiving core finds
+   the frame's body byte-equal to the last one it decoded from that
+   sender and hands the algorithm the frozen view it built then, wrapped
+   in this frame's kind. So a hit allocates the payload constructor and
+   its [Ok] (2 words each) and nothing else, where a decode builds the
+   whole set. Profile: dev and release alike. *)
+let test_memo_hit_allocates_its_constructor () =
+  let cn = 256 in
+  let ((a, b, last) as pair) = deaf_pair cn in
+  let dense = Cset.create cn in
+  for v = 0 to cn - 1 do
+    if v mod 3 <> 0 then ignore (Cset.add dense v)
+  done;
+  let view = Payload.Bits (Knowledge.external_snapshot (Cset.freeze dense)) in
+  (* the first receipt decodes the view and fills the memo *)
+  frame_round_trip pair ~now:1.0 (Payload.Share view);
+  ignore (Repro_net.Node_core.send a ~now:2.0 ~dst:1 (Payload.Reply view));
+  let frame = !last in
+  let received = minor_words_of (fun () -> Repro_net.Node_core.receive b ~now:2.0 frame) in
+  if (Repro_net.Node_core.final b).Repro_net.Control.delivered <> 2 then
+    Alcotest.fail "the repeated view was not delivered";
+  if received > 4.0 then
+    Alcotest.failf "a memo hit allocated %.0f words, not its constructor and Ok (4)" received
 
 (* --- words per frame, path by path -------------------------------------
 
@@ -849,14 +887,16 @@ let service_words_per_message backend () =
    219.48 words per message; the async clock, which carries payloads by
    reference, is unchanged. The fault shim's clock float (2 words per
    frame under loss) took the mux from 119.12 to 116.33 and the hosted
-   service from 111.36 to 107.71. The direct transport is the service
+   service from 111.36 to 107.71. The decode memo (a view a sender
+   repeats is decoded once, not once per receipt) took the mux from
+   115.19 to 95.83. The direct transport is the service
    with no net layer: each message encoded and decoded on the service
    heap. *)
 let path_pins =
   [
     ("sync engine (Sim), words per delivered message", sim_words_per_message, 26.2);
     ("async clock, words per delivered frame", async_words_per_frame, 42.1);
-    ("mux over node cores, words per delivered frame", mux_words_per_frame, 116.4);
+    ("mux over node cores, words per delivered frame", mux_words_per_frame, 95.9);
     ( "service hosted transport, words per message",
       service_words_per_message (Some Repro_net.Backend.Mux),
       98.8 );
@@ -920,6 +960,8 @@ let () =
             test_full_exchange_allocates_no_major_words;
           Alcotest.test_case "a data frame allocates its frame and payload only" `Quick
             test_frame_seal_and_decode_allocate_frame_and_payload;
+          Alcotest.test_case "a memo hit allocates only its constructor and Ok" `Quick
+            test_memo_hit_allocates_its_constructor;
         ] );
       ( "per-path",
         List.map

@@ -189,7 +189,7 @@ let test_node_core_receive () =
         notify_complete = (fun ~now:_ ~tick:_ -> ());
         wake = (fun ~dst:_ -> ());
       }
-      ~labels:(Array.init n Fun.id) ~links_up:true ~now:0.0
+      ~labels:(Array.init n Fun.id) ~memo:(Node_core.memo ~n) ~links_up:true ~now:0.0
   in
   let frame =
     Wire.encode Wire.Adaptive ~universe:n ~room:Envelope.header_size
@@ -289,7 +289,7 @@ let test_lent_frames_never_written () =
             notify_complete = (fun ~now:_ ~tick:_ -> ());
             wake = (fun ~dst:_ -> ());
           }
-          ~labels:(Array.init n Fun.id) ~links_up:true ~now:0.0
+          ~labels:(Array.init n Fun.id) ~memo:(Node_core.memo ~n) ~links_up:true ~now:0.0
       in
       let data = Payload.Share (Payload.Ids [| 5; 6 |]) in
       Alcotest.(check int) "send returns the body size"
@@ -1185,6 +1185,221 @@ let test_mux_trace_identity () =
     "cores sent at least the data messages" true
     (sum (fun f -> f.Control.sent) >= mux.Run_async.messages)
 
+(* The fault-free mux against the oracle at the scales where a decode
+   per receipt made them part: every receipt of a head's view was a
+   fresh value, so hm's identity shortcuts (a view seen twice is absorbed
+   into custody once) fired in the oracle and not on the mux. Each case
+   diverges on a build without the decode memo: hm at n = 512, seed 1,
+   at event 5,173; hm:cap:4 at n = 512, seed 6, at event 4,347; hm at
+   n = 2,048, seed 1, at event 19,186. Traces are compared line by line
+   through a hash of each JSON line, so a million-event run holds two
+   int vectors, not two buffers. *)
+let trace_line_hashes () =
+  let lines = Repro_util.Intvec.create () in
+  let record ev = Repro_util.Intvec.push lines (Hashtbl.hash (Trace.event_to_json ev)) in
+  (lines, Trace.callback record)
+
+let mux_identity_at ~algo ~n ~seed () =
+  let algo = get_algo algo in
+  let topology = Repro_graph.Generate.of_seed (Repro_graph.Generate.K_out 3) ~n ~seed in
+  let sim_lines, sim_sink = trace_line_hashes () and mux_lines, mux_sink = trace_line_hashes () in
+  let sim =
+    Run_async.exec_spec { Run_async.default_spec with seed; trace = sim_sink } algo topology
+  in
+  let mux, _ = Mux.exec_spec { Run_async.default_spec with seed; trace = mux_sink } algo topology in
+  Alcotest.(check bool) "sim completed" true sim.Run_async.completed;
+  Alcotest.(check bool) "mux completed" true mux.Run_async.completed;
+  let len = Repro_util.Intvec.length in
+  let common = min (len sim_lines) (len mux_lines) in
+  let i = ref 0 in
+  while !i < common && Repro_util.Intvec.get sim_lines !i = Repro_util.Intvec.get mux_lines !i do
+    incr i
+  done;
+  if !i < common || len sim_lines <> len mux_lines then
+    Alcotest.failf "traces diverge at event %d (of %d oracle, %d mux events)" (!i + 1)
+      (len sim_lines) (len mux_lines);
+  Alcotest.(check (float 0.0)) "completion times agree" sim.Run_async.time mux.Run_async.time
+
+(* --- Decode memo ------------------------------------------------------ *)
+
+(* Node 0 of an [n]-node run, keeping every payload it is handed, fed
+   data frames from any sender with that sender's next sequence number
+   (a hello from the sender restarts its numbering). *)
+module Cset = Repro_util.Cset
+
+type rig = {
+  core : Node_core.t;
+  rig_memo : Node_core.memo;
+  rig_labels : int array;
+  got : Payload.t list ref;
+  next_seq : int array;
+}
+
+let rig ?memo n =
+  let got = ref [] in
+  let flooding = get_algo "flooding" in
+  let keeper =
+    {
+      flooding with
+      Algorithm.make =
+        (fun ctx ->
+          let inst = flooding.Algorithm.make ctx in
+          { inst with Algorithm.receive = (fun ~src:_ p -> got := p :: !got) });
+    }
+  in
+  let labels = Exec.labels_of ~seed:3 n in
+  let memo = match memo with Some m -> m | None -> Node_core.memo ~n in
+  let core =
+    Node_core.create
+      {
+        Node_core.node = 0;
+        n;
+        algo = keeper;
+        seed = 3;
+        neighbors = [||];
+        tick_period = 1.0;
+        rto = 3.0;
+        fault = Fault.none;
+        announce = false;
+      }
+      {
+        Node_core.emit = None;
+        xmit = (fun ~now:_ ~dst:_ _ -> ());
+        notify_complete = (fun ~now:_ ~tick:_ -> ());
+        wake = (fun ~dst:_ -> ());
+      }
+      ~labels ~memo ~links_up:true ~now:0.0
+  in
+  { core; rig_memo = memo; rig_labels = labels; got; next_seq = Array.make n 1 }
+
+(* Hand [body] (a message as [Wire.encode ~room:0] writes it) to the
+   rig as [src]'s next data frame: [Some payload] if it was delivered,
+   [None] if it was not (a decode error). *)
+let feed r ~src body =
+  let seq = r.next_seq.(src) in
+  r.next_seq.(src) <- seq + 1;
+  let before = (Node_core.final r.core).Control.delivered in
+  Node_core.receive r.core ~now:1.0 (frame_of Envelope.Data ~src ~stamp:0 ~seq ~ack:0 body);
+  if (Node_core.final r.core).Control.delivered = before then None else Some (List.hd !(r.got))
+
+let hello r ~src =
+  Node_core.receive r.core ~now:1.0
+    (frame_of Envelope.Hello ~src ~stamp:0 ~seq:0 ~ack:0 Bytes.empty);
+  r.next_seq.(src) <- 1
+
+let snapshot_body ?(encoding = Wire.Adaptive) ~kind n ids =
+  let data = Payload.Bits (Knowledge.external_snapshot (Cset.of_array n ids)) in
+  let payload =
+    match kind with 0 -> Payload.Share data | 1 -> Payload.Exchange data | _ -> Payload.Reply data
+  in
+  Wire.encode encoding ~universe:n ~room:0 payload
+
+let view_of what = function
+  | Some
+      ( Payload.Share (Payload.Bits b)
+      | Payload.Exchange (Payload.Bits b)
+      | Payload.Reply (Payload.Bits b) ) ->
+    b
+  | Some _ -> Alcotest.failf "%s: not a snapshot" what
+  | None -> Alcotest.failf "%s: not delivered" what
+
+let kind_of = function
+  | Some (Payload.Share _) -> 0
+  | Some (Payload.Exchange _) -> 1
+  | Some (Payload.Reply _) -> 2
+  | Some _ | None -> -1
+
+(* A second receipt of a view is a memo hit: the same frozen value as
+   the first, whatever kind wraps it, equal to a fresh decode of its
+   bytes, and carrying the minima that enumerating it gives. *)
+let prop_memo_hit_is_a_fresh_decode =
+  QCheck2.Test.make ~name:"a memo hit equals a fresh decode, minima included" ~count:300
+    QCheck2.Gen.(
+      let* n = int_range 2 300 in
+      let* ids = list_size (int_range 0 n) (int_bound (n - 1)) in
+      let* encoding = oneofl [ Wire.Varint_delta; Wire.Bitmap ] in
+      let+ k1 = int_bound 2 and+ k2 = int_bound 2 in
+      (n, Array.of_list ids, encoding, k1, k2))
+    (fun (n, ids, encoding, k1, k2) ->
+      let r = rig n in
+      let first = feed r ~src:1 (snapshot_body ~encoding ~kind:k1 n ids) in
+      let body = snapshot_body ~encoding ~kind:k2 n ids in
+      let hit = feed r ~src:1 body in
+      let miss = view_of "first receipt" first and b = view_of "second receipt" hit in
+      let fresh =
+        match Wire.decode ~universe:n body ~off:0 ~len:(Bytes.length body) with
+        | Ok p -> view_of "fresh decode" (Some p)
+        | Error e -> Alcotest.fail e
+      in
+      let set = fresh.Knowledge.set in
+      let best = ref (-1) in
+      Cset.iter
+        (fun v -> if !best < 0 || r.rig_labels.(v) < r.rig_labels.(!best) then best := v)
+        set;
+      let raw = if Cset.is_empty set then -1 else Cset.min_elt set in
+      b == miss && kind_of first = k1 && kind_of hit = k2
+      && Cset.equal b.Knowledge.set set
+      && b.Knowledge.sbest = !best && b.Knowledge.sbest_raw = raw)
+
+(* What is not a hit decodes afresh: a body one byte away, the same body
+   from another sender, and the same body after the sender restarted
+   (the runtime forgets it) or greeted (a hello forgets it). *)
+let test_memo_misses () =
+  let n = 64 in
+  let r = rig n in
+  let ids = [| 1; 5; 9; 40 |] in
+  let body = snapshot_body ~kind:0 n ids in
+  let first = view_of "first" (feed r ~src:1 body) in
+  Alcotest.(check bool) "repeat hits" true (view_of "repeat" (feed r ~src:1 body) == first);
+  let other = view_of "other sender" (feed r ~src:2 body) in
+  Alcotest.(check bool) "another sender decodes fresh" true (other != first);
+  Alcotest.(check bool)
+    "  to the same set" true
+    (Cset.equal other.Knowledge.set first.Knowledge.set);
+  let changed = Bytes.copy body in
+  let last = Bytes.length changed - 1 in
+  Bytes.set changed last (Char.chr (Char.code (Bytes.get changed last) + 1));
+  let moved = view_of "one byte away" (feed r ~src:1 changed) in
+  Alcotest.(check bool) "a one-byte change decodes fresh" true (moved != first);
+  Alcotest.(check bool)
+    "  to its own set" false
+    (Cset.equal moved.Knowledge.set first.Knowledge.set);
+  let again = view_of "back" (feed r ~src:1 body) in
+  Alcotest.(check bool) "only the last body is kept" true (again != first);
+  Node_core.forget r.rig_memo ~node:1;
+  let restarted = view_of "after forget" (feed r ~src:1 body) in
+  Alcotest.(check bool) "a forgotten sender decodes fresh" true (restarted != again);
+  hello r ~src:1;
+  let greeted = view_of "after hello" (feed r ~src:1 body) in
+  Alcotest.(check bool) "a hello forgets its sender" true (greeted != restarted);
+  Alcotest.(check bool) "  and the next receipt hits" true
+    (view_of "after hello, again" (feed r ~src:1 body) == greeted);
+  (* the memo is the runtime's, not the core's: a second core over the
+     same memo gets the first core's value *)
+  let r2 = rig ~memo:r.rig_memo n in
+  Alcotest.(check bool)
+    "shared across cores" true
+    (view_of "second core" (feed r2 ~src:1 body) == greeted)
+
+(* A frame that fails to decode is never memoised: it fails again, and
+   the entry before it still hits. A frozen view refuses writes. *)
+let test_memo_rejects () =
+  let n = 64 in
+  let r = rig n in
+  let body = snapshot_body ~kind:2 n [| 3; 4; 60 |] in
+  let good = view_of "good" (feed r ~src:5 body) in
+  let bad = Bytes.cat body (Bytes.of_string " ") in
+  let errors () = (Node_core.final r.core).Control.decode_errors in
+  Alcotest.(check bool) "trailing byte refused" true (feed r ~src:5 bad = None);
+  Alcotest.(check bool) "and refused again" true (feed r ~src:5 bad = None);
+  Alcotest.(check int) "two decode errors" 2 (errors ());
+  Alcotest.(check bool)
+    "the good entry still hits" true
+    (view_of "good again" (feed r ~src:5 body) == good);
+  Alcotest.check_raises "a memoised set is frozen"
+    (Invalid_argument "Cset: mutation of a frozen view") (fun () ->
+      ignore (Cset.add good.Knowledge.set 7))
+
 let test_mux_cluster_512 () =
   (* the scale the process backend cannot reach: 512 live protocol
      instances, full invariant check over the merged trace *)
@@ -1279,6 +1494,12 @@ let () =
           Alcotest.test_case "crc-known-answer" `Quick test_crc_known_answer;
           QCheck_alcotest.to_alcotest prop_crc_matches_bytewise;
         ] );
+      ( "memo",
+        [
+          QCheck_alcotest.to_alcotest prop_memo_hit_is_a_fresh_decode;
+          Alcotest.test_case "misses" `Quick test_memo_misses;
+          Alcotest.test_case "rejects" `Quick test_memo_rejects;
+        ] );
       ("backend", [ Alcotest.test_case "roundtrip" `Quick test_backend_roundtrip ]);
       ( "addr-table",
         [
@@ -1316,6 +1537,12 @@ let () =
       ( "mux",
         [
           Alcotest.test_case "trace-identity-64" `Quick test_mux_trace_identity;
+          Alcotest.test_case "trace-identity-hm-512" `Quick
+            (mux_identity_at ~algo:"hm" ~n:512 ~seed:1);
+          Alcotest.test_case "trace-identity-hm-cap4-512" `Quick
+            (mux_identity_at ~algo:"hm:cap:4" ~n:512 ~seed:6);
+          Alcotest.test_case "trace-identity-hm-2048" `Slow
+            (mux_identity_at ~algo:"hm" ~n:2048 ~seed:1);
           Alcotest.test_case "cluster-trace-identity" `Quick test_cluster_mux_trace_identity;
           Alcotest.test_case "cluster-512" `Quick test_mux_cluster_512;
           Alcotest.test_case "reliable-under-loss" `Quick test_mux_reliable_under_loss;
