@@ -69,7 +69,7 @@ type t = {
   log_versions : Intvec.t;
   log_statuses : Intvec.t;
   log_budgets : Intvec.t;
-  cursors : (int, int) Hashtbl.t;  (* target -> log prefix already pushed *)
+  cursors : Bytes.t;  (* 32-bit log prefix already pushed, per target id *)
   probes : (int, probe_state) Hashtbl.t;
   relays : (int, relay list) Hashtbl.t;  (* target -> pending vouches *)
   indirect_k : int;
@@ -132,7 +132,7 @@ let make_member ~cap ~self ~rng ~full_sync ~indirect_k ~lifeguard actions =
     log_versions = Intvec.create ();
     log_statuses = Intvec.create ();
     log_budgets = Intvec.create ();
-    cursors = Hashtbl.create 16;
+    cursors = Bytes.make (4 * cap) '\000';
     probes = Hashtbl.create 4;
     relays = Hashtbl.create 4;
     indirect_k;
@@ -283,9 +283,22 @@ let pending_entries t ~from =
     !m
   end
 
-let advance_cursor t target = Hashtbl.replace t.cursors target (Intvec.length t.log_nodes)
+(* The gossip cursors: one native-endian int32 per id of the universe,
+   the length of the log prefix that id is known to cover, 0 until the
+   first push. The primitives read and write the slot unboxed, so
+   neither direction allocates. The slots are 32-bit, not words,
+   because every member holds one for every id from its creation. *)
+external get_int32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set_int32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
 
-let cursor t target = Option.value (Hashtbl.find_opt t.cursors target) ~default:0
+let max_cursor = 0x7FFF_FFFF
+
+let advance_cursor t target =
+  let pos = Intvec.length t.log_nodes in
+  if pos > max_cursor then failwith "Member: update log longer than a 31-bit cursor";
+  set_int32 t.cursors (4 * target) (Int32.of_int pos)
+
+let cursor t target = Int32.to_int (get_int32 t.cursors (4 * target))
 
 (* Every known node at its current (version, exported status) — the
    full-state payload for bootstrap replies and for both halves of a
@@ -307,12 +320,12 @@ let full_entries t =
   Payload.Updates { full = true; count = !k; entries }
 
 let gossip t =
-  match View.random_live t.view t.rng with
-  | None -> ()
-  | Some target ->
+  let target = View.random_live t.view t.rng in
+  if target >= 0 then begin
     let count = pending_entries t ~from:(cursor t target) in
     advance_cursor t target;
     if count > 0 then t.actions.send ~dst:target (Payload.Share (lent_batch ~full:false count))
+  end
 
 let send_bootstrap t ~now ~dst contacts idx backoff =
   (* [full = false]: the payload is the joiner's lone self-announcement,
@@ -409,11 +422,11 @@ let probe_timeouts t ~now =
 let maybe_probe t ~now =
   if now >= t.next_probe then begin
     t.next_probe <- now +. probe_interval;
-    match View.random_live t.view t.rng with
-    | Some target when not (Hashtbl.mem t.probes target) ->
+    let target = View.random_live t.view t.rng in
+    if target >= 0 && not (Hashtbl.length t.probes > 0 && Hashtbl.mem t.probes target) then begin
       Hashtbl.replace t.probes target (Direct { deadline = now +. (suspect_after *. lhm t) });
       t.actions.send ~dst:target Payload.Probe
-    | Some _ | None -> ()
+    end
   end
 
 (* The periodic anti-entropy sync is digest first. The initiator sends
@@ -445,9 +458,8 @@ let maybe_probe t ~now =
 let maybe_full_sync t ~now =
   if t.full_sync && now >= t.next_full_sync then begin
     t.next_full_sync <- now +. full_sync_interval;
-    match View.random_live t.view t.rng with
-    | None -> ()
-    | Some target -> t.actions.send ~dst:target (Payload.Sync { digest = View.digest t.view })
+    let target = View.random_live t.view t.rng in
+    if target >= 0 then t.actions.send ~dst:target (Payload.Sync { digest = View.digest t.view })
   end
 
 (* Drop relay entries whose requester stopped waiting long ago. *)
@@ -469,11 +481,8 @@ let step t ~now =
     (* re-aim at any live peer learned since; failing that, rotate the
        contact list — so one contact churning out mid-bootstrap cannot
        strand the joiner on a dead address forever *)
-    let dst =
-      match View.random_live t.view t.rng with
-      | Some c -> c
-      | None -> contacts.(idx mod Array.length contacts)
-    in
+    let live = View.random_live t.view t.rng in
+    let dst = if live >= 0 then live else contacts.(idx mod Array.length contacts) in
     send_bootstrap t ~now ~dst contacts (idx + 1) backoff
   | Some _ | None -> ());
   (match t.bootstrap with
@@ -517,13 +526,18 @@ let deliver t ~src ~now payload =
   (* any message is proof of life: an answered probe improves local
      health, a refuted suspicion degrades it (we nearly convicted a
      live node) *)
-  (match Hashtbl.find_opt t.probes src with
-  | Some (Direct _ | Indirect _) -> improve t
-  | Some (Suspected _) -> penalize t
-  | None -> ());
-  cancel_probe t ~target:src ~refuted:false;
+  if Hashtbl.length t.probes > 0 then begin
+    match Hashtbl.find_opt t.probes src with
+    | Some (Direct _ | Indirect _) ->
+      Hashtbl.remove t.probes src;
+      improve t
+    | Some (Suspected _) ->
+      Hashtbl.remove t.probes src;
+      penalize t
+    | None -> ()
+  end;
   ignore (View.unsuspect t.view src);
-  fire_relays t ~target:src ~now;
+  if Hashtbl.length t.relays > 0 then fire_relays t ~target:src ~now;
   (* a message from a node we hold down means our verdict is wrong (or
      stale): send the verdict back so the accused can refute it with a
      higher incarnation — the self-healing path for false positives *)

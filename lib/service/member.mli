@@ -12,7 +12,11 @@
       transmission budget of [O(log live)] sends, so a change costs
       [O(log n)] messages per member in total and a quiet fleet sends
       {e nothing} — steady-state traffic scales with the churn rate,
-      not the fleet size.
+      not the fleet size. The cursors are one flat table allocated
+      with the member: a 32-bit log position per id of the universe,
+      so 4 bytes per id and [4 · cap] bytes per member, read and
+      written without allocating. A log too long for a 31-bit position
+      raises [Failure] instead of wrapping.
     - {b liveness probing}: a periodic probe to a random live peer. An
       unanswered direct probe escalates to an {e indirect-probe round}
       ([Probe_req] to up to [indirect_k] random live intermediaries,

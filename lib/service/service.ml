@@ -699,16 +699,26 @@ let run cfg =
   in
 
   (* --- main loop ------------------------------------------------------- *)
+  (* The lag checker needs only the time from a [Tick]: it acts on the
+     first one of each tick (moving its clock and judging the open
+     epochs) and ignores the rest. With no outside sink, [trace] is the
+     checker alone, so only the first live member's [Tick] is built; an
+     outside sink still sees every member's. *)
+  let member_ticks = not (Trace.is_null cfg.trace) in
   for tick = 1 to cfg.ticks do
     let tick_time = float_of_int tick in
     transport.deliver_due tick_time;
     now := tick_time;
+    let ticked = ref false in
     for id = 0 to cap - 1 do
       match members.(id) with
       | None -> ()
       | Some m ->
-        counts.(id) <- counts.(id) + 1;
-        Trace.emit trace (Trace.Tick { node = id; time = tick_time; count = counts.(id) });
+        if member_ticks || not !ticked then begin
+          ticked := true;
+          counts.(id) <- counts.(id) + 1;
+          Trace.emit trace (Trace.Tick { node = id; time = tick_time; count = counts.(id) })
+        end;
         transport.step id m
     done;
     transport.end_tick ();

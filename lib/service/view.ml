@@ -138,7 +138,7 @@ let unsuspect t node =
 
 let random_live t rng =
   let n = Intvec.length t.peers in
-  if n = 0 then None else Some (Intvec.get t.peers (Rng.int rng n))
+  if n = 0 then -1 else Intvec.get t.peers (Rng.int rng n)
 
 (* A partial Fisher-Yates over [peers] in place: each draw swaps a
    uniform pick from [m .. range-1] into position [m]. A draw that lands

@@ -109,9 +109,11 @@ val unsuspect : t -> int -> bool
 (** Clear a local suspicion (the node answered); [true] iff it was
     suspect. *)
 
-val random_live : t -> Rng.t -> int option
-(** A uniformly random live peer: one draw over the live-peer list.
-    [None] when the owner knows no other live node. *)
+val random_live : t -> Rng.t -> int
+(** A uniformly random live peer: one draw over the live-peer list, or
+    [-1] (and no draw) when the owner knows no other live node. Every
+    peer is a non-negative id, so a caller tests [>= 0]. Allocation-free:
+    the gossip push and the periodic probe each make one draw per tick. *)
 
 val random_live_sample : t -> Rng.t -> k:int -> exclude:int -> int array
 (** [min k e] {e distinct} live peers drawn uniformly without

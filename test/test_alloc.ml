@@ -693,6 +693,55 @@ let test_full_exchange_allocates_no_major_words () =
     Alcotest.failf "a full-state exchange of %d entries allocated %.0f major words (expected 0)"
       view words
 
+(* A quiet member's tick between two probes is its gossip push with
+   nothing to push: one [View.random_live] draw, a read of the drawn
+   peer's gossip cursor and its advance. A cursor is a 32-bit slot of a
+   flat byte table, read and written unboxed, and the draw returns a
+   bare int, so 1,000 such steps allocate nothing, and neither do 1,000
+   bare draws. The first step sends the periodic probe; a message from
+   its target answers it, so the steps after it sweep no probe table.
+   Profile: dev and release alike; the cursor primitives compile inline
+   in both, and the path takes only the literal [now]. *)
+let test_member_gossip_step_allocates_nothing () =
+  let module Member = Repro_service.Member in
+  let module View = Repro_service.View in
+  let probed = ref (-1) in
+  let m =
+    Member.create_genesis ~cap:80 ~self:0 ~peers:(Array.init 64 Fun.id) ~rng:(Rng.create ~seed:1)
+      ~full_sync:true ~indirect_k:2 ~lifeguard:true
+      {
+        Member.send = (fun ~dst _ -> probed := dst);
+        on_suspect = (fun ~target:_ -> ());
+        on_retire = (fun ~target:_ -> ());
+        on_view_change = (fun ~target:_ ~alive:_ -> ());
+      }
+  in
+  Member.step m ~now:1.0;
+  if !probed < 0 then Alcotest.fail "the first step sent no probe";
+  Member.deliver m ~src:!probed ~now:1.0 Payload.Halt;
+  probed := -1;
+  let steps =
+    minor_words_of (fun () ->
+        for _ = 1 to 1000 do
+          Member.step m ~now:1.0
+        done)
+  in
+  if !probed >= 0 then Alcotest.failf "a quiet step sent a message to %d" !probed;
+  if steps > 0.0 then
+    Alcotest.failf "1,000 quiet gossip steps (draw, cursor read, cursor advance) allocated %.0f \
+                    minor words (expected 0)" steps;
+  let rng = Rng.create ~seed:2 in
+  let acc = ref 0 in
+  let draws =
+    minor_words_of (fun () ->
+        for _ = 1 to 1000 do
+          acc := !acc + View.random_live (Member.view m) rng
+        done)
+  in
+  ignore (Sys.opaque_identity !acc);
+  if draws > 0.0 then
+    Alcotest.failf "1,000 live-peer draws allocated %.0f minor words (expected 0)" draws
+
 (* Two node cores, 0 and 1, of a [cn]-node run over one decode memo,
    whose algorithm ignores what it receives; [last] is the frame the
    latest transmission put on the wire. *)
@@ -860,26 +909,37 @@ let mux_words_per_frame () =
   let delivered = Array.fold_left (fun acc f -> acc + f.Repro_net.Control.delivered) 0 finals in
   words /. float_of_int delivered
 
+let service_config ~fault backend =
+  {
+    Repro_service.Service.n = 64;
+    cap = 80;
+    seed = 1;
+    ticks = 300;
+    churn = None;
+    fault;
+    lag_bound = None;
+    full_sync = None;
+    backend;
+    indirect_k = 2;
+    lifeguard = true;
+    trace = Repro_engine.Trace.null;
+  }
+
 let service_words_per_message backend () =
   let module Service = Repro_service.Service in
-  let cfg =
-    {
-      Service.n = 64;
-      cap = 80;
-      seed = 1;
-      ticks = 300;
-      churn = None;
-      fault = pinned_loss;
-      lag_bound = None;
-      full_sync = None;
-      backend;
-      indirect_k = 2;
-      lifeguard = true;
-      trace = Repro_engine.Trace.null;
-    }
-  in
-  let words, stats = words_of_run (fun () -> Service.run cfg) in
+  let words, stats = words_of_run (fun () -> Service.run (service_config ~fault:pinned_loss backend)) in
   words /. float_of_int stats.Service.msgs
+
+(* The same 64 members with no loss and no churn: each member-tick is a
+   gossip draw with nothing to push, plus a probe and its ack every
+   four ticks, so this reads what a member step costs when nothing
+   happens. *)
+let quiet_words_per_member_step () =
+  let module Service = Repro_service.Service in
+  let cfg = service_config ~fault:Repro_engine.Fault.none None in
+  let words, stats = words_of_run (fun () -> Service.run cfg) in
+  if stats.Service.gossip <> 0 then Alcotest.fail "the quiet fleet gossiped";
+  words /. float_of_int (cfg.Service.n * cfg.Service.ticks)
 
 (* (path, measurement, pin). Before the frame was made one buffer
    (encoded once with envelope room, sealed in place, decoded in place)
@@ -891,7 +951,10 @@ let service_words_per_message backend () =
    repeats is decoded once, not once per receipt) took the mux from
    115.19 to 95.83. The direct transport is the service
    with no net layer: each message encoded and decoded on the service
-   heap. *)
+   heap. Flat gossip cursors, guarded probe and relay lookups and one
+   lag tick per tick (no per-member [Tick] under the null sink) took
+   the hosted service from 93.09 to 75.48 and the direct one from 58.07
+   to 41.94. *)
 let path_pins =
   [
     ("sync engine (Sim), words per delivered message", sim_words_per_message, 26.2);
@@ -899,8 +962,9 @@ let path_pins =
     ("mux over node cores, words per delivered frame", mux_words_per_frame, 95.9);
     ( "service hosted transport, words per message",
       service_words_per_message (Some Repro_net.Backend.Mux),
-      98.8 );
-    ("service direct transport, words per message", service_words_per_message None, 63.5);
+      75.5 );
+    ("service direct transport, words per message", service_words_per_message None, 42.0);
+    ("service quiet fleet, words per member step", quiet_words_per_member_step, 20.5);
   ]
 
 let test_path_pin measure budget () =
@@ -958,6 +1022,8 @@ let () =
             test_batch_decode_allocates_its_payload;
           Alcotest.test_case "a full-state exchange allocates no major words" `Quick
             test_full_exchange_allocates_no_major_words;
+          Alcotest.test_case "a quiet member's gossip step is allocation-free" `Quick
+            test_member_gossip_step_allocates_nothing;
           Alcotest.test_case "a data frame allocates its frame and payload only" `Quick
             test_frame_seal_and_decode_allocate_frame_and_payload;
           Alcotest.test_case "a memo hit allocates only its constructor and Ok" `Quick

@@ -511,9 +511,8 @@ let prop_view_live_list =
         && List.for_all (fun p -> p <> owner && p <> exclude && View.is_live v p) got
       in
       let draw_ok () =
-        match View.random_live v rng with
-        | None -> expected () = []
-        | Some p -> p <> owner && View.is_live v p
+        let p = View.random_live v rng in
+        if p < 0 then p = -1 && expected () = [] else p <> owner && View.is_live v p
       in
       List.for_all
         (fun (op, k, exclude) ->
@@ -698,7 +697,7 @@ let test_service_traffic_classes () =
   Alcotest.(check bool) "and not every sync's reply" true
     (joined.Service.bootstraps < joined.Service.full_syncs)
 
-let test_service_loopback_caps_throttle () =
+let test_service_direct_transport_caps_throttle () =
   (* the direct transport applies Fault.fate, so a link cap drops the
      messages a link carries past its per-tick limit *)
   let churn = { Service.rate = 0.05; min_live = 8; until = 400 } in
@@ -841,6 +840,57 @@ let test_service_observer_tables_bounded () =
      checks above still hold *)
   Alcotest.(check int) "epoch-table high-water pinned" 10 stats.Service.lag_table_peak
 
+(* ROADMAP item 18's heavy-churn soak (n = 64, 3,000 ticks, churn 0.2,
+   the CLI's defaults for the rest): seed 2 breaks the lag bound,
+   because under churn this heavy the whole fleet matches no exact
+   membership snapshot for 160 ticks, while seed 1 passes. Each runs
+   under the null sink, where the lag checker gets one tick per tick,
+   and under a recording sink, which sees every member's [Tick]; the
+   verdicts and reports must not depend on which. The failure is pinned
+   to its exact message until the checker is redefined per change. *)
+let heavy_churn_config ~seed trace =
+  let n = 64 and ticks = 3000 in
+  let cap = n + 16 in
+  let bound = Service.default_lag_bound ~cap in
+  {
+    (soak_config ~n ~cap ~ticks ~seed
+       ~churn:
+         { Service.rate = 0.2; min_live = n / 2; until = ticks - (int_of_float bound + 16) }
+       ())
+    with
+    Service.lag_bound = Some bound;
+    trace;
+  }
+
+(* a sink that only counts the [Tick]s it sees *)
+let recording_sink () =
+  let ticks = ref 0 in
+  (Trace.callback (function Trace.Tick _ -> incr ticks | _ -> ()), ticks)
+
+let test_service_heavy_churn_lag_failure_pinned () =
+  let expected =
+    "convergence lag exceeded: node 2 has not converged to epoch 452 (change at t=2343) by \
+     t=2503 (bound 159.867)"
+  in
+  let verdict trace =
+    match Service.run (heavy_churn_config ~seed:2 trace) with
+    | _ -> Alcotest.fail "the seed-2 heavy-churn soak met its lag bound"
+    | exception Trace.Lag.Violation msg -> msg
+  in
+  Alcotest.(check string) "null sink" expected (verdict Trace.null);
+  let sink, ticks = recording_sink () in
+  Alcotest.(check string) "recording sink" expected (verdict sink);
+  (* the recording run saw a tick per member, not one per tick *)
+  Alcotest.(check bool) "per-member ticks recorded" true (!ticks > 2503 * 32)
+
+let test_service_lag_tick_sink_independent () =
+  let quiet = Service.run (heavy_churn_config ~seed:1 Trace.null) in
+  let sink, ticks = recording_sink () in
+  let recorded = Service.run (heavy_churn_config ~seed:1 sink) in
+  Alcotest.(check string) "same report under both sinks" (Service.stats_to_json quiet)
+    (Service.stats_to_json recorded);
+  Alcotest.(check bool) "per-member ticks recorded" true (!ticks > 3000 * 32)
+
 (* --- chaos matrix: the known-failing cell stays pinned ---------------- *)
 
 let test_chaos_known_failing_cell_pinned () =
@@ -942,13 +992,18 @@ let () =
           Alcotest.test_case "clean churn converges" `Quick test_service_clean_churn_converges;
           Alcotest.test_case "quiet fleet silent" `Quick test_service_quiet_fleet_sends_no_gossip;
           Alcotest.test_case "lossy churn converges" `Quick test_service_lossy_churn_converges;
-          Alcotest.test_case "loopback caps throttle" `Quick test_service_loopback_caps_throttle;
+          Alcotest.test_case "direct transport caps throttle" `Quick
+            test_service_direct_transport_caps_throttle;
           Alcotest.test_case "traffic classes" `Quick test_service_traffic_classes;
           Alcotest.test_case "scheduled churn" `Quick test_service_scheduled_churn;
           Alcotest.test_case "deterministic" `Quick test_service_deterministic;
           Alcotest.test_case "traffic scales with churn" `Slow
             test_service_traffic_scales_with_churn_not_n;
           Alcotest.test_case "observer tables bounded" `Slow test_service_observer_tables_bounded;
+          Alcotest.test_case "heavy churn lag failure pinned" `Slow
+            test_service_heavy_churn_lag_failure_pinned;
+          Alcotest.test_case "lag verdicts sink-independent" `Slow
+            test_service_lag_tick_sink_independent;
         ] );
       ( "detector",
         [ Alcotest.test_case "precision under loss" `Slow test_service_detector_precision ] );
