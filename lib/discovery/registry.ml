@@ -9,8 +9,6 @@ let all =
     Hm_gossip.algorithm;
   ]
 
-let baselines = List.filter (fun a -> a.Algorithm.name <> "hm") all
-
 let parse_rand_spec spec =
   (* spec grammar: MODE "/f" INT ["/delta"] ["/nbr"], as produced by
      Params.describe. *)

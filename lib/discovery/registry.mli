@@ -5,9 +5,6 @@ val all : Algorithm.t list
     flooding, swamping, pointer_jump, name_dropper, min_pointer,
     rand_gossip, hm. *)
 
-val baselines : Algorithm.t list
-(** [all] without [hm]. *)
-
 val find : string -> (Algorithm.t, string) result
 (** Look up by [name]. Module-style aliases resolve to their catalogue
     names (["hm_gossip"] and ["haeupler_malkhi"] → ["hm"]). Also
@@ -20,8 +17,6 @@ val find : string -> (Algorithm.t, string) result
     Unknown names get near-miss suggestions in the error message
     (["floding"] → did you mean ["flooding"]?) plus the full
     {!parse_doc} grammar. *)
-
-val names : unit -> string list
 
 val parse_doc : unit -> string
 (** One-line human description of everything {!find} accepts — the

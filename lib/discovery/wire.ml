@@ -59,18 +59,6 @@ let[@inline] read_varint_fast bytes pos stop =
   let b = if pos < stop then Char.code (Bytes.get bytes pos) else 0x80 in
   if b < 0x80 then b else read_varint bytes pos stop
 
-(* canonical identifier list of a data payload: sorted, deduplicated *)
-let ids_of_data = function
-  | Payload.Bits b -> Cset.elements b.Knowledge.set
-  | Payload.Ids a -> List.sort_uniq Int.compare (Array.to_list a)
-  | Payload.Delta s -> List.sort_uniq Int.compare (Array.to_list (Intvec.slice_to_array s))
-  | Payload.Updates u -> List.init u.count (Payload.update_node u.entries)
-
-let ids_of_payload = function
-  | Payload.Share d | Payload.Exchange d | Payload.Reply d -> ids_of_data d
-  | Payload.Probe | Payload.Halt | Payload.Probe_req _ | Payload.Probe_ack _
-  | Payload.Suspicion _ | Payload.Sync _ -> []
-
 let bitmap_size ~universe = (universe + 7) / 8
 
 (* --- update-batch codec (body codec 3) ---

@@ -103,7 +103,3 @@ val sizer : encoding -> universe:int -> Payload.t -> int
     reads its old size; a lent update batch is a fresh [Updates] record
     per send, so it never hits the memo. The memo is one closure's
     state, not shared: make one sizer per run, used by one domain. *)
-
-val ids_of_payload : Payload.t -> int list
-(** The sorted identifier set a payload carries (empty for [Probe]) —
-    the equality used by the codec round-trip laws. *)

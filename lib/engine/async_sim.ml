@@ -10,17 +10,6 @@ type config = {
   trace : Trace.sink;
 }
 
-let default_config =
-  {
-    horizon = 10_000.0;
-    tick_jitter = 0.1;
-    latency_min = 0.1;
-    latency_max = 0.9;
-    fault = Fault.none;
-    engine_seed = 0;
-    trace = Trace.null;
-  }
-
 type outcome = {
   completed : bool;
   time : float;

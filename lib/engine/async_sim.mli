@@ -37,10 +37,6 @@ type config = {
           [Send]/[Deliver]/[Drop] per message. Observational only. *)
 }
 
-val default_config : config
-(** horizon 10,000; jitter 0.1; latency ∈ [0.1, 0.9]; no faults; seed 0;
-    no tracing. *)
-
 type outcome = {
   completed : bool;
   time : float;  (** simulated completion (or give-up) time *)

@@ -47,8 +47,6 @@ let check_p name p =
 
 (* --- base link faults ------------------------------------------------ *)
 
-let drop_probability t = t.base.loss
-
 let with_loss t ~p =
   check_p "with_loss" p;
   { t with base = { t.base with loss = p } }
@@ -169,8 +167,6 @@ let rec cut_by ~src ~dst ~time = function
     && group_index src 0 p.groups <> group_index dst 0 p.groups)
     || cut_by ~src ~dst ~time rest
 
-let cut t ~src ~dst ~time = cut_by ~src ~dst ~time t.partitions
-
 (* --- link fate ------------------------------------------------------- *)
 
 module Itbl = Hashtbl.Make (Int)
@@ -201,7 +197,7 @@ let over_cap windows ~src ~dst ~time cap =
 (* Constant constructors and [Some] of one are static data: no verdict
    allocates. *)
 let fate t windows rng ~src ~dst ~time lk =
-  if cut t ~src ~dst ~time then Some Trace.Partitioned
+  if cut_by ~src ~dst ~time t.partitions then Some Trace.Partitioned
   else if lk.cap > 0 && over_cap windows ~src ~dst ~time lk.cap then Some Trace.Throttled
   else if lk.loss > 0.0 && Repro_util.Rng.bernoulli rng ~p:lk.loss then Some Trace.Loss
   else None
@@ -230,7 +226,6 @@ let with_random_crashes t ~seed ~n ~count =
     Array.fold_left (fun t node -> with_crash t ~node ~round:(1 + Rng.int rng 5)) t victims
   end
 
-let crash_round t ~node = Imap.find_opt node t.crashes
 let crashed_nodes t = Imap.bindings t.crashes
 
 let with_restart t ~node ~round =
@@ -263,10 +258,6 @@ let with_leave t ~node ~round =
     invalid_arg "Fault.with_leave: node is scheduled to crash";
   { t with leaves = Imap.add node round t.leaves }
 
-let with_leaves t pairs =
-  List.fold_left (fun t (node, round) -> with_leave t ~node ~round) t pairs
-
-let leave_round t ~node = Imap.find_opt node t.leaves
 let leaving_nodes t = Imap.bindings t.leaves
 
 (* --- content adversaries --------------------------------------------- *)

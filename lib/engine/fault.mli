@@ -56,13 +56,9 @@ val none : t
 val default_link : link
 (** All-zero link faults. *)
 
-val is_none : t -> bool
 val equal : t -> t -> bool
 
 (** {1 Base link faults} *)
-
-val drop_probability : t -> float
-(** The base link's loss probability (back-compat accessor). *)
 
 val with_loss : t -> p:float -> t
 (** Independent per-message drop probability on the base link.
@@ -116,11 +112,6 @@ val with_partition : t -> groups:int list list -> start:int -> heal:int -> t
 
 val partitions : t -> partition list
 
-val cut : t -> src:int -> dst:int -> time:float -> bool
-(** Is the [src -> dst] link severed by a partition at [time]? Rounds are
-    compared as floats so the asynchronous engines can pass fractional
-    times; the synchronous simulator passes [float_of_int round]. *)
-
 (** {1 Link fate} *)
 
 type windows
@@ -134,7 +125,9 @@ val fate :
   Trace.drop_reason option
 (** [fate t windows rng ~src ~dst ~time lk] — with [lk = link_between t
     ~src ~dst] — is the rule both simulators and the live shim apply to
-    every message: [Some Partitioned] if {!cut} at [time], else
+    every message: [Some Partitioned] if a partition severs the link at
+    [time] (a round, compared as a float so the asynchronous engines can
+    pass fractional times), else
     [Some Throttled] if the link already carried [lk.cap > 0] messages in
     window [int_of_float time] (the message counts either way), else
     [Some Loss] on a [lk.loss] coin drawn from [rng], else [None].
@@ -157,9 +150,6 @@ val with_random_crashes : t -> seed:int -> n:int -> count:int -> t
     [0xdead] substream and added to [t] by {!with_crash}; [t] itself
     when [count <= 0]. The random-crash cells of the fault sweep (T6)
     and [discovery_cli run --crashes] both draw their victims here. *)
-
-val crash_round : t -> node:int -> int option
-(** The round at which [node] crashes, if any. *)
 
 val crashed_nodes : t -> (int * int) list
 (** All scheduled crashes as [(node, round)], sorted by node. *)
@@ -195,12 +185,6 @@ val with_leave : t -> node:int -> round:int -> t
     (the one-shot engines treat membership as fixed once joined).
     @raise Invalid_argument if [round < 1], [node < 0], or [node] also
     has a scheduled crash (a node cannot both crash and leave). *)
-
-val with_leaves : t -> (int * int) list -> t
-(** Fold of {!with_leave} over [(node, round)] pairs. *)
-
-val leave_round : t -> node:int -> int option
-(** The round at which [node] leaves, if scheduled. *)
 
 val leaving_nodes : t -> (int * int) list
 (** All scheduled leaves as [(node, round)], sorted by node. *)

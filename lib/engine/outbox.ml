@@ -27,7 +27,6 @@ let max_id = 0x7fff_ffff
 let create () = { routes = [||]; msgs = [||]; len = 0 }
 
 let length t = t.len
-let is_empty t = t.len = 0
 let clear t = t.len <- 0
 let capacity t = Array.length t.routes
 

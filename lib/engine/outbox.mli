@@ -22,7 +22,6 @@ val max_id : int
 
 val create : unit -> 'msg t
 val length : 'msg t -> int
-val is_empty : 'msg t -> bool
 
 val clear : 'msg t -> unit
 (** Reset to empty, keeping the allocated storage. *)

@@ -84,11 +84,6 @@ type event =
   | Complete  (** the completion predicate fired *)
   | Give_up  (** round/time budget exhausted *)
 
-val event_to_json : event -> string
-(** One-line JSON object, stable field order, no trailing newline — the
-    JSONL wire format. Times are printed with ["%.12g"], so equal floats
-    always print identically (byte-stable reruns). *)
-
 val drop_reason_name : drop_reason -> string
 (** ["loss"], ["dead_dst"], ["unjoined_dst"], ["partitioned"] or
     ["throttled"], as used in the JSON encoding. *)
@@ -114,7 +109,9 @@ val callback : ?flush:(unit -> unit) -> (event -> unit) -> sink
 (** The general escape hatch: run an arbitrary function per event. *)
 
 val jsonl : out_channel -> sink
-(** Write one {!event_to_json} line per event. The caller owns the
+(** Write one line per event: a JSON object in stable field order (the
+    JSONL wire format). Times are printed with ["%.12g"], so equal floats
+    always print identically (byte-stable reruns). The caller owns the
     channel (open/close); {!flush} flushes it. *)
 
 val buffer : Buffer.t -> sink

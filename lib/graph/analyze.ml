@@ -48,13 +48,11 @@ let undirected_bfs t ~source =
   if source < 0 || source >= n then invalid_arg "Analyze.undirected_bfs: source out of range";
   bfs_csr n (undirected_csr t) source
 
-let weak_component_count t =
+let is_weakly_connected t =
   let n = Topology.n t in
   let uf = Unionfind.create n in
   List.iter (fun (u, v) -> ignore (Unionfind.union uf u v)) (Topology.edges t);
-  Unionfind.count uf
-
-let is_weakly_connected t = Topology.n t <= 1 || weak_component_count t = 1
+  n <= 1 || Unionfind.count uf = 1
 
 let eccentricity dist =
   Array.fold_left

@@ -11,8 +11,6 @@ open Repro_util
 
 val is_weakly_connected : Topology.t -> bool
 
-val weak_component_count : Topology.t -> int
-
 val undirected_bfs : Topology.t -> source:int -> int array
 (** Distances in the symmetrised graph; unreachable nodes get [-1]. *)
 

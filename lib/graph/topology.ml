@@ -118,33 +118,3 @@ let edges t =
   !acc
 
 let edge_count t = Array.length t.adj
-
-let mem_edge t u v =
-  if u < 0 || u >= t.n || v < 0 || v >= t.n then false
-  else begin
-    (* binary search within u's sorted slice *)
-    let lo = ref t.offsets.(u) and hi = ref (t.offsets.(u + 1) - 1) in
-    let found = ref false in
-    while (not !found) && !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let w = t.adj.(mid) in
-      if w = v then found := true else if w < v then lo := mid + 1 else hi := mid - 1
-    done;
-    !found
-  end
-
-let symmetrize t =
-  let fwd = edges t in
-  let bwd = List.map (fun (u, v) -> (v, u)) fwd in
-  create ~n:t.n ~edges:(fwd @ bwd)
-
-let map_nodes t perm =
-  if Array.length perm <> t.n then invalid_arg "Topology.map_nodes: wrong permutation length";
-  let seen = Array.make t.n false in
-  Array.iter
-    (fun p ->
-      if p < 0 || p >= t.n || seen.(p) then invalid_arg "Topology.map_nodes: not a permutation";
-      seen.(p) <- true)
-    perm;
-  create ~n:t.n ~edges:(List.map (fun (u, v) -> (perm.(u), perm.(v))) (edges t))
-

@@ -34,13 +34,3 @@ val edges : t -> (int * int) list
 (** All edges, lexicographically ordered. *)
 
 val edge_count : t -> int
-
-val mem_edge : t -> int -> int -> bool
-
-val symmetrize : t -> t
-(** Add the reverse of every edge (knowledge graphs are often built from
-    undirected acquaintance relations). *)
-
-val map_nodes : t -> int array -> t
-(** [map_nodes t perm] relabels node [i] as [perm.(i)].
-    @raise Invalid_argument if [perm] is not a permutation of [0..n-1]. *)

@@ -25,7 +25,6 @@ let union t a b =
     true
   end
 
-let same t a b = find t a = find t b
 let count t = t.count
 
 let components t =

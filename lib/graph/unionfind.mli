@@ -14,7 +14,6 @@ val find : t -> int -> int
 val union : t -> int -> int -> bool
 (** Merge the two sets; returns [true] iff they were previously distinct. *)
 
-val same : t -> int -> int -> bool
 val count : t -> int
 (** Number of disjoint sets remaining. *)
 

@@ -56,21 +56,13 @@ let significant line =
   let line = String.trim line in
   if line = "" || line.[0] = '#' then None else Some line
 
-let of_string text =
-  of_entries (List.filter_map significant (String.split_on_char '\n' text))
-
-let to_string table =
-  String.concat "" (List.map (fun a -> entry_to_string a ^ "\n") (Array.to_list table))
-
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> (
-    match of_string text with
+    match of_entries (List.filter_map significant (String.split_on_char '\n' text)) with
     | Ok table -> Ok table
     | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
   | exception Sys_error msg -> Error msg
-
-let save path table = Out_channel.with_open_text path (fun oc -> output_string oc (to_string table))
 
 let index_of table addr =
   match parse_entry addr with

@@ -8,9 +8,9 @@
     [HOST:PORT] with a numeric IP or a hostname (resolved once, at
     parse time, so the table in memory is always concrete addresses).
 
-    The textual form is one entry per line; blank lines and
-    [#]-comments are ignored, and [to_string]/[of_string] round-trip
-    (modulo comments and hostname resolution). *)
+    The file form is one entry per line; blank lines and [#]-comments
+    are ignored, and a file of {!entry_to_string} lines loads back to
+    the same table (modulo comments and hostname resolution). *)
 
 type t = Unix.sockaddr array
 
@@ -22,16 +22,9 @@ val of_entries : string list -> (t, string) result
 (** Parse an already-split list (e.g. a comma-separated [--peers]
     value); errors name the offending index. *)
 
-val of_string : string -> (t, string) result
-(** Parse the file format (entry per line, [#] comments). *)
-
-val to_string : t -> string
-(** One canonical entry per line, trailing newline included. *)
-
 val load : string -> (t, string) result
-(** Read a table file; errors are prefixed with the path. *)
-
-val save : string -> t -> unit
+(** Read a table file (entry per line, [#] comments); errors are
+    prefixed with the path. *)
 
 val index_of : t -> string -> int option
 (** Which node id a [--listen] spelling denotes: the first entry equal

@@ -48,9 +48,6 @@ type report = {
 
 val all_passed : report -> bool
 
-val random_plan : rng:Repro_util.Rng.t -> n:int -> Fault.t
-(** The per-trial plan generator — exposed so tests can pin its shape. *)
-
 val run : ?progress:(trial -> unit) -> spec -> report
 (** Run the soak; [progress] is called after each trial (for live
     status lines).
@@ -128,11 +125,9 @@ type cell = {
   cell_passed : int;
 }
 
-val cell_to_json : cell -> string
-(** One line, stable field order, no wall-clock fields — safe to pin. *)
-
 val matrix_to_json : cell list -> string
-(** One {!cell_to_json} line per cell, newline-terminated. *)
+(** One line per cell, newline-terminated; stable field order and no
+    wall-clock fields, so it is safe to pin. *)
 
 val matrix :
   ?progress:(cell -> unit) ->

@@ -21,11 +21,9 @@ type config = {
   reorder_width : int;
   max_crashes : int;
   max_leaves : int;
-  seed : int;
 }
 
-let default =
-  { n = 2; depth = 8; reorder_width = 2; max_crashes = 0; max_leaves = 4000; seed = 0 }
+let default = { n = 2; depth = 8; reorder_width = 2; max_crashes = 0; max_leaves = 4000 }
 
 type stats = { interleavings : int; moves : int; truncated : bool }
 
@@ -63,7 +61,7 @@ let core_config cfg v ~announce =
     Node_core.node = v;
     n = cfg.n;
     algo = Flooding.algorithm;
-    seed = cfg.seed;
+    seed = 0;
     neighbors = path_neighbors cfg.n v;
     tick_period = 1.0;
     rto = 3.0;
@@ -78,7 +76,7 @@ let boot cfg =
       queues = Array.init cfg.n (fun _ -> Array.init cfg.n (fun _ -> Queue.create ()));
       now = 0.0;
       crashes = 0;
-      labels = Exec.labels_of ~seed:cfg.seed cfg.n;
+      labels = Exec.labels_of ~seed:0 cfg.n;
       memo = Node_core.memo ~n:cfg.n;
     }
   in

@@ -39,7 +39,8 @@
     tick: a round trip can then outlast the retransmission timeout,
     and a sender's older view can arrive after its newer one and be
     decoded afresh (hm with latency [(0.1, 2.5)] differs from the
-    oracle already at [n = 24]).
+    oracle already at [n = 24], seed 11, at event 850; the net tests
+    pin that divergence).
 
     The run's completion monitor is the single authority on completion,
     sampling {!Repro_discovery.Exec.satisfied} once per virtual time

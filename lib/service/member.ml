@@ -85,8 +85,6 @@ type t = {
 
 let self t = t.self
 let view t = t.view
-let incarnation t = t.incarnation
-let health t = t.health
 
 (* The local-health multiplier: 1x when healthy, up to 3x when every
    recent probe failed. *)

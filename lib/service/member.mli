@@ -106,12 +106,6 @@ val create_joiner :
 
 val self : t -> int
 val view : t -> View.t
-val incarnation : t -> int
-
-val health : t -> int
-(** Current local-health score, 0 (healthy) to 4 (every recent probe
-    failed); always 0 with [lifeguard:false]. The induced timeout
-    multiplier is [1 + health/2]. *)
 
 val step : t -> now:float -> unit
 (** One activation at virtual time [now]: fire due bootstrap retries,

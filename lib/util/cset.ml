@@ -104,7 +104,6 @@ let capacity t = t.n
 let cardinal t = t.card
 let is_empty t = t.card = 0
 let is_full t = (not t.unbounded) && t.card = t.n
-let is_frozen t = t.status = Frozen
 
 (* span of ids covered by container [ci] *)
 let range_of t ci =
@@ -440,8 +439,6 @@ let fold f init t =
   let acc = ref init in
   iter (fun v -> acc := f !acc v) t;
   !acc
-
-let elements t = List.rev (fold (fun acc v -> v :: acc) [] t)
 
 let to_array t =
   let out = Array.make t.card 0 in
@@ -900,33 +897,6 @@ let subset a b =
 
 let equal a b =
   (not a.unbounded) && (not b.unbounded) && a.n = b.n && a.card = b.card && subset a b
-
-(* members of one container present in the other: iterate the smaller,
-   probe the larger. Its own function, so the counter that its closure
-   captures is allocated only on this path. *)
-let probe_count ca cb =
-  let small, big = if ca.ccard <= cb.ccard then (ca, cb) else (cb, ca) in
-  let k = ref 0 in
-  citer small 0 (fun v -> if cmem big v then incr k);
-  !k
-
-let inter_cardinal a b =
-  same_capacity a b;
-  let total = ref 0 in
-  for ci = 0 to Array.length a.containers - 1 do
-    let ca = a.containers.(ci) and cb = b.containers.(ci) in
-    if ca.ccard > 0 && cb.ccard > 0 then begin
-      let range = range_of a ci in
-      if ca.ccard = range then total := !total + cb.ccard
-      else if cb.ccard = range then total := !total + ca.ccard
-      else if ca.kind = bmp_kind && cb.kind = bmp_kind then
-        for w = 0 to (Bytes.length ca.bits lsr 3) - 1 do
-          total := !total + popcount64 (Int64.logand (load ca.bits w) (load cb.bits w))
-        done
-      else total := !total + probe_count ca cb
-    end
-  done;
-  !total
 
 (* ---- difference ---- *)
 

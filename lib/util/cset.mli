@@ -69,8 +69,6 @@ val freeze : t -> t
     after the freeze re-materialises private storage, so the view never
     changes. Freezing a frozen view returns it unchanged. *)
 
-val is_frozen : t -> bool
-
 val union_into : dst:t -> src:t -> int
 (** [union_into ~dst ~src] adds every element of [src] to [dst] and
     returns the number of newly-added elements. O(containers) when the
@@ -94,7 +92,6 @@ val diff_into : dst:t -> src:t -> int
     first, so the view keeps its members.
     @raise Invalid_argument if [dst] is frozen or capacities differ. *)
 
-val inter_cardinal : t -> t -> int
 val equal : t -> t -> bool
 
 val subset : t -> t -> bool
@@ -104,7 +101,6 @@ val iter : (int -> unit) -> t -> unit
 (** Iterate elements in increasing order. *)
 
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
-val elements : t -> int list
 val to_array : t -> int array
 val of_array : int -> int array -> t
 

@@ -14,8 +14,6 @@ let escape s =
   end
   else s
 
-let row_to_string cells = String.concat "," (List.map escape cells)
-
 let rec ensure_dir dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
     ensure_dir (Filename.dirname dir);
@@ -30,6 +28,6 @@ let write ~path ~header ~rows =
     (fun () ->
       List.iter
         (fun row ->
-          output_string oc (row_to_string row);
+          output_string oc (String.concat "," (List.map escape row));
           output_char oc '\n')
         (header :: rows))

@@ -224,11 +224,6 @@ let slice_iter f s =
     f s.sdata.(i)
   done
 
-let slice_fold f init s =
-  let acc = ref init in
-  slice_iter (fun v -> acc := f !acc v) s;
-  !acc
-
 let slice_to_array s = Array.sub s.sdata s.spos s.slen
 
 let last t =

@@ -98,7 +98,6 @@ val slice_get : slice -> int -> int
 (** @raise Invalid_argument if the index is out of bounds. *)
 
 val slice_iter : (int -> unit) -> slice -> unit
-val slice_fold : ('a -> int -> 'a) -> 'a -> slice -> 'a
 
 val slice_to_array : slice -> int array
 (** Copies the window out. *)

@@ -4,8 +4,11 @@ let glyphs = [| '*'; 'o'; '+'; 'x'; '#'; '@'; '%'; '&'; '='; '~' |]
 
 let transform log v = if log then Stats.log2 v else v
 
-let render ?(width = 64) ?(height = 18) ?(logx = false) ?(logy = false) ~title ~xlabel ~ylabel
-    series_list =
+(* the grid, in characters *)
+let width = 64
+let height = 18
+
+let render ?(logx = false) ?(logy = false) ~title ~xlabel ~ylabel series_list =
   let usable =
     List.map
       (fun s ->

@@ -9,8 +9,6 @@
 type series = { label : string; points : (float * float) list }
 
 val render :
-  ?width:int ->
-  ?height:int ->
   ?logx:bool ->
   ?logy:bool ->
   title:string ->
@@ -18,7 +16,7 @@ val render :
   ylabel:string ->
   series list ->
   string
-(** Render one or more series on a shared grid. Each series is drawn with
+(** Render one or more series on a shared 64 × 18 grid. Each series is drawn with
     its own glyph and listed in a legend beneath the plot. Log-scaled axes
     drop non-positive points. An empty series list (or series with no
     plottable points) renders a placeholder message. *)

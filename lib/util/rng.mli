@@ -40,9 +40,6 @@ val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.
     @raise Invalid_argument on an empty array. *)
 
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher–Yates shuffle. *)
-
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniform random permutation of [0 .. n-1]. *)
 

@@ -1,13 +1,18 @@
 open Repro_util
 open Repro_graph
 
+(* A deterministic family at size [n], as the programs build it. *)
+let family f n = Generate.of_seed f ~n ~seed:0
+
 let test_connectivity () =
   let connected = Topology.create ~n:4 ~edges:[ (0, 1); (2, 1); (3, 2) ] in
   Alcotest.(check bool) "weakly connected (directions ignored)" true
     (Analyze.is_weakly_connected connected);
   let split = Topology.create ~n:4 ~edges:[ (0, 1); (2, 3) ] in
   Alcotest.(check bool) "disconnected" false (Analyze.is_weakly_connected split);
-  Alcotest.(check int) "components" 2 (Analyze.weak_component_count split);
+  let uf = Unionfind.create 4 in
+  List.iter (fun (u, v) -> ignore (Unionfind.union uf u v)) (Topology.edges split);
+  Alcotest.(check int) "components" 2 (Unionfind.count uf);
   Alcotest.(check bool) "singleton graph" true
     (Analyze.is_weakly_connected (Topology.create ~n:1 ~edges:[]));
   Alcotest.(check bool) "empty graph" true
@@ -22,14 +27,14 @@ let test_bfs () =
     (Analyze.undirected_bfs split ~source:0)
 
 let test_bfs_ignores_direction () =
-  let t = Generate.directed_path 4 in
+  let t = family Generate.Directed_path 4 in
   Alcotest.(check (array int)) "bfs from sink walks backwards" [| 3; 2; 1; 0 |]
     (Analyze.undirected_bfs t ~source:3)
 
 let test_diameter_exact () =
   Alcotest.(check int) "path" 9 (Analyze.weak_diameter_exact (Generate.path 10));
-  Alcotest.(check int) "cycle" 5 (Analyze.weak_diameter_exact (Generate.cycle 10));
-  Alcotest.(check int) "star" 2 (Analyze.weak_diameter_exact (Generate.star 10));
+  Alcotest.(check int) "cycle" 5 (Analyze.weak_diameter_exact (family Generate.Cycle 10));
+  Alcotest.(check int) "star" 2 (Analyze.weak_diameter_exact (family Generate.Star 10));
   Alcotest.(check int) "complete" 1 (Analyze.weak_diameter_exact (Generate.complete 5));
   Alcotest.(check int) "singleton" 0 (Analyze.weak_diameter_exact (Generate.path 1));
   Alcotest.(check int) "disconnected" (-1)
@@ -41,8 +46,8 @@ let test_diameter_estimate () =
   Alcotest.(check int) "path estimate exact" 99
     (Analyze.weak_diameter_estimate ~rng (Generate.path 100));
   Alcotest.(check int) "tree estimate exact"
-    (Analyze.weak_diameter_exact (Generate.binary_tree 63))
-    (Analyze.weak_diameter_estimate ~rng (Generate.binary_tree 63));
+    (Analyze.weak_diameter_exact (family Generate.Binary_tree 63))
+    (Analyze.weak_diameter_estimate ~rng (family Generate.Binary_tree 63));
   Alcotest.(check int) "disconnected" (-1)
     (Analyze.weak_diameter_estimate ~rng (Topology.create ~n:3 ~edges:[ (0, 1) ]))
 
@@ -57,7 +62,7 @@ let test_estimate_is_lower_bound () =
   done
 
 let test_degree_stats () =
-  let t = Generate.star 5 in
+  let t = family Generate.Star 5 in
   let s = Analyze.degree_stats t in
   Alcotest.(check int) "count" 5 s.Stats.count;
   Alcotest.(check bool) "max is center" true (s.Stats.max = 4.0);

@@ -6,6 +6,10 @@ open Repro_discovery
 
 let kout ~n ~seed = Generate.of_seed (Generate.K_out 3) ~n ~seed
 
+(* The engine configuration of a default one-shot spec on [n] nodes:
+   jitter 0.1, latency in [0.1, 0.9], no faults, seed 0, no tracing. *)
+let default_config ~n = Run_async.engine_config ~n Run_async.default_spec
+
 (* --- engine semantics --- *)
 
 let test_validation () =
@@ -22,11 +26,11 @@ let test_validation () =
          ())
   in
   Alcotest.check_raises "horizon" (Invalid_argument "Async_sim.run: horizon must be positive")
-    (fun () -> run { Async_sim.default_config with Async_sim.horizon = 0.0 });
+    (fun () -> run { (default_config ~n:1) with Async_sim.horizon = 0.0 });
   Alcotest.check_raises "jitter" (Invalid_argument "Async_sim.run: jitter must be in [0, 1)")
-    (fun () -> run { Async_sim.default_config with Async_sim.tick_jitter = 1.0 });
+    (fun () -> run { (default_config ~n:1) with Async_sim.tick_jitter = 1.0 });
   Alcotest.check_raises "latency" (Invalid_argument "Async_sim.run: invalid latency interval")
-    (fun () -> run { Async_sim.default_config with Async_sim.latency_min = 0.5; latency_max = 0.1 })
+    (fun () -> run { (default_config ~n:1) with Async_sim.latency_min = 0.5; latency_max = 0.1 })
 
 let test_ticks_happen_at_period_rate () =
   let ticks_of = Array.make 2 0 in
@@ -36,7 +40,7 @@ let test_ticks_happen_at_period_rate () =
       deliver = (fun ~node:_ ~src:_ ~round:_ () -> ());
     }
   in
-  let config = { Async_sim.default_config with Async_sim.horizon = 100.0; tick_jitter = 0.2 } in
+  let config = { (default_config ~n:2) with Async_sim.horizon = 100.0; tick_jitter = 0.2 } in
   let outcome =
     Async_sim.run ~n:2 ~config ~handlers ~measure:(fun _ -> 0)
       ~stop:(fun ~time:_ ~alive:_ -> false)
@@ -72,7 +76,7 @@ let test_messages_arrive_within_latency_bounds () =
   in
   (* the engine has no explicit clock exposure; we approximate by
      checking only causality (delivery after send) via the hashtable *)
-  let config = { Async_sim.default_config with Async_sim.horizon = 50.0 } in
+  let config = { (default_config ~n:2) with Async_sim.horizon = 50.0 } in
   let outcome =
     Async_sim.run ~n:2 ~config ~handlers ~measure:(fun _ -> 0)
       ~stop:(fun ~time ~alive:_ ->

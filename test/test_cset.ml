@@ -9,6 +9,7 @@ open Repro_util
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let elements t = Array.to_list (Cset.to_array t)
 
 (* The model of a set: its sorted, duplicate-free element list. *)
 let model_of vs = List.sort_uniq compare vs
@@ -130,7 +131,7 @@ let test_container_edges () =
   List.iter (fun v -> check_bool "first add" true (Cset.add t v)) edges;
   List.iter (fun v -> check_bool "duplicate add" false (Cset.add t v)) edges;
   check_int "cardinal" (List.length edges) (Cset.cardinal t);
-  Alcotest.(check (list int)) "elements" edges (Cset.elements t);
+  Alcotest.(check (list int)) "elements" edges (elements t);
   check_bool "remove present" true (Cset.remove t 65_536);
   check_bool "remove absent" false (Cset.remove t 65_536);
   check_bool "mem removed" false (Cset.mem t 65_536);
@@ -149,7 +150,7 @@ let test_array_shifts () =
   List.iter (fun v -> check_bool "add" true (Cset.add t v)) members;
   Gc.full_major ();
   let m = ref (model_of members) in
-  let agree what = Alcotest.(check (list int)) what !m (Cset.elements t) in
+  let agree what = Alcotest.(check (list int)) what !m (elements t) in
   agree "after descending adds";
   List.iter
     (fun v ->
@@ -188,7 +189,7 @@ let test_union_with_callback () =
 let test_iter_order () =
   let t = Cset.of_array 140_000 [| 99; 0; 131_072; 31; 65_536; 17; 99 |] in
   let sorted = [ 0; 17; 31; 99; 65_536; 131_072 ] in
-  Alcotest.(check (list int)) "elements sorted" sorted (Cset.elements t);
+  Alcotest.(check (list int)) "elements sorted" sorted (elements t);
   Alcotest.(check (array int)) "to_array" (Array.of_list sorted) (Cset.to_array t);
   let seen = ref [] in
   Cset.iter (fun v -> seen := v :: !seen) t;
@@ -218,12 +219,6 @@ let test_rank_min_elt () =
     (fun () -> ignore (Cset.rank t 100_000));
   Alcotest.check_raises "min_elt of empty" (Invalid_argument "Cset.min_elt: empty set")
     (fun () -> ignore (Cset.min_elt (Cset.create 10)))
-
-let test_inter_cardinal () =
-  let a = Cset.of_array 128 [| 0; 1; 2; 64; 100 |] in
-  let b = Cset.of_array 128 [| 1; 64; 127 |] in
-  check_int "intersection" 2 (Cset.inter_cardinal a b);
-  check_int "with itself" 5 (Cset.inter_cardinal a a)
 
 let test_equal_copy () =
   let a = Cset.of_array 64 [| 1; 33; 63 |] in
@@ -258,8 +253,6 @@ let test_unbounded_binary_ops () =
   Alcotest.check_raises "union into unbounded" mismatch (fun () ->
       ignore (Cset.union_into ~dst:u ~src:b));
   Alcotest.check_raises "subset of unbounded" mismatch (fun () -> ignore (Cset.subset b u));
-  Alcotest.check_raises "inter with unbounded" mismatch (fun () ->
-      ignore (Cset.inter_cardinal b u));
   check_bool "unbounded never equal" false (Cset.equal u u)
 
 (* ---- unit: freeze / copy-on-write ---- *)
@@ -278,7 +271,7 @@ let test_freeze_rejects_mutators () =
   (* reads still work on the view *)
   check_bool "mem" true (Cset.mem v 40);
   check_int "cardinal" 3 (Cset.cardinal v);
-  Alcotest.(check (list int)) "elements" [ 1; 40; 64 ] (Cset.elements v)
+  Alcotest.(check (list int)) "elements" [ 1; 40; 64 ] (elements v)
 
 let test_freeze_idempotent () =
   let t = Cset.of_array 10 [| 2 |] in
@@ -286,7 +279,7 @@ let test_freeze_idempotent () =
   (* repeated freezes of the source share storage and stay consistent *)
   let v2 = Cset.freeze t in
   check_bool "second view equal" true (Cset.equal v v2);
-  check_bool "copy not frozen" false (Cset.is_frozen (Cset.copy v));
+  check_bool "copy is mutable" true (Cset.add (Cset.copy v) 5);
   (* a union that learns nothing leaves the source and its views equal *)
   check_int "subset union adds nothing" 0 (Cset.union_into ~dst:t ~src:(Cset.of_array 10 [| 2 |]));
   check_bool "still equal" true (Cset.equal t v);
@@ -296,8 +289,6 @@ let test_freeze_idempotent () =
 let test_freeze_immutable () =
   let t = Cset.of_array 100 [| 1; 40; 64 |] in
   let v = Cset.freeze t in
-  check_bool "view frozen" true (Cset.is_frozen v);
-  check_bool "source not frozen" false (Cset.is_frozen t);
   check_bool "freeze of frozen is itself" true (Cset.freeze v == v);
   Alcotest.check_raises "add on view" (Invalid_argument "Cset: mutation of a frozen view")
     (fun () -> ignore (Cset.add v 2));
@@ -398,12 +389,12 @@ let test_diff_representation_pairs () =
               let removed = Cset.diff_into ~dst ~src in
               check_int (what ^ ": removed") (List.length dm - List.length expect) removed;
               check_int (what ^ ": cardinal") (List.length expect) (Cset.cardinal dst);
-              if Cset.elements dst <> expect then Alcotest.failf "%s: members differ" what;
-              if Cset.elements src <> sm then Alcotest.failf "%s: source changed" what;
-              if Cset.elements view <> dm then Alcotest.failf "%s: frozen view changed" what;
+              if elements dst <> expect then Alcotest.failf "%s: members differ" what;
+              if elements src <> sm then Alcotest.failf "%s: source changed" what;
+              if elements view <> dm then Alcotest.failf "%s: frozen view changed" what;
               (* the destination stays a working set: refill what was removed *)
               List.iter (fun v -> ignore (Cset.add dst v)) dm;
-              if Cset.elements dst <> dm then Alcotest.failf "%s: refill differs" what)
+              if elements dst <> dm then Alcotest.failf "%s: refill differs" what)
             [ false; true ])
         forms)
     forms
@@ -414,13 +405,13 @@ let test_diff_edges () =
   check_int "empty destination" 0 (Cset.diff_into ~dst:(Cset.create 100) ~src:a);
   check_int "disjoint" 0 (Cset.diff_into ~dst:a ~src:(Cset.of_array 100 [| 0; 4; 99 |]));
   check_int "partial" 2 (Cset.diff_into ~dst:a ~src:(Cset.of_array 100 [| 2; 40; 41 |]));
-  Alcotest.(check (list int)) "partial members" [ 1; 3; 64 ] (Cset.elements a);
+  Alcotest.(check (list int)) "partial members" [ 1; 3; 64 ] (elements a);
   (* a destination minus its own frozen view: the owner empties, the
      view keeps every member *)
   let view = Cset.freeze a in
   check_int "minus own view" 3 (Cset.diff_into ~dst:a ~src:view);
   check_bool "owner empty" true (Cset.is_empty a);
-  Alcotest.(check (list int)) "view kept" [ 1; 3; 64 ] (Cset.elements view);
+  Alcotest.(check (list int)) "view kept" [ 1; 3; 64 ] (elements view);
   let b = Cset.of_array 100 [| 5; 6 |] in
   check_int "minus itself" 2 (Cset.diff_into ~dst:b ~src:b);
   check_bool "itself empty" true (Cset.is_empty b)
@@ -469,7 +460,7 @@ let of_list n vs =
   (c, model_of vs)
 
 let agrees c m =
-  Cset.cardinal c = List.length m && Cset.elements c = m && List.for_all (Cset.mem c) m
+  Cset.cardinal c = List.length m && elements c = m && List.for_all (Cset.mem c) m
 
 let prop_matches_model =
   QCheck2.Test.make ~name:"cset matches the model under add/remove" ~count:200
@@ -534,7 +525,7 @@ let prop_diff_matches =
       removed = List.length m - List.length dm
       && agrees c dm && agrees src sm
       && (match dview with Some view -> agrees view m | None -> true)
-      && Cset.inter_cardinal c src = 0)
+      && Cset.diff_into ~dst:(Cset.copy c) ~src = 0)
 
 let prop_union_with_enumerates_fresh =
   QCheck2.Test.make ~name:"union_into_with yields fresh elements in order" ~count:200 pair_gen
@@ -554,7 +545,9 @@ let prop_queries_match =
     (fun (n, xs, ys) ->
       let c, m = of_list n xs in
       let sc, sm = of_list n ys in
-      Cset.inter_cardinal c sc = List.length (List.filter (fun v -> List.mem v sm) m)
+      (* the intersection's size is what a difference removes *)
+      Cset.diff_into ~dst:(Cset.copy c) ~src:sc
+      = List.length (List.filter (fun v -> List.mem v sm) m)
       && Cset.equal c sc = (m = sm)
       && (m = [] || Cset.min_elt c = List.hd m)
       && List.for_all
@@ -609,7 +602,7 @@ let bitmap_of n members =
   b
 
 let same_as_model ~what model c =
-  if Cset.elements c <> Cset.elements model then Alcotest.failf "%s: elements differ" what;
+  if elements c <> elements model then Alcotest.failf "%s: elements differ" what;
   check_int (what ^ ": cardinal") (Cset.cardinal model) (Cset.cardinal c);
   check_int (what ^ ": memory_words") (Cset.memory_words model) (Cset.memory_words c)
 
@@ -734,7 +727,7 @@ let prop_bitmap_blit_after_removals =
       let out = Bytes.create ((n + 7) / 8) in
       Cset.blit_bitmap_bytes c out 0;
       Bytes.equal out (bitmap_of n kept)
-      && Cset.elements (Cset.of_bitmap_bytes n out 0) = Cset.elements c)
+      && elements (Cset.of_bitmap_bytes n out 0) = elements c)
 
 (* members of the sorted array [ma] below [v], by binary search *)
 let model_rank ma v =
@@ -777,8 +770,7 @@ let prop_ragged_bitmap_pairs =
       && agrees d dm
       && Cset.subset sc c = (model_diff sm m = [])
       && Cset.subset d c && Cset.subset c u && Cset.subset sc u
-      && Cset.inter_cardinal c sc = card - List.length dm
-      && Cset.inter_cardinal d sc = 0
+      && Cset.diff_into ~dst:(Cset.copy d) ~src:sc = 0
       && (m = [] || Cset.min_elt c = List.hd m)
       && (dm = [] || Cset.min_elt d = List.hd dm)
       && List.for_all (fun v -> Cset.rank c v = model_rank ma v) ids
@@ -802,7 +794,6 @@ let () =
           Alcotest.test_case "iteration order" `Quick test_iter_order;
           Alcotest.test_case "choose_nth" `Quick test_choose_nth;
           Alcotest.test_case "rank and min_elt" `Quick test_rank_min_elt;
-          Alcotest.test_case "inter_cardinal" `Quick test_inter_cardinal;
           Alcotest.test_case "equal/copy" `Quick test_equal_copy;
           Alcotest.test_case "is_full" `Quick test_is_full;
           Alcotest.test_case "unbounded refuses binary ops" `Quick test_unbounded_binary_ops;

@@ -276,9 +276,9 @@ let test_join_then_crash () =
 
 let test_fault_model () =
   let f = Fault.with_crashes (Fault.with_loss Fault.none ~p:0.5) [ (3, 7); (1, 2) ] in
-  Alcotest.(check (float 1e-9)) "loss" 0.5 (Fault.drop_probability f);
-  Alcotest.(check (option int)) "crash round" (Some 7) (Fault.crash_round f ~node:3);
-  Alcotest.(check (option int)) "no crash" None (Fault.crash_round f ~node:0);
+  Alcotest.(check (float 1e-9)) "loss" 0.5 (Fault.link_between f ~src:0 ~dst:1).Fault.loss;
+  Alcotest.(check (option int)) "crash round" (Some 7) (List.assoc_opt 3 (Fault.crashed_nodes f));
+  Alcotest.(check (option int)) "no crash" None (List.assoc_opt 0 (Fault.crashed_nodes f));
   Alcotest.(check (list (pair int int))) "sorted crashes" [ (1, 2); (3, 7) ] (Fault.crashed_nodes f);
   Alcotest.check_raises "bad probability"
     (Invalid_argument "Fault.with_loss: probability out of range") (fun () ->

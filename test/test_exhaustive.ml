@@ -93,7 +93,7 @@ let flooding_characterisation () =
       reach.(s) <- Array.copy seen
     done;
     let holders u =
-      u :: List.filter (fun v -> Topology.mem_edge t v u) (List.init n Fun.id)
+      u :: List.filter (fun v -> Array.mem u (Topology.out_neighbors t v)) (List.init n Fun.id)
     in
     List.for_all
       (fun u ->

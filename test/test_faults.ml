@@ -160,7 +160,8 @@ let test_drops_accounted () =
 
 let test_loss_edge_probabilities () =
   (* p = 0.0 is a no-op plan; p = 1.0 drops every message *)
-  Alcotest.(check bool) "p=0 plan is none" true (Fault.is_none (Fault.with_loss Fault.none ~p:0.0));
+  Alcotest.(check bool) "p=0 plan is none" true
+    (Fault.equal (Fault.with_loss Fault.none ~p:0.0) Fault.none);
   let r =
     Run.exec_spec
       { Run.default_spec with Run.seed = 1; fault = Fault.with_loss Fault.none ~p:1.0; max_rounds = Some 30 }
@@ -177,7 +178,7 @@ let test_crash_and_join_same_node () =
      [join, crash) *)
   let fault = Fault.with_crash (Fault.with_join Fault.none ~node:3 ~round:3) ~node:3 ~round:5 in
   Alcotest.(check int) "join kept" 3 (Fault.join_round fault ~node:3);
-  Alcotest.(check bool) "crash kept" true (Fault.crash_round fault ~node:3 = Some 5);
+  Alcotest.(check bool) "crash kept" true (List.assoc_opt 3 (Fault.crashed_nodes fault) = Some 5);
   let r =
     checked_exec
       { (spec ~seed:2 ~fault) with Run.completion = Run.Survivors_strong }
@@ -203,10 +204,15 @@ let test_dsl_examples () =
   match Fault.of_string "loss=0.1,part=0-3|4-7@5..20,crash=5@8,restart=5@14" with
   | Error e -> Alcotest.fail e
   | Ok f ->
-    Alcotest.(check (float 1e-9)) "loss" 0.1 (Fault.drop_probability f);
-    Alcotest.(check bool) "partitioned at 7" true (Fault.cut f ~src:0 ~dst:5 ~time:7.0);
-    Alcotest.(check bool) "healed at 20" false (Fault.cut f ~src:0 ~dst:5 ~time:20.0);
-    Alcotest.(check bool) "same side never cut" false (Fault.cut f ~src:0 ~dst:3 ~time:7.0);
+    let cut ~src ~dst ~time =
+      Fault.fate f (Fault.windows ()) (Repro_util.Rng.create ~seed:1) ~src ~dst ~time
+        (Fault.link_between f ~src ~dst)
+      = Some Trace.Partitioned
+    in
+    Alcotest.(check (float 1e-9)) "loss" 0.1 (Fault.link_between f ~src:0 ~dst:5).Fault.loss;
+    Alcotest.(check bool) "partitioned at 7" true (cut ~src:0 ~dst:5 ~time:7.0);
+    Alcotest.(check bool) "healed at 20" false (cut ~src:0 ~dst:5 ~time:20.0);
+    Alcotest.(check bool) "same side never cut" false (cut ~src:0 ~dst:3 ~time:7.0);
     (match Fault.of_string (Fault.to_string f) with
     | Ok f' -> Alcotest.(check bool) "round-trips" true (Fault.equal f f')
     | Error e -> Alcotest.fail e);
@@ -358,7 +364,7 @@ let plan_of_gen ((loss, dup, reorder, corrupt, delay), link, part, crash, join, 
   | None -> f
   | Some (node, round) ->
     (* joining a crashed node is allowed only if the join precedes it *)
-    (match Fault.crash_round f ~node with
+    (match List.assoc_opt node (Fault.crashed_nodes f) with
     | Some r when round >= r -> f
     | _ -> Fault.with_join f ~node ~round)
 

@@ -6,6 +6,11 @@ open Repro_graph
 
 let rng () = Rng.create ~seed:12345
 
+(* A family at size [n], built the way every program builds one. *)
+let gen family n = Generate.build family ~rng:(rng ()) ~n
+
+let mem_edge t u v = Array.mem v (Topology.out_neighbors t u)
+
 let test_path () =
   let t = Generate.path 5 in
   Alcotest.(check int) "edges" 8 (Topology.edge_count t);
@@ -14,24 +19,24 @@ let test_path () =
   Alcotest.(check (array int)) "end degree" [| 1 |] (Topology.out_neighbors t 0)
 
 let test_directed_path () =
-  let t = Generate.directed_path 4 in
+  let t = gen Generate.Directed_path 4 in
   Alcotest.(check int) "edges" 3 (Topology.edge_count t);
   Alcotest.(check bool) "weakly connected" true (Analyze.is_weakly_connected t);
   Alcotest.(check int) "last node degree" 0 (Topology.out_degree t 3)
 
 let test_cycles () =
-  let t = Generate.cycle 6 in
+  let t = gen Generate.Cycle 6 in
   Alcotest.(check int) "cycle edges" 12 (Topology.edge_count t);
   Alcotest.(check int) "cycle diameter" 3 (Analyze.weak_diameter_exact t);
-  let d = Generate.directed_cycle 6 in
+  let d = gen Generate.Directed_cycle 6 in
   Alcotest.(check int) "dcycle edges" 6 (Topology.edge_count d);
   Alcotest.(check bool) "dcycle connected" true (Analyze.is_weakly_connected d)
 
 let test_stars () =
-  let t = Generate.star 10 in
+  let t = gen Generate.Star 10 in
   Alcotest.(check int) "star center degree" 9 (Topology.out_degree t 0);
   Alcotest.(check int) "star diameter" 2 (Analyze.weak_diameter_exact t);
-  let i = Generate.inward_star 10 in
+  let i = gen Generate.Inward_star 10 in
   Alcotest.(check int) "instar center out-degree" 0 (Topology.out_degree i 0);
   Alcotest.(check int) "instar leaf out-degree" 1 (Topology.out_degree i 5);
   Alcotest.(check bool) "instar weakly connected" true (Analyze.is_weakly_connected i)
@@ -42,7 +47,7 @@ let test_complete () =
   Alcotest.(check int) "diameter" 1 (Analyze.weak_diameter_exact t)
 
 let test_binary_tree () =
-  let t = Generate.binary_tree 15 in
+  let t = gen Generate.Binary_tree 15 in
   Alcotest.(check int) "edges" 28 (Topology.edge_count t);
   Alcotest.(check bool) "connected" true (Analyze.is_weakly_connected t);
   Alcotest.(check int) "diameter" 6 (Analyze.weak_diameter_exact t)
@@ -55,13 +60,13 @@ let test_grid () =
   Alcotest.(check int) "diameter" 5 (Analyze.weak_diameter_exact t)
 
 let test_hypercube () =
-  let t = Generate.hypercube ~dim:4 in
+  let t = gen Generate.Hypercube 16 in
   Alcotest.(check int) "nodes" 16 (Topology.n t);
   Alcotest.(check int) "edges" (16 * 4) (Topology.edge_count t);
   Alcotest.(check int) "diameter" 4 (Analyze.weak_diameter_exact t)
 
 let test_lollipop () =
-  let t = Generate.lollipop 10 in
+  let t = gen Generate.Lollipop 10 in
   Alcotest.(check bool) "connected" true (Analyze.is_weakly_connected t);
   (* clique of 5 + path of 5 hanging off it *)
   Alcotest.(check int) "diameter" 6 (Analyze.weak_diameter_exact t)
@@ -72,7 +77,7 @@ let test_k_out () =
   (* acquaintance is symmetric *)
   List.iter
     (fun (u, v) ->
-      if not (Topology.mem_edge t v u) then Alcotest.failf "edge %d->%d not symmetric" u v)
+      if not (mem_edge t v u) then Alcotest.failf "edge %d->%d not symmetric" u v)
     (Topology.edges t);
   (* every node picked k distinct targets, so out-degree >= k *)
   for v = 0 to 199 do
@@ -84,9 +89,9 @@ let test_k_out_validation () =
     (fun () -> ignore (Generate.k_out ~rng:(rng ()) ~n:3 ~k:3))
 
 let test_erdos_renyi () =
-  let t = Generate.erdos_renyi ~rng:(rng ()) ~n:300 ~p:0.01 in
+  let t = gen (Generate.Erdos_renyi 0.01) 300 in
   Alcotest.(check bool) "connected (stitched)" true (Analyze.is_weakly_connected t);
-  let sparse = Generate.erdos_renyi ~rng:(rng ()) ~n:50 ~p:0.0 in
+  let sparse = gen (Generate.Erdos_renyi 0.0) 50 in
   Alcotest.(check bool) "p=0 still stitched" true (Analyze.is_weakly_connected sparse)
 
 let test_clustered () =
@@ -108,43 +113,43 @@ let test_seeded_directory () =
   done
 
 let test_barabasi_albert () =
-  let t = Generate.barabasi_albert ~rng:(rng ()) ~n:500 ~m:2 in
+  let t = gen (Generate.Barabasi_albert 2) 500 in
   Alcotest.(check bool) "connected" true (Analyze.is_weakly_connected t);
   (* scale-free: the max degree should dwarf the mean *)
   let s = Analyze.degree_stats t in
   Alcotest.(check bool) "hub exists" true (s.Stats.max > 4.0 *. s.Stats.mean);
   List.iter
     (fun (u, v) ->
-      if not (Topology.mem_edge t v u) then Alcotest.failf "edge %d->%d not symmetric" u v)
+      if not (mem_edge t v u) then Alcotest.failf "edge %d->%d not symmetric" u v)
     (Topology.edges t);
   Alcotest.check_raises "m >= 1" (Invalid_argument "Generate.barabasi_albert: m must be >= 1")
-    (fun () -> ignore (Generate.barabasi_albert ~rng:(rng ()) ~n:10 ~m:0))
+    (fun () -> ignore (gen (Generate.Barabasi_albert 0) 10))
 
 let test_watts_strogatz () =
   (* beta = 0 is exactly the ring lattice *)
-  let lattice = Generate.watts_strogatz ~rng:(rng ()) ~n:50 ~k:2 ~beta:0.0 in
+  let lattice = gen (Generate.Watts_strogatz (2, 0.0)) 50 in
   Alcotest.(check int) "lattice edges" 200 (Topology.edge_count lattice);
   Alcotest.(check int) "lattice diameter" 13 (Analyze.weak_diameter_exact lattice);
   (* rewiring shrinks the diameter *)
-  let small_world = Generate.watts_strogatz ~rng:(rng ()) ~n:200 ~k:2 ~beta:0.2 in
-  let ring = Generate.watts_strogatz ~rng:(rng ()) ~n:200 ~k:2 ~beta:0.0 in
+  let small_world = gen (Generate.Watts_strogatz (2, 0.2)) 200 in
+  let ring = gen (Generate.Watts_strogatz (2, 0.0)) 200 in
   Alcotest.(check bool) "connected" true (Analyze.is_weakly_connected small_world);
   Alcotest.(check bool) "small world" true
     (Analyze.weak_diameter_exact small_world < Analyze.weak_diameter_exact ring);
   Alcotest.check_raises "beta range"
     (Invalid_argument "Generate.watts_strogatz: beta out of range") (fun () ->
-      ignore (Generate.watts_strogatz ~rng:(rng ()) ~n:10 ~k:1 ~beta:1.5))
+      ignore (gen (Generate.Watts_strogatz (1, 1.5)) 10))
 
 let test_random_geometric () =
-  let t = Generate.random_geometric ~rng:(rng ()) ~n:300 ~radius:0.08 in
+  let t = gen (Generate.Random_geometric 0.08) 300 in
   Alcotest.(check int) "nodes" 300 (Topology.n t);
   Alcotest.(check bool) "connected (stitched)" true (Analyze.is_weakly_connected t);
   (* a big radius approaches the complete graph *)
-  let dense = Generate.random_geometric ~rng:(rng ()) ~n:40 ~radius:2.0 in
+  let dense = gen (Generate.Random_geometric 2.0) 40 in
   Alcotest.(check int) "full radius is complete" (40 * 39) (Topology.edge_count dense);
   Alcotest.check_raises "radius positive"
     (Invalid_argument "Generate.random_geometric: radius must be positive") (fun () ->
-      ignore (Generate.random_geometric ~rng:(rng ()) ~n:10 ~radius:0.0))
+      ignore (gen (Generate.Random_geometric 0.0) 10))
 
 let test_determinism () =
   let a = Generate.k_out ~rng:(Rng.create ~seed:9) ~n:100 ~k:2 in
@@ -154,40 +159,41 @@ let test_determinism () =
   Alcotest.(check bool) "different seed different graph" true (Topology.edges a <> Topology.edges c)
 
 let test_sorted_chain () =
-  let t = Generate.sorted_chain 6 in
+  let t = gen Generate.Sorted_chain 6 in
   Alcotest.(check int) "nodes" 6 (Topology.n t);
   (* every node except the minimum points one step DOWN the id order;
      nothing points up — that asymmetry is the worst case *)
   Alcotest.(check int) "edges" 5 (Topology.edge_count t);
   for v = 1 to 5 do
-    Alcotest.(check bool) "points down" true (Topology.mem_edge t v (v - 1));
-    Alcotest.(check bool) "never up" false (Topology.mem_edge t (v - 1) v)
+    Alcotest.(check bool) "points down" true (mem_edge t v (v - 1));
+    Alcotest.(check bool) "never up" false (mem_edge t (v - 1) v)
   done;
   Alcotest.(check bool) "connected" true (Analyze.is_weakly_connected t);
   (* degenerate sizes stay well-formed *)
-  Alcotest.(check int) "singleton" 0 (Topology.edge_count (Generate.sorted_chain 1))
+  Alcotest.(check int) "singleton" 0 (Topology.edge_count (gen Generate.Sorted_chain 1))
 
 let test_kniesburges () =
   let w = 3 and n = 12 in
-  let t = Generate.kniesburges ~n ~w in
+  let t = gen (Generate.Kniesburges w) n in
   Alcotest.(check int) "nodes" n (Topology.n t);
   (* each node points w back (the interleaved sorted lists)... *)
   for v = w to n - 1 do
-    Alcotest.(check bool) "list edge" true (Topology.mem_edge t v (v - w))
+    Alcotest.(check bool) "list edge" true (mem_edge t v (v - w))
   done;
   (* ...and the w list heads are chained head-to-head *)
   for i = 0 to w - 2 do
-    Alcotest.(check bool) "head chain" true (Topology.mem_edge t i (i + 1))
+    Alcotest.(check bool) "head chain" true (mem_edge t i (i + 1))
   done;
   Alcotest.(check int) "edge count" (n - w + (w - 1)) (Topology.edge_count t);
   Alcotest.(check bool) "connected" true (Analyze.is_weakly_connected t);
   (* w = 1 degenerates to the sorted chain *)
   Alcotest.(check bool)
     "w=1 is the sorted chain" true
-    (Topology.edges (Generate.kniesburges ~n:8 ~w:1) = Topology.edges (Generate.sorted_chain 8));
+    (Topology.edges (gen (Generate.Kniesburges 1) 8)
+    = Topology.edges (gen Generate.Sorted_chain 8));
   Alcotest.check_raises "w must be positive"
     (Invalid_argument "Generate.kniesburges: need w >= 1") (fun () ->
-      ignore (Generate.kniesburges ~n:8 ~w:0))
+      ignore (gen (Generate.Kniesburges 0) 8))
 
 let test_adversarial_families () =
   (* every named worst case is buildable, connected, parseable by name —
@@ -243,7 +249,7 @@ let prop_kout_connected_and_symmetric =
     (fun (n, k, seed) ->
       let t = Generate.k_out ~rng:(Rng.create ~seed) ~n ~k in
       Analyze.is_weakly_connected t
-      && List.for_all (fun (u, v) -> Topology.mem_edge t v u) (Topology.edges t))
+      && List.for_all (fun (u, v) -> mem_edge t v u) (Topology.edges t))
 
 let () =
   Alcotest.run "generate"

@@ -62,7 +62,6 @@ let test_slice () =
   Alcotest.(check int) "get 0" 6 (Intvec.slice_get s 0);
   Alcotest.(check int) "get 2" 8 (Intvec.slice_get s 2);
   Alcotest.(check (array int)) "to_array" [| 6; 7; 8 |] (Intvec.slice_to_array s);
-  Alcotest.(check int) "fold" 21 (Intvec.slice_fold ( + ) 0 s);
   let seen = ref [] in
   Intvec.slice_iter (fun x -> seen := x :: !seen) s;
   Alcotest.(check (list int)) "iter order" [ 6; 7; 8 ] (List.rev !seen);

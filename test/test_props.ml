@@ -141,7 +141,7 @@ let test_pull_only_hopeless_regression () =
   let r =
     checked_exec
       { Run.default_spec with Run.seed = 1; max_rounds = Some 300 }
-      Pointer_jump.algorithm (Generate.inward_star 64)
+      Pointer_jump.algorithm (Generate.of_seed Generate.Inward_star ~n:64 ~seed:0)
   in
   Alcotest.(check bool) "pull-only cannot finish" false r.Run.completed
 

@@ -65,19 +65,26 @@ let test_plot_log_drops_nonpositive () =
   in
   Alcotest.(check bool) "rendered" true (String.length rendered > 0)
 
-let test_csv_escape () =
-  Alcotest.(check string) "plain" "abc" (Csvio.escape "abc");
-  Alcotest.(check string) "comma" "\"a,b\"" (Csvio.escape "a,b");
-  Alcotest.(check string) "quote" "\"a\"\"b\"" (Csvio.escape "a\"b");
-  Alcotest.(check string) "newline" "\"a\nb\"" (Csvio.escape "a\nb");
-  Alcotest.(check string) "row" "a,\"b,c\",d" (Csvio.row_to_string [ "a"; "b,c"; "d" ])
-
 let read_file path =
   let ic = open_in path in
   let n = in_channel_length ic in
   let s = really_input_string ic n in
   close_in ic;
   s
+
+let test_csv_escape () =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "repro_csv_escape.csv" in
+  let line row =
+    Csvio.write ~path ~header:row ~rows:[];
+    let s = read_file path in
+    String.sub s 0 (String.length s - 1)
+  in
+  Alcotest.(check string) "plain" "abc" (line [ "abc" ]);
+  Alcotest.(check string) "comma" "\"a,b\"" (line [ "a,b" ]);
+  Alcotest.(check string) "quote" "\"a\"\"b\"" (line [ "a\"b" ]);
+  Alcotest.(check string) "newline" "\"a\nb\"" (line [ "a\nb" ]);
+  Alcotest.(check string) "row" "a,\"b,c\",d" (line [ "a"; "b,c"; "d" ]);
+  Sys.remove path
 
 let test_csv_write () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "repro_csv_test" in

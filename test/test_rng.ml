@@ -131,15 +131,6 @@ let test_pick () =
   Alcotest.check_raises "empty pick" (Invalid_argument "Rng.pick: empty array") (fun () ->
       ignore (Rng.pick rng [||]))
 
-let test_shuffle_preserves_multiset () =
-  let rng = Rng.create ~seed:31 in
-  let a = Array.init 50 (fun i -> i mod 7) in
-  let b = Array.copy a in
-  Rng.shuffle_in_place rng b;
-  Array.sort compare a;
-  Array.sort compare b;
-  Alcotest.(check (array int)) "same multiset" a b
-
 let prop_sample_distinct =
   QCheck2.Test.make ~name:"sample_distinct: distinct, in range, avoids" ~count:300
     QCheck2.Gen.(
@@ -180,7 +171,6 @@ let () =
           Alcotest.test_case "bernoulli" `Quick test_bernoulli;
           Alcotest.test_case "permutation" `Quick test_permutation;
           Alcotest.test_case "pick" `Quick test_pick;
-          Alcotest.test_case "shuffle multiset" `Quick test_shuffle_preserves_multiset;
           Alcotest.test_case "sample_distinct unsatisfiable" `Quick
             test_sample_distinct_unsatisfiable;
         ] );

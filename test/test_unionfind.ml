@@ -11,11 +11,11 @@ let test_union () =
   let uf = Unionfind.create 6 in
   Alcotest.(check bool) "merge" true (Unionfind.union uf 0 1);
   Alcotest.(check bool) "redundant merge" false (Unionfind.union uf 1 0);
-  Alcotest.(check bool) "same" true (Unionfind.same uf 0 1);
-  Alcotest.(check bool) "not same" false (Unionfind.same uf 0 2);
+  Alcotest.(check bool) "same" true (Unionfind.find uf 0 = Unionfind.find uf 1);
+  Alcotest.(check bool) "not same" false (Unionfind.find uf 0 = Unionfind.find uf 2);
   ignore (Unionfind.union uf 2 3);
   ignore (Unionfind.union uf 1 3);
-  Alcotest.(check bool) "transitively same" true (Unionfind.same uf 0 2);
+  Alcotest.(check bool) "transitively same" true (Unionfind.find uf 0 = Unionfind.find uf 2);
   Alcotest.(check int) "count" 3 (Unionfind.count uf)
 
 let test_components () =
@@ -58,7 +58,7 @@ let prop_equivalence_relation =
       let ok = ref true in
       for a = 0 to n - 1 do
         for b = 0 to n - 1 do
-          if Unionfind.same uf a b <> (label.(a) = label.(b)) then ok := false
+          if Unionfind.find uf a = Unionfind.find uf b <> (label.(a) = label.(b)) then ok := false
         done
       done;
       !ok)
