@@ -14,8 +14,9 @@
 # an export with a planned caller.
 #
 # The match is by words, not by resolved identifiers, so a val whose
-# name a program uses for something else passes; the check errs toward
-# passing, never toward a false failure.
+# name a program uses for something else passes: the check errs toward
+# passing. Literals are recognised as the OCaml lexer does, inside
+# comments too, except quoted extension nodes ({%ext|...|}).
 #
 # Usage: ci/exports-read.sh [repo-root]   (default: the current directory)
 set -eu
@@ -26,19 +27,38 @@ allow=ci/exports-allowlist
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# Print an OCaml file with its comments (nested) and string and
-# character literals blanked out; newlines are kept.
+# Print an OCaml file with its comments (nested) and string, quoted
+# string ({|...|}, {id|...|id}) and character literals blanked out;
+# newlines are kept.
 strip() {
   awk '
-    BEGIN { depth = 0; instr = 0 }
+    BEGIN { depth = 0; instr = 0; qend = "" }
     {
       line = $0; out = ""; n = length(line); i = 1
       while (i <= n) {
         c = substr(line, i, 1); c2 = substr(line, i, 2)
+        if (qend != "") {
+          j = index(substr(line, i), qend)
+          if (j == 0) break
+          i += j - 1 + length(qend); qend = ""; continue
+        }
         if (instr) {
           if (c == "\\") { i += 2; continue }
           if (c == "\"") instr = 0
           i++; continue
+        }
+        if (c == "{" && match(substr(line, i), /^\{[a-z_]*\|/)) {
+          qend = "|" substr(line, i + 1, RLENGTH - 2) "}"
+          if (depth == 0) out = out " "
+          i += RLENGTH; continue
+        }
+        if (c == "'\''" && substr(line, i + 2, 1) == "'\''") {
+          if (depth == 0) out = out " "
+          i += 3; continue
+        }
+        if (c2 == "'\''\\") {
+          j = index(substr(line, i + 2), "'\''")
+          if (j > 0) { if (depth == 0) out = out " "; i += j + 2; continue }
         }
         if (c2 == "(*") { depth++; i += 2; continue }
         if (depth > 0) {
@@ -47,11 +67,6 @@ strip() {
           i++; continue
         }
         if (c == "\"") { instr = 1; out = out " "; i++; continue }
-        if (c == "'\''" && substr(line, i + 2, 1) == "'\''") { out = out " "; i += 3; continue }
-        if (c2 == "'\''\\") {
-          j = index(substr(line, i + 2), "'\''")
-          if (j > 0) { out = out " "; i += j + 2; continue }
-        }
         out = out c; i++
       }
       print out

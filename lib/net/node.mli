@@ -38,6 +38,9 @@ module Backoff : sig
 
   val next : t -> float
   (** The next delay; advances the state. *)
+
+  val reset : t -> unit
+  (** Back to the cold state (next delay = [base]). *)
 end
 
 type config = {

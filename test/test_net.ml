@@ -10,15 +10,6 @@ let get_algo name =
 
 (* --- Envelope ------------------------------------------------------- *)
 
-(* One event's JSON line as the buffer sink writes it, newline dropped. *)
-let event_json =
-  let buf = Buffer.create 128 in
-  let sink = Trace.buffer buf in
-  fun ev ->
-    Buffer.clear buf;
-    Trace.emit sink ev;
-    Buffer.sub buf 0 (Buffer.length buf - 1)
-
 let sample_body = Bytes.of_string "\001\000\003\000\000\000\005\000\000\000"
 
 (* A frame as the live path builds one: the body after header room,
@@ -377,7 +368,7 @@ let test_control_roundtrip () =
       match Control.parse (Control.event_line ~time ev) with
       | Ok (Control.Event (t, ev')) ->
         Alcotest.(check (float 0.0)) "time survives" time t;
-        Alcotest.(check string) "event survives" (event_json ev) (event_json ev')
+        Alcotest.(check string) "event survives" (Trace_json.event ev) (Trace_json.event ev')
       | Ok _ -> Alcotest.fail "event line parsed as non-event"
       | Error e -> Alcotest.fail e)
     events;
@@ -675,6 +666,8 @@ let test_backoff_bounds () =
     Alcotest.(check bool) "decorrelated: at most 3x previous" true (d <= (3.0 *. !prev) +. 1e-9);
     prev := d
   done;
+  Node.Backoff.reset b;
+  Alcotest.(check (float 1e-9)) "reset returns to base" 0.05 (Node.Backoff.next b);
   Alcotest.check_raises "cap below base rejected"
     (Invalid_argument "Node.Backoff.create: cap must be at least base") (fun () ->
       ignore (Node.Backoff.create ~rng ~base:0.1 ~cap:0.05))
@@ -698,6 +691,12 @@ let test_backoff_extremes () =
     Alcotest.(check bool) "at most 3x previous" true (d <= (3.0 *. !prev) +. 1e-9);
     prev := d
   done;
+  (* reset really forgets the growth: the envelope restarts from base *)
+  Node.Backoff.reset wide;
+  Alcotest.(check (float 1e-12)) "reset forgets growth" 1e-6 (Node.Backoff.next wide);
+  Alcotest.(check bool)
+    "second draw after reset is re-bounded" true
+    (Node.Backoff.next wide <= 3e-6 +. 1e-12);
   Alcotest.check_raises "zero base rejected"
     (Invalid_argument "Node.Backoff.create: base must be positive") (fun () ->
       ignore (Node.Backoff.create ~rng ~base:0.0 ~cap:1.0))
@@ -989,7 +988,7 @@ let test_chaos_plan_shape () =
         backend = Backend.Mux;
       }
   in
-  let report = soak ~seed:42 ~trials:8 in
+  let report = soak ~seed:42 ~trials:50 in
   List.iter
     (fun (t : Chaos.trial) ->
       let plan = t.Chaos.plan in
@@ -1115,7 +1114,10 @@ let test_addr_table_roundtrip () =
     let line a = Addr_table.entry_to_string a ^ "\n" in
     let canon = String.concat "" (List.map line (Array.to_list table)) in
     (match load_table canon with
-    | Ok table' -> Alcotest.(check bool) "text round-trips" true (table = table')
+    | Ok table' ->
+      Alcotest.(check bool) "text round-trips" true (table = table');
+      Alcotest.(check string) "canonical form is a fixpoint" canon
+        (String.concat "" (List.map line (Array.to_list table')))
     | Error e -> Alcotest.fail e);
     Alcotest.(check (option int)) "listen lookup" (Some 2) (Addr_table.index_of table "10.0.0.7:9002");
     Alcotest.(check (option int)) "absent address" None (Addr_table.index_of table "10.0.0.8:9002")
@@ -1243,7 +1245,7 @@ let test_mux_trace_identity_latency_band () =
    int vectors, not two buffers. *)
 let trace_line_hashes () =
   let lines = Repro_util.Intvec.create () in
-  let record ev = Repro_util.Intvec.push lines (Hashtbl.hash (event_json ev)) in
+  let record ev = Repro_util.Intvec.push lines (Hashtbl.hash (Trace_json.event ev)) in
   (lines, Trace.callback record)
 
 let mux_identity_at ~algo ~n ~seed () =

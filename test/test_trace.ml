@@ -13,15 +13,6 @@ let topology ~n ~seed =
 
 let find name = match Registry.find name with Ok a -> a | Error e -> Alcotest.fail e
 
-(* One event's JSON line as the buffer sink writes it, newline dropped. *)
-let event_json =
-  let buf = Buffer.create 128 in
-  let sink = Trace.buffer buf in
-  fun ev ->
-    Buffer.clear buf;
-    Trace.emit sink ev;
-    Buffer.sub buf 0 (Buffer.length buf - 1)
-
 (* The trace of one synchronous run, as the JSONL string the CLI would
    write. Same spec shape as `discovery_cli trace`. *)
 let sync_trace ?(fault = Fault.none) ?(completion = Run.Strong) ~seed algo topo =
@@ -156,14 +147,14 @@ let test_json_encoding () =
     ]
   in
   List.iter
-    (fun (ev, json) -> Alcotest.(check string) json json (event_json ev))
+    (fun (ev, json) -> Alcotest.(check string) json json (Trace_json.event ev))
     cases;
   (* %.12g: compact, trailing-zero-free, byte-stable across reruns *)
   Alcotest.(check string) "float formatting"
     {|{"ev":"tick","node":0,"time":0.3,"count":1}|}
-    (event_json (Trace.Tick { node = 0; time = 0.3; count = 1 }));
-  let t1 = event_json (Trace.Tick { node = 0; time = 0.1 +. 0.2; count = 1 }) in
-  let t2 = event_json (Trace.Tick { node = 0; time = 0.1 +. 0.2; count = 1 }) in
+    (Trace_json.event (Trace.Tick { node = 0; time = 0.3; count = 1 }));
+  let t1 = Trace_json.event (Trace.Tick { node = 0; time = 0.1 +. 0.2; count = 1 }) in
+  let t2 = Trace_json.event (Trace.Tick { node = 0; time = 0.1 +. 0.2; count = 1 }) in
   Alcotest.(check string) "equal floats print identically" t1 t2
 
 let test_tee_and_callback () =
@@ -199,8 +190,8 @@ let test_ring () =
   Alcotest.(check int) "bounded length" 4 (Trace.Ring.length ring);
   Alcotest.(check int) "overwrites counted" 6 (Trace.Ring.dropped ring);
   Alcotest.(check (list string)) "last events, oldest first"
-    (List.map (fun i -> event_json (ev_send i)) [ 6; 7; 8; 9 ])
-    (Array.to_list (Array.map event_json (Trace.Ring.contents ring)))
+    (List.map (fun i -> Trace_json.event (ev_send i)) [ 6; 7; 8; 9 ])
+    (Array.to_list (Array.map Trace_json.event (Trace.Ring.contents ring)))
 
 let test_ring_flight_recorder () =
   (* a ring on a real run holds exactly the trailing window *)
@@ -221,7 +212,7 @@ let test_ring_flight_recorder () =
     List.filteri (fun i _ -> i >= List.length all - 16) all
   in
   Alcotest.(check (list string)) "ring = trailing window" tail
-    (Array.to_list (Array.map event_json (Trace.Ring.contents ring)));
+    (Array.to_list (Array.map Trace_json.event (Trace.Ring.contents ring)));
   Alcotest.(check int) "dropped = total - capacity" (List.length all - 16)
     (Trace.Ring.dropped ring)
 
