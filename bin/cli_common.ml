@@ -37,6 +37,17 @@ let seed_arg ~doc = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc)
 let fault_arg ~doc =
   Arg.(value & opt fault_conv Repro_engine.Fault.none & info [ "fault" ] ~docv:"PLAN" ~doc)
 
+(* Run [f] on the optional output path opened for writing, closing it
+   afterwards. A path that cannot be opened is reported as a usage
+   error before [f] runs, not as an internal error after it. *)
+let with_out path f =
+  match path with
+  | None -> f None
+  | Some path -> (
+    match open_out path with
+    | exception Sys_error msg -> `Error (false, msg)
+    | oc -> Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f (Some oc)))
+
 (* Exit-code discipline: 0 success, 1 operational failure (divergent
    traces, non-convergence, DNF), 2 usage errors, 125 unexpected
    exceptions. Commands return their code; cmdliner-level parse and

@@ -226,13 +226,8 @@ let trace_cmd =
     in
     let fault = Fault.with_random_crashes plan ~seed ~n ~count:crashes in
     let topology = Generate.of_seed family ~n ~seed in
-    let oc, close =
-      match output with
-      | None -> (stdout, fun () -> flush stdout)
-      | Some file ->
-        let oc = open_out file in
-        (oc, fun () -> close_out oc)
-    in
+    with_out output @@ fun oc ->
+    let oc = Option.value oc ~default:stdout in
     let invariants =
       (* delayed links carry messages across round boundaries; the
          checker must not flag those as lost at the boundary *)
@@ -267,11 +262,11 @@ let trace_cmd =
           .Run.metrics
     with
     | exception Trace.Invariants.Violation msg ->
-      close ();
+      flush oc;
       Printf.eprintf "discovery: invariant violation: %s\n" msg;
       `Ok 1
     | metrics -> (
-      close ();
+      flush oc;
       match invariants with
       | None -> `Ok 0
       | Some inv -> (
@@ -404,7 +399,6 @@ let dir_arg =
 
 let trace_out_arg ~doc = Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 let quiet_arg ~doc = Arg.(value & flag & info [ "quiet" ] ~doc)
-let trials_arg default ~doc = Arg.(value & opt int default & info [ "trials" ] ~docv:"K" ~doc)
 
 (* --- cluster: run the algorithm as live processes over sockets --- *)
 
@@ -428,8 +422,8 @@ let cluster_cmd =
   in
   let cluster algo family n seed backend tick_period timeout trace_out no_check fault dir =
     if n < 1 then `Error (false, "-n must be at least 1")
-    else begin
-      let oc = Option.map open_out trace_out in
+    else
+      with_out trace_out @@ fun oc ->
       let spec =
         {
           (Cluster.default_spec algo) with
@@ -447,7 +441,6 @@ let cluster_cmd =
       in
       match Cluster.run spec with
       | result ->
-        Option.iter close_out oc;
         print_endline (Cluster.result_to_json result);
         let ok =
           result.Cluster.converged
@@ -461,10 +454,7 @@ let cluster_cmd =
               Printf.sprintf "%d node(s) crashed" (List.length result.Cluster.crashed)
             | _ -> "not all nodes completed in time");
         `Ok (if ok then 0 else 1)
-      | exception Invalid_argument msg ->
-        Option.iter close_out oc;
-        `Error (false, msg)
-    end
+      | exception Invalid_argument msg -> `Error (false, msg)
   in
   let term =
     Term.(
@@ -481,71 +471,6 @@ let cluster_cmd =
          "Run one discovery configuration as a live cluster: n node processes over real \
           sockets, convergence verified against the same invariant checker the simulators \
           use, JSON report on stdout. Exit 0 on clean convergence, 1 otherwise.")
-    term
-
-(* --- chaos: seeded soak of randomized fault plans over live clusters --- *)
-
-let chaos_cmd =
-  let open Repro_net in
-  let backend_arg =
-    Arg.(
-      value
-      & opt (backend_conv Backend.all) (Backend.Process Backend.Uds)
-      & backend_info "Live backend for the trial clusters: $(b,uds), $(b,tcp) or $(b,mux).")
-  in
-  let chaos algo n seed backend trials tick_period timeout quiet dir =
-    let spec =
-      {
-        (Chaos.default_spec algo) with
-        Chaos.n;
-        trials;
-        seed;
-        backend;
-        tick_period;
-        timeout;
-        dir;
-      }
-    in
-    let progress (t : Chaos.trial) =
-      if not quiet then
-        Printf.eprintf "chaos: trial %d/%d seed=%d %s: %s\n%!" (t.Chaos.index + 1) trials
-          t.Chaos.seed
-          (Repro_engine.Fault.to_string t.Chaos.plan)
-          (if t.Chaos.passed then "pass" else "FAIL")
-    in
-    match Chaos.run ~progress spec with
-    | report ->
-      print_endline (Chaos.report_to_json report);
-      if Chaos.all_passed report then `Ok 0
-      else begin
-        Printf.eprintf "discovery: chaos soak failed (%d of %d trials)\n"
-          (List.length report.Chaos.trials - report.Chaos.passed)
-          (List.length report.Chaos.trials);
-        `Ok 1
-      end
-    | exception Invalid_argument msg -> `Error (false, msg)
-  in
-  let term =
-    Term.(
-      ret
-        (const chaos $ algo_arg
-        $ nodes_arg 8 ~doc:"Number of machines per trial."
-        $ seed_arg $ backend_arg
-        $ trials_arg 10 ~doc:"Number of seeded trials; trial i uses seed + i."
-        $ tick_arg
-        $ timeout_arg 10.0 ~doc:"Per-trial wall-clock budget; exceeding it fails the trial."
-        $ quiet_arg ~doc:"Suppress the per-trial progress lines on stderr."
-        $ dir_arg))
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Soak-test the live network under randomized — but fully seeded — fault plans: each \
-          trial runs a cluster under per-link loss, duplication, reordering, corruption, a \
-          healing partition and a crash-with-restart, then verifies convergence with the \
-          online invariant checker. JSON soak report on stdout; exit 0 only if every trial \
-          passes. Replay a failing trial alone by passing its reported seed with \
-          $(b,--trials 1).")
     term
 
 (* --- chaos-matrix: plan families × algorithms × topologies ------------ *)
@@ -583,13 +508,15 @@ let chaos_matrix_cmd =
       & opt (list string) Chaos.plan_families
       & info [ "plans" ] ~docv:"P1,P2,..."
           ~doc:
-            (Printf.sprintf "Plan families to sweep (comma-separated; default: %s)."
+            (Printf.sprintf
+               "Plan families to sweep (comma-separated; default: %s). $(b,mixed) puts link \
+                noise, a healing partition and a crash with restart into every plan."
                (String.concat ", " Chaos.plan_families)))
   in
   let baseline_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some non_dir_file) None
       & info [ "baseline" ] ~docv:"FILE"
           ~doc:
             "Compare the summary against a pinned baseline file. A mismatch prints the \
@@ -603,77 +530,93 @@ let chaos_matrix_cmd =
       & info [ "o"; "out" ] ~docv:"FILE"
           ~doc:"Also write the summary to FILE (e.g. to regenerate the baseline).")
   in
+  let trials_arg =
+    Arg.(
+      value & opt int 3
+      & info [ "trials" ] ~docv:"K"
+          ~doc:"Seeded trials per cell; trial i uses seed + i for topology and plan.")
+  in
   let matrix algos topologies plans n seed backend trials timeout baseline out quiet =
-    let progress (c : Chaos.cell) =
-      if not quiet then
-        Printf.eprintf "chaos-matrix: %s/%s/%s: %d/%d\n%!" c.Chaos.cell_algo c.Chaos.cell_topology
-          c.Chaos.cell_plan c.Chaos.cell_passed c.Chaos.cell_trials
-    in
-    match
-      Chaos.matrix ~progress ~algos ~families:topologies ~plans ~n ~trials ~seed ~backend
-        ~timeout ()
-    with
-    | exception Invalid_argument msg -> `Error (false, msg)
-    | cells ->
-      let summary = Chaos.matrix_to_json cells in
-      print_string summary;
-      Option.iter
-        (fun path ->
-          let oc = open_out path in
-          output_string oc summary;
-          close_out oc)
-        out;
-      (match baseline with
-      | None ->
-        let failed = List.filter (fun c -> c.Chaos.cell_passed < c.Chaos.cell_trials) cells in
-        if failed = [] then `Ok 0
-        else begin
-          Printf.eprintf "discovery: chaos matrix failed (%d of %d cells)\n" (List.length failed)
-            (List.length cells);
-          `Ok 1
-        end
-      | Some path ->
-        let expected =
-          let ic = open_in_bin path in
-          let len = in_channel_length ic in
-          let s = really_input_string ic len in
-          close_in ic;
-          s
-        in
-        if String.equal expected summary then `Ok 0
-        else begin
-          let lines s = String.split_on_char '\n' s in
-          let exp = Array.of_list (lines expected) and got = Array.of_list (lines summary) in
-          Printf.eprintf "discovery: chaos matrix diverges from baseline %s\n" path;
-          for i = 0 to max (Array.length exp) (Array.length got) - 1 do
-            let e = if i < Array.length exp then exp.(i) else "<missing>" in
-            let g = if i < Array.length got then got.(i) else "<missing>" in
-            if not (String.equal e g) then
-              Printf.eprintf "  line %d:\n  - %s\n  + %s\n" (i + 1) e g
-          done;
-          `Ok 1
-        end)
+    let read path = (path, In_channel.with_open_bin path In_channel.input_all) in
+    match Option.map read baseline with
+    | exception Sys_error msg -> `Error (false, msg)
+    | expected -> (
+      with_out out @@ fun oc ->
+      (* the command that reruns one trial alone: trial i of seed s is
+         trial 0 of seed s + i *)
+      let replay (t : Chaos.trial) =
+        Printf.sprintf
+          "discovery_cli chaos-matrix --backend %s --algos %s --topologies %s --plans %s -n %d \
+           --timeout %g --seed %d --trials 1"
+          (Backend.to_string backend) t.Chaos.trial_algo t.Chaos.trial_topology
+          t.Chaos.trial_plan_family n timeout t.Chaos.trial_seed
+      in
+      let progress (t : Chaos.trial) =
+        if not (quiet && t.Chaos.trial_passed) then
+          Printf.eprintf "chaos-matrix: %s/%s/%s seed=%d %s: %s\n%!" t.Chaos.trial_algo
+            t.Chaos.trial_topology t.Chaos.trial_plan_family t.Chaos.trial_seed
+            (Repro_engine.Fault.to_string t.Chaos.trial_plan)
+            (if t.Chaos.trial_passed then "pass" else "FAIL; replay: " ^ replay t)
+      in
+      match
+        Chaos.matrix ~progress ~algos ~families:topologies ~plans ~n ~trials ~seed ~backend
+          ~timeout ()
+      with
+      | exception Invalid_argument msg -> `Error (false, msg)
+      | cells -> (
+        let summary = Chaos.matrix_to_json cells in
+        print_string summary;
+        Option.iter (fun oc -> output_string oc summary) oc;
+        match expected with
+        | None ->
+          let failed = List.filter (fun c -> c.Chaos.cell_passed < c.Chaos.cell_trials) cells in
+          if failed = [] then `Ok 0
+          else begin
+            Printf.eprintf "discovery: chaos matrix failed (%d of %d cells)\n"
+              (List.length failed) (List.length cells);
+            `Ok 1
+          end
+        | Some (path, expected) ->
+          if String.equal expected summary then `Ok 0
+          else begin
+            let lines s = String.split_on_char '\n' s in
+            let exp = Array.of_list (lines expected) and got = Array.of_list (lines summary) in
+            Printf.eprintf "discovery: chaos matrix diverges from baseline %s\n" path;
+            for i = 0 to max (Array.length exp) (Array.length got) - 1 do
+              let e = if i < Array.length exp then exp.(i) else "<missing>" in
+              let g = if i < Array.length got then got.(i) else "<missing>" in
+              if not (String.equal e g) then
+                Printf.eprintf "  line %d:\n  - %s\n  + %s\n" (i + 1) e g
+            done;
+            `Ok 1
+          end))
   in
   let term =
     Term.(
       ret
         (const matrix $ algos_arg $ topologies_arg $ plans_arg
         $ nodes_arg 8 ~doc:"Number of machines per cell."
-        $ seed_arg $ backend_arg
-        $ trials_arg 3 ~doc:"Seeded trials per cell; trial i uses seed + i for topology and plan."
+        $ seed_arg $ backend_arg $ trials_arg
         $ timeout_arg 10.0 ~doc:"Per-trial wall-clock budget; exceeding it fails the trial."
         $ baseline_arg $ out_arg
-        $ quiet_arg ~doc:"Suppress the per-cell progress lines on stderr."))
+        $ quiet_arg
+            ~doc:
+              "Print only failing trials on stderr. A failing trial's line, with the command \
+               that replays it alone, is printed even then."))
   in
   Cmd.v
     (Cmd.info "chaos-matrix"
        ~doc:
-         "Sweep a grid of algorithms × topologies × named fault-plan families over live \
-          clusters and reduce every cell to a deterministic pass count. Plan families isolate \
-          one fault dimension each: base link noise, a healing partition, a crash with \
-          restart, and a two-region WAN profile. On the default mux backend the one-line-per- \
-          cell JSON summary is byte-reproducible, so CI diffs it against \
-          $(b,ci/chaos-matrix-baseline.json); regenerate the baseline with $(b,--out).")
+         "Run live clusters under seeded fault plans: sweep a grid of algorithms × topologies \
+          × named fault-plan families and reduce every cell to a pass count. A trial passes \
+          when the cluster converges and the online invariant checker flags no violation. The \
+          default plan families isolate one fault dimension each: base link noise, a healing \
+          partition, a crash with restart, and a two-region WAN profile; $(b,mixed) combines \
+          the first three. Each trial reports its seed and plan on stderr, and a failing one \
+          the command that replays it alone. On the default mux backend the one-line-per-cell \
+          JSON summary is byte-reproducible, so CI diffs it against \
+          $(b,ci/chaos-matrix-baseline.json); regenerate the baseline with $(b,--out). Exit 0 \
+          when every trial passes or the summary matches $(b,--baseline), 1 otherwise.")
     term
 
 (* --- soak: the continuous discovery service under churn --------------- *)
@@ -703,7 +646,7 @@ let soak_cmd =
                 until = max 0 (ticks - cooldown);
               }
         in
-        let oc = Option.map open_out trace_out in
+        with_out trace_out @@ fun oc ->
         let trace =
           match oc with None -> Repro_engine.Trace.null | Some oc -> Repro_engine.Trace.jsonl oc
         in
@@ -723,10 +666,6 @@ let soak_cmd =
             trace;
           }
         in
-        let finish code =
-          Option.iter close_out oc;
-          `Ok code
-        in
         match Service.run cfg with
         | stats ->
           print_string (Service.stats_to_json stats);
@@ -744,10 +683,10 @@ let soak_cmd =
                 "discovery soak: %d ticks, %d membership changes, %d epoch(s) still settling \
                  at the end of the run (no deadline missed; extend --ticks or --cooldown)\n"
                 stats.Service.ticks_run stats.Service.epochs open_epochs;
-          finish (if open_epochs = 0 then 0 else 1)
+          `Ok (if open_epochs = 0 then 0 else 1)
         | exception Repro_engine.Trace.Lag.Violation msg ->
           Printf.eprintf "discovery soak: INVARIANT VIOLATION: %s\n" msg;
-          finish 1
+          `Ok 1
       end
     end
   in
@@ -886,7 +825,7 @@ let () =
   let group =
     Cmd.group info
       [
-        run_cmd; list_cmd; topo_cmd; trace_cmd; trace_diff_cmd; cluster_cmd; chaos_cmd;
+        run_cmd; list_cmd; topo_cmd; trace_cmd; trace_diff_cmd; cluster_cmd;
         chaos_matrix_cmd; soak_cmd;
       ]
   in

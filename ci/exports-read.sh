@@ -7,7 +7,8 @@
 # "Read by a program" means: some .ml under lib/, bin/, bench/,
 # perfbench/ or examples/ that is not the module's own implementation
 # names the module (the word `Module`) and the val (the word `name`),
-# outside comments and string literals. Tests do not count: an export
+# outside comments and string literals; a submodule's val must also
+# have its submodule named there (the word `X` for Module.X.name). Tests do not count: an export
 # that only a test reads is interface the programs do not need, so it
 # is deleted, tested through the path the programs use, or allowlisted
 # as an oracle, a test hook, a contract no other path can observe, or
@@ -120,8 +121,18 @@ for mli in lib/*/*.mli; do
   cat "$tmp/vals" >> "$tmp/exports"
   while read -r qname name; do
     grep -qxF -- "$qname" "$tmp/allowed" && continue
+    # a submodule's val counts as read only where the submodule is
+    # named as well
+    readers=$callers
+    for sub in $(printf '%s\n' "$qname" | awk -F. '{ for (i = 2; i < NF; i++) print $i }'); do
+      kept=
+      for f in $readers; do
+        if grep -qw -- "$sub" "$f"; then kept="$kept $f"; fi
+      done
+      readers=$kept
+    done
     # shellcheck disable=SC2086
-    if [ -n "$callers" ] && grep -qw -- "$name" $callers; then continue; fi
+    if [ -n "$readers" ] && grep -qw -- "$name" $readers; then continue; fi
     echo "$qname" >> "$tmp/unread"
   done < "$tmp/vals"
 done

@@ -3,64 +3,23 @@ open Repro_graph
 open Repro_engine
 open Repro_discovery
 
-type spec = {
-  algo : Algorithm.t;
-  n : int;
-  trials : int;
-  seed : int;
-  backend : Backend.t;
-  tick_period : float;
-  timeout : float;
-  dir : string option;
-}
-
-let default_spec algo =
-  {
-    algo;
-    n = 8;
-    trials = 10;
-    seed = 0;
-    backend = Backend.Process Backend.Uds;
-    tick_period = Node.default_tick_period;
-    timeout = 10.0;
-    dir = None;
-  }
-
-(* Every soak trial runs over kout:3, and no plan's base loss rate
-   exceeds 20%. *)
-let soak_family = Generate.K_out 3
-let loss_max_pct = 20
-
-type trial = { index : int; seed : int; plan : Fault.t; result : Cluster.result; passed : bool }
-
-type report = {
-  algorithm : string;
-  backend : Backend.t;
-  n : int;
-  base_seed : int;
-  trials : trial list;
-  passed : int;
-}
-
-let all_passed r = r.passed = List.length r.trials
-
 let pct p = float_of_int p /. 100.0
 
 let group lo hi = List.init (hi - lo) (fun i -> lo + i)
 
 (* Base link noise, quantized to whole percents so plans print
-   compactly: a loss rate up to [loss_max_pct], and small duplication,
-   reordering and corruption probabilities. *)
+   compactly: a loss rate up to 20%, and small duplication, reordering
+   and corruption probabilities. *)
 let link_noise ~rng =
-  let plan = Fault.with_loss Fault.none ~p:(pct (Rng.int rng (loss_max_pct + 1))) in
+  let plan = Fault.with_loss Fault.none ~p:(pct (Rng.int rng 21)) in
   let plan = Fault.with_dup plan ~p:(pct (Rng.int rng 6)) in
   let plan = Fault.with_reorder plan ~p:(pct (Rng.int rng 11)) in
   Fault.with_corrupt plan ~p:(pct (Rng.int rng 3))
 
-(* One randomized-but-seeded plan per trial: base link noise, one scheduled
-   partition that heals, and one crash that restarts. Every trial
-   therefore exercises the reliability layer, the partition window and
-   the rejoin handshake at once. *)
+(* The [mixed] family: base link noise, one scheduled partition that
+   heals, and one crash that restarts. Every trial therefore exercises
+   the reliability layer, the partition window and the rejoin handshake
+   at once. *)
 let random_plan ~rng ~n =
   let plan = link_noise ~rng in
   let split = 1 + Rng.int rng (n - 1) in
@@ -73,63 +32,15 @@ let random_plan ~rng ~n =
   let plan = Fault.with_crash plan ~node:victim ~round:crash in
   Fault.with_restart plan ~node:victim ~round:restart
 
-let check_soak ~who ~trials ~n =
-  if trials < 1 then invalid_arg (Printf.sprintf "Chaos.%s: trials must be positive" who);
-  if n < 2 then invalid_arg (Printf.sprintf "Chaos.%s: n must be at least 2" who)
-
-(* The cluster of one trial: [algo] over [family], seeded with the
-   trial's seed, under [plan]. *)
-let trial_spec algo ~family ~n ~backend ~timeout ~seed plan =
-  { (Cluster.default_spec algo) with Cluster.n; family; seed; backend; timeout; fault = plan }
-
-(* One trial's run and its verdict: converged, with no violation from
-   the online invariant checker. *)
-let run_trial spec =
-  let result = Cluster.run spec in
-  let invariants_ok =
-    match result.Cluster.invariants with
-    | Cluster.Failed _ -> false
-    | Cluster.Passed _ | Cluster.Skipped _ -> true
-  in
-  (result, result.Cluster.converged && invariants_ok)
-
-let run ?(progress = fun _ -> ()) (spec : spec) =
-  check_soak ~who:"run" ~trials:spec.trials ~n:spec.n;
-  let trials =
-    List.init spec.trials (fun index ->
-        let seed = spec.seed + index in
-        let rng = Rng.substream ~seed ~index:0xc405 in
-        let plan = random_plan ~rng ~n:spec.n in
-        let result, passed =
-          run_trial
-            {
-              (trial_spec spec.algo ~family:soak_family ~n:spec.n ~backend:spec.backend
-                 ~timeout:spec.timeout ~seed plan)
-              with
-              Cluster.tick_period = spec.tick_period;
-              dir = spec.dir;
-            }
-        in
-        let trial = { index; seed; plan; result; passed } in
-        progress trial;
-        trial)
-  in
-  let passed = List.length (List.filter (fun (t : trial) -> t.passed) trials) in
-  {
-    algorithm = spec.algo.Algorithm.name;
-    backend = spec.backend;
-    n = spec.n;
-    base_seed = spec.seed;
-    trials;
-    passed;
-  }
-
-(* --- plan families and the chaos matrix ------------------------------ *)
-
 let plan_families = [ "links"; "partition"; "crash"; "wan" ]
+
+(* Every family name, in substream order: family [i] draws from
+   substream [0xc405 + i]. *)
+let all_families = "mixed" :: plan_families
 
 let plan_of_family name ~rng ~n =
   match name with
+  | "mixed" -> random_plan ~rng ~n
   | "links" -> link_noise ~rng
   | "partition" ->
     let split = 1 + Rng.int rng (n - 1) in
@@ -153,18 +64,33 @@ let plan_of_family name ~rng ~n =
   | other -> invalid_arg (Printf.sprintf "Chaos.plan_of_family: unknown plan family %S" other)
 
 let plan_index ~who name =
-  match List.find_index (String.equal name) plan_families with
+  match List.find_index (String.equal name) all_families with
   | Some i -> i
   | None -> invalid_arg (Printf.sprintf "Chaos.%s: unknown plan family %S" who name)
 
 (* Trial [trial] of plan family [name]. One substream per (plan family,
    trial): the same plan therefore stresses every (algorithm, topology)
-   cell, which makes cell-to-cell comparisons meaningful. Returns the
-   trial's seed and its plan. *)
+   cell, which makes cell-to-cell comparisons meaningful, and the
+   substream depends on [seed + trial] alone, so a trial replays as
+   trial 0 of that seed. Returns the trial's seed and its plan. *)
 let family_plan ~who name ~seed ~trial ~n =
   let trial_seed = seed + trial in
-  let rng = Rng.substream ~seed:trial_seed ~index:(0xc406 + plan_index ~who name) in
+  let rng = Rng.substream ~seed:trial_seed ~index:(0xc405 + plan_index ~who name) in
   (trial_seed, plan_of_family name ~rng ~n)
+
+(* The cluster of one trial: [algo] over [family], seeded with the
+   trial's seed, under [plan]. *)
+let trial_spec algo ~family ~n ~backend ~timeout ~seed plan =
+  { (Cluster.default_spec algo) with Cluster.n; family; seed; backend; timeout; fault = plan }
+
+type trial = {
+  trial_algo : string;
+  trial_topology : string;
+  trial_plan_family : string;
+  trial_seed : int;
+  trial_plan : Fault.t;
+  trial_passed : bool;
+}
 
 type cell = {
   cell_algo : string;
@@ -185,7 +111,8 @@ let matrix_to_json cells = String.concat "\n" (List.map cell_to_json cells) ^ "\
 
 let matrix ?(progress = fun _ -> ()) ~algos ~families ~plans ~n ~trials ~seed ~backend ~timeout ()
     =
-  check_soak ~who:"matrix" ~trials ~n;
+  if trials < 1 then invalid_arg "Chaos.matrix: trials must be positive";
+  if n < 2 then invalid_arg "Chaos.matrix: n must be at least 2";
   List.iter (fun p -> ignore (plan_index ~who:"matrix" p)) plans;
   List.concat_map
     (fun algo ->
@@ -196,23 +123,36 @@ let matrix ?(progress = fun _ -> ()) ~algos ~families ~plans ~n ~trials ~seed ~b
               let passed = ref 0 in
               for trial = 0 to trials - 1 do
                 let trial_seed, plan = family_plan ~who:"matrix" plan_name ~seed ~trial ~n in
-                let _, ok =
-                  run_trial (trial_spec algo ~family ~n ~backend ~timeout ~seed:trial_seed plan)
+                let result =
+                  Cluster.run (trial_spec algo ~family ~n ~backend ~timeout ~seed:trial_seed plan)
                 in
-                if ok then incr passed
+                (* converged, with no violation from the online invariant checker *)
+                let ok =
+                  result.Cluster.converged
+                  &&
+                  match result.Cluster.invariants with
+                  | Cluster.Failed _ -> false
+                  | Cluster.Passed _ | Cluster.Skipped _ -> true
+                in
+                if ok then incr passed;
+                progress
+                  {
+                    trial_algo = algo.Algorithm.name;
+                    trial_topology = Generate.family_name family;
+                    trial_plan_family = plan_name;
+                    trial_seed;
+                    trial_plan = plan;
+                    trial_passed = ok;
+                  }
               done;
-              let cell =
-                {
-                  cell_algo = algo.Algorithm.name;
-                  cell_topology = Generate.family_name family;
-                  cell_plan = plan_name;
-                  cell_n = n;
-                  cell_trials = trials;
-                  cell_passed = !passed;
-                }
-              in
-              progress cell;
-              cell)
+              {
+                cell_algo = algo.Algorithm.name;
+                cell_topology = Generate.family_name family;
+                cell_plan = plan_name;
+                cell_n = n;
+                cell_trials = trials;
+                cell_passed = !passed;
+              })
             plans)
         families)
     algos
@@ -273,33 +213,3 @@ let diagnosis_to_json d =
     {|{"seed":%d,"plan":"%s","heal_time":%g,"quiet_pre_heal":[%s],"never_completed":[%s],"converged":%b}|}
     d.diag_seed (Fault.to_string d.diag_plan) d.diag_heal_time (ints d.diag_quiet_pre_heal)
     (ints d.diag_never_completed) d.diag_converged
-
-(* --- JSON soak report ----------------------------------------------- *)
-
-let trial_to_json t =
-  let invariants =
-    match t.result.Cluster.invariants with
-    | Cluster.Passed _ -> "passed"
-    | Cluster.Failed _ -> "failed"
-    | Cluster.Skipped _ -> "skipped"
-  in
-  let retransmits, corrupt_frames =
-    match t.result.Cluster.totals with
-    | Some f -> (f.Control.retransmits, f.Control.corrupt_frames)
-    | None -> (0, 0)
-  in
-  Printf.sprintf
-    {|{"trial":%d,"seed":%d,"plan":"%s","converged":%b,"invariants":"%s","passed":%b,"wall_time":%.6f,"events":%d,"crashed":[%s],"retransmits":%d,"corrupt_frames":%d}|}
-    t.index t.seed (Fault.to_string t.plan) t.result.Cluster.converged invariants t.passed
-    t.result.Cluster.wall_time t.result.Cluster.events
-    (String.concat "," (List.map string_of_int t.result.Cluster.crashed))
-    retransmits corrupt_frames
-
-let report_to_json r =
-  Printf.sprintf
-    {|{"algorithm":"%s","family":"%s","backend":"%s","n":%d,"seed":%d,"loss_max":%g,"trials":%d,"passed":%d,"failed":%d,"results":[%s]}|}
-    r.algorithm (Generate.family_name soak_family)
-    (Backend.to_string r.backend)
-    r.n r.base_seed (pct loss_max_pct) (List.length r.trials) r.passed
-    (List.length r.trials - r.passed)
-    (String.concat "," (List.map trial_to_json r.trials))

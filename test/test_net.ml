@@ -975,23 +975,26 @@ let test_cluster_fatal_crash_without_restart () =
   Alcotest.(check bool) "not converged" false r.Cluster.converged;
   Alcotest.(check bool) "victim reported crashed" true (List.mem 1 r.Cluster.crashed)
 
+(* The plans of the [mixed] family's trials, read off the matrix's
+   progress hook: one hm cell on kout:3 over the mux. *)
+let mixed_trials ~n ~seed ~trials =
+  let seen = ref [] in
+  ignore
+    (Chaos.matrix
+       ~progress:(fun t -> seen := t :: !seen)
+       ~algos:[ get_algo "hm" ]
+       ~families:[ Repro_graph.Generate.K_out 3 ]
+       ~plans:[ "mixed" ] ~n ~trials ~seed ~backend:Backend.Mux ~timeout:10.0 ());
+  List.rev !seen
+
 let test_chaos_plan_shape () =
-  (* the soak's plan generator, read off the trials that ran it: seeded,
+  (* the mixed plan generator, read off the trials that ran it: seeded,
      in-bounds, always heal + restart *)
-  let soak ~seed ~trials =
-    Chaos.run
-      {
-        (Chaos.default_spec (get_algo "hm")) with
-        Chaos.n = 16;
-        trials;
-        seed;
-        backend = Backend.Mux;
-      }
-  in
-  let report = soak ~seed:42 ~trials:50 in
+  let trials = mixed_trials ~n:16 ~seed:42 ~trials:50 in
+  Alcotest.(check int) "one report per trial" 50 (List.length trials);
   List.iter
     (fun (t : Chaos.trial) ->
-      let plan = t.Chaos.plan in
+      let plan = t.Chaos.trial_plan in
       Alcotest.(check bool) "loss bounded" true
         ((Fault.link_between plan ~src:0 ~dst:1).Fault.loss <= 0.2);
       (match Fault.partitions plan with
@@ -1004,12 +1007,29 @@ let test_chaos_plan_shape () =
         | Some r' -> Alcotest.(check bool) "restart after crash" true (r' > r)
         | None -> Alcotest.fail "chaos plan crash has no restart")
       | cs -> Alcotest.failf "expected one crash, got %d" (List.length cs))
-    report.Chaos.trials;
+    trials;
   (* replayable: a trial's seed alone yields its plan again *)
-  let trial = List.nth report.Chaos.trials 5 in
-  let replay = List.hd (soak ~seed:trial.Chaos.seed ~trials:1).Chaos.trials in
-  Alcotest.(check string) "seeded plans replay" (Fault.to_string trial.Chaos.plan)
-    (Fault.to_string replay.Chaos.plan)
+  let trial = List.nth trials 5 in
+  let replay = List.hd (mixed_trials ~n:16 ~seed:trial.Chaos.trial_seed ~trials:1) in
+  Alcotest.(check int) "trial 5 has seed 47" 47 trial.Chaos.trial_seed;
+  Alcotest.(check string) "seeded plans replay" (Fault.to_string trial.Chaos.trial_plan)
+    (Fault.to_string replay.Chaos.trial_plan)
+
+let test_chaos_mixed_pinned () =
+  (* the mixed family draws the plans the seeded soak drew before it
+     became a matrix family, and hm passes all three *)
+  let trials = mixed_trials ~n:8 ~seed:42 ~trials:3 in
+  Alcotest.(check (list string)) "plans at seed 42"
+    [
+      "loss=0.06,dup=0.03,reorder=0.1,part=0-5|6-7@9..19,crash=0@8,restart=0@15";
+      "loss=0.01,dup=0.04,reorder=0.02,corrupt=0.02,part=0-5|6-7@3..8,crash=7@8,restart=7@16";
+      "loss=0.02,reorder=0.07,corrupt=0.02,part=0-2|3-7@8..15,crash=1@8,restart=1@15";
+    ]
+    (List.map (fun (t : Chaos.trial) -> Fault.to_string t.Chaos.trial_plan) trials);
+  Alcotest.(check (list int)) "seeds" [ 42; 43; 44 ]
+    (List.map (fun (t : Chaos.trial) -> t.Chaos.trial_seed) trials);
+  Alcotest.(check (list bool)) "all pass" [ true; true; true ]
+    (List.map (fun (t : Chaos.trial) -> t.Chaos.trial_passed) trials)
 
 let test_chaos_matrix_deterministic () =
   (* a small slice of the nightly matrix on the mux backend: the JSON
@@ -1609,6 +1629,7 @@ let () =
           Alcotest.test_case "restart-after-completion" `Quick (late_restart ~restart:40);
           Alcotest.test_case "fatal-crash-reported" `Quick test_cluster_fatal_crash_without_restart;
           Alcotest.test_case "chaos-plan-shape" `Quick test_chaos_plan_shape;
+          Alcotest.test_case "chaos-mixed-pinned" `Quick test_chaos_mixed_pinned;
           Alcotest.test_case "chaos-matrix-deterministic" `Quick test_chaos_matrix_deterministic;
         ] );
     ]

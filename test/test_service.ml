@@ -898,13 +898,25 @@ let test_chaos_known_failing_cell_pinned () =
      tracked by ci/chaos-matrix-baseline.json. Pin the exact pass count
      so a fix (or a regression) surfaces here first. *)
   let open Repro_net in
-  let cells =
-    Chaos.matrix ~algos:[ Hm_gossip.algorithm ] ~families:[ Repro_graph.Generate.Binary_tree ]
-      ~plans:[ "partition" ] ~n:8 ~trials:3 ~seed:0 ~backend:Backend.Mux ~timeout:10.0 ()
+  let cell ~seed ~trials =
+    let verdicts = ref [] in
+    let cells =
+      Chaos.matrix
+        ~progress:(fun t -> verdicts := (t.Chaos.trial_seed, t.Chaos.trial_passed) :: !verdicts)
+        ~algos:[ Hm_gossip.algorithm ] ~families:[ Repro_graph.Generate.Binary_tree ]
+        ~plans:[ "partition" ] ~n:8 ~trials ~seed ~backend:Backend.Mux ~timeout:10.0 ()
+    in
+    (Chaos.matrix_to_json cells, List.rev !verdicts)
   in
+  let json, verdicts = cell ~seed:0 ~trials:3 in
   Alcotest.(check string) "cell"
     "{\"algo\":\"hm\",\"topology\":\"tree\",\"plan_family\":\"partition\",\"n\":8,\"trials\":3,\"passed\":2,\"failed\":1}\n"
-    (Chaos.matrix_to_json cells)
+    json;
+  Alcotest.(check (list (pair int bool))) "trial 0 fails" [ (0, false); (1, true); (2, true) ]
+    verdicts;
+  (* the failing trial replays alone from its seed, and fails again *)
+  let _, replay = cell ~seed:0 ~trials:1 in
+  Alcotest.(check (list (pair int bool))) "replay fails alone" [ (0, false) ] replay
 
 let test_chaos_failing_cell_diagnosed () =
   (* Trace-level replay of the cell's failing trial (trial 0): the cut
