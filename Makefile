@@ -31,17 +31,19 @@ trace-golden:
 	dune exec bin/discovery_cli.exe -- trace --async --algo hm --topology kout:3 -n 8 --seed 1 --check \
 	  -o test/golden/hm_async.jsonl
 
+# Regenerate every table and figure into results/ (quick: reduced sizes).
 quick:
 	dune exec bin/experiments.exe -- --quick
 
 experiments:
 	dune exec bin/experiments.exe
 
+# The microbenchmarks, as a table.
 bench:
 	dune exec bench/main.exe
 
-# Machine-readable benchmark trajectory: microbenchmarks only, written
-# to BENCH_results.json (ns/run and minor words/run per subject).
+# Machine-readable benchmark trajectory: the same microbenchmarks,
+# written to BENCH_results.json (ns/run and minor words/run per subject).
 bench-json:
 	dune exec bench/main.exe -- --json
 

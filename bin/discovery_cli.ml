@@ -228,12 +228,7 @@ let trace_cmd =
     let topology = Generate.of_seed family ~n ~seed in
     with_out output @@ fun oc ->
     let oc = Option.value oc ~default:stdout in
-    let invariants =
-      (* delayed links carry messages across round boundaries; the
-         checker must not flag those as lost at the boundary *)
-      if check then Some (Trace.Invariants.create ~allow_inflight:(Fault.has_delays fault) ())
-      else None
-    in
+    let invariants = if check then Some (Fault.invariants fault) else None in
     let sink =
       match invariants with
       | None -> Trace.jsonl oc
@@ -623,28 +618,27 @@ let chaos_matrix_cmd =
 
 let soak_cmd =
   let open Repro_service in
-  let soak n cap ticks seed churn min_live cooldown plan lag_bound full_sync backend indirect_k
-      no_lifeguard trace_out quiet =
+  let soak n ticks seed churn plan lag_bound full_sync backend indirect_k no_lifeguard trace_out
+      quiet =
     if n < 2 then `Error (false, "--n must be at least 2")
     else begin
-      let cap = if cap = 0 then n + max 16 (n / 4) else cap in
-      if cap < n then `Error (false, "--cap must be at least n")
-      else if ticks < 1 then `Error (false, "--ticks must be positive")
+      (* joiners and restarted members draw from ids n..cap-1 and the
+         retired pool *)
+      let cap = n + max 16 (n / 4) in
+      if ticks < 1 then `Error (false, "--ticks must be positive")
       else if indirect_k < 0 then `Error (false, "--indirect-k must be >= 0")
       else begin
         let bound =
           if lag_bound > 0.0 then lag_bound else Service.default_lag_bound ~cap
         in
-        let cooldown = if cooldown < 0 then int_of_float bound + 16 else cooldown in
+        (* churn stops this many ticks before the end, so every epoch's
+           convergence deadline falls inside the run *)
+        let cooldown = int_of_float bound + 16 in
         let churn =
           if churn <= 0.0 then None
           else
             Some
-              {
-                Service.rate = churn;
-                min_live = (if min_live = 0 then max 2 (n / 2) else min_live);
-                until = max 0 (ticks - cooldown);
-              }
+              { Service.rate = churn; min_live = max 2 (n / 2); until = max 0 (ticks - cooldown) }
         in
         with_out trace_out @@ fun oc ->
         let trace =
@@ -681,7 +675,7 @@ let soak_cmd =
             else
               Printf.eprintf
                 "discovery soak: %d ticks, %d membership changes, %d epoch(s) still settling \
-                 at the end of the run (no deadline missed; extend --ticks or --cooldown)\n"
+                 at the end of the run (no deadline missed; extend --ticks)\n"
                 stats.Service.ticks_run stats.Service.epochs open_epochs;
           `Ok (if open_epochs = 0 then 0 else 1)
         | exception Repro_engine.Trace.Lag.Violation msg ->
@@ -689,14 +683,6 @@ let soak_cmd =
           `Ok 1
       end
     end
-  in
-  let cap_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "cap" ] ~docv:"CAP"
-          ~doc:
-            "Id universe: joiners and restarted members draw from ids N..CAP-1 and the retired \
-             pool. Default: N + max(16, N/4).")
   in
   let ticks_arg =
     Arg.(value & opt int 5000 & info [ "ticks" ] ~docv:"T" ~doc:"Virtual ticks to run.")
@@ -707,22 +693,9 @@ let soak_cmd =
       & info [ "churn" ] ~docv:"RATE"
           ~doc:
             "Expected membership events per tick: joins at RATE/2, graceful leaves and crashes \
-             at RATE/4 each. 0 disables the churn generator (scheduled $(b,--fault) churn still \
-             applies).")
-  in
-  let min_live_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "min-live" ] ~docv:"K"
-          ~doc:"Never leave/crash below K live members (default N/2).")
-  in
-  let cooldown_arg =
-    Arg.(
-      value & opt int (-1)
-      & info [ "cooldown" ] ~docv:"T"
-          ~doc:
-            "Churn-free ticks at the end of the run, so every epoch's convergence deadline \
-             falls inside it (default: lag bound + 16).")
+             at RATE/4 each, never below N/2 live members, stopping lag bound + 16 ticks before \
+             the end so that every change can converge. 0 disables the churn generator \
+             (scheduled $(b,--fault) churn still applies).")
   in
   let lag_bound_arg =
     Arg.(
@@ -731,7 +704,8 @@ let soak_cmd =
           ~doc:
             "Convergence-lag bound: every live member must match the true membership within \
              this many ticks of each change. Default: max(64, 4·log2(CAP)²) — the polylog \
-             envelope of the paper's re-discovery cost.")
+             envelope of the paper's re-discovery cost — where CAP = N + max(16, N/4) is the id \
+             universe joiners and restarted members draw from.")
   in
   let full_sync_arg =
     Arg.(
@@ -780,9 +754,8 @@ let soak_cmd =
       ret
         (const soak
         $ nodes_arg 256 ~doc:"Founding members."
-        $ cap_arg $ ticks_arg $ seed_arg $ churn_arg $ min_live_arg
-       $ cooldown_arg $ fault_arg $ lag_bound_arg $ full_sync_arg $ backend_arg
-       $ indirect_k_arg $ no_lifeguard_arg
+        $ ticks_arg $ seed_arg $ churn_arg $ fault_arg $ lag_bound_arg $ full_sync_arg
+        $ backend_arg $ indirect_k_arg $ no_lifeguard_arg
         $ trace_out_arg ~doc:"Write the JSONL event trace to $(docv)."
         $ quiet_arg ~doc:"Suppress the summary line on stderr."))
   in

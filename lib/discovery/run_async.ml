@@ -19,7 +19,6 @@ type spec = {
   seed : int;
   fault : Fault.t;
   completion : Run.completion;
-  horizon : float option;
   tick_jitter : float;
   latency : float * float;
   trace : Trace.sink;
@@ -30,7 +29,6 @@ let default_spec =
     seed = 0;
     fault = Fault.none;
     completion = Run.Strong;
-    horizon = None;
     tick_jitter = 0.1;
     latency = (0.1, 0.9);
     trace = Trace.null;
@@ -39,8 +37,7 @@ let default_spec =
 let engine_config ~n spec =
   let lmin, lmax = spec.latency in
   {
-    Async_sim.horizon =
-      (match spec.horizon with Some h -> h | None -> (4.0 *. float_of_int n) +. 64.0);
+    Async_sim.horizon = (4.0 *. float_of_int n) +. 64.0;
     tick_jitter = spec.tick_jitter;
     latency_min = lmin;
     latency_max = lmax;

@@ -29,7 +29,6 @@ type spec = {
   seed : int;
   fault : Fault.t;
   completion : Run.completion;
-  horizon : float option;  (** time budget; [None] means [4·n + 64.] time units *)
   tick_jitter : float;  (** per-node clock drift, as a fraction of the period *)
   latency : float * float;  (** (min, max) uniform message latency *)
   trace : Trace.sink;
@@ -37,18 +36,17 @@ type spec = {
           semantics — observational only, free when {!Repro_engine.Trace.null} *)
 }
 (** {!Run.spec}'s asynchronous counterpart: the round budget becomes a
-    time horizon, and the timing model (clock jitter, latency band) is
-    part of the spec. *)
+    time horizon of [4·n + 64.] time units, and the timing model (clock
+    jitter, latency band) is part of the spec. *)
 
 val default_spec : spec
-(** Seed 0, no faults, strong completion, default horizon, jitter 0.1,
+(** Seed 0, no faults, strong completion, jitter 0.1,
     latency ∈ [0.1, 0.9] (so a message takes about half a local round on
     average), no tracing. *)
 
 val engine_config : n:int -> spec -> Async_sim.config
-(** The engine configuration [spec] runs [n] nodes under: its horizon
-    (the default resolved for [n]), jitter, latency band, faults, seed
-    and trace. *)
+(** The engine configuration [spec] runs [n] nodes under: the horizon
+    for [n], jitter, latency band, faults, seed and trace. *)
 
 val exec_spec : spec -> Algorithm.t -> Topology.t -> result
 (** Determinism and the completion predicates are as in

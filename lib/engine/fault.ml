@@ -543,3 +543,7 @@ let of_string s =
 let pp ppf t =
   if is_none t then Format.fprintf ppf "fault(none)"
   else Format.fprintf ppf "fault(%s)" (to_string t)
+
+let invariants ?(live = false) t =
+  let crashes = not (Imap.is_empty t.crashes) and restarts = not (Imap.is_empty t.restarts) in
+  Trace.Invariants.create ~lenient:(restarts || (live && crashes)) ~allow_inflight:(has_delays t) ()

@@ -217,6 +217,15 @@ val last_scheduled_round : t -> int
     leave or partition heal); 0 for {!none}. Drivers use it to keep runs
     alive until the plan has fully played out. *)
 
+val invariants : ?live:bool -> t -> Trace.Invariants.t
+(** The online invariant checker for a run under this plan. It is
+    relaxed ([~lenient:true]) when the plan restarts a node, which
+    joins again after its crash, and, with [~live:true] (a cluster on
+    any backend), when it crashes one at all: a payload delivered just
+    before its ack was lost to a kill is counted as dropped too. Delayed
+    links carry messages across round boundaries ([~allow_inflight]).
+    Every other plan is checked strictly. *)
+
 (** {1 Serialization} *)
 
 val to_string : t -> string

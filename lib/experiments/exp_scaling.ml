@@ -17,17 +17,6 @@ let seeds ~quick = if quick then [ 1; 2 ] else [ 1; 2; 3 ]
    quadratic shape is unambiguous long before that. *)
 let swamping_limit = 1024
 
-let algorithms () =
-  [
-    Flooding.algorithm;
-    Swamping.algorithm;
-    Pointer_jump.algorithm;
-    Name_dropper.algorithm;
-    Min_pointer.algorithm;
-    Rand_gossip.algorithm;
-    Hm_gossip.algorithm;
-  ]
-
 let sweep_cache : (bool, (int, Algorithm.t, Run.result option) Report.cells) Hashtbl.t =
   Hashtbl.create 2
 
@@ -38,7 +27,7 @@ let sweep ~quick ~jobs =
   | Some cells -> cells
   | None ->
     let cells =
-      Report.grid ~jobs ~seeds:(seeds ~quick) (sizes ~quick) (algorithms ()) (fun n algo seed ->
+      Report.grid ~jobs ~seeds:(seeds ~quick) (sizes ~quick) Registry.all (fun n algo seed ->
           if algo.Algorithm.name = "swamping" && n > swamping_limit then None
           else Some (Sweepcell.exec ~algo ~family ~n ~max_rounds:500 seed))
     in
@@ -61,7 +50,7 @@ let rounds_curve cells ~ok name =
         by_algo)
     cells
 
-let algo_names () = List.map (fun a -> a.Algorithm.name) (algorithms ())
+let algo_names () = List.map (fun a -> a.Algorithm.name) Registry.all
 
 let metric_table report ~quick ~jobs ~title ~id ~metric ~csv_name =
   let cells = sweep ~quick ~jobs in

@@ -8,17 +8,6 @@ open Repro_discovery
 let t4_n ~quick = if quick then 256 else 1024
 let seeds ~quick = if quick then [ 1; 2 ] else [ 1; 2; 3 ]
 
-let algorithms =
-  [
-    Flooding.algorithm;
-    Swamping.algorithm;
-    Pointer_jump.algorithm;
-    Name_dropper.algorithm;
-    Min_pointer.algorithm;
-    Rand_gossip.algorithm;
-    Hm_gossip.algorithm;
-  ]
-
 let t4 report ~quick ~jobs =
   let n = t4_n ~quick in
   let max_rounds = (3 * n) + 64 in
@@ -32,7 +21,7 @@ let t4 report ~quick ~jobs =
     ~csv:("t4_topology", [ "topology"; "diam"; "n"; "algorithm" ] @ Sweepcell.csv_header [ Sweepcell.Rounds ])
     ~header:
       (("topology", Table.Left) :: ("diam", Table.Right)
-      :: List.map (fun (a : Algorithm.t) -> (a.Algorithm.name, Table.Right)) algorithms)
+      :: List.map (fun (a : Algorithm.t) -> (a.Algorithm.name, Table.Right)) Registry.all)
     ~row:(fun family ->
       let label = [ Generate.family_name family; string_of_int (diameter family) ] in
       (label, label @ [ string_of_int n ]))
@@ -43,7 +32,7 @@ let t4 report ~quick ~jobs =
       "Notes: flooding cannot finish on weakly-but-not-strongly connected inputs (dpath, instar);\n\
        pull-only pointer_jump cannot spread identifiers of nodes nobody knows (dpath, instar) —\n\
        both DNFs reproduce the qualitative claims of HLL99.\n"
-    (Report.grid ~jobs ~seeds:(seeds ~quick) Generate.all_families algorithms
+    (Report.grid ~jobs ~seeds:(seeds ~quick) Generate.all_families Registry.all
        (fun family algo seed -> Sweepcell.exec ~algo ~family ~n ~max_rounds seed))
 
 let f3_sizes ~quick = if quick then [ 128; 256; 512 ] else [ 128; 256; 512; 1024; 2048; 4096; 8192 ]

@@ -19,8 +19,7 @@ let exec ~algo ~family ~n ?max_rounds ?(fault = Fault.none) ?(completion = Run.S
   let spec = { Run.default_spec with Run.seed; fault; completion; max_rounds } in
   let topology = Generate.of_seed family ~n ~seed in
   if check_invariants then begin
-    (* delayed links legitimately carry messages across round boundaries *)
-    let inv = Trace.Invariants.create ~allow_inflight:(Fault.has_delays fault) () in
+    let inv = Fault.invariants fault in
     let r = Run.exec_spec { spec with Run.trace = Trace.Invariants.sink inv } algo topology in
     Trace.Invariants.final_check inv r.Run.metrics;
     r

@@ -52,24 +52,17 @@ type result = {
   totals : Control.final option;  (** aggregate, when every node reported *)
 }
 
-(* Crash/restart accounting makes strict event-conservation unreliable
-   on the live path (a payload delivered just before its ack was lost to
-   a kill is later counted as dropped too), so any plan that can crash a
-   process checks under the relaxed rules. *)
-let lenient_for (spec : spec) = Fault.crashed_nodes spec.fault <> []
-
 (* --- the mux: every node a live Node_core in this one process ------ *)
 
 (* The mux runs every node as a live Node_core in this one process on a
    virtual clock (trace-identical to the async simulator on fault-free
-   runs). It follows the live crash rules, so any plan that can crash a
-   node checks under the relaxed rules, like the socket path. *)
+   runs). It follows the live crash rules, so it checks as the socket
+   path does. *)
 let run_mux (spec : spec) =
   if spec.n < 1 then invalid_arg "Cluster.run: n must be positive";
   let topology = Generate.of_seed spec.family ~n:spec.n ~seed:spec.seed in
   let checker =
-    if spec.check_invariants then Some (Trace.Invariants.create ~lenient:(lenient_for spec) ())
-    else None
+    if spec.check_invariants then Some (Fault.invariants ~live:true spec.fault) else None
   in
   let trace =
     match checker with
@@ -453,9 +446,7 @@ let run_sockets (spec : spec) =
   in
   let terminal = if converged then Trace.Complete else Trace.Give_up in
   let checker =
-    if spec.check_invariants then
-      Some (Trace.Invariants.create ~lenient:(lenient_for spec) ())
-    else None
+    if spec.check_invariants then Some (Fault.invariants ~live:true spec.fault) else None
   in
   let check_failure = ref None in
   let emit_checked ev =

@@ -1,6 +1,16 @@
 open Repro_util
 open Repro_discovery
 
+(* minor words [f ()] allocates, less the measurement window's own *)
+let minor_words_of f =
+  let cal_before = Gc.minor_words () in
+  let cal_after = Gc.minor_words () in
+  let overhead = cal_after -. cal_before in
+  let before = Gc.minor_words () in
+  f ();
+  let after = Gc.minor_words () in
+  after -. before -. overhead
+
 (* Regression guard for the allocation-free hot path: a steady-state
    flooding round at n = 4096 with tracing off must not allocate on the
    minor heap. Once a node's [sent_upto] mark has caught up with its
@@ -48,42 +58,44 @@ let test_steady_state_flooding_round_allocates_nothing () =
 (* Same guard for a snapshot broadcaster: a steady-state swamping
    broadcast re-fans the version-cached message out of the compressed
    set, and each receiver's merge hits the same-snapshot memo — no
-   payload rebuild, no enumeration, no minor allocation. This is what
-   benchmark subject B9 (broadcast_round_65536) measures, here at a
-   reduced universe. *)
+   payload rebuild, no enumeration, no minor allocation. Each send is
+   recorded in a metrics ledger, as the engine records it. At 65,536
+   this is benchmark subject B9 (broadcast_round_65536). *)
 let test_steady_state_broadcast_round_allocates_nothing () =
-  let bn = 4096 in
-  let labels = Array.init bn (fun i -> i) in
-  let mk node =
-    Swamping.algorithm.Algorithm.make
-      {
-        Algorithm.n = bn;
-        node;
-        neighbors = [||];
-        labels;
-        rng = Rng.create ~seed:node;
-      }
-  in
-  let sender = mk 0 and receiver = mk 1 in
-  let full = Cset.create bn in
-  for v = 0 to bn - 1 do
-    ignore (Cset.add full v)
-  done;
-  ignore (Knowledge.merge_bits sender.Algorithm.knowledge full);
-  ignore (Knowledge.merge_bits receiver.Algorithm.knowledge full);
-  let send ~dst:_ payload = receiver.Algorithm.receive ~src:0 payload in
-  (* round 1 builds and caches the snapshot message; from round 2 on
-     the broadcast is the steady state *)
-  sender.Algorithm.round ~round:1 ~send;
-  let cal_before = Gc.minor_words () in
-  let cal_after = Gc.minor_words () in
-  let overhead = cal_after -. cal_before in
-  let before = Gc.minor_words () in
-  sender.Algorithm.round ~round:2 ~send;
-  let after = Gc.minor_words () in
-  let extra = after -. before -. overhead in
-  if extra > 64.0 then
-    Alcotest.failf "steady-state broadcast round allocated %.0f minor words (expected 0)" extra
+  List.iter
+    (fun bn ->
+      let labels = Array.init bn (fun i -> i) in
+      let mk node =
+        Swamping.algorithm.Algorithm.make
+          {
+            Algorithm.n = bn;
+            node;
+            neighbors = [||];
+            labels;
+            rng = Rng.create ~seed:node;
+          }
+      in
+      let sender = mk 0 and receiver = mk 1 in
+      let full = Cset.create bn in
+      for v = 0 to bn - 1 do
+        ignore (Cset.add full v)
+      done;
+      ignore (Knowledge.merge_bits sender.Algorithm.knowledge full);
+      ignore (Knowledge.merge_bits receiver.Algorithm.knowledge full);
+      let metrics = Repro_engine.Metrics.create () in
+      Repro_engine.Metrics.begin_round metrics;
+      let send ~dst:_ payload =
+        Repro_engine.Metrics.record_send metrics ~pointers:(Payload.measure payload) ~bytes:0;
+        receiver.Algorithm.receive ~src:0 payload
+      in
+      (* round 1 builds and caches the snapshot message; from round 2 on
+         the broadcast is the steady state *)
+      sender.Algorithm.round ~round:1 ~send;
+      let extra = minor_words_of (fun () -> sender.Algorithm.round ~round:2 ~send) in
+      if extra > 16.0 then
+        Alcotest.failf "n = %d: steady-state broadcast round allocated %.0f minor words (expected 0)"
+          bn extra)
+    [ 4096; 65_536 ]
 
 (* The same guard for the synchronous engine itself: once its outboxes
    and delivery index have grown to a round's traffic, a round — send
@@ -263,39 +275,35 @@ let test_link_fate_allocates_nothing () =
 (* Every random choice of every engine, algorithm and fault draws from
    [Rng]: a bounded draw, power of two or not, and a loss coin must
    not allocate. 17,408 is not a power of two, so it takes the
-   rejection path. *)
+   rejection path; 1,000 draws below it alone are benchmark subject B2
+   (rng_int_1k). *)
 let test_rng_draws_allocate_nothing () =
-  let rng = Rng.create ~seed:1 in
-  let draws () =
-    let acc = ref 0 in
-    for _ = 1 to 1000 do
-      acc := !acc + Rng.int rng 17_408 + Rng.int rng 1024;
-      if Rng.bernoulli rng ~p:0.05 then incr acc
-    done;
-    ignore (Sys.opaque_identity !acc)
-  in
-  draws ();
-  let cal_before = Gc.minor_words () in
-  let cal_after = Gc.minor_words () in
-  let overhead = cal_after -. cal_before in
-  let before = Gc.minor_words () in
-  draws ();
-  let after = Gc.minor_words () in
-  let extra = after -. before -. overhead in
-  if extra > 0.0 then
-    Alcotest.failf "1,000 rounds of int and bernoulli draws allocated %.0f minor words (expected 0)"
-      extra
+  List.iter
+    (fun (name, seed, draw) ->
+      let rng = Rng.create ~seed in
+      let draws () =
+        let acc = ref 0 in
+        for _ = 1 to 1000 do
+          acc := !acc + draw rng
+        done;
+        ignore (Sys.opaque_identity !acc)
+      in
+      draws ();
+      let extra = minor_words_of draws in
+      if extra > 0.0 then
+        Alcotest.failf "1,000 rounds of %s allocated %.0f minor words (expected 0)" name extra)
+    [
+      ( "int and bernoulli draws",
+        1,
+        fun rng -> Rng.int rng 17_408 + Rng.int rng 1024 + Bool.to_int (Rng.bernoulli rng ~p:0.05) );
+      ("int draws below 17,408", 2, fun rng -> Rng.int rng 17_408);
+    ]
 
 (* [Rng.float] is inlined like [Rng.unit], so a draw that only feeds a
    comparison (the per-message latency draws of the async engine, the
    service and the mux) stays unboxed instead of costing a float block
-   on the minor heap per call. The dev profile compiles every library
-   with -opaque, which turns cross-module inlining off: there a float
-   that any library function returns is boxed, inlined or not. The pin
-   therefore runs under the release profile, the one perfbench builds:
-   [dune exec --profile release test/test_alloc.exe]. *)
+   on the minor heap per call. *)
 let test_rng_float_allocates_nothing () =
-  if Build_profile.name <> "release" then Alcotest.skip ();
   let rng = Rng.create ~seed:1 in
   let draws () =
     let acc = ref 0 in
@@ -305,13 +313,7 @@ let test_rng_float_allocates_nothing () =
     ignore (Sys.opaque_identity !acc)
   in
   draws ();
-  let cal_before = Gc.minor_words () in
-  let cal_after = Gc.minor_words () in
-  let overhead = cal_after -. cal_before in
-  let before = Gc.minor_words () in
-  draws ();
-  let after = Gc.minor_words () in
-  let extra = after -. before -. overhead in
+  let extra = minor_words_of draws in
   if extra > 0.0 then
     Alcotest.failf "1,000 float draws compared against a constant allocated %.0f minor words" extra
 
@@ -397,11 +399,9 @@ let test_diff_into_allocates_nothing () =
 
 (* The bitmap kernels below read and write 64-bit words of a [Bytes]
    payload through primitives declared in [Cset] itself and popcount
-   them with an inlined SWAR, so no word is ever boxed. Nothing they use
-   crosses a library boundary, so dune's -opaque does not matter: these
-   pins run, and must hold, in the dev profile ([dune runtest]) and in
-   the release profile alike. The sets span n = 17,408, one container,
-   as in hm-compact; every operand is a bitmap. *)
+   them with an inlined SWAR, so no word is ever boxed. Unless an input
+   says otherwise, the sets span n = 17,408, one container, as in
+   hm-compact; every operand is a bitmap. *)
 let bitmap_n = 17_408
 
 let bitmap_of_step ~step ~offset =
@@ -413,22 +413,42 @@ let bitmap_of_step ~step ~offset =
   done;
   t
 
-(* minor words [f ()] allocates, less the measurement window's own *)
-let minor_words_of f =
-  let cal_before = Gc.minor_words () in
-  let cal_after = Gc.minor_words () in
-  let overhead = cal_after -. cal_before in
-  let before = Gc.minor_words () in
-  f ();
-  let after = Gc.minor_words () in
-  after -. before -. overhead
+(* The operands of benchmark subjects B11 at universe [n]: two sets of
+   [n / 2] uniform draws each (about 39% full, so every container is a
+   bitmap), built the way bench/main.exe builds them. *)
+let bench_pair n =
+  let rng = Rng.create ~seed:(n lxor 22) in
+  let mk () =
+    let b = Cset.create n in
+    for _ = 1 to n / 2 do
+      ignore (Cset.add b (Rng.int rng n))
+    done;
+    b
+  in
+  let dst = mk () in
+  (dst, mk ())
+
+(* B11's hm-band operands at n = 17,408: [card] uniform members a side *)
+let band_pair card =
+  let rng = Rng.create ~seed:(card + 17) in
+  let mk () =
+    let b = Cset.create bitmap_n in
+    while Cset.cardinal b < card do
+      ignore (Cset.add b (Rng.int rng bitmap_n))
+    done;
+    b
+  in
+  let dst = mk () in
+  (dst, mk ())
+
+(* members of [src] that [dst] holds ([inside]) or lacks *)
+let count_of ~inside ~dst ~src = Cset.fold (fun k v -> if Cset.mem dst v = inside then k + 1 else k) 0 src
 
 (* The live fault shim maps its clock onto rounds only for a plan that
    reads it (a partition or a link cap): under plain loss a frame's
    verdict ([Gone] or [Pass]) costs nothing, where a round clock passed
    into [Fault.fate] would box a float per frame. The times are literal
-   constants, so the calls pass static floats. Profile: dev and release
-   alike; the shim calls no library function that returns a float. *)
+   constants, so the calls pass static floats. *)
 let test_faultnet_loss_allocates_nothing () =
   let plan = match Repro_engine.Fault.of_string "loss=0.05" with Ok f -> f | Error e -> failwith e in
   let fn = Repro_net.Faultnet.create ~plan ~seed:1 ~node:0 ~epoch:0.0 ~tick_period:1.0 in
@@ -449,18 +469,26 @@ let test_faultnet_loss_allocates_nothing () =
     Alcotest.failf "1,000 shim sends under loss=0.05 allocated %.0f minor words (expected 0)" extra
 
 (* bitmap ∪ bitmap into a private destination: one OR pass over the
-   words, in place (dev and release profile) *)
+   words, in place. The other inputs are benchmark subjects B11
+   cset_union_65536, cset_union_1048576 (16 containers) and
+   cset_union_17408_card1024. *)
 let test_bitmap_union_allocates_nothing () =
-  let dst = bitmap_of_step ~step:3 ~offset:0 and src = bitmap_of_step ~step:2 ~offset:0 in
-  let added = ref 0 in
-  let extra = minor_words_of (fun () -> added := Cset.union_into ~dst ~src) in
-  (* even ids that are not multiples of 3: 8,704 - 2,902 *)
-  if !added <> 5_802 then Alcotest.failf "union added %d ids (expected 5802)" !added;
-  if extra > 0.0 then Alcotest.failf "bitmap union allocated %.0f minor words (expected 0)" extra
+  List.iter
+    (fun (name, (dst, src)) ->
+      let expected = count_of ~inside:false ~dst ~src in
+      let added = ref 0 in
+      let extra = minor_words_of (fun () -> added := Cset.union_into ~dst ~src) in
+      if !added <> expected then Alcotest.failf "%s: union added %d ids (expected %d)" name !added expected;
+      if extra > 0.0 then Alcotest.failf "%s: bitmap union allocated %.0f minor words (expected 0)" name extra)
+    [
+      ("steps 3 and 2", (bitmap_of_step ~step:3 ~offset:0, bitmap_of_step ~step:2 ~offset:0));
+      ("halves at 65,536", bench_pair 65_536);
+      ("halves at 1,048,576", bench_pair 1_048_576);
+      ("1,024 members a side at 17,408", band_pair 1024);
+    ]
 
 (* the no-change union: the word-parallel subset pre-check on a bitmap
-   pair finds nothing fresh and writes nothing (dev and release
-   profile) *)
+   pair finds nothing fresh and writes nothing *)
 let test_bitmap_subset_precheck_allocates_nothing () =
   let dst = bitmap_of_step ~step:2 ~offset:0 and src = bitmap_of_step ~step:4 ~offset:0 in
   let added = ref (-1) in
@@ -470,17 +498,43 @@ let test_bitmap_subset_precheck_allocates_nothing () =
     Alcotest.failf "no-change bitmap union allocated %.0f minor words (expected 0)" extra
 
 (* a bitmap difference into a private destination clears the source's
-   bits word by word (dev and release profile) *)
+   bits word by word. The other inputs are benchmark subjects B11
+   cset_diff_65536 and cset_diff_1048576. *)
 let test_bitmap_diff_allocates_nothing () =
-  let dst = bitmap_of_step ~step:3 ~offset:0 and src = bitmap_of_step ~step:2 ~offset:0 in
-  let removed = ref 0 in
-  let extra = minor_words_of (fun () -> removed := Cset.diff_into ~dst ~src) in
-  (* multiples of 6 below 17,408 *)
-  if !removed <> 2_902 then Alcotest.failf "diff removed %d ids (expected 2902)" !removed;
-  if extra > 0.0 then Alcotest.failf "bitmap diff allocated %.0f minor words (expected 0)" extra
+  List.iter
+    (fun (name, (dst, src)) ->
+      let expected = count_of ~inside:true ~dst ~src in
+      let removed = ref 0 in
+      let extra = minor_words_of (fun () -> removed := Cset.diff_into ~dst ~src) in
+      if !removed <> expected then
+        Alcotest.failf "%s: diff removed %d ids (expected %d)" name !removed expected;
+      if extra > 0.0 then Alcotest.failf "%s: bitmap diff allocated %.0f minor words (expected 0)" name extra)
+    [
+      ("steps 3 and 2", (bitmap_of_step ~step:3 ~offset:0, bitmap_of_step ~step:2 ~offset:0));
+      ("halves at 65,536", bench_pair 65_536);
+      ("halves at 1,048,576", bench_pair 1_048_576);
+    ]
+
+(* A sorted insert into a long-lived array container one member short
+   of promotion (n = 65,536, 127 members) shifts every member up a
+   slot, and removing it shifts them back; the set lives on the major
+   heap. Neither allocates (benchmark subject B11 cset_add_sorted_65536). *)
+let test_sorted_add_allocates_nothing () =
+  let t = Cset.create 65_536 in
+  for i = 1 to 127 do
+    ignore (Cset.add t (i * 512))
+  done;
+  Gc.full_major ();
+  let extra =
+    minor_words_of (fun () ->
+        if not (Cset.add t 0) then Alcotest.fail "0 was already a member";
+        if not (Cset.remove t 0) then Alcotest.fail "0 was not added")
+  in
+  if extra > 0.0 then
+    Alcotest.failf "a sorted add and remove allocated %.0f minor words (expected 0)" extra
 
 (* the bitmap queries: [rank] popcounts the words below an id,
-   [choose_nth] selects within one word (dev and release profile) *)
+   [choose_nth] selects within one word *)
 let test_bitmap_queries_allocate_nothing () =
   let a = bitmap_of_step ~step:3 ~offset:1 in
   let acc = ref 0 in
@@ -524,9 +578,11 @@ let test_unsorted_batch_merge_allocates_nothing () =
 
 (* The int sort's merge buffer and run bounds are domain-local and
    grow-only: once one sort on the domain has grown them, sorts of any
-   size up to it allocate nothing on either heap. The inputs are the
-   learn-order shape (ascending runs end to end) with a scrambled
-   stretch, so both the insertion and the merge steps run. *)
+   size up to it allocate nothing on either heap. The first inputs are
+   the learn-order shape (ascending runs end to end) with a scrambled
+   stretch, so both the insertion and the merge steps run; the last is
+   benchmark subject B17 (sort_prefix_runs_4096), a flooding delta's
+   shape: 4,096 ids in 8 ascending runs. *)
 let test_sort_prefix_allocates_nothing () =
   let input m = Array.init m (fun i -> if i < m / 2 then (i mod 97) * m + i else (i * 7919) mod m) in
   let largest = 5000 in
@@ -535,8 +591,8 @@ let test_sort_prefix_allocates_nothing () =
   Intvec.blit_ints src 0 work 0 largest;
   Intvec.sort_prefix work largest;
   List.iter
-    (fun m ->
-      let src = input m in
+    (fun src ->
+      let m = Array.length src in
       Intvec.blit_ints src 0 work 0 m;
       let cal_before = allocated_words () in
       let cal_after = allocated_words () in
@@ -548,7 +604,7 @@ let test_sort_prefix_allocates_nothing () =
         if work.(i - 1) > work.(i) then Alcotest.failf "%d ids not sorted at %d" m i
       done;
       if words > 0.0 then Alcotest.failf "sorting %d ids allocated %.0f words (expected 0)" m words)
-    [ 64; 1000; largest ]
+    [ input 64; input 1000; input largest; Array.init 4096 (fun i -> ((i mod 512) * 8) + (i / 512)) ]
 
 (* A probe is encoded straight into its exactly sized frame: one
    [Bytes] block of at most 11 bytes (kind byte plus two varints) is a
@@ -598,8 +654,7 @@ let test_delta_encode_is_small () =
    payload — the [Share] block, the batch record and the [Ok] — where a
    fresh flat array would cost 600 words on the major heap. The frame
    is spelled out byte by byte (Share, codec 3 with the full flag,
-   count 300, then gap 0, version 1, status alive per entry). Profile:
-   dev and release alike. *)
+   count 300, then gap 0, version 1, status alive per entry). *)
 let test_batch_decode_allocates_its_payload () =
   let entries = 300 in
   let frame = Buffer.create (4 + (3 * entries)) in
@@ -638,8 +693,7 @@ let test_batch_decode_allocates_its_payload () =
    frames of ~115 words, the payload records) is small enough for the
    minor heap. The views already agree, so neither merge logs an
    update. [Gc.counters] also counts the major words allocated since the
-   last major slice, so the reading is exact. Profile: dev and release
-   alike. *)
+   last major slice, so the reading is exact. *)
 let test_full_exchange_allocates_no_major_words () =
   let module Member = Repro_service.Member in
   let view = 300 and cap = 320 in
@@ -698,8 +752,7 @@ let test_full_exchange_allocates_no_major_words () =
    bare int, so 1,000 such steps allocate nothing, and neither do 1,000
    bare draws. The first step sends the periodic probe; a message from
    its target answers it, so the steps after it sweep no probe table.
-   Profile: dev and release alike; the cursor primitives compile inline
-   in both, and the path takes only the literal [now]. *)
+   The path takes only the literal [now]. *)
 let test_member_gossip_step_allocates_nothing () =
   let module Member = Repro_service.Member in
   let module View = Repro_service.View in
@@ -787,9 +840,7 @@ let frame_round_trip (a, b, last) ~now payload =
    records and the sender's send ring, and its ack empties the ring.
    Payloads: a 3-id list (varint codec) and a dense snapshot (bitmap
    codec); the snapshot's measured receipt repeats the warm-up's view,
-   so it is a decode-memo hit, pinned on its own below. Profile: dev
-   and release alike; the path calls no library function that returns
-   a float. *)
+   so it is a decode-memo hit, pinned on its own below. *)
 let test_frame_seal_and_decode_allocate_frame_and_payload () =
   let cn = 256 in
   let ((a, b, last) as pair) = deaf_pair cn in
@@ -836,7 +887,7 @@ let test_frame_seal_and_decode_allocate_frame_and_payload () =
    sender and hands the algorithm the frozen view it built then, wrapped
    in this frame's kind. So a hit allocates the payload constructor and
    its [Ok] (2 words each) and nothing else, where a decode builds the
-   whole set. Profile: dev and release alike. *)
+   whole set. *)
 let test_memo_hit_allocates_its_constructor () =
   let cn = 256 in
   let ((a, b, last) as pair) = deaf_pair cn in
@@ -861,18 +912,14 @@ let test_memo_hit_allocates_its_constructor () =
    5% loss, seed 1, through the asynchronous engine's clock and through
    the mux's live cores (envelope, CRC, go-back-N, fault shim), and a
    64-member service soak under the same loss, on the hosted mux
-   transport and on the direct transport. Each pin is the minor
-   words of the whole run (its set-up included, the topology excluded)
-   per data frame delivered to an algorithm, or per member message on
-   the soak, at the value the current code measures, with 2% headroom
+   transport and on the direct transport; and the same 64 members with
+   no loss, quiet or under churn. Each pin is the minor words of the
+   whole run (its set-up included, the topology excluded) per data
+   frame delivered to an algorithm, per member message on the lossy
+   soaks, per member step on the quiet one or per tick under churn, at
+   the value the current code measures, with 2% headroom
    (the soak's counts vary by ~0.1% from run to run). A regression of a
-   few words per frame on any path fails its pin.
-
-   Profile: release only ([dune exec --profile release
-   test/test_alloc.exe], a CI step). Under the dev profile dune
-   compiles every library with -opaque, so no cross-library inlining
-   takes place and a float a library function returns is boxed; the
-   words per frame differ there. *)
+   few words per frame on any path fails its pin. *)
 
 let pinned_topology =
   lazy (Repro_graph.Generate.of_seed (Repro_graph.Generate.K_out 3) ~n:256 ~seed:1)
@@ -939,6 +986,29 @@ let quiet_words_per_member_step () =
   if stats.Service.gossip <> 0 then Alcotest.fail "the quiet fleet gossiped";
   words /. float_of_int (cfg.Service.n * cfg.Service.ticks)
 
+(* Benchmark subject B13 (soak_service_tick_64): 64 members on the
+   direct transport under churn at rate 0.05, never below 32 live, for
+   2,000 ticks, the last lag bound + 16 of them churn-free, so every
+   membership change converges before the end. Words per tick. *)
+let churn_words_per_tick () =
+  let module Service = Repro_service.Service in
+  let ticks = 2000 and n = 64 in
+  let cap = n + 16 in
+  let cooldown = int_of_float (Service.default_lag_bound ~cap) + 16 in
+  let cfg =
+    {
+      (service_config ~fault:Repro_engine.Fault.none None) with
+      Service.cap;
+      seed = 3;
+      ticks;
+      churn = Some { Service.rate = 0.05; min_live = n / 2; until = ticks - cooldown };
+    }
+  in
+  let words, stats = words_of_run (fun () -> Service.run cfg) in
+  if stats.Service.epochs <> stats.Service.epochs_closed then
+    Alcotest.fail "a membership change did not converge";
+  words /. float_of_int ticks
+
 (* (path, measurement, pin). Before the frame was made one buffer
    (encoded once with envelope room, sealed in place, decoded in place)
    the mux read 227.95 words per delivered frame and the hosted service
@@ -963,10 +1033,10 @@ let path_pins =
       75.5 );
     ("service direct transport, words per message", service_words_per_message None, 42.0);
     ("service quiet fleet, words per member step", quiet_words_per_member_step, 20.5);
+    ("service under churn, words per tick", churn_words_per_tick, 2770.0);
   ]
 
 let test_path_pin measure budget () =
-  if Build_profile.name <> "release" then Alcotest.skip ();
   let per_frame = measure () in
   Printf.printf "measured %.2f words (pin %.2f)\n" per_frame budget;
   if per_frame > budget *. 1.02 then
@@ -1007,6 +1077,8 @@ let () =
             test_bitmap_subset_precheck_allocates_nothing;
           Alcotest.test_case "bitmap difference is allocation-free" `Quick
             test_bitmap_diff_allocates_nothing;
+          Alcotest.test_case "sorted add to an array container is allocation-free" `Quick
+            test_sorted_add_allocates_nothing;
           Alcotest.test_case "bitmap queries are allocation-free" `Quick
             test_bitmap_queries_allocate_nothing;
           Alcotest.test_case "unsorted batch merge is allocation-free" `Quick

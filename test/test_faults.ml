@@ -381,8 +381,10 @@ let dsl_roundtrip =
 
 (* --- restart schedules in the simulators ----------------------------- *)
 
+(* the checker the CLI's [trace --check] builds for the plan: restart
+   plans check in its lenient mode *)
 let checked_lenient_exec spec algo topo =
-  let inv = Trace.Invariants.create ~lenient:true () in
+  let inv = Fault.invariants spec.Run.fault in
   let r = Run.exec_spec { spec with Run.trace = Trace.Invariants.sink inv } algo topo in
   Trace.Invariants.final_check inv r.Run.metrics;
   r
@@ -396,6 +398,23 @@ let test_sim_crash_restart () =
   Alcotest.(check bool) "completed" true r.Run.completed;
   Alcotest.(check bool) "victim alive at the end" true r.Run.alive.(5);
   Alcotest.(check bool) "restart gates completion" true (r.Run.rounds >= 6)
+
+(* Known-failing, ROADMAP item 5 ("quiesce, don't halt"): hm on a
+   3-node star goes quiet from round 7, so the leaf that restarts at round 10
+   is never taught again and the run never completes. This pins today's
+   result; item 5's fix must flip it to a completed run. *)
+let test_hm_starves_late_restart () =
+  let fault =
+    match Fault.of_string "crash=1@2,restart=1@10" with Ok f -> f | Error e -> failwith e
+  in
+  let spec = { Run.default_spec with Run.seed = 7; fault; max_rounds = Some 500 } in
+  let r =
+    checked_lenient_exec spec Hm_gossip.algorithm (Generate.of_seed Generate.Star ~n:3 ~seed:7)
+  in
+  Alcotest.(check bool) "completed" false r.Run.completed;
+  Alcotest.(check int) "rounds" 500 r.Run.rounds;
+  Alcotest.(check int) "messages" 19 r.Run.messages;
+  Alcotest.(check int) "dropped" 5 r.Run.dropped
 
 let test_sim_restart_async () =
   let n = 48 and seed = 4 in
@@ -446,5 +465,7 @@ let () =
         [
           Alcotest.test_case "sync crash+restart completes" `Quick test_sim_crash_restart;
           Alcotest.test_case "async crash+restart completes" `Quick test_sim_restart_async;
+          Alcotest.test_case "known-failing (item 5): hm starves a late restart at n = 3" `Quick
+            test_hm_starves_late_restart;
         ] );
     ]
