@@ -29,10 +29,26 @@ open Repro_discovery
 
 (* ---------- microbenchmark subjects ---------- *)
 
-(* A subject: its name and one run of it. *)
-type subject = { label : string; run : unit -> unit }
+(* A subject: its name, one run of it, and how to return it to its
+   first run. *)
+type subject = { label : string; run : unit -> unit; reset : unit -> unit }
 
-let subject label f = { label; run = (fun () -> ignore (Sys.opaque_identity (f ()))) }
+let subject label f =
+  { label; run = (fun () -> ignore (Sys.opaque_identity (f ()))); reset = ignore }
+
+(* A subject whose runs draw seeds 1, 2, ... from a counter; [reset]
+   restarts it, so the exact word count reads the same seeds however
+   many runs Bechamel's time loop made before it. *)
+let seeded label f =
+  let counter = ref 0 in
+  {
+    label;
+    run =
+      (fun () ->
+        incr counter;
+        ignore (Sys.opaque_identity (f !counter)));
+    reset = (fun () -> counter := 0);
+  }
 
 (* 1,000 bounded draws at a bound that is not a power of two (the
    hm-compact node count), so every draw takes the rejection path *)
@@ -65,21 +81,13 @@ let b3_knowledge_merge =
       ignore (Knowledge.merge_bits k src))
 
 let b4_graph_gen =
-  subject "B4 kout_graph_4096"
-    (let counter = ref 0 in
-     fun () ->
-       incr counter;
-       ignore (Generate.k_out ~rng:(Rng.create ~seed:!counter) ~n:4096 ~k:3))
+  seeded "B4 kout_graph_4096" (fun seed -> Generate.k_out ~rng:(Rng.create ~seed) ~n:4096 ~k:3)
 
 let full_run name algo =
-  subject name
-    (let counter = ref 0 in
-     fun () ->
-       incr counter;
-       let seed = !counter in
-       let topo = Generate.of_seed (Generate.K_out 3) ~n:1024 ~seed in
-       let r = Run.exec_spec { Run.default_spec with Run.seed } algo topo in
-       assert r.Run.completed)
+  seeded name (fun seed ->
+      let topo = Generate.of_seed (Generate.K_out 3) ~n:1024 ~seed in
+      let r = Run.exec_spec { Run.default_spec with Run.seed } algo topo in
+      assert r.Run.completed)
 
 let b5 = full_run "B5 full_run_hm_1024" Hm_gossip.algorithm
 let b6 = full_run "B6 full_run_name_dropper_1024" Name_dropper.algorithm
@@ -107,17 +115,12 @@ let b17_sort_runs =
    lazy lifecycle rules and per-message latency draws, under the same
    algorithm and topology. *)
 let b15_async =
-  subject "B15 async_run_hm_1024"
-    (let counter = ref 0 in
-     fun () ->
-       incr counter;
-       let seed = !counter in
-       let topo = Generate.of_seed (Generate.K_out 3) ~n:1024 ~seed in
-       let r =
-         Run_async.exec_spec { Run_async.default_spec with Run_async.seed } Hm_gossip.algorithm
-           topo
-       in
-       assert r.Run_async.completed)
+  seeded "B15 async_run_hm_1024" (fun seed ->
+      let topo = Generate.of_seed (Generate.K_out 3) ~n:1024 ~seed in
+      let r =
+        Run_async.exec_spec { Run_async.default_spec with Run_async.seed } Hm_gossip.algorithm topo
+      in
+      assert r.Run_async.completed)
 
 (* One broadcast round of the swamping instance at n = 65536, against a
    single shared receiver whose knowledge is already complete (so the
@@ -262,10 +265,12 @@ let estimate ols =
    (its per-run figure drowns in the sampling noise), so the words come
    from [Gc.minor_words] itself: one warm-up run (scratch growth,
    memoised snapshots), then this many runs between two readings. The
-   reading is unboxed, so the window adds nothing of its own. *)
+   reading is unboxed, so the window adds nothing of its own. A seeded
+   subject starts over first, so its count always covers seeds 2 to 65. *)
 let exact_runs = 64
 
 let words_per_run s =
+  s.reset ();
   s.run ();
   let before = Gc.minor_words () in
   for _ = 1 to exact_runs do

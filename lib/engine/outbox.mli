@@ -1,11 +1,17 @@
-(** Grow-only struct-of-arrays message buffer.
+(** Grow-only struct-of-arrays message buffer in fixed segments.
 
     One instance is reused across every round of a simulation run:
     {!clear} resets the length without releasing storage, so steady-state
-    rounds push into already-allocated arrays and the engine's send phase
-    allocates nothing. Slots are numbered [0 .. length - 1] in push
+    rounds push into already-allocated segments and the engine's send
+    phase allocates nothing. Slots are numbered [0 .. length - 1] in push
     order; {!iter} and {!filter} walk them in that order, and the
     engine's delivery index names them by number.
+
+    Storage grows in segments of 4,096 slots: the first doubles from 64
+    slots up to one segment, copying as it grows, and every later one is
+    allocated once and never copied. So a buffer whose fullest round
+    held [m] slots has a {!capacity} of [max 64 m] rounded up to a
+    power of two below one segment and to a whole segment above it.
 
     A slot's source and destination are packed into one int word, so a
     slot costs two words: its ids and its message.
@@ -13,7 +19,7 @@
     After {!clear}, message references pushed in earlier rounds are
     retained until overwritten by later pushes (the element type has no
     dummy value to scrub with). The retention is bounded by the buffer's
-    high-water mark. *)
+    capacity. *)
 
 type 'msg t
 
@@ -28,7 +34,7 @@ val clear : 'msg t -> unit
 
 val capacity : 'msg t -> int
 (** Current allocated slots — grows monotonically, for tests asserting
-    reuse. *)
+    reuse and growth. *)
 
 val push : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Append a slot.

@@ -151,6 +151,45 @@ let allocated_words () =
   let _, promoted, major = Gc.counters () in
   Gc.minor_words () +. major -. promoted
 
+(* The sync engine's outboxes grow to a round's traffic once: one
+   burst round at n = 1,024 in which every node sends 700 messages
+   (716,800 slots, a third round of swamping at this n carries 693,034).
+   A slot costs two words in its outbox segment and half a word in the
+   delivery index, and segments past the first are never copied, so the
+   round's direct major words are about 2.5 per slot. The doubling
+   buffer the segments replaced allocated every per-slot array again at
+   each doubling, up to 2^20 slots, and read 6.36 words per slot; this
+   code reads 2.52, in the release profile (the only one). *)
+let test_burst_round_allocates_slots_once () =
+  let module Sim = Repro_engine.Sim in
+  let bn = 1024 and fanout = 700 in
+  let handlers =
+    {
+      Sim.round_begin =
+        (fun ~node ~round ~send ->
+          for j = 1 to fanout do
+            send ~dst:((node + j) mod bn) round
+          done);
+      deliver = (fun ~node:_ ~src:_ ~round:_ _ -> ());
+    }
+  in
+  let before = allocated_words () -. Gc.minor_words () in
+  let outcome =
+    Sim.run ~n:bn ~config:Sim.default_config ~handlers
+      ~measure:(fun _ -> 1)
+      ~stop:(fun ~round ~alive:_ -> round >= 1)
+      ()
+  in
+  let words = allocated_words () -. Gc.minor_words () -. before in
+  let slots = bn * fanout in
+  if Repro_engine.Metrics.messages_delivered outcome.Sim.metrics <> slots then
+    Alcotest.fail "not every message was delivered";
+  let per_slot = words /. float_of_int slots in
+  Printf.printf "%.2f direct major words per slot\n" per_slot;
+  if per_slot > 2.6 then
+    Alcotest.failf "a burst round of %d slots allocated %.2f major words per slot (pin 2.6)" slots
+      per_slot
+
 let quiet_actions =
   {
     Repro_net.Node_core.emit = None;
@@ -1053,6 +1092,8 @@ let () =
             test_steady_state_broadcast_round_allocates_nothing;
           Alcotest.test_case "a steady-state Sim round allocates nothing" `Quick
             test_steady_state_sim_round_allocates_nothing;
+          Alcotest.test_case "a burst round allocates its slots once" `Quick
+            test_burst_round_allocates_slots_once;
           Alcotest.test_case "node core creation is O(1) beyond the algorithm" `Quick
             test_node_core_create_is_constant;
           Alcotest.test_case "idle pump is allocation-free" `Quick

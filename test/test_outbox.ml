@@ -130,6 +130,76 @@ let test_cancelled_slots () =
   Outbox.push box ~src:1 ~dst:2 99;
   Alcotest.(check int) "reused slot is live" 2 (Outbox.dst box 0)
 
+(* Slots past the first segment live in fixed 4,096-slot segments: push
+   three full segments and 17 slots more, the last segment's ids at the
+   extremes of their range, and read every slot next to a segment
+   boundary through each accessor, through [iter] and after a [filter]
+   that cancels slots on both sides of each boundary. *)
+let seg = 4096
+let boundaries = [ seg; 2 * seg; 3 * seg ]
+
+let test_segment_boundaries () =
+  let box = Outbox.create () in
+  let total = (3 * seg) + 17 and top = Outbox.max_id in
+  let in_last i = i >= 3 * seg in
+  let src i = if in_last i then if i land 1 = 0 then 0 else top else i in
+  let dst i = if in_last i then if i land 1 = 0 then top else 0 else total - i in
+  let caps = ref [] in
+  for i = 0 to total - 1 do
+    Outbox.push box ~src:(src i) ~dst:(dst i) i;
+    match !caps with
+    | c :: _ when c = Outbox.capacity box -> ()
+    | _ -> caps := Outbox.capacity box :: !caps
+  done;
+  Alcotest.(check (list int))
+    "segment 0 doubles, later segments add one block each"
+    [ 64; 128; 256; 512; 1024; 2048; seg; 2 * seg; 3 * seg; 4 * seg ]
+    (List.rev !caps);
+  let near = List.concat_map (fun b -> [ b - 2; b - 1; b; b + 1 ]) boundaries in
+  List.iter
+    (fun i ->
+      Alcotest.(check int) (Printf.sprintf "src of slot %d" i) (src i) (Outbox.src box i);
+      Alcotest.(check int) (Printf.sprintf "dst of slot %d" i) (dst i) (Outbox.dst box i);
+      Alcotest.(check int) (Printf.sprintf "msg of slot %d" i) i (Outbox.msg box i))
+    ((0 :: near) @ [ total - 2; total - 1 ]);
+  Alcotest.(check (list (triple int int int)))
+    "iter visits every slot in push order"
+    (List.init total (fun i -> (src i, dst i, i)))
+    (drain box);
+  (* cancel the two slots on each side of every boundary *)
+  let cancelled i = List.exists (fun b -> i >= b - 2 && i <= b + 1) boundaries in
+  let seen = ref [] in
+  Outbox.filter box (fun _ _ i ->
+      seen := i :: !seen;
+      not (cancelled i));
+  Alcotest.(check (list int)) "filter visits every slot in order" (List.init total Fun.id)
+    (List.rev !seen);
+  List.iter
+    (fun i ->
+      Alcotest.(check int) (Printf.sprintf "slot %d cancelled" i) (-1) (Outbox.dst box i);
+      Alcotest.(check int) "src survives cancellation" (src i) (Outbox.src box i);
+      Alcotest.(check int) "msg survives cancellation" i (Outbox.msg box i))
+    near;
+  Alcotest.(check (list (triple int int int)))
+    "iter skips the cancelled slots"
+    (List.filter_map
+       (fun i -> if cancelled i then None else Some (src i, dst i, i))
+       (List.init total Fun.id))
+    (drain box);
+  (* a refill past one segment reuses the segments; a cancelled slot is
+     live again once pushed over *)
+  let cap = Outbox.capacity box in
+  Outbox.clear box;
+  for i = 0 to seg + 4 do
+    Outbox.push box ~src:i ~dst:(seg + 4 - i) (-i)
+  done;
+  Alcotest.(check int) "capacity after clear and refill" cap (Outbox.capacity box);
+  Alcotest.(check int) "refilled boundary slot is live" 3 (Outbox.dst box (seg + 1));
+  Alcotest.(check (list (triple int int int)))
+    "refill reads back in order"
+    (List.init (seg + 5) (fun i -> (i, seg + 4 - i, -i)))
+    (drain box)
+
 let () =
   Alcotest.run "outbox"
     [
@@ -141,5 +211,6 @@ let () =
           Alcotest.test_case "clear" `Quick test_clear_empty;
           Alcotest.test_case "packed ids at the extremes" `Quick test_packed_ids;
           Alcotest.test_case "cancelled slots" `Quick test_cancelled_slots;
+          Alcotest.test_case "segment boundaries" `Quick test_segment_boundaries;
         ] );
     ]
